@@ -284,58 +284,6 @@ pub fn scan_program(fn_name: &str, fn_source: &str, t: &str) -> Program {
     Program::from_source(program_name("scan", fn_name, &[t]), source).with_arg_count(6)
 }
 
-/// Generate the 2D Map skeleton program for `U f(T)` over a row-major
-/// matrix: one work-item per element of a 2D NDRange.
-pub fn map2d_program(fn_name: &str, fn_source: &str, in_t: &str, out_t: &str) -> Program {
-    let source = format!(
-        "// generated by SkelCL codegen: Map skeleton (2D NDRange)\n\
-         {fn_source}\n\
-         __kernel void skelcl_map2d(__global const {in_t}* restrict in,\n\
-                                    __global {out_t}* restrict out,\n\
-                                    const uint n_rows,\n\
-                                    const uint n_cols) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1);\n\
-             if (row < n_rows && col < n_cols) {{\n\
-                 out[row * n_cols + col] = {fn_name}(in[row * n_cols + col]);\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(program_name("map2d", fn_name, &[in_t, out_t]), source).with_arg_count(4)
-}
-
-/// Generate the 2D Zip skeleton program for `U f(T1, T2)` over two
-/// identically shaped row-major matrices.
-pub fn zip2d_program(
-    fn_name: &str,
-    fn_source: &str,
-    in1_t: &str,
-    in2_t: &str,
-    out_t: &str,
-) -> Program {
-    let source = format!(
-        "// generated by SkelCL codegen: Zip skeleton (2D NDRange)\n\
-         {fn_source}\n\
-         __kernel void skelcl_zip2d(__global const {in1_t}* restrict lhs,\n\
-                                    __global const {in2_t}* restrict rhs,\n\
-                                    __global {out_t}* restrict out,\n\
-                                    const uint n_rows,\n\
-                                    const uint n_cols) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1);\n\
-             if (row < n_rows && col < n_cols) {{\n\
-                 uint i = row * n_cols + col;\n\
-                 out[i] = {fn_name}(lhs[i], rhs[i]);\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(
-        program_name("zip2d", fn_name, &[in1_t, in2_t, out_t]),
-        source,
-    )
-    .with_arg_count(5)
-}
-
 /// The index-resolution snippet of `stencil_at` for one boundary mode:
 /// `neumann` clamps, `wrap` is toroidal, `zero` returns the element type's
 /// zero before indexing.
@@ -353,99 +301,6 @@ fn stencil_boundary_resolve(boundary: &str, in_t: &str) -> String {
                  return ({in_t})0;"
         ),
     }
-}
-
-/// Generate the Stencil2D skeleton program: a 2D stencil of the given
-/// radius whose out-of-range accesses follow `boundary` (`neumann` clamps,
-/// `wrap` is toroidal, `zero` reads 0). The boundary mode changes the
-/// emitted index arithmetic, so it is part of the program name and thus the
-/// cache key.
-pub fn stencil2d_program(
-    fn_name: &str,
-    fn_source: &str,
-    in_t: &str,
-    out_t: &str,
-    radius: usize,
-    boundary: &str,
-) -> Program {
-    let resolve = stencil_boundary_resolve(boundary, in_t);
-    let source = format!(
-        "// generated by SkelCL codegen: Stencil2D skeleton, radius {radius}, {boundary} boundary\n\
-         inline {in_t} stencil_at(__global const {in_t}* in, int row, int col,\n\
-                                  uint n_rows, uint n_cols, int dr, int dc) {{\n\
-             {resolve}\n\
-             return in[rr * n_cols + cc];\n\
-         }}\n\
-         {fn_source}\n\
-         __kernel void skelcl_stencil2d(__global const {in_t}* restrict in,\n\
-                                        __global {out_t}* restrict out,\n\
-                                        const uint n_rows,\n\
-                                        const uint n_cols,\n\
-                                        const uint row_offset) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1) + row_offset;\n\
-             if (row < n_rows && col < n_cols) {{\n\
-                 out[row * n_cols + col] = {fn_name}(in, row, col, n_rows, n_cols);\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(
-        program_name(
-            &format!("stencil2d_r{radius}_{boundary}"),
-            fn_name,
-            &[in_t, out_t],
-        ),
-        source,
-    )
-    .with_arg_count(5)
-}
-
-/// Generate the iteration form of the Stencil2D skeleton program, behind
-/// `Stencil2D::iterate(n)`: the same per-element stencil as
-/// [`stencil2d_program`], but written against two device-resident buffers
-/// `a` (read) and `b` (write) whose roles swap between launches. The host
-/// side launches this one compiled kernel `n` times, rebinding `a`/`b`
-/// each round and batching one halo exchange per iteration; no intermediate
-/// buffer is ever allocated or downloaded. The element type is forced to be
-/// the same on both sides (`{t}` → `{t}`) — ping-ponging requires it.
-pub fn stencil2d_iter_program(
-    fn_name: &str,
-    fn_source: &str,
-    t: &str,
-    radius: usize,
-    boundary: &str,
-) -> Program {
-    let resolve = stencil_boundary_resolve(boundary, t);
-    let source = format!(
-        "// generated by SkelCL codegen: Stencil2D iteration, radius {radius}, {boundary} boundary\n\
-         // a/b ping-pong: launch n swaps the buffers of launch n-1.\n\
-         inline {t} stencil_at(__global const {t}* in, int row, int col,\n\
-                               uint n_rows, uint n_cols, int dr, int dc) {{\n\
-             {resolve}\n\
-             return in[rr * n_cols + cc];\n\
-         }}\n\
-         {fn_source}\n\
-         __kernel void skelcl_stencil2d_iter(__global const {t}* restrict a,\n\
-                                             __global {t}* restrict b,\n\
-                                             const uint n_rows,\n\
-                                             const uint n_cols,\n\
-                                             const uint row_offset) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1) + row_offset;\n\
-             if (row < n_rows && col < n_cols) {{\n\
-                 b[row * n_cols + col] = {fn_name}(a, row, col, n_rows, n_cols);\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(
-        program_name(
-            &format!("stencil2d_iter_r{radius}_{boundary}"),
-            fn_name,
-            &[t],
-        ),
-        source,
-    )
-    .with_arg_count(5)
 }
 
 /// Generate the row-segmented 2D Reduce program behind
@@ -720,7 +575,9 @@ pub fn map_overlap_program(fn_name: &str, fn_source: &str, t: &str, radius: usiz
 // emitted code. The joined stage names (and, for stencils, radius and
 // boundary mode) go into the program name — the fused program is cached in
 // the `ProgramRegistry` under that key exactly like any single-skeleton
-// program.
+// program. `Map::apply_matrix`, `Zip::apply_matrix` and `Stencil2D` build
+// the one-stage members of these families, so a one-stage pipeline over the
+// same user function shares their program.
 
 /// One stage of a fused pipeline group, as codegen sees it.
 #[derive(Clone, Debug)]
@@ -837,7 +694,10 @@ pub fn fused_map2d_program(stages: &[FusedStage], in_t: &str, out_t: &str) -> Pr
 /// stage whose neighbourhood reads run the *pre* element-wise chain and
 /// whose result runs the *post* chain before the single write. `pre`,
 /// `stencil` and `post` together are the launch's stage list; the split is
-/// positional (stages before/after the stencil stage).
+/// positional (stages before/after the stencil stage). Out-of-range
+/// accesses follow `boundary` (`neumann` clamps, `wrap` is toroidal, `zero`
+/// reads 0); the boundary mode changes the emitted index arithmetic, so it
+/// is part of the program name and thus the cache key.
 pub fn fused_stencil2d_program(
     stages: &[FusedStage],
     in_t: &str,
@@ -1111,20 +971,6 @@ mod tests {
         // and a different body changes the hash (cache key correctness)
         let c = map_program("f", "float f(float x){return x+2;}", "float", "float", 0);
         assert_ne!(a.hash(), c.hash());
-    }
-
-    #[test]
-    fn stencil_iter_program_is_distinct_from_the_apply_form() {
-        let src = "float f(__global float* in, int r, int c, uint nr, uint nc) { return 0.0f; }";
-        let apply = stencil2d_program("f", src, "float", "float", 1, "neumann");
-        let iter = stencil2d_iter_program("f", src, "float", 1, "neumann");
-        assert_ne!(apply.hash(), iter.hash());
-        assert!(iter.source.contains("skelcl_stencil2d_iter"));
-        assert!(iter.source.contains("ping-pong"));
-        assert_eq!(iter.n_args, 5);
-        // Boundary mode is part of the iter cache key too.
-        let wrap = stencil2d_iter_program("f", src, "float", 1, "wrap");
-        assert_ne!(iter.hash(), wrap.hash());
     }
 
     #[test]

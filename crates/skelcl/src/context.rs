@@ -555,8 +555,8 @@ impl Context {
         self.inner.halo_exchanges.get()
     }
 
-    /// Record one halo-exchange event (called by the matrix exchange path
-    /// and by `Stencil2D::iterate`'s batched per-iteration exchange).
+    /// Record one halo-exchange event (called by the shared part-halo
+    /// exchange behind matrices, `Stencil2D` and pipeline stencil groups).
     pub(crate) fn note_halo_exchange(&self) {
         self.inner.halo_exchanges.inc();
     }

@@ -404,8 +404,9 @@
 //! element-wise stages fold into the *reads* of the next stencil (or the
 //! k-fold of a reduction) and into the *writes* of the previous one, so
 //! each stencil anchor becomes exactly one fused launch and no
-//! intermediate matrix ever exists. The fused OpenCL programs come from
-//! dedicated [`codegen`] builders and are cached in the
+//! intermediate matrix ever exists. A stencil stage takes the same
+//! [`Stencil2DView`] user function as [`Stencil2D`]. The fused OpenCL
+//! programs come from dedicated [`codegen`] builders and are cached in the
 //! [`ProgramRegistry`] under a key derived from the exact stage chain —
 //! same chain, same program. Results are **bit-identical** to the unfused
 //! skeleton chain on every device count, boundary mode and distribution
@@ -417,43 +418,35 @@
 //!
 //! ```
 //! use skelcl::{
-//!     Boundary2D, Context, ContextConfig, Map, Matrix, PipeView, Pipeline, PipelineExpr,
-//!     Stencil2D, Stencil2DView, UserFn,
+//!     Boundary2D, Context, ContextConfig, Map, Matrix, Pipeline, PipelineExpr, Stencil2D,
+//!     Stencil2DView, UserFn,
 //! };
 //!
 //! let ctx = Context::new(ContextConfig::default().devices(2).cache_tag("doc-pipeline"));
 //! let img = Matrix::from_fn(&ctx, 32, 32, |r, c| (r * c) as f32);
 //!
-//! const CROSS_SRC: &str =
+//! let cross4 = UserFn::new(
+//!     "cross4",
 //!     "float cross4(__global float* in, int r, int c, uint nr, uint nc) {\n\
 //!          return 0.25f * (stencil_at(in,r,c,nr,nc,-1,0) + stencil_at(in,r,c,nr,nc,1,0)\n\
 //!                        + stencil_at(in,r,c,nr,nc,0,-1) + stencil_at(in,r,c,nr,nc,0,1));\n\
-//!      }";
+//!      }",
+//!     |v: &Stencil2DView<'_, f32>| {
+//!         0.25 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1))
+//!     },
+//! );
 //!
 //! // scale → blur → square: one fused kernel launch, zero intermediates.
 //! let fused = Pipeline::start::<f32>()
 //!     .map(skelcl::skel_fn!(fn scale(x: f32) -> f32 { x * 0.5 }))
-//!     .stencil(
-//!         UserFn::new("cross4", CROSS_SRC,
-//!             |v: &PipeView<'_, f32>| {
-//!                 0.25 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1))
-//!             }),
-//!         1,
-//!         Boundary2D::Neumann,
-//!     )
+//!     .stencil(cross4.clone(), 1, Boundary2D::Neumann)
 //!     .map(skelcl::skel_fn!(fn square(x: f32) -> f32 { x * x }))
 //!     .run(&img)
 //!     .unwrap();
 //!
 //! // The eager three-skeleton chain: three launches, two intermediates —
 //! // and exactly the same bits.
-//! let blur = Stencil2D::new(
-//!     UserFn::new("cross4", CROSS_SRC, |v: &Stencil2DView<'_, f32>| {
-//!         0.25 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1))
-//!     }),
-//!     1,
-//!     Boundary2D::Neumann,
-//! );
+//! let blur = Stencil2D::new(cross4, 1, Boundary2D::Neumann);
 //! let step1 = Map::new(skelcl::skel_fn!(fn scale(x: f32) -> f32 { x * 0.5 }))
 //!     .apply_matrix(&img).unwrap();
 //! let step2 = blur.apply(&step1).unwrap();
@@ -492,7 +485,7 @@ pub use skeletons::{AllPairs, AllPairsStrategy};
 pub use skeletons::{Boundary, Map, MapArgs, MapOverlap, MapVoid, Reduce, Scan, Zip, ZipArgs};
 pub use skeletons::{Boundary2D, Stencil2D, Stencil2DView};
 pub use skeletons::{MapIndex, MapReduce, ReduceStrategy, ScanStrategy};
-pub use skeletons::{PipeView, Pipeline, PipelineExpr};
+pub use skeletons::{Pipeline, PipelineExpr};
 pub use skeletons::{ReduceCols, ReduceColsArg, ReduceRows, ReduceRowsArg};
 pub use telemetry::{export_json, render_prometheus, run_report_json};
 pub use trace::{verify_span_nesting, SpanGuard, SpanRecord};

@@ -962,9 +962,7 @@ fn halo_exchange<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
     if st.halos_fresh || !st.device_fresh || st.cols == 0 {
         return Ok(());
     }
-    if exchange_part_halos(ctx, &st.parts, st.rows, st.cols, false)? {
-        ctx.note_halo_exchange();
-    }
+    exchange_part_halos(ctx, &st.parts, st.rows, st.cols, false)?;
     ctx.sync();
     st.halos_fresh = true;
     Ok(())
@@ -977,9 +975,9 @@ fn halo_exchange<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
 /// the matrix edge are left untouched: only the `Wrap` boundary mode ever
 /// reads them, so a stencil that knows its boundary is `Neumann`/`Zero`
 /// can batch a strictly smaller exchange. Returns whether any halo rows
-/// were actually refreshed (one exchange *event*), so callers can count
-/// events without counting no-ops — a round where every run is skipped
-/// is a no-op.
+/// were actually refreshed: that is one exchange *event*, counted here in
+/// [`Context::halo_exchange_count`] for every caller. A round where every
+/// run is skipped is a no-op and counts nothing.
 pub(crate) fn exchange_part_halos<T: Scalar>(
     ctx: &Context,
     parts: &[MatrixPart<T>],
@@ -993,11 +991,10 @@ pub(crate) fn exchange_part_halos<T: Scalar>(
 /// The overlapped twin of [`exchange_part_halos`]: every copy is issued
 /// **asynchronously on the copy engines**, waiting only for the producer
 /// events in `deps_by_device` (per source/destination device), so the whole
-/// exchange runs underneath unrelated kernels. Returns whether anything was
-/// refreshed (one exchange *event*, counted by the caller exactly like the
-/// serial exchange — issuing on the copy stream must not change the count)
-/// and, per part, the copy events that wrote into that part's halos — the
-/// `wait_for` list of the next boundary launch reading them.
+/// exchange runs underneath unrelated kernels. Events are counted exactly
+/// like the serial exchange (issuing on the copy stream must not change the
+/// count). Returns, per part, the copy events that wrote into that part's
+/// halos — the `wait_for` list of the next boundary launch reading them.
 pub(crate) fn exchange_part_halos_overlapped<T: Scalar>(
     ctx: &Context,
     parts: &[MatrixPart<T>],
@@ -1005,8 +1002,8 @@ pub(crate) fn exchange_part_halos_overlapped<T: Scalar>(
     cols: usize,
     skip_wrapped: bool,
     deps_by_device: &[Vec<Event>],
-) -> Result<(bool, Vec<Vec<Event>>)> {
-    exchange_part_halos_impl(ctx, parts, n_rows, cols, skip_wrapped, Some(deps_by_device))
+) -> Result<Vec<Vec<Event>>> {
+    Ok(exchange_part_halos_impl(ctx, parts, n_rows, cols, skip_wrapped, Some(deps_by_device))?.1)
 }
 
 fn exchange_part_halos_impl<T: Scalar>(
@@ -1047,6 +1044,12 @@ fn exchange_part_halos_impl<T: Scalar>(
                 fill_rows_from_owners(ctx, parts, p, run, cols, concurrent, overlap)?;
             }
         }
+    }
+    // Counted after the span closes, in the span of the skeleton that
+    // needed the refresh.
+    drop(span);
+    if exchanged {
+        ctx.note_halo_exchange();
     }
     Ok((exchanged, events))
 }

@@ -14,9 +14,8 @@ use crate::codegen::{self, UserFn};
 use crate::error::Result;
 use crate::matrix::Matrix;
 use crate::meter;
-use crate::skeletons::{
-    alloc_matching_matrix_parts, alloc_matching_parts, linear_range, output_vector, range_2d,
-};
+use crate::skeletons::pipeline::{launch_elementwise, stage_of, OpMap};
+use crate::skeletons::{alloc_matching_parts, linear_range, output_vector};
 use crate::vector::Vector;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -26,7 +25,8 @@ use vgpu::{KernelBody, Program, Scalar as Element};
 pub struct Map<T: Element, U: Element, F> {
     user: UserFn<F>,
     program: Program,
-    /// The 2D-NDRange twin used by [`Map::apply_matrix`].
+    /// The 2D-NDRange twin used by [`Map::apply_matrix`]: the one-stage
+    /// fused element-wise program a one-stage pipeline map also builds.
     program2d: Program,
     _pd: PhantomData<fn(T) -> U>,
 }
@@ -43,7 +43,7 @@ where
         let program =
             codegen::map_program(user.name(), user.source(), T::TYPE_NAME, U::TYPE_NAME, 0);
         let program2d =
-            codegen::map2d_program(user.name(), user.source(), T::TYPE_NAME, U::TYPE_NAME);
+            codegen::fused_map2d_program(&[stage_of("map", &user)], T::TYPE_NAME, U::TYPE_NAME);
         Map {
             user,
             program,
@@ -186,35 +186,9 @@ where
         let (rows, cols) = input.dims();
         let in_parts = input.parts()?;
         let halos_fresh = input.halos_fresh();
-        let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
-
-        let static_ops = self.user.static_ops();
-        for (ip, op) in in_parts.iter().zip(&out_parts) {
-            if ip.rows == 0 || ip.cols == 0 {
-                continue;
-            }
-            let f = self.user.func().clone();
-            let src = ip.buffer.clone();
-            let dst = op.buffer.clone();
-            // The part's own column count is the buffer's row stride (only
-            // equal to the matrix width for full-width parts).
-            let stride = ip.cols;
-            let body: KernelBody = Arc::new(move |wg| {
-                wg.for_each_item(|it| {
-                    if !it.in_bounds() {
-                        return;
-                    }
-                    let i = it.global_id(1) * stride + it.global_id(0);
-                    let x = it.read(&src, i);
-                    let (y, dyn_ops) = meter::metered(|| f(x));
-                    it.write(&dst, i, y);
-                    it.work(static_ops + dyn_ops);
-                });
-            });
-            let kernel = compiled.with_body(body);
-            ctx.queue(ip.device)
-                .launch(&kernel, range_2d(&ctx, ip.cols, ip.span_rows()))?;
-        }
+        let op = OpMap::new(self.user.func().clone());
+        let out_parts =
+            launch_elementwise(&ctx, &compiled, &in_parts, &op, self.user.static_ops())?;
         Ok(Matrix::from_device_parts(
             &ctx,
             rows,

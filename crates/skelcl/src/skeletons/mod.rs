@@ -25,9 +25,7 @@ pub use allpairs::{AllPairs, AllPairsStrategy};
 pub use map::{Map, MapArgs, MapVoid};
 pub use map_overlap::{Boundary, MapOverlap, StencilView};
 pub use map_reduce::{MapIndex, MapReduce};
-pub use pipeline::{
-    PipeMap, PipeStencil, PipeStencilPair, PipeView, PipeZip, Pipeline, PipelineExpr, Start,
-};
+pub use pipeline::{PipeMap, PipeStencil, PipeStencilPair, PipeZip, Pipeline, PipelineExpr, Start};
 pub use reduce::{Reduce, ReduceStrategy};
 pub use reduce2d::{ReduceCols, ReduceColsArg, ReduceRows, ReduceRowsArg};
 pub use scan::{Scan, ScanStrategy};
@@ -60,7 +58,7 @@ pub(crate) fn alloc_matching_parts<T: Element, U: Element>(
 
 /// Allocate output matrix parts matching an input part layout (same
 /// devices, same owned/halo row geometry, same column range). Used by the
-/// element-wise matrix skeleton paths.
+/// element-wise and stencil matrix launchers.
 pub(crate) fn alloc_matching_matrix_parts<T: Element, U: Element>(
     ctx: &Context,
     parts: &[crate::matrix::MatrixPart<T>],

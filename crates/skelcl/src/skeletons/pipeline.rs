@@ -22,16 +22,17 @@
 //!
 //! Fused programs are generated by the `codegen` fused builders and cached
 //! in the [`ProgramRegistry`](crate::ProgramRegistry) under the joined
-//! stage names, like any single-skeleton program. Stencil reads resolve
-//! boundaries through [`PipeView`], whose `get` mirrors
-//! [`Stencil2DView`](crate::Stencil2DView) *bit for bit* — a single-stage
-//! pipeline produces the same bits as the unfused skeleton.
+//! stage names, like any single-skeleton program. Stencil groups launch
+//! through the same per-part launcher, view and program family as
+//! [`Stencil2D`](crate::Stencil2D), and element-wise groups through the
+//! launcher behind `Map::apply_matrix` / `Zip::apply_matrix`.
 //!
 //! The technique follows the expression-template fusion of Demidov et al.
 //! ("Programming CUDA and OpenCL: A Case Study Using Modern C++
 //! Libraries"): composition happens in the type system, so every fused
 //! kernel body is fully monomorphized except for one dynamic read closure
-//! inside stencil neighbourhood access.
+//! inside the neighbourhood access of a stencil with element-wise stages
+//! fused into its reads.
 
 use std::any::Any;
 use std::marker::PhantomData;
@@ -42,10 +43,12 @@ use crate::context::Context;
 use crate::error::{Error, Result};
 use crate::matrix::{exchange_part_halos, Matrix, MatrixDistribution, MatrixPart};
 use crate::meter;
-use crate::skeletons::stencil2d::{alloc_mirror_parts, stale_free, Boundary2D};
+use crate::skeletons::stencil2d::{
+    stale_free, stencil_input_layout, Boundary2D, Stencil2DView, StencilKernel,
+};
 use crate::skeletons::{alloc_matching_matrix_parts, linear_range, range_2d};
 use crate::vector::{DevicePart, Distribution, Vector};
-use vgpu::{Item, KernelBody, Scalar as Element};
+use vgpu::{CompiledKernel, Item, KernelBody, Scalar as Element};
 
 /// The `+`-joined stage names of a fused group (span attribute and part of
 /// the generated program's cache key).
@@ -58,20 +61,17 @@ fn chain_label(stages: &[FusedStage]) -> String {
 }
 
 /// A stage descriptor from a user function.
-fn stage_of<F>(kind: &'static str, user: &UserFn<F>) -> FusedStage {
+pub(crate) fn stage_of<F>(kind: &'static str, user: &UserFn<F>) -> FusedStage {
     FusedStage::new(kind, user.name(), user.source(), user.static_ops())
 }
 
-/// Reuse a part set as a different element type when the types are in fact
-/// the same (`J == I`). The pipeline calls this only for stage-free
-/// chains, where the op chain is an identity composition and therefore
-/// type-preserving by construction.
-fn same_element_parts<J: Element, I: Element>(
-    parts: Vec<MatrixPart<J>>,
-) -> Option<Vec<MatrixPart<I>>> {
-    let mut slot = Some(parts);
+/// `x` as a `Y` when the two types are in fact the same. The launchers
+/// call this only for stage-free chains, where the op chain is an identity
+/// composition and therefore type-preserving by construction.
+pub(crate) fn same_type<X: 'static, Y: 'static>(x: X) -> Option<Y> {
+    let mut slot = Some(x);
     (&mut slot as &mut dyn Any)
-        .downcast_mut::<Option<Vec<MatrixPart<I>>>>()
+        .downcast_mut::<Option<Y>>()
         .and_then(Option::take)
 }
 
@@ -126,6 +126,15 @@ pub struct OpMap<F, M, O> {
     _pd: PhantomData<fn(M) -> O>,
 }
 
+impl<F, M, O> OpMap<F, M, O> {
+    pub(crate) fn new(f: F) -> Self {
+        OpMap {
+            f,
+            _pd: PhantomData,
+        }
+    }
+}
+
 impl<M, O, F> PixelOp<M, O> for OpMap<F, M, O>
 where
     M: Element,
@@ -146,6 +155,17 @@ pub struct OpZip<F, B: Element, M, O> {
     parts: Arc<Vec<MatrixPart<B>>>,
     f: F,
     _pd: PhantomData<fn(M, B) -> O>,
+}
+
+impl<F, B: Element, M, O> OpZip<F, B, M, O> {
+    /// `parts` mirror the chain's part geometry index for index.
+    pub(crate) fn new(parts: Vec<MatrixPart<B>>, f: F) -> Self {
+        OpZip {
+            parts: Arc::new(parts),
+            f,
+            _pd: PhantomData,
+        }
+    }
 }
 
 impl<B, M, O, F> PixelOp<M, O> for OpZip<F, B, M, O>
@@ -261,9 +281,8 @@ where
 /// A pending `map` stage over an inner plan.
 pub struct Mapped<P, F, M: Element, V: Element> {
     inner: P,
-    f: F,
+    op: OpMap<F, M, V>,
     stage: FusedStage,
-    _pd: PhantomData<fn(M) -> V>,
 }
 
 impl<P, F, M, V> ReadPlan<V> for Mapped<P, F, M, V>
@@ -285,10 +304,7 @@ where
         stages.append(&mut gstages);
         self.inner.settle_with(
             OpSeq {
-                a: OpMap {
-                    f: self.f,
-                    _pd: PhantomData,
-                },
+                a: self.op,
                 b: g,
                 _pd: PhantomData,
             },
@@ -304,10 +320,8 @@ where
 /// A pending `zip_with` stage over an inner plan.
 pub struct Zipped<P, F, B: Element, M: Element, V: Element> {
     inner: P,
-    parts: Arc<Vec<MatrixPart<B>>>,
-    f: F,
+    op: OpZip<F, B, M, V>,
     stage: FusedStage,
-    _pd: PhantomData<fn(M, B) -> V>,
 }
 
 impl<P, F, B, M, V> ReadPlan<V> for Zipped<P, F, B, M, V>
@@ -330,11 +344,7 @@ where
         stages.append(&mut gstages);
         self.inner.settle_with(
             OpSeq {
-                a: OpZip {
-                    parts: self.parts,
-                    f: self.f,
-                    _pd: PhantomData,
-                },
+                a: self.op,
                 b: g,
                 _pd: PhantomData,
             },
@@ -365,7 +375,7 @@ where
     P: ReadPlan<A>,
     A: Element,
     I: Element,
-    E: for<'v> Fn(&PipeView<'v, A>) -> I + Send + Sync + Clone + 'static,
+    E: Fn(&Stencil2DView<'_, A>) -> I + Send + Sync + Clone + 'static,
 {
     type Base<V: Element, G: PixelOp<I, V>> = V;
     type Op<V: Element, G: PixelOp<I, V>> = OpId<V>;
@@ -396,96 +406,6 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// The stencil view.
-// ---------------------------------------------------------------------------
-
-/// A pipeline stencil stage's view of its neighbourhood: the fused twin of
-/// [`Stencil2DView`](crate::Stencil2DView), with identical boundary
-/// resolution (`get` computes the same bits for the same offsets). The
-/// difference is what a read *returns*: the fused pre-chain's value for
-/// that position, not the raw buffer element.
-pub struct PipeView<'a, T: Element> {
-    read: &'a (dyn Fn(usize, usize) -> T + 'a),
-    cols: usize,
-    n_rows: usize,
-    span_row: usize,
-    span_rows: usize,
-    g_row: usize,
-    col: usize,
-    radius: usize,
-    boundary: Boundary2D,
-}
-
-impl<'a, T: Element> PipeView<'a, T> {
-    /// The neighbour at `(row + dr, col + dc)`; `(0, 0)` is the element
-    /// itself. Panics if `|dr|` or `|dc|` exceeds the stencil radius —
-    /// the same contract (and the same index arithmetic, case for case)
-    /// as `Stencil2DView::get`, which is what keeps single-stage pipelines
-    /// bit-identical to the unfused skeleton.
-    #[inline]
-    pub fn get(&self, dr: isize, dc: isize) -> T {
-        assert!(
-            dr.unsigned_abs() <= self.radius && dc.unsigned_abs() <= self.radius,
-            "stencil access ({dr}, {dc}) exceeds radius {}",
-            self.radius
-        );
-        let n_rows = self.n_rows as isize;
-        let n_cols = self.cols as isize;
-        let row_delta = match self.boundary {
-            Boundary2D::Wrap => dr,
-            Boundary2D::Neumann => {
-                let clamped = (self.g_row as isize + dr).clamp(0, n_rows - 1);
-                clamped - self.g_row as isize
-            }
-            Boundary2D::Zero => {
-                let target = self.g_row as isize + dr;
-                if target < 0 || target >= n_rows {
-                    return T::default();
-                }
-                dr
-            }
-        };
-        let col = match self.boundary {
-            Boundary2D::Wrap => (self.col as isize + dc).rem_euclid(n_cols),
-            Boundary2D::Neumann => (self.col as isize + dc).clamp(0, n_cols - 1),
-            Boundary2D::Zero => {
-                let target = self.col as isize + dc;
-                if target < 0 || target >= n_cols {
-                    return T::default();
-                }
-                target
-            }
-        };
-        let mut span_row = self.span_row as isize + row_delta;
-        if span_row < 0 || span_row >= self.span_rows as isize {
-            // Same beyond-span rule as `Stencil2DView::get`: span rows are
-            // consecutive global rows (mod n_rows) whenever this is
-            // reachable, so reduce modulo the matrix height.
-            debug_assert!(
-                self.span_rows >= self.n_rows,
-                "beyond-span stencil read with a span narrower than the matrix"
-            );
-            span_row = span_row.rem_euclid(n_rows);
-        }
-        (self.read)(span_row as usize, col as usize)
-    }
-
-    /// The centre's global position `(row, col)`.
-    pub fn position(&self) -> (usize, usize) {
-        (self.g_row, self.col)
-    }
-
-    /// The matrix dimensions `(rows, cols)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.n_rows, self.cols)
-    }
-
-    pub fn radius(&self) -> usize {
-        self.radius
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Fused launches.
 // ---------------------------------------------------------------------------
 
@@ -508,7 +428,7 @@ where
     I: Element,
     V: Element,
     OpPre: PixelOp<J, A>,
-    E: for<'v> Fn(&PipeView<'v, A>) -> I + Send + Sync + Clone + 'static,
+    E: Fn(&Stencil2DView<'_, A>) -> I + Send + Sync + Clone + 'static,
     G: PixelOp<I, V>,
 {
     let ElemPlan {
@@ -522,6 +442,7 @@ where
     let ctx = geom.ctx.clone();
     let (rows, cols) = (geom.rows, geom.cols);
 
+    let fused_reads = !pre_stages.is_empty();
     let mut all_stages = pre_stages;
     all_stages.push(stage);
     all_stages.extend(post_stages);
@@ -533,7 +454,7 @@ where
     span.attr("devices", ctx.n_devices().to_string());
 
     // Halo coherence before reading beyond owned rows (wrapped runs only
-    // refresh under Wrap, as in Stencil2D).
+    // refresh under Wrap, as in Stencil2D::iterate).
     if !halos_fresh {
         let skip_wrapped = boundary != Boundary2D::Wrap;
         exchange_part_halos(&ctx, &parts, rows, cols, skip_wrapped)?;
@@ -546,56 +467,20 @@ where
         radius,
         boundary.codegen_name(),
     );
-    let compiled = ctx.get_or_build(&program)?;
-    let out_parts: Vec<MatrixPart<V>> = alloc_mirror_parts(&ctx, &parts, cols)?;
-    let static_ops: u64 = all_stages.iter().map(|s| s.static_ops).sum();
-
-    for (pi, (ip, op_part)) in parts.iter().zip(&out_parts).enumerate() {
-        if ip.rows == 0 || cols == 0 {
-            continue;
-        }
-        let src = ip.buffer.clone();
-        let dst = op_part.buffer.clone();
-        let pre_op = pre_op.clone();
-        let post = post_op.clone();
-        let eval = eval.clone();
-        let halo_above = ip.halo_above;
-        let row_offset = ip.row_offset;
-        let span_rows = ip.span_rows();
-        let body: KernelBody = Arc::new(move |wg| {
-            wg.for_each_item(|it| {
-                if !it.in_bounds() {
-                    return;
-                }
-                let col = it.global_id(0);
-                let local_row = it.global_id(1);
-                let read = |sr: usize, c: usize| -> A {
-                    let raw = it.read(&src, sr * cols + c);
-                    pre_op.apply(it, pi, sr, c, raw)
-                };
-                let view = PipeView {
-                    read: &read,
-                    cols,
-                    n_rows: rows,
-                    span_row: halo_above + local_row,
-                    span_rows,
-                    g_row: row_offset + local_row,
-                    col,
-                    radius,
-                    boundary,
-                };
-                let (y, dyn_ops) = meter::metered(|| {
-                    let v = eval(&view);
-                    post.apply(it, pi, halo_above + local_row, col, v)
-                });
-                it.write(&dst, (halo_above + local_row) * cols + col, y);
-                it.work(static_ops + dyn_ops);
-            });
-        });
-        let kernel = compiled.with_body(body);
-        ctx.queue(ip.device)
-            .launch(&kernel, range_2d(&ctx, cols, ip.rows))?;
-    }
+    let kernel = StencilKernel {
+        compiled: ctx.get_or_build(&program)?,
+        eval,
+        pre: pre_op,
+        fused_reads,
+        post: post_op,
+        static_ops: all_stages.iter().map(|s| s.static_ops).sum(),
+        radius,
+        boundary,
+        n_rows: rows,
+        _pd: PhantomData,
+    };
+    let out_parts: Vec<MatrixPart<V>> = alloc_matching_matrix_parts(&ctx, &parts)?;
+    kernel.launch_parts(&ctx, &parts, &out_parts)?;
     ctx.metrics().counter("skelcl.pipeline.groups").inc();
     ctx.metrics()
         .counter("skelcl.pipeline.stages_fused")
@@ -610,6 +495,54 @@ where
         stages: Vec::new(),
         _pd: PhantomData,
     })
+}
+
+/// Launch one element-wise kernel per part, `out = op(in)` over **all**
+/// span rows: halo rows are computed locally, so the output's halo
+/// coherence is the input's. The one element-wise launcher behind fused
+/// map/zip groups, `Map::apply_matrix` and `Zip::apply_matrix`.
+pub(crate) fn launch_elementwise<J, I, Op>(
+    ctx: &Context,
+    compiled: &CompiledKernel,
+    parts: &[MatrixPart<J>],
+    op: &Op,
+    static_ops: u64,
+) -> Result<Vec<MatrixPart<I>>>
+where
+    J: Element,
+    I: Element,
+    Op: PixelOp<J, I>,
+{
+    let out_parts: Vec<MatrixPart<I>> = alloc_matching_matrix_parts(ctx, parts)?;
+    for (pi, (ip, op_part)) in parts.iter().zip(&out_parts).enumerate() {
+        let launch_rows = ip.span_rows();
+        let stride = ip.cols;
+        if launch_rows == 0 || stride == 0 {
+            continue;
+        }
+        let src = ip.buffer.clone();
+        let dst = op_part.buffer.clone();
+        let op = op.clone();
+        let body: KernelBody = Arc::new(move |wg| {
+            wg.for_each_item(|it| {
+                if !it.in_bounds() {
+                    return;
+                }
+                let col = it.global_id(0);
+                let sr = it.global_id(1);
+                let idx = sr * stride + col;
+                let x = it.read(&src, idx);
+                let (y, dyn_ops) = meter::metered(|| op.apply(it, pi, sr, col, x));
+                it.write(&dst, idx, y);
+                it.work(static_ops + dyn_ops);
+            });
+        });
+        ctx.queue(ip.device).launch(
+            &compiled.with_body(body),
+            range_2d(ctx, stride, launch_rows),
+        )?;
+    }
+    Ok(out_parts)
 }
 
 /// The result of settling and materializing a whole pipeline: output parts
@@ -627,13 +560,13 @@ where
     Op: PixelOp<J, I>,
 {
     /// Materialize the pending element-wise chain: one fused map launch
-    /// over **all** span rows per part (halo rows are computed locally, so
-    /// halo freshness passes through, as for `Map::apply_matrix`). A
-    /// stage-free chain launches nothing — the output shares the input's
-    /// device buffers, which skeletons never mutate.
+    /// over **all** span rows per part (halo freshness passes through, as
+    /// for `Map::apply_matrix`). A stage-free chain launches nothing — the
+    /// output shares the input's device buffers, which skeletons never
+    /// mutate.
     fn finish(self) -> Result<FinishedParts<I>> {
         if self.stages.is_empty() {
-            let parts = same_element_parts::<J, I>(self.parts)
+            let parts = same_type(self.parts)
                 .expect("a stage-free pipeline chain preserves the element type");
             return Ok(FinishedParts {
                 geom: self.geom,
@@ -649,37 +582,8 @@ where
 
         let program = codegen::fused_map2d_program(&self.stages, J::TYPE_NAME, I::TYPE_NAME);
         let compiled = ctx.get_or_build(&program)?;
-        let out_parts: Vec<MatrixPart<I>> = alloc_matching_matrix_parts(&ctx, &self.parts)?;
-        let static_ops: u64 = self.stages.iter().map(|s| s.static_ops).sum();
-
-        for (pi, (ip, op_part)) in self.parts.iter().zip(&out_parts).enumerate() {
-            let launch_rows = ip.span_rows();
-            let stride = ip.cols;
-            if launch_rows == 0 || stride == 0 {
-                continue;
-            }
-            let src = ip.buffer.clone();
-            let dst = op_part.buffer.clone();
-            let op = self.op.clone();
-            let body: KernelBody = Arc::new(move |wg| {
-                wg.for_each_item(|it| {
-                    if !it.in_bounds() {
-                        return;
-                    }
-                    let col = it.global_id(0);
-                    let sr = it.global_id(1);
-                    let idx = sr * stride + col;
-                    let x = it.read(&src, idx);
-                    let (y, dyn_ops) = meter::metered(|| op.apply(it, pi, sr, col, x));
-                    it.write(&dst, idx, y);
-                    it.work(static_ops + dyn_ops);
-                });
-            });
-            ctx.queue(ip.device).launch(
-                &compiled.with_body(body),
-                range_2d(&ctx, stride, launch_rows),
-            )?;
-        }
+        let static_ops = self.stages.iter().map(|s| s.static_ops).sum();
+        let out_parts = launch_elementwise(&ctx, &compiled, &self.parts, &self.op, static_ops)?;
         ctx.metrics().counter("skelcl.pipeline.groups").inc();
         ctx.metrics()
             .counter("skelcl.pipeline.stages_fused")
@@ -819,9 +723,8 @@ where
     fn consume<P: ReadPlan<M>>(self, plan: P) -> Result<C::Output> {
         self.next.consume(Mapped {
             inner: plan,
-            f: self.f,
+            op: OpMap::new(self.f),
             stage: self.stage,
-            _pd: PhantomData,
         })
     }
 }
@@ -861,10 +764,8 @@ where
         let parts = self.other.parts_with_fresh_halos()?;
         self.next.consume(Zipped {
             inner: plan,
-            parts: Arc::new(parts),
-            f: self.f,
+            op: OpZip::new(parts, self.f),
             stage: self.stage,
-            _pd: PhantomData,
         })
     }
 }
@@ -882,7 +783,7 @@ impl<A, I, E, C> PipeConsumer<A> for StencilConsumer<E, A, I, C>
 where
     A: Element,
     I: Element,
-    E: for<'v> Fn(&PipeView<'v, A>) -> I + Send + Sync + Clone + 'static,
+    E: Fn(&Stencil2DView<'_, A>) -> I + Send + Sync + Clone + 'static,
     C: PipeConsumer<I>,
 {
     type Output = C::Output;
@@ -1006,7 +907,7 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
         }
     }
 
-    /// Append a stencil stage `V f(&PipeView<Out>)` of the given radius
+    /// Append a stencil stage `V f(&Stencil2DView<Out>)` of the given radius
     /// and boundary mode. Anchors one fused kernel launch.
     fn stencil<V, F>(
         self,
@@ -1016,7 +917,7 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
     ) -> PipeStencil<Self, F, V>
     where
         V: Element,
-        F: for<'v> Fn(&PipeView<'v, Self::Out>) -> V + Send + Sync + Clone + 'static,
+        F: Fn(&Stencil2DView<'_, Self::Out>) -> V + Send + Sync + Clone + 'static,
     {
         PipeStencil {
             prev: self,
@@ -1043,8 +944,8 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
         V1: Element,
         V2: Element,
         V: Element,
-        FA: for<'v> Fn(&PipeView<'v, Self::Out>) -> V1 + Send + Sync + Clone + 'static,
-        FB: for<'v> Fn(&PipeView<'v, Self::Out>) -> V2 + Send + Sync + Clone + 'static,
+        FA: Fn(&Stencil2DView<'_, Self::Out>) -> V1 + Send + Sync + Clone + 'static,
+        FB: Fn(&Stencil2DView<'_, Self::Out>) -> V2 + Send + Sync + Clone + 'static,
         FC: Fn(V1, V2) -> V + Send + Sync + Clone + 'static,
     {
         PipeStencilPair {
@@ -1092,10 +993,10 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
     }
 }
 
-/// Plan the input layout and build the source plan: stencil chains widen a
-/// row-block halo to the maximum radius (converting column blocks, as
-/// `Stencil2D` does) and guarantee halo coherence; pure element-wise
-/// chains take the parts as they are. Opens the `pipeline.run` span.
+/// Plan the input layout and build the source plan: stencil chains and row
+/// folds follow `Stencil2D`'s layout rule at the maximum radius, and
+/// stencil chains get coherent halos; pure element-wise chains take the
+/// parts as they are. Opens the `pipeline.run` span.
 fn prepared_source<T: Element, E: PipelineExpr<T>>(
     expr: &E,
     input: &Matrix<T>,
@@ -1122,20 +1023,8 @@ fn prepared_source<T: Element, E: PipelineExpr<T>>(
     span.attr("devices", ctx.n_devices().to_string());
 
     let radius = expr.max_radius();
-    if radius > 0 {
-        match input.distribution() {
-            MatrixDistribution::RowBlock { halo } if halo < radius => {
-                input.set_distribution(MatrixDistribution::RowBlock { halo: radius })?;
-            }
-            MatrixDistribution::ColBlock => {
-                input.set_distribution(MatrixDistribution::RowBlock { halo: radius })?;
-            }
-            _ => {}
-        }
-    }
-    if row_fold && matches!(input.distribution(), MatrixDistribution::ColBlock) {
-        // The fused row fold reads whole rows; column blocks cannot.
-        input.set_distribution(MatrixDistribution::RowBlock { halo: radius })?;
+    if n_stencils > 0 || row_fold {
+        stencil_input_layout(input, radius)?;
     }
     let (parts, halos_fresh) = if radius > 0 {
         (input.parts_with_fresh_halos()?, true)
@@ -1279,7 +1168,7 @@ where
     T: Element,
     P: PipelineExpr<T>,
     V: Element,
-    F: for<'v> Fn(&PipeView<'v, P::Out>) -> V + Send + Sync + Clone + 'static,
+    F: Fn(&Stencil2DView<'_, P::Out>) -> V + Send + Sync + Clone + 'static,
 {
     type Out = V;
 
@@ -1349,23 +1238,23 @@ where
     }
 }
 
-/// Force a pair-combining closure into the higher-ranked `Fn(&PipeView)`
+/// Force a pair-combining closure into the higher-ranked `Fn(&Stencil2DView)`
 /// shape the stencil launcher expects.
 fn pair_eval<M, V1, V2, V, FA, FB, FC>(
     fa: FA,
     fb: FB,
     fc: FC,
-) -> impl for<'v> Fn(&PipeView<'v, M>) -> V + Send + Sync + Clone + 'static
+) -> impl Fn(&Stencil2DView<'_, M>) -> V + Send + Sync + Clone + 'static
 where
     M: Element,
     V1: Element,
     V2: Element,
     V: Element,
-    FA: for<'v> Fn(&PipeView<'v, M>) -> V1 + Send + Sync + Clone + 'static,
-    FB: for<'v> Fn(&PipeView<'v, M>) -> V2 + Send + Sync + Clone + 'static,
+    FA: Fn(&Stencil2DView<'_, M>) -> V1 + Send + Sync + Clone + 'static,
+    FB: Fn(&Stencil2DView<'_, M>) -> V2 + Send + Sync + Clone + 'static,
     FC: Fn(V1, V2) -> V + Send + Sync + Clone + 'static,
 {
-    move |view: &PipeView<'_, M>| fc(fa(view), fb(view))
+    move |view: &Stencil2DView<'_, M>| fc(fa(view), fb(view))
 }
 
 impl<T, P, FA, V1, FB, V2, FC, V> PipelineExpr<T> for PipeStencilPair<P, FA, V1, FB, V2, FC, V>
@@ -1375,8 +1264,8 @@ where
     V1: Element,
     V2: Element,
     V: Element,
-    FA: for<'v> Fn(&PipeView<'v, P::Out>) -> V1 + Send + Sync + Clone + 'static,
-    FB: for<'v> Fn(&PipeView<'v, P::Out>) -> V2 + Send + Sync + Clone + 'static,
+    FA: Fn(&Stencil2DView<'_, P::Out>) -> V1 + Send + Sync + Clone + 'static,
+    FB: Fn(&Stencil2DView<'_, P::Out>) -> V2 + Send + Sync + Clone + 'static,
     FC: Fn(V1, V2) -> V + Send + Sync + Clone + 'static,
 {
     type Out = V;
@@ -1466,19 +1355,6 @@ mod tests {
         )
     }
 
-    fn cross_pipe() -> UserFn<impl for<'v> Fn(&PipeView<'v, f32>) -> f32 + Clone> {
-        UserFn::new(
-            "cross_sum",
-            "float cross_sum(__global float* in, int r, int c, uint nr, uint nc) {\n\
-             return stencil_at(in,r,c,nr,nc,-1,0) + stencil_at(in,r,c,nr,nc,1,0)\n\
-                  + stencil_at(in,r,c,nr,nc,0,-1) + stencil_at(in,r,c,nr,nc,0,1)\n\
-                  + stencil_at(in,r,c,nr,nc,0,0);\n}",
-            |v: &PipeView<'_, f32>| {
-                v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1) + v.get(0, 0)
-            },
-        )
-    }
-
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -1523,7 +1399,7 @@ mod tests {
                 let ctx = ctx(devices);
                 let m = test_matrix(&ctx, 13, 5, 3);
                 let fused = Pipeline::start::<f32>()
-                    .stencil(cross_pipe(), 1, boundary)
+                    .stencil(cross_user(), 1, boundary)
                     .run(&m)
                     .unwrap();
                 let unfused = Stencil2D::new(cross_user(), 1, boundary).apply(&m).unwrap();
@@ -1546,7 +1422,7 @@ mod tests {
             .unwrap_or(0);
         let fused = Pipeline::start::<f32>()
             .map(scale_fn())
-            .stencil(cross_pipe(), 1, Boundary2D::Neumann)
+            .stencil(cross_user(), 1, Boundary2D::Neumann)
             .map(square_fn())
             .run(&m)
             .unwrap();
@@ -1625,16 +1501,6 @@ mod tests {
                     "float {name}(__global float* in, int r, int c, uint nr, uint nc) {{\n\
                      return stencil_at(in,r,c,nr,nc,0,{dc});\n}}"
                 ),
-                move |v: &PipeView<'_, f32>| v.get(0, dc),
-            )
-        };
-        let shift_user_unfused = |dc: isize, name: &'static str| {
-            UserFn::new(
-                name,
-                format!(
-                    "float {name}(__global float* in, int r, int c, uint nr, uint nc) {{\n\
-                     return stencil_at(in,r,c,nr,nc,0,{dc});\n}}"
-                ),
                 move |v: &Stencil2DView<'_, f32>| v.get(0, dc),
             )
         };
@@ -1651,10 +1517,10 @@ mod tests {
                 )
                 .run(&m)
                 .unwrap();
-            let left = Stencil2D::new(shift_user_unfused(-1, "left"), 1, Boundary2D::Zero)
+            let left = Stencil2D::new(shift_user(-1, "left"), 1, Boundary2D::Zero)
                 .apply(&m)
                 .unwrap();
-            let right = Stencil2D::new(shift_user_unfused(1, "right"), 1, Boundary2D::Zero)
+            let right = Stencil2D::new(shift_user(1, "right"), 1, Boundary2D::Zero)
                 .apply(&m)
                 .unwrap();
             let unfused = Zip::new(add_fn()).apply_matrix(&left, &right).unwrap();
@@ -1664,6 +1530,25 @@ mod tests {
                 "{devices} devices"
             );
         }
+    }
+
+    #[test]
+    fn chained_stencil_groups_count_their_halo_exchange_like_chained_applies() {
+        let ctx = ctx(2);
+        let before = ctx.halo_exchange_count();
+        Pipeline::start::<f32>()
+            .stencil(cross_user(), 1, Boundary2D::Neumann)
+            .stencil(cross_user(), 1, Boundary2D::Neumann)
+            .run(&test_matrix(&ctx, 16, 9, 11))
+            .unwrap();
+        let fused = ctx.halo_exchange_count() - before;
+        assert_eq!(fused, 1, "the second group refreshes its input halos once");
+
+        let before = ctx.halo_exchange_count();
+        let st = Stencil2D::new(cross_user(), 1, Boundary2D::Neumann);
+        st.apply(&st.apply(&test_matrix(&ctx, 16, 9, 11)).unwrap())
+            .unwrap();
+        assert_eq!(ctx.halo_exchange_count() - before, fused);
     }
 
     #[test]

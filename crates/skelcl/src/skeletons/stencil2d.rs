@@ -13,6 +13,13 @@
 //! Out-of-matrix accesses follow the [`Boundary2D`] mode: `Neumann`
 //! replicates the edge element (zero-gradient), `Wrap` treats the matrix as
 //! a torus, `Zero` reads the element type's default.
+//!
+//! Every stencil launch — [`Stencil2D::apply`], [`Stencil2D::apply_streamed`],
+//! [`Stencil2D::iterate`] and the stencil groups of a
+//! [`Pipeline`](crate::Pipeline) — goes through one per-part launcher over
+//! one view type and one generated program family
+//! ([`codegen::fused_stencil2d_program`]). A `Stencil2D` is the stencil
+//! group with no element-wise stage fused into it.
 
 use crate::codegen::{self, UserFn};
 use crate::context::Context;
@@ -22,7 +29,9 @@ use crate::matrix::{
     UploadChunk,
 };
 use crate::meter;
-use crate::skeletons::range_2d;
+use crate::skeletons::pipeline::{same_type, stage_of, OpId, PixelOp};
+use crate::skeletons::{alloc_matching_matrix_parts, range_2d};
+use crate::trace::SpanGuard;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use vgpu::{Buffer, CompiledKernel, Event, Item, KernelBody, Program, Scalar as Element};
@@ -50,10 +59,22 @@ impl Boundary2D {
     }
 }
 
+/// Where a view's neighbourhood reads come from.
+enum Taps<'a, T: Element> {
+    /// The part buffer itself: no element-wise stage is fused into the
+    /// reads.
+    Buffer(&'a Buffer<T>, &'a Item<'a>),
+    /// The element-wise stages fused before a pipeline stencil, applied to
+    /// the part buffer's element at `(span_row, col)`.
+    Fused(&'a (dyn Fn(usize, usize) -> T + 'a)),
+}
+
 /// The customizing function's view of one stencil application: counted
-/// access to the `[-radius, +radius]²` neighbourhood of its element.
+/// access to the `[-radius, +radius]²` neighbourhood of its element. In a
+/// [`Pipeline`](crate::Pipeline) stencil stage a read returns the value of
+/// the element-wise stages fused before it at that position.
 pub struct Stencil2DView<'a, T: Element> {
-    buf: &'a Buffer<T>,
+    taps: Taps<'a, T>,
     /// Matrix width (also the part buffer's row stride).
     cols: usize,
     /// Matrix height.
@@ -68,7 +89,6 @@ pub struct Stencil2DView<'a, T: Element> {
     col: usize,
     radius: usize,
     boundary: Boundary2D,
-    item: &'a Item<'a>,
 }
 
 impl<'a, T: Element> Stencil2DView<'a, T> {
@@ -127,8 +147,11 @@ impl<'a, T: Element> Stencil2DView<'a, T> {
             );
             span_row = span_row.rem_euclid(n_rows);
         }
-        self.item
-            .read(self.buf, span_row as usize * self.cols + col as usize)
+        let (span_row, col) = (span_row as usize, col as usize);
+        match self.taps {
+            Taps::Buffer(buf, item) => item.read(buf, span_row * self.cols + col),
+            Taps::Fused(read) => read(span_row, col),
+        }
     }
 
     /// The centre's global position `(row, col)`.
@@ -146,15 +169,15 @@ impl<'a, T: Element> Stencil2DView<'a, T> {
     }
 }
 
+/// The kernel of a `Stencil2D` over `T` producing `U`: nothing fused.
+type Stencil2DKernel<T, U, F> = StencilKernel<T, T, U, U, F, OpId<T>, OpId<U>>;
+
 /// The Stencil2D skeleton.
 pub struct Stencil2D<T: Element, U: Element, F> {
     user: UserFn<F>,
     radius: usize,
     boundary: Boundary2D,
     program: Program,
-    /// The ping-pong form behind [`Stencil2D::iterate`] (only launchable
-    /// when `U == T`; generating the source is free either way).
-    iter_program: Program,
     _pd: PhantomData<fn(T) -> U>,
 }
 
@@ -165,18 +188,13 @@ where
     F: Fn(&Stencil2DView<'_, T>) -> U + Send + Sync + Clone + 'static,
 {
     pub fn new(user: UserFn<F>, radius: usize, boundary: Boundary2D) -> Self {
-        let program = codegen::stencil2d_program(
-            user.name(),
-            user.source(),
+        // The one-stage member of the fused stencil family: `apply`,
+        // `apply_streamed`, `iterate` and a one-stage pipeline stencil over
+        // the same function all run this one program.
+        let program = codegen::fused_stencil2d_program(
+            &[stage_of("stencil", &user)],
             T::TYPE_NAME,
             U::TYPE_NAME,
-            radius,
-            boundary.codegen_name(),
-        );
-        let iter_program = codegen::stencil2d_iter_program(
-            user.name(),
-            user.source(),
-            T::TYPE_NAME,
             radius,
             boundary.codegen_name(),
         );
@@ -185,7 +203,6 @@ where
             radius,
             boundary,
             program,
-            iter_program,
             _pd: PhantomData,
         }
     }
@@ -203,122 +220,33 @@ where
         self.boundary
     }
 
-    /// A RowBlock halo narrower than the stencil radius cannot supply the
-    /// neighbourhood; widen it (device-side when data is fresh). Column
-    /// blocks have no column halos, so a stencil cannot read its horizontal
-    /// neighbourhood across parts either: fall back to a row-block layout
-    /// with a radius-wide halo (device-side exchange).
-    fn ensure_stencil_layout(&self, input: &Matrix<T>) -> Result<()> {
-        match input.distribution() {
-            MatrixDistribution::RowBlock { halo } if halo < self.radius => {
-                input.set_distribution(MatrixDistribution::RowBlock { halo: self.radius })?;
-            }
-            MatrixDistribution::ColBlock => {
-                input.set_distribution(MatrixDistribution::RowBlock { halo: self.radius })?;
-            }
-            _ => {}
-        }
-        Ok(())
+    /// Open an entry-point span with the attributes every stencil call
+    /// records.
+    fn span(&self, ctx: &Context, name: &'static str, input: &Matrix<T>) -> SpanGuard {
+        let mut span = ctx.span(name);
+        let (r, c) = input.dims();
+        span.attr("shape", format!("{r}x{c}"));
+        span.attr("distribution", format!("{:?}", input.distribution()));
+        span.attr("devices", ctx.n_devices().to_string());
+        span.attr("radius", self.radius.to_string());
+        span
     }
 
-    /// Launch one stencil pass over `segments` of one part's owned rows:
-    /// each `(start, len)` names owned rows `[start, start + len)`, and the
-    /// launch covers their disjoint union in one kernel (the interior /
-    /// boundary split of the overlapped iterate packs the top and bottom
-    /// bands into a single launch this way). The input part's halo rows are
-    /// assumed coherent for the rows the segments read.
-    ///
-    /// `deps = None` issues the legacy device-serializing launch; with
-    /// `Some(events)` the kernel is launched **asynchronously** on the main
-    /// queue, ordered only by the queue, the events, and the compute
-    /// engine. Returns the launch event (`None` when the segments are
-    /// empty). Either way every covered element computes the exact same
-    /// value — the split changes the modeled timeline, never the data.
-    #[allow(clippy::too_many_arguments)]
-    fn launch_part_segments(
-        &self,
-        ctx: &Context,
-        compiled: &CompiledKernel,
-        ip: &MatrixPart<T>,
-        op: &MatrixPart<U>,
-        n_rows: usize,
-        cols: usize,
-        segments: &[(usize, usize)],
-        deps: Option<&[Event]>,
-    ) -> Result<Option<Event>> {
-        let launch_rows: usize = segments.iter().map(|&(_, len)| len).sum();
-        if launch_rows == 0 || cols == 0 {
-            return Ok(None);
-        }
-        let static_ops = self.user.static_ops();
-        let f = self.user.func().clone();
-        let src = ip.buffer.clone();
-        let dst = op.buffer.clone();
-        let radius = self.radius;
-        let boundary = self.boundary;
-        let halo_above = ip.halo_above;
-        let row_offset = ip.row_offset;
-        let span_rows = ip.span_rows();
-        let segs: Arc<Vec<(usize, usize)>> = Arc::new(segments.to_vec());
-        let body: KernelBody = Arc::new(move |wg| {
-            wg.for_each_item(|it| {
-                if !it.in_bounds() {
-                    return;
-                }
-                let col = it.global_id(0);
-                // Map the compact launch row back to its owned row through
-                // the segment list (at most two segments).
-                let mut launch_row = it.global_id(1);
-                let mut local_row = 0;
-                for &(start, len) in segs.iter() {
-                    if launch_row < len {
-                        local_row = start + launch_row;
-                        break;
-                    }
-                    launch_row -= len;
-                }
-                let view = Stencil2DView {
-                    buf: &src,
-                    cols,
-                    n_rows,
-                    span_row: halo_above + local_row,
-                    span_rows,
-                    g_row: row_offset + local_row,
-                    col,
-                    radius,
-                    boundary,
-                    item: it,
-                };
-                let (y, dyn_ops) = meter::metered(|| f(&view));
-                it.write(&dst, (halo_above + local_row) * cols + col, y);
-                it.work(static_ops + dyn_ops);
-            });
-        });
-        let kernel = compiled.with_body(body);
-        let nd = range_2d(ctx, cols, launch_rows);
-        let event = match deps {
-            None => ctx.queue(ip.device).launch(&kernel, nd)?,
-            Some(events) => ctx.queue(ip.device).launch_async(&kernel, nd, events)?,
-        };
-        Ok(Some(event))
-    }
-
-    /// Launch one stencil pass over every part pair: `src[i]` (halo rows
-    /// assumed coherent) is read, the owned rows of `dst[i]` are written.
-    /// Source and destination geometry must mirror each other.
-    fn launch_parts(
-        &self,
-        ctx: &Context,
-        compiled: &CompiledKernel,
-        src_parts: &[MatrixPart<T>],
-        dst_parts: &[MatrixPart<U>],
-        n_rows: usize,
-        cols: usize,
-    ) -> Result<()> {
-        for (ip, op) in src_parts.iter().zip(dst_parts) {
-            self.launch_part_segments(ctx, compiled, ip, op, n_rows, cols, &[(0, ip.rows)], None)?;
-        }
-        Ok(())
+    /// The stencil kernel with nothing fused into it, over a matrix of
+    /// `n_rows` rows.
+    fn kernel(&self, ctx: &Context, n_rows: usize) -> Result<Stencil2DKernel<T, U, F>> {
+        Ok(StencilKernel {
+            compiled: ctx.get_or_build(&self.program)?,
+            eval: self.user.func().clone(),
+            pre: OpId::new(),
+            fused_reads: false,
+            post: OpId::new(),
+            static_ops: self.user.static_ops(),
+            radius: self.radius,
+            boundary: self.boundary,
+            n_rows,
+            _pd: PhantomData,
+        })
     }
 
     /// Apply the skeleton. Under `RowBlock` the input's halo is widened to
@@ -327,27 +255,17 @@ where
     /// (lazy copying).
     pub fn apply(&self, input: &Matrix<T>) -> Result<Matrix<U>> {
         let ctx = input.ctx().clone();
-        let mut span = ctx.span("stencil2d.apply");
-        span.attr("shape", {
-            let (r, c) = input.dims();
-            format!("{r}x{c}")
-        });
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
-        span.attr("radius", self.radius.to_string());
-        let compiled = ctx.get_or_build(&self.program)?;
-        self.ensure_stencil_layout(input)?;
-
+        let _span = self.span(&ctx, "stencil2d.apply", input);
         let (n_rows, cols) = input.dims();
+        let kernel = self.kernel(&ctx, n_rows)?;
+        stencil_input_layout(input, self.radius)?;
         let in_parts = input.parts_with_fresh_halos()?;
 
         // Output parts mirror the input geometry. Stencils can only write
         // their owned rows (halo outputs would need radius-beyond-halo
         // inputs), so output halos are stale unless there are none.
-        let out_parts = alloc_mirror_parts::<T, U>(&ctx, &in_parts, cols)?;
-        let out_halos_fresh = stale_free(&in_parts);
-
-        self.launch_parts(&ctx, &compiled, &in_parts, &out_parts, n_rows, cols)?;
+        let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
+        kernel.launch_parts(&ctx, &in_parts, &out_parts)?;
 
         Ok(Matrix::from_device_parts(
             &ctx,
@@ -355,7 +273,7 @@ where
             cols,
             input.distribution(),
             out_parts,
-            out_halos_fresh,
+            stale_free(&in_parts),
         ))
     }
 
@@ -370,41 +288,21 @@ where
     /// schedule.
     pub fn apply_streamed(&self, input: &Matrix<T>, chunk_rows: usize) -> Result<Matrix<U>> {
         let ctx = input.ctx().clone();
-        let mut span = ctx.span("stencil2d.apply_streamed");
-        span.attr("shape", {
-            let (r, c) = input.dims();
-            format!("{r}x{c}")
-        });
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
-        span.attr("radius", self.radius.to_string());
+        let mut span = self.span(&ctx, "stencil2d.apply_streamed", input);
         span.attr("chunk_rows", chunk_rows.to_string());
-        let compiled = ctx.get_or_build(&self.program)?;
-        self.ensure_stencil_layout(input)?;
-
         let (n_rows, cols) = input.dims();
+        let kernel = self.kernel(&ctx, n_rows)?;
+        stencil_input_layout(input, self.radius)?;
+
         let chunk_rows = chunk_rows.max(1);
         let (in_parts, upload_chunks) = input.parts_with_upload_chunks(chunk_rows)?;
+        let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
 
-        let out_parts = alloc_mirror_parts::<T, U>(&ctx, &in_parts, cols)?;
-        let out_halos_fresh = stale_free(&in_parts);
-
-        for ((ip, op), chunks) in in_parts.iter().zip(&out_parts).zip(&upload_chunks) {
-            if ip.rows == 0 || cols == 0 {
-                continue;
-            }
+        for (pi, (ip, chunks)) in in_parts.iter().zip(&upload_chunks).enumerate() {
+            let op = &out_parts[pi];
             if chunks.is_empty() {
                 // Already resident: the plain device-serializing launch.
-                self.launch_part_segments(
-                    &ctx,
-                    &compiled,
-                    ip,
-                    op,
-                    n_rows,
-                    cols,
-                    &[(0, ip.rows)],
-                    None,
-                )?;
+                kernel.launch_part(&ctx, pi, ip, op, &[(0, ip.rows)], None)?;
                 continue;
             }
             // Launch in chunk-aligned owned-row bands, each depending on
@@ -413,16 +311,7 @@ where
             while start < ip.rows {
                 let len = chunk_rows.min(ip.rows - start);
                 let deps = covering_chunks(chunks, ip, self.radius, self.boundary, start, len);
-                self.launch_part_segments(
-                    &ctx,
-                    &compiled,
-                    ip,
-                    op,
-                    n_rows,
-                    cols,
-                    &[(start, len)],
-                    Some(&deps),
-                )?;
+                kernel.launch_part(&ctx, pi, ip, op, &[(start, len)], Some(&deps))?;
                 start += len;
             }
         }
@@ -433,7 +322,7 @@ where
             cols,
             input.distribution(),
             out_parts,
-            out_halos_fresh,
+            stale_free(&in_parts),
         ))
     }
 }
@@ -457,9 +346,9 @@ where
     ///   the part buffers, without re-synchronising the host in between,
     ///   and (under `Neumann`/`Zero` boundaries) without the wrapped
     ///   matrix-edge rows only `Wrap` ever reads;
-    /// * **one cached kernel across all `n` launches** — the
-    ///   [`codegen::stencil2d_iter_program`] form is built once and rebound
-    ///   to the swapped buffers each round.
+    /// * **one cached kernel across all `n` launches** — the skeleton's one
+    ///   program (the same one [`Stencil2D::apply`] runs) is built once and
+    ///   rebound to the swapped buffers each round.
     ///
     /// `iterate(input, 0)` is the identity: it returns a handle to `input`.
     ///
@@ -496,20 +385,13 @@ where
             return Ok(input.clone());
         }
         let ctx = input.ctx().clone();
-        let mut span = ctx.span("stencil2d.iterate");
-        span.attr("shape", {
-            let (r, c) = input.dims();
-            format!("{r}x{c}")
-        });
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
-        span.attr("radius", self.radius.to_string());
+        let mut span = self.span(&ctx, "stencil2d.iterate", input);
         span.attr("iterations", n.to_string());
         span.attr("schedule", if overlap { "overlapped" } else { "serial" });
-        let compiled = ctx.get_or_build(&self.iter_program)?;
-        self.ensure_stencil_layout(input)?;
-
         let (n_rows, cols) = input.dims();
+        let kernel = self.kernel(&ctx, n_rows)?;
+        stencil_input_layout(input, self.radius)?;
+
         // Round 1 reads the input matrix's own parts (exchanging its halos
         // if stale — counted like any other exchange event).
         let in_parts = input.parts_with_fresh_halos()?;
@@ -521,9 +403,9 @@ where
         let skip_wrapped = self.boundary != Boundary2D::Wrap;
 
         let mut src = in_parts;
-        let mut dst = alloc_mirror_parts::<T, T>(&ctx, &src, cols)?;
+        let mut dst = alloc_matching_matrix_parts::<T, T>(&ctx, &src)?;
         let mut spare = if n > 1 {
-            Some(alloc_mirror_parts::<T, T>(&ctx, &src, cols)?)
+            Some(alloc_matching_matrix_parts::<T, T>(&ctx, &src)?)
         } else {
             None
         };
@@ -548,36 +430,27 @@ where
                     // device clocks already order the copies against the
                     // producing kernels — the host never blocks between
                     // rounds.
-                    if exchange_part_halos(&ctx, &src, n_rows, cols, skip_wrapped)? {
-                        ctx.note_halo_exchange();
-                    }
+                    exchange_part_halos(&ctx, &src, n_rows, cols, skip_wrapped)?;
                 }
-                self.launch_parts(&ctx, &compiled, &src, &dst, n_rows, cols)?;
+                kernel.launch_parts(&ctx, &src, &dst)?;
             } else {
                 // Exchange round r's halos on the copy stream, ordered only
                 // against round r-1's boundary kernels: the copies run
                 // under this round's interior launches.
                 let exchange_events = if round > 1 {
-                    let (exchanged, events) = exchange_part_halos_overlapped(
+                    exchange_part_halos_overlapped(
                         &ctx,
                         &src,
                         n_rows,
                         cols,
                         skip_wrapped,
                         &producers,
-                    )?;
-                    if exchanged {
-                        ctx.note_halo_exchange();
-                    }
-                    events
+                    )?
                 } else {
                     vec![Vec::new(); src.len()]
                 };
                 let mut next_producers: Vec<Vec<Event>> = vec![Vec::new(); ctx.n_devices()];
                 for (idx, (ip, op)) in src.iter().zip(&dst).enumerate() {
-                    if ip.rows == 0 || cols == 0 {
-                        continue;
-                    }
                     // Round 1 reads buffers produced by device-serializing
                     // commands; the marker stands in for their events.
                     let base_deps: &[Event] = if round == 1 {
@@ -588,16 +461,7 @@ where
                     let produced = if exchange_events[idx].is_empty() {
                         // Nothing exchanged into this part this round:
                         // nothing to hide, launch the whole part at once.
-                        self.launch_part_segments(
-                            &ctx,
-                            &compiled,
-                            ip,
-                            op,
-                            n_rows,
-                            cols,
-                            &[(0, ip.rows)],
-                            Some(base_deps),
-                        )?
+                        kernel.launch_part(&ctx, idx, ip, op, &[(0, ip.rows)], Some(base_deps))?
                     } else {
                         // The boundary band must cover both the rows that
                         // read exchanged halos (radius) and the rows the
@@ -609,44 +473,19 @@ where
                             .min(ip.rows);
                         let mut boundary_deps = exchange_events[idx].clone();
                         boundary_deps.extend_from_slice(base_deps);
-                        if 2 * band >= ip.rows {
+                        let boundary = if 2 * band >= ip.rows {
                             // No interior: the part is all boundary.
-                            self.launch_part_segments(
-                                &ctx,
-                                &compiled,
-                                ip,
-                                op,
-                                n_rows,
-                                cols,
-                                &[(0, ip.rows)],
-                                Some(&boundary_deps),
-                            )?
+                            vec![(0, ip.rows)]
                         } else {
                             // Interior first (it has no event dependencies,
                             // so the in-order queue starts it immediately
                             // while the exchange still runs), then the top
                             // and bottom bands as one dependent launch.
-                            self.launch_part_segments(
-                                &ctx,
-                                &compiled,
-                                ip,
-                                op,
-                                n_rows,
-                                cols,
-                                &[(band, ip.rows - 2 * band)],
-                                Some(base_deps),
-                            )?;
-                            self.launch_part_segments(
-                                &ctx,
-                                &compiled,
-                                ip,
-                                op,
-                                n_rows,
-                                cols,
-                                &[(0, band), (ip.rows - band, band)],
-                                Some(&boundary_deps),
-                            )?
-                        }
+                            let interior = [(band, ip.rows - 2 * band)];
+                            kernel.launch_part(&ctx, idx, ip, op, &interior, Some(base_deps))?;
+                            vec![(0, band), (ip.rows - band, band)]
+                        };
+                        kernel.launch_part(&ctx, idx, ip, op, &boundary, Some(&boundary_deps))?
                     };
                     if let Some(ev) = produced {
                         // The boundary launch is enqueued last on the
@@ -683,28 +522,158 @@ where
     }
 }
 
-/// Allocate a part set mirroring `parts`' geometry with fresh (element
-/// type `V`) buffers on the same devices. Shared with the fused pipeline
-/// launcher, whose stencil groups mirror their input layout the same way.
-pub(crate) fn alloc_mirror_parts<T: Element, V: Element>(
-    ctx: &Context,
-    parts: &[MatrixPart<T>],
-    cols: usize,
-) -> Result<Vec<MatrixPart<V>>> {
-    let mut out = Vec::with_capacity(parts.len());
-    for p in parts {
-        out.push(MatrixPart {
-            device: p.device,
-            row_offset: p.row_offset,
-            rows: p.rows,
-            halo_above: p.halo_above,
-            halo_below: p.halo_below,
-            col_offset: p.col_offset,
-            cols: p.cols,
-            buffer: ctx.device(p.device).alloc::<V>(p.span_rows() * cols)?,
-        });
+/// The layout rule for stencil inputs (and for the fused row fold, which
+/// also reads whole rows): parts span full rows and carry at least
+/// `radius` halo rows. A narrower `RowBlock` halo is widened; column blocks
+/// have no column halos, so they become row blocks with a `radius`-deep
+/// halo. Device-fresh data moves device-side.
+pub(crate) fn stencil_input_layout<T: Element>(input: &Matrix<T>, radius: usize) -> Result<()> {
+    match input.distribution() {
+        MatrixDistribution::RowBlock { halo } if halo >= radius => Ok(()),
+        MatrixDistribution::RowBlock { .. } | MatrixDistribution::ColBlock => {
+            input.set_distribution(MatrixDistribution::RowBlock { halo: radius })
+        }
+        MatrixDistribution::Single(_) | MatrixDistribution::Copy => Ok(()),
     }
-    Ok(out)
+}
+
+/// One stencil kernel as every stencil path launches it: per owned element,
+/// `post(eval(view))`, where the view's neighbourhood reads apply `pre` to
+/// the input part's elements. `Stencil2D` launches it with identity ops; a
+/// pipeline stencil group fuses its pending element-wise chains into `pre`
+/// and `post`. `J`, `A`, `I` and `V` are the input, view, stencil-result and
+/// output element types.
+pub(crate) struct StencilKernel<J, A, I, V, E, Pre, Post> {
+    pub compiled: CompiledKernel,
+    /// The stencil user function (a `stencil_pair` combines two).
+    pub eval: E,
+    /// The element-wise chain fused into every neighbourhood read.
+    pub pre: Pre,
+    /// Whether `pre` holds any stage. Without one it is an identity chain,
+    /// and reads go to the part buffer directly instead of through a
+    /// dynamic read closure (measurably cheaper in host time).
+    pub fused_reads: bool,
+    /// The element-wise chain fused into the write.
+    pub post: Post,
+    /// Static per-element issue cost of every stage in the kernel.
+    pub static_ops: u64,
+    pub radius: usize,
+    pub boundary: Boundary2D,
+    /// Matrix height.
+    pub n_rows: usize,
+    pub _pd: PhantomData<fn(J, A, I) -> V>,
+}
+
+impl<J, A, I, V, E, Pre, Post> StencilKernel<J, A, I, V, E, Pre, Post>
+where
+    J: Element,
+    A: Element,
+    I: Element,
+    V: Element,
+    Pre: PixelOp<J, A>,
+    E: Fn(&Stencil2DView<'_, A>) -> I + Send + Sync + Clone + 'static,
+    Post: PixelOp<I, V>,
+{
+    /// Launch one pass over every part pair: `src[i]` (halo rows assumed
+    /// coherent) is read, the owned rows of `dst[i]` are written, one
+    /// device-serializing launch per part. Source and destination geometry
+    /// must mirror each other.
+    pub(crate) fn launch_parts(
+        &self,
+        ctx: &Context,
+        src: &[MatrixPart<J>],
+        dst: &[MatrixPart<V>],
+    ) -> Result<()> {
+        for (pi, (ip, op)) in src.iter().zip(dst).enumerate() {
+            self.launch_part(ctx, pi, ip, op, &[(0, ip.rows)], None)?;
+        }
+        Ok(())
+    }
+
+    /// Launch one pass over `segments` of part `pi`'s owned rows: each
+    /// `(start, len)` names owned rows `[start, start + len)`, and the
+    /// launch covers their disjoint union in one kernel (the interior /
+    /// boundary split of the overlapped iterate packs the top and bottom
+    /// bands into a single launch this way). The input part's halo rows are
+    /// assumed coherent for the rows the segments read.
+    ///
+    /// `deps = None` issues the legacy device-serializing launch; with
+    /// `Some(events)` the kernel is launched **asynchronously** on the main
+    /// queue, ordered only by the queue, the events, and the compute
+    /// engine. Returns the launch event (`None` when the segments are
+    /// empty). Either way every covered element computes the exact same
+    /// value — the split changes the modeled timeline, never the data.
+    pub(crate) fn launch_part(
+        &self,
+        ctx: &Context,
+        pi: usize,
+        ip: &MatrixPart<J>,
+        op: &MatrixPart<V>,
+        segments: &[(usize, usize)],
+        deps: Option<&[Event]>,
+    ) -> Result<Option<Event>> {
+        let cols = ip.cols;
+        let launch_rows: usize = segments.iter().map(|&(_, len)| len).sum();
+        if launch_rows == 0 || cols == 0 {
+            return Ok(None);
+        }
+        let src = ip.buffer.clone();
+        // Stage-free reads: `pre` is an identity chain, so `J` is `A`.
+        let direct: Option<Buffer<A>> = same_type(src.clone()).filter(|_| !self.fused_reads);
+        let dst = op.buffer.clone();
+        let (eval, pre, post) = (self.eval.clone(), self.pre.clone(), self.post.clone());
+        let (radius, boundary, n_rows) = (self.radius, self.boundary, self.n_rows);
+        let static_ops = self.static_ops;
+        let (halo_above, row_offset, span_rows) = (ip.halo_above, ip.row_offset, ip.span_rows());
+        let segs = segments.to_vec();
+        let body: KernelBody = Arc::new(move |wg| {
+            wg.for_each_item(|it| {
+                if !it.in_bounds() {
+                    return;
+                }
+                let col = it.global_id(0);
+                // Map the compact launch row back to its owned row through
+                // the segment list (at most two segments).
+                let mut launch_row = it.global_id(1);
+                let mut row = 0;
+                for &(start, len) in &segs {
+                    if launch_row < len {
+                        row = start + launch_row;
+                        break;
+                    }
+                    launch_row -= len;
+                }
+                let span_row = halo_above + row;
+                let fused =
+                    |sr: usize, c: usize| pre.apply(it, pi, sr, c, it.read(&src, sr * cols + c));
+                let view = Stencil2DView {
+                    taps: match &direct {
+                        Some(buf) => Taps::Buffer(buf, it),
+                        None => Taps::Fused(&fused),
+                    },
+                    cols,
+                    n_rows,
+                    span_row,
+                    span_rows,
+                    g_row: row_offset + row,
+                    col,
+                    radius,
+                    boundary,
+                };
+                let (y, dyn_ops) =
+                    meter::metered(|| post.apply(it, pi, span_row, col, eval(&view)));
+                it.write(&dst, span_row * cols + col, y);
+                it.work(static_ops + dyn_ops);
+            });
+        });
+        let kernel = self.compiled.with_body(body);
+        let nd = range_2d(ctx, cols, launch_rows);
+        let event = match deps {
+            None => ctx.queue(ip.device).launch(&kernel, nd)?,
+            Some(events) => ctx.queue(ip.device).launch_async(&kernel, nd, events)?,
+        };
+        Ok(Some(event))
+    }
 }
 
 /// Can a stencil's output start life with coherent halos? Only when there
@@ -751,8 +720,8 @@ mod tests {
     use crate::skeletons::test_support::ctx;
 
     /// 5-point Laplacian-style sum, radius 1.
-    fn cross_sum() -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
-        let user = UserFn::new(
+    fn cross_user() -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
+        UserFn::new(
             "cross_sum",
             "float cross_sum(__global float* in, int r, int c, uint nr, uint nc) {\n\
              return stencil_at(in,r,c,nr,nc,-1,0) + stencil_at(in,r,c,nr,nc,1,0)\n\
@@ -761,8 +730,11 @@ mod tests {
             |v: &Stencil2DView<'_, f32>| {
                 v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1) + v.get(0, 0)
             },
-        );
-        Stencil2D::new(user, 1, Boundary2D::Neumann)
+        )
+    }
+
+    fn cross_sum() -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
+        Stencil2D::new(cross_user(), 1, Boundary2D::Neumann)
     }
 
     fn reference_cross_sum(
@@ -1083,13 +1055,28 @@ mod tests {
 
     #[test]
     fn iterate_reuses_one_cached_kernel_for_all_rounds() {
+        use crate::{Pipeline, PipelineExpr};
         let c = ctx(2);
         let m = Matrix::from_vec(&c, 16, 8, test_image(16, 8));
         let st = cross_sum();
+        let before = c.programs_built();
         st.iterate(&m, 6).unwrap();
         let built = c.programs_built();
         st.iterate(&m, 6).unwrap();
         assert_eq!(c.programs_built(), built, "no rebuild on a second run");
+        // Every launch path of one stencil runs one program.
+        st.apply(&m).unwrap();
+        st.apply_streamed(&Matrix::from_vec(&c, 16, 8, test_image(16, 8)), 4)
+            .unwrap();
+        Pipeline::start::<f32>()
+            .stencil(cross_user(), 1, Boundary2D::Neumann)
+            .run(&m)
+            .unwrap();
+        assert_eq!(
+            c.programs_built(),
+            before + 1,
+            "apply, apply_streamed, iterate and a one-stage pipeline share one program"
+        );
     }
 
     #[test]

@@ -13,9 +13,8 @@ use crate::codegen::{self, UserFn};
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
 use crate::meter;
-use crate::skeletons::{
-    alloc_matching_matrix_parts, alloc_matching_parts, linear_range, output_vector, range_2d,
-};
+use crate::skeletons::pipeline::{launch_elementwise, stage_of, OpZip};
+use crate::skeletons::{alloc_matching_parts, linear_range, output_vector};
 use crate::vector::Vector;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -25,7 +24,8 @@ use vgpu::{KernelBody, Program, Scalar as Element};
 pub struct Zip<T1: Element, T2: Element, U: Element, F> {
     user: UserFn<F>,
     program: Program,
-    /// The 2D-NDRange twin used by [`Zip::apply_matrix`].
+    /// The 2D-NDRange twin used by [`Zip::apply_matrix`]: the one-stage
+    /// fused element-wise program a one-stage pipeline zip also builds.
     program2d: Program,
     _pd: PhantomData<fn(T1, T2) -> U>,
 }
@@ -47,13 +47,8 @@ where
             U::TYPE_NAME,
             0,
         );
-        let program2d = codegen::zip2d_program(
-            user.name(),
-            user.source(),
-            T1::TYPE_NAME,
-            T2::TYPE_NAME,
-            U::TYPE_NAME,
-        );
+        let program2d =
+            codegen::fused_map2d_program(&[stage_of("zip", &user)], T1::TYPE_NAME, U::TYPE_NAME);
         Zip {
             user,
             program,
@@ -151,39 +146,11 @@ where
         let (rows, cols) = lhs.dims();
         let l_parts = lhs.parts()?;
         let r_parts = rhs.parts()?;
+        // `rhs` is read as it is: its halo rows are not exchanged, so the
+        // output's halos are fresh only when both inputs' are.
         let halos_fresh = lhs.halos_fresh() && rhs.halos_fresh();
-        let out_parts = alloc_matching_matrix_parts::<T1, U>(&ctx, &l_parts)?;
-
-        let static_ops = self.user.static_ops();
-        for ((lp, rp), op) in l_parts.iter().zip(&r_parts).zip(&out_parts) {
-            debug_assert_eq!(lp.row_offset, rp.row_offset);
-            debug_assert_eq!(lp.col_offset, rp.col_offset);
-            debug_assert_eq!(lp.span_rows(), rp.span_rows());
-            if lp.rows == 0 || lp.cols == 0 {
-                continue;
-            }
-            let f = self.user.func().clone();
-            let a = lp.buffer.clone();
-            let b = rp.buffer.clone();
-            let dst = op.buffer.clone();
-            let stride = lp.cols;
-            let body: KernelBody = Arc::new(move |wg| {
-                wg.for_each_item(|it| {
-                    if !it.in_bounds() {
-                        return;
-                    }
-                    let i = it.global_id(1) * stride + it.global_id(0);
-                    let x = it.read(&a, i);
-                    let y = it.read(&b, i);
-                    let (r, dyn_ops) = meter::metered(|| f(x, y));
-                    it.write(&dst, i, r);
-                    it.work(static_ops + dyn_ops);
-                });
-            });
-            let kernel = compiled.with_body(body);
-            ctx.queue(lp.device)
-                .launch(&kernel, range_2d(&ctx, lp.cols, lp.span_rows()))?;
-        }
+        let op = OpZip::new(r_parts, self.user.func().clone());
+        let out_parts = launch_elementwise(&ctx, &compiled, &l_parts, &op, self.user.static_ops())?;
         Ok(Matrix::from_device_parts(
             &ctx,
             rows,

@@ -49,17 +49,10 @@ fn scale_fn() -> UserFn<fn(f32) -> f32> {
 const CROSS_SRC: &str =
     "float lcross(__global float* in, int r, int c, uint nr, uint nc) { /* damped cross */ }";
 
-fn cross_pipe() -> UserFn<impl for<'v> Fn(&PipeView<'v, f32>) -> f32 + Clone> {
-    UserFn::new("lcross", CROSS_SRC, |v: &PipeView<'_, f32>| {
+fn cross_user() -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
+    UserFn::new("lcross", CROSS_SRC, |v: &Stencil2DView<'_, f32>| {
         0.2 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1)) + 0.1 * v.get(0, 0)
     })
-}
-
-fn cross_stencil() -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
-    let user = UserFn::new("lcross", CROSS_SRC, |v: &Stencil2DView<'_, f32>| {
-        0.2 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1)) + 0.1 * v.get(0, 0)
-    });
-    Stencil2D::new(user, 1, Boundary2D::Neumann)
 }
 
 fn vec_data(c: &Context, n: usize) -> Vector<f32> {
@@ -145,13 +138,13 @@ fn populate_registry(c: &Context) {
     .apply(&v)
     .unwrap();
 
-    // 2D element-wise (map2d / zip2d) and the 2D stencil, plus the
-    // iterate-specialised stencil program.
+    // 2D element-wise (one-stage fused map / zip) and the 2D stencil,
+    // whose apply and iterate share one program.
     let m = mat_data(c, 12, 8);
     let m2 = mat_data(c, 12, 8);
     Map::new(scale_fn()).apply_matrix(&m).unwrap();
     Zip::new(add_fn()).apply_matrix(&m, &m2).unwrap();
-    let st = cross_stencil();
+    let st = Stencil2D::new(cross_user(), 1, Boundary2D::Neumann);
     st.apply(&m).unwrap();
     let it = mat_data(c, 12, 8);
     it.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
@@ -195,7 +188,7 @@ fn populate_registry(c: &Context) {
         .unwrap();
     Pipeline::start::<f32>()
         .map(scale_fn())
-        .stencil(cross_pipe(), 1, Boundary2D::Neumann)
+        .stencil(cross_user(), 1, Boundary2D::Neumann)
         .map(scale_fn())
         .run(&m)
         .unwrap();

@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use skelcl::{
-    Boundary2D, Context, ContextConfig, Map, Matrix, MatrixDistribution, PipeView, Pipeline,
-    PipelineExpr, ReduceRows, Stencil2D, Stencil2DView, UserFn, Zip,
+    Boundary2D, Context, ContextConfig, Map, Matrix, MatrixDistribution, Pipeline, PipelineExpr,
+    ReduceRows, Stencil2D, Stencil2DView, UserFn, Zip,
 };
 use vgpu::DeviceSpec;
 
@@ -34,6 +34,7 @@ fn dist_strategy() -> impl Strategy<Value = MatrixDistribution> {
         Just(MatrixDistribution::Single(0)),
         Just(MatrixDistribution::Copy),
         (0usize..3).prop_map(|halo| MatrixDistribution::RowBlock { halo }),
+        Just(MatrixDistribution::ColBlock),
     ]
 }
 
@@ -81,19 +82,19 @@ fn add_fn() -> UserFn<fn(f32, f32) -> f32> {
 const CROSS_SRC: &str =
     "float pcross(__global float* in, int r, int c, uint nr, uint nc) { /* damped cross */ }";
 
+/// A damped cross reaching exactly `radius` rows and columns out (only the
+/// centre at radius 0).
+fn cross_user(radius: usize) -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
+    let r = radius as isize;
+    UserFn::new("pcross", CROSS_SRC, move |v: &Stencil2DView<'_, f32>| {
+        0.2 * (v.get(-r, 0) + v.get(r, 0) + v.get(0, -r) + v.get(0, r)) + 0.1 * v.get(0, 0)
+    })
+}
+
 fn cross_stencil(
     boundary: Boundary2D,
 ) -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
-    let user = UserFn::new("pcross", CROSS_SRC, |v: &Stencil2DView<'_, f32>| {
-        0.2 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1)) + 0.1 * v.get(0, 0)
-    });
-    Stencil2D::new(user, 1, boundary)
-}
-
-fn cross_pipe() -> UserFn<impl for<'v> Fn(&PipeView<'v, f32>) -> f32 + Clone> {
-    UserFn::new("pcross", CROSS_SRC, |v: &PipeView<'_, f32>| {
-        0.2 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1)) + 0.1 * v.get(0, 0)
-    })
+    Stencil2D::new(cross_user(1), 1, boundary)
 }
 
 fn bits(m: &Matrix<f32>) -> Vec<u32> {
@@ -141,13 +142,14 @@ proptest! {
     }
 
     // A single stencil stage equals the unfused Stencil2D skeleton for all
-    // three boundary modes.
+    // three boundary modes and radii 0 to 2.
     #[test]
     fn single_stencil_matches_unfused(
         (rows, cols) in shape_strategy(),
         devices in 1usize..4,
         boundary in boundary_strategy(),
         dist in dist_strategy(),
+        radius in 0usize..3,
         seed in 0u32..1000,
     ) {
         let c = ctx(devices);
@@ -155,12 +157,14 @@ proptest! {
         let m = Matrix::from_vec(&c, rows, cols, data.clone());
         m.set_distribution(dist).unwrap();
         let fused = Pipeline::start::<f32>()
-            .stencil(cross_pipe(), 1, boundary)
+            .stencil(cross_user(radius), radius, boundary)
             .run(&m)
             .unwrap();
         let m2 = Matrix::from_vec(&c, rows, cols, data);
         m2.set_distribution(dist).unwrap();
-        let unfused = cross_stencil(boundary).apply(&m2).unwrap();
+        let unfused = Stencil2D::new(cross_user(radius), radius, boundary)
+            .apply(&m2)
+            .unwrap();
         prop_assert_eq!(bits(&fused), bits(&unfused));
     }
 
@@ -181,7 +185,7 @@ proptest! {
         let before = c.metrics().counter_value("skelcl.pipeline.groups").unwrap_or(0);
         let fused = Pipeline::start::<f32>()
             .map(scale_fn())
-            .stencil(cross_pipe(), 1, boundary)
+            .stencil(cross_user(1), 1, boundary)
             .map(square_fn())
             .run(&m)
             .unwrap();
@@ -266,9 +270,9 @@ proptest! {
         c.platform().enable_timeline_trace();
         let before = c.metrics().counter_value("skelcl.pipeline.groups").unwrap_or(0);
         let fused = Pipeline::start::<f32>()
-            .stencil(cross_pipe(), 1, boundary)
+            .stencil(cross_user(1), 1, boundary)
             .map(scale_fn())
-            .stencil(cross_pipe(), 1, boundary)
+            .stencil(cross_user(1), 1, boundary)
             .run(&m)
             .unwrap();
         let after = c.metrics().counter_value("skelcl.pipeline.groups").unwrap_or(0);

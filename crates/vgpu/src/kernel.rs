@@ -247,6 +247,9 @@ impl WorkGroup {
     /// last group; kernels carry the usual `if (gid < n)` guard, here
     /// [`Item::in_bounds`]). Local-memory algorithms rely on out-of-range
     /// lanes still participating in barriers and tree phases.
+    // Inlinable across codegen units, so a kernel body's per-item closure
+    // is always compiled together with this loop.
+    #[inline]
     pub fn for_each_item(&self, mut f: impl FnMut(&Item<'_>)) {
         let [lx_n, ly_n] = self.nd.local;
         for ly in 0..ly_n {
