@@ -434,7 +434,14 @@ mod tests {
 
     #[test]
     fn rebuild_hits_binary_cache() {
-        let platform = platform(1);
+        // A cache directory of its own: clearing the shared one would race
+        // the builds of the tests running alongside.
+        let platform = Platform::new(
+            PlatformConfig::default()
+                .devices(1)
+                .spec(DeviceSpec::tiny())
+                .cache_tag("baseline-opencl-cache-test"),
+        );
         platform.compiler().clear_cache().unwrap();
         let ctx = cl_create_context(&platform, &[0]).unwrap();
         let queue = cl_create_command_queue(&ctx, 0).unwrap();

@@ -1,12 +1,13 @@
 //! Criterion bench regenerating Figure 1's runtime comparison.
 //!
-//! `iter_custom` reports **virtual** (modeled) seconds, so results are
-//! independent of the host machine — exactly what the cost model produces.
+//! Every variant runs through the reported timer, so each reports
+//! **virtual** (modeled) seconds — independent of the host machine — and
+//! records one ledger leg (`fig1 mandelbrot <variant> <W>x<H> x1`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use skelcl_bench::{figure_platform, time_virtual};
+use skelcl_bench::{figure_platform, ledger, time_virtual_reported_with, VirtualSweep};
 use skelcl_mandel::{cuda_impl, opencl_impl, skelcl_impl, MandelParams};
-use std::time::Duration;
+use vgpu::DriverProfile;
 
 fn params() -> MandelParams {
     // Small enough for quick Criterion runs; ratios are scale-stable.
@@ -29,47 +30,35 @@ fn bench_fig1(c: &mut Criterion) {
     opencl_impl::run(&platform, &p).unwrap();
     cuda_impl::run(&platform, &p).unwrap();
 
-    let mut group = c.benchmark_group("fig1_mandelbrot_virtual");
-    group.sample_size(10);
+    let run_skelcl = || {
+        skelcl_impl::run(&ctx, &p).unwrap();
+    };
+    let run_opencl = || {
+        opencl_impl::run(&platform, &p).unwrap();
+    };
+    let run_cuda = || {
+        cuda_impl::run(&platform, &p).unwrap();
+    };
+    // Each variant's roofline verdict is priced at its own driver profile.
+    let variants: [(&'static str, DriverProfile, &dyn Fn()); 3] = [
+        ("skelcl", DriverProfile::skelcl(), &run_skelcl),
+        ("opencl", DriverProfile::opencl(), &run_opencl),
+        ("cuda", DriverProfile::cuda(), &run_cuda),
+    ];
 
-    group.bench_function("skelcl", |b| {
-        b.iter_custom(|iters| {
-            let mut total = 0.0;
-            for _ in 0..iters {
-                total += time_virtual(&platform, || {
-                    skelcl_impl::run(&ctx, &p).unwrap();
-                });
-            }
-            Duration::from_secs_f64(total)
-        })
-    });
-    group.bench_function("opencl", |b| {
-        b.iter_custom(|iters| {
-            let mut total = 0.0;
-            for _ in 0..iters {
-                total += time_virtual(&platform, || {
-                    opencl_impl::run(&platform, &p).unwrap();
-                });
-            }
-            Duration::from_secs_f64(total)
-        })
-    });
-    group.bench_function("cuda", |b| {
-        b.iter_custom(|iters| {
-            let mut total = 0.0;
-            for _ in 0..iters {
-                total += time_virtual(&platform, || {
-                    cuda_impl::run(&platform, &p).unwrap();
-                });
-            }
-            Duration::from_secs_f64(total)
-        })
-    });
+    let sweep = VirtualSweep::new();
+    let mut group = VirtualSweep::group(c, "fig1_mandelbrot_virtual");
+    for (name, profile, run) in variants {
+        let label = format!("fig1 mandelbrot {name} {}x{} x1", p.width, p.height);
+        sweep.bench(&mut group, name.to_string(), 1, (0, 1, name), || {
+            time_virtual_reported_with(&platform, &label, profile.compute_efficiency, run)
+        });
+    }
     group.finish();
 
     // Perf ledger: persist this figure's measured legs when
     // SKELCL_LEDGER_DIR is set (see skelcl_bench::ledger).
-    skelcl_bench::ledger::write_fig("fig1");
+    ledger::write_fig("fig1");
 }
 
 criterion_group! {

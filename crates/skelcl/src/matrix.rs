@@ -1,15 +1,20 @@
-//! The abstract matrix: a 2D host/device container with lazy transfers and
-//! row-block multi-device distribution with halo rows.
+//! The distributed container: a 2D host/device matrix with lazy transfers
+//! and multi-device distributions, including row blocks with halo rows.
 //!
-//! This is the 2D generalisation of [`crate::Vector`] that SkelCL shipped
-//! after the paper (the `Matrix<T>` container behind the Gaussian / Sobel /
-//! Canny benchmark suite). Data is row-major. The multi-GPU story follows
-//! Section III-D of the paper, extended with the *overlap* idea of SkelCL's
-//! stencil work: under [`MatrixDistribution::RowBlock`] each device owns a
-//! contiguous block of rows **plus `halo` read-only rows above and below
-//! it**, and the library keeps those halo rows coherent by automatic
-//! device-to-device exchange — the transfers show up in the platform's
-//! [`vgpu::StatsSnapshot`] accounting like every other copy.
+//! SkelCL shipped the `Matrix<T>` container after the paper (it backs the
+//! Gaussian / Sobel / Canny benchmark suite). Here it is the one
+//! implementation of the paper's lazy coherence protocol (Sections III-A
+//! and III-D): [`crate::Vector`] is its N×1 view, whose `Single` and `Copy`
+//! distributions are the matrix's and whose `Block` is
+//! [`MatrixDistribution::RowBlock`] with `halo: 0`.
+//!
+//! Data is row-major. The multi-GPU story follows Section III-D of the
+//! paper, extended with the *overlap* idea of SkelCL's stencil work: under
+//! [`MatrixDistribution::RowBlock`] each device owns a contiguous block of
+//! rows **plus `halo` read-only rows above and below it**, and the library
+//! keeps those halo rows coherent by automatic device-to-device exchange —
+//! the transfers show up in the platform's [`vgpu::StatsSnapshot`]
+//! accounting like every other copy.
 //!
 //! Halo rows wrap around the matrix edges (row `-1` is the last row), which
 //! makes every part's halo well-defined regardless of position and lets the
@@ -80,6 +85,21 @@ pub(crate) struct MatrixPart<T: Scalar> {
 }
 
 impl<T: Scalar> MatrixPart<T> {
+    /// A halo-free one-column part owning `rows` elements from global row
+    /// `row_offset`: one part of a [`crate::Vector`].
+    pub fn column(device: usize, row_offset: usize, rows: usize, buffer: Buffer<T>) -> Self {
+        MatrixPart {
+            device,
+            row_offset,
+            rows,
+            halo_above: 0,
+            halo_below: 0,
+            col_offset: 0,
+            cols: 1,
+            buffer,
+        }
+    }
+
     /// Total rows stored in the buffer (owned + halos).
     pub fn span_rows(&self) -> usize {
         self.halo_above + self.rows + self.halo_below
@@ -190,6 +210,22 @@ struct PartGeom {
     cols: usize,
 }
 
+/// Contiguous near-equal block ranges `(offset, len)` of `len` over `n`
+/// devices.
+fn block_ranges(len: usize, n: usize) -> Vec<(usize, usize)> {
+    let n = n.max(1);
+    let base = len / n;
+    let extra = len % n;
+    let mut out = Vec::with_capacity(n);
+    let mut off = 0;
+    for d in 0..n {
+        let l = base + usize::from(d < extra);
+        out.push((off, l));
+        off += l;
+    }
+    out
+}
+
 /// Layout of `dist` for a `rows × cols` matrix on `n_devices` devices.
 fn layout(dist: MatrixDistribution, rows: usize, cols: usize, n_devices: usize) -> Vec<PartGeom> {
     let full_width = |device, row_offset, rows, halo| PartGeom {
@@ -213,13 +249,13 @@ fn layout(dist: MatrixDistribution, rows: usize, cols: usize, n_devices: usize) 
             // beyond-span deltas modulo the height against exactly that
             // invariant (regression: `tests/degenerate_shapes.rs`).
             let halo = halo.min(rows);
-            crate::vector::block_ranges(rows, n_devices)
+            block_ranges(rows, n_devices)
                 .into_iter()
                 .enumerate()
                 .map(|(d, (off, len))| full_width(d, off, len, if len == 0 { 0 } else { halo }))
                 .collect()
         }
-        MatrixDistribution::ColBlock => crate::vector::block_ranges(cols, n_devices)
+        MatrixDistribution::ColBlock => block_ranges(cols, n_devices)
             .into_iter()
             .enumerate()
             .map(|(d, (off, len))| PartGeom {
@@ -233,6 +269,48 @@ fn layout(dist: MatrixDistribution, rows: usize, cols: usize, n_devices: usize) 
             })
             .collect(),
     }
+}
+
+/// Reject a `Single(d)` distribution naming a device the context lacks.
+fn check_distribution(ctx: &Context, dist: MatrixDistribution) -> Result<()> {
+    match dist {
+        MatrixDistribution::Single(d) if d >= ctx.n_devices() => Err(Error::BadDistribution(
+            format!("device {d} out of range ({} devices)", ctx.n_devices()),
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// Allocate one part's buffer (owned rows plus halos) for `geom`.
+fn alloc_part<T: Scalar>(ctx: &Context, geom: PartGeom) -> Result<MatrixPart<T>> {
+    Ok(MatrixPart {
+        device: geom.device,
+        row_offset: geom.row_offset,
+        rows: geom.rows,
+        halo_above: geom.halo_above,
+        halo_below: geom.halo_below,
+        col_offset: geom.col_offset,
+        cols: geom.cols,
+        buffer: ctx
+            .device(geom.device)
+            .alloc::<T>((geom.halo_above + geom.rows + geom.halo_below) * geom.cols)?,
+    })
+}
+
+/// Allocate (uninitialised) device parts laid out per `dist` for a
+/// `rows × cols` matrix — what a skeleton producing a fresh container of
+/// that layout writes into.
+pub(crate) fn alloc_parts<T: Scalar>(
+    ctx: &Context,
+    dist: MatrixDistribution,
+    rows: usize,
+    cols: usize,
+) -> Result<Vec<MatrixPart<T>>> {
+    check_distribution(ctx, dist)?;
+    layout(dist, rows, cols, ctx.n_devices())
+        .into_iter()
+        .map(|geom| alloc_part(ctx, geom))
+        .collect()
 }
 
 impl<T: Scalar> Matrix<T> {
@@ -477,8 +555,7 @@ impl<T: Scalar> Matrix<T> {
     /// Upload to the devices (per the current distribution) if the device
     /// copies are stale. Skeletons call this implicitly.
     pub fn ensure_on_devices(&self) -> Result<()> {
-        let mut st = self.state.lock();
-        ensure_on_devices(&self.ctx, &mut st)
+        self.parts().map(drop)
     }
 
     /// Upload to the devices like [`Matrix::ensure_on_devices`], but
@@ -489,8 +566,7 @@ impl<T: Scalar> Matrix<T> {
     /// PCIe. A no-op when the devices are already fresh; bit-identical
     /// data either way.
     pub fn ensure_on_devices_streamed(&self, chunk_rows: usize) -> Result<()> {
-        let mut st = self.state.lock();
-        ensure_on_devices_streamed(&self.ctx, &mut st, chunk_rows)
+        self.upload_parts(Some(chunk_rows), |_, _| ()).map(drop)
     }
 
     /// Refresh every part's halo rows from the rows' owning parts via
@@ -508,14 +584,7 @@ impl<T: Scalar> Matrix<T> {
     /// — happens automatically; otherwise only metadata changes and the
     /// next upload uses the new layout.
     pub fn set_distribution(&self, dist: MatrixDistribution) -> Result<()> {
-        if let MatrixDistribution::Single(d) = dist {
-            if d >= self.ctx.n_devices() {
-                return Err(Error::BadDistribution(format!(
-                    "device {d} out of range ({} devices)",
-                    self.ctx.n_devices()
-                )));
-            }
-        }
+        check_distribution(&self.ctx, dist)?;
         let mut st = self.state.lock();
         if st.dist == dist {
             return Ok(());
@@ -526,24 +595,39 @@ impl<T: Scalar> Matrix<T> {
             st.upload_chunks.clear();
             return Ok(());
         }
-        redistribute(&self.ctx, &mut st, dist)
+        let n_rows = st.rows;
+        let row_based = st.dist.is_full_width() && dist.is_full_width();
+        redistribute(&self.ctx, &mut st, dist, |old, new| {
+            copy_from_owners(&self.ctx, old, new, n_rows, row_based)
+        })
+    }
+
+    /// Move the device-fresh data into `dist` like
+    /// [`Matrix::set_distribution`], but let `fill(old_parts, new_parts)`
+    /// write the new parts instead of copying from the owners: the hook
+    /// [`crate::Vector::set_distribution_with`] merges diverged copies
+    /// through.
+    pub(crate) fn redistribute_with(
+        &self,
+        dist: MatrixDistribution,
+        fill: impl FnOnce(&[MatrixPart<T>], &[MatrixPart<T>]) -> Result<()>,
+    ) -> Result<()> {
+        let mut st = self.state.lock();
+        redistribute(&self.ctx, &mut st, dist, fill)
     }
 
     /// The device-resident parts (uploading first if needed). Halo coherence
     /// is **not** implied; callers that read halo rows go through
     /// [`Matrix::halo_exchange`] first (Stencil2D does this automatically).
     pub(crate) fn parts(&self) -> Result<Vec<MatrixPart<T>>> {
-        let mut st = self.state.lock();
-        ensure_on_devices(&self.ctx, &mut st)?;
-        Ok(st.parts.clone())
+        Ok(self.upload_parts(None, |_, _| ())?.0)
     }
 
     /// Like [`Matrix::parts`], but also guarantees halo coherence.
     pub(crate) fn parts_with_fresh_halos(&self) -> Result<Vec<MatrixPart<T>>> {
-        let mut st = self.state.lock();
-        ensure_on_devices(&self.ctx, &mut st)?;
-        halo_exchange(&self.ctx, &mut st)?;
-        Ok(st.parts.clone())
+        let parts = self.parts()?;
+        self.halo_exchange()?;
+        Ok(parts)
     }
 
     /// The device-resident parts together with any pending streamed-upload
@@ -552,9 +636,33 @@ impl<T: Scalar> Matrix<T> {
     /// lists are empty for parts that were uploaded blocking or written by
     /// kernels; consumers then need no upload dependencies.
     pub(crate) fn parts_with_upload_chunks(&self, chunk_rows: usize) -> Result<PartsWithChunks<T>> {
+        let parts = self.upload_parts(Some(chunk_rows), |_, _| ())?;
+        self.halo_exchange()?;
+        Ok(parts)
+    }
+
+    /// The device-resident parts with their live streamed-upload chunk
+    /// events, uploading first if the devices are stale: blocking, or
+    /// streamed in `chunk_rows`-row chunks when given. An upload runs
+    /// inside the guard `upload_span(len, dist)` returns, so a view can
+    /// name its uploads: [`crate::Vector`] wraps them in its
+    /// `vector.upload` spans, while matrix uploads run span-less. Halo
+    /// coherence is not implied.
+    pub(crate) fn upload_parts<S>(
+        &self,
+        chunk_rows: Option<usize>,
+        upload_span: impl FnOnce(usize, MatrixDistribution) -> S,
+    ) -> Result<PartsWithChunks<T>> {
         let mut st = self.state.lock();
-        ensure_on_devices_streamed(&self.ctx, &mut st, chunk_rows)?;
-        halo_exchange(&self.ctx, &mut st)?;
+        if !st.device_fresh {
+            let _span = upload_span(st.rows * st.cols, st.dist);
+            match chunk_rows {
+                None => ensure_on_devices(&self.ctx, &mut st)?,
+                Some(chunk_rows) => ensure_on_devices_streamed(&self.ctx, &mut st, chunk_rows)?,
+            }
+        }
+        // Chunk events recorded before a `reset_clocks` carry stale
+        // timestamps; consumers then get no upload dependencies.
         let live = st.upload_chunks.len() == st.parts.len()
             && st.upload_epoch == self.ctx.platform().clock_epoch();
         let chunks = if live {
@@ -630,18 +738,7 @@ fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> 
     let concurrent = lay.iter().filter(|g| g.rows > 0).count().max(1);
     let mut parts = Vec::with_capacity(lay.len());
     for geom in lay {
-        let part = MatrixPart {
-            device: geom.device,
-            row_offset: geom.row_offset,
-            rows: geom.rows,
-            halo_above: geom.halo_above,
-            halo_below: geom.halo_below,
-            col_offset: geom.col_offset,
-            cols: geom.cols,
-            buffer: ctx
-                .device(geom.device)
-                .alloc::<T>((geom.halo_above + geom.rows + geom.halo_below) * geom.cols)?,
-        };
+        let part = alloc_part(ctx, geom)?;
         if part.rows > 0 && part.cols > 0 {
             if part.cols == cols {
                 for (s, g, len) in span_runs(&part, st.rows) {
@@ -707,18 +804,7 @@ fn ensure_on_devices_streamed<T: Scalar>(
     let mut parts = Vec::with_capacity(lay.len());
     let mut upload_chunks = Vec::with_capacity(lay.len());
     for geom in lay {
-        let part = MatrixPart {
-            device: geom.device,
-            row_offset: geom.row_offset,
-            rows: geom.rows,
-            halo_above: geom.halo_above,
-            halo_below: geom.halo_below,
-            col_offset: geom.col_offset,
-            cols: geom.cols,
-            buffer: ctx
-                .device(geom.device)
-                .alloc::<T>((geom.halo_above + geom.rows + geom.halo_below) * geom.cols)?,
-        };
+        let part = alloc_part(ctx, geom)?;
         let mut chunks = Vec::new();
         if part.rows > 0 && cols > 0 {
             let queue = ctx.copy_queue(part.device);
@@ -851,64 +937,48 @@ fn owner_of_cell<T: Scalar>(
         .expect("matrix cell not owned by any part")
 }
 
-/// Copy one span row of destination part `dst` (span row `s`, holding
-/// global row `g`) from the owning parts, splitting the part's column range
-/// at owner boundaries. The column-aware twin of [`fill_rows_from_owners`],
-/// used whenever either side of a redistribution is not full-width.
-fn fill_span_row_from_owners<T: Scalar>(
-    ctx: &Context,
-    parts: &[MatrixPart<T>],
-    dst: &MatrixPart<T>,
-    s: usize,
-    g: usize,
-    concurrent: usize,
-) -> Result<()> {
-    let mut c = dst.col_offset;
-    let end = dst.col_offset + dst.cols;
-    while c < end {
-        let src = owner_of_cell(parts, g, c, dst.device);
-        let src_span_row = src.halo_above + (g - src.row_offset);
-        let w = end.min(src.col_offset + src.cols) - c;
-        let src_off = src_span_row * src.cols + (c - src.col_offset);
-        let dst_off = s * dst.cols + (c - dst.col_offset);
-        if !(src.buffer.same_allocation(&dst.buffer) && src_off == dst_off) {
-            ctx.platform().copy_d2d_range(
-                &src.buffer,
-                src_off,
-                &dst.buffer,
-                dst_off,
-                w,
-                concurrent,
-            )?;
-        }
-        c += w;
-    }
-    Ok(())
+/// One device-to-device copy of a redistribution or halo exchange: `len`
+/// elements of `src` from element `src_off` into `dst` at `dst_off`.
+struct PartCopy<'a, T: Scalar> {
+    src: &'a MatrixPart<T>,
+    dst: &'a MatrixPart<T>,
+    src_off: usize,
+    dst_off: usize,
+    len: usize,
 }
 
-/// Copy a run of global rows from their owners into destination part
-/// `dst`: `run` is `(span_row_start, global_row_start, n_rows)`, as
-/// produced by [`span_runs`] / [`halo_runs`]. Returns the number of
-/// cross-device transfers issued.
-///
-/// With `overlap = Some((deps_by_device, out_events))` the copies are
-/// issued **asynchronously on the copy engines**: each copy waits for the
-/// producer events of its source *and* destination devices (the
-/// destination's events also fence the write-after-read hazard against the
-/// previous round's readers of the halo region) and its event is appended
-/// to `out_events`. With `None`, the legacy device-serializing copies are
-/// issued.
-fn fill_rows_from_owners<T: Scalar>(
-    ctx: &Context,
-    parts: &[MatrixPart<T>],
-    dst: &MatrixPart<T>,
+impl<T: Scalar> PartCopy<'_, T> {
+    fn crosses_devices(&self) -> bool {
+        self.src.device != self.dst.device
+    }
+
+    /// Issue the copy: device-serializing with `deps == None`, otherwise
+    /// **asynchronously on the copy engines**, waiting only for `deps`.
+    fn issue(&self, ctx: &Context, concurrent: usize, deps: Option<&[Event]>) -> Result<Event> {
+        let (src, dst) = (&self.src.buffer, &self.dst.buffer);
+        let (src_off, dst_off, len) = (self.src_off, self.dst_off, self.len);
+        Ok(match deps {
+            None => ctx
+                .platform()
+                .copy_d2d_range(src, src_off, dst, dst_off, len, concurrent)?,
+            Some(deps) => ctx
+                .platform()
+                .copy_d2d_range_async(src, src_off, dst, dst_off, len, concurrent, deps)?,
+        })
+    }
+}
+
+/// The copies filling a run of global rows of `dst` from their owners:
+/// `run` is `(span_row_start, global_row_start, n_rows)`, as produced by
+/// [`span_runs`] / [`halo_runs`].
+fn row_run_copies<'a, T: Scalar>(
+    parts: &'a [MatrixPart<T>],
+    dst: &'a MatrixPart<T>,
     run: (usize, usize, usize),
     cols: usize,
-    concurrent: usize,
-    mut overlap: Option<(&[Vec<Event>], &mut Vec<Event>)>,
-) -> Result<usize> {
+) -> Vec<PartCopy<'a, T>> {
     let (mut s, mut g, mut len) = run;
-    let mut cross = 0usize;
+    let mut copies = Vec::new();
     while len > 0 {
         let src = owner_of_row(parts, g, dst.device);
         let src_span_row = src.halo_above + (g - src.row_offset);
@@ -918,43 +988,52 @@ fn fill_rows_from_owners<T: Scalar>(
         // — that is how single-device wrap halos are filled from the owned
         // rows.
         if !(src.buffer.same_allocation(&dst.buffer) && src_span_row == s) {
-            if src.device != dst.device {
-                cross += 1;
-            }
-            match overlap.as_mut() {
-                None => {
-                    ctx.platform().copy_d2d_range(
-                        &src.buffer,
-                        src_span_row * cols,
-                        &dst.buffer,
-                        s * cols,
-                        run * cols,
-                        concurrent,
-                    )?;
-                }
-                Some((deps_by_device, out_events)) => {
-                    let mut deps = deps_by_device[src.device].clone();
-                    if src.device != dst.device {
-                        deps.extend_from_slice(&deps_by_device[dst.device]);
-                    }
-                    let ev = ctx.platform().copy_d2d_range_async(
-                        &src.buffer,
-                        src_span_row * cols,
-                        &dst.buffer,
-                        s * cols,
-                        run * cols,
-                        concurrent,
-                        &deps,
-                    )?;
-                    out_events.push(ev);
-                }
-            }
+            copies.push(PartCopy {
+                src,
+                dst,
+                src_off: src_span_row * cols,
+                dst_off: s * cols,
+                len: run * cols,
+            });
         }
         s += run;
         g += run;
         len -= run;
     }
-    Ok(cross)
+    copies
+}
+
+/// The copies filling span row `s` (global row `g`) of `dst` from the
+/// owning parts, splitting the part's column range at owner boundaries.
+/// The column-aware twin of [`row_run_copies`], used whenever either side
+/// of a redistribution is not full-width.
+fn span_row_copies<'a, T: Scalar>(
+    parts: &'a [MatrixPart<T>],
+    dst: &'a MatrixPart<T>,
+    s: usize,
+    g: usize,
+) -> Vec<PartCopy<'a, T>> {
+    let mut copies = Vec::new();
+    let mut c = dst.col_offset;
+    let end = dst.col_offset + dst.cols;
+    while c < end {
+        let src = owner_of_cell(parts, g, c, dst.device);
+        let src_span_row = src.halo_above + (g - src.row_offset);
+        let w = end.min(src.col_offset + src.cols) - c;
+        let src_off = src_span_row * src.cols + (c - src.col_offset);
+        let dst_off = s * dst.cols + (c - dst.col_offset);
+        if !(src.buffer.same_allocation(&dst.buffer) && src_off == dst_off) {
+            copies.push(PartCopy {
+                src,
+                dst,
+                src_off,
+                dst_off,
+                len: w,
+            });
+        }
+        c += w;
+    }
+    copies
 }
 
 /// Refresh halo rows from their owners (device-to-device).
@@ -1040,8 +1119,24 @@ fn exchange_part_halos_impl<T: Scalar>(
                     continue;
                 }
                 exchanged = true;
-                let overlap = deps_by_device.map(|deps| (deps, &mut events[i]));
-                fill_rows_from_owners(ctx, parts, p, run, cols, concurrent, overlap)?;
+                for copy in row_run_copies(parts, p, run, cols) {
+                    match deps_by_device {
+                        None => {
+                            copy.issue(ctx, concurrent, None)?;
+                        }
+                        Some(deps_by_device) => {
+                            // Wait for the producers on the source *and*
+                            // destination devices: the destination's events
+                            // also fence the write-after-read hazard against
+                            // the previous round's readers of the halo region.
+                            let mut deps = deps_by_device[copy.src.device].clone();
+                            if copy.crosses_devices() {
+                                deps.extend_from_slice(&deps_by_device[p.device]);
+                            }
+                            events[i].push(copy.issue(ctx, concurrent, Some(&deps))?);
+                        }
+                    }
+                }
             }
         }
     }
@@ -1085,64 +1180,58 @@ fn halo_runs<T: Scalar>(
     runs
 }
 
-/// Move device-fresh data from `st.dist`/`st.parts` into `new_dist`,
-/// filling the new layout's owned regions *and* halo rows from the old
-/// owners.
+/// Move device-fresh data from `st.dist`/`st.parts` into `new_dist`:
+/// allocate the new layout, let `fill(old_parts, new_parts)` write it, and
+/// join the devices.
 fn redistribute<T: Scalar>(
     ctx: &Context,
     st: &mut State<T>,
     new_dist: MatrixDistribution,
+    fill: impl FnOnce(&[MatrixPart<T>], &[MatrixPart<T>]) -> Result<()>,
 ) -> Result<()> {
-    let cols = st.cols;
-    let n_rows = st.rows;
-    let n = ctx.n_devices();
-    let new_lay = layout(new_dist, n_rows, cols, n);
-
-    let mut new_parts = Vec::with_capacity(new_lay.len());
-    for geom in new_lay {
-        new_parts.push(MatrixPart {
-            device: geom.device,
-            row_offset: geom.row_offset,
-            rows: geom.rows,
-            halo_above: geom.halo_above,
-            halo_below: geom.halo_below,
-            col_offset: geom.col_offset,
-            cols: geom.cols,
-            buffer: ctx
-                .device(geom.device)
-                .alloc::<T>((geom.halo_above + geom.rows + geom.halo_below) * geom.cols)?,
-        });
-    }
-
-    if cols > 0 {
-        // Estimate bus contention: count cross-device row runs first.
-        let concurrent = n.max(1);
-        let row_based = st.dist.is_full_width() && new_dist.is_full_width();
-        for np in &new_parts {
-            if np.rows == 0 || np.cols == 0 {
-                continue;
-            }
-            if row_based {
-                // Full-width parts on both sides: batch contiguous rows.
-                for run in span_runs(np, n_rows) {
-                    fill_rows_from_owners(ctx, &st.parts, np, run, cols, concurrent, None)?;
-                }
-            } else {
-                // A column boundary is involved: copy row by row, splitting
-                // each row at owner column boundaries (strided transfers).
-                for s in 0..np.span_rows() {
-                    let g = np.global_row(s, n_rows);
-                    fill_span_row_from_owners(ctx, &st.parts, np, s, g, concurrent)?;
-                }
-            }
-        }
+    let new_parts = alloc_parts(ctx, new_dist, st.rows, st.cols)?;
+    if st.cols > 0 {
+        fill(&st.parts, &new_parts)?;
         ctx.sync();
     }
-
     st.parts = new_parts;
     st.upload_chunks.clear();
     st.dist = new_dist;
     st.halos_fresh = true;
+    Ok(())
+}
+
+/// Fill the new parts' owned regions *and* halo rows from the old owners.
+/// Bus contention is estimated from the copies that actually cross
+/// devices: each destination receives its copies one after another, so at
+/// most one per device is in flight at any instant.
+fn copy_from_owners<T: Scalar>(
+    ctx: &Context,
+    old: &[MatrixPart<T>],
+    new: &[MatrixPart<T>],
+    n_rows: usize,
+    row_based: bool,
+) -> Result<()> {
+    let mut copies = Vec::new();
+    for np in new.iter().filter(|np| np.rows > 0 && np.cols > 0) {
+        if row_based {
+            // Full-width parts on both sides: batch contiguous rows.
+            for run in span_runs(np, n_rows) {
+                copies.extend(row_run_copies(old, np, run, np.cols));
+            }
+        } else {
+            // A column boundary is involved: copy row by row, splitting
+            // each row at owner column boundaries (strided transfers).
+            for s in 0..np.span_rows() {
+                copies.extend(span_row_copies(old, np, s, np.global_row(s, n_rows)));
+            }
+        }
+    }
+    let cross = copies.iter().filter(|c| c.crosses_devices()).count();
+    let concurrent = cross.min(ctx.n_devices()).max(1);
+    for copy in &copies {
+        copy.issue(ctx, concurrent, None)?;
+    }
     Ok(())
 }
 
@@ -1163,6 +1252,20 @@ mod tests {
 
     fn data(rows: usize, cols: usize) -> Vec<f32> {
         (0..rows * cols).map(|i| i as f32).collect()
+    }
+
+    #[test]
+    fn block_ranges_cover_exactly() {
+        for (len, n) in [(10, 3), (0, 4), (7, 8), (100, 4)] {
+            let r = block_ranges(len, n);
+            assert_eq!(r.len(), n);
+            let mut off = 0;
+            for (o, l) in r {
+                assert_eq!(o, off);
+                off += l;
+            }
+            assert_eq!(off, len);
+        }
     }
 
     #[test]
@@ -1355,6 +1458,37 @@ mod tests {
             }
         }
         assert_eq!(m.to_vec().unwrap(), host);
+    }
+
+    #[test]
+    fn a_lone_cross_device_copy_sees_the_whole_link() {
+        // Single(0) -> Single(3) on 4 devices moves one copy across devices,
+        // so it models one uncontended transfer — for a matrix and for a
+        // vector of the same length alike.
+        let c = ctx(4);
+        let (rows, cols) = (288, 384);
+        let want = c
+            .platform()
+            .topology()
+            .d2d_transfer_s(rows * cols * std::mem::size_of::<f32>(), 1);
+
+        let m = Matrix::from_vec(&c, rows, cols, data(rows, cols));
+        m.set_distribution(MatrixDistribution::Single(0)).unwrap();
+        m.ensure_on_devices().unwrap();
+        m.mark_devices_modified();
+        c.platform().reset_clocks();
+        m.set_distribution(MatrixDistribution::Single(3)).unwrap();
+        assert_eq!(c.host_now_s(), want, "matrix");
+        assert_eq!(m.to_vec().unwrap(), data(rows, cols));
+
+        let v = crate::Vector::from_vec(&c, data(rows * cols, 1));
+        v.set_distribution(crate::Distribution::Single(0)).unwrap();
+        v.ensure_on_devices().unwrap();
+        v.mark_devices_modified();
+        c.platform().reset_clocks();
+        v.set_distribution(crate::Distribution::Single(3)).unwrap();
+        assert_eq!(c.host_now_s(), want, "vector");
+        assert_eq!(v.to_vec().unwrap(), data(rows * cols, 1));
     }
 
     #[test]

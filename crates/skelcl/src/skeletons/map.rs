@@ -15,7 +15,7 @@ use crate::error::Result;
 use crate::matrix::Matrix;
 use crate::meter;
 use crate::skeletons::pipeline::{launch_elementwise, stage_of, OpMap};
-use crate::skeletons::{alloc_matching_parts, linear_range, output_vector};
+use crate::skeletons::{alloc_matching_matrix_parts, linear_range};
 use crate::vector::Vector;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -67,8 +67,8 @@ where
         &self,
         ctx: &crate::context::Context,
         compiled: &vgpu::CompiledKernel,
-        ip: &crate::vector::DevicePart<T>,
-        op: &crate::vector::DevicePart<U>,
+        ip: &crate::matrix::MatrixPart<T>,
+        op: &crate::matrix::MatrixPart<U>,
         start: usize,
         len: usize,
         dep: Option<vgpu::Event>,
@@ -112,11 +112,11 @@ where
         span.attr("devices", ctx.n_devices().to_string());
         let compiled = ctx.get_or_build(&self.program)?;
         let in_parts = input.parts()?;
-        let out_parts = alloc_matching_parts::<T, U>(&ctx, &in_parts)?;
+        let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
         for (ip, op) in in_parts.iter().zip(&out_parts) {
-            self.launch_range(&ctx, &compiled, ip, op, 0, ip.len, None)?;
+            self.launch_range(&ctx, &compiled, ip, op, 0, ip.rows, None)?;
         }
-        Ok(output_vector(
+        Ok(Vector::from_device_parts(
             &ctx,
             input.len(),
             input.distribution(),
@@ -141,11 +141,11 @@ where
         span.attr("chunk_len", chunk_len.to_string());
         let compiled = ctx.get_or_build(&self.program)?;
         let (in_parts, upload_chunks) = input.parts_with_upload_chunks(chunk_len.max(1))?;
-        let out_parts = alloc_matching_parts::<T, U>(&ctx, &in_parts)?;
+        let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
         for ((ip, op), chunks) in in_parts.iter().zip(&out_parts).zip(&upload_chunks) {
             if chunks.is_empty() {
                 // Already resident, no chunk events: apply's exact launch.
-                self.launch_range(&ctx, &compiled, ip, op, 0, ip.len, None)?;
+                self.launch_range(&ctx, &compiled, ip, op, 0, ip.rows, None)?;
             } else {
                 for c in chunks {
                     self.launch_range(
@@ -153,14 +153,14 @@ where
                         &compiled,
                         ip,
                         op,
-                        c.start,
-                        c.len,
+                        c.span_start,
+                        c.span_len,
                         Some(c.event.clone()),
                     )?;
                 }
             }
         }
-        Ok(output_vector(
+        Ok(Vector::from_device_parts(
             &ctx,
             input.len(),
             input.distribution(),
@@ -245,11 +245,11 @@ where
         let compiled = ctx.get_or_build(&self.program())?;
         args.ensure_on_devices()?;
         let in_parts = input.parts()?;
-        let out_parts = alloc_matching_parts::<T, U>(&ctx, &in_parts)?;
+        let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
 
         let static_ops = self.user.static_ops();
         for (ip, op) in in_parts.iter().zip(&out_parts) {
-            if ip.len == 0 {
+            if ip.rows == 0 {
                 continue;
             }
             let resolved = Arc::new(args.resolve(ip.device)?);
@@ -274,9 +274,9 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(ip.device)
-                .launch(&kernel, linear_range(&ctx, ip.len))?;
+                .launch(&kernel, linear_range(&ctx, ip.rows))?;
         }
-        Ok(output_vector(
+        Ok(Vector::from_device_parts(
             &ctx,
             input.len(),
             input.distribution(),
@@ -332,7 +332,7 @@ where
 
         let static_ops = self.user.static_ops();
         for ip in &in_parts {
-            if ip.len == 0 {
+            if ip.rows == 0 {
                 continue;
             }
             let resolved = Arc::new(args.resolve(ip.device)?);
@@ -355,7 +355,7 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(ip.device)
-                .launch(&kernel, linear_range(&ctx, ip.len))?;
+                .launch(&kernel, linear_range(&ctx, ip.rows))?;
         }
         Ok(())
     }

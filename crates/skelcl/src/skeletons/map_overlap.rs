@@ -10,9 +10,10 @@
 
 use crate::codegen::{self, UserFn};
 use crate::error::Result;
+use crate::matrix::MatrixPart;
 use crate::meter;
-use crate::skeletons::{alloc_matching_parts, linear_range, output_vector};
-use crate::vector::{DevicePart, Vector};
+use crate::skeletons::{alloc_matching_matrix_parts, linear_range};
+use crate::vector::Vector;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use vgpu::{Buffer, Item, KernelBody, Program, Scalar as Element};
@@ -94,18 +95,18 @@ where
         span.attr("radius", self.radius.to_string());
         let compiled = ctx.get_or_build(&self.program)?;
         let parts = input.parts()?;
-        let out_parts = alloc_matching_parts::<T, T>(&ctx, &parts)?;
+        let out_parts = alloc_matching_matrix_parts::<T, T>(&ctx, &parts)?;
         let n_global = input.len();
         let r = self.radius;
 
         for (ip, op) in parts.iter().zip(&out_parts) {
-            if ip.len == 0 {
+            if ip.rows == 0 {
                 continue;
             }
             // Build the halo-extended input on this device.
-            let ext = ctx.device(ip.device).alloc::<T>(ip.len + 2 * r)?;
+            let ext = ctx.device(ip.device).alloc::<T>(ip.rows + 2 * r)?;
             ctx.platform()
-                .copy_on_device(&ip.buffer, 0, &ext, r, ip.len)?;
+                .copy_on_device(&ip.buffer, 0, &ext, r, ip.rows)?;
             self.fill_halo(&ctx, &parts, ip, &ext, n_global)?;
 
             let f = self.user.func().clone();
@@ -132,9 +133,9 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(ip.device)
-                .launch(&kernel, linear_range(&ctx, ip.len))?;
+                .launch(&kernel, linear_range(&ctx, ip.rows))?;
         }
-        Ok(output_vector(
+        Ok(Vector::from_device_parts(
             &ctx,
             n_global,
             input.distribution(),
@@ -147,8 +148,8 @@ where
     fn fill_halo(
         &self,
         ctx: &crate::context::Context,
-        parts: &[DevicePart<T>],
-        ip: &DevicePart<T>,
+        parts: &[MatrixPart<T>],
+        ip: &MatrixPart<T>,
         ext: &Buffer<T>,
         n_global: usize,
     ) -> Result<()> {
@@ -157,8 +158,8 @@ where
         // [off + len, off + len + r). Gather element-by-element runs from
         // whichever part holds them.
         let fills = [
-            (ip.offset as isize - r as isize, 0usize), // (global start, ext start)
-            ((ip.offset + ip.len) as isize, r + ip.len),
+            (ip.row_offset as isize - r as isize, 0usize), // (global start, ext start)
+            ((ip.row_offset + ip.rows) as isize, r + ip.rows),
         ];
         for (gstart, ext_start) in fills {
             let mut k = 0usize;
@@ -174,7 +175,7 @@ where
                             let src = part_holding(parts, clamped);
                             ctx.platform().copy_d2d_range(
                                 &src.buffer,
-                                clamped - src.offset,
+                                clamped - src.row_offset,
                                 ext,
                                 ext_idx,
                                 1,
@@ -188,9 +189,15 @@ where
                 // Inside the vector: copy the longest run within one part.
                 let g = g as usize;
                 let src = part_holding(parts, g);
-                let run = (src.offset + src.len - g).min(r - k).min(n_global - g);
-                ctx.platform()
-                    .copy_d2d_range(&src.buffer, g - src.offset, ext, ext_idx, run, 1)?;
+                let run = (src.row_offset + src.rows - g).min(r - k).min(n_global - g);
+                ctx.platform().copy_d2d_range(
+                    &src.buffer,
+                    g - src.row_offset,
+                    ext,
+                    ext_idx,
+                    run,
+                    1,
+                )?;
                 k += run;
             }
         }
@@ -198,10 +205,10 @@ where
     }
 }
 
-fn part_holding<T: Element>(parts: &[DevicePart<T>], global: usize) -> &DevicePart<T> {
+fn part_holding<T: Element>(parts: &[MatrixPart<T>], global: usize) -> &MatrixPart<T> {
     parts
         .iter()
-        .find(|p| global >= p.offset && global < p.offset + p.len)
+        .find(|p| global >= p.row_offset && global < p.row_offset + p.rows)
         .expect("global index not covered by any part")
 }
 

@@ -12,9 +12,10 @@
 use crate::codegen::UserFn;
 use crate::context::Context;
 use crate::error::{Error, Result};
+use crate::matrix::alloc_parts;
 use crate::meter;
 use crate::scalar::Scalar;
-use crate::skeletons::{alloc_matching_parts, linear_range, output_vector};
+use crate::skeletons::linear_range;
 use crate::vector::{Distribution, Vector};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -121,11 +122,11 @@ where
         let mut acc = self.identity;
         let g_host = self.reduce_fn.func();
         for (lp, rp) in l_parts.iter().zip(&r_parts).take(active) {
-            if lp.len == 0 {
+            if lp.rows == 0 {
                 continue;
             }
-            let wg_size = ctx.work_group().min(lp.len.next_power_of_two()).max(1);
-            let n_groups = lp.len.div_ceil(wg_size);
+            let wg_size = ctx.work_group().min(lp.rows.next_power_of_two()).max(1);
+            let n_groups = lp.rows.div_ceil(wg_size);
             let mut partials = ctx.device(lp.device).alloc::<U>(n_groups)?;
 
             // Fused first pass: map + in-group tree reduction.
@@ -136,7 +137,7 @@ where
             let a = lp.buffer.clone();
             let b = rp.buffer.clone();
             let out = partials.clone();
-            let n = lp.len;
+            let n = lp.rows;
             let body: KernelBody = Arc::new(move |wg: &WorkGroup| {
                 let lsize = wg.local_size(0);
                 let scratch = wg.local_buf::<U>(lsize);
@@ -288,20 +289,18 @@ where
         span.attr("distribution", format!("{dist:?}"));
         span.attr("devices", ctx.n_devices().to_string());
         let compiled = ctx.get_or_build(&self.program)?;
-        // Lay out the output like an uploaded vector would be.
-        let template: Vector<U> = Vector::zeroed(ctx, n);
-        template.set_distribution(dist)?;
-        let t_parts = template.parts()?;
-        let out_parts = alloc_matching_parts::<U, U>(ctx, &t_parts)?;
+        // The output's parts, laid out like an uploaded vector's; every
+        // element is generated on the device, so nothing is uploaded.
+        let out_parts = alloc_parts::<U>(ctx, dist.as_matrix(), n, 1)?;
 
         let static_ops = self.user.static_ops();
         for op in &out_parts {
-            if op.len == 0 {
+            if op.rows == 0 {
                 continue;
             }
             let f = self.user.func().clone();
             let dst = op.buffer.clone();
-            let offset = op.offset;
+            let offset = op.row_offset;
             let body: KernelBody = Arc::new(move |wg| {
                 wg.for_each_item(|it| {
                     if !it.in_bounds() {
@@ -315,9 +314,9 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(op.device)
-                .launch(&kernel, linear_range(ctx, op.len))?;
+                .launch(&kernel, linear_range(ctx, op.rows))?;
         }
-        Ok(output_vector(ctx, n, dist, out_parts))
+        Ok(Vector::from_device_parts(ctx, n, dist, out_parts))
     }
 }
 
@@ -468,7 +467,10 @@ mod tests {
             Distribution::Copy,
             Distribution::Block,
         ] {
+            let before = c.platform().stats_snapshot();
             let v = identity.apply(&c, 100, dist).unwrap();
+            let delta = c.platform().stats_snapshot() - before;
+            assert_eq!(delta.h2d_bytes, 0, "{dist:?}: no input is uploaded");
             assert_eq!(v.distribution(), dist);
             assert_eq!(v.to_vec().unwrap(), (0..100u32).collect::<Vec<_>>());
         }

@@ -34,31 +34,11 @@ pub use zip::{Zip, ZipArgs};
 
 use crate::context::Context;
 use crate::error::Result;
-use crate::vector::{DevicePart, Distribution, Vector};
 use vgpu::Scalar as Element;
 
 /// Allocate output parts matching an input part layout (same devices, same
-/// offsets/lengths). Used by the element-wise skeletons, whose output
-/// inherits the input's distribution.
-pub(crate) fn alloc_matching_parts<T: Element, U: Element>(
-    ctx: &Context,
-    parts: &[DevicePart<T>],
-) -> Result<Vec<DevicePart<U>>> {
-    let mut out = Vec::with_capacity(parts.len());
-    for p in parts {
-        out.push(DevicePart {
-            device: p.device,
-            offset: p.offset,
-            len: p.len,
-            buffer: ctx.device(p.device).alloc::<U>(p.len)?,
-        });
-    }
-    Ok(out)
-}
-
-/// Allocate output matrix parts matching an input part layout (same
-/// devices, same owned/halo row geometry, same column range). Used by the
-/// element-wise and stencil matrix launchers.
+/// owned/halo row geometry, same column range). Used by the element-wise
+/// and stencil launchers, whose output inherits the input's distribution.
 pub(crate) fn alloc_matching_matrix_parts<T: Element, U: Element>(
     ctx: &Context,
     parts: &[crate::matrix::MatrixPart<T>],
@@ -77,16 +57,6 @@ pub(crate) fn alloc_matching_matrix_parts<T: Element, U: Element>(
         });
     }
     Ok(out)
-}
-
-/// Wrap computed parts as the output vector of an element-wise skeleton.
-pub(crate) fn output_vector<U: Element>(
-    ctx: &Context,
-    len: usize,
-    dist: Distribution,
-    parts: Vec<DevicePart<U>>,
-) -> Vector<U> {
-    Vector::from_device_parts(ctx, len, dist, parts)
 }
 
 /// 1-D launch range for `len` elements under the context's work-group size.

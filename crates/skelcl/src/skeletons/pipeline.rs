@@ -47,7 +47,7 @@ use crate::skeletons::stencil2d::{
     stale_free, stencil_input_layout, Boundary2D, Stencil2DView, StencilKernel,
 };
 use crate::skeletons::{alloc_matching_matrix_parts, linear_range, range_2d};
-use crate::vector::{DevicePart, Distribution, Vector};
+use crate::vector::{Distribution, Vector};
 use vgpu::{CompiledKernel, Item, KernelBody, Scalar as Element};
 
 /// The `+`-joined stage names of a fused group (span attribute and part of
@@ -670,12 +670,12 @@ where
                 ctx.queue(p.device)
                     .launch(&compiled.with_body(body), linear_range(&ctx, fold_rows))?;
             }
-            out_parts.push(DevicePart {
-                device: p.device,
-                offset: p.row_offset,
-                len: fold_rows,
+            out_parts.push(MatrixPart::column(
+                p.device,
+                p.row_offset,
+                fold_rows,
                 buffer,
-            });
+            ));
         }
         ctx.metrics().counter("skelcl.pipeline.groups").inc();
         ctx.metrics()

@@ -51,7 +51,7 @@ use crate::error::{Error, Result};
 use crate::matrix::{Matrix, MatrixDistribution, MatrixPart};
 use crate::meter;
 use crate::skeletons::linear_range;
-use crate::vector::{DevicePart, Distribution, Vector};
+use crate::vector::{Distribution, Vector};
 use std::marker::PhantomData;
 use std::sync::Arc;
 use vgpu::{Buffer, CompiledKernel, KernelBody, Program, Scalar as Element};
@@ -231,11 +231,8 @@ fn reduced_to_vector<T: Element>(
             Distribution::Block,
             items
                 .into_iter()
-                .map(|(device, offset, len, buffer)| DevicePart {
-                    device,
-                    offset,
-                    len,
-                    buffer,
+                .map(|(device, offset, len, buffer)| {
+                    MatrixPart::column(device, offset, len, buffer)
                 })
                 .collect(),
         ),
@@ -257,18 +254,8 @@ fn reduced_to_arg_vectors<T: Element>(
             let mut val_parts = Vec::with_capacity(items.len());
             let mut idx_parts = Vec::with_capacity(items.len());
             for (device, offset, len, (val, idx)) in items {
-                val_parts.push(DevicePart {
-                    device,
-                    offset,
-                    len,
-                    buffer: val,
-                });
-                idx_parts.push(DevicePart {
-                    device,
-                    offset,
-                    len,
-                    buffer: idx,
-                });
+                val_parts.push(MatrixPart::column(device, offset, len, val));
+                idx_parts.push(MatrixPart::column(device, offset, len, idx));
             }
             (
                 Vector::from_device_parts(ctx, out_len, Distribution::Block, val_parts),

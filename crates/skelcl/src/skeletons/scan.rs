@@ -14,6 +14,7 @@
 
 use crate::codegen::{self, UserFn};
 use crate::error::Result;
+use crate::matrix::MatrixPart;
 use crate::meter;
 use crate::vector::{Distribution, Vector};
 use std::marker::PhantomData;
@@ -86,24 +87,15 @@ where
         let mut out_parts = Vec::with_capacity(parts.len());
         let mut totals = Vec::with_capacity(parts.len());
         for p in &parts {
-            if p.len == 0 {
-                out_parts.push(crate::vector::DevicePart {
-                    device: p.device,
-                    offset: p.offset,
-                    len: 0,
-                    buffer: ctx.device(p.device).alloc::<T>(0)?,
-                });
+            if p.rows == 0 {
+                let empty = ctx.device(p.device).alloc::<T>(0)?;
+                out_parts.push(MatrixPart::column(p.device, p.row_offset, 0, empty));
                 totals.push(self.identity);
                 continue;
             }
             let (buf, total) =
-                self.scan_device(&ctx, p.device, &compiled, p.buffer.clone(), p.len)?;
-            out_parts.push(crate::vector::DevicePart {
-                device: p.device,
-                offset: p.offset,
-                len: p.len,
-                buffer: buf,
-            });
+                self.scan_device(&ctx, p.device, &compiled, p.buffer.clone(), p.rows)?;
+            out_parts.push(MatrixPart::column(p.device, p.row_offset, p.rows, buf));
             totals.push(total);
         }
 
@@ -113,19 +105,14 @@ where
         if input.distribution() == Distribution::Block && out_parts.len() > 1 {
             let mut carry = self.identity;
             for (i, p) in out_parts.iter().enumerate() {
-                if i > 0 && p.len > 0 {
+                if i > 0 && p.rows > 0 {
                     self.add_carry(&ctx, p.device, &compiled, &p.buffer, carry)?;
                 }
                 carry = f(carry, totals[i]);
             }
             let grand_total = carry;
             return Ok((
-                crate::vector::Vector::from_device_parts(
-                    &ctx,
-                    input.len(),
-                    input.distribution(),
-                    out_parts,
-                ),
+                Vector::from_device_parts(&ctx, input.len(), input.distribution(), out_parts),
                 grand_total,
             ));
         }
@@ -133,12 +120,7 @@ where
         // Single / Copy: every active part already holds the full scan.
         let grand_total = totals.first().copied().unwrap_or(self.identity);
         Ok((
-            crate::vector::Vector::from_device_parts(
-                &ctx,
-                input.len(),
-                input.distribution(),
-                out_parts,
-            ),
+            Vector::from_device_parts(&ctx, input.len(), input.distribution(), out_parts),
             grand_total,
         ))
     }

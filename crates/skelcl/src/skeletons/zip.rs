@@ -14,7 +14,7 @@ use crate::error::{Error, Result};
 use crate::matrix::Matrix;
 use crate::meter;
 use crate::skeletons::pipeline::{launch_elementwise, stage_of, OpZip};
-use crate::skeletons::{alloc_matching_parts, linear_range, output_vector};
+use crate::skeletons::{alloc_matching_matrix_parts, linear_range};
 use crate::vector::Vector;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -82,13 +82,13 @@ where
         }
         let l_parts = lhs.parts()?;
         let r_parts = rhs.parts()?;
-        let out_parts = alloc_matching_parts::<T1, U>(&ctx, &l_parts)?;
+        let out_parts = alloc_matching_matrix_parts::<T1, U>(&ctx, &l_parts)?;
 
         let static_ops = self.user.static_ops();
         for ((lp, rp), op) in l_parts.iter().zip(&r_parts).zip(&out_parts) {
-            debug_assert_eq!(lp.offset, rp.offset);
-            debug_assert_eq!(lp.len, rp.len);
-            if lp.len == 0 {
+            debug_assert_eq!(lp.row_offset, rp.row_offset);
+            debug_assert_eq!(lp.rows, rp.rows);
+            if lp.rows == 0 {
                 continue;
             }
             let f = self.user.func().clone();
@@ -110,9 +110,9 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(lp.device)
-                .launch(&kernel, linear_range(&ctx, lp.len))?;
+                .launch(&kernel, linear_range(&ctx, lp.rows))?;
         }
-        Ok(output_vector(
+        Ok(Vector::from_device_parts(
             &ctx,
             lhs.len(),
             lhs.distribution(),
@@ -215,11 +215,11 @@ where
         }
         let l_parts = lhs.parts()?;
         let r_parts = rhs.parts()?;
-        let out_parts = alloc_matching_parts::<T1, U>(&ctx, &l_parts)?;
+        let out_parts = alloc_matching_matrix_parts::<T1, U>(&ctx, &l_parts)?;
 
         let static_ops = self.user.static_ops();
         for ((lp, rp), op) in l_parts.iter().zip(&r_parts).zip(&out_parts) {
-            if lp.len == 0 {
+            if lp.rows == 0 {
                 continue;
             }
             let resolved = Arc::new(args.resolve(lp.device)?);
@@ -246,9 +246,9 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(lp.device)
-                .launch(&kernel, linear_range(&ctx, lp.len))?;
+                .launch(&kernel, linear_range(&ctx, lp.rows))?;
         }
-        Ok(output_vector(
+        Ok(Vector::from_device_parts(
             &ctx,
             lhs.len(),
             lhs.distribution(),

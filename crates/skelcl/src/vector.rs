@@ -15,14 +15,22 @@
 //! between multiple devices is performed automatically by SkelCL" — including
 //! redistribution *with a combine operator*, which the OSEM case study uses
 //! to merge per-GPU error images.
+//!
+//! A vector of `len` elements is the `len × 1` view of a [`Matrix`]: the
+//! protocol behind both quotes (lazy upload and download, redistribution,
+//! invalidation on host writes) lives once, in [`crate::matrix`], with
+//! [`Distribution::Block`] laid out as [`MatrixDistribution::RowBlock`]
+//! with `halo: 0`. Only the combine-operator merge is the vector's own.
 
 use crate::codegen::{self, UserFn};
 use crate::context::Context;
 use crate::error::{Error, Result};
+use crate::matrix::{Matrix, MatrixDistribution, MatrixPart, PartsWithChunks};
 use crate::meter;
-use parking_lot::{MappedMutexGuard, Mutex, MutexGuard};
+use crate::trace::SpanGuard;
+use parking_lot::MappedMutexGuard;
 use std::sync::Arc;
-use vgpu::{Buffer, Event, KernelBody, NDRange, Scalar};
+use vgpu::{Buffer, KernelBody, NDRange, Scalar};
 
 /// How a vector's data is laid out across the context's devices
 /// (paper Section III-D).
@@ -36,106 +44,43 @@ pub enum Distribution {
     Block,
 }
 
-/// One device-resident piece of a vector.
-#[derive(Clone)]
-pub(crate) struct DevicePart<T: Scalar> {
-    pub device: usize,
-    pub offset: usize,
-    pub len: usize,
-    pub buffer: Buffer<T>,
-}
+impl Distribution {
+    /// The same layout on the vector's `len × 1` matrix.
+    pub(crate) fn as_matrix(self) -> MatrixDistribution {
+        match self {
+            Distribution::Single(d) => MatrixDistribution::Single(d),
+            Distribution::Copy => MatrixDistribution::Copy,
+            Distribution::Block => MatrixDistribution::row_block(),
+        }
+    }
 
-/// One chunk of a streamed part upload: elements
-/// `[start, start + len)` of the part's buffer hold valid data once
-/// `event` completes on the device's copy engine (the vector twin of the
-/// matrix `UploadChunk`).
-#[derive(Clone)]
-pub(crate) struct VecUploadChunk {
-    pub start: usize,
-    pub len: usize,
-    pub event: Event,
-}
-
-/// Device parts plus their per-part streamed-upload chunk events.
-pub(crate) type PartsWithChunks<T> = (Vec<DevicePart<T>>, Vec<Vec<VecUploadChunk>>);
-
-struct State<T: Scalar> {
-    host: Vec<T>,
-    /// Host copy reflects the newest data.
-    host_fresh: bool,
-    /// Device copies (under `dist`) reflect the newest data.
-    device_fresh: bool,
-    dist: Distribution,
-    parts: Vec<DevicePart<T>>,
-    /// Per part: the chunk events of a streamed upload (empty for blocking
-    /// uploads and device-born vectors).
-    upload_chunks: Vec<Vec<VecUploadChunk>>,
-    /// The platform clock epoch the chunks were recorded under (see the
-    /// matrix twin: a `reset_clocks` invalidates recorded events).
-    upload_epoch: u64,
-}
-
-/// The SkelCL vector. Cloning yields a second handle to the same vector
-/// (C++ SkelCL passes vectors by reference).
-pub struct Vector<T: Scalar> {
-    ctx: Context,
-    state: Arc<Mutex<State<T>>>,
-}
-
-impl<T: Scalar> Clone for Vector<T> {
-    fn clone(&self) -> Self {
-        Vector {
-            ctx: self.ctx.clone(),
-            state: Arc::clone(&self.state),
+    /// The inverse of [`Distribution::as_matrix`].
+    fn of_matrix(dist: MatrixDistribution) -> Self {
+        match dist {
+            MatrixDistribution::Single(d) => Distribution::Single(d),
+            MatrixDistribution::Copy => Distribution::Copy,
+            MatrixDistribution::RowBlock { halo: 0 } => Distribution::Block,
+            other => unreachable!("a vector is never laid out as {other:?}"),
         }
     }
 }
 
+/// The SkelCL vector. Cloning yields a second handle to the same vector
+/// (C++ SkelCL passes vectors by reference).
+#[derive(Clone)]
+pub struct Vector<T: Scalar> {
+    /// The `len × 1` matrix holding the data.
+    matrix: Matrix<T>,
+}
+
 impl<T: Scalar> std::fmt::Debug for Vector<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.lock();
         f.debug_struct("Vector")
-            .field("len", &st.host.len())
-            .field("dist", &st.dist)
-            .field("host_fresh", &st.host_fresh)
-            .field("device_fresh", &st.device_fresh)
+            .field("len", &self.len())
+            .field("dist", &self.distribution())
+            .field("host_fresh", &self.host_fresh())
+            .field("device_fresh", &self.device_fresh())
             .finish()
-    }
-}
-
-/// Contiguous near-equal block ranges of `len` over `n` devices.
-pub(crate) fn block_ranges(len: usize, n: usize) -> Vec<(usize, usize)> {
-    let n = n.max(1);
-    let base = len / n;
-    let extra = len % n;
-    let mut out = Vec::with_capacity(n);
-    let mut off = 0;
-    for d in 0..n {
-        let l = base + usize::from(d < extra);
-        out.push((off, l));
-        off += l;
-    }
-    out
-}
-
-fn default_distribution(ctx: &Context) -> Distribution {
-    if ctx.n_devices() == 1 {
-        Distribution::Single(0)
-    } else {
-        Distribution::Block
-    }
-}
-
-/// Layout of `dist` for a vector of `len` elements: `(device, offset, len)`.
-fn layout(dist: Distribution, len: usize, n_devices: usize) -> Vec<(usize, usize, usize)> {
-    match dist {
-        Distribution::Single(d) => vec![(d, 0, len)],
-        Distribution::Copy => (0..n_devices).map(|d| (d, 0, len)).collect(),
-        Distribution::Block => block_ranges(len, n_devices)
-            .into_iter()
-            .enumerate()
-            .map(|(d, (off, l))| (d, off, l))
-            .collect(),
     }
 }
 
@@ -144,18 +89,8 @@ impl<T: Scalar> Vector<T> {
     /// `Vector<float> A(a_ptr, ARRAY_SIZE)`); no device transfer happens
     /// until a skeleton needs the data.
     pub fn from_vec(ctx: &Context, data: Vec<T>) -> Self {
-        let dist = default_distribution(ctx);
         Vector {
-            ctx: ctx.clone(),
-            state: Arc::new(Mutex::new(State {
-                host: data,
-                host_fresh: true,
-                device_fresh: false,
-                dist,
-                parts: Vec::new(),
-                upload_chunks: Vec::new(),
-                upload_epoch: 0,
-            })),
+            matrix: Matrix::from_vec(ctx, data.len(), 1, data),
         }
     }
 
@@ -169,11 +104,11 @@ impl<T: Scalar> Vector<T> {
     }
 
     pub fn ctx(&self) -> &Context {
-        &self.ctx
+        self.matrix.ctx()
     }
 
     pub fn len(&self) -> usize {
-        self.state.lock().host.len()
+        self.matrix.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -181,43 +116,33 @@ impl<T: Scalar> Vector<T> {
     }
 
     pub fn distribution(&self) -> Distribution {
-        self.state.lock().dist
+        Distribution::of_matrix(self.matrix.distribution())
     }
 
     /// Is the host copy current? (test/introspection aid)
     pub fn host_fresh(&self) -> bool {
-        self.state.lock().host_fresh
+        self.matrix.host_fresh()
     }
 
     /// Are the device copies current? (test/introspection aid)
     pub fn device_fresh(&self) -> bool {
-        self.state.lock().device_fresh
+        self.matrix.device_fresh()
     }
 
     /// Read access to the host data, downloading first only if the device
     /// copies are newer (lazy copying).
     pub fn host_view(&self) -> Result<MappedMutexGuard<'_, [T]>> {
-        let mut st = self.state.lock();
-        ensure_on_host(&self.ctx, &mut st)?;
-        Ok(MutexGuard::map(st, |s| s.host.as_mut_slice()))
+        self.matrix.host_view()
     }
 
     /// Mutable access to the host data; marks the device copies stale.
     pub fn host_view_mut(&self) -> Result<MappedMutexGuard<'_, [T]>> {
-        let mut st = self.state.lock();
-        ensure_on_host(&self.ctx, &mut st)?;
-        st.host_fresh = true;
-        st.device_fresh = false;
-        st.parts.clear();
-        st.upload_chunks.clear();
-        Ok(MutexGuard::map(st, |s| s.host.as_mut_slice()))
+        self.matrix.host_view_mut()
     }
 
     /// Copy the current contents out to a `Vec` (downloads if needed).
     pub fn to_vec(&self) -> Result<Vec<T>> {
-        let mut st = self.state.lock();
-        ensure_on_host(&self.ctx, &mut st)?;
-        Ok(st.host.clone())
+        self.matrix.to_vec()
     }
 
     /// Copy the current contents out like [`Vector::to_vec`], but **without
@@ -229,49 +154,7 @@ impl<T: Scalar> Vector<T> {
     /// [`Matrix::read_back_async`](crate::Matrix::read_back_async) for the
     /// serving rationale.
     pub fn read_back_async(&self) -> Result<(Vec<T>, f64)> {
-        let st = self.state.lock();
-        if st.host_fresh {
-            return Ok((st.host.clone(), self.ctx.host_now_s()));
-        }
-        assert!(
-            st.device_fresh,
-            "vector has neither fresh host nor fresh device data"
-        );
-        let mut out = vec![T::default(); st.host.len()];
-        let mut ready = self.ctx.host_now_s();
-        match st.dist {
-            Distribution::Single(_) | Distribution::Copy => {
-                let part = st
-                    .parts
-                    .first()
-                    .ok_or_else(|| Error::NotOnDevice("no device parts to download".into()))?;
-                if part.len > 0 {
-                    let q = self.ctx.copy_queue(part.device);
-                    let dep = [q.enqueue_marker()];
-                    let ev = q.enqueue_read_range_async(&part.buffer, 0, &mut out, 1, &dep)?;
-                    ready = ready.max(ev.end_s);
-                }
-            }
-            Distribution::Block => {
-                let concurrent = st.parts.iter().filter(|p| p.len > 0).count().max(1);
-                for p in &st.parts {
-                    if p.len == 0 {
-                        continue;
-                    }
-                    let q = self.ctx.copy_queue(p.device);
-                    let dep = [q.enqueue_marker()];
-                    let ev = q.enqueue_read_range_async(
-                        &p.buffer,
-                        0,
-                        &mut out[p.offset..p.offset + p.len],
-                        concurrent,
-                        &dep,
-                    )?;
-                    ready = ready.max(ev.end_s);
-                }
-            }
-        }
-        Ok((out, ready))
+        self.matrix.read_back_async()
     }
 
     /// Declare that a kernel modified this vector on the devices by side
@@ -279,23 +162,14 @@ impl<T: Scalar> Vector<T> {
     /// error-image kernel which "produces no result, but updates the error
     /// image by side-effect").
     pub fn mark_devices_modified(&self) {
-        let mut st = self.state.lock();
-        assert!(
-            !st.parts.is_empty(),
-            "mark_devices_modified on a vector that was never uploaded"
-        );
-        st.device_fresh = true;
-        st.host_fresh = false;
-        // The kernel's writes supersede any still-recorded upload events.
-        st.upload_chunks.clear();
+        self.matrix.mark_devices_modified()
     }
 
     /// Upload to the devices (per the current distribution) if the device
     /// copies are stale. Skeletons call this implicitly; it is public so
     /// applications can pre-stage data like the paper's OSEM loop does.
     pub fn ensure_on_devices(&self) -> Result<()> {
-        let mut st = self.state.lock();
-        ensure_on_devices(&self.ctx, &mut st)
+        self.parts().map(drop)
     }
 
     /// Upload like [`Vector::ensure_on_devices`], but **streamed in chunks
@@ -305,8 +179,7 @@ impl<T: Scalar> Vector<T> {
     /// start while later chunks are still crossing PCIe. A no-op when the
     /// devices are already fresh; bit-identical data either way.
     pub fn ensure_on_devices_streamed(&self, chunk_len: usize) -> Result<()> {
-        let mut st = self.state.lock();
-        ensure_on_devices_streamed(&self.ctx, &mut st, chunk_len)
+        self.parts_with_upload_chunks(chunk_len).map(drop)
     }
 
     /// Change the distribution (paper's `setDistribution`). If the devices
@@ -314,25 +187,7 @@ impl<T: Scalar> Vector<T> {
     /// automatically; otherwise only metadata changes and the next upload
     /// uses the new layout.
     pub fn set_distribution(&self, dist: Distribution) -> Result<()> {
-        if let Distribution::Single(d) = dist {
-            if d >= self.ctx.n_devices() {
-                return Err(Error::BadDistribution(format!(
-                    "device {d} out of range ({} devices)",
-                    self.ctx.n_devices()
-                )));
-            }
-        }
-        let mut st = self.state.lock();
-        if st.dist == dist {
-            return Ok(());
-        }
-        if !st.device_fresh {
-            st.dist = dist;
-            st.parts.clear();
-            st.upload_chunks.clear();
-            return Ok(());
-        }
-        redistribute(&self.ctx, &mut st, dist, None::<&UserFn<fn(T, T) -> T>>)
+        self.matrix.set_distribution(dist.as_matrix())
     }
 
     /// Change the distribution, merging diverged per-device copies with a
@@ -345,42 +200,57 @@ impl<T: Scalar> Vector<T> {
     where
         F: Fn(T, T) -> T + Send + Sync + Clone + 'static,
     {
-        let mut st = self.state.lock();
-        if st.device_fresh && st.dist == Distribution::Copy && st.dist != dist {
-            redistribute(&self.ctx, &mut st, dist, Some(combine))
-        } else if st.dist == dist {
-            Ok(())
-        } else if !st.device_fresh {
-            st.dist = dist;
-            st.parts.clear();
-            st.upload_chunks.clear();
-            Ok(())
-        } else {
-            redistribute(&self.ctx, &mut st, dist, None::<&UserFn<F>>)
+        let merge = self.device_fresh()
+            && self.distribution() == Distribution::Copy
+            && dist != Distribution::Copy;
+        if !merge {
+            return self.set_distribution(dist);
         }
+        self.matrix
+            .redistribute_with(dist.as_matrix(), |copies, targets| {
+                merge_copy_to(self.ctx(), copies, targets, combine)
+            })
     }
 
     /// The device-resident parts (uploading first if needed).
-    pub(crate) fn parts(&self) -> Result<Vec<DevicePart<T>>> {
-        let mut st = self.state.lock();
-        ensure_on_devices(&self.ctx, &mut st)?;
-        Ok(st.parts.clone())
+    pub(crate) fn parts(&self) -> Result<Vec<MatrixPart<T>>> {
+        let upload_span = |len, dist| self.upload_span(len, dist, None);
+        Ok(self.matrix.upload_parts(None, upload_span)?.0)
     }
 
     /// The device-resident parts with any pending streamed-upload chunk
     /// events, uploading *streamed* first if the devices are stale. Chunk
     /// lists are empty for blocking uploads and device-born parts.
     pub(crate) fn parts_with_upload_chunks(&self, chunk_len: usize) -> Result<PartsWithChunks<T>> {
-        let mut st = self.state.lock();
-        ensure_on_devices_streamed(&self.ctx, &mut st, chunk_len)?;
-        let live = st.upload_chunks.len() == st.parts.len()
-            && st.upload_epoch == self.ctx.platform().clock_epoch();
-        let chunks = if live {
-            st.upload_chunks.clone()
+        let chunk_len = chunk_len.max(1);
+        let upload_span = |len, dist| self.upload_span(len, dist, Some(chunk_len));
+        self.matrix.upload_parts(Some(chunk_len), upload_span)
+    }
+
+    /// The span a vector upload (streamed in `chunk_len`-element chunks
+    /// when given) runs in; the matrix core uploads span-less.
+    fn upload_span(
+        &self,
+        len: usize,
+        dist: MatrixDistribution,
+        chunk_len: Option<usize>,
+    ) -> SpanGuard {
+        let ctx = self.ctx();
+        let mut span = ctx.span(if chunk_len.is_some() {
+            "vector.upload_streamed"
         } else {
-            vec![Vec::new(); st.parts.len()]
-        };
-        Ok((st.parts.clone(), chunks))
+            "vector.upload"
+        });
+        span.attr("len", len.to_string());
+        span.attr(
+            "distribution",
+            format!("{:?}", Distribution::of_matrix(dist)),
+        );
+        if let Some(chunk_len) = chunk_len {
+            span.attr("chunk_len", chunk_len.to_string());
+        }
+        span.attr("devices", ctx.n_devices().to_string());
+        span
     }
 
     /// Wrap one freshly computed device buffer as a `Single(device)`
@@ -393,301 +263,32 @@ impl<T: Scalar> Vector<T> {
         len: usize,
         buffer: Buffer<T>,
     ) -> Self {
-        Vector::from_device_parts(
-            ctx,
-            len,
-            Distribution::Single(device),
-            vec![DevicePart {
-                device,
-                offset: 0,
-                len,
-                buffer,
-            }],
-        )
+        let part = MatrixPart::column(device, 0, len, buffer);
+        Vector::from_device_parts(ctx, len, Distribution::Single(device), vec![part])
     }
 
-    /// Wrap freshly computed device parts as a new vector (skeleton
-    /// outputs): device data is fresh, host copy is stale.
+    /// Wrap freshly computed device parts (one-column parts laid out per
+    /// `dist`) as a new vector (skeleton outputs): device data is fresh,
+    /// host copy is stale.
     pub(crate) fn from_device_parts(
         ctx: &Context,
         len: usize,
         dist: Distribution,
-        parts: Vec<DevicePart<T>>,
+        parts: Vec<MatrixPart<T>>,
     ) -> Self {
         Vector {
-            ctx: ctx.clone(),
-            state: Arc::new(Mutex::new(State {
-                host: vec![T::default(); len],
-                host_fresh: false,
-                device_fresh: true,
-                dist,
-                parts,
-                upload_chunks: Vec::new(),
-                upload_epoch: 0,
-            })),
+            matrix: Matrix::from_device_parts(ctx, len, 1, dist.as_matrix(), parts, true),
         }
     }
 }
 
-/// Upload `st.host` per `st.dist` if the device copies are stale.
-fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
-    if st.device_fresh {
-        return Ok(());
-    }
-    assert!(
-        st.host_fresh,
-        "vector has neither fresh host nor fresh device data"
-    );
-    let mut span = ctx.span("vector.upload");
-    span.attr("len", st.host.len().to_string());
-    span.attr("distribution", format!("{:?}", st.dist));
-    span.attr("devices", ctx.n_devices().to_string());
-    let lay = layout(st.dist, st.host.len(), ctx.n_devices());
-    let concurrent = lay.iter().filter(|(_, _, l)| *l > 0).count().max(1);
-    let mut parts = Vec::with_capacity(lay.len());
-    for (d, off, len) in lay {
-        let buffer = ctx.device(d).alloc::<T>(len)?;
-        if len > 0 {
-            ctx.queue(d)
-                .enqueue_write_concurrent(&buffer, &st.host[off..off + len], concurrent)?;
-        }
-        parts.push(DevicePart {
-            device: d,
-            offset: off,
-            len,
-            buffer,
-        });
-    }
-    st.parts = parts;
-    st.upload_chunks.clear();
-    st.device_fresh = true;
-    Ok(())
-}
-
-/// Upload `st.host` like [`ensure_on_devices`], but streamed: each part
-/// goes out in `chunk_len`-element asynchronous writes on the device's
-/// copy stream, with the chunk events recorded in `st.upload_chunks`.
-fn ensure_on_devices_streamed<T: Scalar>(
-    ctx: &Context,
-    st: &mut State<T>,
-    chunk_len: usize,
-) -> Result<()> {
-    if st.device_fresh {
-        return Ok(());
-    }
-    assert!(
-        st.host_fresh,
-        "vector has neither fresh host nor fresh device data"
-    );
-    let chunk_len = chunk_len.max(1);
-    let mut span = ctx.span("vector.upload_streamed");
-    span.attr("len", st.host.len().to_string());
-    span.attr("distribution", format!("{:?}", st.dist));
-    span.attr("chunk_len", chunk_len.to_string());
-    span.attr("devices", ctx.n_devices().to_string());
-    let lay = layout(st.dist, st.host.len(), ctx.n_devices());
-    let concurrent = lay.iter().filter(|(_, _, l)| *l > 0).count().max(1);
-    let mut parts = Vec::with_capacity(lay.len());
-    let mut upload_chunks = Vec::with_capacity(lay.len());
-    for (d, off, len) in lay {
-        let buffer = ctx.device(d).alloc::<T>(len)?;
-        let mut chunks = Vec::new();
-        let queue = ctx.copy_queue(d);
-        let mut done = 0;
-        while done < len {
-            let n = chunk_len.min(len - done);
-            let event = queue.enqueue_write_range_async(
-                &buffer,
-                done,
-                &st.host[off + done..off + done + n],
-                concurrent,
-                &[],
-            )?;
-            chunks.push(VecUploadChunk {
-                start: done,
-                len: n,
-                event,
-            });
-            done += n;
-        }
-        parts.push(DevicePart {
-            device: d,
-            offset: off,
-            len,
-            buffer,
-        });
-        upload_chunks.push(chunks);
-    }
-    st.parts = parts;
-    st.upload_chunks = upload_chunks;
-    st.upload_epoch = ctx.platform().clock_epoch();
-    st.device_fresh = true;
-    Ok(())
-}
-
-/// Download into `st.host` if the host copy is stale.
-fn ensure_on_host<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
-    if st.host_fresh {
-        return Ok(());
-    }
-    assert!(
-        st.device_fresh,
-        "vector has neither fresh host nor fresh device data"
-    );
-    match st.dist {
-        Distribution::Single(_) | Distribution::Copy => {
-            let part = st
-                .parts
-                .first()
-                .ok_or_else(|| Error::NotOnDevice("no device parts to download".into()))?;
-            let mut tmp = vec![T::default(); part.len];
-            ctx.queue(part.device)
-                .enqueue_read_concurrent(&part.buffer, &mut tmp, 1, true)?;
-            st.host = tmp;
-        }
-        Distribution::Block => {
-            let concurrent = st.parts.iter().filter(|p| p.len > 0).count().max(1);
-            let parts = st.parts.clone();
-            for p in &parts {
-                if p.len == 0 {
-                    continue;
-                }
-                ctx.queue(p.device).enqueue_read_concurrent(
-                    &p.buffer,
-                    &mut st.host[p.offset..p.offset + p.len],
-                    concurrent,
-                    false,
-                )?;
-            }
-            ctx.sync();
-        }
-    }
-    st.host_fresh = true;
-    Ok(())
-}
-
-/// Move device-fresh data from `st.dist`/`st.parts` into `new_dist`,
-/// optionally merging Copy parts with `combine`.
-fn redistribute<T: Scalar, F>(
-    ctx: &Context,
-    st: &mut State<T>,
-    new_dist: Distribution,
-    combine: Option<&UserFn<F>>,
-) -> Result<()>
-where
-    F: Fn(T, T) -> T + Send + Sync + Clone + 'static,
-{
-    let len = st.host.len();
-    let n = ctx.n_devices();
-    let new_lay = layout(new_dist, len, n);
-
-    // Allocate destination parts.
-    let mut new_parts = Vec::with_capacity(new_lay.len());
-    for (d, off, l) in &new_lay {
-        new_parts.push(DevicePart {
-            device: *d,
-            offset: *off,
-            len: *l,
-            buffer: ctx.device(*d).alloc::<T>(*l)?,
-        });
-    }
-
-    if let Some(f) = combine {
-        merge_copy_to(ctx, st, &mut new_parts, f)?;
-    } else {
-        move_data(ctx, st, &new_parts)?;
-    }
-
-    st.parts = new_parts;
-    st.upload_chunks.clear();
-    st.dist = new_dist;
-    Ok(())
-}
-
-/// Plain data movement old-parts → new-parts (no combining).
-fn move_data<T: Scalar>(ctx: &Context, st: &State<T>, new_parts: &[DevicePart<T>]) -> Result<()> {
-    // Contention hint: transfers chain per destination device, so at most
-    // ~one per device is in flight at any instant.
-    let mut cross = 0usize;
-    for np in new_parts {
-        if np.len == 0 {
-            continue;
-        }
-        for op in source_copies(st, np) {
-            if op.0 != np.device {
-                cross += 1;
-            }
-        }
-    }
-    let concurrent = cross.min(ctx.n_devices()).max(1);
-
-    for np in new_parts {
-        if np.len == 0 {
-            continue;
-        }
-        for (src_dev, src_buf, src_off, dst_off, l) in source_copies(st, np) {
-            let _ = src_dev;
-            ctx.platform()
-                .copy_d2d_range(&src_buf, src_off, &np.buffer, dst_off, l, concurrent)?;
-        }
-    }
-    ctx.sync();
-    Ok(())
-}
-
-/// For a destination part, the copies needed to fill it from the old parts:
-/// `(src_device, src_buffer, src_offset, dst_offset, len)`.
-fn source_copies<T: Scalar>(
-    st: &State<T>,
-    np: &DevicePart<T>,
-) -> Vec<(usize, Buffer<T>, usize, usize, usize)> {
-    let mut out = Vec::new();
-    let want = np.offset..np.offset + np.len;
-    match st.dist {
-        Distribution::Single(_) => {
-            let op = &st.parts[0];
-            out.push((
-                op.device,
-                op.buffer.clone(),
-                want.start - op.offset,
-                0,
-                np.len,
-            ));
-        }
-        Distribution::Copy => {
-            // Prefer the copy already on the destination device.
-            let op = st
-                .parts
-                .iter()
-                .find(|p| p.device == np.device)
-                .unwrap_or(&st.parts[0]);
-            out.push((op.device, op.buffer.clone(), want.start, 0, np.len));
-        }
-        Distribution::Block => {
-            for op in &st.parts {
-                let lo = want.start.max(op.offset);
-                let hi = want.end.min(op.offset + op.len);
-                if lo < hi {
-                    out.push((
-                        op.device,
-                        op.buffer.clone(),
-                        lo - op.offset,
-                        lo - np.offset,
-                        hi - lo,
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Copy→(target) with element-wise combining of the diverged per-device
-/// copies (the OSEM error-image merge).
+/// Fill `targets` from the diverged per-device `Copy` parts `copies`,
+/// combining every device's copy of each target range element-wise (the
+/// OSEM error-image merge).
 fn merge_copy_to<T: Scalar, F>(
     ctx: &Context,
-    st: &State<T>,
-    new_parts: &mut [DevicePart<T>],
+    copies: &[MatrixPart<T>],
+    targets: &[MatrixPart<T>],
     combine: &UserFn<F>,
 ) -> Result<()>
 where
@@ -695,8 +296,7 @@ where
 {
     // Each destination folds its sources sequentially; ~n_devices
     // transfers are in flight at once.
-    let n = ctx.n_devices();
-    let cross = n.max(1);
+    let cross = ctx.n_devices().max(1);
 
     let program = codegen::zip_program(
         combine.name(),
@@ -709,24 +309,23 @@ where
     let compiled = ctx.get_or_build(&program)?;
     let static_ops = combine.static_ops();
 
-    for np in new_parts.iter_mut() {
-        if np.len == 0 {
+    for np in targets {
+        if np.rows == 0 {
             continue;
         }
         // Seed with the destination device's own copy (device-local).
-        let own = st
-            .parts
+        let own = copies
             .iter()
             .find(|p| p.device == np.device)
             .ok_or_else(|| Error::NotOnDevice("copy distribution missing a device".into()))?;
         ctx.platform()
-            .copy_on_device(&own.buffer, np.offset, &np.buffer, 0, np.len)?;
+            .copy_on_device(&own.buffer, np.row_offset, &np.buffer, 0, np.rows)?;
 
         // Fold in every other device's copy of this range.
-        for op in st.parts.iter().filter(|p| p.device != np.device) {
-            let tmp = ctx.device(np.device).alloc::<T>(np.len)?;
+        for op in copies.iter().filter(|p| p.device != np.device) {
+            let tmp = ctx.device(np.device).alloc::<T>(np.rows)?;
             ctx.platform()
-                .copy_d2d_range(&op.buffer, np.offset, &tmp, 0, np.len, cross)?;
+                .copy_d2d_range(&op.buffer, np.row_offset, &tmp, 0, np.rows, cross)?;
 
             let f = combine.func().clone();
             let dst = np.buffer.clone();
@@ -747,11 +346,10 @@ where
             let kernel = compiled.with_body(body);
             ctx.queue(np.device).launch(
                 &kernel,
-                NDRange::linear(np.len, ctx.work_group().min(np.len)),
+                NDRange::linear(np.rows, ctx.work_group().min(np.rows)),
             )?;
         }
     }
-    ctx.sync();
     Ok(())
 }
 
@@ -771,20 +369,6 @@ mod tests {
 
     fn data(n: usize) -> Vec<f32> {
         (0..n).map(|i| i as f32).collect()
-    }
-
-    #[test]
-    fn block_ranges_cover_exactly() {
-        for (len, n) in [(10, 3), (0, 4), (7, 8), (100, 4)] {
-            let r = block_ranges(len, n);
-            assert_eq!(r.len(), n);
-            let mut off = 0;
-            for (o, l) in r {
-                assert_eq!(o, off);
-                off += l;
-            }
-            assert_eq!(off, len);
-        }
     }
 
     #[test]
@@ -820,6 +404,21 @@ mod tests {
             assert!(ready >= host_before, "{dist:?}");
             assert!(!v.host_fresh(), "coherence state must be untouched");
             assert_eq!(got, data(40), "{dist:?}");
+        }
+    }
+
+    #[test]
+    fn empty_device_fresh_vector_downloads_nothing() {
+        for dist in [Distribution::Single(1), Distribution::Copy] {
+            let c = ctx(2);
+            let v = Vector::from_vec(&c, Vec::<f32>::new());
+            v.set_distribution(dist).unwrap();
+            v.ensure_on_devices().unwrap();
+            v.mark_devices_modified();
+            let before = c.platform().stats_snapshot();
+            assert!(v.to_vec().unwrap().is_empty());
+            let delta = c.platform().stats_snapshot() - before;
+            assert_eq!(delta.total_transfers(), 0, "{dist:?}");
         }
     }
 
@@ -879,7 +478,7 @@ mod tests {
         let parts = v.parts().unwrap();
         assert_eq!(parts.len(), 3);
         for p in &parts {
-            assert_eq!(p.len, 10);
+            assert_eq!(p.rows, 10);
             assert_eq!(p.buffer.to_vec(), data(10));
         }
     }
@@ -906,7 +505,10 @@ mod tests {
         let parts = v.parts().unwrap();
         assert_eq!(parts.len(), 4);
         for p in &parts {
-            assert_eq!(p.buffer.to_vec(), data(40)[p.offset..p.offset + p.len]);
+            assert_eq!(
+                p.buffer.to_vec(),
+                data(40)[p.row_offset..p.row_offset + p.rows]
+            );
         }
         assert_eq!(v.to_vec().unwrap(), data(40));
     }
@@ -937,7 +539,7 @@ mod tests {
         {
             let parts = v.parts().unwrap();
             for (d, p) in parts.iter().enumerate() {
-                for i in 0..p.len {
+                for i in 0..p.rows {
                     p.buffer.set(i, (d + 1) as f32 * 10.0 + i as f32);
                 }
             }

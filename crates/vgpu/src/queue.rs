@@ -241,18 +241,7 @@ impl CommandQueue {
 
     /// Upload a host slice into a device buffer (`clEnqueueWriteBuffer`).
     pub fn enqueue_write<T: Scalar>(&self, buf: &Buffer<T>, src: &[T]) -> Result<Event> {
-        self.enqueue_write_concurrent(buf, src, 1)
-    }
-
-    /// Like [`CommandQueue::enqueue_write`], with a hint that `concurrent`
-    /// transfers share the host bus right now (multi-device upload batches).
-    pub fn enqueue_write_concurrent<T: Scalar>(
-        &self,
-        buf: &Buffer<T>,
-        src: &[T],
-        concurrent: usize,
-    ) -> Result<Event> {
-        self.write_impl(buf, None, src, concurrent, &[], true)
+        self.write_impl(buf, None, src, 1, &[], true)
     }
 
     /// Async upload on this stream: starts as soon as the stream, the
@@ -305,20 +294,7 @@ impl CommandQueue {
     /// Download a device buffer into a host slice (`clEnqueueReadBuffer`,
     /// blocking): the host clock waits for completion.
     pub fn enqueue_read<T: Scalar>(&self, buf: &Buffer<T>, dst: &mut [T]) -> Result<Event> {
-        self.enqueue_read_concurrent(buf, dst, 1, true)
-    }
-
-    /// Like [`CommandQueue::enqueue_read`], with a host-bus concurrency hint
-    /// and optionally non-blocking semantics (the caller synchronises later
-    /// with [`CommandQueue::finish`]).
-    pub fn enqueue_read_concurrent<T: Scalar>(
-        &self,
-        buf: &Buffer<T>,
-        dst: &mut [T],
-        concurrent: usize,
-        blocking: bool,
-    ) -> Result<Event> {
-        self.read_impl(buf, None, dst, concurrent, blocking, &[], true)
+        self.read_impl(buf, None, dst, 1, true, &[], true)
     }
 
     /// `offset`: `None` = whole-buffer read (length-checked), `Some(o)` =
@@ -681,7 +657,7 @@ mod tests {
         let q = p.queue(0, DriverProfile::opencl());
         let buf = p.device(0).alloc::<u8>(1 << 20).unwrap();
         let mut out = vec![0u8; 1 << 20];
-        q.enqueue_read_concurrent(&buf, &mut out, 1, false).unwrap();
+        q.enqueue_read_range(&buf, 0, &mut out, 1, false).unwrap();
         assert!(
             p.host_now_s() < p.device(0).clock().now_s(),
             "non-blocking read must leave the host clock behind the device"
