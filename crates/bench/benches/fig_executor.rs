@@ -20,7 +20,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use skelcl_bench::{
     executor_client_job, run_executor_fairness_leg, run_executor_throughput_leg, ExecutorLeg,
-    VirtualSweep,
+    FairnessLeg, VirtualSweep,
 };
 use skelcl_executor::{run_job, JobOutput, SchedulingMode};
 use std::cell::RefCell;
@@ -64,6 +64,7 @@ fn assert_serial_bit_identity(leg: &ExecutorLeg) {
 fn bench_executor(c: &mut Criterion) {
     let sweep = VirtualSweep::new();
     let legs: RefCell<HashMap<&'static str, ExecutorLeg>> = RefCell::new(HashMap::new());
+    let fairness: RefCell<HashMap<&'static str, FairnessLeg>> = RefCell::new(HashMap::new());
     let mut group = VirtualSweep::group(c, "fig_executor_virtual");
 
     for (name, coalesced) in [("uncoalesced", false), ("coalesced", true)] {
@@ -89,7 +90,12 @@ fn bench_executor(c: &mut Criterion) {
             format!("fairness_polite_p99_{name}"),
             1,
             (256, 1, name),
-            || run_executor_fairness_leg(mode).polite_p99_s,
+            || {
+                let leg = run_executor_fairness_leg(mode);
+                let p99 = leg.polite_p99_s;
+                fairness.borrow_mut().insert(name, leg);
+                p99
+            },
         );
     }
     group.finish();
@@ -139,8 +145,8 @@ fn bench_executor(c: &mut Criterion) {
     println!("fig_executor check: all {n_jobs} outputs bit-identical across coalesced, uncoalesced and serial execution");
 
     // --- acceptance: a saturating tenant cannot starve others ------------
-    let fifo = run_executor_fairness_leg(SchedulingMode::Fifo);
-    let wrr = run_executor_fairness_leg(SchedulingMode::WeightedRoundRobin);
+    let fairness = fairness.into_inner();
+    let (fifo, wrr) = (&fairness["fifo"], &fairness["wrr"]);
     assert_eq!(wrr.polite_done, fifo.polite_done);
     assert_eq!(
         wrr.hog_done, 256,
@@ -162,9 +168,8 @@ fn bench_executor(c: &mut Criterion) {
         wrr.hog_p99_s,
     );
 
-    // Perf ledger: persist the throughput legs when SKELCL_LEDGER_DIR is
-    // set (the fairness legs measure per-tenant latency, not makespan, and
-    // route around the reporting timers).
+    // Perf ledger: persist all four legs when SKELCL_LEDGER_DIR is set
+    // (see skelcl_bench::ledger).
     skelcl_bench::ledger::write_fig("fig_executor");
 }
 

@@ -18,9 +18,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use skelcl::{Matrix, MatrixDistribution};
 use skelcl_bench::{
-    ledger, overlap_copy_busy_during_kernels_s, overlap_iterate_checked_virtual_s,
-    overlap_iterate_virtual_s, overlap_upload_virtual_s, upload_stencil, VirtualSweep,
+    ledger, overlap_iterate_checked_virtual_s, overlap_iterate_report, overlap_iterate_virtual_s,
+    overlap_upload_virtual_s, upload_stencil, VirtualSweep,
 };
+use std::cell::Cell;
 
 /// Overlapped results must equal serial results bit for bit on every
 /// device count — the figure compares schedules, not computations.
@@ -66,6 +67,9 @@ fn bench_overlap(c: &mut Criterion) {
     let mut group = VirtualSweep::group(c, "fig_overlap_virtual");
     let (rows, cols) = (1024usize, 1024usize);
     let chunk_rows = 64usize;
+    // Copy-engine busy time under kernels, read from the measured
+    // n=100 x4 overlapped leg's report.
+    let copy_under_kernels = Cell::new(0.0);
 
     for n in [10usize, 100] {
         for devices in [1usize, 2, 4] {
@@ -75,7 +79,13 @@ fn bench_overlap(c: &mut Criterion) {
                     format!("heat_{name}_n{n}"),
                     devices,
                     (n, devices, name),
-                    || overlap_iterate_virtual_s(rows, cols, devices, n, overlapped),
+                    || {
+                        let report = overlap_iterate_report(rows, cols, devices, n, overlapped);
+                        if (n, devices, overlapped) == (100, 4, true) {
+                            copy_under_kernels.set(report.total_overlap_s());
+                        }
+                        report.window_s
+                    },
                 );
             }
         }
@@ -120,7 +130,7 @@ fn bench_overlap(c: &mut Criterion) {
     // The copies-under-kernels claim, from engine-utilization metrics:
     // during the overlapped schedule the copy engines must be busy while
     // the same device's compute engine is — strictly positive overlap.
-    let copy_under_kernels = overlap_copy_busy_during_kernels_s(rows, cols, 4, 100);
+    let copy_under_kernels = copy_under_kernels.get();
     assert!(
         copy_under_kernels > 0.0,
         "overlapped iterate shows no copy-engine busy time under kernels"

@@ -2,27 +2,20 @@
 //! Sobel gradient) over a row-block-distributed matrix with halo exchange.
 //! Sweeps 1 → 4 virtual devices; reports virtual (modeled) seconds.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use skelcl_bench::stencil_scaling_virtual_s;
-use std::time::Duration;
+use criterion::{criterion_group, criterion_main, Criterion};
+use skelcl_bench::{stencil_scaling_virtual_s, VirtualSweep};
 
 fn bench_stencil_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig_stencil_virtual");
-    group.sample_size(10);
+    let sweep = VirtualSweep::new();
+    let mut group = VirtualSweep::group(c, "fig_stencil_virtual");
     let (rows, cols) = (1024usize, 1024usize);
     for devices in [1usize, 2, 3, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("gauss_sobel_rowblock", devices),
-            &devices,
-            |b, &devices| {
-                b.iter_custom(|iters| {
-                    let mut total = 0.0;
-                    for _ in 0..iters {
-                        total += stencil_scaling_virtual_s(rows, cols, devices);
-                    }
-                    Duration::from_secs_f64(total)
-                })
-            },
+        sweep.bench(
+            &mut group,
+            "gauss_sobel_rowblock".to_string(),
+            devices,
+            (rows, devices, "rowblock"),
+            || stencil_scaling_virtual_s(rows, cols, devices),
         );
     }
     group.finish();

@@ -1,10 +1,10 @@
 //! The perf ledger: machine-readable `BENCH_<fig>.json` artifacts.
 //!
-//! Every `fig_*` bench leg that routes through the harness timers
-//! ([`crate::time_virtual_reported_with`] and friends) deposits a
-//! [`LedgerEntry`] into a process-global sink; at the end of its sweep the
-//! figure calls [`write_fig`], which — when `SKELCL_LEDGER_DIR` is set —
-//! serializes the figure's legs into one schema-versioned JSON document.
+//! Every bench leg measured by [`crate::measure`] and passed to
+//! [`crate::record`] deposits a [`LedgerEntry`] into a process-global sink;
+//! at the end of its sweep the figure calls [`write_fig`], which — when
+//! `SKELCL_LEDGER_DIR` is set — serializes the figure's legs into one
+//! schema-versioned JSON document.
 //! CI uploads those documents as artifacts and feeds two of them (the
 //! checked-in seed and the fresh run) to the `benchdiff` binary, which
 //! exits non-zero when any leg regressed past the threshold
@@ -109,13 +109,14 @@ pub fn record_leg(entry: LedgerEntry) {
     }
 }
 
-/// Record a leg straight from its [`RunReport`] and measured
-/// (build-excluded) virtual seconds — the hook the harness timers call.
-pub fn record_report(report: &RunReport, virtual_s: f64) {
+/// Record a leg from its [`RunReport`] alone, so `virtual_s`,
+/// `pct_of_peak` and `bound` all come from the one measured window (build
+/// time excluded) — the hook [`crate::record`] calls.
+pub fn record_report(report: &RunReport) {
     record_leg(LedgerEntry {
         label: report.label.clone(),
         config: config_from_label(&report.label),
-        virtual_s,
+        virtual_s: report.window_s,
         pct_of_peak: report.roofline.pct_of_modeled_peak(),
         bound: report.roofline.bound().to_string(),
         latency: report.latency,
