@@ -17,8 +17,8 @@ use parking_lot::Mutex;
 use std::any::Any;
 use std::sync::Arc;
 use vgpu::{
-    Buffer, CommandQueue, CompiledKernel, DriverProfile, KernelBody, NDRange, Platform, Program,
-    Result, Scalar, WorkGroup,
+    Buffer, CommandQueue, CompiledKernel, DriverProfile, KernelBody, NDRange, Order, Platform,
+    Program, Result, Scalar, WorkGroup,
 };
 
 /// The CUDA "current device" state: one runtime handle per host thread in
@@ -73,13 +73,26 @@ impl CudaRuntime {
 
     /// `cudaMemcpy(..., cudaMemcpyHostToDevice)`.
     pub fn memcpy_h2d<T: Scalar>(&self, dst: &CudaDevPtr<T>, src: &[T]) -> Result<()> {
-        self.queues[dst.buffer.device().0].enqueue_write(&dst.buffer, src)?;
+        self.queues[dst.buffer.device().0].enqueue_write(
+            &dst.buffer,
+            None,
+            src,
+            1,
+            Order::Device,
+        )?;
         Ok(())
     }
 
     /// `cudaMemcpy(..., cudaMemcpyDeviceToHost)`.
     pub fn memcpy_d2h<T: Scalar>(&self, dst: &mut [T], src: &CudaDevPtr<T>) -> Result<()> {
-        self.queues[src.buffer.device().0].enqueue_read(&src.buffer, dst)?;
+        self.queues[src.buffer.device().0].enqueue_read(
+            &src.buffer,
+            None,
+            dst,
+            1,
+            true,
+            Order::Device,
+        )?;
         Ok(())
     }
 
@@ -91,7 +104,13 @@ impl CudaRuntime {
         offset: usize,
         src: &[T],
     ) -> Result<()> {
-        self.queues[dst.buffer.device().0].enqueue_write_range(&dst.buffer, offset, src, 1)?;
+        self.queues[dst.buffer.device().0].enqueue_write(
+            &dst.buffer,
+            Some(offset),
+            src,
+            1,
+            Order::Device,
+        )?;
         Ok(())
     }
 
@@ -102,13 +121,14 @@ impl CudaRuntime {
         src: &CudaDevPtr<T>,
         offset: usize,
     ) -> Result<()> {
-        self.queues[src.buffer.device().0].enqueue_read_range(&src.buffer, offset, dst, 1, true)?;
-        Ok(())
-    }
-
-    /// `cudaMemcpyPeer` (staged through the host on pre-UVA hardware).
-    pub fn memcpy_d2d<T: Scalar>(&self, dst: &CudaDevPtr<T>, src: &CudaDevPtr<T>) -> Result<()> {
-        self.platform.copy_d2d(&src.buffer, &dst.buffer, 1)?;
+        self.queues[src.buffer.device().0].enqueue_read(
+            &src.buffer,
+            Some(offset),
+            dst,
+            1,
+            true,
+            Order::Device,
+        )?;
         Ok(())
     }
 
@@ -158,7 +178,8 @@ impl CudaRuntime {
         let args = Arc::new(args);
         let body = Arc::clone(&kernel.body);
         let bound: KernelBody = Arc::new(move |wg: &WorkGroup| body(wg, &args));
-        self.queue().launch(&kernel.compiled.with_body(bound), nd)?;
+        self.queue()
+            .launch(&kernel.compiled.with_body(bound), nd, Order::Device)?;
         Ok(())
     }
 }

@@ -10,8 +10,8 @@ use parking_lot::Mutex;
 use std::any::Any;
 use std::sync::Arc;
 use vgpu::{
-    Buffer, CommandQueue, CompiledKernel, DriverProfile, KernelBody, NDRange, Platform, Program,
-    Result, Scalar, WorkGroup,
+    Buffer, CommandQueue, CompiledKernel, DriverProfile, KernelBody, NDRange, Order, Platform,
+    Program, Result, Scalar, WorkGroup,
 };
 
 /// `cl_context`: a platform plus the devices the application selected.
@@ -119,7 +119,9 @@ pub fn cl_enqueue_write_buffer<T: Scalar>(
     mem: &ClMem<T>,
     src: &[T],
 ) -> Result<()> {
-    queue.queue.enqueue_write(&mem.buffer, src)?;
+    queue
+        .queue
+        .enqueue_write(&mem.buffer, None, src, 1, Order::Device)?;
     Ok(())
 }
 
@@ -129,7 +131,9 @@ pub fn cl_enqueue_read_buffer<T: Scalar>(
     mem: &ClMem<T>,
     dst: &mut [T],
 ) -> Result<()> {
-    queue.queue.enqueue_read(&mem.buffer, dst)?;
+    queue
+        .queue
+        .enqueue_read(&mem.buffer, None, dst, 1, true, Order::Device)?;
     Ok(())
 }
 
@@ -142,7 +146,7 @@ pub fn cl_enqueue_write_buffer_range<T: Scalar>(
 ) -> Result<()> {
     queue
         .queue
-        .enqueue_write_range(&mem.buffer, offset, src, 1)?;
+        .enqueue_write(&mem.buffer, Some(offset), src, 1, Order::Device)?;
     Ok(())
 }
 
@@ -155,7 +159,7 @@ pub fn cl_enqueue_read_buffer_range<T: Scalar>(
 ) -> Result<()> {
     queue
         .queue
-        .enqueue_read_range(&mem.buffer, offset, dst, 1, true)?;
+        .enqueue_read(&mem.buffer, Some(offset), dst, 1, true, Order::Device)?;
     Ok(())
 }
 
@@ -303,7 +307,9 @@ fn enqueue(queue: &ClCommandQueue, kernel: &ClKernel, nd: NDRange) -> Result<()>
     let args = Arc::new(ClArgs { slots });
     let body = Arc::clone(&kernel.body);
     let bound: KernelBody = Arc::new(move |wg: &WorkGroup| body(wg, &args));
-    queue.queue.launch(&kernel.compiled.with_body(bound), nd)?;
+    queue
+        .queue
+        .launch(&kernel.compiled.with_body(bound), nd, Order::Device)?;
     Ok(())
 }
 

@@ -15,9 +15,9 @@
 //!
 //! 1. **Program order**: A and B were enqueued on the same in-order stream
 //!    and A came first.
-//! 2. **Explicit dependency**: B's `wait_for` list named A's event
+//! 2. **Explicit dependency**: B's wait list (`Order::After`) named A's event
 //!    (`B.deps` contains `A.seq`).
-//! 3. **Device serialization**: B is a *serializing* (classic-enqueue)
+//! 3. **Device serialization**: B is a *serializing* (device-ordered)
 //!    command and A was scheduled earlier on any engine of a device B
 //!    occupies — including markers, which join everything prior on their
 //!    device.

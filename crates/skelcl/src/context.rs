@@ -1,13 +1,13 @@
 //! The SkelCL context: the paper's `SkelCL::init()`.
 //!
 //! A [`Context`] owns **two** command queues per device — the main queue
-//! carrying kernels and legacy transfers, and a dedicated *copy stream*
-//! ([`Context::copy_queue`]) the overlapped paths issue asynchronous
-//! transfers on, so halo exchanges and chunked uploads run on the device's
-//! copy engine underneath kernels on the compute engine — plus an in-memory
-//! registry of already-built skeleton programs (the first layer of the
-//! paper's kernel cache; the second, on-disk layer lives in
-//! [`vgpu::compiler`]) and the configuration shared by every vector and
+//! carrying kernels and device-ordered transfers, and a dedicated *copy
+//! stream* ([`Context::copy_queue`]) the overlapped paths issue
+//! event-ordered transfers on, so halo exchanges and chunked uploads run
+//! on the device's copy engine underneath kernels on the compute engine —
+//! plus an in-memory registry of already-built skeleton programs (the
+//! first layer of the paper's kernel cache; the second, on-disk layer lives
+//! in [`vgpu::compiler`]) and the configuration shared by every vector and
 //! skeleton created from it.
 //!
 //! For multi-tenant serving (see the `skelcl-executor` crate) a context can
@@ -432,10 +432,10 @@ impl Context {
     }
 
     /// The dedicated copy stream of device `i` — the queue the overlapped
-    /// halo exchange and the streamed uploads issue async transfers on.
-    /// Separate from [`Context::queue`], so a transfer here is not ordered
-    /// behind kernels already enqueued on the main queue (only its
-    /// `wait_for` events order it).
+    /// halo exchange and the streamed uploads issue event-ordered transfers
+    /// on. Separate from [`Context::queue`], so a transfer here is not
+    /// ordered behind kernels already enqueued on the main queue (only its
+    /// wait list orders it).
     pub fn copy_queue(&self, i: usize) -> &CommandQueue {
         &self.inner.copy_queues[i]
     }

@@ -78,7 +78,8 @@
 //! copy stream under interior compute; `iterate_serial` keeps the serial
 //! schedule), [`Stencil2D::apply_streamed`] and [`Map::apply_streamed`]
 //! (chunked uploads overlapping the first dependent kernels). Every other
-//! path is device-serializing, exactly as before the subsystem existed.
+//! path issues device-ordered commands ([`vgpu::Order::Device`]), exactly
+//! as before the subsystem existed.
 //!
 //! ## Streams and events
 //!
@@ -87,18 +88,18 @@
 //! kernels, and a dedicated *copy stream* ([`Context::copy_queue`])
 //! carrying asynchronous transfers. The underlying [`vgpu`] platform
 //! models a separate copy (DMA) engine and compute engine per device, and
-//! schedules every asynchronous command at
+//! schedules every event-ordered command at
 //!
 //! ```text
 //! start = max(queue-ready, dependency-ready, engine-availability, enqueue time)
 //! ```
 //!
-//! with first-class events (`wait_for: &[vgpu::Event]`) expressing
-//! cross-stream dependencies — OpenCL's own answer to transfer/compute
-//! overlap, expressed through events and multiple command queues. A halo
-//! exchange issued on the copy stream therefore genuinely runs *under* an
-//! independent kernel, while two kernels (or two transfers) on one device
-//! still serialize on their engine.
+//! with first-class events (the wait list of [`vgpu::Order::After`])
+//! expressing cross-stream dependencies — OpenCL's own answer to
+//! transfer/compute overlap, expressed through events and multiple command
+//! queues. A halo exchange issued on the copy stream therefore genuinely
+//! runs *under* an independent kernel, while two kernels (or two
+//! transfers) on one device still serialize on their engine.
 //!
 //! The overlapped paths are **bit-identical to their serial twins** —
 //! same generated programs, same per-element arithmetic, only the modeled

@@ -33,7 +33,7 @@ use crate::context::Context;
 use crate::error::{Error, Result};
 use parking_lot::{MappedMutexGuard, Mutex, MutexGuard};
 use std::sync::Arc;
-use vgpu::{Buffer, Event, Scalar};
+use vgpu::{Buffer, Event, Order, Scalar};
 
 /// How a matrix's rows are laid out across the context's devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +122,7 @@ impl<T: Scalar> MatrixPart<T> {
 /// One chunk of a streamed part upload: span rows
 /// `[span_start, span_start + span_len)` of the part's buffer hold valid
 /// data once `event` completes on the device's copy engine. A consumer
-/// kernel reading those rows passes `event` in its `wait_for` list; rows
+/// kernel reading those rows passes `event` in its wait list; rows
 /// not yet covered by any chunk are still in flight.
 #[derive(Clone)]
 pub(crate) struct UploadChunk {
@@ -466,12 +466,13 @@ impl<T: Scalar> Matrix<T> {
                 if !out.is_empty() {
                     let q = self.ctx.copy_queue(part.device);
                     let dep = [q.enqueue_marker()];
-                    let ev = q.enqueue_read_range_async(
+                    let ev = q.enqueue_read(
                         &part.buffer,
-                        part.halo_above * cols,
+                        Some(part.halo_above * cols),
                         &mut out,
                         1,
-                        &dep,
+                        false,
+                        Order::After(&dep),
                     )?;
                     ready = ready.max(ev.end_s);
                 }
@@ -484,12 +485,13 @@ impl<T: Scalar> Matrix<T> {
                     }
                     let q = self.ctx.copy_queue(p.device);
                     let dep = [q.enqueue_marker()];
-                    let ev = q.enqueue_read_range_async(
+                    let ev = q.enqueue_read(
                         &p.buffer,
-                        p.halo_above * cols,
+                        Some(p.halo_above * cols),
                         &mut out[p.row_offset * cols..(p.row_offset + p.rows) * cols],
                         concurrent,
-                        &dep,
+                        false,
+                        Order::After(&dep),
                     )?;
                     ready = ready.max(ev.end_s);
                 }
@@ -504,12 +506,13 @@ impl<T: Scalar> Matrix<T> {
                     let dep = [q.enqueue_marker()];
                     let (c0, c1) = (p.col_offset, p.col_offset + p.cols);
                     for r in 0..p.rows {
-                        let ev = q.enqueue_read_range_async(
+                        let ev = q.enqueue_read(
                             &p.buffer,
-                            r * p.cols,
+                            Some(r * p.cols),
                             &mut out[r * cols + c0..r * cols + c1],
                             concurrent,
-                            &dep,
+                            false,
+                            Order::After(&dep),
                         )?;
                         ready = ready.max(ev.end_s);
                     }
@@ -742,11 +745,12 @@ fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> 
         if part.rows > 0 && part.cols > 0 {
             if part.cols == cols {
                 for (s, g, len) in span_runs(&part, st.rows) {
-                    ctx.queue(part.device).enqueue_write_range(
+                    ctx.queue(part.device).enqueue_write(
                         &part.buffer,
-                        s * cols,
+                        Some(s * cols),
                         &st.host[g * cols..(g + len) * cols],
                         concurrent,
+                        Order::Device,
                     )?;
                 }
             } else {
@@ -754,11 +758,12 @@ fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> 
                 let c1 = c0 + part.cols;
                 for s in 0..part.span_rows() {
                     let g = part.global_row(s, st.rows);
-                    ctx.queue(part.device).enqueue_write_range(
+                    ctx.queue(part.device).enqueue_write(
                         &part.buffer,
-                        s * part.cols,
+                        Some(s * part.cols),
                         &st.host[g * cols + c0..g * cols + c1],
                         concurrent,
+                        Order::Device,
                     )?;
                 }
             }
@@ -815,12 +820,12 @@ fn ensure_on_devices_streamed<T: Scalar>(
                 let mut done = 0;
                 while done < len {
                     let n = chunk_rows.min(len - done);
-                    let event = queue.enqueue_write_range_async(
+                    let event = queue.enqueue_write(
                         &part.buffer,
-                        (s + done) * cols,
+                        Some((s + done) * cols),
                         &st.host[(g + done) * cols..(g + done + n) * cols],
                         concurrent,
-                        &[],
+                        Order::After(&[]),
                     )?;
                     chunks.push(UploadChunk {
                         span_start: s + done,
@@ -860,8 +865,14 @@ fn ensure_on_host<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
                 .ok_or_else(|| Error::NotOnDevice("no device parts to download".into()))?;
             let mut tmp = vec![T::default(); part.rows * cols];
             if !tmp.is_empty() {
-                ctx.queue(part.device)
-                    .enqueue_read_range(&part.buffer, 0, &mut tmp, 1, true)?;
+                ctx.queue(part.device).enqueue_read(
+                    &part.buffer,
+                    Some(0),
+                    &mut tmp,
+                    1,
+                    true,
+                    Order::Device,
+                )?;
             }
             st.host = tmp;
         }
@@ -872,12 +883,13 @@ fn ensure_on_host<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
                 if p.rows == 0 || cols == 0 {
                     continue;
                 }
-                ctx.queue(p.device).enqueue_read_range(
+                ctx.queue(p.device).enqueue_read(
                     &p.buffer,
-                    p.halo_above * cols,
+                    Some(p.halo_above * cols),
                     &mut st.host[p.row_offset * cols..(p.row_offset + p.rows) * cols],
                     concurrent,
                     false,
+                    Order::Device,
                 )?;
             }
             ctx.sync();
@@ -893,12 +905,13 @@ fn ensure_on_host<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
                 }
                 let (c0, c1) = (p.col_offset, p.col_offset + p.cols);
                 for r in 0..p.rows {
-                    ctx.queue(p.device).enqueue_read_range(
+                    ctx.queue(p.device).enqueue_read(
                         &p.buffer,
-                        r * p.cols,
+                        Some(r * p.cols),
                         &mut st.host[r * cols + c0..r * cols + c1],
                         concurrent,
                         false,
+                        Order::Device,
                     )?;
                 }
             }
@@ -952,19 +965,18 @@ impl<T: Scalar> PartCopy<'_, T> {
         self.src.device != self.dst.device
     }
 
-    /// Issue the copy: device-serializing with `deps == None`, otherwise
-    /// **asynchronously on the copy engines**, waiting only for `deps`.
-    fn issue(&self, ctx: &Context, concurrent: usize, deps: Option<&[Event]>) -> Result<Event> {
-        let (src, dst) = (&self.src.buffer, &self.dst.buffer);
-        let (src_off, dst_off, len) = (self.src_off, self.dst_off, self.len);
-        Ok(match deps {
-            None => ctx
-                .platform()
-                .copy_d2d_range(src, src_off, dst, dst_off, len, concurrent)?,
-            Some(deps) => ctx
-                .platform()
-                .copy_d2d_range_async(src, src_off, dst, dst_off, len, concurrent, deps)?,
-        })
+    /// Issue the copy under `order`: device-ordered, or event-ordered on
+    /// the copy engines, waiting only for the listed events.
+    fn issue(&self, ctx: &Context, concurrent: usize, order: Order<'_>) -> Result<Event> {
+        Ok(ctx.platform().copy(
+            &self.src.buffer,
+            self.src_off,
+            &self.dst.buffer,
+            self.dst_off,
+            self.len,
+            concurrent,
+            order,
+        )?)
     }
 }
 
@@ -1073,7 +1085,7 @@ pub(crate) fn exchange_part_halos<T: Scalar>(
 /// exchange runs underneath unrelated kernels. Events are counted exactly
 /// like the serial exchange (issuing on the copy stream must not change the
 /// count). Returns, per part, the copy events that wrote into that part's
-/// halos — the `wait_for` list of the next boundary launch reading them.
+/// halos — the wait list of the next boundary launch reading them.
 pub(crate) fn exchange_part_halos_overlapped<T: Scalar>(
     ctx: &Context,
     parts: &[MatrixPart<T>],
@@ -1122,7 +1134,7 @@ fn exchange_part_halos_impl<T: Scalar>(
                 for copy in row_run_copies(parts, p, run, cols) {
                     match deps_by_device {
                         None => {
-                            copy.issue(ctx, concurrent, None)?;
+                            copy.issue(ctx, concurrent, Order::Device)?;
                         }
                         Some(deps_by_device) => {
                             // Wait for the producers on the source *and*
@@ -1133,7 +1145,7 @@ fn exchange_part_halos_impl<T: Scalar>(
                             if copy.crosses_devices() {
                                 deps.extend_from_slice(&deps_by_device[p.device]);
                             }
-                            events[i].push(copy.issue(ctx, concurrent, Some(&deps))?);
+                            events[i].push(copy.issue(ctx, concurrent, Order::After(&deps))?);
                         }
                     }
                 }
@@ -1230,7 +1242,7 @@ fn copy_from_owners<T: Scalar>(
     let cross = copies.iter().filter(|c| c.crosses_devices()).count();
     let concurrent = cross.min(ctx.n_devices()).max(1);
     for copy in &copies {
-        copy.issue(ctx, concurrent, None)?;
+        copy.issue(ctx, concurrent, Order::Device)?;
     }
     Ok(())
 }

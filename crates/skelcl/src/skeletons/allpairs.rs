@@ -36,7 +36,7 @@ use crate::meter;
 use crate::skeletons::range_2d;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{Event, KernelBody, NDRange, Program, Scalar as Element};
+use vgpu::{Event, KernelBody, NDRange, Order, Program, Scalar as Element};
 
 /// Row granularity of the streamed B-replication upload: small enough that
 /// the first chunks land while later ones are still crossing PCIe, large
@@ -357,19 +357,16 @@ where
                 None => range_2d(&ctx, n, span_rows),
                 Some((tile, _)) => NDRange::two_d((n, span_rows), (tile, tile)),
             };
-            match &b_markers {
-                Some(markers) => {
-                    let mut deps = vec![markers[ap.device].clone()];
-                    if let Some(chunk) = b_chunks.get(bi).and_then(|c| c.last()) {
-                        deps.push(chunk.event.clone());
-                    }
-                    ctx.queue(ap.device)
-                        .launch_async(&compiled.with_body(body), nd, &deps)?;
+            let deps = b_markers.as_ref().map(|markers| {
+                let mut deps = vec![markers[ap.device].clone()];
+                if let Some(chunk) = b_chunks.get(bi).and_then(|c| c.last()) {
+                    deps.push(chunk.event.clone());
                 }
-                None => {
-                    ctx.queue(ap.device).launch(&compiled.with_body(body), nd)?;
-                }
-            }
+                deps
+            });
+            let order = deps.as_deref().map_or(Order::Device, Order::After);
+            ctx.queue(ap.device)
+                .launch(&compiled.with_body(body), nd, order)?;
         }
 
         Ok(Matrix::from_device_parts(

@@ -19,7 +19,7 @@ use crate::skeletons::{alloc_matching_matrix_parts, linear_range};
 use crate::vector::Vector;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{KernelBody, Program, Scalar as Element};
+use vgpu::{KernelBody, Order, Program, Scalar as Element};
 
 /// The unary Map skeleton: `out[i] = f(in[i])`.
 pub struct Map<T: Element, U: Element, F> {
@@ -59,9 +59,9 @@ where
     }
 
     /// Launch the map kernel over elements `[start, start + len)` of one
-    /// part pair — the one body both [`Map::apply`] (full range, legacy
-    /// device-serializing launch) and [`Map::apply_streamed`] (one range
-    /// per upload chunk, async launch waiting on the chunk's event) bind.
+    /// part pair — the one body both [`Map::apply`] (full range,
+    /// device-ordered) and [`Map::apply_streamed`] (one range per upload
+    /// chunk, ordered after the chunk's event) bind.
     #[allow(clippy::too_many_arguments)]
     fn launch_range(
         &self,
@@ -71,7 +71,7 @@ where
         op: &crate::matrix::MatrixPart<U>,
         start: usize,
         len: usize,
-        dep: Option<vgpu::Event>,
+        order: Order<'_>,
     ) -> Result<()> {
         if len == 0 {
             return Ok(());
@@ -94,10 +94,7 @@ where
         });
         let kernel = compiled.with_body(body);
         let nd = linear_range(ctx, len);
-        match dep {
-            None => ctx.queue(ip.device).launch(&kernel, nd)?,
-            Some(ev) => ctx.queue(ip.device).launch_async(&kernel, nd, &[ev])?,
-        };
+        ctx.queue(ip.device).launch(&kernel, nd, order)?;
         Ok(())
     }
 
@@ -114,7 +111,7 @@ where
         let in_parts = input.parts()?;
         let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
         for (ip, op) in in_parts.iter().zip(&out_parts) {
-            self.launch_range(&ctx, &compiled, ip, op, 0, ip.rows, None)?;
+            self.launch_range(&ctx, &compiled, ip, op, 0, ip.rows, Order::Device)?;
         }
         Ok(Vector::from_device_parts(
             &ctx,
@@ -145,7 +142,7 @@ where
         for ((ip, op), chunks) in in_parts.iter().zip(&out_parts).zip(&upload_chunks) {
             if chunks.is_empty() {
                 // Already resident, no chunk events: apply's exact launch.
-                self.launch_range(&ctx, &compiled, ip, op, 0, ip.rows, None)?;
+                self.launch_range(&ctx, &compiled, ip, op, 0, ip.rows, Order::Device)?;
             } else {
                 for c in chunks {
                     self.launch_range(
@@ -155,7 +152,7 @@ where
                         op,
                         c.span_start,
                         c.span_len,
-                        Some(c.event.clone()),
+                        Order::After(std::slice::from_ref(&c.event)),
                     )?;
                 }
             }
@@ -274,7 +271,7 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(ip.device)
-                .launch(&kernel, linear_range(&ctx, ip.rows))?;
+                .launch(&kernel, linear_range(&ctx, ip.rows), Order::Device)?;
         }
         Ok(Vector::from_device_parts(
             &ctx,
@@ -355,7 +352,7 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(ip.device)
-                .launch(&kernel, linear_range(&ctx, ip.rows))?;
+                .launch(&kernel, linear_range(&ctx, ip.rows), Order::Device)?;
         }
         Ok(())
     }

@@ -16,7 +16,7 @@ use crate::skeletons::{alloc_matching_matrix_parts, linear_range};
 use crate::vector::Vector;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{Buffer, Item, KernelBody, Program, Scalar as Element};
+use vgpu::{Buffer, Item, KernelBody, Order, Program, Scalar as Element};
 
 /// What out-of-range neighbourhood positions read.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,12 +28,18 @@ pub enum Boundary<T> {
 }
 
 /// The customizing function's view of one stencil application: counted
-/// access to the neighbourhood `[-radius, +radius]`.
+/// access to the neighbourhood `[-radius, +radius]`, with positions outside
+/// the vector resolved by the boundary rule.
 pub struct StencilView<'a, T: Element> {
     ext: &'a Buffer<T>,
     /// Index of the centre element inside the halo-extended buffer.
     centre: usize,
+    /// The centre's global index.
+    g_centre: usize,
+    /// Vector length.
+    n: usize,
     radius: usize,
+    boundary: Boundary<T>,
     item: &'a Item<'a>,
 }
 
@@ -47,8 +53,18 @@ impl<'a, T: Element> StencilView<'a, T> {
             "stencil access {offset} exceeds radius {}",
             self.radius
         );
-        let idx = (self.centre as isize + offset) as usize;
-        self.item.read(self.ext, idx)
+        let n = self.n as isize;
+        let mut target = self.g_centre as isize + offset;
+        if target < 0 || target >= n {
+            match self.boundary {
+                Boundary::Neutral(v) => return v,
+                // The clamped element lies inside this part's extended
+                // window: it is at most `radius` away from the centre.
+                Boundary::Clamp => target = target.clamp(0, n - 1),
+            }
+        }
+        let idx = self.centre as isize + (target - self.g_centre as isize);
+        self.item.read(self.ext, idx as usize)
     }
 
     pub fn radius(&self) -> usize {
@@ -111,7 +127,7 @@ where
 
             let f = self.user.func().clone();
             let static_ops = self.user.static_ops();
-            let radius = r;
+            let (radius, boundary, row_offset) = (r, self.boundary, ip.row_offset);
             let dst = op.buffer.clone();
             let ext_body = ext.clone();
             let body: KernelBody = Arc::new(move |wg| {
@@ -123,7 +139,10 @@ where
                     let view = StencilView {
                         ext: &ext_body,
                         centre: i + radius,
+                        g_centre: row_offset + i,
+                        n: n_global,
                         radius,
+                        boundary,
                         item: it,
                     };
                     let (y, dyn_ops) = meter::metered(|| f(&view));
@@ -133,7 +152,7 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(ip.device)
-                .launch(&kernel, linear_range(&ctx, ip.rows))?;
+                .launch(&kernel, linear_range(&ctx, ip.rows), Order::Device)?;
         }
         Ok(Vector::from_device_parts(
             &ctx,
@@ -143,8 +162,10 @@ where
         ))
     }
 
-    /// Fill `[0, r)` and `[r + len, len + 2r)` of the extended buffer from
-    /// neighbouring parts (device-to-device) or the boundary rule.
+    /// Fill the halo slots of the extended buffer (`[0, r)` and
+    /// `[r + len, len + 2r)`) that lie inside the vector from the parts
+    /// holding them, device-to-device. Slots outside the vector stay unset:
+    /// the view resolves those positions by the boundary rule.
     fn fill_halo(
         &self,
         ctx: &crate::context::Context,
@@ -154,51 +175,24 @@ where
         n_global: usize,
     ) -> Result<()> {
         let r = self.radius;
-        // Halo global index ranges: left = [off - r, off), right =
-        // [off + len, off + len + r). Gather element-by-element runs from
-        // whichever part holds them.
-        let fills = [
-            (ip.row_offset as isize - r as isize, 0usize), // (global start, ext start)
-            ((ip.row_offset + ip.rows) as isize, r + ip.rows),
-        ];
-        for (gstart, ext_start) in fills {
-            let mut k = 0usize;
-            while k < r {
-                let g = gstart + k as isize;
-                let ext_idx = ext_start + k;
-                if g < 0 || g as usize >= n_global {
-                    // Outside the vector: boundary rule.
-                    match self.boundary {
-                        Boundary::Neutral(v) => ext.set(ext_idx, v),
-                        Boundary::Clamp => {
-                            let clamped = if g < 0 { 0usize } else { n_global - 1 };
-                            let src = part_holding(parts, clamped);
-                            ctx.platform().copy_d2d_range(
-                                &src.buffer,
-                                clamped - src.row_offset,
-                                ext,
-                                ext_idx,
-                                1,
-                                1,
-                            )?;
-                        }
-                    }
-                    k += 1;
-                    continue;
-                }
-                // Inside the vector: copy the longest run within one part.
-                let g = g as usize;
+        // Halo global index ranges, clipped to the vector: left =
+        // [off - r, off), right = [off + len, off + len + r).
+        let (off, end) = (ip.row_offset, ip.row_offset + ip.rows);
+        for (mut g, stop) in [(off.saturating_sub(r), off), (end, (end + r).min(n_global))] {
+            while g < stop {
+                // Copy the longest run within one part.
                 let src = part_holding(parts, g);
-                let run = (src.row_offset + src.rows - g).min(r - k).min(n_global - g);
-                ctx.platform().copy_d2d_range(
+                let run = (src.row_offset + src.rows).min(stop) - g;
+                ctx.platform().copy(
                     &src.buffer,
                     g - src.row_offset,
                     ext,
-                    ext_idx,
+                    g + r - off,
                     run,
                     1,
+                    Order::Device,
                 )?;
-                k += run;
+                g += run;
             }
         }
         Ok(())
@@ -306,6 +300,33 @@ mod tests {
             })
             .collect();
         assert_eq!(out, want);
+    }
+
+    /// The boundary lives in the view: a one-device `Clamp` apply copies
+    /// its part into the extended buffer and launches, nothing more.
+    #[test]
+    fn clamp_halo_is_one_copy_and_one_kernel() {
+        let c = ctx(1);
+        let user = UserFn::new(
+            "sum5",
+            "float sum5(__global float* in, uint i, uint n) { return in[i-2]+in[i-1]+in[i]+in[i+1]+in[i+2]; }",
+            |v: &StencilView<'_, f32>| v.get(-2) + v.get(-1) + v.get(0) + v.get(1) + v.get(2),
+        );
+        let st = MapOverlap::new(user, 2, Boundary::Clamp);
+        let data: Vec<f32> = (0..100).map(|i| ((i * 7) % 13) as f32).collect();
+        let v = Vector::from_vec(&c, data.clone());
+        st.apply(&v).unwrap(); // warm-up: build and upload
+        c.platform().enable_timeline_trace();
+        let out = st.apply(&v).unwrap();
+        let trace = c.platform().take_timeline_trace();
+        let count = |kind| trace.iter().filter(|r| r.kind == kind).count();
+        assert_eq!(count(vgpu::CmdKind::D2D), 1, "{trace:#?}");
+        assert_eq!(count(vgpu::CmdKind::Kernel), 1, "{trace:#?}");
+        let at = |j: isize| data[j.clamp(0, 99) as usize];
+        let want: Vec<f32> = (0..100isize)
+            .map(|i| at(i - 2) + at(i - 1) + at(i) + at(i + 1) + at(i + 2))
+            .collect();
+        assert_eq!(out.to_vec().unwrap(), want);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::skeletons::linear_range;
 use crate::vector::{Distribution, Vector};
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{KernelBody, NDRange, Program, Scalar as Element, WorkGroup};
+use vgpu::{KernelBody, NDRange, Order, Program, Scalar as Element, WorkGroup};
 
 /// Fused element-wise combine + reduction:
 /// `mapreduce f ⊕ xs ys = f(x0,y0) ⊕ f(x1,y1) ⊕ ...`.
@@ -176,8 +176,11 @@ where
                 });
             });
             let kernel = compiled.with_body(body);
-            ctx.queue(lp.device)
-                .launch(&kernel, NDRange::linear(n_groups * wg_size, wg_size))?;
+            ctx.queue(lp.device).launch(
+                &kernel,
+                NDRange::linear(n_groups * wg_size, wg_size),
+                Order::Device,
+            )?;
 
             // Remaining passes: plain tree reduction of the partials.
             let mut remaining = n_groups;
@@ -224,14 +227,18 @@ where
                     });
                 });
                 let kernel = compiled.with_body(body);
-                ctx.queue(lp.device)
-                    .launch(&kernel, NDRange::linear(next_groups * wg_size, wg_size))?;
+                ctx.queue(lp.device).launch(
+                    &kernel,
+                    NDRange::linear(next_groups * wg_size, wg_size),
+                    Order::Device,
+                )?;
                 partials = next;
                 remaining = next_groups;
             }
 
             let mut v = [U::default()];
-            ctx.queue(lp.device).enqueue_read(&partials, &mut v)?;
+            ctx.queue(lp.device)
+                .enqueue_read(&partials, None, &mut v, 1, true, Order::Device)?;
             acc = g_host(acc, v[0]);
         }
         Ok(Scalar::new(acc, ctx.host_now_s()))
@@ -314,7 +321,7 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(op.device)
-                .launch(&kernel, linear_range(ctx, op.rows))?;
+                .launch(&kernel, linear_range(ctx, op.rows), Order::Device)?;
         }
         Ok(Vector::from_device_parts(ctx, n, dist, out_parts))
     }

@@ -48,7 +48,7 @@ use crate::skeletons::stencil2d::{
 };
 use crate::skeletons::{alloc_matching_matrix_parts, linear_range, range_2d};
 use crate::vector::{Distribution, Vector};
-use vgpu::{CompiledKernel, Item, KernelBody, Scalar as Element};
+use vgpu::{CompiledKernel, Item, KernelBody, Order, Scalar as Element};
 
 /// The `+`-joined stage names of a fused group (span attribute and part of
 /// the generated program's cache key).
@@ -540,6 +540,7 @@ where
         ctx.queue(ip.device).launch(
             &compiled.with_body(body),
             range_2d(ctx, stride, launch_rows),
+            Order::Device,
         )?;
     }
     Ok(out_parts)
@@ -667,8 +668,11 @@ where
                         it.work(cols as u64 * static_ops + dyn_ops);
                     });
                 });
-                ctx.queue(p.device)
-                    .launch(&compiled.with_body(body), linear_range(&ctx, fold_rows))?;
+                ctx.queue(p.device).launch(
+                    &compiled.with_body(body),
+                    linear_range(&ctx, fold_rows),
+                    Order::Device,
+                )?;
             }
             out_parts.push(MatrixPart::column(
                 p.device,

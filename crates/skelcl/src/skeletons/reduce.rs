@@ -21,7 +21,7 @@ use crate::skeletons::linear_range;
 use crate::vector::Vector;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{Buffer, KernelBody, NDRange, Program, Scalar as Element, WorkGroup};
+use vgpu::{Buffer, KernelBody, NDRange, Order, Program, Scalar as Element, WorkGroup};
 
 /// Which parallelisation the skeleton uses; `LocalTree` is SkelCL's real
 /// strategy, `GlobalNaive` exists for the ablation benchmark.
@@ -120,7 +120,8 @@ where
         let f = self.user.func();
         for (device, buf) in device_results {
             let mut v = [T::default()];
-            ctx.queue(device).enqueue_read(&buf, &mut v)?;
+            ctx.queue(device)
+                .enqueue_read(&buf, None, &mut v, 1, true, Order::Device)?;
             acc = f(acc, v[0]);
         }
         Ok(Scalar::new(acc, ctx.host_now_s()))
@@ -141,8 +142,11 @@ where
             let partials = ctx.device(device).alloc::<T>(n_groups)?;
             let body = self.tree_pass_body(data.clone(), partials.clone(), n, wg_size);
             let kernel = compiled.with_body(body);
-            ctx.queue(device)
-                .launch(&kernel, NDRange::linear(n_groups * wg_size, wg_size))?;
+            ctx.queue(device).launch(
+                &kernel,
+                NDRange::linear(n_groups * wg_size, wg_size),
+                Order::Device,
+            )?;
             if n_groups == 1 {
                 return Ok(partials);
             }
@@ -240,7 +244,8 @@ where
                 });
             });
             let kernel = compiled.with_body(body);
-            ctx.queue(device).launch(&kernel, linear_range(ctx, half))?;
+            ctx.queue(device)
+                .launch(&kernel, linear_range(ctx, half), Order::Device)?;
             data = next;
             n = half;
         }

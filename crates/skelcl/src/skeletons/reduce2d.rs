@@ -54,7 +54,7 @@ use crate::skeletons::linear_range;
 use crate::vector::{Distribution, Vector};
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{Buffer, CompiledKernel, KernelBody, Program, Scalar as Element};
+use vgpu::{Buffer, CompiledKernel, KernelBody, Order, Program, Scalar as Element};
 
 /// A (best value, best index) buffer pair — the running state the chained
 /// argbest launches carry across parts.
@@ -73,7 +73,8 @@ fn stage_on<T: Element>(
         return Ok(buf);
     }
     let staged = ctx.device(device).alloc::<T>(len)?;
-    ctx.platform().copy_d2d_range(&buf, 0, &staged, 0, len, 1)?;
+    ctx.platform()
+        .copy(&buf, 0, &staged, 0, len, 1, Order::Device)?;
     Ok(staged)
 }
 
@@ -121,6 +122,37 @@ impl Axis {
             Axis::Cols => p.rows,
         }
     }
+
+    /// Where a part's segmented fold reads: `ReduceRows` walks each row,
+    /// `(item_pitch, elem_pitch) = (cols, 1)`; `ReduceCols` walks each
+    /// column, `(1, cols)` — the column-strided read pattern. Only owned
+    /// rows are folded (halo rows are other parts' data), so the base skips
+    /// them.
+    fn segments<T: Element>(self, p: &MatrixPart<T>) -> Segments {
+        let (item_pitch, elem_pitch, index_offset) = match self {
+            Axis::Rows => (p.cols, 1, p.col_offset),
+            Axis::Cols => (1, p.cols, p.row_offset),
+        };
+        Segments {
+            base: p.owned_base(),
+            seg_len: self.reduced_extent(p),
+            item_pitch,
+            elem_pitch,
+            index_offset,
+        }
+    }
+}
+
+/// One part's segmented fold: work-item `i` folds `seg_len` elements of
+/// the part buffer, reading `base + i*item_pitch + k*elem_pitch` for
+/// ascending `k`; element `k` has index `index_offset + k` along the
+/// reduced dimension.
+struct Segments {
+    base: usize,
+    seg_len: usize,
+    item_pitch: usize,
+    elem_pitch: usize,
+    index_offset: usize,
 }
 
 /// The running device-resident state a chained reduction carries across
@@ -265,23 +297,17 @@ fn reduced_to_arg_vectors<T: Element>(
     }
 }
 
-/// Launch one segmented-fold kernel on `device`: `n_items` work-items each
-/// fold `seg_len` elements of `src` (item `i` reads
-/// `base + i*item_pitch + k*elem_pitch` for ascending `k`), starting from
-/// `seed[i]` when chaining or from `identity` on the first segment.
-/// `ReduceRows` uses `(item_pitch, elem_pitch) = (stride, 1)`;
-/// `ReduceCols` uses `(1, stride)` — the column-strided read pattern.
+/// Launch one segmented-fold kernel over part `p` along `axis`:
+/// `n_items` work-items each fold their segment ([`Axis::segments`]),
+/// starting from `seed[i]` when chaining or from `identity` on the first
+/// segment.
 #[allow(clippy::too_many_arguments)]
 fn launch_fold<T, F>(
     ctx: &Context,
     compiled: &CompiledKernel,
-    device: usize,
-    src: &Buffer<T>,
-    base: usize,
+    axis: Axis,
+    p: &MatrixPart<T>,
     n_items: usize,
-    seg_len: usize,
-    item_pitch: usize,
-    elem_pitch: usize,
     seed: Option<Buffer<T>>,
     identity: T,
     user: &UserFn<F>,
@@ -290,7 +316,14 @@ where
     T: Element,
     F: Fn(T, T) -> T + Send + Sync + Clone + 'static,
 {
-    let out = ctx.device(device).alloc::<T>(n_items)?;
+    let out = ctx.device(p.device).alloc::<T>(n_items)?;
+    let Segments {
+        base,
+        seg_len,
+        item_pitch,
+        elem_pitch,
+        ..
+    } = axis.segments(p);
     if n_items == 0 || seg_len == 0 {
         return Ok(out);
     }
@@ -298,7 +331,7 @@ where
     // times per item, so per-access counted reads would dominate wall
     // time; traffic and work are charged in bulk per item instead (the
     // AllPairs accounting scheme).
-    let snap: Arc<Vec<T>> = Arc::new(src.to_vec());
+    let snap: Arc<Vec<T>> = Arc::new(p.buffer.to_vec());
     let seed_snap: Option<Arc<Vec<T>>> = seed.map(|b| Arc::new(b.to_vec()));
     let f = user.func().clone();
     let static_ops = user.static_ops();
@@ -326,9 +359,84 @@ where
             it.traffic_read((seg_len + usize::from(seeded)) * elem_bytes);
         });
     });
-    ctx.queue(device)
-        .launch(&compiled.with_body(body), linear_range(ctx, n_items))?;
+    ctx.queue(p.device).launch(
+        &compiled.with_body(body),
+        linear_range(ctx, n_items),
+        Order::Device,
+    )?;
     Ok(out)
+}
+
+/// Launch one argbest kernel over part `p` along `axis`: per work-item the
+/// best value of its segment and that value's index along the reduced
+/// dimension, under a strict "is `x` better than the incumbent?"
+/// comparison scanned in ascending order — so the lowest index wins ties.
+/// `seed` carries the running (value, index) pairs across chained parts.
+fn launch_argbest<T, F>(
+    ctx: &Context,
+    compiled: &CompiledKernel,
+    axis: Axis,
+    p: &MatrixPart<T>,
+    n_items: usize,
+    seed: Option<ArgPair<T>>,
+    user: &UserFn<F>,
+) -> Result<ArgPair<T>>
+where
+    T: Element,
+    F: Fn(T, T) -> bool + Send + Sync + Clone + 'static,
+{
+    let out_val = ctx.device(p.device).alloc::<T>(n_items)?;
+    let out_idx = ctx.device(p.device).alloc::<u32>(n_items)?;
+    let Segments {
+        base,
+        seg_len,
+        item_pitch,
+        elem_pitch,
+        index_offset,
+    } = axis.segments(p);
+    if n_items == 0 || seg_len == 0 {
+        return Ok((out_val, out_idx));
+    }
+    let snap: Arc<Vec<T>> = Arc::new(p.buffer.to_vec());
+    let seeds = seed.map(|(v, i)| (Arc::new(v.to_vec()), Arc::new(i.to_vec())));
+    let better = user.func().clone();
+    let static_ops = user.static_ops();
+    let (dval, didx) = (out_val.clone(), out_idx.clone());
+    let elem_bytes = std::mem::size_of::<T>();
+    let seeded = seeds.is_some();
+    let body: KernelBody = Arc::new(move |wg| {
+        wg.for_each_item(|it| {
+            if !it.in_bounds() {
+                return;
+            }
+            let i = it.global_id(0);
+            let ((best, best_i), dyn_ops) = meter::metered(|| {
+                let (mut best, mut best_i) = match &seeds {
+                    Some((sv, si)) => (sv[i], si[i]),
+                    None => (snap[base + i * item_pitch], index_offset as u32),
+                };
+                let start = usize::from(!seeded);
+                for k in start..seg_len {
+                    let x = snap[base + i * item_pitch + k * elem_pitch];
+                    if better(x, best) {
+                        best = x;
+                        best_i = (index_offset + k) as u32;
+                    }
+                }
+                (best, best_i)
+            });
+            it.write(&dval, i, best);
+            it.write(&didx, i, best_i);
+            it.work(seg_len as u64 * static_ops + dyn_ops);
+            it.traffic_read((seg_len + 2 * usize::from(seeded)) * elem_bytes);
+        });
+    });
+    ctx.queue(p.device).launch(
+        &compiled.with_body(body),
+        linear_range(ctx, n_items),
+        Order::Device,
+    )?;
+    Ok((out_val, out_idx))
 }
 
 /// The ReduceRows skeleton: `out[r] = f(...f(f(id, m[r][0]), m[r][1])...)`
@@ -386,13 +494,9 @@ where
             launch_fold(
                 &ctx,
                 &compiled,
-                p.device,
-                &p.buffer,
-                p.owned_base(),
+                Axis::Rows,
+                p,
                 n_items,
-                p.cols,
-                p.cols,
-                1,
                 seed,
                 self.identity,
                 &self.user,
@@ -450,19 +554,13 @@ where
             return Ok(Vector::from_vec(&ctx, vec![self.identity; cols]));
         }
         let compiled = ctx.get_or_build(&self.program)?;
-        // Only a part's owned rows are folded (halo rows are other parts'
-        // data): the base skips them and the segment is `p.rows` long.
         let reduced = dispatch_reduce(input, Axis::Cols, cols, |p, n_items, seed| {
             launch_fold(
                 &ctx,
                 &compiled,
-                p.device,
-                &p.buffer,
-                p.owned_base(),
+                Axis::Cols,
+                p,
                 n_items,
-                p.rows,
-                1,
-                p.cols,
                 seed,
                 self.identity,
                 &self.user,
@@ -506,65 +604,6 @@ where
         &self.program
     }
 
-    /// One argbest launch over a part's row segment; `seed` carries the
-    /// running (value, index) pairs across chained column parts.
-    #[allow(clippy::too_many_arguments)]
-    fn launch_argbest(
-        &self,
-        ctx: &Context,
-        compiled: &CompiledKernel,
-        p: &MatrixPart<T>,
-        base: usize,
-        n_rows: usize,
-        seed: Option<(Buffer<T>, Buffer<u32>)>,
-    ) -> Result<(Buffer<T>, Buffer<u32>)> {
-        let out_val = ctx.device(p.device).alloc::<T>(n_rows)?;
-        let out_idx = ctx.device(p.device).alloc::<u32>(n_rows)?;
-        if n_rows == 0 || p.cols == 0 {
-            return Ok((out_val, out_idx));
-        }
-        let snap: Arc<Vec<T>> = Arc::new(p.buffer.to_vec());
-        let seeds = seed.map(|(v, i)| (Arc::new(v.to_vec()), Arc::new(i.to_vec())));
-        let better = self.user.func().clone();
-        let static_ops = self.user.static_ops();
-        let (dval, didx) = (out_val.clone(), out_idx.clone());
-        let stride = p.cols;
-        let seg_len = p.cols;
-        let col_offset = p.col_offset;
-        let elem_bytes = std::mem::size_of::<T>();
-        let seeded = seeds.is_some();
-        let body: KernelBody = Arc::new(move |wg| {
-            wg.for_each_item(|it| {
-                if !it.in_bounds() {
-                    return;
-                }
-                let i = it.global_id(0);
-                let ((best, best_i), dyn_ops) = meter::metered(|| {
-                    let (mut best, mut best_i) = match &seeds {
-                        Some((sv, si)) => (sv[i], si[i]),
-                        None => (snap[base + i * stride], col_offset as u32),
-                    };
-                    let start = usize::from(!seeded);
-                    for c in start..seg_len {
-                        let x = snap[base + i * stride + c];
-                        if better(x, best) {
-                            best = x;
-                            best_i = (col_offset + c) as u32;
-                        }
-                    }
-                    (best, best_i)
-                });
-                it.write(&dval, i, best);
-                it.write(&didx, i, best_i);
-                it.work(seg_len as u64 * static_ops + dyn_ops);
-                it.traffic_read((seg_len + 2 * usize::from(seeded)) * elem_bytes);
-            });
-        });
-        ctx.queue(p.device)
-            .launch(&compiled.with_body(body), linear_range(ctx, n_rows))?;
-        Ok((out_val, out_idx))
-    }
-
     /// Apply the skeleton: per-row best value + column index, both as
     /// device-resident vectors distributed like [`ReduceRows::apply`]'s
     /// output. A 0-column matrix has no best element and errors.
@@ -586,7 +625,7 @@ where
         }
         let compiled = ctx.get_or_build(&self.program)?;
         let reduced = dispatch_reduce(input, Axis::Rows, rows, |p, n_items, seed| {
-            self.launch_argbest(&ctx, &compiled, p, p.owned_base(), n_items, seed)
+            launch_argbest(&ctx, &compiled, Axis::Rows, p, n_items, seed, &self.user)
         })?;
         Ok(reduced_to_arg_vectors(&ctx, rows, reduced))
     }
@@ -627,64 +666,6 @@ where
         &self.program
     }
 
-    /// One argbest launch over a part's owned rows; `seed` carries the
-    /// running (value, row index) pairs across chained row parts.
-    fn launch_argbest(
-        &self,
-        ctx: &Context,
-        compiled: &CompiledKernel,
-        p: &MatrixPart<T>,
-        n_cols: usize,
-        seed: Option<ArgPair<T>>,
-    ) -> Result<ArgPair<T>> {
-        let out_val = ctx.device(p.device).alloc::<T>(n_cols)?;
-        let out_idx = ctx.device(p.device).alloc::<u32>(n_cols)?;
-        if n_cols == 0 || p.rows == 0 {
-            return Ok((out_val, out_idx));
-        }
-        let snap: Arc<Vec<T>> = Arc::new(p.buffer.to_vec());
-        let seeds = seed.map(|(v, i)| (Arc::new(v.to_vec()), Arc::new(i.to_vec())));
-        let better = self.user.func().clone();
-        let static_ops = self.user.static_ops();
-        let (dval, didx) = (out_val.clone(), out_idx.clone());
-        let base = p.owned_base();
-        let stride = p.cols;
-        let seg_len = p.rows;
-        let row_offset = p.row_offset;
-        let elem_bytes = std::mem::size_of::<T>();
-        let seeded = seeds.is_some();
-        let body: KernelBody = Arc::new(move |wg| {
-            wg.for_each_item(|it| {
-                if !it.in_bounds() {
-                    return;
-                }
-                let i = it.global_id(0);
-                let ((best, best_i), dyn_ops) = meter::metered(|| {
-                    let (mut best, mut best_i) = match &seeds {
-                        Some((sv, si)) => (sv[i], si[i]),
-                        None => (snap[base + i], row_offset as u32),
-                    };
-                    let start = usize::from(!seeded);
-                    for r in start..seg_len {
-                        let x = snap[base + r * stride + i];
-                        if better(x, best) {
-                            best = x;
-                            best_i = (row_offset + r) as u32;
-                        }
-                    }
-                    (best, best_i)
-                });
-                it.write(&dval, i, best);
-                it.write(&didx, i, best_i);
-                it.work(seg_len as u64 * static_ops + dyn_ops);
-                it.traffic_read((seg_len + 2 * usize::from(seeded)) * elem_bytes);
-            });
-        });
-        ctx.queue(p.device)
-            .launch(&compiled.with_body(body), linear_range(ctx, n_cols))?;
-        Ok((out_val, out_idx))
-    }
-
     /// Apply the skeleton: per-column best value + row index, both as
     /// device-resident vectors distributed like [`ReduceCols::apply`]'s
     /// output. A 0-row matrix has no best element and errors.
@@ -706,7 +687,7 @@ where
         }
         let compiled = ctx.get_or_build(&self.program)?;
         let reduced = dispatch_reduce(input, Axis::Cols, cols, |p, n_items, seed| {
-            self.launch_argbest(&ctx, &compiled, p, n_items, seed)
+            launch_argbest(&ctx, &compiled, Axis::Cols, p, n_items, seed, &self.user)
         })?;
         Ok(reduced_to_arg_vectors(&ctx, cols, reduced))
     }

@@ -21,7 +21,9 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 use vgpu::local::{conflict_free_index, padded_local_len};
 use vgpu::timing::WARP_SIZE;
-use vgpu::{Buffer, CompiledKernel, KernelBody, NDRange, Program, Scalar as Element, WorkGroup};
+use vgpu::{
+    Buffer, CompiledKernel, KernelBody, NDRange, Order, Program, Scalar as Element, WorkGroup,
+};
 
 /// Bank-conflict handling for the local-memory tree phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -143,12 +145,22 @@ where
 
         let body = self.scan_block_body(input, out.clone(), block_sums.clone(), len, lsize);
         let kernel = compiled.with_body(body);
-        ctx.queue(device)
-            .launch(&kernel, NDRange::linear(n_groups * lsize, lsize))?;
+        ctx.queue(device).launch(
+            &kernel,
+            NDRange::linear(n_groups * lsize, lsize),
+            Order::Device,
+        )?;
 
         if n_groups == 1 {
             let mut total = [T::default()];
-            ctx.queue(device).enqueue_read(&block_sums, &mut total)?;
+            ctx.queue(device).enqueue_read(
+                &block_sums,
+                None,
+                &mut total,
+                1,
+                true,
+                Order::Device,
+            )?;
             return Ok((out, total[0]));
         }
 
@@ -298,7 +310,7 @@ where
         let kernel = compiled.with_body(body);
         let wg_size = ctx.work_group().min(len);
         ctx.queue(device)
-            .launch(&kernel, NDRange::linear(len, wg_size))?;
+            .launch(&kernel, NDRange::linear(len, wg_size), Order::Device)?;
         Ok(())
     }
 
@@ -330,7 +342,7 @@ where
         let kernel = compiled.with_body(body);
         let wg_size = ctx.work_group().min(len);
         ctx.queue(device)
-            .launch(&kernel, NDRange::linear(len, wg_size))?;
+            .launch(&kernel, NDRange::linear(len, wg_size), Order::Device)?;
         Ok(())
     }
 }

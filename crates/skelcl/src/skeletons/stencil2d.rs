@@ -34,7 +34,7 @@ use crate::skeletons::{alloc_matching_matrix_parts, range_2d};
 use crate::trace::SpanGuard;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{Buffer, CompiledKernel, Event, Item, KernelBody, Program, Scalar as Element};
+use vgpu::{Buffer, CompiledKernel, Event, Item, KernelBody, Order, Program, Scalar as Element};
 
 /// What out-of-matrix neighbourhood positions read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,7 +302,7 @@ where
             let op = &out_parts[pi];
             if chunks.is_empty() {
                 // Already resident: the plain device-serializing launch.
-                kernel.launch_part(&ctx, pi, ip, op, &[(0, ip.rows)], None)?;
+                kernel.launch_part(&ctx, pi, ip, op, &[(0, ip.rows)], Order::Device)?;
                 continue;
             }
             // Launch in chunk-aligned owned-row bands, each depending on
@@ -311,7 +311,7 @@ where
             while start < ip.rows {
                 let len = chunk_rows.min(ip.rows - start);
                 let deps = covering_chunks(chunks, ip, self.radius, self.boundary, start, len);
-                kernel.launch_part(&ctx, pi, ip, op, &[(start, len)], Some(&deps))?;
+                kernel.launch_part(&ctx, pi, ip, op, &[(start, len)], Order::After(&deps))?;
                 start += len;
             }
         }
@@ -461,7 +461,14 @@ where
                     let produced = if exchange_events[idx].is_empty() {
                         // Nothing exchanged into this part this round:
                         // nothing to hide, launch the whole part at once.
-                        kernel.launch_part(&ctx, idx, ip, op, &[(0, ip.rows)], Some(base_deps))?
+                        kernel.launch_part(
+                            &ctx,
+                            idx,
+                            ip,
+                            op,
+                            &[(0, ip.rows)],
+                            Order::After(base_deps),
+                        )?
                     } else {
                         // The boundary band must cover both the rows that
                         // read exchanged halos (radius) and the rows the
@@ -482,10 +489,24 @@ where
                             // while the exchange still runs), then the top
                             // and bottom bands as one dependent launch.
                             let interior = [(band, ip.rows - 2 * band)];
-                            kernel.launch_part(&ctx, idx, ip, op, &interior, Some(base_deps))?;
+                            kernel.launch_part(
+                                &ctx,
+                                idx,
+                                ip,
+                                op,
+                                &interior,
+                                Order::After(base_deps),
+                            )?;
                             vec![(0, band), (ip.rows - band, band)]
                         };
-                        kernel.launch_part(&ctx, idx, ip, op, &boundary, Some(&boundary_deps))?
+                        kernel.launch_part(
+                            &ctx,
+                            idx,
+                            ip,
+                            op,
+                            &boundary,
+                            Order::After(&boundary_deps),
+                        )?
                     };
                     if let Some(ev) = produced {
                         // The boundary launch is enqueued last on the
@@ -585,7 +606,7 @@ where
         dst: &[MatrixPart<V>],
     ) -> Result<()> {
         for (pi, (ip, op)) in src.iter().zip(dst).enumerate() {
-            self.launch_part(ctx, pi, ip, op, &[(0, ip.rows)], None)?;
+            self.launch_part(ctx, pi, ip, op, &[(0, ip.rows)], Order::Device)?;
         }
         Ok(())
     }
@@ -597,11 +618,10 @@ where
     /// bands into a single launch this way). The input part's halo rows are
     /// assumed coherent for the rows the segments read.
     ///
-    /// `deps = None` issues the legacy device-serializing launch; with
-    /// `Some(events)` the kernel is launched **asynchronously** on the main
-    /// queue, ordered only by the queue, the events, and the compute
-    /// engine. Returns the launch event (`None` when the segments are
-    /// empty). Either way every covered element computes the exact same
+    /// `order` is passed straight to the launch: [`Order::Device`] for the
+    /// device-ordered launch, or [`Order::After`] to order the kernel only
+    /// by the main queue, the listed events, and the compute engine.
+    /// Returns the launch event (`None` when the segments are empty). Either way every covered element computes the exact same
     /// value — the split changes the modeled timeline, never the data.
     pub(crate) fn launch_part(
         &self,
@@ -610,7 +630,7 @@ where
         ip: &MatrixPart<J>,
         op: &MatrixPart<V>,
         segments: &[(usize, usize)],
-        deps: Option<&[Event]>,
+        order: Order<'_>,
     ) -> Result<Option<Event>> {
         let cols = ip.cols;
         let launch_rows: usize = segments.iter().map(|&(_, len)| len).sum();
@@ -668,11 +688,7 @@ where
         });
         let kernel = self.compiled.with_body(body);
         let nd = range_2d(ctx, cols, launch_rows);
-        let event = match deps {
-            None => ctx.queue(ip.device).launch(&kernel, nd)?,
-            Some(events) => ctx.queue(ip.device).launch_async(&kernel, nd, events)?,
-        };
-        Ok(Some(event))
+        Ok(Some(ctx.queue(ip.device).launch(&kernel, nd, order)?))
     }
 }
 

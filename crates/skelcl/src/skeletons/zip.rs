@@ -18,7 +18,7 @@ use crate::skeletons::{alloc_matching_matrix_parts, linear_range};
 use crate::vector::Vector;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{KernelBody, Program, Scalar as Element};
+use vgpu::{KernelBody, Order, Program, Scalar as Element};
 
 /// The binary element-wise skeleton: `out[i] = f(a[i], b[i])`.
 pub struct Zip<T1: Element, T2: Element, U: Element, F> {
@@ -110,7 +110,7 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(lp.device)
-                .launch(&kernel, linear_range(&ctx, lp.rows))?;
+                .launch(&kernel, linear_range(&ctx, lp.rows), Order::Device)?;
         }
         Ok(Vector::from_device_parts(
             &ctx,
@@ -246,7 +246,7 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(lp.device)
-                .launch(&kernel, linear_range(&ctx, lp.rows))?;
+                .launch(&kernel, linear_range(&ctx, lp.rows), Order::Device)?;
         }
         Ok(Vector::from_device_parts(
             &ctx,

@@ -30,7 +30,7 @@ use crate::meter;
 use crate::trace::SpanGuard;
 use parking_lot::MappedMutexGuard;
 use std::sync::Arc;
-use vgpu::{Buffer, KernelBody, NDRange, Scalar};
+use vgpu::{Buffer, KernelBody, NDRange, Order, Scalar};
 
 /// How a vector's data is laid out across the context's devices
 /// (paper Section III-D).
@@ -324,8 +324,15 @@ where
         // Fold in every other device's copy of this range.
         for op in copies.iter().filter(|p| p.device != np.device) {
             let tmp = ctx.device(np.device).alloc::<T>(np.rows)?;
-            ctx.platform()
-                .copy_d2d_range(&op.buffer, np.row_offset, &tmp, 0, np.rows, cross)?;
+            ctx.platform().copy(
+                &op.buffer,
+                np.row_offset,
+                &tmp,
+                0,
+                np.rows,
+                cross,
+                Order::Device,
+            )?;
 
             let f = combine.func().clone();
             let dst = np.buffer.clone();
@@ -347,6 +354,7 @@ where
             ctx.queue(np.device).launch(
                 &kernel,
                 NDRange::linear(np.rows, ctx.work_group().min(np.rows)),
+                Order::Device,
             )?;
         }
     }

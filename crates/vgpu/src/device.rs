@@ -91,9 +91,9 @@ impl DeviceSpec {
 /// register with it.
 ///
 /// "The device is done" means *both* engines are done — [`now_s`] is their
-/// maximum — which is what [`crate::Platform::sync_all`] and the legacy
-/// device-serializing commands observe, so code written against the old
-/// single-clock model sees an identical timeline.
+/// maximum — which is what [`crate::Platform::sync_all`] and
+/// device-ordered commands ([`crate::Order::Device`]) observe, so code
+/// written against the old single-clock model sees an identical timeline.
 ///
 /// [`now_s`]: DeviceTimeline::now_s
 #[derive(Debug, Default)]

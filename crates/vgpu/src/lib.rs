@@ -17,9 +17,13 @@
 //! classic "loop fission" technique used by CPU OpenCL implementations):
 //! the kernel body iterates over the group's items with
 //! [`WorkGroup::for_each_item`], and [`WorkGroup::barrier`] separates phases.
-//! Work-groups are assigned round-robin to virtual CUs; the kernel's virtual
-//! duration is the maximum per-CU queue length under a roofline model
-//! (compute cycles with warp divergence vs. global-memory traffic).
+//! Work-groups are dispatched dynamically to the virtual CUs, so a launch's
+//! critical-path cycle count is `max(total_cycles / n_cus,
+//! max_group_cycles)`: perfectly balanced unless one group dominates. The
+//! kernel's virtual duration is the roofline maximum of those cycles
+//! (with warp divergence, barriers, bank conflicts and atomics) at the
+//! runtime's issue rate and its global-memory traffic over the device's
+//! bandwidth.
 //!
 //! ## Virtual time
 //!
@@ -30,11 +34,12 @@
 //! Two devices enqueued back-to-back overlap in virtual time even though
 //! the simulation executes them one after the other — this is what makes
 //! the multi-GPU speedup experiments (paper Fig. 2) meaningful on a CPU.
-//! Within one device, the classic enqueue methods serialize against
-//! everything prior (the pre-stream behaviour), while the `_async` methods
-//! plus [`Event`] `wait_for` lists let a transfer run on the copy engine
-//! *under* a kernel on the compute engine — see [`timing`] for the
-//! scheduling rule and [`queue`] for the API.
+//! Every command is one call that takes its ordering as an [`Order`]:
+//! [`Order::Device`] serializes it against everything already scheduled on
+//! the devices it touches (the pre-stream behaviour), while
+//! [`Order::After`] with an [`Event`] wait list lets a transfer run on the
+//! copy engine *under* a kernel on the compute engine — see [`timing`] for
+//! the scheduling rule and [`queue`] for the API.
 //!
 //! The model's constants live in [`timing::DriverProfile`] (one profile per
 //! runtime flavour: OpenCL, CUDA, and SkelCL-over-OpenCL) and
@@ -45,14 +50,15 @@
 //! ## Quick example
 //!
 //! ```
-//! use vgpu::{Platform, PlatformConfig, NDRange};
+//! use vgpu::{Platform, PlatformConfig, NDRange, Order};
 //!
 //! let platform = Platform::new(PlatformConfig::default().devices(1));
 //! let dev = platform.device(0);
 //! let queue = platform.queue(0, vgpu::timing::DriverProfile::opencl());
 //!
 //! let buf = dev.alloc::<f32>(1024).unwrap();
-//! queue.enqueue_write(&buf, &vec![1.0f32; 1024]).unwrap();
+//! // Whole buffer (`None` offset), one transfer on the bus, device-ordered.
+//! let up = queue.enqueue_write(&buf, None, &vec![1.0f32; 1024], 1, Order::Device).unwrap();
 //!
 //! let program = vgpu::Program::from_source("square", "__kernel void square(__global float* x) { ... }");
 //! let kernel = queue.build_kernel(&program, {
@@ -68,9 +74,11 @@
 //!     })
 //! }).unwrap();
 //!
-//! queue.launch(&kernel, NDRange::linear(1024, 256)).unwrap();
+//! // Event-ordered: waits only for the upload (and this stream).
+//! let k = queue.launch(&kernel, NDRange::linear(1024, 256), Order::After(&[up])).unwrap();
 //! let mut out = vec![0.0f32; 1024];
-//! queue.enqueue_read(&buf, &mut out).unwrap();
+//! // Blocking read: the host clock waits for it.
+//! queue.enqueue_read(&buf, None, &mut out, 1, true, Order::After(&[k])).unwrap();
 //! assert!(out.iter().all(|&v| v == 1.0));
 //! ```
 
@@ -102,7 +110,7 @@ pub use profiling::{
     verify_engine_utilization, AccessRange, CmdKind, CommandObserver, CommandRecord, EngineUsage,
     StatsSnapshot,
 };
-pub use queue::{CommandQueue, Event, EventKind};
+pub use queue::{CommandQueue, Event, EventKind, Order};
 pub use timing::{DriverProfile, EngineKind};
 pub use types::{BufferId, DeviceId, Scalar};
 
@@ -110,6 +118,6 @@ pub use types::{BufferId, DeviceId, Scalar};
 pub mod prelude {
     pub use crate::{
         Buffer, CommandQueue, Device, DeviceId, DeviceSpec, DriverProfile, Error, Item, NDRange,
-        Platform, PlatformConfig, Program, Result, Scalar, WorkGroup,
+        Order, Platform, PlatformConfig, Program, Result, Scalar, WorkGroup,
     };
 }

@@ -3,10 +3,8 @@
 use crate::compiler::Compiler;
 use crate::device::{Device, DeviceSpec};
 use crate::error::{Error, Result};
-use crate::profiling::{
-    AccessRange, CmdKind, CommandObserver, CommandRecord, Stats, StatsSnapshot,
-};
-use crate::queue::{deps_ready_s, CommandQueue, Event, EventKind};
+use crate::profiling::{AccessRange, CommandObserver, CommandRecord, Stats, StatsSnapshot};
+use crate::queue::{schedule, Command, CommandQueue, Event, EventKind, Order};
 use crate::timing::{DriverProfile, EngineKind, VirtualClock};
 use crate::topology::Topology;
 use crate::types::Scalar;
@@ -228,130 +226,24 @@ impl Platform {
         self.shared.stats.snapshot()
     }
 
-    /// Copy `src` (on one device) into `dst` (on another) through the host,
-    /// as the S1070 requires (no peer-to-peer). `concurrent` is the number
-    /// of transfers sharing the host bus at this moment — redistribution
-    /// phases pass the size of their transfer batch so contention is
-    /// modeled (paper Section III-D).
-    pub fn copy_d2d<T: Scalar>(
-        &self,
-        src: &crate::Buffer<T>,
-        dst: &crate::Buffer<T>,
-        concurrent: usize,
-    ) -> Result<Event> {
-        if src.len() != dst.len() {
-            return Err(Error::SizeMismatch {
-                expected: src.len(),
-                actual: dst.len(),
-            });
-        }
-        // Always a staged host crossing, even between two buffers of one
-        // device (`cudaMemcpyPeer` semantics on pre-UVA hardware) — unlike
-        // [`Platform::copy_d2d_range`], which degrades same-device copies
-        // to global-memory-bandwidth local copies.
-        for i in 0..src.len() {
-            dst.set(i, src.get(i));
-        }
-        let bytes = src.size_bytes();
-        self.shared.stats.add_d2d(bytes);
-        let dur = self
-            .shared
-            .topology
-            .d2d_transfer_s(bytes, concurrent.max(1));
-        let src_dev = self.device(src.device().0);
-        let dst_dev = self.device(dst.device().0);
-        let enqueue_host_s = self.host_now_s();
-        let begin = enqueue_host_s
-            .max(src_dev.clock().now_s())
-            .max(dst_dev.clock().now_s());
-        let (start_s, end_s) = src_dev
-            .clock()
-            .engine(EngineKind::Copy)
-            .advance_from(begin, dur);
-        dst_dev.clock().sync_to(end_s);
-        let seq = self.shared.stats.next_seq();
-        if self.shared.stats.sink_active() {
-            let host_sync_s = self.shared.stats.host_synced_s();
-            // Both records share one `seq`: they are two engine occupancies
-            // of a single command. Access attribution lives on the primary
-            // (source-device) record only.
-            let mut group =
-                vec![
-                    CommandRecord::interval(src_dev.id(), EngineKind::Copy, start_s, end_s)
-                        .with_seq(seq)
-                        .with_kind(CmdKind::D2D)
-                        .with_reads(vec![AccessRange::whole(src.id(), bytes)])
-                        .with_writes(vec![AccessRange::whole(dst.id(), bytes)])
-                        .at_enqueue(enqueue_host_s)
-                        .with_host_sync(host_sync_s)
-                        .with_label("d2d"),
-                ];
-            if src.device() != dst.device() {
-                group.push(
-                    CommandRecord::interval(dst_dev.id(), EngineKind::Copy, start_s, end_s)
-                        .with_seq(seq)
-                        .with_kind(CmdKind::D2D)
-                        .at_enqueue(enqueue_host_s)
-                        .with_host_sync(host_sync_s)
-                        .with_label("d2d"),
-                );
-            }
-            self.shared.stats.record_group(&group);
-        }
-        Ok(Event {
-            kind: EventKind::CopyD2D,
-            device: src.device(),
-            engine: EngineKind::Copy,
-            start_s,
-            end_s,
-            seq,
-            launch: None,
-        })
-    }
-
-    /// Device-local copy between two buffers on the *same* device: costs
-    /// global-memory bandwidth (read + write) but no PCIe traffic. Used by
-    /// redistributions that reinterpret data already resident on a device
-    /// (e.g. Copy → Block keeps each device's own block).
-    pub fn copy_on_device<T: Scalar>(
-        &self,
-        src: &crate::Buffer<T>,
-        src_off: usize,
-        dst: &crate::Buffer<T>,
-        dst_off: usize,
-        len: usize,
-    ) -> Result<Event> {
-        if src.device() != dst.device() {
-            return Err(Error::WrongDevice {
-                expected: src.device(),
-                actual: dst.device(),
-            });
-        }
-        self.copy_range_impl(src, src_off, dst, dst_off, len, 1, &[], true)
-    }
-
-    /// Copy a sub-range between buffers on (possibly) different devices.
-    /// Device-serializing: the copy waits for everything previously
-    /// scheduled on both devices (the legacy single-clock rule).
-    pub fn copy_d2d_range<T: Scalar>(
-        &self,
-        src: &crate::Buffer<T>,
-        src_off: usize,
-        dst: &crate::Buffer<T>,
-        dst_off: usize,
-        len: usize,
-        concurrent: usize,
-    ) -> Result<Event> {
-        self.copy_range_impl(src, src_off, dst, dst_off, len, concurrent, &[], true)
-    }
-
-    /// Async sub-range copy: waits only for `wait_for` and the copy engines
-    /// of the two devices, so it runs *under* unrelated kernels — the
-    /// primitive behind the overlapped halo exchange. Callers are
-    /// responsible for passing the events that produced the source region
-    /// (and, if the destination is re-read later, its last readers).
+    /// Copy `len` elements from `src` at element `src_off` into `dst` at
+    /// `dst_off`. Between two devices the copy stages through the host, as
+    /// the S1070 requires (no peer-to-peer), and occupies both devices' copy
+    /// engines; `concurrent` is the number of transfers sharing the host bus
+    /// at this moment, so redistribution phases pass the size of their
+    /// transfer batch and contention is modeled (paper Section III-D).
+    /// Within one device it costs global-memory bandwidth (read + write) on
+    /// one copy engine and no PCIe traffic.
+    ///
+    /// Device-ordered, the copy waits for everything on both devices and
+    /// the whole destination device observes its end; event-ordered it
+    /// waits only for `order`'s events and the two copy engines, so it runs
+    /// *under* unrelated kernels — the primitive behind the overlapped halo
+    /// exchange. Event-ordered callers are responsible for passing the
+    /// events that produced the source region (and, if the destination is
+    /// re-read later, its last readers).
     #[allow(clippy::too_many_arguments)]
-    pub fn copy_d2d_range_async<T: Scalar>(
+    pub fn copy<T: Scalar>(
         &self,
         src: &crate::Buffer<T>,
         src_off: usize,
@@ -359,27 +251,7 @@ impl Platform {
         dst_off: usize,
         len: usize,
         concurrent: usize,
-        wait_for: &[Event],
-    ) -> Result<Event> {
-        self.copy_range_impl(src, src_off, dst, dst_off, len, concurrent, wait_for, false)
-    }
-
-    /// Shared implementation of the platform copies: bounds checks, real
-    /// data movement, then scheduling on the copy engine(s) under either
-    /// discipline. Same-device copies cost global-memory bandwidth on one
-    /// copy engine; cross-device copies stage through the host and occupy
-    /// both devices' copy engines for the full duration.
-    #[allow(clippy::too_many_arguments)]
-    fn copy_range_impl<T: Scalar>(
-        &self,
-        src: &crate::Buffer<T>,
-        src_off: usize,
-        dst: &crate::Buffer<T>,
-        dst_off: usize,
-        len: usize,
-        concurrent: usize,
-        deps: &[Event],
-        conservative: bool,
+        order: Order<'_>,
     ) -> Result<Event> {
         if src_off + len > src.len() {
             return Err(Error::OutOfBounds {
@@ -398,10 +270,7 @@ impl Platform {
         }
         let src_dev = self.device(src.device().0);
         let bytes = len * std::mem::size_of::<T>();
-        let enqueue_host_s = self.host_now_s();
-        let mut begin = enqueue_host_s.max(deps_ready_s(deps));
-        let (dur, dst_dev) = if src.device() == dst.device() {
-            // No PCIe crossing, just global-memory bandwidth (read+write).
+        let (duration_s, peer) = if src.device() == dst.device() {
             (
                 2.0 * bytes as f64 / src_dev.spec().mem_bandwidth_bytes_s,
                 None,
@@ -415,86 +284,52 @@ impl Platform {
                 Some(self.device(dst.device().0)),
             )
         };
-        if conservative {
-            begin = begin.max(src_dev.clock().now_s());
-            if let Some(d) = &dst_dev {
-                begin = begin.max(d.clock().now_s());
-            }
-        } else if let Some(d) = &dst_dev {
-            begin = begin.max(d.clock().engine(EngineKind::Copy).now_s());
+        let elem = std::mem::size_of::<T>() as u64;
+        let (src_lo, dst_lo) = (src_off as u64 * elem, dst_off as u64 * elem);
+        Ok(schedule(
+            &self.shared,
+            Command {
+                device: &src_dev,
+                peer: peer.as_deref(),
+                engine: Some(EngineKind::Copy),
+                stream: None,
+                kind: EventKind::CopyD2D,
+                duration_s,
+                order,
+                launch: None,
+                reads: vec![AccessRange::new(src.id(), src_lo, src_lo + bytes as u64)],
+                writes: vec![AccessRange::new(dst.id(), dst_lo, dst_lo + bytes as u64)],
+                label: "d2d",
+            },
+        ))
+    }
+
+    /// A device-ordered [`Platform::copy`] between two buffers that must
+    /// live on the *same* device. Used by redistributions that reinterpret
+    /// data already resident on a device (e.g. Copy → Block keeps each
+    /// device's own block).
+    pub fn copy_on_device<T: Scalar>(
+        &self,
+        src: &crate::Buffer<T>,
+        src_off: usize,
+        dst: &crate::Buffer<T>,
+        dst_off: usize,
+        len: usize,
+    ) -> Result<Event> {
+        if src.device() != dst.device() {
+            return Err(Error::WrongDevice {
+                expected: src.device(),
+                actual: dst.device(),
+            });
         }
-        let (start_s, end_s) = src_dev
-            .clock()
-            .engine(EngineKind::Copy)
-            .advance_from(begin, dur);
-        if let Some(d) = &dst_dev {
-            if conservative {
-                // Legacy rule: the destination device as a whole observes
-                // the copy's completion.
-                d.clock().sync_to(end_s);
-            } else {
-                // The copy occupies the destination's copy engine too.
-                d.clock().engine(EngineKind::Copy).sync_to(end_s);
-            }
-        }
-        let seq = self.shared.stats.next_seq();
-        if self.shared.stats.sink_active() {
-            let host_sync_s = self.shared.stats.host_synced_s();
-            let elem = std::mem::size_of::<T>() as u64;
-            let src_lo = src_off as u64 * elem;
-            let dst_lo = dst_off as u64 * elem;
-            let mut primary =
-                CommandRecord::interval(src_dev.id(), EngineKind::Copy, start_s, end_s)
-                    .with_seq(seq)
-                    .with_kind(CmdKind::D2D)
-                    .with_deps(deps.iter().map(|e| e.seq).collect())
-                    .with_reads(vec![AccessRange::new(
-                        src.id(),
-                        src_lo,
-                        src_lo + bytes as u64,
-                    )])
-                    .with_writes(vec![AccessRange::new(
-                        dst.id(),
-                        dst_lo,
-                        dst_lo + bytes as u64,
-                    )])
-                    .at_enqueue(enqueue_host_s)
-                    .with_host_sync(host_sync_s)
-                    .with_label("d2d");
-            if !conservative {
-                primary = primary.asynchronous();
-            }
-            let mut group = vec![primary];
-            if let Some(d) = &dst_dev {
-                let mut secondary =
-                    CommandRecord::interval(d.id(), EngineKind::Copy, start_s, end_s)
-                        .with_seq(seq)
-                        .with_kind(CmdKind::D2D)
-                        .at_enqueue(enqueue_host_s)
-                        .with_host_sync(host_sync_s)
-                        .with_label("d2d");
-                if !conservative {
-                    secondary = secondary.asynchronous();
-                }
-                group.push(secondary);
-            }
-            self.shared.stats.record_group(&group);
-        }
-        Ok(Event {
-            kind: EventKind::CopyD2D,
-            device: src.device(),
-            engine: EngineKind::Copy,
-            start_s,
-            end_s,
-            seq,
-            launch: None,
-        })
+        self.copy(src, src_off, dst, dst_off, len, 1, Order::Device)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{KernelBody, NDRange, Program, WorkGroup};
 
     fn platform(n: usize) -> Platform {
         Platform::new(
@@ -518,7 +353,7 @@ mod tests {
         let p = platform(2);
         let a = p.device(0).alloc_from(&[1.0f32, 2.0, 3.0]).unwrap();
         let b = p.device(1).alloc::<f32>(3).unwrap();
-        let ev = p.copy_d2d(&a, &b, 1).unwrap();
+        let ev = p.copy(&a, 0, &b, 0, 3, 1, Order::Device).unwrap();
         assert_eq!(b.to_vec(), vec![1.0, 2.0, 3.0]);
         assert!(ev.duration_s() > 0.0);
         // Both devices observed the copy on their timelines.
@@ -534,9 +369,9 @@ mod tests {
         let p = platform(2);
         let a = p.device(0).alloc_from(&[1u32, 2, 3, 4, 5, 6]).unwrap();
         let b = p.device(1).alloc::<u32>(4).unwrap();
-        p.copy_d2d_range(&a, 2, &b, 1, 3, 1).unwrap();
+        p.copy(&a, 2, &b, 1, 3, 1, Order::Device).unwrap();
         assert_eq!(b.to_vec(), vec![0, 3, 4, 5]);
-        assert!(p.copy_d2d_range(&a, 4, &b, 0, 3, 1).is_err());
+        assert!(p.copy(&a, 4, &b, 0, 3, 1, Order::Device).is_err());
     }
 
     #[test]
@@ -545,8 +380,9 @@ mod tests {
         let n = 1 << 20;
         let a = p.device(0).alloc::<u8>(n).unwrap();
         let b = p.device(1).alloc::<u8>(n).unwrap();
-        let solo = p.copy_d2d(&a, &b, 1).unwrap().duration_s();
-        let crowded = p.copy_d2d(&a, &b, 4).unwrap().duration_s();
+        let solo = p.copy(&a, 0, &b, 0, n, 1, Order::Device).unwrap();
+        let crowded = p.copy(&a, 0, &b, 0, n, 4, Order::Device).unwrap();
+        let (solo, crowded) = (solo.duration_s(), crowded.duration_s());
         assert!(crowded > solo, "bus contention must slow transfers");
     }
 
@@ -594,17 +430,44 @@ mod tests {
         let a = p.device(0).alloc_from(&[5u32, 6, 7, 8]).unwrap();
         let b = p.device(0).alloc::<u32>(4).unwrap();
         let before = p.stats_snapshot();
-        p.copy_d2d_range(&a, 0, &b, 0, 4, 1).unwrap();
+        p.copy(&a, 0, &b, 0, 4, 1, Order::Device).unwrap();
         assert_eq!(b.to_vec(), vec![5, 6, 7, 8]);
         let delta = p.stats_snapshot() - before;
         assert_eq!(delta.d2d_transfers, 0, "local copy must not cross PCIe");
     }
 
+    /// A device-ordered cross-device copy moves the whole destination
+    /// device (both engines) to its end, so even a dependency-free kernel
+    /// there waits for it; an event-ordered copy moves only the
+    /// destination's copy engine, so the same kernel runs under it.
     #[test]
-    fn mismatched_d2d_is_rejected() {
+    fn device_ordered_copy_moves_the_whole_peer_device() {
         let p = platform(2);
-        let a = p.device(0).alloc::<f32>(4).unwrap();
-        let b = p.device(1).alloc::<f32>(5).unwrap();
-        assert!(p.copy_d2d(&a, &b, 1).is_err());
+        let n = 1 << 16;
+        let a = p.device(0).alloc::<f32>(n).unwrap();
+        let b = p.device(1).alloc::<f32>(n).unwrap();
+        let q1 = p.queue(1, DriverProfile::opencl());
+        let program = Program::from_source("peer", "__kernel void peer() {}");
+        let body: KernelBody = Arc::new(|wg: &WorkGroup| wg.for_each_item(|it| it.work(1)));
+        let kernel = q1.build_kernel(&program, body).unwrap();
+        for device_ordered in [true, false] {
+            p.reset_clocks();
+            let order = if device_ordered {
+                Order::Device
+            } else {
+                Order::After(&[])
+            };
+            let copy = p.copy(&a, 0, &b, 0, n, 1, order).unwrap();
+            let k = q1
+                .launch(&kernel, NDRange::linear(64, 64), Order::After(&[]))
+                .unwrap();
+            assert_eq!(copy.start_s, 0.0);
+            assert!(copy.end_s > 0.0);
+            if device_ordered {
+                assert_eq!(k.start_s, copy.end_s, "the whole peer observes the copy");
+            } else {
+                assert_eq!(k.start_s, 0.0, "only the peer's copy engine is taken");
+            }
+        }
     }
 }

@@ -118,9 +118,9 @@ pub struct CommandRecord {
     /// copies are streamless).
     pub stream: Option<u64>,
     pub kind: CmdKind,
-    /// Device-serializing (classic enqueue): ordered after *everything*
-    /// previously scheduled on its device. Async commands are ordered only
-    /// by stream and explicit deps.
+    /// Device-serializing ([`Order::Device`](crate::Order::Device)): ordered
+    /// after *everything* previously scheduled on its device.
+    /// Event-ordered commands are ordered only by stream and explicit deps.
     pub serializing: bool,
     /// Host-clock time at enqueue.
     pub enqueue_host_s: f64,
@@ -179,7 +179,7 @@ impl CommandRecord {
         self
     }
 
-    /// Mark the command async (not device-serializing).
+    /// Mark the command event-ordered (not device-serializing).
     pub fn asynchronous(mut self) -> Self {
         self.serializing = false;
         self
@@ -577,13 +577,6 @@ impl Stats {
         }
     }
 
-    /// Log one scheduled command with only its occupancy interval; no-op
-    /// unless a sink is active. Convenience wrapper over
-    /// [`Stats::record_group`].
-    pub fn record_command(&self, device: DeviceId, engine: EngineKind, start_s: f64, end_s: f64) {
-        self.record_group(&[CommandRecord::interval(device, engine, start_s, end_s)]);
-    }
-
     /// Log a group of records that together describe one command (two for a
     /// cross-device copy, one otherwise). The trace lock is held across both
     /// the trace append and the observer call, so observers see complete
@@ -850,11 +843,11 @@ mod tests {
         let a = rec(0, EngineKind::Copy, 0.0, 1.0).with_seq(s.next_seq());
         let b = rec(1, EngineKind::Copy, 0.0, 1.0).with_seq(a.seq);
         s.record_group(&[a, b]);
-        s.record_command(DeviceId(0), EngineKind::Compute, 1.0, 2.0);
+        s.record_group(&[rec(0, EngineKind::Compute, 1.0, 2.0)]);
         assert_eq!(*seen.lock(), vec![2, 1]);
         assert_eq!(s.trace_len(), 3);
         s.set_observer(None);
-        s.record_command(DeviceId(0), EngineKind::Compute, 2.0, 3.0);
+        s.record_group(&[rec(0, EngineKind::Compute, 2.0, 3.0)]);
         assert_eq!(*seen.lock(), vec![2, 1], "removed observer sees nothing");
     }
 
@@ -888,7 +881,7 @@ mod tests {
     fn trace_snapshot_does_not_steal_records() {
         let s = Stats::default();
         s.enable_trace();
-        s.record_command(DeviceId(0), EngineKind::Compute, 0.0, 1.0);
+        s.record_group(&[rec(0, EngineKind::Compute, 0.0, 1.0)]);
         assert_eq!(s.trace_len(), 1);
         let snap = s.trace_snapshot();
         assert_eq!(snap.len(), 1);

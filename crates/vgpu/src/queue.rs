@@ -1,4 +1,5 @@
-//! Command queues ("streams"), events, and the two scheduling disciplines.
+//! Command queues ("streams"), events, and the one scheduler every device
+//! command goes through.
 //!
 //! A queue belongs to one device and carries one [`DriverProfile`] — the
 //! same virtual hardware behaves as an "OpenCL device", a "CUDA device" or a
@@ -8,23 +9,24 @@
 //! A device can drive **multiple in-order queues** over one shared timeline
 //! with separate compute and copy engines (see [`crate::timing`]): each
 //! [`Platform::queue`](crate::Platform::queue) call creates a fresh stream.
-//! Commands come in two flavours:
+//! Like a `clEnqueue*` call with its event wait list, every command is one
+//! call that takes its ordering as an [`Order`] argument:
 //!
-//! * the classic enqueue methods ([`CommandQueue::enqueue_write`],
-//!   [`CommandQueue::launch`], …) are **device-serializing**: a command
-//!   starts only when *everything* previously scheduled on the device has
-//!   finished, which reproduces the pre-stream single-clock timeline
-//!   exactly — existing code keeps its modeled timings to the bit;
-//! * the `_async` twins ([`CommandQueue::enqueue_write_async`],
-//!   [`CommandQueue::launch_async`], …) take a `wait_for: &[Event]` list and
-//!   start at `max(queue-ready, dependency-ready, engine-availability,
-//!   enqueue time)` — so a transfer on a copy stream genuinely runs under a
-//!   kernel when no dependency links them.
+//! * [`Order::Device`] — the command waits for *everything* already
+//!   scheduled on each device it touches (both engines), which reproduces
+//!   the pre-stream single-clock timeline exactly;
+//! * [`Order::After`] — the command waits only for the listed events, its
+//!   own stream and its engine, starting at `max(queue-ready,
+//!   dependency-ready, engine-availability, enqueue time)` — so a transfer
+//!   on a copy stream genuinely runs under a kernel when no dependency
+//!   links them.
 //!
 //! Either way the *data* moves immediately (the simulator executes commands
-//! eagerly); only the modeled timeline differs. Every command returns an
+//! eagerly); only the modeled timeline differs. Every command — write,
+//! read, fill, launch, marker, and the platform's device copies — is timed
+//! and recorded by one private `schedule` function, and returns an
 //! [`Event`] carrying its `CL_PROFILING_COMMAND_START/END`-style interval,
-//! usable as a dependency for later async commands on any queue.
+//! usable in later commands' wait lists on any queue.
 
 use crate::buffer::Buffer;
 use crate::compiler::{BuildOutcome, CompiledKernel, Program};
@@ -34,7 +36,7 @@ use crate::exec::{self, LaunchStats};
 use crate::kernel::{KernelBody, NDRange};
 use crate::platform::PlatformShared;
 use crate::profiling::{AccessRange, CmdKind, CommandRecord};
-use crate::timing::{ready_s, DriverProfile, EngineKind, VirtualClock};
+use crate::timing::{DriverProfile, EngineKind, VirtualClock};
 use crate::types::{DeviceId, Scalar};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -51,15 +53,14 @@ pub enum EventKind {
     },
     CopyD2D,
     /// A zero-duration join point over everything already scheduled on the
-    /// device (`clEnqueueMarker`): the anchor async commands wait on when
-    /// their inputs were produced by device-serializing commands.
+    /// device (`clEnqueueMarker`): the anchor event-ordered commands wait
+    /// on when their inputs were produced by device-ordered commands.
     Marker,
 }
 
 /// A completed command with its virtual-timeline timestamps, like an OpenCL
-/// event queried with `CL_PROFILING_COMMAND_START/END`. Pass events to the
-/// `_async` enqueue methods' `wait_for` lists to build cross-stream
-/// dependency graphs.
+/// event queried with `CL_PROFILING_COMMAND_START/END`. Pass events in an
+/// [`Order::After`] wait list to build cross-stream dependency graphs.
 #[derive(Debug, Clone)]
 pub struct Event {
     pub kind: EventKind,
@@ -71,7 +72,7 @@ pub struct Event {
     pub start_s: f64,
     pub end_s: f64,
     /// Process-wide command sequence number — the identity the timeline
-    /// trace records, so checkers can resolve `wait_for` lists back to the
+    /// trace records, so checkers can resolve wait lists back to the
     /// commands they name.
     pub seq: u64,
     /// Present for kernel events: the executor's counters.
@@ -84,10 +85,123 @@ impl Event {
     }
 }
 
-/// The latest completion time among `deps` (0 when empty) — the
-/// "dependency-ready" term of the scheduling rule.
-pub(crate) fn deps_ready_s(deps: &[Event]) -> f64 {
-    ready_s(deps.iter().map(|e| e.end_s))
+/// What a command waits for besides its own stream and engine.
+#[derive(Debug, Clone, Copy)]
+pub enum Order<'a> {
+    /// Everything already scheduled on each device it touches (classic
+    /// `clEnqueue*`).
+    Device,
+    /// Only these events (an OpenCL event wait list; empty waits for
+    /// nothing).
+    After(&'a [Event]),
+}
+
+/// One command as the scheduler sees it.
+pub(crate) struct Command<'a> {
+    pub(crate) device: &'a Device,
+    /// The second device a cross-device copy occupies (on the same engine).
+    pub(crate) peer: Option<&'a Device>,
+    /// The engine the command occupies; `None` (the marker) occupies none,
+    /// is zero-width, and is recorded on the compute lane.
+    pub(crate) engine: Option<EngineKind>,
+    /// The in-order stream's tail clock and id; platform copies have none.
+    pub(crate) stream: Option<(&'a VirtualClock, u64)>,
+    pub(crate) kind: EventKind,
+    pub(crate) duration_s: f64,
+    pub(crate) order: Order<'a>,
+    pub(crate) launch: Option<LaunchStats>,
+    pub(crate) reads: Vec<AccessRange>,
+    pub(crate) writes: Vec<AccessRange>,
+    pub(crate) label: &'a str,
+}
+
+/// Time and record one command: the one place a device engine advances.
+///
+/// The command starts at the latest of the host clock at enqueue, the end
+/// of every event it waits for, and its stream's tail; a device-ordered
+/// command also waits for both engines of every device it touches, an
+/// event-ordered one only for its peer's engine. A device-ordered
+/// cross-device copy moves the whole peer device forward to its end, an
+/// event-ordered one only the peer's engine. Every command takes one
+/// `seq`; when a record sink is active its records (two, sharing the
+/// `seq`, for a cross-device copy — only the first carries deps and
+/// accesses) go out as one group.
+pub(crate) fn schedule(shared: &PlatformShared, cmd: Command<'_>) -> Event {
+    let (device_ordered, deps): (bool, &[Event]) = match cmd.order {
+        Order::Device => (true, &[]),
+        Order::After(deps) => (false, deps),
+    };
+    let enqueue_host_s = shared.host_clock.now_s();
+    // Dependency-ready: the latest end among the events waited for (the
+    // epoch when there are none).
+    let deps_ready_s = deps.iter().map(|e| e.end_s).fold(0.0, f64::max);
+    let mut not_before = enqueue_host_s.max(deps_ready_s);
+    if let Some((tail, _)) = cmd.stream {
+        not_before = not_before.max(tail.now_s());
+    }
+    if device_ordered {
+        not_before = not_before.max(cmd.device.clock().now_s());
+    }
+    let engine = cmd.engine.unwrap_or(EngineKind::Compute);
+    if let Some(peer) = cmd.peer {
+        not_before = not_before.max(if device_ordered {
+            peer.clock().now_s()
+        } else {
+            peer.clock().engine(engine).now_s()
+        });
+    }
+    let (start_s, end_s) = match cmd.engine {
+        Some(e) => cmd
+            .device
+            .clock()
+            .engine(e)
+            .advance_from(not_before, cmd.duration_s),
+        None => (not_before, not_before),
+    };
+    if let Some((tail, _)) = cmd.stream {
+        tail.sync_to(end_s);
+    }
+    if let Some(peer) = cmd.peer {
+        if device_ordered {
+            peer.clock().sync_to(end_s);
+        } else {
+            peer.clock().engine(engine).sync_to(end_s);
+        }
+    }
+    let seq = shared.stats.next_seq();
+    if shared.stats.sink_active() {
+        let mut base = CommandRecord::interval(cmd.device.id(), engine, start_s, end_s)
+            .with_seq(seq)
+            .with_kind(CmdKind::from_event(cmd.kind))
+            .at_enqueue(enqueue_host_s)
+            .with_host_sync(shared.stats.host_synced_s())
+            .with_label(cmd.label);
+        if let Some((_, id)) = cmd.stream {
+            base = base.on_stream(id);
+        }
+        if !device_ordered {
+            base = base.asynchronous();
+        }
+        let peer_rec = cmd.peer.map(|p| CommandRecord {
+            device: p.id(),
+            ..base.clone()
+        });
+        let mut group = vec![base
+            .with_deps(deps.iter().map(|e| e.seq).collect())
+            .with_reads(cmd.reads)
+            .with_writes(cmd.writes)];
+        group.extend(peer_rec);
+        shared.stats.record_group(&group);
+    }
+    Event {
+        kind: cmd.kind,
+        device: cmd.device.id(),
+        engine,
+        start_s,
+        end_s,
+        seq,
+        launch: cmd.launch,
+    }
 }
 
 /// An in-order command queue ("stream") on one device. Cloning yields a
@@ -134,99 +248,42 @@ impl CommandQueue {
         &self.profile
     }
 
-    /// Schedule one command on `engine`. `conservative` commands are
-    /// device-serializing (they wait for both engines — the legacy
-    /// single-clock rule); async commands wait only for their stream, their
-    /// `deps`, their engine, and the enqueue time. `reads`/`writes` name the
-    /// device-memory ranges the command touches; they reach the timeline
-    /// trace (and any online checker) when a record sink is active.
-    #[allow(clippy::too_many_arguments)]
-    fn schedule(
-        &self,
-        engine: EngineKind,
+    /// A command on this stream with no launch stats and no accesses; the
+    /// entry points fill in the rest.
+    fn command<'a>(
+        &'a self,
+        engine: Option<EngineKind>,
         kind: EventKind,
         duration_s: f64,
-        deps: &[Event],
-        conservative: bool,
-        launch: Option<LaunchStats>,
-        reads: Vec<AccessRange>,
-        writes: Vec<AccessRange>,
-        label: &str,
-    ) -> Event {
-        let enqueue_host_s = self.shared.host_clock.now_s();
-        let mut not_before = enqueue_host_s
-            .max(deps_ready_s(deps))
-            .max(self.tail.now_s());
-        if conservative {
-            not_before = not_before.max(self.device.clock().now_s());
-        }
-        let (start_s, end_s) = self
-            .device
-            .clock()
-            .engine(engine)
-            .advance_from(not_before, duration_s);
-        self.tail.sync_to(end_s);
-        let seq = self.shared.stats.next_seq();
-        if self.shared.stats.sink_active() {
-            let mut rec = CommandRecord::interval(self.device.id(), engine, start_s, end_s)
-                .with_seq(seq)
-                .on_stream(self.stream_id)
-                .with_kind(CmdKind::from_event(kind))
-                .with_deps(deps.iter().map(|e| e.seq).collect())
-                .with_reads(reads)
-                .with_writes(writes)
-                .at_enqueue(enqueue_host_s)
-                .with_host_sync(self.shared.stats.host_synced_s())
-                .with_label(label);
-            if !conservative {
-                rec = rec.asynchronous();
-            }
-            self.shared.stats.record_group(std::slice::from_ref(&rec));
-        }
-        Event {
-            kind,
-            device: self.device.id(),
+        order: Order<'a>,
+        label: &'a str,
+    ) -> Command<'a> {
+        Command {
+            device: &self.device,
+            peer: None,
             engine,
-            start_s,
-            end_s,
-            seq,
-            launch,
+            stream: Some((&self.tail, self.stream_id)),
+            kind,
+            duration_s,
+            order,
+            launch: None,
+            reads: Vec::new(),
+            writes: Vec::new(),
+            label,
         }
     }
 
     /// A zero-duration join point over everything already scheduled on this
-    /// device (`clEnqueueMarker` semantics): later async commands that pass
-    /// the marker in `wait_for` are ordered after every command — on any
-    /// stream, either engine — enqueued before it.
+    /// device (`clEnqueueMarker` semantics): later commands that wait for
+    /// the marker are ordered after every command — on any stream, either
+    /// engine — enqueued before it. It occupies no engine; the trace
+    /// records it as a serializing zero-width record, which the hazard
+    /// detector treats as a join over the device.
     pub fn enqueue_marker(&self) -> Event {
-        let enqueue_host_s = self.shared.host_clock.now_s();
-        let t = enqueue_host_s
-            .max(self.device.clock().now_s())
-            .max(self.tail.now_s());
-        self.tail.sync_to(t);
-        let seq = self.shared.stats.next_seq();
-        if self.shared.stats.sink_active() {
-            // Markers are recorded as serializing zero-width records: the
-            // hazard detector treats them as a join over everything already
-            // scheduled on the device, matching their `wait_for` semantics.
-            let rec = CommandRecord::interval(self.device.id(), EngineKind::Compute, t, t)
-                .with_seq(seq)
-                .on_stream(self.stream_id)
-                .with_kind(CmdKind::Marker)
-                .at_enqueue(enqueue_host_s)
-                .with_host_sync(self.shared.stats.host_synced_s())
-                .with_label("marker");
-            self.shared.stats.record_group(std::slice::from_ref(&rec));
-        }
-        Event {
-            kind: EventKind::Marker,
-            device: self.device.id(),
-            engine: EngineKind::Compute,
-            start_s: t,
-            end_s: t,
-            seq,
-            launch: None,
-        }
+        schedule(
+            &self.shared,
+            self.command(None, EventKind::Marker, 0.0, Order::Device, "marker"),
+        )
     }
 
     fn check_device<T: Scalar>(&self, buf: &Buffer<T>) -> Result<()> {
@@ -239,98 +296,69 @@ impl CommandQueue {
         Ok(())
     }
 
-    /// Upload a host slice into a device buffer (`clEnqueueWriteBuffer`).
-    pub fn enqueue_write<T: Scalar>(&self, buf: &Buffer<T>, src: &[T]) -> Result<Event> {
-        self.write_impl(buf, None, src, 1, &[], true)
-    }
-
-    /// Async upload on this stream: starts as soon as the stream, the
-    /// `wait_for` events, and the copy engine allow — possibly *under* a
-    /// kernel running on the compute engine.
-    pub fn enqueue_write_async<T: Scalar>(
+    /// Upload a host slice into a device buffer (`clEnqueueWriteBuffer`)
+    /// on the copy engine. `at: None` writes the whole buffer (the lengths
+    /// must match); `Some(o)` writes `[o, o + src.len())`. `concurrent` is
+    /// the number of transfers sharing the host bus at this moment.
+    pub fn enqueue_write<T: Scalar>(
         &self,
         buf: &Buffer<T>,
+        at: Option<usize>,
         src: &[T],
         concurrent: usize,
-        wait_for: &[Event],
-    ) -> Result<Event> {
-        self.write_impl(buf, None, src, concurrent, wait_for, false)
-    }
-
-    /// `offset`: `None` = whole-buffer write (length-checked), `Some(o)` =
-    /// ranged write at element offset `o`.
-    fn write_impl<T: Scalar>(
-        &self,
-        buf: &Buffer<T>,
-        offset: Option<usize>,
-        src: &[T],
-        concurrent: usize,
-        deps: &[Event],
-        conservative: bool,
+        order: Order<'_>,
     ) -> Result<Event> {
         self.check_device(buf)?;
-        match offset {
+        match at {
             None => buf.write_from_host(src)?,
             Some(o) => buf.write_range_from_host(o, src)?,
         }
         let bytes = std::mem::size_of_val(src);
         self.shared.stats.add_h2d(bytes);
         let dur = self.shared.topology.transfer_s(bytes, concurrent.max(1));
-        let lo = (offset.unwrap_or(0) * std::mem::size_of::<T>()) as u64;
+        let lo = (at.unwrap_or(0) * std::mem::size_of::<T>()) as u64;
         let writes = vec![AccessRange::new(buf.id(), lo, lo + bytes as u64)];
-        Ok(self.schedule(
-            EngineKind::Copy,
+        let cmd = self.command(
+            Some(EngineKind::Copy),
             EventKind::WriteBuffer,
             dur,
-            deps,
-            conservative,
-            None,
-            Vec::new(),
-            writes,
+            order,
             "h2d",
-        ))
+        );
+        Ok(schedule(&self.shared, Command { writes, ..cmd }))
     }
 
-    /// Download a device buffer into a host slice (`clEnqueueReadBuffer`,
-    /// blocking): the host clock waits for completion.
-    pub fn enqueue_read<T: Scalar>(&self, buf: &Buffer<T>, dst: &mut [T]) -> Result<Event> {
-        self.read_impl(buf, None, dst, 1, true, &[], true)
-    }
-
-    /// `offset`: `None` = whole-buffer read (length-checked), `Some(o)` =
-    /// ranged read at element offset `o`.
-    #[allow(clippy::too_many_arguments)]
-    fn read_impl<T: Scalar>(
+    /// Download a device buffer into a host slice (`clEnqueueReadBuffer`)
+    /// on the copy engine; `at` and `concurrent` as for
+    /// [`CommandQueue::enqueue_write`]. A `blocking` read makes the host
+    /// clock wait for its completion.
+    pub fn enqueue_read<T: Scalar>(
         &self,
         buf: &Buffer<T>,
-        offset: Option<usize>,
+        at: Option<usize>,
         dst: &mut [T],
         concurrent: usize,
         blocking: bool,
-        deps: &[Event],
-        conservative: bool,
+        order: Order<'_>,
     ) -> Result<Event> {
         self.check_device(buf)?;
-        match offset {
+        match at {
             None => buf.read_into_host(dst)?,
             Some(o) => buf.read_range_into_host(o, dst)?,
         }
         let bytes = std::mem::size_of_val(dst);
         self.shared.stats.add_d2h(bytes);
         let dur = self.shared.topology.transfer_s(bytes, concurrent.max(1));
-        let lo = (offset.unwrap_or(0) * std::mem::size_of::<T>()) as u64;
+        let lo = (at.unwrap_or(0) * std::mem::size_of::<T>()) as u64;
         let reads = vec![AccessRange::new(buf.id(), lo, lo + bytes as u64)];
-        let ev = self.schedule(
-            EngineKind::Copy,
+        let cmd = self.command(
+            Some(EngineKind::Copy),
             EventKind::ReadBuffer,
             dur,
-            deps,
-            conservative,
-            None,
-            reads,
-            Vec::new(),
+            order,
             "d2h",
         );
+        let ev = schedule(&self.shared, Command { reads, ..cmd });
         if blocking {
             self.shared.host_clock.sync_to(ev.end_s);
             self.shared.stats.note_host_sync(ev.end_s);
@@ -338,75 +366,21 @@ impl CommandQueue {
         Ok(ev)
     }
 
-    /// Write a host slice into `[offset, offset + src.len())` of a device
-    /// buffer.
-    pub fn enqueue_write_range<T: Scalar>(
-        &self,
-        buf: &Buffer<T>,
-        offset: usize,
-        src: &[T],
-        concurrent: usize,
-    ) -> Result<Event> {
-        self.write_impl(buf, Some(offset), src, concurrent, &[], true)
-    }
-
-    /// Async ranged upload: the streamed-upload primitive (row chunks of a
-    /// matrix part go out back to back on a copy stream while earlier
-    /// chunks' dependent kernels already run on the compute engine).
-    pub fn enqueue_write_range_async<T: Scalar>(
-        &self,
-        buf: &Buffer<T>,
-        offset: usize,
-        src: &[T],
-        concurrent: usize,
-        wait_for: &[Event],
-    ) -> Result<Event> {
-        self.write_impl(buf, Some(offset), src, concurrent, wait_for, false)
-    }
-
-    /// Read a sub-range `[offset, offset + dst.len())` of a device buffer.
-    pub fn enqueue_read_range<T: Scalar>(
-        &self,
-        buf: &Buffer<T>,
-        offset: usize,
-        dst: &mut [T],
-        concurrent: usize,
-        blocking: bool,
-    ) -> Result<Event> {
-        self.read_impl(buf, Some(offset), dst, concurrent, blocking, &[], true)
-    }
-
-    /// Async ranged download (never blocks the host clock); waits for
-    /// `wait_for` before occupying the copy engine.
-    pub fn enqueue_read_range_async<T: Scalar>(
-        &self,
-        buf: &Buffer<T>,
-        offset: usize,
-        dst: &mut [T],
-        concurrent: usize,
-        wait_for: &[Event],
-    ) -> Result<Event> {
-        self.read_impl(buf, Some(offset), dst, concurrent, false, wait_for, false)
-    }
-
-    /// Device-side fill (`clEnqueueFillBuffer`): costs global-memory
-    /// bandwidth but no PCIe traffic.
+    /// Device-side fill (`clEnqueueFillBuffer`), device-ordered: costs
+    /// global-memory bandwidth but no PCIe traffic.
     pub fn enqueue_fill<T: Scalar>(&self, buf: &Buffer<T>, v: T) -> Result<Event> {
         self.check_device(buf)?;
         buf.fill(v);
         let dur = buf.size_bytes() as f64 / self.device.spec().mem_bandwidth_bytes_s;
         let writes = vec![AccessRange::whole(buf.id(), buf.size_bytes())];
-        Ok(self.schedule(
-            EngineKind::Copy,
+        let cmd = self.command(
+            Some(EngineKind::Copy),
             EventKind::FillBuffer,
             dur,
-            &[],
-            true,
-            None,
-            Vec::new(),
-            writes,
+            Order::Device,
             "fill",
-        ))
+        );
+        Ok(schedule(&self.shared, Command { writes, ..cmd }))
     }
 
     /// Build a program into an executable kernel under this queue's driver
@@ -446,34 +420,10 @@ impl CommandQueue {
         Ok((kernel, outcome))
     }
 
-    /// Launch a kernel over an ND-range; real execution happens on host
-    /// threads, the modeled duration advances this device's compute engine.
-    /// Device-serializing: the kernel waits for everything previously
-    /// scheduled on the device (the legacy single-queue rule).
-    pub fn launch(&self, kernel: &CompiledKernel, nd: NDRange) -> Result<Event> {
-        self.launch_impl(kernel, nd, &[], true)
-    }
-
-    /// Async launch on this stream: starts at `max(queue-ready,
-    /// dependency-ready, compute-engine availability, enqueue time)` — so
-    /// transfers on a copy stream that this kernel does not depend on keep
-    /// running underneath it.
-    pub fn launch_async(
-        &self,
-        kernel: &CompiledKernel,
-        nd: NDRange,
-        wait_for: &[Event],
-    ) -> Result<Event> {
-        self.launch_impl(kernel, nd, wait_for, false)
-    }
-
-    fn launch_impl(
-        &self,
-        kernel: &CompiledKernel,
-        nd: NDRange,
-        deps: &[Event],
-        conservative: bool,
-    ) -> Result<Event> {
+    /// Launch a kernel over an ND-range (`clEnqueueNDRangeKernel`); real
+    /// execution happens on host threads, the modeled duration advances
+    /// this device's compute engine.
+    pub fn launch(&self, kernel: &CompiledKernel, nd: NDRange, order: Order<'_>) -> Result<Event> {
         // Track per-buffer access envelopes only when someone will consume
         // them — tracking costs a few branches per element access.
         let track = self.shared.stats.sink_active();
@@ -488,21 +438,27 @@ impl CommandQueue {
         self.shared
             .stats
             .add_kernel(stats.max_cu_cycles, stats.global_bytes, dur);
-        Ok(self.schedule(
-            EngineKind::Compute,
+        let cmd = self.command(
+            Some(EngineKind::Compute),
             EventKind::Kernel,
             dur,
-            deps,
-            conservative,
-            Some(stats),
-            access.reads,
-            access.writes,
+            order,
             &kernel.name,
+        );
+        Ok(schedule(
+            &self.shared,
+            Command {
+                launch: Some(stats),
+                reads: access.reads,
+                writes: access.writes,
+                ..cmd
+            },
         ))
     }
 
-    /// Wait until every command on this queue is done (`clFinish`): the
-    /// host clock catches up with the device timeline.
+    /// `clFinish`, device-wide: the host clock catches up with *everything*
+    /// scheduled on this queue's device — on any stream, either engine —
+    /// not just this stream's commands.
     pub fn finish(&self) {
         let now = self.device.clock().now_s();
         self.shared.host_clock.sync_to(now);
@@ -531,9 +487,11 @@ mod tests {
         let p = platform(1);
         let q = p.queue(0, DriverProfile::opencl());
         let buf = p.device(0).alloc::<f32>(4).unwrap();
-        q.enqueue_write(&buf, &[1.0, 2.0, 3.0, 4.0]).unwrap();
+        q.enqueue_write(&buf, None, &[1.0, 2.0, 3.0, 4.0], 1, Order::Device)
+            .unwrap();
         let mut out = [0.0f32; 4];
-        q.enqueue_read(&buf, &mut out).unwrap();
+        q.enqueue_read(&buf, None, &mut out, 1, true, Order::Device)
+            .unwrap();
         assert_eq!(out, [1.0, 2.0, 3.0, 4.0]);
     }
 
@@ -543,7 +501,7 @@ mod tests {
         let q0 = p.queue(0, DriverProfile::opencl());
         let buf1 = p.device(1).alloc::<f32>(4).unwrap();
         assert!(matches!(
-            q0.enqueue_write(&buf1, &[0.0; 4]),
+            q0.enqueue_write(&buf1, None, &[0.0; 4], 1, Order::Device),
             Err(Error::WrongDevice { .. })
         ));
     }
@@ -555,12 +513,15 @@ mod tests {
         let buf = p.device(0).alloc::<u8>(1 << 20).unwrap();
         let data = vec![7u8; 1 << 20];
         let before = p.device(0).clock().now_s();
-        let ev = q.enqueue_write(&buf, &data).unwrap();
+        let ev = q
+            .enqueue_write(&buf, None, &data, 1, Order::Device)
+            .unwrap();
         assert!(ev.duration_s() > 0.0);
         assert!(p.device(0).clock().now_s() > before);
         // Blocking read syncs the host clock too.
         let mut out = vec![0u8; 1 << 20];
-        q.enqueue_read(&buf, &mut out).unwrap();
+        q.enqueue_read(&buf, None, &mut out, 1, true, Order::Device)
+            .unwrap();
         assert_eq!(p.host_now_s(), p.device(0).clock().now_s());
     }
 
@@ -588,7 +549,9 @@ mod tests {
             })
         };
         let kernel = q.build_kernel(&program, body).unwrap();
-        let ev = q.launch(&kernel, NDRange::linear(100, 32)).unwrap();
+        let ev = q
+            .launch(&kernel, NDRange::linear(100, 32), Order::Device)
+            .unwrap();
         assert!(buf.to_vec().iter().all(|&v| v == 1));
         let stats = ev.launch.unwrap();
         assert_eq!(stats.n_active_items, 100);
@@ -608,14 +571,20 @@ mod tests {
         let k_ocl = ocl.build_kernel(&program, body.clone()).unwrap();
         let k_cuda = cuda.build_kernel(&program, body).unwrap();
         let nd = NDRange::linear(32, 32);
-        let e_ocl = ocl.launch(&k_ocl, nd).unwrap();
-        let e_cuda = cuda.launch(&k_cuda, nd).unwrap();
+        let e_ocl = ocl.launch(&k_ocl, nd, Order::Device).unwrap();
+        let e_cuda = cuda.launch(&k_cuda, nd, Order::Device).unwrap();
         assert!(e_cuda.duration_s() < e_ocl.duration_s());
     }
 
     #[test]
     fn build_charges_the_host_clock_and_counts_stats() {
-        let p = platform(1);
+        // Its own cache directory: clearing the shared one races the
+        // other tests building into it.
+        let p = Platform::new(
+            PlatformConfig::default()
+                .spec(DeviceSpec::tiny())
+                .cache_tag("queue-build-stats"),
+        );
         let q = p.queue(0, DriverProfile::opencl());
         p.compiler().clear_cache().unwrap();
         let program = Program::from_source("k", "__kernel void k() { /* unique-1 */ }");
@@ -638,17 +607,23 @@ mod tests {
         let q = p.queue(0, DriverProfile::opencl());
         let buf = p.device(0).alloc::<u32>(10).unwrap();
         let before = p.stats_snapshot();
-        q.enqueue_write_range(&buf, 3, &[7, 8, 9], 1).unwrap();
+        q.enqueue_write(&buf, Some(3), &[7, 8, 9], 1, Order::Device)
+            .unwrap();
         let mut out = [0u32; 3];
-        q.enqueue_read_range(&buf, 3, &mut out, 1, true).unwrap();
+        q.enqueue_read(&buf, Some(3), &mut out, 1, true, Order::Device)
+            .unwrap();
         assert_eq!(out, [7, 8, 9]);
         assert_eq!(buf.get(2), 0);
         let delta = p.stats_snapshot() - before;
         assert_eq!(delta.h2d_bytes, 12);
         assert_eq!(delta.d2h_bytes, 12);
         // Out-of-range is rejected.
-        assert!(q.enqueue_write_range(&buf, 9, &[1, 2], 1).is_err());
-        assert!(q.enqueue_read_range(&buf, 9, &mut out, 1, true).is_err());
+        assert!(q
+            .enqueue_write(&buf, Some(9), &[1, 2], 1, Order::Device)
+            .is_err());
+        assert!(q
+            .enqueue_read(&buf, Some(9), &mut out, 1, true, Order::Device)
+            .is_err());
     }
 
     #[test]
@@ -657,7 +632,8 @@ mod tests {
         let q = p.queue(0, DriverProfile::opencl());
         let buf = p.device(0).alloc::<u8>(1 << 20).unwrap();
         let mut out = vec![0u8; 1 << 20];
-        q.enqueue_read_range(&buf, 0, &mut out, 1, false).unwrap();
+        q.enqueue_read(&buf, Some(0), &mut out, 1, false, Order::Device)
+            .unwrap();
         assert!(
             p.host_now_s() < p.device(0).clock().now_s(),
             "non-blocking read must leave the host clock behind the device"
@@ -685,9 +661,11 @@ mod tests {
 
         let kernel = nop_kernel(&compute, "overlap");
         let k = compute
-            .launch_async(&kernel, NDRange::linear(1 << 16, 64), &[])
+            .launch(&kernel, NDRange::linear(1 << 16, 64), Order::After(&[]))
             .unwrap();
-        let w = copy.enqueue_write_async(&buf, &data, 1, &[]).unwrap();
+        let w = copy
+            .enqueue_write(&buf, None, &data, 1, Order::After(&[]))
+            .unwrap();
         assert!(
             w.start_s < k.end_s && k.start_s < w.end_s,
             "copy [{}, {}] must run under the kernel [{}, {}]",
@@ -708,10 +686,16 @@ mod tests {
         let buf = p.device(0).alloc::<u8>(1 << 20).unwrap();
         let data = vec![2u8; 1 << 20];
 
-        let w = copy.enqueue_write_async(&buf, &data, 1, &[]).unwrap();
+        let w = copy
+            .enqueue_write(&buf, None, &data, 1, Order::After(&[]))
+            .unwrap();
         let kernel = nop_kernel(&compute, "dep");
         let k = compute
-            .launch_async(&kernel, NDRange::linear(64, 64), std::slice::from_ref(&w))
+            .launch(
+                &kernel,
+                NDRange::linear(64, 64),
+                Order::After(std::slice::from_ref(&w)),
+            )
             .unwrap();
         assert!(
             k.start_s >= w.end_s,
@@ -729,11 +713,13 @@ mod tests {
         let data = vec![3u8; 1 << 20];
         let kernel = nop_kernel(&q, "inorder");
         let k = q
-            .launch_async(&kernel, NDRange::linear(1 << 16, 64), &[])
+            .launch(&kernel, NDRange::linear(1 << 16, 64), Order::After(&[]))
             .unwrap();
         // Same stream: the write may not pass the kernel, despite running
         // on the other engine and having no event dependency.
-        let w = q.enqueue_write_async(&buf, &data, 1, &[]).unwrap();
+        let w = q
+            .enqueue_write(&buf, None, &data, 1, Order::After(&[]))
+            .unwrap();
         assert!(w.start_s >= k.end_s, "in-order queue must not reorder");
     }
 
@@ -744,8 +730,12 @@ mod tests {
         let b = p.queue(0, DriverProfile::opencl());
         let buf = p.device(0).alloc::<u8>(1 << 20).unwrap();
         let data = vec![4u8; 1 << 20];
-        let w1 = a.enqueue_write_async(&buf, &data, 1, &[]).unwrap();
-        let w2 = b.enqueue_write_async(&buf, &data, 1, &[]).unwrap();
+        let w1 = a
+            .enqueue_write(&buf, None, &data, 1, Order::After(&[]))
+            .unwrap();
+        let w2 = b
+            .enqueue_write(&buf, None, &data, 1, Order::After(&[]))
+            .unwrap();
         assert!(
             w2.start_s >= w1.end_s,
             "two transfers share one copy engine"
@@ -761,9 +751,11 @@ mod tests {
         let data = vec![5u8; 1 << 20];
         let kernel = nop_kernel(&compute, "marker");
         let k = compute
-            .launch_async(&kernel, NDRange::linear(1 << 16, 64), &[])
+            .launch(&kernel, NDRange::linear(1 << 16, 64), Order::After(&[]))
             .unwrap();
-        let w = copy.enqueue_write_async(&buf, &data, 1, &[]).unwrap();
+        let w = copy
+            .enqueue_write(&buf, None, &data, 1, Order::After(&[]))
+            .unwrap();
         let m = copy.enqueue_marker();
         assert_eq!(m.kind, EventKind::Marker);
         assert_eq!(m.duration_s(), 0.0);
@@ -779,11 +771,13 @@ mod tests {
         let data = vec![6u8; 1 << 20];
         let kernel = nop_kernel(&compute, "legacy");
         let k = compute
-            .launch_async(&kernel, NDRange::linear(1 << 16, 64), &[])
+            .launch(&kernel, NDRange::linear(1 << 16, 64), Order::After(&[]))
             .unwrap();
         // A device-serializing write waits for the in-flight kernel even
         // though the copy engine itself is idle.
-        let w = copy.enqueue_write(&buf, &data).unwrap();
+        let w = copy
+            .enqueue_write(&buf, None, &data, 1, Order::Device)
+            .unwrap();
         assert!(w.start_s >= k.end_s, "legacy commands keep the old rule");
     }
 
@@ -792,11 +786,14 @@ mod tests {
         let p = platform(1);
         let q = p.queue(0, DriverProfile::opencl());
         let buf = p.device(0).alloc::<u8>(1 << 20).unwrap();
-        q.enqueue_write(&buf, &vec![7u8; 1 << 20]).unwrap();
+        q.enqueue_write(&buf, None, &vec![7u8; 1 << 20], 1, Order::Device)
+            .unwrap();
         p.reset_clocks();
         // A fresh command must start at the epoch again — including the
         // queue's own in-order tail, not just the engine clocks.
-        let w = q.enqueue_write(&buf, &vec![8u8; 1 << 20]).unwrap();
+        let w = q
+            .enqueue_write(&buf, None, &vec![8u8; 1 << 20], 1, Order::Device)
+            .unwrap();
         assert_eq!(w.start_s, 0.0);
     }
 
@@ -806,9 +803,11 @@ mod tests {
         p.enable_timeline_trace();
         let q = p.queue(0, DriverProfile::opencl());
         let buf = p.device(0).alloc::<u8>(1024).unwrap();
-        q.enqueue_write(&buf, &vec![9u8; 1024]).unwrap();
+        q.enqueue_write(&buf, None, &vec![9u8; 1024], 1, Order::Device)
+            .unwrap();
         let kernel = nop_kernel(&q, "trace");
-        q.launch(&kernel, NDRange::linear(64, 64)).unwrap();
+        q.launch(&kernel, NDRange::linear(64, 64), Order::Device)
+            .unwrap();
         let trace = p.take_timeline_trace();
         assert_eq!(trace.len(), 2);
         assert_eq!(trace[0].engine, EngineKind::Copy);

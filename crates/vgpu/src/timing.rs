@@ -19,7 +19,10 @@
 //!
 //! so a D2H/H2D transfer can genuinely run *under* a kernel when their
 //! stream and event dependencies allow it, while two kernels (or two
-//! transfers) on the same device always serialize on their engine.
+//! transfers) on the same device always serialize on their engine. A
+//! device-ordered command ([`crate::Order::Device`]) additionally waits for
+//! both engines of every device it touches; `crate::queue`'s one scheduler
+//! applies the rule to every command.
 //!
 //! ## Where the constants come from
 //!
@@ -52,13 +55,6 @@ pub enum EngineKind {
     Compute,
     /// Host↔device and device↔device transfers (the DMA engine).
     Copy,
-}
-
-/// The latest completion time of a set of prerequisite timestamps — the
-/// "dependency-ready" term of the scheduling rule. An empty set is ready at
-/// the epoch.
-pub fn ready_s(deps: impl IntoIterator<Item = f64>) -> f64 {
-    deps.into_iter().fold(0.0, f64::max)
 }
 
 /// Extra cycles charged per local-memory bank conflict (serialised access).

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use vgpu::{
     local::{conflict_free_index, BankModel},
     timing::VirtualClock,
-    DeviceSpec, DriverProfile, KernelBody, NDRange, Platform, PlatformConfig, WorkGroup,
+    DeviceSpec, DriverProfile, KernelBody, NDRange, Order, Platform, PlatformConfig, WorkGroup,
 };
 
 fn platform(n: usize) -> Platform {
@@ -43,7 +43,9 @@ proptest! {
             })
         };
         let kernel = queue.build_kernel(&program, body).unwrap();
-        queue.launch(&kernel, NDRange::linear(global, local)).unwrap();
+        queue
+            .launch(&kernel, NDRange::linear(global, local), Order::Device)
+            .unwrap();
         prop_assert!(buf.to_vec().iter().all(|&v| v == 1));
     }
 
@@ -167,9 +169,13 @@ proptest! {
         let kernel = queue.build_kernel(&program, body).unwrap();
 
         std::env::set_var("VGPU_THREADS", "1");
-        let a = queue.launch(&kernel, NDRange::linear(n, 64)).unwrap();
+        let a = queue
+            .launch(&kernel, NDRange::linear(n, 64), Order::Device)
+            .unwrap();
         std::env::set_var("VGPU_THREADS", "5");
-        let b = queue.launch(&kernel, NDRange::linear(n, 64)).unwrap();
+        let b = queue
+            .launch(&kernel, NDRange::linear(n, 64), Order::Device)
+            .unwrap();
         std::env::remove_var("VGPU_THREADS");
         let (sa, sb) = (a.launch.unwrap(), b.launch.unwrap());
         prop_assert_eq!(sa.duration_s, sb.duration_s);

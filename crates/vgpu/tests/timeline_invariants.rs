@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use vgpu::{
     verify_engine_exclusive, CommandRecord, DeviceSpec, DriverProfile, EngineKind, KernelBody,
-    NDRange, Platform, PlatformConfig, Program, WorkGroup,
+    NDRange, Order, Platform, PlatformConfig, Program, WorkGroup,
 };
 
 fn platform(n: usize) -> Platform {
@@ -54,23 +54,47 @@ fn async_mix_never_double_books_an_engine() {
     let host = vec![1.0f32; 1 << 16];
 
     // A tangle of async and legacy commands across both devices.
-    let wa = copy0.enqueue_write_async(&a, &host, 1, &[]).unwrap();
-    let ka = q0
-        .launch_async(&k0, NDRange::linear(1 << 10, 64), std::slice::from_ref(&wa))
+    let wa = copy0
+        .enqueue_write(&a, None, &host, 1, Order::After(&[]))
         .unwrap();
-    let wb = copy1.enqueue_write_async(&b, &host, 1, &[]).unwrap();
+    let ka = q0
+        .launch(
+            &k0,
+            NDRange::linear(1 << 10, 64),
+            Order::After(std::slice::from_ref(&wa)),
+        )
+        .unwrap();
+    let wb = copy1
+        .enqueue_write(&b, None, &host, 1, Order::After(&[]))
+        .unwrap();
     let kb = q1
-        .launch_async(&k1, NDRange::linear(1 << 10, 64), &[wb])
+        .launch(&k1, NDRange::linear(1 << 10, 64), Order::After(&[wb]))
         .unwrap();
     let cab = p
-        .platform_copy_async(&a, &b, &[ka.clone(), kb.clone()])
+        .copy(
+            &a,
+            0,
+            &b,
+            0,
+            a.len(),
+            1,
+            Order::After(&[ka.clone(), kb.clone()]),
+        )
         .unwrap();
-    q0.enqueue_write(&a, &host).unwrap(); // legacy, device-serializing
+    q0.enqueue_write(&a, None, &host, 1, Order::Device).unwrap(); // legacy, device-serializing
     let mut out = vec![0.0f32; 1 << 16];
     copy1
-        .enqueue_read_range_async(&b, 0, &mut out, 1, std::slice::from_ref(&cab))
+        .enqueue_read(
+            &b,
+            Some(0),
+            &mut out,
+            1,
+            false,
+            Order::After(std::slice::from_ref(&cab)),
+        )
         .unwrap();
-    q1.launch(&k1, NDRange::linear(1 << 10, 64)).unwrap();
+    q1.launch(&k1, NDRange::linear(1 << 10, 64), Order::Device)
+        .unwrap();
     q0.finish();
     q1.finish();
 
@@ -92,11 +116,15 @@ fn legacy_discipline_is_fully_serial_per_device() {
 
     let mut last_end = 0.0f64;
     let evs = [
-        q.enqueue_write(&buf, &host).unwrap(),
-        q.launch(&k, NDRange::linear(1 << 10, 64)).unwrap(),
+        q.enqueue_write(&buf, None, &host, 1, Order::Device)
+            .unwrap(),
+        q.launch(&k, NDRange::linear(1 << 10, 64), Order::Device)
+            .unwrap(),
         q.enqueue_fill(&buf, 0.5).unwrap(),
-        q.launch(&k, NDRange::linear(1 << 10, 64)).unwrap(),
-        q.enqueue_read(&buf, &mut out).unwrap(),
+        q.launch(&k, NDRange::linear(1 << 10, 64), Order::Device)
+            .unwrap(),
+        q.enqueue_read(&buf, None, &mut out, 1, true, Order::Device)
+            .unwrap(),
     ];
     for ev in evs {
         assert!(
@@ -115,7 +143,7 @@ fn async_d2d_occupies_both_copy_engines() {
     p.enable_timeline_trace();
     let a = p.device(0).alloc::<f32>(1 << 14).unwrap();
     let b = p.device(1).alloc::<f32>(1 << 14).unwrap();
-    let ev = p.platform_copy_async(&a, &b, &[]).unwrap();
+    let ev = p.copy(&a, 0, &b, 0, a.len(), 1, Order::After(&[])).unwrap();
     let trace = p.take_timeline_trace();
     // One record per device copy engine, both spanning the same interval.
     assert_eq!(trace.len(), 2);
@@ -136,37 +164,20 @@ fn copies_overlap_kernels_only_when_async() {
     let host = vec![3u8; 1 << 20];
 
     let kernel_ev = q
-        .launch_async(&k, NDRange::linear(1 << 12, 64), &[])
+        .launch(&k, NDRange::linear(1 << 12, 64), Order::After(&[]))
         .unwrap();
-    let async_copy = copy.enqueue_write_async(&buf, &host, 1, &[]).unwrap();
+    let async_copy = copy
+        .enqueue_write(&buf, None, &host, 1, Order::After(&[]))
+        .unwrap();
     assert!(
         async_copy.start_s < kernel_ev.end_s,
         "async copy must slide under the kernel"
     );
-    let legacy_copy = copy.enqueue_write(&buf, &host).unwrap();
+    let legacy_copy = copy
+        .enqueue_write(&buf, None, &host, 1, Order::Device)
+        .unwrap();
     assert!(
         legacy_copy.start_s >= kernel_ev.end_s,
         "legacy copy must wait for the kernel"
     );
-}
-
-/// Helper so the tests read naturally: an async whole-buffer d2d copy.
-trait PlatformCopyAsync {
-    fn platform_copy_async(
-        &self,
-        src: &vgpu::Buffer<f32>,
-        dst: &vgpu::Buffer<f32>,
-        wait_for: &[vgpu::Event],
-    ) -> vgpu::Result<vgpu::Event>;
-}
-
-impl PlatformCopyAsync for Platform {
-    fn platform_copy_async(
-        &self,
-        src: &vgpu::Buffer<f32>,
-        dst: &vgpu::Buffer<f32>,
-        wait_for: &[vgpu::Event],
-    ) -> vgpu::Result<vgpu::Event> {
-        self.copy_d2d_range_async(src, 0, dst, 0, src.len(), 1, wait_for)
-    }
 }

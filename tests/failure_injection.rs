@@ -3,7 +3,7 @@
 //! device-memory exhaustion must roll back cleanly.
 
 use skelcl::{Context, ContextConfig, Distribution, Map, Reduce, Vector, Zip};
-use vgpu::{DeviceSpec, Platform, PlatformConfig};
+use vgpu::{DeviceSpec, Order, Platform, PlatformConfig};
 
 /// A device so small that realistic vectors exhaust its memory.
 fn cramped_spec() -> DeviceSpec {
@@ -150,10 +150,10 @@ fn launch_validation_rejects_oversized_work_groups() {
     let body: vgpu::KernelBody = std::sync::Arc::new(|_wg: &vgpu::WorkGroup| {});
     let kernel = queue.build_kernel(&program, body).unwrap();
     let too_big = vgpu::NDRange::linear(1024, platform.device(0).spec().max_work_group + 1);
-    assert!(queue.launch(&kernel, too_big).is_err());
+    assert!(queue.launch(&kernel, too_big, Order::Device).is_err());
     // Valid launch still succeeds afterwards.
     assert!(queue
-        .launch(&kernel, vgpu::NDRange::linear(128, 64))
+        .launch(&kernel, vgpu::NDRange::linear(128, 64), Order::Device)
         .is_ok());
 }
 
@@ -168,7 +168,11 @@ fn cross_device_buffer_use_is_rejected() {
     let q0 = platform.queue(0, vgpu::DriverProfile::opencl());
     let buf1 = platform.device(1).alloc::<f32>(16).unwrap();
     let mut out = vec![0.0f32; 16];
-    assert!(q0.enqueue_read(&buf1, &mut out).is_err());
-    assert!(q0.enqueue_write(&buf1, &out).is_err());
+    assert!(q0
+        .enqueue_read(&buf1, None, &mut out, 1, true, Order::Device)
+        .is_err());
+    assert!(q0
+        .enqueue_write(&buf1, None, &out, 1, Order::Device)
+        .is_err());
     assert!(q0.enqueue_fill(&buf1, 0.0).is_err());
 }
