@@ -7,8 +7,9 @@
 //! cargo run --release -p skelcl-bench --bin figures -- dot | cache | lazy | overhead
 //! ```
 //!
-//! Virtual (modeled) seconds are reported; see DESIGN.md section 2 for why
-//! absolute values differ from the paper's wall-clock numbers while the
+//! Virtual (modeled) seconds are reported; the `vgpu::timing` module docs
+//! describe the machine model and where its constants come from, which is
+//! why absolute values differ from the paper's wall-clock numbers while the
 //! comparative shapes are expected to match.
 
 use skelcl_bench::*;

@@ -952,12 +952,12 @@ fn owner_of_cell<T: Scalar>(
 
 /// One device-to-device copy of a redistribution or halo exchange: `len`
 /// elements of `src` from element `src_off` into `dst` at `dst_off`.
-struct PartCopy<'a, T: Scalar> {
-    src: &'a MatrixPart<T>,
-    dst: &'a MatrixPart<T>,
-    src_off: usize,
-    dst_off: usize,
-    len: usize,
+pub(crate) struct PartCopy<'a, T: Scalar> {
+    pub src: &'a MatrixPart<T>,
+    pub dst: &'a MatrixPart<T>,
+    pub src_off: usize,
+    pub dst_off: usize,
+    pub len: usize,
 }
 
 impl<T: Scalar> PartCopy<'_, T> {
@@ -978,6 +978,95 @@ impl<T: Scalar> PartCopy<'_, T> {
             order,
         )?)
     }
+}
+
+/// The bus-contention figure every cross-device copy of a batch is priced
+/// at: the most of them that can be in flight at once. Each holds the copy
+/// engines of two devices, so that is `⌊devices touched / 2⌋`, and never
+/// more than there are copies.
+fn bus_contention<'c, 'p: 'c, T: Scalar>(
+    copies: impl IntoIterator<Item = &'c PartCopy<'p, T>>,
+) -> usize {
+    let mut touched = Vec::new();
+    let mut cross = 0;
+    for c in copies.into_iter().filter(|c| c.crosses_devices()) {
+        cross += 1;
+        for d in [c.src.device, c.dst.device] {
+            if !touched.contains(&d) {
+                touched.push(d);
+            }
+        }
+    }
+    cross.min(touched.len() / 2).max(1)
+}
+
+/// The cross-device copies of `copies`, by index, grouped first fit into
+/// rounds in which no device appears twice.
+fn copy_rounds<T: Scalar>(copies: &[PartCopy<'_, T>], n_devices: usize) -> Vec<Vec<usize>> {
+    // Per round, the devices it holds and the copies it runs.
+    let mut rounds: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
+    // No round before `first_free[d]` has device `d` free.
+    let mut first_free = vec![0; n_devices];
+    for (i, c) in copies.iter().enumerate() {
+        if !c.crosses_devices() {
+            continue;
+        }
+        let pair = [c.src.device, c.dst.device];
+        let mut r = first_free[pair[0]].max(first_free[pair[1]]);
+        while r < rounds.len() && pair.iter().any(|d| rounds[r].0.contains(d)) {
+            r += 1;
+        }
+        if r == rounds.len() {
+            rounds.push((Vec::new(), Vec::new()));
+        }
+        rounds[r].0.extend(pair);
+        rounds[r].1.push(i);
+        for d in pair {
+            while first_free[d] < rounds.len() && rounds[first_free[d]].0.contains(&d) {
+                first_free[d] += 1;
+            }
+        }
+    }
+    rounds.into_iter().map(|(_, members)| members).collect()
+}
+
+/// Issue one batch of redistribution copies and return their events in
+/// batch order. Every device the batch touches is joined once with a
+/// marker, and each copy waits only for the markers of its devices.
+/// Same-device copies go first. The cross-device copies follow in rounds
+/// in which no device appears twice ([`copy_rounds`]), so the copies of
+/// one round run at the same time on disjoint pairs of copy engines, each
+/// priced at [`bus_contention`]. The caller joins the devices afterwards
+/// (or orders its consumers after the returned events).
+pub(crate) fn issue_copies<T: Scalar>(
+    ctx: &Context,
+    copies: &[PartCopy<'_, T>],
+) -> Result<Vec<Event>> {
+    let mut markers: Vec<Option<Event>> = vec![None; ctx.n_devices()];
+    for c in copies {
+        for d in [c.src.device, c.dst.device] {
+            markers[d].get_or_insert_with(|| ctx.copy_queue(d).enqueue_marker());
+        }
+    }
+    let marker = |d: usize| markers[d].clone().expect("touched devices are marked");
+    let concurrent = bus_contention(copies);
+    let mut events: Vec<Option<Event>> = vec![None; copies.len()];
+    for (i, c) in copies.iter().enumerate() {
+        if !c.crosses_devices() {
+            events[i] = Some(c.issue(ctx, concurrent, Order::After(&[marker(c.src.device)]))?);
+        }
+    }
+    for round in copy_rounds(copies, ctx.n_devices()) {
+        for i in round {
+            let c = &copies[i];
+            let deps = [marker(c.src.device), marker(c.dst.device)];
+            events[i] = Some(c.issue(ctx, concurrent, Order::After(&deps))?);
+        }
+    }
+    Ok(events
+        .into_iter()
+        .map(|e| e.expect("every copy is issued"))
+        .collect())
 }
 
 /// The copies filling a run of global rows of `dst` from their owners:
@@ -1113,9 +1202,8 @@ fn exchange_part_halos_impl<T: Scalar>(
     span.attr("shape", format!("{n_rows}x{cols}"));
     span.attr("overlapped", deps_by_device.is_some().to_string());
     span.attr("devices", ctx.n_devices().to_string());
-    // Every halo row crosses a device boundary (its owner is a neighbour),
-    // so the batch size is roughly two transfers per part.
-    let concurrent = (2 * parts.len()).min(2 * ctx.n_devices()).max(1);
+    // The copies with the index of the part whose halo each one fills.
+    let mut copies = Vec::new();
     let mut exchanged = false;
     for (i, p) in parts.iter().enumerate() {
         if p.rows == 0 {
@@ -1132,23 +1220,27 @@ fn exchange_part_halos_impl<T: Scalar>(
                 }
                 exchanged = true;
                 for copy in row_run_copies(parts, p, run, cols) {
-                    match deps_by_device {
-                        None => {
-                            copy.issue(ctx, concurrent, Order::Device)?;
-                        }
-                        Some(deps_by_device) => {
-                            // Wait for the producers on the source *and*
-                            // destination devices: the destination's events
-                            // also fence the write-after-read hazard against
-                            // the previous round's readers of the halo region.
-                            let mut deps = deps_by_device[copy.src.device].clone();
-                            if copy.crosses_devices() {
-                                deps.extend_from_slice(&deps_by_device[p.device]);
-                            }
-                            events[i].push(copy.issue(ctx, concurrent, Order::After(&deps))?);
-                        }
-                    }
+                    copies.push((i, copy));
                 }
+            }
+        }
+    }
+    let concurrent = bus_contention(copies.iter().map(|(_, c)| c));
+    for (i, copy) in &copies {
+        match deps_by_device {
+            None => {
+                copy.issue(ctx, concurrent, Order::Device)?;
+            }
+            Some(deps_by_device) => {
+                // Wait for the producers on the source *and* destination
+                // devices: the destination's events also fence the
+                // write-after-read hazard against the previous round's
+                // readers of the halo region.
+                let mut deps = deps_by_device[copy.src.device].clone();
+                if copy.crosses_devices() {
+                    deps.extend_from_slice(&deps_by_device[copy.dst.device]);
+                }
+                events[*i].push(copy.issue(ctx, concurrent, Order::After(&deps))?);
             }
         }
     }
@@ -1213,10 +1305,9 @@ fn redistribute<T: Scalar>(
     Ok(())
 }
 
-/// Fill the new parts' owned regions *and* halo rows from the old owners.
-/// Bus contention is estimated from the copies that actually cross
-/// devices: each destination receives its copies one after another, so at
-/// most one per device is in flight at any instant.
+/// Fill the new parts' owned regions *and* halo rows from the old owners,
+/// as one batch of [`issue_copies`]: the cross-device copies run in
+/// parallel rounds on disjoint pairs of devices.
 fn copy_from_owners<T: Scalar>(
     ctx: &Context,
     old: &[MatrixPart<T>],
@@ -1239,12 +1330,7 @@ fn copy_from_owners<T: Scalar>(
             }
         }
     }
-    let cross = copies.iter().filter(|c| c.crosses_devices()).count();
-    let concurrent = cross.min(ctx.n_devices()).max(1);
-    for copy in &copies {
-        copy.issue(ctx, concurrent, Order::Device)?;
-    }
-    Ok(())
+    issue_copies(ctx, &copies).map(drop)
 }
 
 #[cfg(test)]

@@ -25,7 +25,9 @@
 use crate::codegen::{self, UserFn};
 use crate::context::Context;
 use crate::error::{Error, Result};
-use crate::matrix::{Matrix, MatrixDistribution, MatrixPart, PartsWithChunks};
+use crate::matrix::{
+    issue_copies, Matrix, MatrixDistribution, MatrixPart, PartCopy, PartsWithChunks,
+};
 use crate::meter;
 use crate::trace::SpanGuard;
 use parking_lot::MappedMutexGuard;
@@ -285,6 +287,14 @@ impl<T: Scalar> Vector<T> {
 /// Fill `targets` from the diverged per-device `Copy` parts `copies`,
 /// combining every device's copy of each target range element-wise (the
 /// OSEM error-image merge).
+///
+/// Each target is seeded with its own device's copy; every other device's
+/// copy of the range (its *partial*) lands in a temporary on the target's
+/// device. All of these copies go out as one [`issue_copies`] batch, so
+/// the partials of different targets cross the bus in parallel rounds and
+/// arrive in any order. The combines still fold in a fixed order, the
+/// device's own copy first and then the other devices ascending: each
+/// waits for the previous step of its target and for its partial's copy.
 fn merge_copy_to<T: Scalar, F>(
     ctx: &Context,
     copies: &[MatrixPart<T>],
@@ -294,10 +304,6 @@ fn merge_copy_to<T: Scalar, F>(
 where
     F: Fn(T, T) -> T + Send + Sync + Clone + 'static,
 {
-    // Each destination folds its sources sequentially; ~n_devices
-    // transfers are in flight at once.
-    let cross = ctx.n_devices().max(1);
-
     let program = codegen::zip_program(
         combine.name(),
         combine.source(),
@@ -309,34 +315,50 @@ where
     let compiled = ctx.get_or_build(&program)?;
     let static_ops = combine.static_ops();
 
-    for np in targets {
-        if np.rows == 0 {
-            continue;
-        }
-        // Seed with the destination device's own copy (device-local).
+    let targets: Vec<&MatrixPart<T>> = targets.iter().filter(|np| np.rows > 0).collect();
+    // Per target: its own device's copy, then the other devices' copies
+    // with the temporaries receiving them, in fold order.
+    let mut folds = Vec::with_capacity(targets.len());
+    for np in &targets {
         let own = copies
             .iter()
             .find(|p| p.device == np.device)
             .ok_or_else(|| Error::NotOnDevice("copy distribution missing a device".into()))?;
-        ctx.platform()
-            .copy_on_device(&own.buffer, np.row_offset, &np.buffer, 0, np.rows)?;
-
-        // Fold in every other device's copy of this range.
+        let mut partials = Vec::with_capacity(copies.len());
         for op in copies.iter().filter(|p| p.device != np.device) {
             let tmp = ctx.device(np.device).alloc::<T>(np.rows)?;
-            ctx.platform().copy(
-                &op.buffer,
-                np.row_offset,
-                &tmp,
-                0,
-                np.rows,
-                cross,
-                Order::Device,
-            )?;
+            partials.push((
+                op,
+                MatrixPart::column(np.device, np.row_offset, np.rows, tmp),
+            ));
+        }
+        folds.push((own, partials));
+    }
+    let range_copy = |src, dst, np: &MatrixPart<T>| PartCopy {
+        src,
+        dst,
+        src_off: np.row_offset,
+        dst_off: 0,
+        len: np.rows,
+    };
+    let mut batch = Vec::new();
+    for (np, (own, partials)) in targets.iter().zip(&folds) {
+        batch.push(range_copy(own, np, np));
+        for (op, tmp) in partials {
+            batch.push(range_copy(op, tmp, np));
+        }
+    }
+    let mut copied = issue_copies(ctx, &batch)?.into_iter();
+    drop(batch);
 
+    for (np, (_, partials)) in targets.into_iter().zip(folds) {
+        let mut last = copied.next().expect("one seed copy per target");
+        // Each temporary is freed after its combine launch.
+        for (_, tmp) in partials {
+            let partial = copied.next().expect("one copy per partial");
             let f = combine.func().clone();
             let dst = np.buffer.clone();
-            let src = tmp.clone();
+            let src = tmp.buffer;
             let body: KernelBody = Arc::new(move |wg| {
                 wg.for_each_item(|it| {
                     if !it.in_bounds() {
@@ -351,10 +373,10 @@ where
                 });
             });
             let kernel = compiled.with_body(body);
-            ctx.queue(np.device).launch(
+            last = ctx.queue(np.device).launch(
                 &kernel,
                 NDRange::linear(np.rows, ctx.work_group().min(np.rows)),
-                Order::Device,
+                Order::After(&[last, partial]),
             )?;
         }
     }
@@ -581,6 +603,167 @@ mod tests {
         );
         v.set_distribution_with(Distribution::Block, &add).unwrap();
         assert_eq!(v.to_vec().unwrap(), vec![2.0f32; n]);
+    }
+
+    /// A device-fresh `Copy` vector of `n` elements whose per-device copies
+    /// differ, and those copies.
+    fn diverged_copies(c: &Context, n: usize) -> (Vector<f32>, Vec<Vec<f32>>) {
+        let v = Vector::from_vec(c, vec![0.0f32; n]);
+        v.set_distribution(Distribution::Copy).unwrap();
+        v.ensure_on_devices().unwrap();
+        let mut want = Vec::new();
+        for p in v.parts().unwrap() {
+            let copy: Vec<f32> = (0..n)
+                .map(|i| 0.1 * (p.device + 1) as f32 + 0.37 * i as f32)
+                .collect();
+            for (i, &x) in copy.iter().enumerate() {
+                p.buffer.set(i, x);
+            }
+            want.push(copy);
+        }
+        v.mark_devices_modified();
+        (v, want)
+    }
+
+    #[test]
+    fn merge_folds_own_copy_first_then_the_others_ascending() {
+        // A non-commutative combine over four different copies: any other
+        // fold order changes the bits.
+        let twice_plus = crate::skel_fn!(
+            fn twice_plus(x: f32, y: f32) -> f32 {
+                2.0 * x + y
+            }
+        );
+        let n = 37;
+        for dist in [Distribution::Block, Distribution::Single(2)] {
+            let c = ctx(4);
+            let (v, copies) = diverged_copies(&c, n);
+            v.set_distribution_with(dist, &twice_plus).unwrap();
+            let mut want = vec![0.0f32; n];
+            for p in v.parts().unwrap() {
+                for (i, w) in want.iter_mut().enumerate().skip(p.row_offset).take(p.rows) {
+                    *w = copies[p.device][i];
+                    for (d, copy) in copies.iter().enumerate() {
+                        if d != p.device {
+                            *w = 2.0 * *w + copy[i];
+                        }
+                    }
+                }
+            }
+            let got = v.to_vec().unwrap();
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{dist:?}");
+        }
+    }
+
+    /// The cross-device copies of a trace, one `(seq, start, end)` each.
+    fn cross_copies(trace: &[vgpu::CommandRecord]) -> Vec<(u64, f64, f64)> {
+        let mut out: Vec<(u64, f64, f64)> = Vec::new();
+        for r in trace.iter().filter(|r| r.kind == vgpu::CmdKind::D2D) {
+            if trace.iter().any(|o| o.seq == r.seq && o.device != r.device)
+                && !out.iter().any(|c| c.0 == r.seq)
+            {
+                out.push((r.seq, r.start_s, r.end_s));
+            }
+        }
+        out
+    }
+
+    /// The most intervals open at one instant (half-open: one ending when
+    /// another starts does not overlap it).
+    fn most_in_flight(copies: &[(u64, f64, f64)]) -> usize {
+        let mut edges: Vec<(f64, i32)> = copies
+            .iter()
+            .flat_map(|&(_, s, e)| [(s, 1), (e, -1)])
+            .collect();
+        edges.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        let (mut open, mut most) = (0, 0);
+        for (_, step) in edges {
+            open += step;
+            most = most.max(open);
+        }
+        most as usize
+    }
+
+    #[test]
+    fn redistribution_copies_run_in_parallel_rounds() {
+        let c = ctx(4);
+        let block = 4096;
+        let n = 4 * block;
+        c.platform().enable_timeline_trace();
+        let v = Vector::from_vec(&c, data(n));
+        v.ensure_on_devices().unwrap(); // Block
+        v.mark_devices_modified();
+        let mut all = c.platform().take_timeline_trace();
+
+        // Four devices: each copy holds two copy engines, so two run at once.
+        let figure = 2;
+        let copy_s = c
+            .platform()
+            .topology()
+            .d2d_transfer_s(block * std::mem::size_of::<f32>(), figure);
+        let check_copies = |trace: &[vgpu::CommandRecord], what: &str| {
+            let copies = cross_copies(trace);
+            assert_eq!(copies.len(), 12, "{what}: every block crosses to 3 devices");
+            for &(_, s, e) in &copies {
+                let off = (e - s - copy_s).abs() / copy_s;
+                assert!(off < 1e-9, "{what}: priced at {figure} in flight");
+            }
+            assert_eq!(most_in_flight(&copies), figure, "{what}");
+            copies
+        };
+
+        // Gather: 12 copies in 6 rounds of 2.
+        v.set_distribution(Distribution::Copy).unwrap();
+        let gather = c.platform().take_timeline_trace();
+        let copies = check_copies(&gather, "gather");
+        let first = copies.iter().map(|c| c.1).fold(f64::INFINITY, f64::min);
+        let last = copies.iter().map(|c| c.2).fold(0.0, f64::max);
+        let rounds = (last - first) / copy_s;
+        assert!((rounds - 6.0).abs() < 1e-9, "gather took {rounds} copies");
+
+        // Merge: each target's combines fold the partials in device order.
+        let add = crate::skel_fn!(
+            fn add(x: f32, y: f32) -> f32 {
+                x + y
+            }
+        );
+        v.set_distribution_with(Distribution::Block, &add).unwrap();
+        let merge = c.platform().take_timeline_trace();
+        check_copies(&merge, "merge");
+        for t in 0..4 {
+            let target = v.parts().unwrap()[t].buffer.id();
+            let mut combines: Vec<&vgpu::CommandRecord> = merge
+                .iter()
+                .filter(|r| r.kind == vgpu::CmdKind::Kernel && r.device.0 == t)
+                .collect();
+            combines.sort_by(|a, b| a.start_s.partial_cmp(&b.start_s).unwrap());
+            let sources: Vec<usize> = combines
+                .iter()
+                .map(|k| {
+                    let partial = k.reads.iter().find(|a| a.buffer != target).unwrap();
+                    let copy = merge
+                        .iter()
+                        .find(|r| r.writes.iter().any(|w| w.buffer == partial.buffer))
+                        .unwrap();
+                    assert!(k.deps.contains(&copy.seq), "combine waits for its partial");
+                    copy.device.0
+                })
+                .collect();
+            let others: Vec<usize> = (0..4).filter(|&d| d != t).collect();
+            assert_eq!(sources, others, "device {t} folds the others ascending");
+            for pair in combines.windows(2) {
+                assert!(pair[1].deps.contains(&pair[0].seq));
+                assert!(pair[1].start_s >= pair[0].end_s);
+            }
+        }
+        let want: Vec<f32> = data(n).iter().map(|x| 4.0 * x).collect();
+        assert_eq!(v.to_vec().unwrap(), want);
+
+        all.extend(gather);
+        all.extend(merge);
+        assert_eq!(vgpu::verify_engine_exclusive(&all), None);
+        assert_eq!(crate::check::verify_no_buffer_hazards(&all), None);
     }
 
     #[test]

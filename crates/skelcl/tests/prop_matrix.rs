@@ -116,7 +116,7 @@ proptest! {
     fn row_block_round_trip_is_identity(
         rows in 1usize..40,
         cols in 1usize..12,
-        devices in 1usize..4,
+        devices in 1usize..=4,
         halo in 0usize..5,
     ) {
         let data: Vec<f32> = (0..rows * cols).map(|i| i as f32).collect();
@@ -136,7 +136,7 @@ proptest! {
     fn row_col_single_redistribution_round_trip_is_identity(
         rows in 1usize..28,
         cols in 1usize..14,
-        devices in 1usize..4,
+        devices in 1usize..=4,
         halo in 0usize..4,
         path in prop::collection::vec(dist_strategy_with_col_block(), 1..6),
     ) {
@@ -164,7 +164,7 @@ proptest! {
     fn redistribution_paths_preserve_data(
         rows in 1usize..30,
         cols in 1usize..10,
-        devices in 1usize..4,
+        devices in 1usize..=4,
         path in prop::collection::vec(dist_strategy(), 1..5),
     ) {
         let data: Vec<f32> = (0..rows * cols).map(|i| (i * 7 % 97) as f32).collect();

@@ -55,7 +55,7 @@ proptest! {
     #[test]
     fn vector_always_agrees_with_the_model(
         init in prop::collection::vec(-100.0f32..100.0, 1..200),
-        devices in 1usize..4,
+        devices in 1usize..=4,
         ops in prop::collection::vec(op_strategy(), 0..25),
     ) {
         let c = ctx(devices);
@@ -100,7 +100,7 @@ proptest! {
     #[test]
     fn repeated_reads_are_free(
         init in prop::collection::vec(-10.0f32..10.0, 1..100),
-        devices in 1usize..4,
+        devices in 1usize..=4,
     ) {
         let c = ctx(devices);
         let v = Vector::from_slice(&c, &init);
@@ -120,7 +120,7 @@ proptest! {
     #[test]
     fn repeated_uploads_are_free(
         init in prop::collection::vec(-10.0f32..10.0, 1..100),
-        devices in 1usize..4,
+        devices in 1usize..=4,
     ) {
         let c = ctx(devices);
         let v = Vector::from_slice(&c, &init);

@@ -230,10 +230,12 @@ impl Platform {
     /// `dst_off`. Between two devices the copy stages through the host, as
     /// the S1070 requires (no peer-to-peer), and occupies both devices' copy
     /// engines; `concurrent` is the number of transfers sharing the host bus
-    /// at this moment, so redistribution phases pass the size of their
-    /// transfer batch and contention is modeled (paper Section III-D).
-    /// Within one device it costs global-memory bandwidth (read + write) on
-    /// one copy engine and no PCIe traffic.
+    /// while it runs (paper Section III-D). The caller knows its batch, so
+    /// it passes the most copies of the batch that can be in flight at once;
+    /// each cross-device copy holds two copy engines, so a batch touching
+    /// `n` devices has at most `⌊n / 2⌋` in flight. Within one
+    /// device it costs global-memory bandwidth (read + write) on one copy
+    /// engine, no PCIe traffic, and ignores `concurrent`.
     ///
     /// Device-ordered, the copy waits for everything on both devices and
     /// the whole destination device observes its end; event-ordered it
