@@ -145,7 +145,7 @@ pub fn reconstruct(ctx: &Context, vol: &Volume, subsets: &[Vec<Event>]) -> Resul
     );
 
     // reconstruction image f, path scratch, index vector
-    let mut f = Vector::from_vec(ctx, vec![1.0f32; image_size]);
+    let mut f = Vector::filled(ctx, image_size, 1.0f32);
     let paths: Vector<u64> = Vector::zeroed(ctx, INDICES_PER_DEVICE * max_path);
     paths.set_distribution(Distribution::Copy)?;
     let indices = Vector::from_vec(
@@ -161,7 +161,7 @@ pub fn reconstruct(ctx: &Context, vol: &Volume, subsets: &[Vec<Event>]) -> Resul
 
         // copy reconstruction (f) and error image (c) to all devices
         f.set_distribution(Distribution::Copy)?;
-        let c = Vector::from_vec(ctx, vec![0.0f32; image_size]);
+        let c = Vector::zeroed(ctx, image_size);
         c.set_distribution(Distribution::Copy)?;
 
         // prepare arguments of error image computation

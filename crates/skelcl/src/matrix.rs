@@ -28,6 +28,13 @@
 //! splits every row at owner column boundaries, entirely device-to-device.
 //! Column blocks feed the [`crate::AllPairs`] skeleton's `B` operand
 //! (matrix multiplication, pairwise distances).
+//!
+//! Lazy copying goes one step further for constant containers: a matrix
+//! made by [`Matrix::filled`] (or [`Matrix::zeroed`]) knows every element
+//! equals one value, so the devices make their copies with a device-side
+//! fill instead of an upload, and no byte of it crosses PCIe. The host copy
+//! is kept as usual; the first host write or device modification ends the
+//! shortcut.
 
 use crate::context::Context;
 use crate::error::{Error, Result};
@@ -158,6 +165,15 @@ struct State<T: Scalar> {
     /// events' timestamps, so stale-epoch chunks are discarded instead of
     /// waited on.
     upload_epoch: u64,
+    /// Every element equals this value and nothing has written the matrix
+    /// since: stale device copies are made by a device fill, not an upload.
+    uniform: Option<T>,
+    /// A kernel wrote the device copies by side effect
+    /// ([`Matrix::mark_devices_modified`], the paper's
+    /// `dataOnDevicesModified`) and nothing has re-made them since: under
+    /// `Copy` they may differ, so a merge has something to combine. A host
+    /// write, a redistribution or a merge clears it; a read does not.
+    devices_modified: bool,
 }
 
 /// The SkelCL matrix. Cloning yields a second handle to the same matrix
@@ -336,6 +352,8 @@ impl<T: Scalar> Matrix<T> {
                 parts: Vec::new(),
                 upload_chunks: Vec::new(),
                 upload_epoch: 0,
+                uniform: None,
+                devices_modified: false,
             })),
         }
     }
@@ -344,9 +362,20 @@ impl<T: Scalar> Matrix<T> {
         Matrix::from_vec(ctx, rows, cols, data.to_vec())
     }
 
-    /// A matrix of `rows × cols` default-initialised elements.
+    /// A matrix of `rows × cols` elements all equal to `v`. Creation is
+    /// lazy like [`Matrix::from_vec`], and the devices make their copies
+    /// with a device-side fill, never an upload: a constant container
+    /// costs no PCIe traffic.
+    pub fn filled(ctx: &Context, rows: usize, cols: usize, v: T) -> Self {
+        let m = Matrix::from_vec(ctx, rows, cols, vec![v; rows * cols]);
+        m.state.lock().uniform = Some(v);
+        m
+    }
+
+    /// A matrix of `rows × cols` default-initialised elements, filled on
+    /// the devices like [`Matrix::filled`].
     pub fn zeroed(ctx: &Context, rows: usize, cols: usize) -> Self {
-        Matrix::from_vec(ctx, rows, cols, vec![T::default(); rows * cols])
+        Matrix::filled(ctx, rows, cols, T::default())
     }
 
     /// Build from a per-element generator `f(row, col)`.
@@ -407,6 +436,12 @@ impl<T: Scalar> Matrix<T> {
         self.state.lock().halos_fresh
     }
 
+    /// Were the device copies modified by side effect since they were last
+    /// made? Only then can `Copy` copies differ.
+    pub(crate) fn devices_modified(&self) -> bool {
+        self.state.lock().devices_modified
+    }
+
     /// Read access to the row-major host data, downloading first only if the
     /// device copies are newer (lazy copying).
     pub fn host_view(&self) -> Result<MappedMutexGuard<'_, [T]>> {
@@ -415,13 +450,17 @@ impl<T: Scalar> Matrix<T> {
         Ok(MutexGuard::map(st, |s| s.host.as_mut_slice()))
     }
 
-    /// Mutable access to the host data; marks the device copies stale.
+    /// Mutable access to the host data; marks the device copies stale. A
+    /// [`Matrix::filled`] matrix is no longer constant afterwards, so its
+    /// next device copies are uploaded.
     pub fn host_view_mut(&self) -> Result<MappedMutexGuard<'_, [T]>> {
         let mut st = self.state.lock();
         ensure_on_host(&self.ctx, &mut st)?;
         st.host_fresh = true;
         st.device_fresh = false;
         st.halos_fresh = false;
+        st.uniform = None;
+        st.devices_modified = false;
         st.parts.clear();
         st.upload_chunks.clear();
         Ok(MutexGuard::map(st, |s| s.host.as_mut_slice()))
@@ -541,7 +580,8 @@ impl<T: Scalar> Matrix<T> {
 
     /// Declare that a kernel modified this matrix on the devices by side
     /// effect (the paper's `dataOnDevicesModified()`). Halo rows become
-    /// stale until the next exchange.
+    /// stale until the next exchange, and `Copy` copies may now differ:
+    /// this is what lets [`crate::Vector::set_distribution_with`] merge.
     pub fn mark_devices_modified(&self) {
         let mut st = self.state.lock();
         assert!(
@@ -551,12 +591,15 @@ impl<T: Scalar> Matrix<T> {
         st.device_fresh = true;
         st.host_fresh = false;
         st.halos_fresh = false;
+        st.uniform = None;
+        st.devices_modified = true;
         // The kernel's writes supersede any still-recorded upload events.
         st.upload_chunks.clear();
     }
 
     /// Upload to the devices (per the current distribution) if the device
-    /// copies are stale. Skeletons call this implicitly.
+    /// copies are stale; a constant matrix is filled on the devices
+    /// instead. Skeletons call this implicitly.
     pub fn ensure_on_devices(&self) -> Result<()> {
         self.parts().map(drop)
     }
@@ -609,14 +652,17 @@ impl<T: Scalar> Matrix<T> {
     /// [`Matrix::set_distribution`], but let `fill(old_parts, new_parts)`
     /// write the new parts instead of copying from the owners: the hook
     /// [`crate::Vector::set_distribution_with`] merges diverged copies
-    /// through.
+    /// through. What `fill` writes is the newest data, so the host copy
+    /// goes stale even if it was read back from one of the old copies.
     pub(crate) fn redistribute_with(
         &self,
         dist: MatrixDistribution,
         fill: impl FnOnce(&[MatrixPart<T>], &[MatrixPart<T>]) -> Result<()>,
     ) -> Result<()> {
         let mut st = self.state.lock();
-        redistribute(&self.ctx, &mut st, dist, fill)
+        redistribute(&self.ctx, &mut st, dist, fill)?;
+        st.host_fresh = false;
+        Ok(())
     }
 
     /// The device-resident parts (uploading first if needed). Halo coherence
@@ -701,6 +747,8 @@ impl<T: Scalar> Matrix<T> {
                 parts,
                 upload_chunks: Vec::new(),
                 upload_epoch: 0,
+                uniform: None,
+                devices_modified: false,
             })),
         }
     }
@@ -727,7 +775,8 @@ fn span_runs<T: Scalar>(p: &MatrixPart<T>, n_rows: usize) -> Vec<(usize, usize, 
 ///
 /// Full-width parts upload in contiguous multi-row runs; column-block parts
 /// need one strided write per row (each row's column slice is contiguous on
-/// the host but the rows are not adjacent).
+/// the host but the rows are not adjacent). A uniform matrix uploads
+/// nothing: one device fill per part, halos included, writes its value.
 fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
     if st.device_fresh {
         return Ok(());
@@ -743,7 +792,9 @@ fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> 
     for geom in lay {
         let part = alloc_part(ctx, geom)?;
         if part.rows > 0 && part.cols > 0 {
-            if part.cols == cols {
+            if let Some(v) = st.uniform {
+                ctx.queue(part.device).enqueue_fill(&part.buffer, v)?;
+            } else if part.cols == cols {
                 for (s, g, len) in span_runs(&part, st.rows) {
                     ctx.queue(part.device).enqueue_write(
                         &part.buffer,
@@ -786,7 +837,8 @@ fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> 
 /// bytes, same destination); only the modeled timeline differs.
 ///
 /// Column-block layouts fall back to the blocking upload (their per-row
-/// strided writes are already minimal and no consumer chunks by rows).
+/// strided writes are already minimal and no consumer chunks by rows), and
+/// so do uniform matrices, whose device fill crosses no bus to stream.
 fn ensure_on_devices_streamed<T: Scalar>(
     ctx: &Context,
     st: &mut State<T>,
@@ -795,7 +847,7 @@ fn ensure_on_devices_streamed<T: Scalar>(
     if st.device_fresh {
         return Ok(());
     }
-    if !st.dist.is_full_width() {
+    if !st.dist.is_full_width() || st.uniform.is_some() {
         return ensure_on_devices(ctx, st);
     }
     assert!(
@@ -1286,7 +1338,8 @@ fn halo_runs<T: Scalar>(
 
 /// Move device-fresh data from `st.dist`/`st.parts` into `new_dist`:
 /// allocate the new layout, let `fill(old_parts, new_parts)` write it, and
-/// join the devices.
+/// join the devices. The new parts are made from the old ones, not
+/// modified by side effect.
 fn redistribute<T: Scalar>(
     ctx: &Context,
     st: &mut State<T>,
@@ -1302,6 +1355,7 @@ fn redistribute<T: Scalar>(
     st.upload_chunks.clear();
     st.dist = new_dist;
     st.halos_fresh = true;
+    st.devices_modified = false;
     Ok(())
 }
 
@@ -1627,6 +1681,76 @@ mod tests {
         m.host_view_mut().unwrap()[5] = 99.0;
         assert!(!m.device_fresh());
         assert_eq!(m.to_vec().unwrap()[5], 99.0);
+    }
+
+    #[test]
+    fn constant_matrices_are_filled_on_the_devices() {
+        let id = crate::Map::new(crate::skel_fn!(
+            fn id(x: f32) -> f32 {
+                x
+            }
+        ));
+        let bits = |m: &Matrix<f32>| -> Vec<u32> {
+            m.to_vec().unwrap().iter().map(|x| x.to_bits()).collect()
+        };
+        let check = |rows: usize, cols: usize, devices: usize, dist, value: Option<f32>| {
+            let c = ctx(devices);
+            let m = match value {
+                Some(x) => Matrix::filled(&c, rows, cols, x),
+                None => Matrix::zeroed(&c, rows, cols),
+            };
+            let x = value.unwrap_or_default();
+            let want = Matrix::from_vec(&c, rows, cols, vec![x; rows * cols]);
+            let case = format!("{rows}x{cols}, {devices} devices, {dist:?}, {value:?}");
+            m.set_distribution(dist).unwrap();
+            want.set_distribution(dist).unwrap();
+
+            c.platform().enable_timeline_trace();
+            let before = c.platform().stats_snapshot();
+            let parts = m.parts().unwrap();
+            let delta = c.platform().stats_snapshot() - before;
+            let trace = c.platform().take_timeline_trace();
+            assert_eq!(delta.h2d_bytes, 0, "{case}: no upload");
+            let non_empty: Vec<_> = parts
+                .iter()
+                .filter(|p| p.span_rows() > 0 && p.cols > 0)
+                .collect();
+            let fills = trace
+                .iter()
+                .filter(|r| r.kind == vgpu::CmdKind::Fill)
+                .count();
+            assert_eq!(fills, non_empty.len(), "{case}: one fill per part");
+            for p in non_empty {
+                assert!(
+                    p.buffer.to_vec().iter().all(|y| y.to_bits() == x.to_bits()),
+                    "{case}: device {} holds the value, halos included",
+                    p.device
+                );
+            }
+
+            let mapped = |m: &Matrix<f32>| bits(&id.apply_matrix(m).unwrap());
+            assert_eq!(mapped(&m), mapped(&want), "{case}");
+            m.mark_devices_modified();
+            assert_eq!(bits(&m), bits(&want), "{case}");
+        };
+        // Fewer rows and columns than devices: some parts are empty. One
+        // column is the shape of a vector, whose `Block` is `RowBlock` with
+        // no halo.
+        for (rows, cols) in [(3, 2), (3, 1)] {
+            for devices in 1..=4 {
+                for dist in [
+                    MatrixDistribution::RowBlock { halo: 0 },
+                    MatrixDistribution::RowBlock { halo: 1 },
+                    MatrixDistribution::ColBlock,
+                    MatrixDistribution::Copy,
+                    MatrixDistribution::Single(devices - 1),
+                ] {
+                    for value in [None, Some(-2.5f32)] {
+                        check(rows, cols, devices, dist, value);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

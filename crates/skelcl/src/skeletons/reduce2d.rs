@@ -487,7 +487,7 @@ where
             return Ok(Vector::from_vec(&ctx, Vec::new()));
         }
         if cols == 0 {
-            return Ok(Vector::from_vec(&ctx, vec![self.identity; rows]));
+            return Ok(Vector::filled(&ctx, rows, self.identity));
         }
         let compiled = ctx.get_or_build(&self.program)?;
         let reduced = dispatch_reduce(input, Axis::Rows, rows, |p, n_items, seed| {
@@ -551,7 +551,7 @@ where
             return Ok(Vector::from_vec(&ctx, Vec::new()));
         }
         if rows == 0 {
-            return Ok(Vector::from_vec(&ctx, vec![self.identity; cols]));
+            return Ok(Vector::filled(&ctx, cols, self.identity));
         }
         let compiled = ctx.get_or_build(&self.program)?;
         let reduced = dispatch_reduce(input, Axis::Cols, cols, |p, n_items, seed| {

@@ -20,7 +20,13 @@
 //! protocol behind both quotes (lazy upload and download, redistribution,
 //! invalidation on host writes) lives once, in [`crate::matrix`], with
 //! [`Distribution::Block`] laid out as [`MatrixDistribution::RowBlock`]
-//! with `halo: 0`. Only the combine-operator merge is the vector's own.
+//! with `halo: 0`. Only the combine-operator merge is the vector's own. It
+//! runs only after [`Vector::mark_devices_modified`] (the paper's
+//! `dataOnDevicesModified`), the one thing that lets `Copy` copies differ.
+//!
+//! The cheapest transfer is none: a constant vector ([`Vector::filled`],
+//! [`Vector::zeroed`]) is filled on the devices, never uploaded. OSEM's
+//! per-subset all-zero error image is one.
 
 use crate::codegen::{self, UserFn};
 use crate::context::Context;
@@ -100,9 +106,19 @@ impl<T: Scalar> Vector<T> {
         Vector::from_vec(ctx, data.to_vec())
     }
 
-    /// A vector of `len` default-initialised elements.
+    /// A vector of `len` elements all equal to `v` (C++ SkelCL's
+    /// `Vector(size, value)`). Creation is lazy, and the devices make their
+    /// copies with a device-side fill, never an upload.
+    pub fn filled(ctx: &Context, len: usize, v: T) -> Self {
+        Vector {
+            matrix: Matrix::filled(ctx, len, 1, v),
+        }
+    }
+
+    /// A vector of `len` default-initialised elements, filled on the
+    /// devices like [`Vector::filled`].
     pub fn zeroed(ctx: &Context, len: usize) -> Self {
-        Vector::from_vec(ctx, vec![T::default(); len])
+        Vector::filled(ctx, len, T::default())
     }
 
     pub fn ctx(&self) -> &Context {
@@ -137,7 +153,9 @@ impl<T: Scalar> Vector<T> {
         self.matrix.host_view()
     }
 
-    /// Mutable access to the host data; marks the device copies stale.
+    /// Mutable access to the host data; marks the device copies stale. A
+    /// [`Vector::filled`] vector is no longer constant afterwards, so its
+    /// next device copies are uploaded.
     pub fn host_view_mut(&self) -> Result<MappedMutexGuard<'_, [T]>> {
         self.matrix.host_view_mut()
     }
@@ -168,7 +186,8 @@ impl<T: Scalar> Vector<T> {
     }
 
     /// Upload to the devices (per the current distribution) if the device
-    /// copies are stale. Skeletons call this implicitly; it is public so
+    /// copies are stale; a constant vector is filled on the devices
+    /// instead. Skeletons call this implicitly; it is public so
     /// applications can pre-stage data like the paper's OSEM loop does.
     pub fn ensure_on_devices(&self) -> Result<()> {
         self.parts().map(drop)
@@ -196,13 +215,17 @@ impl<T: Scalar> Vector<T> {
     /// binary operator (paper: `c.setDistribution(Distribution::block, add)`
     /// — "reduce (element-wise add) all copies of error image").
     ///
-    /// Only meaningful from `Copy` with fresh device data; in every other
-    /// state it behaves like [`Vector::set_distribution`].
+    /// Only meaningful from `Copy` after [`Vector::mark_devices_modified`]
+    /// (the paper's `dataOnDevicesModified`, which is what lets the copies
+    /// diverge); a read-back in between does not undo it, and the merged
+    /// result supersedes the host copy. In every other state it behaves
+    /// like [`Vector::set_distribution`]: copies that were only uploaded,
+    /// filled or written by a skeleton are identical, so nothing is merged.
     pub fn set_distribution_with<F>(&self, dist: Distribution, combine: &UserFn<F>) -> Result<()>
     where
         F: Fn(T, T) -> T + Send + Sync + Clone + 'static,
     {
-        let merge = self.device_fresh()
+        let merge = self.matrix.devices_modified()
             && self.distribution() == Distribution::Copy
             && dist != Distribution::Copy;
         if !merge {
@@ -723,6 +746,9 @@ mod tests {
         assert!((rounds - 6.0).abs() < 1e-9, "gather took {rounds} copies");
 
         // Merge: each target's combines fold the partials in device order.
+        // The gathered copies are identical until a kernel writes them, as
+        // OSEM's does before its merge.
+        v.mark_devices_modified();
         let add = crate::skel_fn!(
             fn add(x: f32, y: f32) -> f32 {
                 x + y
@@ -764,6 +790,109 @@ mod tests {
         all.extend(merge);
         assert_eq!(vgpu::verify_engine_exclusive(&all), None);
         assert_eq!(crate::check::verify_no_buffer_hazards(&all), None);
+    }
+
+    #[test]
+    fn merge_of_copies_that_never_diverged_is_a_plain_redistribution() {
+        // No kernel wrote these `Copy` vectors by side effect since their
+        // copies were made, so the copies are identical and nothing is
+        // merged.
+        let c = ctx(2);
+        let add = crate::skel_fn!(
+            fn add(x: f32, y: f32) -> f32 {
+                x + y
+            }
+        );
+        let id = crate::Map::new(crate::skel_fn!(
+            fn id(x: f32) -> f32 {
+                x
+            }
+        ));
+        let want = vec![1.0f32, 2.0, 3.0, 4.0];
+        let copied = |v: Vector<f32>| {
+            v.set_distribution(Distribution::Copy).unwrap();
+            v.ensure_on_devices().unwrap();
+            v
+        };
+        let uploaded = copied(Vector::from_vec(&c, want.clone()));
+        let computed = id.apply(&uploaded).unwrap();
+        assert_eq!(computed.distribution(), Distribution::Copy);
+        // Modified as blocks, then gathered from the owners.
+        let gathered = Vector::from_vec(&c, want.clone());
+        gathered.ensure_on_devices().unwrap();
+        gathered.mark_devices_modified();
+        let gathered = copied(gathered);
+        // Modified, then replaced from the host and uploaded again.
+        let uploaded_again = copied(Vector::from_vec(&c, want.clone()));
+        uploaded_again.mark_devices_modified();
+        drop(uploaded_again.host_view_mut().unwrap());
+        uploaded_again.ensure_on_devices().unwrap();
+        for (what, v) in [
+            ("uploaded", uploaded),
+            ("skeleton output", computed),
+            ("gathered", gathered),
+            ("uploaded again", uploaded_again),
+        ] {
+            v.set_distribution_with(Distribution::Block, &add).unwrap();
+            let device_read = id.apply(&v).unwrap().to_vec().unwrap();
+            assert_eq!(v.to_vec().unwrap(), want, "{what}: host read");
+            assert_eq!(device_read, want, "{what}: device read");
+        }
+    }
+
+    #[test]
+    fn merge_after_a_read_back_still_combines_the_copies() {
+        // Reading the vector back takes one device's copy to the host; the
+        // copies stay diverged, so the merge still combines all of them.
+        let c = ctx(2);
+        let n = 6;
+        let (v, copies) = diverged_copies(&c, n);
+        assert_eq!(v.to_vec().unwrap(), copies[0]);
+        let add = crate::skel_fn!(
+            fn add(x: f32, y: f32) -> f32 {
+                x + y
+            }
+        );
+        v.set_distribution_with(Distribution::Block, &add).unwrap();
+        let want: Vec<f32> = (0..n).map(|i| copies[0][i] + copies[1][i]).collect();
+        let id = crate::Map::new(crate::skel_fn!(
+            fn id(x: f32) -> f32 {
+                x
+            }
+        ));
+        assert_eq!(id.apply(&v).unwrap().to_vec().unwrap(), want, "device read");
+        assert_eq!(v.to_vec().unwrap(), want, "host read");
+    }
+
+    #[test]
+    fn a_constant_vector_is_filled_until_a_host_edit() {
+        let c = ctx(2);
+        let v = Vector::filled(&c, 10, 3.0f32);
+        let fills = || {
+            c.platform()
+                .take_timeline_trace()
+                .iter()
+                .filter(|r| r.kind == vgpu::CmdKind::Fill)
+                .count()
+        };
+        c.platform().enable_timeline_trace();
+        let before = c.platform().stats_snapshot();
+        v.ensure_on_devices().unwrap();
+        let delta = c.platform().stats_snapshot() - before;
+        assert_eq!(fills(), 2, "one per block");
+        assert_eq!(delta.h2d_bytes, 0);
+
+        v.host_view_mut().unwrap()[4] = 9.0;
+        let mut want = vec![3.0f32; 10];
+        want[4] = 9.0;
+        c.platform().enable_timeline_trace();
+        let before = c.platform().stats_snapshot();
+        v.ensure_on_devices().unwrap();
+        let delta = c.platform().stats_snapshot() - before;
+        assert_eq!(fills(), 0);
+        assert_eq!(delta.h2d_bytes as usize, 10 * std::mem::size_of::<f32>());
+        v.mark_devices_modified();
+        assert_eq!(v.to_vec().unwrap(), want);
     }
 
     #[test]

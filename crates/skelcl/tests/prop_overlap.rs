@@ -5,7 +5,8 @@
 //!   serial schedule (`iterate_serial`),
 //! * streamed uploads (`Stencil2D::apply_streamed`, `Map::apply_streamed`,
 //!   `Matrix::ensure_on_devices_streamed`) are bit-identical to their
-//!   blocking twins,
+//!   blocking twins, and so is a streamed pass over a device-filled
+//!   constant matrix,
 //! * and the simulated timeline never lets two commands overlap on the
 //!   same engine of one device, while the overlapped iterate really does
 //!   run halo copies *under* interior kernels.
@@ -139,6 +140,20 @@ proptest! {
         };
         let streamed = {
             let m = Matrix::from_vec(&c, rows, cols, data.clone());
+            m.set_distribution(dist).unwrap();
+            st.apply_streamed(&m, chunk_rows).unwrap().to_vec().unwrap()
+        };
+        prop_assert_eq!(bits(&streamed), bits(&blocking));
+
+        // A constant matrix is filled on the devices instead of streamed,
+        // with the same result as the blocking pass over its upload.
+        let blocking = {
+            let m = Matrix::from_vec(&c, rows, cols, vec![data[0]; rows * cols]);
+            m.set_distribution(dist).unwrap();
+            st.apply(&m).unwrap().to_vec().unwrap()
+        };
+        let streamed = {
+            let m = Matrix::filled(&c, rows, cols, data[0]);
             m.set_distribution(dist).unwrap();
             st.apply_streamed(&m, chunk_rows).unwrap().to_vec().unwrap()
         };

@@ -22,6 +22,16 @@ enum Op {
     MapAdd(f32),
     /// Change distribution.
     Redistribute(Distribution),
+    /// Change distribution with the add combine (`set_distribution_with`).
+    MergeAdd(Distribution),
+}
+
+fn dist_strategy() -> impl Strategy<Value = Distribution> {
+    prop_oneof![
+        Just(Distribution::Single(0)),
+        Just(Distribution::Copy),
+        Just(Distribution::Block),
+    ]
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -30,12 +40,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Upload),
         Just(Op::Verify),
         (-10.0f32..10.0).prop_map(Op::MapAdd),
-        prop_oneof![
-            Just(Distribution::Single(0)),
-            Just(Distribution::Copy),
-            Just(Distribution::Block),
-        ]
-        .prop_map(Op::Redistribute),
+        dist_strategy().prop_map(Op::Redistribute),
+        dist_strategy().prop_map(Op::MergeAdd),
     ]
 }
 
@@ -59,8 +65,6 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 0..25),
     ) {
         let c = ctx(devices);
-        let mut model = init.clone();
-        let mut v = Vector::from_slice(&c, &init);
         let add = |d: f32| {
             Map::new(skelcl::UserFn::new(
                 "shift",
@@ -68,32 +72,50 @@ proptest! {
                 move |x: f32| x + d,
             ))
         };
-
-        for op in ops {
-            match op {
-                Op::HostWrite(i, val) => {
-                    let idx = i % model.len();
-                    model[idx] = val;
-                    v.host_view_mut().unwrap()[idx] = val;
-                }
-                Op::Upload => {
-                    v.ensure_on_devices().unwrap();
-                }
-                Op::Verify => {
-                    prop_assert_eq!(v.to_vec().unwrap(), model.clone());
-                }
-                Op::MapAdd(d) => {
-                    for x in model.iter_mut() {
-                        *x += d;
+        let merge = skelcl::skel_fn!(
+            fn merge(x: f32, y: f32) -> f32 {
+                x + y
+            }
+        );
+        // Every case runs from the host data and from a constant vector.
+        let n = init.len();
+        let starts = [
+            (init.clone(), Vector::from_slice(&c, &init)),
+            (vec![init[0]; n], Vector::filled(&c, n, init[0])),
+        ];
+        for (mut model, mut v) in starts {
+            for op in ops.iter().cloned() {
+                match op {
+                    Op::HostWrite(i, val) => {
+                        let idx = i % model.len();
+                        model[idx] = val;
+                        v.host_view_mut().unwrap()[idx] = val;
                     }
-                    v = add(d).apply(&v).unwrap();
-                }
-                Op::Redistribute(dist) => {
-                    v.set_distribution(dist).unwrap();
+                    Op::Upload => {
+                        v.ensure_on_devices().unwrap();
+                    }
+                    Op::Verify => {
+                        prop_assert_eq!(v.to_vec().unwrap(), model.clone());
+                    }
+                    Op::MapAdd(d) => {
+                        for x in model.iter_mut() {
+                            *x += d;
+                        }
+                        v = add(d).apply(&v).unwrap();
+                    }
+                    Op::Redistribute(dist) => {
+                        v.set_distribution(dist).unwrap();
+                    }
+                    Op::MergeAdd(dist) => {
+                        // A merge combines copies only after
+                        // `mark_devices_modified`, which no op calls: the
+                        // copies are identical and the model is unchanged.
+                        v.set_distribution_with(dist, &merge).unwrap();
+                    }
                 }
             }
+            prop_assert_eq!(v.to_vec().unwrap(), model);
         }
-        prop_assert_eq!(v.to_vec().unwrap(), model);
     }
 
     // Laziness invariant: a verify-after-verify performs no transfers.

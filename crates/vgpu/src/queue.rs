@@ -367,7 +367,9 @@ impl CommandQueue {
     }
 
     /// Device-side fill (`clEnqueueFillBuffer`), device-ordered: costs
-    /// global-memory bandwidth but no PCIe traffic.
+    /// global-memory bandwidth but no PCIe traffic. SkelCL makes the device
+    /// copies of a constant container (`Vector::filled`, `Matrix::zeroed`)
+    /// this way instead of uploading them.
     pub fn enqueue_fill<T: Scalar>(&self, buf: &Buffer<T>, v: T) -> Result<Event> {
         self.check_device(buf)?;
         buf.fill(v);

@@ -24,14 +24,28 @@ fn cramped_ctx() -> Context {
 
 #[test]
 fn upload_larger_than_device_memory_errors_cleanly() {
+    // 128K floats = 512 KiB > 256 KiB device memory. An upload and a
+    // device fill both allocate the parts first, and both fail there.
+    let n = 128 << 10;
     let ctx = cramped_ctx();
-    // 128K floats = 512 KiB > 256 KiB device memory.
-    let v = Vector::from_vec(&ctx, vec![0.0f32; 128 << 10]);
-    let err = v.ensure_on_devices().unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("out of memory"), "unexpected error: {msg}");
-    // The vector is still usable from the host.
-    assert_eq!(v.to_vec().unwrap().len(), 128 << 10);
+    for (what, v) in [
+        ("uploaded", Vector::from_vec(&ctx, vec![0.0f32; n])),
+        ("filled", Vector::<f32>::zeroed(&ctx, n)),
+    ] {
+        let baseline = ctx.device(0).used_bytes();
+        let err = v.ensure_on_devices().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                skelcl::Error::Platform(vgpu::Error::OutOfDeviceMemory { .. })
+            ),
+            "{what}: unexpected error: {err}"
+        );
+        assert!(err.to_string().contains("out of memory"), "{what}: {err}");
+        // The vector is still usable from the host, and nothing leaked.
+        assert_eq!(v.to_vec().unwrap(), vec![0.0f32; n], "{what}");
+        assert_eq!(ctx.device(0).used_bytes(), baseline, "{what}: leaked");
+    }
 }
 
 #[test]
