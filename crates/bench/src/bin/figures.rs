@@ -4,18 +4,25 @@
 //! cargo run --release -p skelcl-bench --bin figures -- all
 //! cargo run --release -p skelcl-bench --bin figures -- fig1 [--paper-scale]
 //! cargo run --release -p skelcl-bench --bin figures -- fig2 [--paper-scale|--quick]
-//! cargo run --release -p skelcl-bench --bin figures -- dot | cache | lazy | overhead
+//! cargo run --release -p skelcl-bench --bin figures -- dot | cache | lazy
+//! cargo run --release -p skelcl-bench --bin figures -- ledger [NAME...]
 //! ```
 //!
 //! Virtual (modeled) seconds are reported; the `vgpu::timing` module docs
 //! describe the machine model and where its constants come from, which is
 //! why absolute values differ from the paper's wall-clock numbers while the
 //! comparative shapes are expected to match.
+//!
+//! `ledger` runs the named [`FIGURES`] entries (all of them when no name is
+//! given), each asserting its acceptance relations, and writes each one's
+//! `BENCH_<name>.json` into `$SKELCL_LEDGER_DIR` when that is set. An
+//! unknown name exits with code 2.
 
 use skelcl_bench::*;
 use skelcl_loc::render_table;
 use skelcl_mandel::MandelParams;
 use skelcl_osem::{OsemParams, Volume};
+use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -29,7 +36,7 @@ fn main() {
         "dot" => dot(),
         "cache" => cache(),
         "lazy" => lazy(),
-        "overhead" => overhead(paper_scale, quick),
+        "ledger" => ledger(&args[1..]),
         "all" => {
             fig1(paper_scale);
             fig2(paper_scale, quick);
@@ -38,22 +45,48 @@ fn main() {
             lazy();
         }
         other => {
-            eprintln!("unknown figure '{other}' (use fig1|fig2|dot|cache|lazy|overhead|all)");
+            eprintln!("unknown figure '{other}' (use fig1|fig2|dot|cache|lazy|ledger|all)");
             std::process::exit(2);
         }
     }
 }
 
-fn fig1_params(paper_scale: bool) -> MandelParams {
-    if paper_scale {
-        MandelParams::paper_scale()
+/// Runs the named figures (all when `names` is empty) and writes each
+/// one's ledger; names are checked before anything runs.
+fn ledger(names: &[String]) {
+    let figs: Vec<&Figure> = if names.is_empty() {
+        FIGURES.iter().collect()
     } else {
-        fig1_default_params()
+        names
+            .iter()
+            .map(|name| {
+                FIGURES.iter().find(|f| f.name == name).unwrap_or_else(|| {
+                    let known: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+                    eprintln!("unknown figure '{name}' (registered: {})", known.join(" "));
+                    std::process::exit(2);
+                })
+            })
+            .collect()
+    };
+    for fig in figs {
+        let t0 = Instant::now();
+        (fig.run)();
+        ledger::write_fig(fig.name);
+        println!(
+            "ledger {}: {:.1} s host, {} legs",
+            fig.name,
+            t0.elapsed().as_secs_f64(),
+            ledger::legs_for(fig.name).len()
+        );
     }
 }
 
 fn fig1(paper_scale: bool) {
-    let p = fig1_params(paper_scale);
+    let p = if paper_scale {
+        MandelParams::paper_scale()
+    } else {
+        fig1_default_params()
+    };
     println!(
         "== Figure 1: Mandelbrot ({}x{}, max_iter {}) ==",
         p.width, p.height, p.max_iter
@@ -73,11 +106,22 @@ fn fig1(paper_scale: bool) {
         "CUDA   faster than SkelCL by {:5.1} %   (paper: 31 %)",
         100.0 * r.cuda_vs_skelcl()
     );
+    print_overhead("Mandelbrot", r.skelcl_s, r.opencl_s);
     println!();
 }
 
-fn fig2_params(paper_scale: bool, quick: bool) -> OsemParams {
-    if paper_scale {
+/// SkelCL's overhead over hand-written OpenCL (paper: under 5 % on both
+/// applications).
+fn print_overhead(app: &str, skelcl_s: f64, opencl_s: f64) {
+    println!(
+        "{app}: SkelCL/OpenCL = {:5.3} ({:+.1} %)   (paper: < 5 %)",
+        skelcl_s / opencl_s,
+        100.0 * (skelcl_s / opencl_s - 1.0)
+    );
+}
+
+fn fig2(paper_scale: bool, quick: bool) {
+    let p = if paper_scale {
         OsemParams::paper_scale()
     } else if quick {
         OsemParams {
@@ -88,11 +132,7 @@ fn fig2_params(paper_scale: bool, quick: bool) -> OsemParams {
         }
     } else {
         OsemParams::bench_scale()
-    }
-}
-
-fn fig2(paper_scale: bool, quick: bool) {
-    let p = fig2_params(paper_scale, quick);
+    };
     println!(
         "== Figure 2: list-mode OSEM (volume {:?}, {} events, {} subsets) ==",
         p.volume.dims(),
@@ -137,6 +177,7 @@ fn fig2(paper_scale: bool, quick: bool) {
         "SkelCL 4-GPU vs CUDA 1-GPU: {:4.2}x   (paper: 2.56x)",
         get("CUDA", 1) / get("SkelCL", 4)
     );
+    print_overhead("OSEM (1 GPU)", get("SkelCL", 1), get("OpenCL", 1));
     println!();
 }
 
@@ -216,29 +257,6 @@ fn lazy() {
         r.eager_transfers,
         r.eager_bytes,
         r.eager_virtual_s * 1e3
-    );
-    println!();
-}
-
-fn overhead(paper_scale: bool, quick: bool) {
-    println!("== SkelCL overhead vs OpenCL (paper: < 5 % on both applications) ==");
-    let f1 = run_fig1(&fig1_params(paper_scale));
-    println!(
-        "Mandelbrot: SkelCL/OpenCL = {:5.3} ({:+.1} %)",
-        f1.skelcl_s / f1.opencl_s,
-        100.0 * (f1.skelcl_s / f1.opencl_s - 1.0)
-    );
-    let rows = run_fig2(&fig2_params(paper_scale, quick), &[1]);
-    let get = |v: &str| {
-        rows.iter()
-            .find(|r| r.variant == v)
-            .map(|r| r.seconds)
-            .unwrap_or(f64::NAN)
-    };
-    println!(
-        "OSEM (1 GPU): SkelCL/OpenCL = {:5.3} ({:+.1} %)",
-        get("SkelCL") / get("OpenCL"),
-        100.0 * (get("SkelCL") / get("OpenCL") - 1.0)
     );
     println!();
 }

@@ -2,9 +2,9 @@
 //!
 //! Every bench leg measured by [`crate::measure`] and passed to
 //! [`crate::record`] deposits a [`LedgerEntry`] into a process-global sink;
-//! at the end of its sweep the figure calls [`write_fig`], which — when
-//! `SKELCL_LEDGER_DIR` is set — serializes the figure's legs into one
-//! schema-versioned JSON document.
+//! `figures ledger` runs each [`crate::FIGURES`] entry and then calls
+//! [`write_fig`], which — when `SKELCL_LEDGER_DIR` is set — serializes the
+//! figure's legs into one schema-versioned JSON document.
 //! CI uploads those documents as artifacts and feeds two of them (the
 //! checked-in seed and the fresh run) to the `benchdiff` binary, which
 //! exits non-zero when any leg regressed past the threshold
@@ -19,7 +19,7 @@
 //! # Environment contract
 //!
 //! * `SKELCL_LEDGER_DIR` — directory to write `BENCH_<fig>.json` into.
-//!   Unset ⇒ [`write_fig`] is a no-op (normal local bench runs stay
+//!   Unset ⇒ [`write_fig`] is a no-op (local figure runs stay
 //!   artifact-free).
 //! * `SKELCL_RUN_ID` — identifier stamped into the document (CI passes the
 //!   commit SHA). Unset ⇒ `"local"`.
@@ -123,13 +123,14 @@ pub fn record_report(report: &RunReport) {
     });
 }
 
-/// Snapshot of the sink's legs whose label starts with `fig` (in first
-/// recording order).
+/// Snapshot of figure `fig`'s legs in the sink, in first recording order:
+/// those whose label's first token (split at ' ' or '/') is exactly `fig`,
+/// so `fig_demo` never picks up `fig_demo2`'s legs.
 pub fn legs_for(fig: &str) -> Vec<LedgerEntry> {
     SINK.lock()
         .unwrap()
         .iter()
-        .filter(|e| e.label.starts_with(fig))
+        .filter(|e| e.label.split([' ', '/']).next() == Some(fig))
         .cloned()
         .collect()
 }
@@ -283,7 +284,7 @@ fn parse_histogram(h: &Json) -> Result<HistogramSnapshot, String> {
 
 /// Write `BENCH_<fig>.json` for `fig` into `$SKELCL_LEDGER_DIR`, stamped
 /// with `$SKELCL_RUN_ID`. No-op (returns `None`) when the directory
-/// variable is unset — plain bench runs produce no artifacts. Panics on IO
+/// variable is unset — plain figure runs produce no artifacts. Panics on IO
 /// failure: a requested artifact that can't be written must fail the run,
 /// not silently vanish from CI.
 pub fn write_fig(fig: &str) -> Option<PathBuf> {

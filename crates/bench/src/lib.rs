@@ -2,84 +2,24 @@
 //!
 //! One runner function per paper artifact. Every measured leg runs inside
 //! one window, [`measure`], and leaves through [`record`], which prints the
-//! leg's summary line and deposits its perf-ledger leg. The `figures`
-//! binary prints paper-style tables from the runners; the Criterion benches
-//! sweep them through [`VirtualSweep`]. Both report *virtual* (modeled)
-//! seconds, so results are host-machine independent.
+//! leg's summary line and deposits its perf-ledger leg. The ten gated
+//! figures sweep the runners from one table, [`FIGURES`]. The `figures`
+//! binary prints the paper's tables from the runners (`figures fig1`, …)
+//! and runs the table into `BENCH_<name>.json` ledgers (`figures ledger`).
+//! Both report *virtual* (modeled) seconds, so results are host-machine
+//! independent.
 
 pub mod ledger;
+mod registry;
 
-use criterion::{BenchmarkGroup, BenchmarkId, Criterion};
+pub use registry::{Figure, FIGURES};
+
 use skelcl::report::RunReport;
 use skelcl::{Context, Distribution, Map, Reduce, ReduceStrategy, Scan, ScanStrategy, Vector, Zip};
 use skelcl_loc::{LocRow, VariantLoc};
 use skelcl_mandel::MandelParams;
 use skelcl_osem::{OsemParams, Volume};
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::time::Duration;
 use vgpu::{DriverProfile, Platform, PlatformConfig};
-
-/// Shared driver for the per-figure virtual-time sweeps: every `fig_*`
-/// bench records the modeled seconds of each swept configuration while the
-/// sweep runs, then asserts its acceptance relations from the recorded
-/// values instead of recomputing the expensive configurations. The group
-/// setup (one iteration per configuration — virtual-time samples have zero
-/// variance), the recording `iter_custom` wrapper and the keyed lookup
-/// used to be copied into every figure bench; they live here once.
-///
-/// Keys are `(x, param, variant)` — typically problem size or iteration
-/// count, device count, and the schedule/strategy name.
-#[derive(Default)]
-pub struct VirtualSweep {
-    recorded: RefCell<HashMap<(usize, usize, &'static str), f64>>,
-}
-
-impl VirtualSweep {
-    pub fn new() -> Self {
-        VirtualSweep::default()
-    }
-
-    /// Open a figure's benchmark group with the sweep conventions applied.
-    pub fn group<'a>(c: &'a mut Criterion, name: &str) -> BenchmarkGroup<'a> {
-        let mut group = c.benchmark_group(name);
-        group.sample_size(1);
-        group
-    }
-
-    /// Register configuration `key` with the group as benchmark
-    /// `name/param`, measuring (and recording) `run()`'s virtual seconds.
-    pub fn bench(
-        &self,
-        group: &mut BenchmarkGroup<'_>,
-        name: String,
-        param: usize,
-        key: (usize, usize, &'static str),
-        run: impl Fn() -> f64,
-    ) {
-        group.bench_with_input(BenchmarkId::new(name, param), &param, |b, _| {
-            b.iter_custom(|iters| {
-                let mut total = 0.0;
-                for _ in 0..iters.max(1) {
-                    let t = run();
-                    self.recorded.borrow_mut().insert(key, t);
-                    total += t;
-                }
-                Duration::from_secs_f64(total)
-            })
-        });
-    }
-
-    /// The recorded virtual seconds of `key`; panics if the sweep never
-    /// ran that configuration.
-    pub fn get(&self, key: (usize, usize, &'static str)) -> f64 {
-        *self
-            .recorded
-            .borrow()
-            .get(&key)
-            .unwrap_or_else(|| panic!("configuration {key:?} was never swept"))
-    }
-}
 
 /// Default fig-1 parameters: the paper's region and aspect ratio at reduced
 /// resolution, iteration cap raised so compute dominates transfers as it
@@ -657,9 +597,9 @@ pub fn canny_virtual_s(rows: usize, cols: usize, devices: usize, fused: bool) ->
     )
 }
 
-/// Fig-overlap helper: virtual time of `n` Jacobi heat-relaxation rounds
-/// over a `rows × cols` row-block plate across `devices` devices, under
-/// either iterate schedule. With `overlapped` the default
+/// Fig-overlap helper: one measured leg of `n` Jacobi heat-relaxation
+/// rounds over a `rows × cols` row-block plate across `devices` devices,
+/// under either iterate schedule. With `overlapped` the default
 /// `Stencil2D::iterate` runs: each round splits into interior and boundary
 /// launches and the next round's halo exchange is issued on the copy
 /// stream, overlapping the interior kernels; otherwise the serial
@@ -667,45 +607,14 @@ pub fn canny_virtual_s(rows: usize, cols: usize, devices: usize, fused: bool) ->
 /// device-serializing exchange). Both schedules are bit-identical in their
 /// results (asserted by `prop_overlap`); the figure isolates the modeled
 /// timeline difference. Upload and program warm-up are excluded.
-pub fn overlap_iterate_virtual_s(
-    rows: usize,
-    cols: usize,
-    devices: usize,
-    n: usize,
-    overlapped: bool,
-) -> f64 {
-    overlap_iterate_report(rows, cols, devices, n, overlapped).window_s
-}
-
-/// [`overlap_iterate_virtual_s`] returning the leg's whole [`RunReport`],
-/// for callers that read more than the seconds — e.g. the copy-engine time
-/// spent under kernels ([`RunReport::total_overlap_s`]).
-pub fn overlap_iterate_report(
-    rows: usize,
-    cols: usize,
-    devices: usize,
-    n: usize,
-    overlapped: bool,
-) -> RunReport {
-    overlap_iterate_impl(rows, cols, devices, n, overlapped, false)
-}
-
-/// [`overlap_iterate_virtual_s`] with skelcheck's online hazard checker
-/// armed for the run (the public API equivalent of `SKELCL_CHECK=1`): the
-/// figure's checker-overhead column measures this against the unchecked
-/// leg, and the reported summary line proves the checker vetted every
-/// enqueue group in the window.
-pub fn overlap_iterate_checked_virtual_s(
-    rows: usize,
-    cols: usize,
-    devices: usize,
-    n: usize,
-    overlapped: bool,
-) -> f64 {
-    overlap_iterate_impl(rows, cols, devices, n, overlapped, true).window_s
-}
-
-fn overlap_iterate_impl(
+///
+/// With `checked` skelcheck's online hazard checker is armed for the run
+/// (the public API equivalent of `SKELCL_CHECK=1`) and the label gains
+/// `checked`: the figure's checker-overhead check times this against the
+/// unchecked leg, and the summary line proves the checker vetted every
+/// enqueue group in the window. Callers read the window's seconds as
+/// `.window_s`.
+pub fn overlap_iterate(
     rows: usize,
     cols: usize,
     devices: usize,
@@ -768,43 +677,22 @@ pub fn upload_stencil(
     skelcl::Stencil2D::new(user, 2, skelcl::Boundary2D::Neumann)
 }
 
-/// Fig-overlap helper (upload leg): virtual time of one [`upload_stencil`]
-/// pass over a *cold* (host-fresh) `rows × cols` plate, upload included.
-/// With `streamed` the upload goes out in `chunk_rows`-row chunks on the
-/// copy stream and the stencil launches in chunk bands overlapping it
+/// Fig-overlap helper (upload leg): one measured [`upload_stencil`] pass
+/// over a *cold* (host-fresh) `rows × cols` plate, upload included. With
+/// `streamed` the upload goes out in `chunk_rows`-row chunks on the copy
+/// stream and the stencil launches in chunk bands overlapping it
 /// (`Stencil2D::apply_streamed`); otherwise the blocking upload completes
 /// before the single kernel launches (`Stencil2D::apply`). Bit-identical
-/// results; program warm-up excluded.
-pub fn overlap_upload_virtual_s(
-    rows: usize,
-    cols: usize,
-    devices: usize,
-    chunk_rows: usize,
-    streamed: bool,
-) -> f64 {
-    overlap_upload_impl(rows, cols, devices, chunk_rows, streamed, false)
-}
-
-/// [`overlap_upload_virtual_s`] under the online hazard checker — see
-/// [`overlap_iterate_checked_virtual_s`].
-pub fn overlap_upload_checked_virtual_s(
-    rows: usize,
-    cols: usize,
-    devices: usize,
-    chunk_rows: usize,
-    streamed: bool,
-) -> f64 {
-    overlap_upload_impl(rows, cols, devices, chunk_rows, streamed, true)
-}
-
-fn overlap_upload_impl(
+/// results; program warm-up excluded. `checked` arms the online hazard
+/// checker as in [`overlap_iterate`].
+pub fn overlap_upload(
     rows: usize,
     cols: usize,
     devices: usize,
     chunk_rows: usize,
     streamed: bool,
     checked: bool,
-) -> f64 {
+) -> RunReport {
     use skelcl::{Matrix, MatrixDistribution};
 
     let ctx = Context::from_platform(figure_platform(devices), skelcl::DEFAULT_WORK_GROUP);
@@ -828,16 +716,15 @@ fn overlap_upload_impl(
     let schedule = if streamed { "streamed" } else { "blocking" };
     let suffix = if checked { " checked" } else { "" };
     let label = format!("fig_overlap upload {rows}x{cols} {schedule}{suffix} x{devices}");
-    record(
-        &measure(&ctx, &label, skelcl_efficiency(), || {
-            if streamed {
-                st.apply_streamed(&plate, chunk_rows).expect("streamed");
-            } else {
-                st.apply(&plate).expect("blocking");
-            }
-        })
-        .0,
-    )
+    let (report, ()) = measure(&ctx, &label, skelcl_efficiency(), || {
+        if streamed {
+            st.apply_streamed(&plate, chunk_rows).expect("streamed");
+        } else {
+            st.apply(&plate).expect("blocking");
+        }
+    });
+    record(&report);
+    report
 }
 
 /// Fig-allpairs helper: virtual time of one `C = A·B` square matrix
@@ -948,7 +835,7 @@ pub fn run_stencil_cache_experiment() -> CacheResult {
     }
 }
 
-/// Quick OSEM parameters for Criterion benches.
+/// Quick OSEM parameters: the scale of the `fig2` ledger.
 pub fn osem_bench_params() -> OsemParams {
     OsemParams {
         volume: Volume::new(24, 24, 24, 8.0),
@@ -1244,7 +1131,9 @@ mod tests {
         assert_eq!(report.roofline.window_s, report.window_s);
 
         let recorded_s = record(&report);
-        let leg = ledger::legs_for(label).pop().expect("recorded leg");
+        let leg = ledger::legs_for("window_selftest")
+            .pop()
+            .expect("recorded leg");
         assert_eq!(recorded_s, report.window_s);
         assert_eq!(leg.virtual_s, report.window_s);
         assert_eq!(leg.pct_of_peak, report.roofline.pct_of_modeled_peak());
@@ -1296,7 +1185,7 @@ mod tests {
         // schedule exchanges strictly less (no wrapped edge rows under the
         // heat stencil's Neumann boundary) and never re-synchronises the
         // host between rounds, so it must model faster on multiple
-        // devices. (The full 1024² sweep runs in the fig_iterate bench.)
+        // devices. (The full 1024² sweep is the `fig_iterate` figure.)
         let chained = stencil_iterate_virtual_s(256, 256, 4, 50, false);
         let batched = stencil_iterate_virtual_s(256, 256, 4, 50, true);
         assert!(
@@ -1321,8 +1210,8 @@ mod tests {
     fn tiled_allpairs_beats_naive_at_bench_scale() {
         // The fig_allpairs relation at a test-friendly size: local-memory
         // tiling cuts global traffic ~tile-fold, so the memory-bound naive
-        // kernel must model slower (the full 1024² check runs in the
-        // fig_allpairs bench itself).
+        // kernel must model slower (the full 1024² check is the
+        // `fig_allpairs` figure).
         let naive = allpairs_virtual_s(384, 1, skelcl::AllPairsStrategy::Naive);
         let tiled = allpairs_virtual_s(384, 1, skelcl::AllPairsStrategy::Tiled { tile: 16 });
         assert!(
@@ -1345,8 +1234,8 @@ mod tests {
     fn device_side_argmin_beats_matrix_download() {
         // The fig_reduce2d relation at a test-friendly size: the baseline
         // ships the whole q×p distance matrix over PCIe, the device-side
-        // ReduceRowsArg ships two length-q vectors (the full sweep runs in
-        // the fig_reduce2d bench itself).
+        // ReduceRowsArg ships two length-q vectors (the full sweep is the
+        // `fig_reduce2d` figure).
         let host = nn_virtual_s(512, 512, 16, 1, false);
         let device = nn_virtual_s(512, 512, 16, 1, true);
         assert!(
@@ -1360,7 +1249,7 @@ mod tests {
         // The fig_overlap metric at a test-friendly size: the overlapped
         // schedule must show strictly positive copy-engine time concurrent
         // with compute on the same device.
-        let overlap_s = overlap_iterate_report(256, 256, 4, 20, true).total_overlap_s();
+        let overlap_s = overlap_iterate(256, 256, 4, 20, true, false).total_overlap_s();
         assert!(
             overlap_s > 0.0,
             "no copy-under-compute overlap in the overlapped iterate schedule"

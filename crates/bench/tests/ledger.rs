@@ -1,12 +1,15 @@
 //! End-to-end pin of the perf-ledger contract: `write_fig` produces a
-//! parseable schema-versioned `BENCH_*.json`, and the `benchdiff` binary
+//! parseable schema-versioned `BENCH_*.json`, the `benchdiff` binary
 //! honours its documented exit codes (0 within threshold / 1 regression
-//! or coverage loss / 2 usage-IO-parse error) against real files.
+//! or coverage loss / 2 usage-IO-parse error) against real files, and the
+//! figure table and the committed seed ledgers name the same figures.
 
 use skelcl_bench::ledger::{
     config_from_label, diff_ledgers, record_leg, Ledger, LedgerEntry, LEDGER_SCHEMA_VERSION,
 };
-use std::path::PathBuf;
+use skelcl_bench::FIGURES;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -130,12 +133,14 @@ fn vanished_baseline_leg_fails_the_gate() {
 
 #[test]
 fn write_fig_persists_recorded_legs_when_dir_is_set() {
-    // Env mutation is confined to this one test; the label prefix is
+    // Env mutation is confined to this one test; the figure name is
     // unique so parallel tests recording into the shared sink can't leak
-    // into the written figure.
+    // into the written figure. `fig_writetest2` shares its prefix and must
+    // stay out of it.
     let dir = scratch_dir("writefig");
     record_leg(entry("fig_writetest warm 128x128 x2", 0.125));
     record_leg(entry("fig_writetest/served", 0.25));
+    record_leg(entry("fig_writetest2 warm 128x128 x1", 0.5));
     std::env::set_var("SKELCL_LEDGER_DIR", &dir);
     std::env::set_var("SKELCL_RUN_ID", "cafe1234");
     let path = skelcl_bench::ledger::write_fig("fig_writetest").expect("dir set => writes");
@@ -160,4 +165,39 @@ fn write_fig_persists_recorded_legs_when_dir_is_set() {
 
     // Diffing a ledger against itself is clean at any threshold.
     assert!(!diff_ledgers(&loaded, &loaded, 0.0).failed());
+}
+
+#[test]
+fn figure_table_and_committed_seeds_name_the_same_figures() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut names = HashSet::new();
+    for fig in FIGURES {
+        assert!(names.insert(fig.name), "{} is registered twice", fig.name);
+        let seed = root.join(format!("BENCH_{}.json", fig.name));
+        let ledger = Ledger::load(&seed).unwrap_or_else(|e| panic!("seed of {}: {e}", fig.name));
+        assert_eq!(ledger.fig, fig.name, "{}", seed.display());
+    }
+    for file in std::fs::read_dir(&root).expect("repo root lists") {
+        let file = file.expect("dir entry").file_name();
+        let file = file.to_string_lossy();
+        if let Some(stem) = file
+            .strip_prefix("BENCH_")
+            .and_then(|f| f.strip_suffix(".json"))
+        {
+            assert!(names.contains(stem), "seed {file} has no FIGURES entry");
+        }
+    }
+}
+
+#[test]
+fn figures_ledger_rejects_an_unknown_name_with_the_registered_list() {
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["ledger", "no_such_fig"])
+        .output()
+        .expect("figures binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    for fig in FIGURES {
+        assert!(stderr.contains(fig.name), "{stderr}");
+    }
 }

@@ -9,10 +9,10 @@
 //! Rust cannot compile OpenCL-C strings at runtime, so a build here does two
 //! things: (1) it *actually performs* deterministic work proportional to the
 //! source size (so the wall-clock benefit of the cache is real and
-//! measurable by Criterion), and (2) it charges the modeled compile cost
-//! from the driver profile to the virtual host clock (so the figures
-//! harness reports the paper-comparable numbers). A cache hit replaces both
-//! with the much cheaper binary load.
+//! measurable; `figures cache` prints it), and (2) it charges the modeled
+//! compile cost from the driver profile to the virtual host clock (so the
+//! figures harness reports the paper-comparable numbers). A cache hit
+//! replaces both with the much cheaper binary load.
 
 use crate::error::{Error, Result};
 use crate::kernel::KernelBody;

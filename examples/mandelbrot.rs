@@ -53,7 +53,7 @@ fn main() {
         let img = runner();
         platform.sync_all();
         // Program (re)builds are one-time costs; report compute + transfer
-        // like the figures harness (see EXPERIMENTS.md).
+        // like the figures harness (see `skelcl_bench::measure`).
         let build = (platform.stats_snapshot() - before).build_virtual_ns as f64 * 1e-9;
         println!(
             "{name:>7}: {:8.2} ms (virtual, excl. build)",

@@ -212,9 +212,9 @@ fn virtual_time_orderings_match_the_paper() {
     assert!(t_cuda < t_ocl, "cuda={t_cuda} opencl={t_ocl}");
     assert!(t_ocl < t_skel, "opencl={t_ocl} skelcl={t_skel}");
     // At this deliberately tiny test size SkelCL's fixed costs (position
-    // vector upload, skeleton dispatch) are a large fraction; at the
-    // figure scale (1024x768, max_iter 4096) the overhead is <10 % and at
-    // the paper's scale <5 % — see EXPERIMENTS.md.
+    // vector upload, skeleton dispatch) are a large fraction. At the
+    // figure scale (1024x768, max_iter 4096) `figures fig1` prints the
+    // SkelCL/OpenCL ratio: about +10 %, against the paper's < 5 %.
     assert!(
         t_skel < t_ocl * 1.8,
         "skelcl overhead too large even for test scale: {t_skel} vs {t_ocl}"
