@@ -19,6 +19,9 @@ pub enum SubmitError {
     UnknownTenant,
     /// The executor is draining for shutdown.
     ShuttingDown,
+    /// The job's data does not match its declared shape (say, a `Jacobi`
+    /// plate whose `data` is not `rows × cols` long). Nothing was queued.
+    Malformed { kind: &'static str, reason: String },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -29,6 +32,7 @@ impl std::fmt::Display for SubmitError {
             }
             SubmitError::UnknownTenant => write!(f, "unknown tenant id"),
             SubmitError::ShuttingDown => write!(f, "executor is shutting down"),
+            SubmitError::Malformed { kind, reason } => write!(f, "malformed {kind} job: {reason}"),
         }
     }
 }

@@ -18,6 +18,8 @@
 
 use skelcl::{Context, Matrix, MatrixDistribution, Result};
 
+use crate::handle::SubmitError;
+
 /// One unit of work a tenant can submit.
 ///
 /// Inputs are owned (`Vec<f32>`) so submission transfers the data to the
@@ -81,6 +83,32 @@ impl Job {
             Job::Jacobi { .. } | Job::MatMul { .. } => None,
         }
     }
+
+    /// Check that every matrix operand holds exactly its declared
+    /// `rows × cols` elements. `submit` refuses a job that fails this, so
+    /// a malformed job never reaches the dispatcher.
+    pub(crate) fn check_shape(&self) -> std::result::Result<(), SubmitError> {
+        let expect = |what: &str, len: usize, rows: usize, cols: usize| {
+            if rows.checked_mul(cols) == Some(len) {
+                Ok(())
+            } else {
+                Err(SubmitError::Malformed {
+                    kind: self.kind(),
+                    reason: format!("`{what}` has {len} elements, expected {rows}×{cols}"),
+                })
+            }
+        };
+        match self {
+            Job::Axpb { .. } | Job::RowSum { .. } => Ok(()),
+            Job::Jacobi {
+                rows, cols, data, ..
+            } => expect("data", data.len(), *rows, *cols),
+            Job::MatMul { m, k, n, a, b } => {
+                expect("a", a.len(), *m, *k)?;
+                expect("b", b.len(), *k, *n)
+            }
+        }
+    }
 }
 
 fn axpb_user_fn(a: f32, b: f32) -> skelcl::UserFn<impl Fn(f32) -> f32 + Clone> {
@@ -99,10 +127,11 @@ pub fn run_job(ctx: &Context, home: usize, job: &Job) -> Result<(JobOutput, f64)
     Ok(out.pop().expect("run_batch returns one output per job"))
 }
 
-/// Execute `jobs` as one fused launch on `ctx`, homed on device `home` for
-/// the coalescable kinds. All jobs must share the first job's
-/// `coalesce_key` (the dispatcher guarantees this; non-coalescable kinds
-/// arrive as batches of one). Returns `(output, ready_s)` per job in
+/// Execute `jobs` as one fused launch on `ctx`, homed on device `home`:
+/// every kind's input is placed on `MatrixDistribution::Single(home)`, so
+/// the whole batch runs on that one device. All jobs must share the first
+/// job's `coalesce_key` (the dispatcher guarantees this; non-coalescable
+/// kinds arrive as batches of one). Returns `(output, ready_s)` per job in
 /// submission order, where `ready_s` is the virtual time the result's
 /// read-back completes — obtained via `read_back_async`, so the host clock
 /// is never synced and concurrent tenants keep overlapping.
@@ -172,6 +201,7 @@ pub fn run_batch(ctx: &Context, home: usize, jobs: &[Job]) -> Result<Vec<(JobOut
         } => {
             assert_eq!(jobs.len(), 1, "jacobi jobs never coalesce");
             let plate = Matrix::from_vec(ctx, *rows, *cols, data.clone());
+            plate.set_distribution(MatrixDistribution::Single(home))?;
             let relaxed = skelcl_iterative::skelcl_impl::heat_skeleton().iterate(&plate, *iters)?;
             let (out, ready_s) = relaxed.read_back_async()?;
             Ok(vec![(
@@ -186,6 +216,7 @@ pub fn run_batch(ctx: &Context, home: usize, jobs: &[Job]) -> Result<Vec<(JobOut
         Job::MatMul { m, k, n, a, b } => {
             assert_eq!(jobs.len(), 1, "matmul jobs never coalesce");
             let a_mat = Matrix::from_vec(ctx, *m, *k, a.clone());
+            a_mat.set_distribution(MatrixDistribution::Single(home))?;
             let b_mat = Matrix::from_vec(ctx, *k, *n, b.clone());
             let c = skelcl_linalg::skelcl_impl::matmul_skeleton().apply(&a_mat, &b_mat)?;
             let (out, ready_s) = c.read_back_async()?;
@@ -282,51 +313,52 @@ mod tests {
     fn jacobi_and_matmul_jobs_run_and_match_references() {
         let ctx = Context::init(2);
         let plate = skelcl_iterative::heat_plate(12, 16);
-        let (out, _) = run_job(
-            &ctx,
-            0,
-            &Job::Jacobi {
-                rows: 12,
-                cols: 16,
-                iters: 3,
-                data: plate.clone(),
-            },
-        )
-        .unwrap();
-        let expect = skelcl_iterative::seq::heat_run(&plate, 12, 16, 3);
-        match out {
-            JobOutput::Matrix { rows, cols, data } => {
-                assert_eq!((rows, cols), (12, 16));
-                for (got, want) in data.iter().zip(&expect) {
-                    assert!((got - want).abs() < 1e-5);
-                }
-            }
-            other => panic!("expected matrix, got {other:?}"),
-        }
-
         let a = skelcl_linalg::test_matrix(6, 5, 1);
         let b = skelcl_linalg::test_matrix(5, 7, 2);
-        let (out, _) = run_job(
-            &ctx,
-            0,
-            &Job::MatMul {
-                m: 6,
-                k: 5,
-                n: 7,
-                a: a.clone(),
-                b: b.clone(),
-            },
-        )
-        .unwrap();
-        let expect = skelcl_linalg::seq::matmul(&a, &b, 6, 5, 7);
-        assert_eq!(
-            out,
-            JobOutput::Matrix {
-                rows: 6,
-                cols: 7,
-                data: expect
-            }
-        );
+        for home in [0, 1] {
+            let (out, _) = run_job(
+                &ctx,
+                home,
+                &Job::Jacobi {
+                    rows: 12,
+                    cols: 16,
+                    iters: 3,
+                    data: plate.clone(),
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                out,
+                JobOutput::Matrix {
+                    rows: 12,
+                    cols: 16,
+                    data: skelcl_iterative::seq::heat_run(&plate, 12, 16, 3)
+                },
+                "jacobi on home {home}"
+            );
+
+            let (out, _) = run_job(
+                &ctx,
+                home,
+                &Job::MatMul {
+                    m: 6,
+                    k: 5,
+                    n: 7,
+                    a: a.clone(),
+                    b: b.clone(),
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                out,
+                JobOutput::Matrix {
+                    rows: 6,
+                    cols: 7,
+                    data: skelcl_linalg::seq::matmul(&a, &b, 6, 5, 7)
+                },
+                "matmul on home {home}"
+            );
+        }
     }
 
     #[test]

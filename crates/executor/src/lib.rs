@@ -17,7 +17,8 @@
 //!   device engines, the compiled-program registry (with per-tenant
 //!   admission quotas) and the metrics registry, but their command streams
 //!   are ordered independently, so one tenant's backlog does not order
-//!   another tenant's work.
+//!   another tenant's work. Each tenant has a home device, and every job it
+//!   submits runs there, so tenants with different homes run side by side.
 //! - **Scheduling** — bounded per-tenant queues with shed-on-full
 //!   backpressure, weighted round-robin dispatch (a flooding tenant only
 //!   grows its own queue), and batch coalescing that fuses consecutive

@@ -228,10 +228,17 @@ where
         // then the per-device copies stream as async chunked writes on the
         // copy streams, and each kernel below waits on exactly (marker,
         // last replication chunk) instead of serializing on the device.
+        // A single-device A takes B to that device alone; on one device
+        // that is the same layout as `Copy`, which B keeps there.
         // Device-fresh B: gathered by device-to-device exchange as before,
         // never through the host, with classic device-serializing launches.
         let (b_parts, b_chunks, b_markers) = if !b.device_fresh() {
-            b.set_distribution(MatrixDistribution::Copy)?;
+            b.set_distribution(match a.distribution() {
+                MatrixDistribution::Single(d) if ctx.n_devices() > 1 => {
+                    MatrixDistribution::Single(d)
+                }
+                _ => MatrixDistribution::Copy,
+            })?;
             let markers: Vec<Event> = (0..ctx.n_devices())
                 .map(|d| ctx.queue(d).enqueue_marker())
                 .collect();
@@ -612,6 +619,31 @@ mod tests {
             reference_matmul(&da, &db, m, k, n),
             "event-driven replication must stay bit-identical"
         );
+    }
+
+    #[test]
+    fn host_fresh_b_is_uploaded_only_where_a_has_rows() {
+        let c = ctx(2);
+        let (m, k, n) = (10, 12, 9);
+        let (da, db) = (test_data(m, k, 17), test_data(k, n, 18));
+        let a = Matrix::from_vec(&c, m, k, da.clone());
+        a.set_distribution(MatrixDistribution::Single(1)).unwrap();
+        let b = Matrix::from_vec(&c, k, n, db.clone());
+        let before = c.platform().stats_snapshot();
+        let got = matmul_skel().apply(&a, &b).unwrap();
+        let delta = c.platform().stats_snapshot() - before;
+        assert_eq!(
+            delta.h2d_bytes,
+            ((m * k + k * n) * std::mem::size_of::<f32>()) as u64,
+            "A and B each cross PCIe once, to device 1 only"
+        );
+        assert_eq!(c.device(0).used_bytes(), 0, "device 0 computes nothing");
+        let want: Vec<u32> = reference_matmul(&da, &db, m, k, n)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let got: Vec<u32> = got.to_vec().unwrap().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
