@@ -1,5 +1,6 @@
 //! Futures for submitted jobs: a [`JobHandle`] is the client's end of a
-//! one-shot slot the dispatcher fills when the job's launch completes.
+//! one-shot slot the dispatcher fills when the job's result is read back,
+//! or with [`JobError::Cancelled`] if the dispatcher dies first.
 //!
 //! Built on `std::sync::{Mutex, Condvar}` — the handle is shared across
 //! client threads and the dispatcher thread, and `wait` must block without
@@ -44,7 +45,8 @@ impl std::error::Error for SubmitError {}
 pub enum JobError {
     /// The skeleton launch failed; carries the rendered `skelcl::Error`.
     Failed(String),
-    /// The executor shut down before dispatching the job.
+    /// The job was dropped unfinished: the dispatcher died (a panic on its
+    /// thread) while the job was queued or in flight.
     Cancelled,
 }
 
@@ -52,7 +54,10 @@ impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JobError::Failed(msg) => write!(f, "job failed: {msg}"),
-            JobError::Cancelled => write!(f, "job cancelled by shutdown"),
+            JobError::Cancelled => write!(
+                f,
+                "job cancelled: the dispatcher stopped before it finished"
+            ),
         }
     }
 }
@@ -109,27 +114,21 @@ impl JobReport {
     }
 }
 
-pub(crate) enum SlotState {
+enum SlotState {
     Pending,
     Done(Result<(JobOutput, JobReport), JobError>),
     Taken,
 }
 
-/// The shared one-shot cell between dispatcher and client.
-pub(crate) struct Slot {
+/// The shared one-shot cell between dispatcher and client; only the first
+/// fill counts.
+struct Slot {
     state: Mutex<SlotState>,
     cv: Condvar,
 }
 
 impl Slot {
-    pub(crate) fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            state: Mutex::new(SlotState::Pending),
-            cv: Condvar::new(),
-        })
-    }
-
-    pub(crate) fn fill(&self, result: Result<(JobOutput, JobReport), JobError>) {
+    fn fill(&self, result: Result<(JobOutput, JobReport), JobError>) {
         let mut st = self.state.lock().unwrap();
         if matches!(*st, SlotState::Pending) {
             *st = SlotState::Done(result);
@@ -138,10 +137,39 @@ impl Slot {
     }
 }
 
+/// The dispatcher's end of a job's slot. Dropping it unfilled completes the
+/// job with [`JobError::Cancelled`]: a dispatcher that unwinds from a panic
+/// drops every job it holds, and no client is left waiting.
+pub(crate) struct Promise(Arc<Slot>);
+
+impl Promise {
+    /// A fresh pending job: the promise and the client's handle.
+    pub(crate) fn pair() -> (Promise, JobHandle) {
+        let slot = Arc::new(Slot {
+            state: Mutex::new(SlotState::Pending),
+            cv: Condvar::new(),
+        });
+        let handle = JobHandle {
+            slot: Arc::clone(&slot),
+        };
+        (Promise(slot), handle)
+    }
+
+    pub(crate) fn fulfil(self, result: Result<(JobOutput, JobReport), JobError>) {
+        self.0.fill(result);
+    }
+}
+
+impl Drop for Promise {
+    fn drop(&mut self) {
+        self.0.fill(Err(JobError::Cancelled));
+    }
+}
+
 /// The client's future for one submitted job. `wait` consumes the handle
 /// and blocks until the dispatcher fills the slot.
 pub struct JobHandle {
-    pub(crate) slot: Arc<Slot>,
+    slot: Arc<Slot>,
 }
 
 impl JobHandle {

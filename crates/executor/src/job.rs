@@ -2,10 +2,11 @@
 //!
 //! A [`Job`] is a self-contained work request: the kind of skeleton to run
 //! plus **owned** input data, so a client thread can hand it to the service
-//! and walk away. Execution happens on the dispatcher thread through
-//! [`run_batch`], which is the *only* launch primitive — a single job is a
-//! batch of one, so coalesced and uncoalesced dispatch share every code
-//! path that touches the device and results are bit-identical either way.
+//! and walk away. Execution happens on the dispatcher thread through the
+//! two phases of [`run_batch`] (launch, then read-back), the *only* launch
+//! primitive — a single job is a batch of one, so coalesced and uncoalesced
+//! dispatch share every code path that touches the device and results are
+//! bit-identical either way.
 //!
 //! Batching model: jobs that report the same [`Job::coalesce_key`] (same
 //! kind, same shape, same scalar parameters) may be merged into one launch.
@@ -16,7 +17,8 @@
 //! row independently in a canonical ascending order, row `i` of the fused
 //! launch is bit-identical to running job `i` alone.
 
-use skelcl::{Context, Matrix, MatrixDistribution, Result};
+use skelcl::{Context, Matrix, MatrixDistribution, Result, Vector};
+use vgpu::Event;
 
 use crate::handle::SubmitError;
 
@@ -120,6 +122,39 @@ fn axpb_user_fn(a: f32, b: f32) -> skelcl::UserFn<impl Fn(f32) -> f32 + Clone> {
     skelcl::UserFn::new(name, source, move |x: f32| a * x + b)
 }
 
+fn row_sum() -> skelcl::ReduceRows<f32, fn(f32, f32) -> f32> {
+    skelcl::ReduceRows::new(
+        skelcl::skel_fn!(
+            fn sum(x: f32, y: f32) -> f32 {
+                x + y
+            }
+        ),
+        0.0f32,
+    )
+}
+
+/// Whether launching a batch led by `job` builds a program that `ctx`'s
+/// registry does not hold yet. A build moves the host clock forward, so it
+/// delays every command enqueued after it.
+pub(crate) fn builds(ctx: &Context, job: &Job) -> bool {
+    let program = match job {
+        Job::Axpb { data, .. } | Job::RowSum { data } if data.is_empty() => return false,
+        Job::Axpb { a, b, .. } => skelcl::Map::<f32, f32, _>::new(axpb_user_fn(*a, *b))
+            .matrix_program()
+            .clone(),
+        Job::RowSum { .. } => row_sum().program().clone(),
+        Job::Jacobi { .. } => skelcl_iterative::skelcl_impl::heat_skeleton()
+            .program()
+            .clone(),
+        Job::MatMul { .. } => {
+            skelcl_linalg::skelcl_impl::matmul_skeleton()
+                .program_on(ctx)
+                .0
+        }
+    };
+    !ctx.program_registry().contains(&program)
+}
+
 /// Run one job. Defined as a batch of one so the single-job path *is* the
 /// batched path — the bit-identity guarantee is structural, not tested-in.
 pub fn run_job(ctx: &Context, home: usize, job: &Job) -> Result<(JobOutput, f64)> {
@@ -133,65 +168,59 @@ pub fn run_job(ctx: &Context, home: usize, job: &Job) -> Result<(JobOutput, f64)
 /// job's `coalesce_key` (the dispatcher guarantees this; non-coalescable
 /// kinds arrive as batches of one). Returns `(output, ready_s)` per job in
 /// submission order, where `ready_s` is the virtual time the result's
-/// read-back completes — obtained via `read_back_async`, so the host clock
-/// is never synced and concurrent tenants keep overlapping.
+/// read-back completes — an asynchronous read, so the host clock is never
+/// synced and concurrent tenants keep overlapping.
+///
+/// A batch runs in two phases, `launch` and `Launched::read_back`;
+/// this runs them back to back. The dispatcher runs them apart, so the
+/// next batch on the device launches before this one reads back.
 pub fn run_batch(ctx: &Context, home: usize, jobs: &[Job]) -> Result<Vec<(JobOutput, f64)>> {
+    launch(ctx, home, jobs)?.read_back()
+}
+
+/// A batch whose kernel is enqueued; its output is still on the device.
+pub(crate) struct Launched {
+    out: Out,
+    /// A marker on the home device right after the batch's kernel. The
+    /// read-back waits for it, and so for nothing enqueued later. `None`
+    /// when the batch did no device work.
+    fence: Option<Event>,
+}
+
+/// A launched batch's result.
+enum Out {
+    /// Empty inputs, so no device work: each job's output and ready time.
+    Ready(Vec<(JobOutput, f64)>),
+    /// Row `i` is job `i`'s vector (`Axpb`).
+    Rows(Matrix<f32>),
+    /// Element `i` is job `i`'s sum (`RowSum`).
+    Sums(Vector<f32>),
+    /// The one job's matrix (`Jacobi`, `MatMul`).
+    Matrix(Matrix<f32>),
+}
+
+/// The launch phase of [`run_batch`]: upload the inputs, enqueue the
+/// kernel, and take the fence. The coalescable kinds upload on the tenant's
+/// copy stream, ordered by events only, so the upload runs under whatever
+/// kernel the device is still busy with. `Jacobi` and `MatMul` upload
+/// inside their skeletons. The inputs are dropped on return, and only the
+/// output stays on the device.
+pub(crate) fn launch(ctx: &Context, home: usize, jobs: &[Job]) -> Result<Launched> {
     assert!(!jobs.is_empty(), "run_batch needs at least one job");
-    match &jobs[0] {
+    let out = match &jobs[0] {
         Job::Axpb { a, b, data } => {
-            let n = data.len();
-            if n == 0 {
-                let now = ctx.host_now_s();
-                return Ok(jobs
-                    .iter()
-                    .map(|_| (JobOutput::Vector(vec![]), now))
-                    .collect());
+            if data.is_empty() {
+                return Ok(Launched::ready(ctx, jobs, JobOutput::Vector(vec![])));
             }
-            let mut flat = Vec::with_capacity(jobs.len() * n);
-            for job in jobs {
-                match job {
-                    Job::Axpb { data, .. } => flat.extend_from_slice(data),
-                    other => panic!("mixed batch: axpb with {}", other.kind()),
-                }
-            }
-            let input = Matrix::from_vec(ctx, jobs.len(), n, flat);
-            input.set_distribution(MatrixDistribution::Single(home))?;
-            let out = skelcl::Map::new(axpb_user_fn(*a, *b)).apply_matrix(&input)?;
-            let (flat, ready_s) = out.read_back_async()?;
-            Ok(flat
-                .chunks(n)
-                .map(|row| (JobOutput::Vector(row.to_vec()), ready_s))
-                .collect())
+            let input = stack_rows(ctx, home, jobs, data.len())?;
+            Out::Rows(skelcl::Map::new(axpb_user_fn(*a, *b)).apply_matrix(&input)?)
         }
         Job::RowSum { data } => {
-            let n = data.len();
-            if n == 0 {
-                let now = ctx.host_now_s();
-                return Ok(jobs.iter().map(|_| (JobOutput::Scalar(0.0), now)).collect());
+            if data.is_empty() {
+                return Ok(Launched::ready(ctx, jobs, JobOutput::Scalar(0.0)));
             }
-            let mut flat = Vec::with_capacity(jobs.len() * n);
-            for job in jobs {
-                match job {
-                    Job::RowSum { data } => flat.extend_from_slice(data),
-                    other => panic!("mixed batch: rowsum with {}", other.kind()),
-                }
-            }
-            let input = Matrix::from_vec(ctx, jobs.len(), n, flat);
-            input.set_distribution(MatrixDistribution::Single(home))?;
-            let sums = skelcl::ReduceRows::new(
-                skelcl::skel_fn!(
-                    fn sum(x: f32, y: f32) -> f32 {
-                        x + y
-                    }
-                ),
-                0.0f32,
-            )
-            .apply(&input)?;
-            let (vals, ready_s) = sums.read_back_async()?;
-            Ok(vals
-                .into_iter()
-                .map(|s| (JobOutput::Scalar(s), ready_s))
-                .collect())
+            let input = stack_rows(ctx, home, jobs, data.len())?;
+            Out::Sums(row_sum().apply(&input)?)
         }
         Job::Jacobi {
             rows,
@@ -202,33 +231,76 @@ pub fn run_batch(ctx: &Context, home: usize, jobs: &[Job]) -> Result<Vec<(JobOut
             assert_eq!(jobs.len(), 1, "jacobi jobs never coalesce");
             let plate = Matrix::from_vec(ctx, *rows, *cols, data.clone());
             plate.set_distribution(MatrixDistribution::Single(home))?;
-            let relaxed = skelcl_iterative::skelcl_impl::heat_skeleton().iterate(&plate, *iters)?;
-            let (out, ready_s) = relaxed.read_back_async()?;
-            Ok(vec![(
-                JobOutput::Matrix {
-                    rows: *rows,
-                    cols: *cols,
-                    data: out,
-                },
-                ready_s,
-            )])
+            Out::Matrix(skelcl_iterative::skelcl_impl::heat_skeleton().iterate(&plate, *iters)?)
         }
         Job::MatMul { m, k, n, a, b } => {
             assert_eq!(jobs.len(), 1, "matmul jobs never coalesce");
             let a_mat = Matrix::from_vec(ctx, *m, *k, a.clone());
             a_mat.set_distribution(MatrixDistribution::Single(home))?;
             let b_mat = Matrix::from_vec(ctx, *k, *n, b.clone());
-            let c = skelcl_linalg::skelcl_impl::matmul_skeleton().apply(&a_mat, &b_mat)?;
-            let (out, ready_s) = c.read_back_async()?;
-            Ok(vec![(
-                JobOutput::Matrix {
-                    rows: *m,
-                    cols: *n,
-                    data: out,
-                },
-                ready_s,
-            )])
+            Out::Matrix(skelcl_linalg::skelcl_impl::matmul_skeleton().apply(&a_mat, &b_mat)?)
         }
+    };
+    Ok(Launched {
+        out,
+        fence: Some(ctx.queue(home).enqueue_marker()),
+    })
+}
+
+/// Stack each job's `n`-element vector as one row of a `jobs.len() × n`
+/// matrix on device `home`, uploaded in one chunk on the copy stream.
+fn stack_rows(ctx: &Context, home: usize, jobs: &[Job], n: usize) -> Result<Matrix<f32>> {
+    let key = jobs[0].coalesce_key();
+    let mut flat = Vec::with_capacity(jobs.len() * n);
+    for job in jobs {
+        match job {
+            Job::Axpb { data, .. } | Job::RowSum { data } if job.coalesce_key() == key => {
+                flat.extend_from_slice(data)
+            }
+            other => panic!("mixed batch: {} with {}", jobs[0].kind(), other.kind()),
+        }
+    }
+    let input = Matrix::from_vec(ctx, jobs.len(), n, flat);
+    input.set_distribution(MatrixDistribution::Single(home))?;
+    input.ensure_on_devices_streamed(jobs.len())?;
+    Ok(input)
+}
+
+impl Launched {
+    /// A batch that needs no device work: every job's output is `out`.
+    fn ready(ctx: &Context, jobs: &[Job], out: JobOutput) -> Launched {
+        let now = ctx.host_now_s();
+        Launched {
+            out: Out::Ready(jobs.iter().map(|_| (out.clone(), now)).collect()),
+            fence: None,
+        }
+    }
+
+    /// The read-back phase of [`run_batch`]: download the output once the
+    /// fence is reached. Returns `(output, ready_s)` per job in submission
+    /// order.
+    pub(crate) fn read_back(self) -> Result<Vec<(JobOutput, f64)>> {
+        let fence = self.fence.as_slice();
+        Ok(match self.out {
+            Out::Ready(outputs) => outputs,
+            Out::Rows(m) => {
+                let (flat, ready_s) = m.read_back_after(fence)?;
+                flat.chunks(m.dims().1)
+                    .map(|row| (JobOutput::Vector(row.to_vec()), ready_s))
+                    .collect()
+            }
+            Out::Sums(v) => {
+                let (sums, ready_s) = v.read_back_after(fence)?;
+                sums.into_iter()
+                    .map(|s| (JobOutput::Scalar(s), ready_s))
+                    .collect()
+            }
+            Out::Matrix(m) => {
+                let (rows, cols) = m.dims();
+                let (data, ready_s) = m.read_back_after(fence)?;
+                vec![(JobOutput::Matrix { rows, cols, data }, ready_s)]
+            }
+        })
     }
 }
 

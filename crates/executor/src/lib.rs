@@ -24,7 +24,9 @@
 //!   grows its own queue), and batch coalescing that fuses consecutive
 //!   same-kernel/same-shape jobs into one launch. Single jobs run through
 //!   the same fused path (a batch of one), so coalescing is bit-transparent
-//!   by construction.
+//!   by construction. Dispatch is pipelined per device: a coalesced batch
+//!   reads back only after the next batch on its device has launched, so
+//!   each device's transfers run under its kernels.
 //!
 //! Observability rides the `skelcl` metrics registry: `executor.*`
 //! counters, per-tenant `executor.tenant.<name>.*` series (including a

@@ -8,12 +8,12 @@
 //! takes the scheduler lock, stamps the job with the current virtual time
 //! and clock epoch, and enqueues it — no device commands are issued on
 //! client threads. A single dispatcher thread pops batches and runs them
-//! through [`crate::job::run_batch`], so every device command is issued
-//! from one thread in a deterministic order per schedule, while the
-//! *modeled* timeline still overlaps across tenants because each tenant
-//! owns its own in-order streams (`Context::fork_streams`) and results are
-//! materialized with `read_back_async` (the host clock is never synced to
-//! device completion).
+//! through the two phases of [`crate::job::run_batch`], so every device
+//! command is issued from one thread in a deterministic order per schedule,
+//! while the *modeled* timeline still overlaps across tenants because each
+//! tenant owns its own in-order streams (`Context::fork_streams`) and
+//! results are materialized with `read_back_after` (the host clock is never
+//! synced to device completion).
 //!
 //! # Scheduling
 //!
@@ -42,22 +42,52 @@
 //! is built for many clients with streams of small jobs, and under such a
 //! backlog every device has its own tenants' work.
 //!
+//! # Pipelining
+//!
+//! A batch runs in two phases: the launch (an upload on the tenant's copy
+//! stream ordered by events only, the kernel, and a fence marker), then the
+//! read-back, which waits on that fence. While another job homed on the
+//! same device is queued, the dispatcher holds a launched coalesced batch
+//! open and reads it back right after the next batch on that device has
+//! launched. Batch k+1's upload then runs under batch k's kernel, and batch
+//! k's read-back under batch k+1's kernel. An open batch keeps only its
+//! output on the device. It is read back at once, without waiting for a
+//! next batch, when:
+//!
+//! * no job homed on its device is queued, so no next batch is coming and
+//!   another device's backlog never delays it;
+//! * the next launch builds a program: a build moves the host clock, and a
+//!   read enqueued after it could start no earlier;
+//! * its device runs a `Jacobi` or `MatMul` batch. Those run closed (read
+//!   back right after their launch), so a plate-sized output is never held
+//!   while another device runs its own large job;
+//! * the dispatcher pauses or runs out of work.
+//!
+//! So a job's slot fills no later than the launch of the next batch on its
+//! home device, and `drain` waits for open batches like any in-flight job.
+//!
 //! # Backpressure
 //!
 //! Each tenant's queue is bounded at `queue_depth`; `submit` against a full
 //! queue returns [`SubmitError::QueueFull`] immediately (shed, not
 //! blocked) and bumps the tenant's `rejected` counter.
+//!
+//! # A dying dispatcher
+//!
+//! If the dispatcher thread panics, every job it holds or still has queued
+//! completes with [`JobError::Cancelled`], `drain` returns, and later
+//! submissions are refused with [`SubmitError::ShuttingDown`].
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use skelcl::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use skelcl::{Context, ContextConfig, ProgramRegistry, SloSummary};
 use vgpu::Platform;
 
-use crate::handle::{JobError, JobHandle, JobReport, Slot, SubmitError};
-use crate::job::{run_batch, Job};
+use crate::handle::{JobError, JobHandle, JobReport, Promise, SubmitError};
+use crate::job::{self, Job, Launched};
 
 /// Scheduler policy for draining tenant queues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,7 +193,12 @@ pub struct TenantId(pub(crate) usize);
 
 struct Queued {
     job: Job,
-    slot: Arc<Slot>,
+    ticket: Ticket,
+}
+
+/// What completing a job needs once its input has been launched.
+struct Ticket {
+    promise: Promise,
     submit_s: f64,
     epoch: u64,
     /// Span id allocated at submit when span collection is on — the job's
@@ -259,16 +294,31 @@ fn update_tenant_shed_rate(t: &Tenant) {
     }
 }
 
-/// One batch popped from the scheduler, with everything `execute` needs so
+/// One batch popped from the scheduler, with everything `launch` needs so
 /// the lock is not held across device work.
 struct BatchPlan {
     jobs: Vec<Queued>,
     ctx: Context,
     home: usize,
-    tenant: String,
+    meters: TenantMeters,
+}
+
+/// The tenant's name and the meters each of its completed jobs bumps.
+struct TenantMeters {
+    name: String,
     completed: Counter,
     latency: Histogram,
     slo_miss: Counter,
+}
+
+/// A batch past its launch phase: its jobs wait for the read-back.
+struct Batch {
+    tickets: Vec<Ticket>,
+    launched: skelcl::Result<Launched>,
+    kind: &'static str,
+    start_s: f64,
+    epoch: u64,
+    meters: TenantMeters,
 }
 
 /// The multi-tenant executor service. See the module docs for the model.
@@ -398,13 +448,15 @@ impl Executor {
                 depth: depth_limit,
             });
         }
-        let slot = Slot::new();
+        let (promise, handle) = Promise::pair();
         t.queue.push_back(Queued {
             job,
-            slot: Arc::clone(&slot),
-            submit_s,
-            epoch,
-            span: self.shared.root.alloc_span_id(),
+            ticket: Ticket {
+                promise,
+                submit_s,
+                epoch,
+                span: self.shared.root.alloc_span_id(),
+            },
         });
         t.submitted.inc();
         t.depth.set(t.queue.len() as f64);
@@ -417,7 +469,7 @@ impl Executor {
         }
         drop(st);
         self.shared.work.notify_one();
-        Ok(JobHandle { slot })
+        Ok(handle)
     }
 
     /// Halt dispatch (queued jobs stay queued; submissions still accepted).
@@ -499,31 +551,93 @@ impl Drop for Executor {
 }
 
 fn dispatch_loop(shared: &Shared) {
+    let _unwind = CancelOnUnwind(shared);
+    // At most one launched coalesced batch per device, held open while a
+    // job homed there is queued (see "Pipelining" in the module doc).
+    let mut open: Vec<Option<Batch>> = (0..shared.root.n_devices()).map(|_| None).collect();
     loop {
-        let plan = {
+        let next = {
             let mut st = shared.state.lock().unwrap();
             loop {
-                if st.pending == 0 && st.shutdown {
-                    return;
-                }
                 // Shutdown overrides pause: queued jobs must drain.
                 if st.pending > 0 && (!st.paused || st.shutdown) {
-                    break;
+                    let plan = take_batch(shared, &mut st);
+                    st.pending -= plan.jobs.len();
+                    st.in_flight += plan.jobs.len();
+                    let mut queued = vec![false; open.len()];
+                    for t in st.tenants.iter().filter(|t| !t.queue.is_empty()) {
+                        queued[t.home] = true;
+                    }
+                    break Some((plan, queued));
+                }
+                // Nothing to launch: read back the open batches before
+                // waiting or exiting.
+                if open.iter().any(Option::is_some) {
+                    break None;
+                }
+                if st.shutdown {
+                    return;
                 }
                 st = shared.work.wait(st).unwrap();
             }
-            let plan = take_batch(shared, &mut st);
-            st.pending -= plan.jobs.len();
-            st.in_flight += plan.jobs.len();
-            plan
         };
-        let n = plan.jobs.len();
-        execute(shared, plan);
-        let mut st = shared.state.lock().unwrap();
-        st.in_flight -= n;
-        if st.pending == 0 && st.in_flight == 0 {
-            shared.idle.notify_all();
+        let Some((plan, queued)) = next else {
+            for batch in open.iter_mut().filter_map(Option::take) {
+                complete(shared, batch);
+            }
+            continue;
+        };
+        let home = plan.home;
+        let pipelined = plan.jobs[0].job.coalesce_key().is_some();
+        let builds = job::builds(&plan.ctx, &plan.jobs[0].job);
+        // Read back first every open batch that would otherwise wait: for a
+        // build (it moves the host clock, and a read enqueued after it starts
+        // no earlier), for a device with no queued job (no next batch is
+        // coming), and for this device when this batch runs closed.
+        for (d, slot) in open.iter_mut().enumerate() {
+            let close = builds || if d == home { !pipelined } else { !queued[d] };
+            if let Some(batch) = slot.take_if(|_| close) {
+                complete(shared, batch);
+            }
         }
+        let batch = launch(shared, plan);
+        if let Some(prev) = open[home].take() {
+            complete(shared, prev);
+        }
+        if pipelined && queued[home] {
+            open[home] = Some(batch);
+        } else {
+            complete(shared, batch);
+        }
+    }
+}
+
+/// Armed for the dispatcher's whole life. When the dispatcher unwinds from
+/// a panic, the jobs it holds (the batch it was running and every open
+/// batch) are dropped on the way out, and their promises complete them as
+/// [`JobError::Cancelled`]. This guard, dropped last, cancels every job
+/// still queued the same way, refuses later submissions, and wakes `drain`.
+struct CancelOnUnwind<'a>(&'a Shared);
+
+impl Drop for CancelOnUnwind<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let shared = self.0;
+        let mut st = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.shutdown = true;
+        for t in &mut st.tenants {
+            t.queue.clear();
+            t.depth.set(0.0);
+        }
+        st.fifo.clear();
+        st.pending = 0;
+        st.in_flight = 0;
+        drop(st);
+        // The state is consistent again, so clients may keep locking it.
+        shared.state.clear_poison();
+        shared.idle.notify_all();
     }
 }
 
@@ -596,75 +710,101 @@ fn take_batch(shared: &Shared, st: &mut SchedState) -> BatchPlan {
         jobs,
         ctx: t.ctx.clone(),
         home: t.home,
-        tenant: t.name.clone(),
-        completed: t.completed.clone(),
-        latency: t.latency.clone(),
-        slo_miss: t.slo_miss.clone(),
+        meters: TenantMeters {
+            name: t.name.clone(),
+            completed: t.completed.clone(),
+            latency: t.latency.clone(),
+            slo_miss: t.slo_miss.clone(),
+        },
     }
 }
 
-/// Run one batch outside the scheduler lock and fill its slots.
-fn execute(shared: &Shared, plan: BatchPlan) {
+/// The launch phase of one batch, outside the scheduler lock. The jobs'
+/// inputs are dropped here, once the kernel is enqueued.
+fn launch(shared: &Shared, plan: BatchPlan) -> Batch {
     let BatchPlan {
         jobs,
         ctx,
         home,
-        tenant,
-        completed,
-        latency,
-        slo_miss,
+        meters,
     } = plan;
     let kind = jobs[0].job.kind();
-    let batched = jobs.len();
+    let (jobs, tickets): (Vec<Job>, Vec<Ticket>) =
+        jobs.into_iter().map(|q| (q.job, q.ticket)).unzip();
     let start_s = ctx.host_now_s();
-    let epoch_now = ctx.platform().clock_epoch();
+    let epoch = ctx.platform().clock_epoch();
     let mut span = shared.root.span("executor.batch");
-    span.attr("tenant", tenant.clone());
+    span.attr("tenant", meters.name.clone());
     span.attr("kind", kind);
-    span.attr("jobs", batched.to_string());
-    let job_refs: Vec<Job> = jobs.iter().map(|q| q.job.clone()).collect();
-    let result = run_batch(&ctx, home, &job_refs);
+    span.attr("jobs", jobs.len().to_string());
+    let launched = job::launch(&ctx, home, &jobs);
     drop(span);
     shared.metrics.batches.inc();
-    if batched > 1 {
-        shared.metrics.coalesced_jobs.add(batched as u64 - 1);
+    if jobs.len() > 1 {
+        shared.metrics.coalesced_jobs.add(jobs.len() as u64 - 1);
     }
-    match result {
+    Batch {
+        tickets,
+        launched,
+        kind,
+        start_s,
+        epoch,
+        meters,
+    }
+}
+
+/// The read-back phase of one batch: fill its jobs' slots and retire them.
+fn complete(shared: &Shared, batch: Batch) {
+    let Batch {
+        tickets,
+        launched,
+        kind,
+        start_s,
+        epoch,
+        meters,
+    } = batch;
+    let batched = tickets.len();
+    match launched.and_then(Launched::read_back) {
         Ok(outputs) => {
-            for (q, (out, ready_s)) in jobs.into_iter().zip(outputs) {
-                let stale_epoch = q.epoch != epoch_now;
+            for (t, (out, ready_s)) in tickets.into_iter().zip(outputs) {
+                let stale_epoch = t.epoch != epoch;
                 if stale_epoch {
                     shared.metrics.stale_epoch_jobs.inc();
                 }
                 let report = JobReport {
-                    tenant: tenant.clone(),
+                    tenant: meters.name.clone(),
                     kind,
-                    submit_s: q.submit_s,
+                    submit_s: t.submit_s,
                     start_s,
                     ready_s,
                     batched,
                     stale_epoch,
                 };
-                latency.observe(report.latency_s());
+                meters.latency.observe(report.latency_s());
                 shared.metrics.latency.observe(report.latency_s());
                 if let Some(target) = shared.cfg.latency_slo_s {
                     if report.latency_s() > target {
-                        slo_miss.inc();
+                        meters.slo_miss.inc();
                         shared.metrics.slo_miss.inc();
                     }
                 }
-                record_job_spans(shared, &q, &report);
-                completed.inc();
+                record_job_spans(shared, &t, &report);
+                meters.completed.inc();
                 shared.metrics.completed.inc();
-                q.slot.fill(Ok((out, report)));
+                t.promise.fulfil(Ok((out, report)));
             }
         }
         Err(e) => {
             let msg = e.to_string();
-            for q in jobs {
-                q.slot.fill(Err(JobError::Failed(msg.clone())));
+            for t in tickets {
+                t.promise.fulfil(Err(JobError::Failed(msg.clone())));
             }
         }
+    }
+    let mut st = shared.state.lock().unwrap();
+    st.in_flight -= batched;
+    if st.pending == 0 && st.in_flight == 0 {
+        shared.idle.notify_all();
     }
 }
 
@@ -676,8 +816,8 @@ fn execute(shared: &Shared, plan: BatchPlan) {
 /// batch opened, so parenting it under `executor.batch` would violate the
 /// nesting invariant. Stale-epoch jobs are skipped (their submit timestamp
 /// belongs to a dead clock).
-fn record_job_spans(shared: &Shared, q: &Queued, report: &JobReport) {
-    let Some(span_id) = q.span else { return };
+fn record_job_spans(shared: &Shared, t: &Ticket, report: &JobReport) {
+    let Some(span_id) = t.span else { return };
     if report.stale_epoch {
         return;
     }
@@ -721,10 +861,45 @@ fn record_job_spans(shared: &Shared, q: &Queued, report: &JobReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobOutput;
+    use crate::job::{run_job, JobOutput};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
+    use vgpu::{CmdKind, CommandRecord, EngineKind};
 
     fn ramp(n: usize, salt: f32) -> Vec<f32> {
         (0..n).map(|i| (i as f32).mul_add(0.5, salt)).collect()
+    }
+
+    fn bits(out: &JobOutput) -> Vec<u32> {
+        match out {
+            JobOutput::Scalar(s) => vec![s.to_bits()],
+            JobOutput::Vector(v) | JobOutput::Matrix { data: v, .. } => {
+                v.iter().map(|x| x.to_bits()).collect()
+            }
+        }
+    }
+
+    /// Run `f` on a thread of its own and return its result. A client the
+    /// executor strands then fails the test after 30 s instead of hanging
+    /// the suite; the stranded thread is left behind.
+    fn within_30s<R: Send + 'static>(what: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(r) => {
+                worker
+                    .join()
+                    .expect("the worker sent its result and returned");
+                r
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().expect_err("the worker panicked"))
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("{what} hung"),
+        }
     }
 
     #[test]
@@ -1126,8 +1301,6 @@ mod tests {
         );
         assert_eq!(exec.queue_depth(t), 0, "a refused job is not queued");
 
-        // Waited on through a channel: a dispatcher stranded by the bad
-        // job fails the test instead of hanging it.
         let h = exec
             .submit(
                 t,
@@ -1136,16 +1309,346 @@ mod tests {
                 },
             )
             .unwrap();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let waiter = std::thread::spawn(move || {
-            let _ = tx.send(h.wait());
-        });
-        let (out, _) = rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("a valid job submitted after a malformed one completes")
-            .unwrap();
-        waiter.join().unwrap();
+        let (out, _) = within_30s("a valid job after a malformed one", move || h.wait()).unwrap();
         assert_eq!(out, JobOutput::Scalar(ramp(16, 1.0).iter().sum()));
+    }
+
+    #[test]
+    fn a_dying_dispatcher_cancels_every_job_and_wakes_drain() {
+        let exec = Arc::new(Executor::new(
+            ExecutorConfig::default().devices(2).max_batch(2).paused(),
+        ));
+        let tenants = [exec.add_tenant("a", 1), exec.add_tenant("b", 1)];
+        let handles: Vec<JobHandle> = (0..4)
+            .flat_map(|i| {
+                tenants.map(|t| {
+                    let data = ramp(16, i as f32);
+                    exec.submit(t, Job::RowSum { data }).unwrap()
+                })
+            })
+            .collect();
+        // Dispatch runs a1 (device 0), b1 (device 1), a2 (device 0), then
+        // reads a1 back. The panic hits that read: a1 is being read back,
+        // b1 and a2 are open, and b2 is still queued.
+        exec.context()
+            .platform()
+            .set_command_observer(Some(Arc::new(|group: &[CommandRecord]| {
+                if group.iter().any(|r| r.kind == CmdKind::D2H) {
+                    panic!("injected dispatcher panic");
+                }
+            })));
+        let e = Arc::clone(&exec);
+        let results = within_30s("drain after a dispatcher panic", move || {
+            e.drain();
+            handles.into_iter().map(JobHandle::wait).collect::<Vec<_>>()
+        });
+        assert_eq!(results.len(), 8);
+        for r in results {
+            assert_eq!(r.unwrap_err(), JobError::Cancelled);
+        }
+        let late = exec.submit(tenants[0], Job::RowSum { data: ramp(4, 0.0) });
+        assert_eq!(late.unwrap_err(), SubmitError::ShuttingDown);
+    }
+
+    #[test]
+    fn the_next_batch_uploads_before_the_previous_one_reads_back() {
+        // Two tenants on one device, each with two coalesced batches:
+        // round-robin dispatches a1 b1 a2 b2.
+        let exec = Executor::new(ExecutorConfig::default().devices(1).max_batch(4).paused());
+        let tenants = [exec.add_tenant("a", 1), exec.add_tenant("b", 1)];
+        let job = |t: usize, j: usize| Job::Axpb {
+            a: 1.5 + t as f32,
+            b: -0.25,
+            data: ramp(64, (8 * t + j) as f32),
+        };
+        // Build both programs first, so the traced window holds no builds.
+        for (t, &id) in tenants.iter().enumerate() {
+            exec.submit(id, job(t, 99)).unwrap();
+        }
+        exec.drain();
+        exec.pause();
+        exec.context().platform().enable_timeline_trace();
+        let mut submitted = Vec::new();
+        for (t, &id) in tenants.iter().enumerate() {
+            for j in 0..8 {
+                submitted.push((job(t, j), exec.submit(id, job(t, j)).unwrap()));
+            }
+        }
+        exec.drain();
+        let trace = exec.context().platform().take_timeline_trace();
+
+        // The trace is in enqueue order, and each batch has one upload, one
+        // kernel and one read-back, so the k-th of each is batch k's.
+        let of = |kind| trace.iter().filter(|r| r.kind == kind).collect::<Vec<_>>();
+        let (uploads, kernels, reads) = (of(CmdKind::H2D), of(CmdKind::Kernel), of(CmdKind::D2H));
+        assert_eq!([uploads.len(), kernels.len(), reads.len()], [4, 4, 4]);
+        for k in 0..4 {
+            assert!(
+                reads[k].start_s >= kernels[k].end_s,
+                "batch {k} reads back before its kernel ends"
+            );
+            if k + 1 < 4 {
+                assert!(
+                    uploads[k + 1].start_s < reads[k].start_s,
+                    "batch {} uploads after batch {k} reads back",
+                    k + 1
+                );
+            }
+        }
+        let overlap: f64 = kernels
+            .iter()
+            .flat_map(|kr| {
+                trace
+                    .iter()
+                    .filter(|r| r.engine == EngineKind::Copy)
+                    .map(|c| (kr.end_s.min(c.end_s) - kr.start_s.max(c.start_s)).max(0.0))
+            })
+            .sum();
+        assert!(overlap > 0.0, "no transfer runs under a kernel");
+
+        let ctx = Context::init(1);
+        for (job, h) in submitted {
+            let (out, _) = h.wait().unwrap();
+            let (solo, _) = run_job(&ctx, 0, &job).unwrap();
+            assert_eq!(bits(&out), bits(&solo));
+        }
+    }
+
+    #[test]
+    fn a_lone_batch_completes_when_drain_returns() {
+        let exec = Arc::new(Executor::new(ExecutorConfig::default()));
+        let t = exec.add_tenant("lone", 1);
+        let h = exec
+            .submit(
+                t,
+                Job::Axpb {
+                    a: 2.0,
+                    b: 1.0,
+                    data: ramp(32, 0.0),
+                },
+            )
+            .unwrap();
+        let e = Arc::clone(&exec);
+        let h = within_30s("drain with one batch", move || {
+            e.drain();
+            h
+        });
+        assert!(h.is_done(), "drain returned before the batch read back");
+        let expect: Vec<f32> = ramp(32, 0.0).iter().map(|x| 2.0 * x + 1.0).collect();
+        assert_eq!(h.wait().unwrap().0, JobOutput::Vector(expect));
+    }
+
+    #[test]
+    fn pausing_reads_the_open_batch_back() {
+        // Two batches queued for device 0. The first is held open for the
+        // second, and a pause lands during its launch: the dispatcher must
+        // read it back before it waits, not leave its client waiting for a
+        // resume.
+        let exec = Executor::new(ExecutorConfig::default().devices(1).max_batch(1).paused());
+        let t = exec.add_tenant("a", 1);
+        let job = |i: usize| Job::RowSum {
+            data: ramp(16, i as f32),
+        };
+        // Build the program first: a build reads every open batch back.
+        exec.submit(t, job(99)).unwrap();
+        exec.drain();
+        exec.pause();
+        let (first, second) = (
+            exec.submit(t, job(0)).unwrap(),
+            exec.submit(t, job(1)).unwrap(),
+        );
+        let shared = Arc::downgrade(&exec.shared);
+        exec.context()
+            .platform()
+            .set_command_observer(Some(Arc::new(move |group: &[CommandRecord]| {
+                if group.iter().any(|r| r.kind == CmdKind::Kernel) {
+                    if let Some(shared) = shared.upgrade() {
+                        shared.state.lock().unwrap().paused = true;
+                    }
+                }
+            })));
+        exec.resume();
+        let (out, _) = within_30s("the open batch after a pause", move || first.wait()).unwrap();
+        assert_eq!(out, JobOutput::Scalar(ramp(16, 0.0).iter().sum()));
+        assert!(!second.is_done(), "the second batch waits for the resume");
+        exec.context().platform().set_command_observer(None);
+        exec.drain();
+        let (out, _) = second.wait().unwrap();
+        assert_eq!(out, JobOutput::Scalar(ramp(16, 1.0).iter().sum()));
+    }
+
+    #[test]
+    fn a_batch_never_waits_for_another_devices_backlog() {
+        // One job homed on device 0, a backlog homed on device 1, and no
+        // coalescing. Round-robin launches the lone job first, then the
+        // backlog one batch at a time. Nothing else is queued for device 0,
+        // so the lone job must be read back before the backlog's kernels.
+        let exec = Executor::new(ExecutorConfig::default().devices(2).max_batch(1).paused());
+        let lone = exec.add_tenant("lone", 1);
+        let busy = exec.add_tenant("busy", 1);
+        let axpb = || Job::Axpb {
+            a: 2.0,
+            b: 1.0,
+            data: ramp(32, 0.0),
+        };
+        let row_sum = |i: usize| Job::RowSum {
+            data: ramp(64, i as f32),
+        };
+        // Build both programs first: a build reads every open batch back.
+        exec.submit(lone, axpb()).unwrap();
+        exec.submit(busy, row_sum(99)).unwrap();
+        exec.drain();
+        exec.pause();
+        let h = Arc::new(exec.submit(lone, axpb()).unwrap());
+        let backlog: Vec<JobHandle> = (0..6)
+            .map(|i| exec.submit(busy, row_sum(i)).unwrap())
+            .collect();
+        // Whether the lone job is done, at each kernel on device 1.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (probe, log) = (Arc::clone(&h), Arc::clone(&seen));
+        exec.context()
+            .platform()
+            .set_command_observer(Some(Arc::new(move |group: &[CommandRecord]| {
+                if group
+                    .iter()
+                    .any(|r| r.kind == CmdKind::Kernel && r.device.0 == 1)
+                {
+                    log.lock().unwrap().push(probe.is_done());
+                }
+            })));
+        exec.drain();
+        exec.context().platform().set_command_observer(None);
+        let seen = seen.lock().unwrap().clone();
+        assert!(seen.len() >= backlog.len(), "one kernel per backlog job");
+        assert!(
+            seen.iter().all(|&done| done),
+            "the device-0 job waited for device 1's backlog: done at each \
+             device-1 kernel {seen:?}"
+        );
+        let h = Arc::try_unwrap(h).expect("the observer is gone");
+        let expect: Vec<f32> = ramp(32, 0.0).iter().map(|x| 2.0 * x + 1.0).collect();
+        assert_eq!(h.wait().unwrap().0, JobOutput::Vector(expect));
+        for (i, h) in backlog.into_iter().enumerate() {
+            let expect: f32 = ramp(64, i as f32).iter().sum();
+            assert_eq!(h.wait().unwrap().0, JobOutput::Scalar(expect));
+        }
+    }
+
+    #[test]
+    fn a_build_never_delays_an_open_batchs_read_back() {
+        // Tenant a (device 0) runs two batches with different scalars, so
+        // the second one needs a program of its own; tenant b (device 1)
+        // runs two batches of one program. Round-robin launches a1 and b1,
+        // holds both open, then launches a2, whose program is not built
+        // yet. a1 and b1 must be ready exactly when they are as the only
+        // jobs, read back right after their kernels: a2's build must not
+        // show in their ready times.
+        let ready = |both: bool| -> Vec<f64> {
+            let exec = Executor::new(ExecutorConfig::default().devices(2).max_batch(1).paused());
+            let tenants = [exec.add_tenant("a", 1), exec.add_tenant("b", 1)];
+            let job = |t: usize, j: usize| Job::Axpb {
+                a: if t == 0 { 1.0 + j as f32 } else { 5.0 },
+                b: 0.5,
+                data: ramp(64, (8 * t + j) as f32),
+            };
+            // Build the programs of a1 and b1, then start a fresh epoch.
+            for (t, &id) in tenants.iter().enumerate() {
+                exec.submit(id, job(t, 0)).unwrap();
+            }
+            exec.drain();
+            exec.pause();
+            exec.context().platform().reset_clocks();
+            let rounds = if both { 2 } else { 1 };
+            let handles: Vec<JobHandle> = (0..rounds)
+                .flat_map(|j| (0..2).map(move |t| (t, j)))
+                .map(|(t, j)| exec.submit(tenants[t], job(t, j)).unwrap())
+                .collect();
+            exec.drain();
+            let ready: Vec<f64> = handles
+                .into_iter()
+                .map(|h| h.wait().unwrap().1.ready_s)
+                .collect();
+            let built = exec.context().program_registry().len();
+            assert_eq!(built, if both { 3 } else { 2 }, "a2 builds its program");
+            ready
+        };
+        let (alone, held) = (ready(false), ready(true));
+        assert_eq!(
+            held[..2],
+            alone[..],
+            "a1 and b1 must not wait for a2's build"
+        );
+    }
+
+    #[test]
+    fn a_jacobi_job_never_runs_beside_its_devices_open_batch() {
+        // Homes are dealt 0 1 0 1: a Jacobi and a coalesced tenant per
+        // device. Round-robin runs both Jacobi jobs, both small batches
+        // (held open), then the second Jacobi jobs, each after its own
+        // device's open batch has been read back.
+        let (side, len, max_batch) = (64, 32, 4);
+        let exec = Executor::new(
+            ExecutorConfig::default()
+                .devices(2)
+                .max_batch(max_batch)
+                .paused(),
+        );
+        let names = ["jacobi0", "jacobi1", "small0", "small1"];
+        let tenants = names.map(|n| exec.add_tenant(n, 1));
+        let job = |i: usize, j: usize| {
+            let salt = (i * 16 + j) as f32;
+            if i < 2 {
+                Job::Jacobi {
+                    rows: side,
+                    cols: side,
+                    iters: 3,
+                    data: ramp(side * side, salt),
+                }
+            } else {
+                Job::Axpb {
+                    a: i as f32,
+                    b: 0.5,
+                    data: ramp(len, salt),
+                }
+            }
+        };
+        // Build every program first: a build reads every open batch back.
+        for (i, &t) in tenants.iter().enumerate() {
+            exec.submit(t, job(i, 99)).unwrap();
+        }
+        exec.drain();
+        exec.pause();
+        let platform = exec.context().platform().clone();
+        let devices = platform.devices().to_vec();
+        let peak = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&peak);
+        platform.set_command_observer(Some(Arc::new(move |_: &[CommandRecord]| {
+            let used = devices.iter().map(|d| d.used_bytes()).sum();
+            seen.fetch_max(used, Ordering::Relaxed);
+        })));
+        let mut handles = Vec::new();
+        for (i, &t) in tenants.iter().enumerate() {
+            let n = if i < 2 { 2 } else { 2 * max_batch };
+            handles.extend((0..n).map(|j| exec.submit(t, job(i, j)).unwrap()));
+        }
+        exec.drain();
+        platform.set_command_observer(None);
+        for h in handles {
+            h.wait().unwrap();
+        }
+        let plate = side * side * std::mem::size_of::<f32>();
+        let batch_out = max_batch * len * std::mem::size_of::<f32>();
+        let peak = peak.load(Ordering::Relaxed);
+        assert!(
+            peak >= 3 * plate,
+            "a Jacobi job holds three plates: {peak} B"
+        );
+        assert!(
+            peak <= 3 * plate + batch_out,
+            "peak {peak} B exceeds one Jacobi job ({} B) plus one open batch on the \
+             other device ({batch_out} B)",
+            3 * plate
+        );
     }
 
     #[test]

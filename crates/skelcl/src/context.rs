@@ -166,6 +166,12 @@ impl ProgramRegistry {
             .count()
     }
 
+    /// Whether `program` is resident, so its next use builds nothing. Not a
+    /// lookup: neither the LRU clock nor the hit and miss counters move.
+    pub fn contains(&self, program: &Program) -> bool {
+        self.state.lock().entries.contains_key(&program.hash())
+    }
+
     /// Look up a built kernel, bumping its LRU clock on hit.
     fn lookup(&self, hash: u64) -> Option<CompiledKernel> {
         let mut st = self.state.lock();

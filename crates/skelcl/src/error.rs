@@ -34,6 +34,9 @@ pub enum Error {
     BadDistribution(String),
     /// An empty vector was passed to a skeleton requiring data (Reduce).
     Empty(&'static str),
+    /// A fenced read-back ([`crate::Matrix::read_back_after`]) got no fence
+    /// event on a device that holds part of the data.
+    Unfenced { device: usize },
 }
 
 impl fmt::Display for Error {
@@ -64,6 +67,9 @@ impl fmt::Display for Error {
             }
             Error::BadDistribution(msg) => write!(f, "bad distribution: {msg}"),
             Error::Empty(op) => write!(f, "{op} requires a non-empty vector"),
+            Error::Unfenced { device } => {
+                write!(f, "read-back has no fence event on device {device}")
+            }
         }
     }
 }

@@ -199,11 +199,13 @@
 //!   flooding tenant's *own* LRU programs first, then a global capacity
 //!   bound evicts the global LRU. Evictions surface as the
 //!   `skelcl.program_cache.evictions` counter.
-//! * [`Matrix::read_back_async`] / [`Vector::read_back_async`] — download
-//!   results on the copy stream *without* syncing the host clock, and
-//!   report the virtual completion time. The executor derives end-to-end
-//!   job latency from it, so concurrent tenants' timelines keep
-//!   overlapping where a blocking `to_vec` would serialize them.
+//! * [`Matrix::read_back_after`] / [`Vector::read_back_after`] — download
+//!   results on the copy stream *without* syncing the host clock, each read
+//!   ordered after a fence the caller took, and report the virtual
+//!   completion time. The executor reads every job result back this way
+//!   and derives end-to-end job latency from it, so concurrent tenants'
+//!   timelines keep overlapping where a blocking `to_vec` would serialize
+//!   them, and a batch reads back under the next batch's kernel.
 //! * [`Histogram`] quantiles ([`metrics::Histogram::quantile`],
 //!   `HistogramSnapshot::{p50, p90, p99}`) and the [`RunReport`] latency
 //!   line ([`RunReport::with_latency`]) — the `fig_executor` bench reports

@@ -476,15 +476,24 @@ impl<T: Scalar> Matrix<T> {
 
     /// Copy the current contents out like [`Matrix::to_vec`], but **without
     /// blocking the virtual host clock**: each part's owned region is
-    /// downloaded by asynchronous reads on the device's copy stream, ordered
-    /// after everything already scheduled on that device by a marker.
-    /// Returns the data plus the virtual time at which the last read
-    /// completes — the moment the response is ready. Coherence state is
-    /// untouched (the matrix's own host copy stays stale), so modeled work
-    /// on other devices keeps overlapping instead of serializing behind a
-    /// host-wide sync. The executor service materialises every job result
-    /// through this path.
-    pub fn read_back_async(&self) -> Result<(Vec<T>, f64)> {
+    /// downloaded by asynchronous reads on the device's copy stream, each
+    /// ordered after the events of `fence` on its part's device. Returns the
+    /// data plus the virtual time at which the last read completes — the
+    /// moment the response is ready. Coherence state is untouched (the
+    /// matrix's own host copy stays stale), so modeled work on other
+    /// devices keeps overlapping instead of serializing behind a host-wide
+    /// sync.
+    ///
+    /// `fence` must hold an event ordered after this matrix's producer on
+    /// every device that holds a non-empty part; otherwise the read fails
+    /// with [`Error::Unfenced`] before anything is enqueued. A marker per
+    /// device taken now ([`vgpu::CommandQueue::enqueue_marker`]) orders the
+    /// reads after everything already scheduled there. A caller that keeps
+    /// launching takes the markers right after the producing launch and
+    /// reads back later: the reads then wait for the producer, not for the
+    /// launches enqueued after the markers. The executor service reads every
+    /// job result back this way, batch k under batch k+1's kernel.
+    pub fn read_back_after(&self, fence: &[Event]) -> Result<(Vec<T>, f64)> {
         let st = self.state.lock();
         if st.host_fresh {
             return Ok((st.host.clone(), self.ctx.host_now_s()));
@@ -494,68 +503,65 @@ impl<T: Scalar> Matrix<T> {
             "matrix has neither fresh host nor fresh device data"
         );
         let cols = st.cols;
+        // The parts to read: the first one holds everything under `Single`
+        // and `Copy`; the blocked layouts read every part. Empty parts are
+        // skipped.
+        let parts: Vec<&MatrixPart<T>> = match st.dist {
+            MatrixDistribution::Single(_) | MatrixDistribution::Copy => vec![st
+                .parts
+                .first()
+                .ok_or_else(|| Error::NotOnDevice("no device parts to download".into()))?],
+            MatrixDistribution::RowBlock { .. } | MatrixDistribution::ColBlock => {
+                st.parts.iter().collect()
+            }
+        };
+        let parts: Vec<&MatrixPart<T>> = parts
+            .into_iter()
+            .filter(|p| p.rows > 0 && p.cols > 0)
+            .collect();
+        let deps = parts
+            .iter()
+            .map(|p| {
+                let on: Vec<Event> = fence
+                    .iter()
+                    .filter(|e| e.device.0 == p.device)
+                    .cloned()
+                    .collect();
+                if on.is_empty() {
+                    Err(Error::Unfenced { device: p.device })
+                } else {
+                    Ok(on)
+                }
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let concurrent = parts.len().max(1);
         let mut out = vec![T::default(); st.rows * cols];
         let mut ready = self.ctx.host_now_s();
-        match st.dist {
-            MatrixDistribution::Single(_) | MatrixDistribution::Copy => {
-                let part = st
-                    .parts
-                    .first()
-                    .ok_or_else(|| Error::NotOnDevice("no device parts to download".into()))?;
-                if !out.is_empty() {
-                    let q = self.ctx.copy_queue(part.device);
-                    let dep = [q.enqueue_marker()];
-                    let ev = q.enqueue_read(
-                        &part.buffer,
-                        Some(part.halo_above * cols),
-                        &mut out,
-                        1,
-                        false,
-                        Order::After(&dep),
-                    )?;
-                    ready = ready.max(ev.end_s);
-                }
-            }
-            MatrixDistribution::RowBlock { .. } => {
-                let concurrent = st.parts.iter().filter(|p| p.rows > 0).count().max(1);
-                for p in &st.parts {
-                    if p.rows == 0 || cols == 0 {
-                        continue;
-                    }
-                    let q = self.ctx.copy_queue(p.device);
-                    let dep = [q.enqueue_marker()];
+        for (p, dep) in parts.iter().zip(&deps) {
+            let q = self.ctx.copy_queue(p.device);
+            if st.dist == MatrixDistribution::ColBlock {
+                let (c0, c1) = (p.col_offset, p.col_offset + p.cols);
+                for r in 0..p.rows {
                     let ev = q.enqueue_read(
                         &p.buffer,
-                        Some(p.halo_above * cols),
-                        &mut out[p.row_offset * cols..(p.row_offset + p.rows) * cols],
+                        Some(r * p.cols),
+                        &mut out[r * cols + c0..r * cols + c1],
                         concurrent,
                         false,
-                        Order::After(&dep),
+                        Order::After(dep),
                     )?;
                     ready = ready.max(ev.end_s);
                 }
-            }
-            MatrixDistribution::ColBlock => {
-                let concurrent = st.parts.iter().filter(|p| p.cols > 0).count().max(1);
-                for p in &st.parts {
-                    if p.rows == 0 || p.cols == 0 {
-                        continue;
-                    }
-                    let q = self.ctx.copy_queue(p.device);
-                    let dep = [q.enqueue_marker()];
-                    let (c0, c1) = (p.col_offset, p.col_offset + p.cols);
-                    for r in 0..p.rows {
-                        let ev = q.enqueue_read(
-                            &p.buffer,
-                            Some(r * p.cols),
-                            &mut out[r * cols + c0..r * cols + c1],
-                            concurrent,
-                            false,
-                            Order::After(&dep),
-                        )?;
-                        ready = ready.max(ev.end_s);
-                    }
-                }
+            } else {
+                let ev = q.enqueue_read(
+                    &p.buffer,
+                    Some(p.halo_above * cols),
+                    &mut out[p.row_offset * cols..(p.row_offset + p.rows) * cols],
+                    concurrent,
+                    false,
+                    Order::After(dep),
+                )?;
+                ready = ready.max(ev.end_s);
             }
         }
         Ok((out, ready))
@@ -1406,6 +1412,14 @@ mod tests {
         (0..rows * cols).map(|i| i as f32).collect()
     }
 
+    /// A marker on every device, taken now: a read-back fenced by these
+    /// waits for everything already scheduled.
+    fn markers_now(c: &Context) -> Vec<Event> {
+        (0..c.n_devices())
+            .map(|d| c.queue(d).enqueue_marker())
+            .collect()
+    }
+
     #[test]
     fn block_ranges_cover_exactly() {
         for (len, n) in [(10, 3), (0, 4), (7, 8), (100, 4)] {
@@ -1458,7 +1472,7 @@ mod tests {
             m.ensure_on_devices().unwrap();
             m.mark_devices_modified(); // devices are the truth now
             let host_before = c.host_now_s();
-            let (got, ready) = m.read_back_async().unwrap();
+            let (got, ready) = m.read_back_after(&markers_now(&c)).unwrap();
             assert_eq!(
                 c.host_now_s(),
                 host_before,
@@ -1474,11 +1488,81 @@ mod tests {
     }
 
     #[test]
+    fn read_back_after_waits_for_its_fence_not_for_later_launches() {
+        let id = crate::Map::new(crate::skel_fn!(
+            fn id(x: f32) -> f32 {
+                x
+            }
+        ));
+        for dist in [
+            MatrixDistribution::Single(1),
+            MatrixDistribution::RowBlock { halo: 0 },
+        ] {
+            let c = ctx(2);
+            let m = Matrix::from_vec(&c, 8, 8, data(8, 8));
+            m.set_distribution(dist).unwrap();
+            let out = id.apply_matrix(&m).unwrap();
+            let fence: Vec<Event> = (0..2).map(|d| c.queue(d).enqueue_marker()).collect();
+            let fenced_s = fence.iter().map(|e| e.end_s).fold(0.0, f64::max);
+            let _later = id.apply_matrix(&m).unwrap();
+            let later_s = (0..2)
+                .map(|d| {
+                    c.device(d)
+                        .clock()
+                        .engine(vgpu::EngineKind::Compute)
+                        .now_s()
+                })
+                .fold(0.0, f64::max);
+            let (got, ready) = out.read_back_after(&fence).unwrap();
+            assert_eq!(got, data(8, 8), "{dist:?}");
+            assert!(
+                fenced_s < ready && ready < later_s,
+                "{dist:?}: the read must wait for its fence ({fenced_s}) and not for \
+                 the later launch ({later_s}), but completes at {ready}"
+            );
+            let (_, ready_now) = out.read_back_after(&markers_now(&c)).unwrap();
+            assert!(ready_now > later_s, "{dist:?}: a marker taken now joins it");
+        }
+    }
+
+    #[test]
+    fn read_back_after_refuses_a_fence_that_misses_a_parts_device() {
+        let c = ctx(2);
+        for (dist, fenced) in [
+            (MatrixDistribution::Single(1), 0),
+            (MatrixDistribution::RowBlock { halo: 0 }, 0),
+            (MatrixDistribution::RowBlock { halo: 0 }, 1),
+        ] {
+            let m = Matrix::from_vec(&c, 6, 4, data(6, 4));
+            m.set_distribution(dist).unwrap();
+            m.ensure_on_devices().unwrap();
+            m.mark_devices_modified();
+            let fence = [c.queue(fenced).enqueue_marker()];
+            let before = c.platform().stats_snapshot();
+            let err = m.read_back_after(&fence).unwrap_err();
+            assert!(
+                matches!(err, Error::Unfenced { device } if device == 1 - fenced),
+                "{dist:?}: {err}"
+            );
+            let delta = c.platform().stats_snapshot() - before;
+            assert_eq!(delta.total_transfers(), 0, "{dist:?}: nothing is read");
+        }
+        // A device holding only an empty part needs no fence event.
+        let m = Matrix::from_vec(&c, 1, 4, data(1, 4));
+        m.set_distribution(MatrixDistribution::RowBlock { halo: 0 })
+            .unwrap();
+        m.ensure_on_devices().unwrap();
+        m.mark_devices_modified();
+        let (got, _) = m.read_back_after(&[c.queue(0).enqueue_marker()]).unwrap();
+        assert_eq!(got, data(1, 4));
+    }
+
+    #[test]
     fn read_back_async_on_host_fresh_data_is_free() {
         let c = ctx(2);
         let m = Matrix::from_vec(&c, 4, 4, data(4, 4));
         let before = c.platform().stats_snapshot();
-        let (got, ready) = m.read_back_async().unwrap();
+        let (got, ready) = m.read_back_after(&[]).unwrap();
         assert_eq!(got, data(4, 4));
         assert_eq!(ready, c.host_now_s());
         let delta = c.platform().stats_snapshot() - before;

@@ -176,6 +176,18 @@ where
         )
     }
 
+    /// The program [`AllPairs::apply`] builds on `ctx`, with its tile
+    /// dimension (`0` for the naive strategy).
+    pub fn program_on(&self, ctx: &crate::context::Context) -> (Program, usize) {
+        match self.strategy {
+            AllPairsStrategy::Naive => (self.program(), 0),
+            AllPairsStrategy::Tiled { tile } => {
+                let tile = self.effective_tile(ctx, tile);
+                (self.tiled_program(tile), tile)
+            }
+        }
+    }
+
     /// The largest usable tile dimension: the requested tile halved until
     /// `tile²` fits the context's work-group budget and two `tile²` operand
     /// tiles fit the device's local memory.
@@ -257,13 +269,8 @@ where
             (b_parts, Vec::new(), None)
         };
 
-        let (compiled, tile) = match self.strategy {
-            AllPairsStrategy::Naive => (ctx.get_or_build(&self.program())?, 0),
-            AllPairsStrategy::Tiled { tile } => {
-                let tile = self.effective_tile(&ctx, tile);
-                (ctx.get_or_build(&self.tiled_program(tile))?, tile)
-            }
-        };
+        let (program, tile) = self.program_on(&ctx);
+        let compiled = ctx.get_or_build(&program)?;
 
         // Output parts mirror A's row geometry at C's width. Halo rows are
         // computed too (their input rows — full A rows plus all of B — are

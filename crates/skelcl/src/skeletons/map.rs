@@ -58,6 +58,11 @@ where
         &self.program
     }
 
+    /// The 2D program [`Map::apply_matrix`] builds.
+    pub fn matrix_program(&self) -> &Program {
+        &self.program2d
+    }
+
     /// Launch the map kernel over elements `[start, start + len)` of one
     /// part pair — the one body both [`Map::apply`] (full range,
     /// device-ordered) and [`Map::apply_streamed`] (one range per upload

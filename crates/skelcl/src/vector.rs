@@ -167,14 +167,13 @@ impl<T: Scalar> Vector<T> {
 
     /// Copy the current contents out like [`Vector::to_vec`], but **without
     /// blocking the virtual host clock**: each part is downloaded by an
-    /// asynchronous read on the device's copy stream, ordered after
-    /// everything already scheduled on that device by a marker. Returns the
-    /// data plus the virtual time at which the last read completes — the
-    /// moment the response is ready. Coherence state is untouched; see
-    /// [`Matrix::read_back_async`](crate::Matrix::read_back_async) for the
-    /// serving rationale.
-    pub fn read_back_async(&self) -> Result<(Vec<T>, f64)> {
-        self.matrix.read_back_async()
+    /// asynchronous read on the device's copy stream, ordered after the
+    /// events of `fence` on its device. Returns the data plus the virtual
+    /// time at which the last read completes. Coherence state is untouched;
+    /// see [`Matrix::read_back_after`](crate::Matrix::read_back_after) for
+    /// the fence's contract and the serving rationale.
+    pub fn read_back_after(&self, fence: &[vgpu::Event]) -> Result<(Vec<T>, f64)> {
+        self.matrix.read_back_after(fence)
     }
 
     /// Declare that a kernel modified this vector on the devices by side
@@ -448,7 +447,8 @@ mod tests {
             v.ensure_on_devices().unwrap();
             v.mark_devices_modified(); // devices are the truth now
             let host_before = c.host_now_s();
-            let (got, ready) = v.read_back_async().unwrap();
+            let now: Vec<_> = (0..devices).map(|d| c.queue(d).enqueue_marker()).collect();
+            let (got, ready) = v.read_back_after(&now).unwrap();
             assert_eq!(
                 c.host_now_s(),
                 host_before,
