@@ -518,7 +518,7 @@ pub fn stencil_scaling_virtual_s(rows: usize, cols: usize, devices: usize) -> f6
 /// Fig-iterate helper: virtual time of `n` Jacobi heat-relaxation steps
 /// over a `rows × cols` row-block-distributed plate across `devices`
 /// devices. `batched` runs `Stencil2D::iterate(n)` — two ping-pong buffers
-/// per device, one batched halo exchange per iteration, no host sync
+/// per device, one batched halo exchange per block of rounds, no host sync
 /// between rounds; otherwise each step is one chained `apply` with the
 /// matrix-level exchange (the pre-iterate schedule). Upload and program
 /// warm-up are excluded; the timed region is the iteration schedule alone.
@@ -600,10 +600,10 @@ pub fn canny_virtual_s(rows: usize, cols: usize, devices: usize, fused: bool) ->
 /// Fig-overlap helper: one measured leg of `n` Jacobi heat-relaxation
 /// rounds over a `rows × cols` row-block plate across `devices` devices,
 /// under either iterate schedule. With `overlapped` the default
-/// `Stencil2D::iterate` runs: each round splits into interior and boundary
-/// launches and the next round's halo exchange is issued on the copy
-/// stream, overlapping the interior kernels; otherwise the serial
-/// `iterate_serial` baseline runs (one kernel per part per round,
+/// `Stencil2D::iterate` runs: one halo exchange per block of up to four
+/// rounds, issued on the copy stream under the block's first interior
+/// launch, with the block's later rounds one launch each; otherwise the
+/// serial `iterate_serial` baseline runs (one kernel per part per round,
 /// device-serializing exchange). Both schedules are bit-identical in their
 /// results (asserted by `prop_overlap`); the figure isolates the modeled
 /// timeline difference. Upload and program warm-up are excluded.

@@ -119,8 +119,8 @@ fn fig_iterate() {
 
 /// The async-overlap figure on its two hot paths:
 ///
-/// * **Iterate** — `Stencil2D::iterate` (interior/boundary split, halo
-///   exchange on the copy stream under the interior kernels) vs
+/// * **Iterate** — `Stencil2D::iterate` (one halo exchange per block of
+///   up to four rounds, on the copy stream under the interior kernels) vs
 ///   `iterate_serial`, heat relaxation at 1024², n ∈ {10, 100} × 1/2/4
 ///   devices. Overlapped never loses, wins ≥ 1.2× at n=100 × 4, and keeps
 ///   the copy engines busy under kernels there.

@@ -2,8 +2,10 @@
 //! per simulation, driven by `iterate(n)`.
 //!
 //! Everything device-resident: the `n` passes ping-pong two buffers per
-//! device with one batched halo exchange per iteration; the host sees the
-//! grid again only when the caller downloads the result.
+//! device with one batched halo exchange per block of up to four passes
+//! (each pass also computes the halo rows still valid, so the rest of the
+//! block needs no exchange); the host sees the grid again only when the
+//! caller downloads the result.
 
 use crate::{heat_at, life_at};
 use skelcl::{Boundary2D, Matrix, Result, Stencil2D, Stencil2DView, UserFn};

@@ -27,8 +27,9 @@
 //!   see the `skelcl-linalg` crate),
 //! * the iterative form [`Stencil2D::iterate`] — `n` stencil passes
 //!   ping-ponging two device-resident buffers with one batched halo
-//!   exchange per iteration — behind the simulation workloads (heat
-//!   relaxation, game of life — see the `skelcl-iterative` crate),
+//!   exchange per block of up to four passes — behind the simulation
+//!   workloads (heat relaxation, game of life — see the
+//!   `skelcl-iterative` crate),
 //! * the lazy **[`Pipeline`] fusion subsystem**: skeleton calls compose
 //!   into a deferred expression that fuses adjacent element-wise stages
 //!   into their neighbouring stencil/reduce kernels at launch time —
@@ -288,11 +289,12 @@
 //! Iterative simulations apply the *same* stencil hundreds of times.
 //! [`Stencil2D::iterate`] keeps the whole run on the devices: two buffers
 //! per device ping-pong roles each round, one **batched halo exchange per
-//! iteration** refreshes exactly the rows the stencil will read (under
-//! `Neumann`/`Zero` boundaries the wrapped matrix-edge rows are skipped),
-//! and a single cached kernel serves all `n` launches. The result is
-//! bit-identical to `n` chained [`Stencil2D::apply`] calls on every device
-//! count.
+//! block of up to four rounds** refreshes a halo deep enough for the whole
+//! block (each round also computes the halo rows still valid, so the next
+//! one needs no exchange; under `Neumann`/`Zero` boundaries the wrapped
+//! matrix-edge rows are skipped), and a single cached kernel serves all `n`
+//! launches. The result is bit-identical to `n` chained
+//! [`Stencil2D::apply`] calls on every device count.
 //!
 //! ```
 //! use skelcl::{

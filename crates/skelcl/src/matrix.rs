@@ -119,6 +119,11 @@ impl<T: Scalar> MatrixPart<T> {
         self.halo_above * self.cols
     }
 
+    /// The owned rows as a span-row segment `(first span row, rows)`.
+    pub fn owned_span(&self) -> (usize, usize) {
+        (self.halo_above, self.rows)
+    }
+
     /// The global row stored at span row `s` of this part's buffer.
     pub fn global_row(&self, s: usize, n_rows: usize) -> usize {
         debug_assert!(s < self.span_rows());
@@ -227,8 +232,8 @@ struct PartGeom {
 }
 
 /// Contiguous near-equal block ranges `(offset, len)` of `len` over `n`
-/// devices.
-fn block_ranges(len: usize, n: usize) -> Vec<(usize, usize)> {
+/// devices (or any `n` blocks); the first `len % n` blocks are one longer.
+pub(crate) fn block_ranges(len: usize, n: usize) -> Vec<(usize, usize)> {
     let n = n.max(1);
     let base = len / n;
     let extra = len % n;
@@ -1208,10 +1213,10 @@ fn halo_exchange<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
 
 /// Refresh every part's halo rows from the rows' owning parts — the
 /// matrix-independent core of [`Matrix::halo_exchange`], also driven
-/// directly by `Stencil2D::iterate` on its device-private ping-pong part
-/// sets. With `skip_wrapped` the halo runs whose global rows wrap around
-/// the matrix edge are left untouched: only the `Wrap` boundary mode ever
-/// reads them, so a stencil that knows its boundary is `Neumann`/`Zero`
+/// directly by `Stencil2D::iterate_serial` on its device-private ping-pong
+/// part sets. With `skip_wrapped` the halo runs whose global rows wrap
+/// around the matrix edge are left untouched: only the `Wrap` boundary mode
+/// ever reads them, so a stencil that knows its boundary is `Neumann`/`Zero`
 /// can batch a strictly smaller exchange. Returns whether any halo rows
 /// were actually refreshed: that is one exchange *event*, counted here in
 /// [`Context::halo_exchange_count`] for every caller. A round where every
@@ -1223,25 +1228,38 @@ pub(crate) fn exchange_part_halos<T: Scalar>(
     cols: usize,
     skip_wrapped: bool,
 ) -> Result<bool> {
-    Ok(exchange_part_halos_impl(ctx, parts, n_rows, cols, skip_wrapped, None)?.0)
+    Ok(exchange_part_halos_impl(ctx, parts, n_rows, cols, skip_wrapped, usize::MAX, None)?.0)
 }
 
-/// The overlapped twin of [`exchange_part_halos`]: every copy is issued
-/// **asynchronously on the copy engines**, waiting only for the producer
-/// events in `deps_by_device` (per source/destination device), so the whole
-/// exchange runs underneath unrelated kernels. Events are counted exactly
-/// like the serial exchange (issuing on the copy stream must not change the
-/// count). Returns, per part, the copy events that wrote into that part's
-/// halos — the wait list of the next boundary launch reading them.
+/// The copy events one overlapped halo exchange issued for one part.
+#[derive(Clone, Default)]
+pub(crate) struct PartExchange {
+    /// The copies that wrote into the part's halo rows: what a launch
+    /// reading those rows waits for.
+    pub incoming: Vec<Event>,
+    /// The copies that read the part's owned rows: what a launch
+    /// overwriting those rows waits for.
+    pub outgoing: Vec<Event>,
+}
+
+/// The overlapped twin of [`exchange_part_halos`]: it refreshes only the
+/// `depth` halo rows nearest each side's owned rows, and every copy is
+/// issued **asynchronously on the copy engines**, waiting only for the
+/// producer events in `deps_by_device` (per source/destination device), so
+/// the whole exchange runs underneath unrelated kernels. Events are counted
+/// exactly like the serial exchange (issuing on the copy stream must not
+/// change the count). Returns each part's [`PartExchange`].
 pub(crate) fn exchange_part_halos_overlapped<T: Scalar>(
     ctx: &Context,
     parts: &[MatrixPart<T>],
     n_rows: usize,
     cols: usize,
     skip_wrapped: bool,
+    depth: usize,
     deps_by_device: &[Vec<Event>],
-) -> Result<Vec<Vec<Event>>> {
-    Ok(exchange_part_halos_impl(ctx, parts, n_rows, cols, skip_wrapped, Some(deps_by_device))?.1)
+) -> Result<Vec<PartExchange>> {
+    let deps = Some(deps_by_device);
+    Ok(exchange_part_halos_impl(ctx, parts, n_rows, cols, skip_wrapped, depth, deps)?.1)
 }
 
 fn exchange_part_halos_impl<T: Scalar>(
@@ -1250,14 +1268,17 @@ fn exchange_part_halos_impl<T: Scalar>(
     n_rows: usize,
     cols: usize,
     skip_wrapped: bool,
+    depth: usize,
     deps_by_device: Option<&[Vec<Event>]>,
-) -> Result<(bool, Vec<Vec<Event>>)> {
-    let mut events: Vec<Vec<Event>> = vec![Vec::new(); parts.len()];
+) -> Result<(bool, Vec<PartExchange>)> {
+    let mut events = vec![PartExchange::default(); parts.len()];
     if cols == 0 {
         return Ok((false, events));
     }
+    let deepest = parts.iter().map(|p| p.halo_above.max(p.halo_below)).max();
     let mut span = ctx.span("halo.exchange");
     span.attr("shape", format!("{n_rows}x{cols}"));
+    span.attr("rows", deepest.unwrap_or(0).min(depth).to_string());
     span.attr("overlapped", deps_by_device.is_some().to_string());
     span.attr("devices", ctx.n_devices().to_string());
     // The copies with the index of the part whose halo each one fills.
@@ -1268,11 +1289,7 @@ fn exchange_part_halos_impl<T: Scalar>(
             continue;
         }
         for above in [true, false] {
-            let halo = if above { p.halo_above } else { p.halo_below };
-            if halo == 0 {
-                continue;
-            }
-            for run in halo_runs(p, n_rows, above) {
+            for run in halo_runs(p, n_rows, above, depth) {
                 if skip_wrapped && run_is_wrapped(p, run, n_rows) {
                     continue;
                 }
@@ -1298,7 +1315,12 @@ fn exchange_part_halos_impl<T: Scalar>(
                 if copy.crosses_devices() {
                     deps.extend_from_slice(&deps_by_device[copy.dst.device]);
                 }
-                events[*i].push(copy.issue(ctx, concurrent, Order::After(&deps))?);
+                let event = copy.issue(ctx, concurrent, Order::After(&deps))?;
+                let src = parts.iter().position(|p| std::ptr::eq(p, copy.src));
+                events[src.expect("copies read the exchanged parts")]
+                    .outgoing
+                    .push(event.clone());
+                events[*i].incoming.push(event);
             }
         }
     }
@@ -1319,17 +1341,20 @@ fn run_is_wrapped<T: Scalar>(p: &MatrixPart<T>, run: (usize, usize, usize), n_ro
     unwrapped < 0 || unwrapped >= n_rows as isize
 }
 
-/// The contiguous global-row runs of a part's upper (`above == true`) or
-/// lower halo, as `(span_row_start, global_row_start, n_rows)`.
+/// The contiguous global-row runs of the `depth` rows of a part's upper
+/// (`above == true`) or lower halo nearest its owned rows (all of them when
+/// the halo is shallower), as `(span_row_start, global_row_start, n_rows)`.
 fn halo_runs<T: Scalar>(
     p: &MatrixPart<T>,
     n_rows: usize,
     above: bool,
+    depth: usize,
 ) -> Vec<(usize, usize, usize)> {
     let (span_start, span_len) = if above {
-        (0, p.halo_above)
+        let len = p.halo_above.min(depth);
+        (p.halo_above - len, len)
     } else {
-        (p.halo_above + p.rows, p.halo_below)
+        (p.halo_above + p.rows, p.halo_below.min(depth))
     };
     let mut runs = Vec::new();
     let mut s = span_start;

@@ -25,8 +25,8 @@ use crate::codegen::{self, UserFn};
 use crate::context::Context;
 use crate::error::Result;
 use crate::matrix::{
-    exchange_part_halos, exchange_part_halos_overlapped, Matrix, MatrixDistribution, MatrixPart,
-    UploadChunk,
+    alloc_parts, block_ranges, exchange_part_halos, exchange_part_halos_overlapped, Matrix,
+    MatrixDistribution, MatrixPart, UploadChunk,
 };
 use crate::meter;
 use crate::skeletons::pipeline::{same_type, stage_of, OpId, PixelOp};
@@ -302,7 +302,7 @@ where
             let op = &out_parts[pi];
             if chunks.is_empty() {
                 // Already resident: the plain device-serializing launch.
-                kernel.launch_part(&ctx, pi, ip, op, &[(0, ip.rows)], Order::Device)?;
+                kernel.launch_part(&ctx, pi, ip, op, &[ip.owned_span()], Order::Device)?;
                 continue;
             }
             // Launch in chunk-aligned owned-row bands, each depending on
@@ -311,7 +311,8 @@ where
             while start < ip.rows {
                 let len = chunk_rows.min(ip.rows - start);
                 let deps = covering_chunks(chunks, ip, self.radius, self.boundary, start, len);
-                kernel.launch_part(&ctx, pi, ip, op, &[(start, len)], Order::After(&deps))?;
+                let band = [(ip.halo_above + start, len)];
+                kernel.launch_part(&ctx, pi, ip, op, &band, Order::After(&deps))?;
                 start += len;
             }
         }
@@ -326,6 +327,15 @@ where
         ))
     }
 }
+
+/// The most rounds one halo exchange of [`Stencil2D::iterate`] serves. A
+/// block of `k` rounds exchanges a `k·radius`-row halo once and runs in
+/// `k + 1` launches. On `skelbench`'s `heat_iterate` (4 devices, 20
+/// rounds, seed 1) k = 1, 2, 3, 4, 5 and 8 model 2.180, 1.939, 1.866,
+/// 1.822, 1.814 and 1.819 ms: 4 takes nearly all of the gain, and every
+/// further round deepens the halos of both ping-pong sets by another
+/// radius.
+const BLOCK_ROUNDS: usize = 4;
 
 impl<T, F> Stencil2D<T, T, F>
 where
@@ -342,205 +352,276 @@ where
     ///
     /// * **no intermediate matrices** — two buffers per device total,
     ///   instead of one fresh allocation per pass;
-    /// * **one batched halo exchange per iteration** — issued directly on
-    ///   the part buffers, without re-synchronising the host in between,
-    ///   and (under `Neumann`/`Zero` boundaries) without the wrapped
-    ///   matrix-edge rows only `Wrap` ever reads;
+    /// * **one batched halo exchange per block of up to four rounds** —
+    ///   issued directly on the part buffers, without re-synchronising the
+    ///   host in between, and (under `Neumann`/`Zero` boundaries) without
+    ///   the wrapped matrix-edge rows only `Wrap` ever reads;
     /// * **one cached kernel across all `n` launches** — the skeleton's one
     ///   program (the same one [`Stencil2D::apply`] runs) is built once and
     ///   rebound to the swapped buffers each round.
     ///
     /// `iterate(input, 0)` is the identity: it returns a handle to `input`.
     ///
-    /// ## Overlapped schedule (the default)
+    /// ## Blocked, overlapped schedule
     ///
-    /// Each round is split into an **interior** launch (owned rows more
-    /// than the boundary band away from the part edges — they read no halo
-    /// rows) and a **boundary** launch (the top and bottom bands, packed
-    /// into one kernel). The halo exchange for round *r* is issued on the
-    /// **copy stream** with events tying it to round *r−1*'s boundary
-    /// kernels, so the copies run on the devices' copy engines *underneath*
-    /// round *r*'s interior kernels; only the boundary launch waits for
-    /// them. Results are bit-identical to the serial schedule
-    /// ([`Stencil2D::iterate_serial`]) — same kernels, same data, only the
-    /// modeled timeline changes — and exactly the same exchange events are
-    /// counted. Parts that receive no exchanged rows in a round (one
-    /// device, halo-free layouts) launch as a single kernel, so the
-    /// overlapped schedule never pays the split where there is nothing to
-    /// hide.
+    /// Round 1 reads the input's own parts, exchanging their halos first if
+    /// they are stale. The other `n − 1` rounds run in `⌈(n − 1) / 4⌉`
+    /// near-equal blocks of at most four rounds (`n = 10` runs as 3 + 3 +
+    /// 3), and only a block's first round exchanges halos:
+    ///
+    /// * The exchange of a `k`-round block moves `k·radius` rows per halo.
+    ///   It is issued on the **copy stream**, so the copies run on the
+    ///   copy engines *underneath* the round's **interior** launch (owned
+    ///   rows that read no halo row). Only the **boundary** launch (the top
+    ///   and bottom bands, packed into one kernel) waits for them.
+    /// * In round `j` of the block each device also computes the
+    ///   `(k − j)·radius` halo rows that are still valid. They hold the
+    ///   same values their owner computes, from the same inputs.
+    /// * Rounds 2 to `k` therefore need no exchange and run as one launch
+    ///   each: `k + 1` launches per `k` rounds instead of `2k`.
+    ///
+    /// The library picks the block length: four rounds, capped so that a
+    /// `k·radius`-row halo fits in the thinnest part. Where nothing is
+    /// exchanged (one part, `Single`/`Copy` inputs) and on parts thinner
+    /// than `2·radius` every block is one round, and parts that receive no
+    /// exchanged rows launch whole. Under `Neumann` and `Zero` the halo
+    /// rows that wrap around the matrix edge are neither exchanged nor
+    /// computed.
+    ///
+    /// Under `RowBlock` the result is laid out `RowBlock { halo: k·radius
+    /// }`, with `k` the longest block's rounds, and its halo rows are
+    /// stale: the next stencil over it exchanges them. Results are
+    /// bit-identical to [`Stencil2D::iterate_serial`] (same kernel, same
+    /// data; only the modeled timeline changes).
     pub fn iterate(&self, input: &Matrix<T>, n: usize) -> Result<Matrix<T>> {
-        self.iterate_impl(input, n, true)
+        self.iterate_blocked(input, n, BLOCK_ROUNDS)
     }
 
     /// The serial schedule of [`Stencil2D::iterate`]: one kernel per part
     /// per round, each round's halo exchange device-serializing on the main
     /// timeline (the pre-overlap behaviour, kept as the measurable
-    /// baseline for `fig_overlap` and the overlap property suite).
+    /// baseline for `fig_overlap` and the overlap property suite). The
+    /// result keeps the input's distribution.
     pub fn iterate_serial(&self, input: &Matrix<T>, n: usize) -> Result<Matrix<T>> {
-        self.iterate_impl(input, n, false)
-    }
-
-    fn iterate_impl(&self, input: &Matrix<T>, n: usize, overlap: bool) -> Result<Matrix<T>> {
         if n == 0 {
             return Ok(input.clone());
         }
         let ctx = input.ctx().clone();
+        let (n_rows, cols) = input.dims();
         let mut span = self.span(&ctx, "stencil2d.iterate", input);
         span.attr("iterations", n.to_string());
-        span.attr("schedule", if overlap { "overlapped" } else { "serial" });
-        let (n_rows, cols) = input.dims();
+        span.attr("schedule", "serial");
+        span.attr("block_rounds", "1");
         let kernel = self.kernel(&ctx, n_rows)?;
         stencil_input_layout(input, self.radius)?;
-
-        // Round 1 reads the input matrix's own parts (exchanging its halos
-        // if stale — counted like any other exchange event).
+        // Round 1 reads the input's own parts.
         let in_parts = input.parts_with_fresh_halos()?;
-        let out_halos_fresh = stale_free(&in_parts);
-
-        // Only `Wrap` reads the halo rows that wrap around the matrix
-        // edge; for the other boundaries the per-iteration exchange skips
-        // them (strictly fewer transfers on the same critical path).
         let skip_wrapped = self.boundary != Boundary2D::Wrap;
-
-        let mut src = in_parts;
-        let mut dst = alloc_matching_matrix_parts::<T, T>(&ctx, &src)?;
-        let mut spare = if n > 1 {
-            Some(alloc_matching_matrix_parts::<T, T>(&ctx, &src)?)
-        } else {
-            None
-        };
-
-        // Per device: the events the next round's exchange must wait for —
-        // the kernels that last wrote (and, transitively, read) the rows
-        // the copies touch. Round 1 anchors on a marker joining everything
-        // already scheduled on the device (the input's upload/exchange).
-        let mut producers: Vec<Vec<Event>> = if overlap {
-            (0..ctx.n_devices())
-                .map(|d| vec![ctx.queue(d).enqueue_marker()])
-                .collect()
-        } else {
-            Vec::new()
-        };
-
+        let alloc = || alloc_matching_matrix_parts::<T, T>(&ctx, &in_parts);
+        let sets = ping_pong(n, alloc)?;
         for round in 1..=n {
-            if !overlap {
-                if round > 1 {
-                    // The previous round wrote only owned rows; one batched
-                    // exchange refreshes this round's input halos. The
-                    // device clocks already order the copies against the
-                    // producing kernels — the host never blocks between
-                    // rounds.
-                    exchange_part_halos(&ctx, &src, n_rows, cols, skip_wrapped)?;
-                }
-                kernel.launch_parts(&ctx, &src, &dst)?;
-            } else {
-                // Exchange round r's halos on the copy stream, ordered only
-                // against round r-1's boundary kernels: the copies run
-                // under this round's interior launches.
-                let exchange_events = if round > 1 {
-                    exchange_part_halos_overlapped(
-                        &ctx,
-                        &src,
-                        n_rows,
-                        cols,
-                        skip_wrapped,
-                        &producers,
-                    )?
-                } else {
-                    vec![Vec::new(); src.len()]
-                };
-                let mut next_producers: Vec<Vec<Event>> = vec![Vec::new(); ctx.n_devices()];
-                for (idx, (ip, op)) in src.iter().zip(&dst).enumerate() {
-                    // Round 1 reads buffers produced by device-serializing
-                    // commands; the marker stands in for their events.
-                    let base_deps: &[Event] = if round == 1 {
-                        &producers[ip.device]
-                    } else {
-                        &[]
-                    };
-                    let produced = if exchange_events[idx].is_empty() {
-                        // Nothing exchanged into this part this round:
-                        // nothing to hide, launch the whole part at once.
-                        kernel.launch_part(
-                            &ctx,
-                            idx,
-                            ip,
-                            op,
-                            &[(0, ip.rows)],
-                            Order::After(base_deps),
-                        )?
-                    } else {
-                        // The boundary band must cover both the rows that
-                        // read exchanged halos (radius) and the rows the
-                        // neighbours' halos copy out next round (halo).
-                        let band = self
-                            .radius
-                            .max(ip.halo_above)
-                            .max(ip.halo_below)
-                            .min(ip.rows);
-                        let mut boundary_deps = exchange_events[idx].clone();
-                        boundary_deps.extend_from_slice(base_deps);
-                        let boundary = if 2 * band >= ip.rows {
-                            // No interior: the part is all boundary.
-                            vec![(0, ip.rows)]
-                        } else {
-                            // Interior first (it has no event dependencies,
-                            // so the in-order queue starts it immediately
-                            // while the exchange still runs), then the top
-                            // and bottom bands as one dependent launch.
-                            let interior = [(band, ip.rows - 2 * band)];
-                            kernel.launch_part(
-                                &ctx,
-                                idx,
-                                ip,
-                                op,
-                                &interior,
-                                Order::After(base_deps),
-                            )?;
-                            vec![(0, band), (ip.rows - band, band)]
-                        };
-                        kernel.launch_part(
-                            &ctx,
-                            idx,
-                            ip,
-                            op,
-                            &boundary,
-                            Order::After(&boundary_deps),
-                        )?
-                    };
-                    if let Some(ev) = produced {
-                        // The boundary launch is enqueued last on the
-                        // in-order queue, so this single event fences every
-                        // round-r command of the device.
-                        next_producers[ip.device] = vec![ev];
-                    }
-                }
-                for (d, evs) in next_producers.into_iter().enumerate() {
-                    if !evs.is_empty() {
-                        producers[d] = evs;
-                    }
-                }
+            let (src, dst) = round_parts(&in_parts, &sets, round);
+            if round > 1 {
+                // The previous round wrote only owned rows; one batched
+                // exchange refreshes this round's input halos. The device
+                // clocks already order the copies against the producing
+                // kernels — the host never blocks between rounds.
+                exchange_part_halos(&ctx, src, n_rows, cols, skip_wrapped)?;
             }
-            if round < n {
-                let prev_src = std::mem::replace(&mut src, std::mem::take(&mut dst));
-                dst = if round == 1 {
-                    // Never write back into the caller's input buffers.
-                    spare.take().expect("pong buffers exist when n > 1")
-                } else {
-                    prev_src
-                };
-            }
+            kernel.launch_parts(&ctx, src, dst)?;
         }
-
+        let halos_fresh = stale_free(&in_parts);
+        let out = last_round_parts(sets, n);
+        let dist = input.distribution();
         Ok(Matrix::from_device_parts(
             &ctx,
             n_rows,
             cols,
-            input.distribution(),
-            dst,
-            out_halos_fresh,
+            dist,
+            out,
+            halos_fresh,
         ))
     }
+
+    /// The blocked schedule of [`Stencil2D::iterate`], with blocks of at
+    /// most `max_block` rounds.
+    fn iterate_blocked(&self, input: &Matrix<T>, n: usize, max_block: usize) -> Result<Matrix<T>> {
+        if n == 0 {
+            return Ok(input.clone());
+        }
+        let ctx = input.ctx().clone();
+        let (n_rows, cols) = input.dims();
+        let mut span = self.span(&ctx, "stencil2d.iterate", input);
+        span.attr("iterations", n.to_string());
+        span.attr("schedule", "overlapped");
+        let kernel = self.kernel(&ctx, n_rows)?;
+        stencil_input_layout(input, self.radius)?;
+        // Round 1 reads the input's own parts.
+        let in_parts = input.parts_with_fresh_halos()?;
+        let radius = self.radius;
+        let dist = input.distribution();
+
+        // The rounds after round 1 in near-equal blocks, longest first.
+        let k = block_cap(dist, &in_parts, radius, max_block);
+        let blocks: Vec<usize> = match n - 1 {
+            0 => Vec::new(),
+            rest => block_ranges(rest, rest.div_ceil(k))
+                .into_iter()
+                .map(|(_, len)| len)
+                .collect(),
+        };
+        let depth = blocks.first().copied().unwrap_or(1);
+        span.attr("block_rounds", depth.to_string());
+        let dist = match dist {
+            MatrixDistribution::RowBlock { .. } => MatrixDistribution::RowBlock {
+                halo: depth * radius,
+            },
+            other => other,
+        };
+        let sets = ping_pong(n, || alloc_parts::<T>(&ctx, dist, n_rows, cols))?;
+        let skip_wrapped = self.boundary != Boundary2D::Wrap;
+
+        // Per device: the last launch, which the next exchange waits for.
+        // Round 1 waits for a marker joining everything already scheduled
+        // on the device (the input's upload or exchange).
+        let mut producers: Vec<Vec<Event>> = (0..ctx.n_devices())
+            .map(|d| vec![ctx.queue(d).enqueue_marker()])
+            .collect();
+        for (pi, (ip, op)) in in_parts.iter().zip(&sets[0]).enumerate() {
+            let order = Order::After(&producers[ip.device]);
+            if let Some(ev) = kernel.launch_part(&ctx, pi, ip, op, &[ip.owned_span()], order)? {
+                producers[ip.device] = vec![ev];
+            }
+        }
+
+        let mut round = 1;
+        for len in blocks {
+            // Refresh the halos the block's first round reads, deep enough
+            // for the whole block.
+            let src = round_parts(&in_parts, &sets, round + 1).0;
+            let exchange = exchange_part_halos_overlapped(
+                &ctx,
+                src,
+                n_rows,
+                cols,
+                skip_wrapped,
+                len * radius,
+                &producers,
+            )?;
+            for j in 1..=len {
+                round += 1;
+                let (src, dst) = round_parts(&in_parts, &sets, round);
+                // The halo rows whose inputs are still valid this round.
+                let ext = (len - j) * radius;
+                for (pi, (ip, op)) in src.iter().zip(dst).enumerate() {
+                    let (above, below) = if skip_wrapped {
+                        let below_matrix = n_rows - ip.row_offset - ip.rows;
+                        (ext.min(ip.row_offset), ext.min(below_matrix))
+                    } else {
+                        (ext, ext)
+                    };
+                    let lo = ip.halo_above - above;
+                    let hi = ip.halo_above + ip.rows + below;
+                    let ex = &exchange[pi];
+                    let produced = if j == 1 && !ex.incoming.is_empty() && 2 * radius < ip.rows {
+                        // Interior first: it reads no halo row and has no
+                        // event dependencies, so the in-order queue starts
+                        // it at once while the exchange still runs. Then
+                        // the top and bottom bands, which read the
+                        // exchanged rows, as one dependent launch. The
+                        // interior never overwrites rows an earlier
+                        // exchange still copies out: a one-round block
+                        // copies out only `radius` rows per edge, and a
+                        // longer block's round 2 waits for its copies.
+                        let top = ip.halo_above + radius;
+                        let bottom = ip.halo_above + ip.rows - radius;
+                        let interior = [(top, bottom - top)];
+                        kernel.launch_part(&ctx, pi, ip, op, &interior, Order::After(&[]))?;
+                        let bands = [(lo, top - lo), (bottom, hi - bottom)];
+                        kernel.launch_part(&ctx, pi, ip, op, &bands, Order::After(&ex.incoming))?
+                    } else {
+                        // Round 1 of a block reads the exchanged rows.
+                        // Round 2 overwrites the owned edge rows the
+                        // exchange copied out to the neighbours.
+                        let deps: &[Event] = match j {
+                            1 => &ex.incoming,
+                            2 => &ex.outgoing,
+                            _ => &[],
+                        };
+                        kernel.launch_part(
+                            &ctx,
+                            pi,
+                            ip,
+                            op,
+                            &[(lo, hi - lo)],
+                            Order::After(deps),
+                        )?
+                    };
+                    if let Some(ev) = produced {
+                        producers[ip.device] = vec![ev];
+                    }
+                }
+            }
+        }
+
+        let out = last_round_parts(sets, n);
+        let halos_fresh = stale_free(&out);
+        Ok(Matrix::from_device_parts(
+            &ctx,
+            n_rows,
+            cols,
+            dist,
+            out,
+            halos_fresh,
+        ))
+    }
+}
+
+/// The two ping-pong part sets of an `n`-round iterate; one round needs
+/// only the first.
+fn ping_pong<T: Element>(
+    n: usize,
+    alloc: impl Fn() -> Result<Vec<MatrixPart<T>>>,
+) -> Result<[Vec<MatrixPart<T>>; 2]> {
+    Ok([alloc()?, if n > 1 { alloc()? } else { Vec::new() }])
+}
+
+/// Round `round`'s (1-based) source and destination parts: round 1 reads
+/// the input's own parts, and the ping-pong sets trade roles after it.
+fn round_parts<'a, T: Element>(
+    input: &'a [MatrixPart<T>],
+    sets: &'a [Vec<MatrixPart<T>>; 2],
+    round: usize,
+) -> (&'a [MatrixPart<T>], &'a [MatrixPart<T>]) {
+    let src = if round == 1 { input } else { &sets[round % 2] };
+    (src, &sets[(round - 1) % 2])
+}
+
+/// The parts round `n` wrote.
+fn last_round_parts<T: Element>(sets: [Vec<MatrixPart<T>>; 2], n: usize) -> Vec<MatrixPart<T>> {
+    let [first, second] = sets;
+    if n % 2 == 1 {
+        first
+    } else {
+        second
+    }
+}
+
+/// The most rounds one halo exchange may serve: `max_block`, capped so a
+/// `k·radius`-row halo stays within the thinnest non-empty part. It is 1
+/// where nothing is exchanged: inputs without halo rows, and a lone part.
+fn block_cap<T: Element>(
+    dist: MatrixDistribution,
+    parts: &[MatrixPart<T>],
+    radius: usize,
+    max_block: usize,
+) -> usize {
+    let owned = parts.iter().map(|p| p.rows).filter(|&rows| rows > 0);
+    let thinnest = owned.clone().min().unwrap_or(0);
+    if !matches!(dist, MatrixDistribution::RowBlock { .. }) || radius == 0 || owned.count() < 2 {
+        return 1;
+    }
+    (thinnest / radius).clamp(1, max_block)
 }
 
 /// The layout rule for stencil inputs (and for the fused row fold, which
@@ -606,23 +687,28 @@ where
         dst: &[MatrixPart<V>],
     ) -> Result<()> {
         for (pi, (ip, op)) in src.iter().zip(dst).enumerate() {
-            self.launch_part(ctx, pi, ip, op, &[(0, ip.rows)], Order::Device)?;
+            self.launch_part(ctx, pi, ip, op, &[ip.owned_span()], Order::Device)?;
         }
         Ok(())
     }
 
-    /// Launch one pass over `segments` of part `pi`'s owned rows: each
-    /// `(start, len)` names owned rows `[start, start + len)`, and the
-    /// launch covers their disjoint union in one kernel (the interior /
-    /// boundary split of the overlapped iterate packs the top and bottom
-    /// bands into a single launch this way). The input part's halo rows are
-    /// assumed coherent for the rows the segments read.
+    /// Launch one pass over `segments` of part `pi`: each `(start, len)`
+    /// names span rows `[start, start + len)` of the input part `ip`, owned
+    /// or halo, and the launch covers their disjoint union in one kernel
+    /// (the overlapped iterate packs its top and bottom bands into a single
+    /// launch this way). Each row is written at the same global row of
+    /// `op`, whose halo may differ from `ip`'s: span row `s` of `ip` lands
+    /// at span row `s - ip.halo_above + op.halo_above` of `op`. The input
+    /// rows within `radius` of every covered row are assumed coherent.
     ///
     /// `order` is passed straight to the launch: [`Order::Device`] for the
     /// device-ordered launch, or [`Order::After`] to order the kernel only
     /// by the main queue, the listed events, and the compute engine.
-    /// Returns the launch event (`None` when the segments are empty). Either way every covered element computes the exact same
-    /// value — the split changes the modeled timeline, never the data.
+    /// Returns the launch event, or `None` when the segments are empty.
+    ///
+    /// However the rows are split into launches, every covered element
+    /// computes the exact same value: the split changes the modeled
+    /// timeline, never the data.
     pub(crate) fn launch_part(
         &self,
         ctx: &Context,
@@ -644,7 +730,8 @@ where
         let (eval, pre, post) = (self.eval.clone(), self.pre.clone(), self.post.clone());
         let (radius, boundary, n_rows) = (self.radius, self.boundary, self.n_rows);
         let static_ops = self.static_ops;
-        let (halo_above, row_offset, span_rows) = (ip.halo_above, ip.row_offset, ip.span_rows());
+        let (in_halo, out_halo) = (ip.halo_above, op.halo_above);
+        let (row_offset, span_rows) = (ip.row_offset, ip.span_rows());
         let segs = segments.to_vec();
         let body: KernelBody = Arc::new(move |wg| {
             wg.for_each_item(|it| {
@@ -652,18 +739,17 @@ where
                     return;
                 }
                 let col = it.global_id(0);
-                // Map the compact launch row back to its owned row through
+                // Map the compact launch row back to its span row through
                 // the segment list (at most two segments).
                 let mut launch_row = it.global_id(1);
-                let mut row = 0;
+                let mut span_row = 0;
                 for &(start, len) in &segs {
                     if launch_row < len {
-                        row = start + launch_row;
+                        span_row = start + launch_row;
                         break;
                     }
                     launch_row -= len;
                 }
-                let span_row = halo_above + row;
                 let fused =
                     |sr: usize, c: usize| pre.apply(it, pi, sr, c, it.read(&src, sr * cols + c));
                 let view = Stencil2DView {
@@ -675,14 +761,14 @@ where
                     n_rows,
                     span_row,
                     span_rows,
-                    g_row: row_offset + row,
+                    g_row: (row_offset + n_rows + span_row - in_halo) % n_rows,
                     col,
                     radius,
                     boundary,
                 };
                 let (y, dyn_ops) =
                     meter::metered(|| post.apply(it, pi, span_row, col, eval(&view)));
-                it.write(&dst, span_row * cols + col, y);
+                it.write(&dst, (span_row + out_halo - in_halo) * cols + col, y);
                 it.work(static_ops + dyn_ops);
             });
         });
@@ -989,6 +1075,69 @@ mod tests {
                     chained.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     "{boundary:?} on {devices} devices"
                 );
+            }
+        }
+    }
+
+    /// A damped stencil reading every row within `radius` of its centre, so
+    /// a stale row anywhere in a round's read window changes the result.
+    fn damped_column(
+        radius: usize,
+        boundary: Boundary2D,
+    ) -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
+        let r = radius as isize;
+        let user = UserFn::new(
+            "damped_column",
+            "float damped_column(__global float* in, int r, int c, uint nr, uint nc) { /* rows +-r */ }",
+            move |v: &Stencil2DView<'_, f32>| {
+                let column: f32 = (-r..=r).map(|dr| v.get(dr, 0)).sum();
+                0.15 * (column + v.get(0, -1) + v.get(0, 1))
+            },
+        );
+        Stencil2D::new(user, radius, boundary)
+    }
+
+    #[test]
+    fn blocked_iterate_is_bit_identical_to_chained_applies_for_every_block_length() {
+        // Shapes, per device count: parts deep enough for k·r halos (k is
+        // capped at the thinnest part), parts thinner than 2r or than r
+        // (k = 1, halos reaching across parts) and empty parts.
+        let cols = 5;
+        for (radius, rows) in [(1usize, 3usize), (1, 17), (2, 7), (2, 19)] {
+            let data = test_image(rows, cols);
+            for boundary in [Boundary2D::Neumann, Boundary2D::Wrap, Boundary2D::Zero] {
+                let st = damped_column(radius, boundary);
+                for devices in 1..=4 {
+                    let c = ctx(devices);
+                    for halo in 0..=2 {
+                        let input = || {
+                            let m = Matrix::from_vec(&c, rows, cols, data.clone());
+                            m.set_distribution(MatrixDistribution::RowBlock { halo })
+                                .unwrap();
+                            m
+                        };
+                        let bits = |m: Matrix<f32>| -> Vec<u32> {
+                            m.to_vec().unwrap().iter().map(|v| v.to_bits()).collect()
+                        };
+                        let mut chained = Vec::new();
+                        let mut cur = input();
+                        for _ in 0..10 {
+                            cur = st.apply(&cur).unwrap();
+                            chained.push(bits(cur.clone()));
+                        }
+                        for (n, want) in (1..=10).zip(&chained) {
+                            for k in [1, 2, 3, 4, 8] {
+                                let got = st.iterate_blocked(&input(), n, k).unwrap();
+                                assert_eq!(
+                                    &bits(got),
+                                    want,
+                                    "r={radius} {rows} rows, {boundary:?}, {devices} devices, \
+                                     halo {halo}, n={n}, k={k}"
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -266,7 +266,8 @@ fn exchange_events_on_tiny_matrices_count_exactly() {
     assert_eq!(
         c.halo_exchange_count() - base,
         5,
-        "one exchange event per iteration, empty parts contribute none"
+        "one-row parts block one round at a time: one exchange event per \
+         iteration, empty parts contribute none"
     );
 }
 
