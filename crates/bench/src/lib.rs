@@ -601,12 +601,15 @@ pub fn canny_virtual_s(rows: usize, cols: usize, devices: usize, fused: bool) ->
 /// rounds over a `rows × cols` row-block plate across `devices` devices,
 /// under either iterate schedule. With `overlapped` the default
 /// `Stencil2D::iterate` runs: one halo exchange per block of up to four
-/// rounds, issued on the copy stream under the block's first interior
-/// launch, with the block's later rounds one launch each; otherwise the
-/// serial `iterate_serial` baseline runs (one kernel per part per round,
-/// device-serializing exchange). Both schedules are bit-identical in their
-/// results (asserted by `prop_overlap`); the figure isolates the modeled
-/// timeline difference. Upload and program warm-up are excluded.
+/// rounds, issued on the copy stream under the block's interior-tile
+/// launch, and every block one launch per part (interior and edge tiles
+/// where copies are incoming) that steps its rounds in local memory;
+/// otherwise the serial `iterate_serial` baseline runs (the one-round
+/// program per part per round, device-serializing exchange). The warm-up
+/// builds the program of the schedule measured. Both schedules are
+/// bit-identical in their results (asserted by `prop_overlap`); the figure
+/// isolates the modeled timeline difference. Upload and program warm-up
+/// are excluded.
 ///
 /// With `checked` skelcheck's online hazard checker is armed for the run
 /// (the public API equivalent of `SKELCL_CHECK=1`) and the label gains
@@ -634,7 +637,13 @@ pub fn overlap_iterate(
         .expect("dist");
     plate.ensure_on_devices().expect("upload");
     let st = skelcl_iterative::skelcl_impl::heat_skeleton();
-    st.iterate(&plate, 1).expect("warm");
+    // The two schedules run different programs: the block program and the
+    // one-round program.
+    if overlapped {
+        st.iterate(&plate, 1).expect("warm");
+    } else {
+        st.iterate_serial(&plate, 1).expect("warm");
+    }
     let schedule = if overlapped { "overlapped" } else { "serial" };
     let suffix = if checked { " checked" } else { "" };
     let label = format!("fig_overlap iterate {rows}x{cols} n={n} {schedule}{suffix} x{devices}");

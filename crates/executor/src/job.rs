@@ -143,9 +143,7 @@ pub(crate) fn builds(ctx: &Context, job: &Job) -> bool {
             .matrix_program()
             .clone(),
         Job::RowSum { .. } => row_sum().program().clone(),
-        Job::Jacobi { .. } => skelcl_iterative::skelcl_impl::heat_skeleton()
-            .program()
-            .clone(),
+        Job::Jacobi { .. } => skelcl_iterative::skelcl_impl::heat_skeleton().block_program(),
         Job::MatMul { .. } => {
             skelcl_linalg::skelcl_impl::matmul_skeleton()
                 .program_on(ctx)
@@ -347,6 +345,23 @@ mod tests {
         }
         .coalesce_key()
         .is_none());
+    }
+
+    #[test]
+    fn a_built_jacobi_program_is_not_reported_as_a_build_again() {
+        let ctx = Context::init(2);
+        let job = Job::Jacobi {
+            rows: 8,
+            cols: 8,
+            iters: 3,
+            data: ramp(64, 0.0),
+        };
+        assert!(builds(&ctx, &job), "a fresh registry lacks the program");
+        run_job(&ctx, 1, &job).unwrap();
+        assert!(
+            !builds(&ctx, &job),
+            "the first job built what the next runs"
+        );
     }
 
     #[test]

@@ -753,6 +753,130 @@ pub fn fused_stencil2d_program(
     .with_arg_count(5 + n_zips)
 }
 
+/// Generate the block program behind [`crate::Stencil2D::iterate`]: each
+/// work-group loads its tile's window (`rounds · radius` cells beyond the
+/// tile on every side) into local memory once, steps `rounds` rounds
+/// between two windows, and writes its tile once. The round count is a
+/// kernel argument and the two windows are `__local` arguments sized at
+/// launch, so one program serves every block length and part shape. Under
+/// `neumann` the window cells outside the matrix are refreshed from their
+/// clamp targets after the load and after every round; under `zero` they
+/// keep the zero they start with; `wrap` loads every cell modulo the matrix
+/// dimensions. The user function is pasted with its pointer in the local
+/// address space, and `stencil_at` reads the window without boundary
+/// arithmetic.
+pub fn stencil2d_block_program(
+    stencil: &FusedStage,
+    t: &str,
+    radius: usize,
+    boundary: &str,
+) -> Program {
+    let user = &stencil.name;
+    let load = if boundary == "wrap" {
+        "win_in[i] = in[((rr % (int)n_rows + (int)n_rows) % (int)n_rows) * n_cols\n\
+                        + (cc % (int)n_cols + (int)n_cols) % (int)n_cols];"
+            .to_string()
+    } else {
+        "if (rr >= 0 && rr < (int)n_rows && cc >= 0 && cc < (int)n_cols)\n\
+                 win_in[i] = in[rr * n_cols + cc];"
+            .to_string()
+    };
+    // Only windows reaching past the matrix edge have cells to refresh;
+    // the test is uniform across the work-group.
+    let refresh = |win: &str| {
+        if boundary == "neumann" {
+            format!(
+                "if (row0 < 0 || col0 < 0 || row0 + (int)wh > (int)n_rows || col0 + (int)ww > (int)n_cols) {{\n\
+                     refresh_outside({win}, lane, lw * lh, ww, wh, row0, col0, n_rows, n_cols);\n\
+                     barrier(CLK_LOCAL_MEM_FENCE);\n\
+                 }}"
+            )
+        } else {
+            String::new()
+        }
+    };
+    let (refresh_in, refresh_out) = (refresh("win_in"), refresh("win_out"));
+    // Cells outside the matrix are never computed: `neumann` refreshes
+    // them, `zero` keeps them zero.
+    let inside = if boundary == "wrap" {
+        ""
+    } else {
+        " && row0 + (int)wr >= 0 && row0 + (int)wr < (int)n_rows \
+         && col0 + (int)wc >= 0 && col0 + (int)wc < (int)n_cols"
+    };
+    let source = format!(
+        "// generated by SkelCL codegen: blocked stencil, radius {radius}, {boundary} boundary\n\
+         // One launch steps `rounds` rounds of its tiles in local memory.\n\
+         inline {t} stencil_at(__local const {t}* in, int row, int col,\n\
+                               uint n_rows, uint n_cols, int dr, int dc) {{\n\
+             return in[(row + dr) * (int)n_cols + col + dc];\n\
+         }}\n\
+         inline void refresh_outside(__local {t}* win, uint lane, uint lanes, uint ww, uint wh,\n\
+                                     int row0, int col0, uint n_rows, uint n_cols) {{\n\
+             for (uint i = lane; i < ww * wh; i += lanes) {{\n\
+                 int tr = clamp(row0 + (int)(i / ww), 0, (int)n_rows - 1) - row0;\n\
+                 int tc = clamp(col0 + (int)(i % ww), 0, (int)n_cols - 1) - col0;\n\
+                 win[i] = win[tr * (int)ww + tc];\n\
+             }}\n\
+         }}\n\
+         {}\n\
+         __kernel void skelcl_stencil2d_block(__global const {t}* restrict in,\n\
+                                              __global {t}* restrict out,\n\
+                                              const uint n_rows,\n\
+                                              const uint n_cols,\n\
+                                              const uint row_offset,\n\
+                                              const uint rounds,\n\
+                                              __local {t}* win_in,\n\
+                                              __local {t}* win_out) {{\n\
+             uint lw = get_local_size(0);\n\
+             uint lh = get_local_size(1);\n\
+             uint lane = get_local_id(1) * lw + get_local_id(0);\n\
+             uint halo = rounds * {radius};\n\
+             uint ww = lw + 2 * halo;\n\
+             uint wh = lh + 2 * halo;\n\
+             int col0 = (int)(get_group_id(0) * lw) - (int)halo;\n\
+             int row0 = (int)(get_group_id(1) * lh + row_offset) - (int)halo;\n\
+             for (uint i = lane; i < ww * wh; i += lw * lh) {{\n\
+                 int rr = row0 + (int)(i / ww);\n\
+                 int cc = col0 + (int)(i % ww);\n\
+                 {load}\n\
+             }}\n\
+             barrier(CLK_LOCAL_MEM_FENCE);\n\
+             {refresh_in}\n\
+             for (uint j = 1; j < rounds; ++j) {{\n\
+                 uint m = j * {radius};\n\
+                 for (uint i = lane; i < ww * wh; i += lw * lh) {{\n\
+                     uint wr = i / ww;\n\
+                     uint wc = i % ww;\n\
+                     if (wr >= m && wr < wh - m && wc >= m && wc < ww - m{inside})\n\
+                         win_out[i] = {user}(win_in, wr, wc, wh, ww);\n\
+                 }}\n\
+                 barrier(CLK_LOCAL_MEM_FENCE);\n\
+                 {refresh_out}\n\
+                 __local {t}* swap = win_in;\n\
+                 win_in = win_out;\n\
+                 win_out = swap;\n\
+             }}\n\
+             uint col = get_global_id(0);\n\
+             uint row = get_global_id(1) + row_offset;\n\
+             if (row < n_rows && col < n_cols) {{\n\
+                 out[row * n_cols + col] = {user}(win_in, get_local_id(1) + halo,\n\
+                                                  get_local_id(0) + halo, wh, ww);\n\
+             }}\n\
+         }}\n",
+        stencil.source.replace("__global", "__local"),
+    );
+    Program::from_source(
+        program_name(
+            &format!("stencil2d_block_r{radius}_{boundary}"),
+            &stencil.name,
+            &[t],
+        ),
+        source,
+    )
+    .with_arg_count(8)
+}
+
 /// Generate a fused row-reduction program: the element-wise chain runs on
 /// every element *as it is folded*, so the whole map→…→reduce-rows pipeline
 /// is one launch with zero intermediate buffers. The fold is the same

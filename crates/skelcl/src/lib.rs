@@ -27,9 +27,9 @@
 //!   see the `skelcl-linalg` crate),
 //! * the iterative form [`Stencil2D::iterate`] — `n` stencil passes
 //!   ping-ponging two device-resident buffers with one batched halo
-//!   exchange per block of up to four passes — behind the simulation
-//!   workloads (heat relaxation, game of life — see the
-//!   `skelcl-iterative` crate),
+//!   exchange and one local-memory launch per block of up to four
+//!   passes — behind the simulation workloads (heat relaxation, game of
+//!   life — see the `skelcl-iterative` crate),
 //! * the lazy **[`Pipeline`] fusion subsystem**: skeleton calls compose
 //!   into a deferred expression that fuses adjacent element-wise stages
 //!   into their neighbouring stencil/reduce kernels at launch time —
@@ -288,13 +288,14 @@
 //!
 //! Iterative simulations apply the *same* stencil hundreds of times.
 //! [`Stencil2D::iterate`] keeps the whole run on the devices: two buffers
-//! per device ping-pong roles each round, one **batched halo exchange per
+//! per device ping-pong roles each block, one **batched halo exchange per
 //! block of up to four rounds** refreshes a halo deep enough for the whole
-//! block (each round also computes the halo rows still valid, so the next
-//! one needs no exchange; under `Neumann`/`Zero` boundaries the wrapped
-//! matrix-edge rows are skipped), and a single cached kernel serves all `n`
-//! launches. The result is bit-identical to `n` chained
-//! [`Stencil2D::apply`] calls on every device count.
+//! block (under `Neumann`/`Zero` boundaries the wrapped matrix-edge rows
+//! are skipped), and **one launch per block** steps its rounds in
+//! work-group local memory, reading and writing global memory once per
+//! block. A single cached block program serves every block. The result is
+//! bit-identical to `n` chained [`Stencil2D::apply`] calls on every device
+//! count.
 //!
 //! ```
 //! use skelcl::{

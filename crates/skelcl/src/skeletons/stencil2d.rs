@@ -14,19 +14,22 @@
 //! replicates the edge element (zero-gradient), `Wrap` treats the matrix as
 //! a torus, `Zero` reads the element type's default.
 //!
-//! Every stencil launch — [`Stencil2D::apply`], [`Stencil2D::apply_streamed`],
-//! [`Stencil2D::iterate`] and the stencil groups of a
-//! [`Pipeline`](crate::Pipeline) — goes through one per-part launcher over
-//! one view type and one generated program family
+//! Every one-round stencil launch — [`Stencil2D::apply`],
+//! [`Stencil2D::apply_streamed`], [`Stencil2D::iterate_serial`] and the
+//! stencil groups of a [`Pipeline`](crate::Pipeline) — goes through one
+//! per-part launcher over one view type and one generated program family
 //! ([`codegen::fused_stencil2d_program`]). A `Stencil2D` is the stencil
-//! group with no element-wise stage fused into it.
+//! group with no element-wise stage fused into it. [`Stencil2D::iterate`]
+//! runs the same user function over the same view type from a block
+//! program ([`codegen::stencil2d_block_program`]) that steps several
+//! rounds per launch in work-group local memory.
 
 use crate::codegen::{self, UserFn};
 use crate::context::Context;
 use crate::error::Result;
 use crate::matrix::{
     alloc_parts, block_ranges, exchange_part_halos, exchange_part_halos_overlapped, Matrix,
-    MatrixDistribution, MatrixPart, UploadChunk,
+    MatrixDistribution, MatrixPart, PartExchange, UploadChunk,
 };
 use crate::meter;
 use crate::skeletons::pipeline::{same_type, stage_of, OpId, PixelOp};
@@ -34,7 +37,9 @@ use crate::skeletons::{alloc_matching_matrix_parts, range_2d};
 use crate::trace::SpanGuard;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{Buffer, CompiledKernel, Event, Item, KernelBody, Order, Program, Scalar as Element};
+use vgpu::{
+    Buffer, CompiledKernel, Event, Item, KernelBody, LocalBuf, Order, Program, Scalar as Element,
+};
 
 /// What out-of-matrix neighbourhood positions read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +72,14 @@ enum Taps<'a, T: Element> {
     /// The element-wise stages fused before a pipeline stencil, applied to
     /// the part buffer's element at `(span_row, col)`.
     Fused(&'a (dyn Fn(usize, usize) -> T + 'a)),
+    /// A block launch's local-memory window, which already holds every
+    /// neighbour with its boundary resolved: a tap is one local read at
+    /// `centre + dr · stride + dc`.
+    Window {
+        win: &'a LocalBuf<T>,
+        centre: usize,
+        stride: usize,
+    },
 }
 
 /// The customizing function's view of one stencil application: counted
@@ -79,9 +92,10 @@ pub struct Stencil2DView<'a, T: Element> {
     cols: usize,
     /// Matrix height.
     n_rows: usize,
-    /// The centre's row within the part's span buffer.
+    /// The centre's row within the part's span buffer (within the window
+    /// for window taps, which do not read it).
     span_row: usize,
-    /// Total rows in the part's span buffer.
+    /// Total rows in the part's span buffer (the window's for window taps).
     span_rows: usize,
     /// The centre's global row.
     g_row: usize,
@@ -102,6 +116,14 @@ impl<'a, T: Element> Stencil2DView<'a, T> {
             "stencil access ({dr}, {dc}) exceeds radius {}",
             self.radius
         );
+        if let Taps::Window {
+            win,
+            centre,
+            stride,
+        } = self.taps
+        {
+            return win.get((centre as isize + dr * stride as isize + dc) as usize);
+        }
         let n_rows = self.n_rows as isize;
         let n_cols = self.cols as isize;
         // Resolve the row against the boundary, then express it as a span
@@ -151,6 +173,7 @@ impl<'a, T: Element> Stencil2DView<'a, T> {
         match self.taps {
             Taps::Buffer(buf, item) => item.read(buf, span_row * self.cols + col),
             Taps::Fused(read) => read(span_row, col),
+            Taps::Window { .. } => unreachable!("window taps return above"),
         }
     }
 
@@ -302,7 +325,7 @@ where
             let op = &out_parts[pi];
             if chunks.is_empty() {
                 // Already resident: the plain device-serializing launch.
-                kernel.launch_part(&ctx, pi, ip, op, &[ip.owned_span()], Order::Device)?;
+                kernel.launch_part(&ctx, pi, ip, op, ip.owned_span(), Order::Device)?;
                 continue;
             }
             // Launch in chunk-aligned owned-row bands, each depending on
@@ -311,8 +334,8 @@ where
             while start < ip.rows {
                 let len = chunk_rows.min(ip.rows - start);
                 let deps = covering_chunks(chunks, ip, self.radius, self.boundary, start, len);
-                let band = [(ip.halo_above + start, len)];
-                kernel.launch_part(&ctx, pi, ip, op, &band, Order::After(&deps))?;
+                let band = (ip.halo_above + start, len);
+                kernel.launch_part(&ctx, pi, ip, op, band, Order::After(&deps))?;
                 start += len;
             }
         }
@@ -328,13 +351,13 @@ where
     }
 }
 
-/// The most rounds one halo exchange of [`Stencil2D::iterate`] serves. A
-/// block of `k` rounds exchanges a `k·radius`-row halo once and runs in
-/// `k + 1` launches. On `skelbench`'s `heat_iterate` (4 devices, 20
-/// rounds, seed 1) k = 1, 2, 3, 4, 5 and 8 model 2.180, 1.939, 1.866,
-/// 1.822, 1.814 and 1.819 ms: 4 takes nearly all of the gain, and every
-/// further round deepens the halos of both ping-pong sets by another
-/// radius.
+/// The most rounds one block of [`Stencil2D::iterate`] steps in local
+/// memory. A block of `k` rounds exchanges a `k·radius`-row halo once and
+/// runs in one launch per part (two where copies are incoming). On
+/// `skelbench`'s `heat_iterate` (4 devices, 20 rounds, seed 1) k = 1, 2,
+/// 3, 4, 5 and 8 model 1.952, 1.131, 0.864, 0.691, 0.619 and 0.582 ms:
+/// past 4 the gain flattens, and every further round deepens the halos of
+/// both ping-pong sets (device memory) by another radius.
 const BLOCK_ROUNDS: usize = 4;
 
 impl<T, F> Stencil2D<T, T, F>
@@ -348,7 +371,8 @@ where
     /// calls, for every boundary mode and device count).
     ///
     /// Unlike the chain, the whole iteration stays inside two
-    /// device-resident part sets that ping-pong roles each round:
+    /// device-resident part sets that ping-pong roles between blocks of
+    /// rounds:
     ///
     /// * **no intermediate matrices** — two buffers per device total,
     ///   instead of one fresh allocation per pass;
@@ -356,52 +380,72 @@ where
     ///   issued directly on the part buffers, without re-synchronising the
     ///   host in between, and (under `Neumann`/`Zero` boundaries) without
     ///   the wrapped matrix-edge rows only `Wrap` ever reads;
-    /// * **one cached kernel across all `n` launches** — the skeleton's one
-    ///   program (the same one [`Stencil2D::apply`] runs) is built once and
-    ///   rebound to the swapped buffers each round.
+    /// * **one launch per block, stepping its rounds in local memory** —
+    ///   global memory is read and written once per block, not once per
+    ///   round;
+    /// * **one cached program for every block** —
+    ///   [`Stencil2D::block_program`] takes the round count as a kernel
+    ///   argument, so `iterate(x, 1)` builds the program every later
+    ///   block length and part shape runs.
     ///
     /// `iterate(input, 0)` is the identity: it returns a handle to `input`.
     ///
-    /// ## Blocked, overlapped schedule
+    /// ## Fused, overlapped blocks
     ///
-    /// Round 1 reads the input's own parts, exchanging their halos first if
-    /// they are stale. The other `n − 1` rounds run in `⌈(n − 1) / 4⌉`
-    /// near-equal blocks of at most four rounds (`n = 10` runs as 3 + 3 +
-    /// 3), and only a block's first round exchanges halos:
+    /// Round 1 is a one-round block over the input's own parts, exchanging
+    /// their halos first if they are stale. The other `n − 1` rounds run in
+    /// `⌈(n − 1) / k⌉` near-equal blocks of at most `k` rounds (`n = 10`
+    /// runs as 3 + 3 + 3 with `k = 4`):
     ///
-    /// * The exchange of a `k`-round block moves `k·radius` rows per halo.
-    ///   It is issued on the **copy stream**, so the copies run on the
-    ///   copy engines *underneath* the round's **interior** launch (owned
-    ///   rows that read no halo row). Only the **boundary** launch (the top
-    ///   and bottom bands, packed into one kernel) waits for them.
-    /// * In round `j` of the block each device also computes the
-    ///   `(k − j)·radius` halo rows that are still valid. They hold the
-    ///   same values their owner computes, from the same inputs.
-    /// * Rounds 2 to `k` therefore need no exchange and run as one launch
-    ///   each: `k + 1` launches per `k` rounds instead of `2k`.
+    /// * A block of `L` rounds first exchanges `L·radius` halo rows, on
+    ///   the **copy stream**.
+    /// * Every work-group of its launch loads the window of its `lx × ly`
+    ///   tile, `L·radius` cells deeper on each side, into local memory:
+    ///   one global read per cell inside the matrix. It steps the `L`
+    ///   rounds between two windows, with a barrier per round, each round
+    ///   computing a region `radius` cells narrower on every side, and
+    ///   writes its tile once. Window cells outside the matrix are
+    ///   refreshed every round: `Neumann` copies the clamp target and
+    ///   `Zero` keeps the default. `Wrap` loads rows through the part's
+    ///   span (modulo the height beyond it) and columns modulo the width.
+    /// * A block is **one launch per part**. Only where copies are
+    ///   incoming does it split in two: the **interior** tiles, whose
+    ///   windows read no halo row, run underneath the exchange, and the
+    ///   **edge** tiles wait for the incoming copies.
     ///
-    /// The library picks the block length: four rounds, capped so that a
-    /// `k·radius`-row halo fits in the thinnest part. Where nothing is
-    /// exchanged (one part, `Single`/`Copy` inputs) and on parts thinner
-    /// than `2·radius` every block is one round, and parts that receive no
-    /// exchanged rows launch whole. Under `Neumann` and `Zero` the halo
-    /// rows that wrap around the matrix edge are neither exchanged nor
-    /// computed.
+    /// The library picks `k`: four rounds, capped so that a `k·radius`-row
+    /// halo fits in the thinnest part and the two windows fit the
+    /// devices' local memory, for every distribution. A stencil whose
+    /// one-round windows do not fit fails with
+    /// [`vgpu::Error::LocalMemExceeded`] before anything is enqueued.
     ///
     /// Under `RowBlock` the result is laid out `RowBlock { halo: k·radius
     /// }`, with `k` the longest block's rounds, and its halo rows are
     /// stale: the next stencil over it exchanges them. Results are
-    /// bit-identical to [`Stencil2D::iterate_serial`] (same kernel, same
-    /// data; only the modeled timeline changes).
+    /// bit-identical to [`Stencil2D::iterate_serial`] (same user function,
+    /// same data; only the modeled timeline and traffic change).
     pub fn iterate(&self, input: &Matrix<T>, n: usize) -> Result<Matrix<T>> {
         self.iterate_blocked(input, n, BLOCK_ROUNDS)
     }
 
-    /// The serial schedule of [`Stencil2D::iterate`]: one kernel per part
-    /// per round, each round's halo exchange device-serializing on the main
-    /// timeline (the pre-overlap behaviour, kept as the measurable
-    /// baseline for `fig_overlap` and the overlap property suite). The
-    /// result keeps the input's distribution.
+    /// The generated block program [`Stencil2D::iterate`] launches (its
+    /// round count is a kernel argument; see
+    /// [`codegen::stencil2d_block_program`]). [`Stencil2D::program`] is the
+    /// one-round program every other launch path runs.
+    pub fn block_program(&self) -> Program {
+        codegen::stencil2d_block_program(
+            &stage_of("stencil", &self.user),
+            T::TYPE_NAME,
+            self.radius,
+            self.boundary.codegen_name(),
+        )
+    }
+
+    /// The serial schedule of [`Stencil2D::iterate`]: the one-round
+    /// program launched once per part per round, each round's halo exchange
+    /// device-serializing on the main timeline (the pre-overlap behaviour,
+    /// kept as the measurable baseline for `fig_overlap` and the overlap
+    /// property suite). The result keeps the input's distribution.
     pub fn iterate_serial(&self, input: &Matrix<T>, n: usize) -> Result<Matrix<T>> {
         if n == 0 {
             return Ok(input.clone());
@@ -420,7 +464,14 @@ where
         let alloc = || alloc_matching_matrix_parts::<T, T>(&ctx, &in_parts);
         let sets = ping_pong(n, alloc)?;
         for round in 1..=n {
-            let (src, dst) = round_parts(&in_parts, &sets, round);
+            // Round 1 reads the input's own parts; the sets trade roles
+            // after it.
+            let src = if round == 1 {
+                &in_parts
+            } else {
+                &sets[round % 2]
+            };
+            let dst = &sets[(round - 1) % 2];
             if round > 1 {
                 // The previous round wrote only owned rows; one batched
                 // exchange refreshes this round's input halos. The device
@@ -431,7 +482,7 @@ where
             kernel.launch_parts(&ctx, src, dst)?;
         }
         let halos_fresh = stale_free(&in_parts);
-        let out = last_round_parts(sets, n);
+        let out = last_set(sets, n - 1);
         let dist = input.distribution();
         Ok(Matrix::from_device_parts(
             &ctx,
@@ -443,7 +494,7 @@ where
         ))
     }
 
-    /// The blocked schedule of [`Stencil2D::iterate`], with blocks of at
+    /// The fused schedule of [`Stencil2D::iterate`], with blocks of at
     /// most `max_block` rounds.
     fn iterate_blocked(&self, input: &Matrix<T>, n: usize, max_block: usize) -> Result<Matrix<T>> {
         if n == 0 {
@@ -454,15 +505,27 @@ where
         let mut span = self.span(&ctx, "stencil2d.iterate", input);
         span.attr("iterations", n.to_string());
         span.attr("schedule", "overlapped");
-        let kernel = self.kernel(&ctx, n_rows)?;
-        stencil_input_layout(input, self.radius)?;
-        // Round 1 reads the input's own parts.
-        let in_parts = input.parts_with_fresh_halos()?;
         let radius = self.radius;
+        // Checked before anything is enqueued or built.
+        let group = range_2d(&ctx, cols, n_rows).local;
+        let group = (group[0], group[1]);
+        let fit = window_rounds::<T>(&ctx, group, radius, max_block)?;
+        let kernel = BlockKernel {
+            compiled: ctx.get_or_build(&self.block_program())?,
+            eval: self.user.func().clone(),
+            static_ops: self.user.static_ops(),
+            radius,
+            boundary: self.boundary,
+            n_rows,
+            group,
+            _pd: PhantomData,
+        };
+        stencil_input_layout(input, radius)?;
+        let in_parts = input.parts_with_fresh_halos()?;
         let dist = input.distribution();
 
         // The rounds after round 1 in near-equal blocks, longest first.
-        let k = block_cap(dist, &in_parts, radius, max_block);
+        let k = block_cap(&in_parts, radius, fit);
         let blocks: Vec<usize> = match n - 1 {
             0 => Vec::new(),
             rest => block_ranges(rest, rest.div_ceil(k))
@@ -487,84 +550,58 @@ where
         let mut producers: Vec<Vec<Event>> = (0..ctx.n_devices())
             .map(|d| vec![ctx.queue(d).enqueue_marker()])
             .collect();
-        for (pi, (ip, op)) in in_parts.iter().zip(&sets[0]).enumerate() {
+        for (ip, op) in in_parts.iter().zip(&sets[0]) {
             let order = Order::After(&producers[ip.device]);
-            if let Some(ev) = kernel.launch_part(&ctx, pi, ip, op, &[ip.owned_span()], order)? {
+            if let Some(ev) = kernel.launch(&ctx, ip, op, &kernel.tiles(ip), 1, order)? {
                 producers[ip.device] = vec![ev];
             }
         }
 
-        let mut round = 1;
-        for len in blocks {
-            // Refresh the halos the block's first round reads, deep enough
-            // for the whole block.
-            let src = round_parts(&in_parts, &sets, round + 1).0;
-            let exchange = exchange_part_halos_overlapped(
-                &ctx,
-                src,
-                n_rows,
-                cols,
-                skip_wrapped,
-                len * radius,
-                &producers,
-            )?;
-            for j in 1..=len {
-                round += 1;
-                let (src, dst) = round_parts(&in_parts, &sets, round);
-                // The halo rows whose inputs are still valid this round.
-                let ext = (len - j) * radius;
-                for (pi, (ip, op)) in src.iter().zip(dst).enumerate() {
-                    let (above, below) = if skip_wrapped {
-                        let below_matrix = n_rows - ip.row_offset - ip.rows;
-                        (ext.min(ip.row_offset), ext.min(below_matrix))
-                    } else {
-                        (ext, ext)
-                    };
-                    let lo = ip.halo_above - above;
-                    let hi = ip.halo_above + ip.rows + below;
-                    let ex = &exchange[pi];
-                    let produced = if j == 1 && !ex.incoming.is_empty() && 2 * radius < ip.rows {
-                        // Interior first: it reads no halo row and has no
-                        // event dependencies, so the in-order queue starts
-                        // it at once while the exchange still runs. Then
-                        // the top and bottom bands, which read the
-                        // exchanged rows, as one dependent launch. The
-                        // interior never overwrites rows an earlier
-                        // exchange still copies out: a one-round block
-                        // copies out only `radius` rows per edge, and a
-                        // longer block's round 2 waits for its copies.
-                        let top = ip.halo_above + radius;
-                        let bottom = ip.halo_above + ip.rows - radius;
-                        let interior = [(top, bottom - top)];
-                        kernel.launch_part(&ctx, pi, ip, op, &interior, Order::After(&[]))?;
-                        let bands = [(lo, top - lo), (bottom, hi - bottom)];
-                        kernel.launch_part(&ctx, pi, ip, op, &bands, Order::After(&ex.incoming))?
-                    } else {
-                        // Round 1 of a block reads the exchanged rows.
-                        // Round 2 overwrites the owned edge rows the
-                        // exchange copied out to the neighbours.
-                        let deps: &[Event] = match j {
-                            1 => &ex.incoming,
-                            2 => &ex.outgoing,
-                            _ => &[],
-                        };
-                        kernel.launch_part(
-                            &ctx,
-                            pi,
-                            ip,
-                            op,
-                            &[(lo, hi - lo)],
-                            Order::After(deps),
-                        )?
-                    };
-                    if let Some(ev) = produced {
-                        producers[ip.device] = vec![ev];
-                    }
+        // Per part: the previous exchange's copies out of the set the next
+        // block writes. The block overwrites the rows they read.
+        let mut outgoing: Vec<Vec<Event>> = vec![Vec::new(); in_parts.len()];
+        for (b, &len) in blocks.iter().enumerate() {
+            let (src, dst) = (&sets[b % 2], &sets[(b + 1) % 2]);
+            // Refresh the halos the whole block reads.
+            let exchange = if stale_free(src) {
+                vec![PartExchange::default(); src.len()]
+            } else {
+                exchange_part_halos_overlapped(
+                    &ctx,
+                    src,
+                    n_rows,
+                    cols,
+                    skip_wrapped,
+                    len * radius,
+                    &producers,
+                )?
+            };
+            for (pi, (ip, op)) in src.iter().zip(dst).enumerate() {
+                let incoming = &exchange[pi].incoming;
+                let tiles = kernel.tiles(ip);
+                let after_readers = Order::After(&outgoing[pi]);
+                let produced = if incoming.is_empty() {
+                    kernel.launch(&ctx, ip, op, &tiles, len, after_readers)?
+                } else {
+                    // Interior tiles first: they read no halo row, so the
+                    // in-order queue starts them while the exchange still
+                    // runs. Then the edge tiles, after the incoming copies.
+                    let (interior, edge): (Vec<_>, Vec<_>) = tiles
+                        .into_iter()
+                        .partition(|&tile| !kernel.reads_halo(ip, tile, len));
+                    let first = kernel.launch(&ctx, ip, op, &interior, len, after_readers)?;
+                    let deps = [&incoming[..], &outgoing[pi][..]].concat();
+                    let edges = kernel.launch(&ctx, ip, op, &edge, len, Order::After(&deps))?;
+                    edges.or(first)
+                };
+                if let Some(ev) = produced {
+                    producers[ip.device] = vec![ev];
                 }
             }
+            outgoing = exchange.into_iter().map(|e| e.outgoing).collect();
         }
 
-        let out = last_round_parts(sets, n);
+        let out = last_set(sets, blocks.len());
         let halos_fresh = stale_free(&out);
         Ok(Matrix::from_device_parts(
             &ctx,
@@ -586,42 +623,331 @@ fn ping_pong<T: Element>(
     Ok([alloc()?, if n > 1 { alloc()? } else { Vec::new() }])
 }
 
-/// Round `round`'s (1-based) source and destination parts: round 1 reads
-/// the input's own parts, and the ping-pong sets trade roles after it.
-fn round_parts<'a, T: Element>(
-    input: &'a [MatrixPart<T>],
-    sets: &'a [Vec<MatrixPart<T>>; 2],
-    round: usize,
-) -> (&'a [MatrixPart<T>], &'a [MatrixPart<T>]) {
-    let src = if round == 1 { input } else { &sets[round % 2] };
-    (src, &sets[(round - 1) % 2])
-}
-
-/// The parts round `n` wrote.
-fn last_round_parts<T: Element>(sets: [Vec<MatrixPart<T>>; 2], n: usize) -> Vec<MatrixPart<T>> {
+/// The set written last when the first launch wrote set 0 and `swaps`
+/// launches after it alternated.
+fn last_set<T: Element>(sets: [Vec<MatrixPart<T>>; 2], swaps: usize) -> Vec<MatrixPart<T>> {
     let [first, second] = sets;
-    if n % 2 == 1 {
+    if swaps.is_multiple_of(2) {
         first
     } else {
         second
     }
 }
 
-/// The most rounds one halo exchange may serve: `max_block`, capped so a
-/// `k·radius`-row halo stays within the thinnest non-empty part. It is 1
-/// where nothing is exchanged: inputs without halo rows, and a lone part.
-fn block_cap<T: Element>(
-    dist: MatrixDistribution,
-    parts: &[MatrixPart<T>],
+/// The most rounds one block may step: `fit`, capped so a `k·radius`-row
+/// halo stays within the thinnest non-empty part.
+fn block_cap<T: Element>(parts: &[MatrixPart<T>], radius: usize, fit: usize) -> usize {
+    let thinnest = parts.iter().map(|p| p.rows).filter(|&rows| rows > 0).min();
+    match radius {
+        0 => fit,
+        r => (thinnest.unwrap_or(0) / r).clamp(1, fit),
+    }
+}
+
+/// Elements of one block window: a `(lx, ly)` work-group's tile, `halo`
+/// cells deeper on every side.
+fn window_len((lx, ly): (usize, usize), halo: usize) -> usize {
+    (lx + 2 * halo) * (ly + 2 * halo)
+}
+
+/// The most rounds, up to `max_block`, whose two windows of `T` fit every
+/// device's local memory for work-groups of shape `group`. An error when
+/// not even one round's windows fit.
+fn window_rounds<T: Element>(
+    ctx: &Context,
+    group: (usize, usize),
     radius: usize,
     max_block: usize,
-) -> usize {
-    let owned = parts.iter().map(|p| p.rows).filter(|&rows| rows > 0);
-    let thinnest = owned.clone().min().unwrap_or(0);
-    if !matches!(dist, MatrixDistribution::RowBlock { .. }) || radius == 0 || owned.count() < 2 {
-        return 1;
+) -> Result<usize> {
+    let limit = (0..ctx.n_devices())
+        .map(|d| ctx.device(d).spec().local_mem_bytes)
+        .min()
+        .unwrap_or(0);
+    let bytes = |rounds: usize| 2 * window_len(group, rounds * radius) * std::mem::size_of::<T>();
+    (1..=max_block.max(1))
+        .rev()
+        .find(|&rounds| bytes(rounds) <= limit)
+        .ok_or_else(|| {
+            vgpu::Error::LocalMemExceeded {
+                requested: bytes(1),
+                limit,
+            }
+            .into()
+        })
+}
+
+/// One row or column of a block window, resolved against the boundary once
+/// per work-group.
+#[derive(Clone, Copy)]
+struct Line {
+    /// The span row or column the line loads from; `None` when it lies
+    /// outside the matrix under `Neumann` or `Zero`.
+    src: Option<usize>,
+    /// Its global row or column: the view's position.
+    global: usize,
+    /// The window index of the line holding its clamp target (its own
+    /// index when it lies inside the matrix).
+    clamp: usize,
+}
+
+impl Line {
+    /// Window line `w`: position `p` of a span `span` lines long (a part's
+    /// span row, or a column), at unwrapped global position `g` of a matrix
+    /// `n` lines long.
+    fn resolve(w: usize, p: isize, g: isize, span: usize, n: usize, boundary: Boundary2D) -> Line {
+        let n = n as isize;
+        if boundary == Boundary2D::Wrap {
+            // Span lines are consecutive global lines (mod n), so beyond
+            // the span the position modulo `n` holds the wrapped target, as
+            // `Stencil2DView::get` reads it.
+            let src = if (0..span as isize).contains(&p) {
+                p
+            } else {
+                p.rem_euclid(n)
+            };
+            return Line {
+                src: Some(src as usize),
+                global: g.rem_euclid(n) as usize,
+                clamp: w,
+            };
+        }
+        let clamped = g.clamp(0, n - 1);
+        Line {
+            src: (clamped == g).then_some(p as usize),
+            global: clamped as usize,
+            clamp: (w as isize + clamped - g) as usize,
+        }
     }
-    (thinnest / radius).clamp(1, max_block)
+}
+
+/// One work-group's window: `ww × wh` cells around its tile, every row and
+/// column resolved against the boundary.
+struct Window {
+    ww: usize,
+    wh: usize,
+    rows: Vec<Line>,
+    cols: Vec<Line>,
+    n_rows: usize,
+    n_cols: usize,
+    radius: usize,
+    boundary: Boundary2D,
+}
+
+impl Window {
+    /// Whether cell `(w, c)` lies outside the matrix (never under `Wrap`).
+    fn outside(&self, w: usize, c: usize) -> bool {
+        self.rows[w].src.is_none() || self.cols[c].src.is_none()
+    }
+
+    /// The index of cell `(w, c)`'s clamp target.
+    fn clamp(&self, w: usize, c: usize) -> usize {
+        self.rows[w].clamp * self.ww + self.cols[c].clamp
+    }
+
+    /// The customizing function's view of cell `(w, c)`, reading `win`.
+    fn view<'a, T: Element>(
+        &self,
+        win: &'a LocalBuf<T>,
+        w: usize,
+        c: usize,
+    ) -> Stencil2DView<'a, T> {
+        Stencil2DView {
+            taps: Taps::Window {
+                win,
+                centre: w * self.ww + c,
+                stride: self.ww,
+            },
+            cols: self.n_cols,
+            n_rows: self.n_rows,
+            span_row: w,
+            span_rows: self.wh,
+            g_row: self.rows[w].global,
+            col: self.cols[c].global,
+            radius: self.radius,
+            boundary: self.boundary,
+        }
+    }
+}
+
+/// The compiled block program of one `Stencil2D` over `T`, for a matrix of
+/// `n_rows` rows and work-groups of shape `group`.
+struct BlockKernel<T, F> {
+    compiled: CompiledKernel,
+    eval: F,
+    /// Static per-element issue cost of the user function.
+    static_ops: u64,
+    radius: usize,
+    boundary: Boundary2D,
+    n_rows: usize,
+    /// The work-group shape `(lx, ly)` every launch runs: a tile is `ly`
+    /// owned rows by `lx` columns.
+    group: (usize, usize),
+    _pd: PhantomData<fn(T) -> T>,
+}
+
+impl<T, F> BlockKernel<T, F>
+where
+    T: Element,
+    F: Fn(&Stencil2DView<'_, T>) -> T + Send + Sync + Clone + 'static,
+{
+    /// Part `p`'s owned rows in tiles of at most `ly` rows, as `(first span
+    /// row, rows)`.
+    fn tiles(&self, p: &MatrixPart<T>) -> Vec<(usize, usize)> {
+        let ly = self.group.1;
+        (0..p.rows)
+            .step_by(ly)
+            .map(|r| (p.halo_above + r, ly.min(p.rows - r)))
+            .collect()
+    }
+
+    /// Whether the window of `tile` for a `rounds`-round block loads a row
+    /// outside the part's owned rows, i.e. a halo row an exchange may
+    /// write. Window rows outside the matrix are loaded only under `Wrap`.
+    fn reads_halo(&self, p: &MatrixPart<T>, (start, rows): (usize, usize), rounds: usize) -> bool {
+        let halo = (rounds * self.radius) as isize;
+        let first = (p.row_offset + start - p.halo_above) as isize;
+        let (mut lo, mut hi) = (first - halo, first + rows as isize + halo);
+        if self.boundary != Boundary2D::Wrap {
+            lo = lo.max(0);
+            hi = hi.min(self.n_rows as isize);
+        }
+        lo < p.row_offset as isize || hi > (p.row_offset + p.rows) as isize
+    }
+
+    /// Launch one block of `rounds` rounds over `tiles` of part `ip`,
+    /// writing their rows of `op` (same global rows; `op`'s halo may
+    /// differ from `ip`'s). Each work-group loads its tile's window from
+    /// `ip` (whose rows within `rounds · radius` of the tiles must be
+    /// coherent), steps the rounds in local memory and writes its tile
+    /// once. Returns the launch event, or `None` when there is nothing to
+    /// launch.
+    fn launch(
+        &self,
+        ctx: &Context,
+        ip: &MatrixPart<T>,
+        op: &MatrixPart<T>,
+        tiles: &[(usize, usize)],
+        rounds: usize,
+        order: Order<'_>,
+    ) -> Result<Option<Event>> {
+        let cols = ip.cols;
+        if tiles.is_empty() || cols == 0 {
+            return Ok(None);
+        }
+        let (lx, ly) = self.group;
+        let (src, dst) = (ip.buffer.clone(), op.buffer.clone());
+        let eval = self.eval.clone();
+        let (radius, boundary, n_rows, static_ops) =
+            (self.radius, self.boundary, self.n_rows, self.static_ops);
+        let halo = rounds * radius;
+        let win_len = window_len(self.group, halo);
+        let (row_offset, in_halo, out_halo) = (ip.row_offset, ip.halo_above, op.halo_above);
+        let span_rows = ip.span_rows();
+        let n_tiles = tiles.len();
+        let tiles = tiles.to_vec();
+        let body: KernelBody = Arc::new(move |wg| {
+            let (t0, t_rows) = tiles[wg.group_id(1)];
+            let c0 = wg.group_id(0) * lx;
+            let t_cols = lx.min(cols - c0);
+            let (ww, wh) = (t_cols + 2 * halo, t_rows + 2 * halo);
+            let lanes = wg.local_total();
+            let wins = [wg.local_buf::<T>(win_len), wg.local_buf::<T>(win_len)];
+            let window = Window {
+                ww,
+                wh,
+                rows: (0..wh)
+                    .map(|w| {
+                        let s = (t0 + w) as isize - halo as isize;
+                        let g = s + row_offset as isize - in_halo as isize;
+                        Line::resolve(w, s, g, span_rows, n_rows, boundary)
+                    })
+                    .collect(),
+                cols: (0..ww)
+                    .map(|w| {
+                        let c = (c0 + w) as isize - halo as isize;
+                        Line::resolve(w, c, c, cols, cols, boundary)
+                    })
+                    .collect(),
+                n_rows,
+                n_cols: cols,
+                radius,
+                boundary,
+            };
+            // Neumann refreshes the window cells outside the matrix; Zero
+            // leaves them at the default they start with.
+            let refresh = boundary == Boundary2D::Neumann
+                && window
+                    .rows
+                    .iter()
+                    .chain(&window.cols)
+                    .any(|l| l.src.is_none());
+
+            // One global read per window cell inside the matrix.
+            wg.for_each_item(|it| {
+                for i in (it.local_linear()..ww * wh).step_by(lanes) {
+                    let (row, col) = (window.rows[i / ww], window.cols[i % ww]);
+                    if let (Some(s), Some(c)) = (row.src, col.src) {
+                        wins[0].set(i, it.read(&src, s * cols + c));
+                    }
+                }
+            });
+            wg.barrier();
+            // Copy every outside cell at least `margin` cells inside the
+            // window edge from its clamp target.
+            let refresh_ring = |win: &LocalBuf<T>, margin: usize| {
+                let (rw, rh) = (ww - 2 * margin, wh - 2 * margin);
+                wg.for_each_item(|it| {
+                    for k in (it.local_linear()..rw * rh).step_by(lanes) {
+                        let (w, c) = (margin + k / rw, margin + k % rw);
+                        if window.outside(w, c) {
+                            win.set(w * ww + c, win.get(window.clamp(w, c)));
+                        }
+                    }
+                });
+                wg.barrier();
+            };
+            if refresh {
+                refresh_ring(&wins[0], 0);
+            }
+            // Every round but the last computes the window cells at least
+            // `j · radius` cells inside its edge, from one window into the
+            // other.
+            for j in 1..rounds {
+                let (inp, out) = (&wins[(j - 1) % 2], &wins[j % 2]);
+                let margin = j * radius;
+                let (rw, rh) = (ww - 2 * margin, wh - 2 * margin);
+                wg.for_each_item(|it| {
+                    for k in (it.local_linear()..rw * rh).step_by(lanes) {
+                        let (w, c) = (margin + k / rw, margin + k % rw);
+                        if window.outside(w, c) {
+                            continue;
+                        }
+                        let (y, dyn_ops) = meter::metered(|| eval(&window.view(inp, w, c)));
+                        out.set(w * ww + c, y);
+                        it.work(static_ops + dyn_ops);
+                    }
+                });
+                wg.barrier();
+                if refresh {
+                    refresh_ring(out, margin);
+                }
+            }
+            // The last round computes the tile, straight to global memory.
+            let inp = &wins[(rounds - 1) % 2];
+            wg.for_each_item(|it| {
+                let (x, y) = (it.local_id(0), it.local_id(1));
+                if x >= t_cols || y >= t_rows {
+                    return;
+                }
+                let (v, dyn_ops) = meter::metered(|| eval(&window.view(inp, halo + y, halo + x)));
+                it.write(&dst, (t0 + y + out_halo - in_halo) * cols + c0 + x, v);
+                it.work(static_ops + dyn_ops);
+            });
+        });
+        let kernel = self.compiled.with_body(body);
+        let nd = vgpu::NDRange::two_d((cols, n_tiles * ly), (lx, ly));
+        Ok(Some(ctx.queue(ip.device).launch(&kernel, nd, order)?))
+    }
 }
 
 /// The layout rule for stencil inputs (and for the fused row fold, which
@@ -639,12 +965,12 @@ pub(crate) fn stencil_input_layout<T: Element>(input: &Matrix<T>, radius: usize)
     }
 }
 
-/// One stencil kernel as every stencil path launches it: per owned element,
-/// `post(eval(view))`, where the view's neighbourhood reads apply `pre` to
-/// the input part's elements. `Stencil2D` launches it with identity ops; a
-/// pipeline stencil group fuses its pending element-wise chains into `pre`
-/// and `post`. `J`, `A`, `I` and `V` are the input, view, stencil-result and
-/// output element types.
+/// One stencil kernel as every one-round path launches it: per owned
+/// element, `post(eval(view))`, where the view's neighbourhood reads apply
+/// `pre` to the input part's elements. `Stencil2D` launches it with
+/// identity ops; a pipeline stencil group fuses its pending element-wise
+/// chains into `pre` and `post`. `J`, `A`, `I` and `V` are the input, view,
+/// stencil-result and output element types.
 pub(crate) struct StencilKernel<J, A, I, V, E, Pre, Post> {
     pub compiled: CompiledKernel,
     /// The stencil user function (a `stencil_pair` combines two).
@@ -687,24 +1013,21 @@ where
         dst: &[MatrixPart<V>],
     ) -> Result<()> {
         for (pi, (ip, op)) in src.iter().zip(dst).enumerate() {
-            self.launch_part(ctx, pi, ip, op, &[ip.owned_span()], Order::Device)?;
+            self.launch_part(ctx, pi, ip, op, ip.owned_span(), Order::Device)?;
         }
         Ok(())
     }
 
-    /// Launch one pass over `segments` of part `pi`: each `(start, len)`
-    /// names span rows `[start, start + len)` of the input part `ip`, owned
-    /// or halo, and the launch covers their disjoint union in one kernel
-    /// (the overlapped iterate packs its top and bottom bands into a single
-    /// launch this way). Each row is written at the same global row of
-    /// `op`, whose halo may differ from `ip`'s: span row `s` of `ip` lands
-    /// at span row `s - ip.halo_above + op.halo_above` of `op`. The input
-    /// rows within `radius` of every covered row are assumed coherent.
+    /// Launch one pass over span rows `[start, start + len)` of part `pi`'s
+    /// input `ip`. Each row is written at the same global row of `op`,
+    /// whose halo may differ from `ip`'s: span row `s` of `ip` lands at
+    /// span row `s - ip.halo_above + op.halo_above` of `op`. The input rows
+    /// within `radius` of every covered row are assumed coherent.
     ///
     /// `order` is passed straight to the launch: [`Order::Device`] for the
     /// device-ordered launch, or [`Order::After`] to order the kernel only
     /// by the main queue, the listed events, and the compute engine.
-    /// Returns the launch event, or `None` when the segments are empty.
+    /// Returns the launch event, or `None` when the band is empty.
     ///
     /// However the rows are split into launches, every covered element
     /// computes the exact same value: the split changes the modeled
@@ -715,11 +1038,10 @@ where
         pi: usize,
         ip: &MatrixPart<J>,
         op: &MatrixPart<V>,
-        segments: &[(usize, usize)],
+        (start, launch_rows): (usize, usize),
         order: Order<'_>,
     ) -> Result<Option<Event>> {
         let cols = ip.cols;
-        let launch_rows: usize = segments.iter().map(|&(_, len)| len).sum();
         if launch_rows == 0 || cols == 0 {
             return Ok(None);
         }
@@ -732,24 +1054,12 @@ where
         let static_ops = self.static_ops;
         let (in_halo, out_halo) = (ip.halo_above, op.halo_above);
         let (row_offset, span_rows) = (ip.row_offset, ip.span_rows());
-        let segs = segments.to_vec();
         let body: KernelBody = Arc::new(move |wg| {
             wg.for_each_item(|it| {
                 if !it.in_bounds() {
                     return;
                 }
-                let col = it.global_id(0);
-                // Map the compact launch row back to its span row through
-                // the segment list (at most two segments).
-                let mut launch_row = it.global_id(1);
-                let mut span_row = 0;
-                for &(start, len) in &segs {
-                    if launch_row < len {
-                        span_row = start + launch_row;
-                        break;
-                    }
-                    launch_row -= len;
-                }
+                let (col, span_row) = (it.global_id(0), start + it.global_id(1));
                 let fused =
                     |sr: usize, c: usize| pre.apply(it, pi, sr, c, it.read(&src, sr * cols + c));
                 let view = Stencil2DView {
@@ -1099,46 +1409,150 @@ mod tests {
 
     #[test]
     fn blocked_iterate_is_bit_identical_to_chained_applies_for_every_block_length() {
-        // Shapes, per device count: parts deep enough for k·r halos (k is
-        // capped at the thinnest part), parts thinner than 2r or than r
-        // (k = 1, halos reaching across parts) and empty parts.
-        let cols = 5;
-        for (radius, rows) in [(1usize, 3usize), (1, 17), (2, 7), (2, 19)] {
+        use MatrixDistribution::{Copy, RowBlock, Single};
+        // Row blocks on every device count: parts deep enough for k·r
+        // halos (k is capped at the thinnest part and at the tiny device's
+        // local memory, which shrinks k = 8 everywhere and k = 4 at radius
+        // 2), parts thinner than 2r or than r (k = 1, halos reaching across
+        // parts) and empty parts. Single and Copy parts hold the whole
+        // matrix and exchange nothing.
+        let mut layouts: Vec<(usize, MatrixDistribution)> = (1..=4)
+            .flat_map(|devices| (0..=2).map(move |halo| (devices, RowBlock { halo })))
+            .collect();
+        layouts.extend([(1, Single(0)), (3, Single(2)), (1, Copy), (3, Copy)]);
+        // Five columns make every window wider than the matrix, so `Wrap`
+        // wraps it more than once; 18 make a second, two-column-wide
+        // column of tiles.
+        let narrow = [(1usize, 3usize, 5usize), (1, 17, 5), (2, 7, 5), (2, 19, 5)]
+            .map(|shape| (shape, &layouts[..]));
+        let wide_layouts = [
+            (2, RowBlock { halo: 1 }),
+            (4, RowBlock { halo: 1 }),
+            (2, Copy),
+        ];
+        let wide = [(1, 9, 18), (2, 11, 18)].map(|shape| (shape, &wide_layouts[..]));
+        let bits = |m: Matrix<f32>| -> Vec<u32> {
+            m.to_vec().unwrap().iter().map(|v| v.to_bits()).collect()
+        };
+        for ((radius, rows, cols), layouts) in narrow.into_iter().chain(wide) {
             let data = test_image(rows, cols);
             for boundary in [Boundary2D::Neumann, Boundary2D::Wrap, Boundary2D::Zero] {
                 let st = damped_column(radius, boundary);
-                for devices in 1..=4 {
+                // Chained applies agree bit for bit on every layout.
+                let mut chained = Vec::new();
+                let mut cur = Matrix::from_vec(&ctx(1), rows, cols, data.clone());
+                for _ in 0..10 {
+                    cur = st.apply(&cur).unwrap();
+                    chained.push(bits(cur.clone()));
+                }
+                for &(devices, dist) in layouts {
                     let c = ctx(devices);
-                    for halo in 0..=2 {
-                        let input = || {
-                            let m = Matrix::from_vec(&c, rows, cols, data.clone());
-                            m.set_distribution(MatrixDistribution::RowBlock { halo })
-                                .unwrap();
-                            m
-                        };
-                        let bits = |m: Matrix<f32>| -> Vec<u32> {
-                            m.to_vec().unwrap().iter().map(|v| v.to_bits()).collect()
-                        };
-                        let mut chained = Vec::new();
-                        let mut cur = input();
-                        for _ in 0..10 {
-                            cur = st.apply(&cur).unwrap();
-                            chained.push(bits(cur.clone()));
-                        }
-                        for (n, want) in (1..=10).zip(&chained) {
-                            for k in [1, 2, 3, 4, 8] {
-                                let got = st.iterate_blocked(&input(), n, k).unwrap();
-                                assert_eq!(
-                                    &bits(got),
-                                    want,
-                                    "r={radius} {rows} rows, {boundary:?}, {devices} devices, \
-                                     halo {halo}, n={n}, k={k}"
-                                );
-                            }
+                    let input = || {
+                        let m = Matrix::from_vec(&c, rows, cols, data.clone());
+                        m.set_distribution(dist).unwrap();
+                        m
+                    };
+                    for (n, want) in (1..=10).zip(&chained) {
+                        for k in [1, 2, 3, 4, 8] {
+                            let got = st.iterate_blocked(&input(), n, k).unwrap();
+                            assert_eq!(
+                                &bits(got),
+                                want,
+                                "r={radius} {rows}x{cols}, {boundary:?}, {devices} devices, \
+                                 {dist:?}, n={n}, k={k}"
+                            );
                         }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn block_length_shrinks_until_both_windows_fit_local_memory() {
+        // Radius 2 on the tiny device (4 KB of local memory, 16×4
+        // work-groups): four rounds need two 32×20 windows (5 KB), three
+        // need two 28×16 ones (3.5 KB).
+        let (rows, cols) = (40, 24);
+        let data = test_image(rows, cols);
+        let c = ctx(2);
+        let st = damped_column(2, Boundary2D::Neumann);
+        let input = || {
+            let m = Matrix::from_vec(&c, rows, cols, data.clone());
+            m.set_distribution(MatrixDistribution::RowBlock { halo: 2 })
+                .unwrap();
+            m
+        };
+        let got = st.iterate(&input(), 10).unwrap();
+        assert_eq!(
+            got.distribution(),
+            MatrixDistribution::RowBlock { halo: 6 },
+            "9 rounds after the first run as 3 + 3 + 3"
+        );
+        let mut cur = input();
+        for _ in 0..10 {
+            cur = st.apply(&cur).unwrap();
+        }
+        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got.to_vec().unwrap()), bits(cur.to_vec().unwrap()));
+    }
+
+    #[test]
+    fn a_window_that_cannot_fit_is_a_typed_error_before_anything_is_enqueued() {
+        // Radius 7 with 16×4 work-groups: one round's two 30×18 windows
+        // need 4320 bytes of the tiny device's 4096.
+        let c = ctx(2);
+        let m = Matrix::from_vec(&c, 32, 16, test_image(32, 16));
+        let st = damped_column(7, Boundary2D::Zero);
+        let (stats, built) = (c.platform().stats_snapshot(), c.programs_built());
+        let err = st.iterate(&m, 3).expect_err("the windows cannot fit");
+        assert!(
+            matches!(
+                err,
+                crate::Error::Platform(vgpu::Error::LocalMemExceeded {
+                    requested: 4320,
+                    limit: 4096
+                })
+            ),
+            "{err}"
+        );
+        let delta = c.platform().stats_snapshot() - stats;
+        assert_eq!(
+            (
+                delta.h2d_transfers,
+                delta.d2d_transfers,
+                delta.kernel_launches
+            ),
+            (0, 0, 0),
+            "nothing is uploaded, exchanged or launched"
+        );
+        assert_eq!(c.programs_built(), built, "nothing is built");
+        assert!(!m.device_fresh(), "the input stays on the host");
+    }
+
+    #[test]
+    fn a_block_is_one_launch_per_part_and_two_where_copies_are_incoming() {
+        // n = 5: round 1, then one block of four rounds.
+        let (rows, cols) = (64, 16);
+        let launches = |devices: usize, dist: MatrixDistribution, boundary: Boundary2D| {
+            let c = ctx(devices);
+            let m = Matrix::from_vec(&c, rows, cols, test_image(rows, cols));
+            m.set_distribution(dist).unwrap();
+            m.ensure_on_devices().unwrap();
+            let before = c.platform().stats_snapshot();
+            damped_column(1, boundary).iterate(&m, 5).unwrap();
+            (c.platform().stats_snapshot() - before).kernel_launches
+        };
+        let row_block = MatrixDistribution::RowBlock { halo: 1 };
+        // Every part receives halo rows: interior tiles, then edge tiles.
+        assert_eq!(launches(4, row_block, Boundary2D::Neumann), 4 + 4 * 2);
+        // A lone part: under Wrap its halos are copies of its own rows.
+        assert_eq!(launches(1, row_block, Boundary2D::Wrap), 1 + 2);
+        // Nothing incoming: one launch per part and block.
+        assert_eq!(launches(1, row_block, Boundary2D::Neumann), 1 + 1);
+        for boundary in [Boundary2D::Neumann, Boundary2D::Wrap] {
+            assert_eq!(launches(4, MatrixDistribution::Single(2), boundary), 1 + 1);
+            assert_eq!(launches(4, MatrixDistribution::Copy, boundary), 4 + 4);
         }
     }
 
@@ -1227,9 +1641,17 @@ mod tests {
         let before = c.programs_built();
         st.iterate(&m, 6).unwrap();
         let built = c.programs_built();
-        st.iterate(&m, 6).unwrap();
-        assert_eq!(c.programs_built(), built, "no rebuild on a second run");
-        // Every launch path of one stencil runs one program.
+        assert_eq!(built, before + 1, "every block of iterate runs one program");
+        // Other block lengths and part shapes run the same program.
+        st.iterate(&m, 1).unwrap();
+        st.iterate(&m, 9).unwrap();
+        let single = Matrix::from_vec(&c, 16, 8, test_image(16, 8));
+        single
+            .set_distribution(MatrixDistribution::Single(1))
+            .unwrap();
+        st.iterate(&single, 4).unwrap();
+        assert_eq!(c.programs_built(), built, "no rebuild for another block");
+        // Every one-round launch path runs the one-round program.
         st.apply(&m).unwrap();
         st.apply_streamed(&Matrix::from_vec(&c, 16, 8, test_image(16, 8)), 4)
             .unwrap();
@@ -1239,8 +1661,30 @@ mod tests {
             .unwrap();
         assert_eq!(
             c.programs_built(),
-            before + 1,
-            "apply, apply_streamed, iterate and a one-stage pipeline share one program"
+            before + 2,
+            "iterate runs the block program; apply, apply_streamed and a \
+             one-stage pipeline share the one-round program"
+        );
+    }
+
+    #[test]
+    fn a_one_round_iterate_builds_everything_longer_iterates_run() {
+        let c = ctx(4);
+        let m = Matrix::from_vec(&c, 64, 24, test_image(64, 24));
+        m.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
+            .unwrap();
+        let st = cross_sum();
+        st.iterate(&m, 1).unwrap();
+        let (misses, builds) = (
+            c.program_cache_misses(),
+            c.platform().stats_snapshot().source_builds,
+        );
+        st.iterate(&m, 20).unwrap();
+        assert_eq!(c.program_cache_misses(), misses, "no registry miss");
+        assert_eq!(
+            c.platform().stats_snapshot().source_builds,
+            builds,
+            "no source build"
         );
     }
 

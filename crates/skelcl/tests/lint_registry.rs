@@ -55,6 +55,25 @@ fn cross_user() -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
     })
 }
 
+/// A radius-`radius` column sum (radius 1 or 2), for the block programs.
+fn column_user(radius: usize) -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
+    let r = radius as isize;
+    UserFn::new(
+        format!("lcolumn{radius}"),
+        format!(
+            "float lcolumn{radius}(__global float* in, int r, int c, uint nr, uint nc) {{\n\
+                 float acc = 0.0f;\n\
+                 for (int dr = -{radius}; dr <= {radius}; ++dr)\n\
+                     acc += stencil_at(in, r, c, nr, nc, dr, 0);\n\
+                 return 0.25f * acc;\n\
+             }}"
+        ),
+        move |v: &Stencil2DView<'_, f32>| 0.25 * (-r..=r).map(|dr| v.get(dr, 0)).sum::<f32>(),
+    )
+}
+
+const BOUNDARIES: [Boundary2D; 3] = [Boundary2D::Neumann, Boundary2D::Wrap, Boundary2D::Zero];
+
 fn vec_data(c: &Context, n: usize) -> Vector<f32> {
     Vector::from_vec(c, (0..n).map(|i| (i % 17) as f32 - 8.0).collect())
 }
@@ -138,8 +157,8 @@ fn populate_registry(c: &Context) {
     .apply(&v)
     .unwrap();
 
-    // 2D element-wise (one-stage fused map / zip) and the 2D stencil,
-    // whose apply and iterate share one program.
+    // 2D element-wise (one-stage fused map / zip) and the 2D stencil:
+    // apply runs the one-round program, iterate the block program.
     let m = mat_data(c, 12, 8);
     let m2 = mat_data(c, 12, 8);
     Map::new(scale_fn()).apply_matrix(&m).unwrap();
@@ -150,6 +169,14 @@ fn populate_registry(c: &Context) {
     it.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
         .unwrap();
     st.iterate(&it, 2).unwrap();
+    // The block program iterate launches, radius 1 and 2, every boundary.
+    for boundary in BOUNDARIES {
+        for radius in [1, 2] {
+            Stencil2D::new(column_user(radius), radius, boundary)
+                .iterate(&it, 5)
+                .unwrap();
+        }
+    }
 
     // Row/column reductions and their argbest twins.
     ReduceRows::new(add_fn(), 0.0).apply(&m).unwrap();
@@ -208,6 +235,17 @@ fn every_registered_program_lints_clean() {
         resident >= 20,
         "expected one program per family in the registry, found {resident}"
     );
+    // Among them the block programs of iterate, whose per-round barriers
+    // must sit outside every thread-dependent branch and bounds guard, and
+    // whose signature must take the 8 arguments every block launch
+    // marshals.
+    for boundary in BOUNDARIES {
+        for radius in [1, 2] {
+            let program = Stencil2D::new(column_user(radius), radius, boundary).block_program();
+            assert!(c.program_registry().contains(&program), "{}", program.name);
+            assert_eq!(program.n_args, 8, "{}", program.name);
+        }
+    }
 
     let findings = c.lint_registry();
     assert!(
