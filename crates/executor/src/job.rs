@@ -140,7 +140,7 @@ pub(crate) fn builds(ctx: &Context, job: &Job) -> bool {
     let program = match job {
         Job::Axpb { data, .. } | Job::RowSum { data } if data.is_empty() => return false,
         Job::Axpb { a, b, .. } => skelcl::Map::<f32, f32, _>::new(axpb_user_fn(*a, *b))
-            .matrix_program()
+            .program()
             .clone(),
         Job::RowSum { .. } => row_sum().program().clone(),
         Job::Jacobi { .. } => skelcl_iterative::skelcl_impl::heat_skeleton().block_program(),
@@ -349,19 +349,38 @@ mod tests {
 
     #[test]
     fn a_built_jacobi_program_is_not_reported_as_a_build_again() {
+        // Jacobi's block program first, then every other kind: `builds`
+        // asks for exactly the program the job's launch builds.
         let ctx = Context::init(2);
-        let job = Job::Jacobi {
-            rows: 8,
-            cols: 8,
-            iters: 3,
-            data: ramp(64, 0.0),
-        };
-        assert!(builds(&ctx, &job), "a fresh registry lacks the program");
-        run_job(&ctx, 1, &job).unwrap();
-        assert!(
-            !builds(&ctx, &job),
-            "the first job built what the next runs"
-        );
+        let jobs = [
+            Job::Jacobi {
+                rows: 8,
+                cols: 8,
+                iters: 3,
+                data: ramp(64, 0.0),
+            },
+            Job::Axpb {
+                a: 1.5,
+                b: -0.25,
+                data: ramp(64, 0.0),
+            },
+            Job::RowSum {
+                data: ramp(64, 0.0),
+            },
+            Job::MatMul {
+                m: 6,
+                k: 5,
+                n: 7,
+                a: ramp(30, 0.0),
+                b: ramp(35, 1.0),
+            },
+        ];
+        for job in &jobs {
+            let kind = job.kind();
+            assert!(builds(&ctx, job), "{kind}: a fresh registry lacks it");
+            run_job(&ctx, 1, job).unwrap();
+            assert!(!builds(&ctx, job), "{kind}: the job built it");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! image) expressible.
 
 use crate::error::{Error, Result};
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, MatrixPart};
 use crate::vector::Vector;
 use std::any::Any;
 use std::sync::Arc;
@@ -254,6 +254,31 @@ impl Arguments {
             });
         }
         Ok(ResolvedArgs { slots })
+    }
+
+    /// Resolve all slots for each part's device.
+    pub(crate) fn resolve_parts<T: Scalar>(&self, parts: &[MatrixPart<T>]) -> Result<PartArgs> {
+        let resolved = parts
+            .iter()
+            .map(|p| (p.rows > 0).then(|| self.resolve(p.device)).transpose())
+            .collect::<Result<_>>()?;
+        Ok(PartArgs(Arc::new(resolved)))
+    }
+}
+
+/// An [`Arguments`] object resolved for every part of a launch, by part
+/// index (`None` for empty parts, which launch nothing).
+#[derive(Clone)]
+pub(crate) struct PartArgs(Arc<Vec<Option<ResolvedArgs>>>);
+
+impl PartArgs {
+    /// The environment part `part`'s launch hands its user function.
+    #[inline]
+    pub(crate) fn env<'a>(&'a self, item: &'a Item<'a>, part: usize) -> KernelEnv<'a> {
+        let args = self.0[part]
+            .as_ref()
+            .expect("a launched part has resolved arguments");
+        KernelEnv { item, args }
     }
 }
 

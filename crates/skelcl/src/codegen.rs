@@ -137,65 +137,6 @@ fn program_name(skeleton: &str, fn_name: &str, types: &[&str]) -> String {
     format!("skelcl_{}_{}_{}", skeleton, fn_name, types.join("_"))
 }
 
-/// Generate the Map skeleton program for a user function `U f(T)`.
-///
-/// The emitted source mirrors SkelCL's real template: the user function is
-/// pasted verbatim above a wrapper kernel that applies it per work-item.
-pub fn map_program(
-    fn_name: &str,
-    fn_source: &str,
-    in_t: &str,
-    out_t: &str,
-    extra_args: usize,
-) -> Program {
-    let extras: String = (0..extra_args)
-        .map(|i| format!(", __global const char* restrict arg{i}"))
-        .collect();
-    let source = format!(
-        "// generated by SkelCL codegen: Map skeleton\n\
-         {fn_source}\n\
-         __kernel void skelcl_map(__global const {in_t}* restrict in,\n\
-                                  __global {out_t}* restrict out,\n\
-                                  const uint n{extras}) {{\n\
-             uint gid = get_global_id(0);\n\
-             if (gid < n) {{\n\
-                 out[gid] = {fn_name}(in[gid]);\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(program_name("map", fn_name, &[in_t, out_t]), source)
-        .with_arg_count(3 + extra_args)
-}
-
-/// Generate the Zip skeleton program for `U f(T1, T2)`.
-pub fn zip_program(
-    fn_name: &str,
-    fn_source: &str,
-    in1_t: &str,
-    in2_t: &str,
-    out_t: &str,
-    extra_args: usize,
-) -> Program {
-    let extras: String = (0..extra_args)
-        .map(|i| format!(", __global const char* restrict arg{i}"))
-        .collect();
-    let source = format!(
-        "// generated by SkelCL codegen: Zip skeleton\n\
-         {fn_source}\n\
-         __kernel void skelcl_zip(__global const {in1_t}* restrict lhs,\n\
-                                  __global const {in2_t}* restrict rhs,\n\
-                                  __global {out_t}* restrict out,\n\
-                                  const uint n{extras}) {{\n\
-             uint gid = get_global_id(0);\n\
-             if (gid < n) {{\n\
-                 out[gid] = {fn_name}(lhs[gid], rhs[gid]);\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(program_name("zip", fn_name, &[in1_t, in2_t, out_t]), source)
-        .with_arg_count(4 + extra_args)
-}
-
 /// Generate the two-level Reduce skeleton program for an associative
 /// `T f(T, T)` (paper Section III-B: intermediate results in local memory).
 pub fn reduce_program(fn_name: &str, fn_source: &str, t: &str) -> Program {
@@ -542,28 +483,6 @@ pub fn allpairs_tiled_program(
     .with_arg_count(9)
 }
 
-/// Generate the MapOverlap skeleton program (stencil with halo; SkelCL's
-/// follow-up extension, announced as future work in Section III-D).
-pub fn map_overlap_program(fn_name: &str, fn_source: &str, t: &str, radius: usize) -> Program {
-    let source = format!(
-        "// generated by SkelCL codegen: MapOverlap skeleton, radius {radius}\n\
-         {fn_source}\n\
-         __kernel void skelcl_map_overlap(__global const {t}* restrict in,\n\
-                                          __global {t}* restrict out,\n\
-                                          const uint n) {{\n\
-             uint gid = get_global_id(0);\n\
-             if (gid < n) {{\n\
-                 out[gid] = {fn_name}(in, gid, n);\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(
-        program_name(&format!("mapoverlap{radius}"), fn_name, &[t]),
-        source,
-    )
-    .with_arg_count(3)
-}
-
 // ---------------------------------------------------------------------------
 // Fused pipeline programs (expression-template kernel fusion).
 //
@@ -575,8 +494,8 @@ pub fn map_overlap_program(fn_name: &str, fn_source: &str, t: &str, radius: usiz
 // emitted code. The joined stage names (and, for stencils, radius and
 // boundary mode) go into the program name — the fused program is cached in
 // the `ProgramRegistry` under that key exactly like any single-skeleton
-// program. `Map::apply_matrix`, `Zip::apply_matrix` and `Stencil2D` build
-// the one-stage members of these families, so a one-stage pipeline over the
+// program. Every `Map` and `Zip` variant and `Stencil2D` build the
+// one-stage members of these families, so a one-stage pipeline over the
 // same user function shares their program.
 
 /// One stage of a fused pipeline group, as codegen sees it.
@@ -593,6 +512,8 @@ pub struct FusedStage {
     /// Static per-call cost estimate (summed into the fused kernel's
     /// per-item issue cost by the pipeline launcher; codegen ignores it).
     pub static_ops: u64,
+    /// A `zip` stage's operand element type (see [`FusedStage::with_operand`]).
+    pub operand_t: &'static str,
 }
 
 impl FusedStage {
@@ -607,13 +528,20 @@ impl FusedStage {
             name: name.into(),
             source: source.into(),
             static_ops,
+            operand_t: "",
         }
+    }
+
+    /// This `zip` stage, reading operand elements of type `t`.
+    pub fn with_operand(mut self, t: &'static str) -> Self {
+        self.operand_t = t;
+        self
     }
 }
 
 /// The `+`-joined stage names — the structural part of a fused program's
 /// cache key (`a+b+c` differs from `a+c+b`: fusion order matters).
-fn fused_chain_name(stages: &[FusedStage]) -> String {
+pub(crate) fn fused_chain_name(stages: &[FusedStage]) -> String {
     stages
         .iter()
         .map(|s| s.name.as_str())
@@ -632,13 +560,14 @@ fn fused_sources(stages: &[FusedStage]) -> String {
 
 /// The nested call chain `s_n(...s_1(s_0(expr))...)` for an element-wise
 /// stage run. Each `zip` stage reads its own operand buffer at the same
-/// index, so it shows up as a two-argument call.
-fn fused_value_chain(stages: &[FusedStage], seed: &str) -> String {
+/// index, so it shows up as a two-argument call. `extra` (the `, arg0, …`
+/// list of a with-arguments skeleton, else empty) ends every call.
+fn fused_value_chain(stages: &[FusedStage], seed: &str, extra: &str) -> String {
     let mut expr = seed.to_string();
     for (i, s) in stages.iter().enumerate() {
         expr = match s.kind {
-            "zip" => format!("{}({expr}, op{i}[i])", s.name),
-            _ => format!("{}({expr})", s.name),
+            "zip" => format!("{}({expr}, op{i}[i]{extra})", s.name),
+            _ => format!("{}({expr}{extra})", s.name),
         };
     }
     expr
@@ -646,13 +575,14 @@ fn fused_value_chain(stages: &[FusedStage], seed: &str) -> String {
 
 /// The extra `__global` operand-buffer parameters a stage list needs: one
 /// per `zip` stage (named `op<stage index>`).
-fn fused_zip_params(stages: &[FusedStage], elem_t: &str) -> (String, usize) {
+fn fused_zip_params(stages: &[FusedStage]) -> (String, usize) {
     let mut params = String::new();
     let mut count = 0;
     for (i, s) in stages.iter().enumerate() {
         if s.kind == "zip" {
             params.push_str(&format!(
-                ",\n                                  __global const {elem_t}* restrict op{i}"
+                ",\n__global const {}* restrict op{i}",
+                s.operand_t
             ));
             count += 1;
         }
@@ -660,34 +590,49 @@ fn fused_zip_params(stages: &[FusedStage], elem_t: &str) -> (String, usize) {
     (params, count)
 }
 
-/// Generate the fused element-wise program: an N-stage `map`/`zip` chain
-/// collapsed into one 2D-NDRange kernel — one launch, zero intermediate
-/// buffers, however long the chain.
-pub fn fused_map2d_program(stages: &[FusedStage], in_t: &str, out_t: &str) -> Program {
-    let chain = fused_value_chain(stages, "in[i]");
-    let (zip_params, n_zips) = fused_zip_params(stages, in_t);
+/// Generate the element-wise program behind every `Map` and `Zip` variant
+/// and every pipeline element-wise group: an N-stage `map`/`zip` chain
+/// collapsed into one kernel over a part's contiguous span — one launch,
+/// zero intermediate buffers, however long the chain. The parameters are
+/// `(in, out, one operand per zip stage, n, one per extra argument)`, and
+/// every stage call receives the extra arguments after its operands. An
+/// `out_t` of `void` (`MapVoid`) runs the chain for its side effects and
+/// writes nothing.
+pub fn elementwise_program(
+    stages: &[FusedStage],
+    in_t: &str,
+    out_t: &str,
+    extra_args: usize,
+) -> Program {
+    let extras: String = (0..extra_args).map(|k| format!(", arg{k}")).collect();
+    let chain = fused_value_chain(stages, "in[i]", &extras);
+    let body = if out_t == "void" {
+        chain
+    } else {
+        format!("out[i] = {chain}")
+    };
+    let (zip_params, n_zips) = fused_zip_params(stages);
+    let extra_params: String = (0..extra_args)
+        .map(|k| format!(", __global const char* restrict arg{k}"))
+        .collect();
     let source = format!(
-        "// generated by SkelCL codegen: fused element-wise pipeline ({} stages)\n\
+        "// generated by SkelCL codegen: element-wise skeleton\n\
          {}\n\
-         __kernel void skelcl_fused_map2d(__global const {in_t}* restrict in,\n\
+         __kernel void skelcl_elementwise(__global const {in_t}* restrict in,\n\
                                   __global {out_t}* restrict out{zip_params},\n\
-                                  const uint n_rows,\n\
-                                  const uint n_cols) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1);\n\
-             if (row < n_rows && col < n_cols) {{\n\
-                 uint i = row * n_cols + col;\n\
-                 out[i] = {chain};\n\
+                                  const uint n{extra_params}) {{\n\
+             uint i = get_global_id(0);\n\
+             if (i < n) {{\n\
+                 {body};\n\
              }}\n\
          }}\n",
-        stages.len(),
         fused_sources(stages),
     );
     Program::from_source(
-        program_name("fused_map2d", &fused_chain_name(stages), &[in_t, out_t]),
+        program_name("elementwise", &fused_chain_name(stages), &[in_t, out_t]),
         source,
     )
-    .with_arg_count(4 + n_zips)
+    .with_arg_count(3 + n_zips + extra_args)
 }
 
 /// Generate a fused stencil program: exactly one `stencil`/`stencil_pair`
@@ -712,12 +657,13 @@ pub fn fused_stencil2d_program(
     let (pre, rest) = stages.split_at(si);
     let (stencil, post) = (&rest[0], &rest[1..]);
     let resolve = stencil_boundary_resolve(boundary, in_t);
-    let read_chain = fused_value_chain(pre, "in[rr * n_cols + cc]");
+    let read_chain = fused_value_chain(pre, "in[rr * n_cols + cc]", "");
     let write_chain = fused_value_chain(
         post,
         &format!("{}(in, row, col, n_rows, n_cols)", stencil.name),
+        "",
     );
-    let (zip_params, n_zips) = fused_zip_params(stages, in_t);
+    let (zip_params, n_zips) = fused_zip_params(stages);
     let source = format!(
         "// generated by SkelCL codegen: fused stencil pipeline, radius {radius}, {boundary} boundary\n\
          // {} pre-stage(s) fused into the neighbourhood reads, {} post-stage(s) into the write.\n\
@@ -889,8 +835,8 @@ pub fn fused_reduce_rows_program(
     in_t: &str,
     out_t: &str,
 ) -> Program {
-    let chain = fused_value_chain(stages, "in[row * n_cols + c]");
-    let (zip_params, n_zips) = fused_zip_params(stages, in_t);
+    let chain = fused_value_chain(stages, "in[row * n_cols + c]", "");
+    let (zip_params, n_zips) = fused_zip_params(stages);
     let full_name = if stages.is_empty() {
         reduce_name.to_string()
     } else {
@@ -940,7 +886,7 @@ pub fn fused_allpairs_program(
     out_t: &str,
     tile: usize,
 ) -> Program {
-    let write_chain = fused_value_chain(post, "acc");
+    let write_chain = fused_value_chain(post, "acc", "");
     let post_sources = fused_sources(post);
     let full_name = format!("{zip_name}_{reduce_name}+{}", fused_chain_name(post));
     if tile == 0 {
@@ -1046,39 +992,40 @@ mod tests {
         assert_eq!(estimate_static_ops("x"), 1);
     }
 
+    fn map_stage(name: &str, source: &str) -> FusedStage {
+        FusedStage::new("map", name, source, 1)
+    }
+
     #[test]
     fn map_program_embeds_user_source_and_callsite() {
-        let p = map_program(
-            "square",
-            "float square(float x){return x*x;}",
-            "float",
-            "float",
-            0,
-        );
+        let square = map_stage("square", "float square(float x){return x*x;}");
+        let p = elementwise_program(&[square], "float", "float", 0);
         assert!(p.source.contains("float square(float x)"));
-        assert!(p.source.contains("square(in[gid])"));
-        assert!(p.source.contains("__kernel void skelcl_map"));
+        assert!(p.source.contains("out[i] = square(in[i])"));
+        assert!(p.source.contains("__kernel void skelcl_elementwise"));
         assert_eq!(p.n_args, 3);
     }
 
     #[test]
     fn extra_args_extend_the_signature() {
-        let p = map_program("f", "float f(float x){return x;}", "float", "float", 2);
-        assert!(p.source.contains("arg0"));
-        assert!(p.source.contains("arg1"));
+        let f = map_stage("f", "float f(float x){return x;}");
+        let p = elementwise_program(std::slice::from_ref(&f), "float", "float", 2);
+        assert!(p.source.contains("f(in[i], arg0, arg1)"));
         assert_eq!(p.n_args, 5);
+        // A side-effect-only map keeps the output slot and writes nothing.
+        let v = elementwise_program(&[f], "float", "void", 1);
+        assert!(v.source.contains("f(in[i], arg0);"));
+        assert!(!v.source.contains("out[i] ="));
+        assert_eq!(v.n_args, 4);
     }
 
     #[test]
     fn zip_reduce_scan_programs_are_distinct() {
-        let z = zip_program(
-            "mult",
-            "float mult(float x,float y){return x*y;}",
-            "float",
-            "float",
-            "float",
-            0,
-        );
+        let mult = FusedStage::new("zip", "mult", "float mult(float x,float y){return x*y;}", 1)
+            .with_operand("float");
+        let z = elementwise_program(&[mult], "float", "float", 0);
+        assert!(z.source.contains("out[i] = mult(in[i], op0[i])"));
+        assert_eq!(z.n_args, 4);
         let r = reduce_program("sum", "float sum(float x,float y){return x+y;}", "float");
         let s = scan_program("sum", "float sum(float x,float y){return x+y;}", "float");
         assert_ne!(z.hash(), r.hash());
@@ -1089,12 +1036,16 @@ mod tests {
 
     #[test]
     fn same_user_fn_same_types_same_program_hash() {
-        let a = map_program("f", "float f(float x){return x+1;}", "float", "float", 0);
-        let b = map_program("f", "float f(float x){return x+1;}", "float", "float", 0);
+        let program = |source: &str, extra_args| {
+            elementwise_program(&[map_stage("f", source)], "float", "float", extra_args)
+        };
+        let a = program("float f(float x){return x+1;}", 0);
+        let b = program("float f(float x){return x+1;}", 0);
         assert_eq!(a.hash(), b.hash());
-        // and a different body changes the hash (cache key correctness)
-        let c = map_program("f", "float f(float x){return x+2;}", "float", "float", 0);
-        assert_ne!(a.hash(), c.hash());
+        // A different body or signature changes the hash (cache key
+        // correctness).
+        assert_ne!(a.hash(), program("float f(float x){return x+2;}", 0).hash());
+        assert_ne!(a.hash(), program("float f(float x){return x+1;}", 1).hash());
     }
 
     #[test]

@@ -15,12 +15,13 @@
 //! * multi-GPU [`Distribution`]s — `Single`, `Copy`, `Block` — with
 //!   automatic inter-device exchange on redistribution, including
 //!   redistribution with a combine operator (Section III-D),
-//! * plus the [`MapOverlap`] stencil and the with-arguments Map/Zip
-//!   variants the paper's applications rely on,
+//! * plus the with-arguments Map/Zip variants the paper's applications
+//!   rely on,
 //! * the 2D subsystem SkelCL grew next: the [`Matrix`] container with
 //!   [`MatrixDistribution::RowBlock`] halo distribution and the
 //!   [`Stencil2D`] skeleton behind the image-processing benchmark suite
-//!   (Gaussian blur, Sobel, Canny — see the `skelcl-imgproc` crate),
+//!   (Gaussian blur, Sobel, Canny — see the `skelcl-imgproc` crate); a 1-D
+//!   stencil (SkelCL's `MapOverlap`) is a `Stencil2D` over an N×1 matrix,
 //! * the [`AllPairs`] skeleton with the column-block
 //!   [`MatrixDistribution::ColBlock`] distribution behind the dense
 //!   linear-algebra workloads (matrix multiplication, pairwise distances —
@@ -49,7 +50,6 @@
 //! | [`Zip`]         | [`Vector`], [`Matrix`]| `U f(T1, T2)`                   | `Single`, `Copy`, `Block` / any matrix    |
 //! | [`Reduce`]      | [`Vector`]            | associative `T f(T, T)` + id    | `Single`, `Copy`, `Block`                 |
 //! | [`Scan`]        | [`Vector`]            | associative `T f(T, T)` + id    | `Single`, `Copy`, `Block`                 |
-//! | [`MapOverlap`]  | [`Vector`]            | `T f(view)` over a radius       | `Single`, `Copy`, `Block`                 |
 //! | [`Stencil2D`]   | [`Matrix`]            | `U f(view)` over a 2D radius    | `Single`, `Copy`, `RowBlock { halo }`     |
 //! | [`Stencil2D::iterate`] | [`Matrix`]     | same, applied `n` times         | `Single`, `Copy`, `RowBlock { halo }`     |
 //! | [`AllPairs`]    | [`Matrix`]            | zip `U f(T, T)` + reduce + id   | A: row-based; B: `Copy` / `ColBlock` / …  |
@@ -60,8 +60,9 @@
 //! | [`Pipeline`]    | [`Matrix`]            | lazy `map`/`zip_with`/`stencil` chain, fused per stencil anchor | any matrix |
 //! | Canny (`skelcl-imgproc`) | [`Matrix`] → labels + host hysteresis | gauss → sobel → nms → threshold via [`Pipeline`] (3 fused launches) | `Single`, `Copy`, `RowBlock { halo }` |
 //!
-//! (Plus the composed [`MapReduce`]/[`MapIndex`] fusions and the
-//! with-arguments variants [`MapArgs`], [`MapVoid`], [`ZipArgs`].)
+//! (Plus the with-arguments variants [`MapArgs`], [`MapVoid`], [`ZipArgs`].
+//! Every `Map` and `Zip` variant and every element-wise pipeline group
+//! launches through one launcher from one generated program family.)
 //! Every program family in this table — including the fused pipeline
 //! variants — is vetted by the `skelcheck` kernel lint pass in CI; see
 //! *Static analysis* below.
@@ -490,11 +491,11 @@ pub use report::{
 };
 pub use scalar::Scalar;
 pub use skeletons::{AllPairs, AllPairsStrategy};
-pub use skeletons::{Boundary, Map, MapArgs, MapOverlap, MapVoid, Reduce, Scan, Zip, ZipArgs};
 pub use skeletons::{Boundary2D, Stencil2D, Stencil2DView};
-pub use skeletons::{MapIndex, MapReduce, ReduceStrategy, ScanStrategy};
+pub use skeletons::{Map, MapArgs, MapVoid, Reduce, Scan, Zip, ZipArgs};
 pub use skeletons::{Pipeline, PipelineExpr};
 pub use skeletons::{ReduceCols, ReduceColsArg, ReduceRows, ReduceRowsArg};
+pub use skeletons::{ReduceStrategy, ScanStrategy};
 pub use telemetry::{export_json, render_prometheus, run_report_json};
 pub use trace::{verify_span_nesting, SpanGuard, SpanRecord};
 pub use vector::{Distribution, Vector};
@@ -512,7 +513,7 @@ pub use vgpu::Scalar as Element;
 pub mod prelude {
     pub use crate::skel_fn;
     pub use crate::{
-        Arguments, Boundary, Context, ContextConfig, Distribution, Element, Error, KernelEnv, Map,
-        MapArgs, MapOverlap, MapVoid, Reduce, Result, Scalar, Scan, UserFn, Vector, Zip, ZipArgs,
+        Arguments, Context, ContextConfig, Distribution, Element, Error, KernelEnv, Map, MapArgs,
+        MapVoid, Reduce, Result, Scalar, Scan, UserFn, Vector, Zip, ZipArgs,
     };
 }

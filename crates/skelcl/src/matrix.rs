@@ -426,6 +426,17 @@ impl<T: Scalar> Matrix<T> {
         self.state.lock().dist
     }
 
+    /// Open the span of a skeleton call over this matrix, with its shape,
+    /// distribution and device count.
+    pub(crate) fn call_span(&self, name: &'static str) -> crate::trace::SpanGuard {
+        let mut span = self.ctx.span(name);
+        let (rows, cols) = self.dims();
+        span.attr("shape", format!("{rows}x{cols}"));
+        span.attr("distribution", format!("{:?}", self.distribution()));
+        span.attr("devices", self.ctx.n_devices().to_string());
+        span
+    }
+
     /// Is the host copy current? (test/introspection aid)
     pub fn host_fresh(&self) -> bool {
         self.state.lock().host_fresh

@@ -1,7 +1,9 @@
 //! The Map skeleton (paper eq. (1)):
 //! `map f [x0, ..., xn-1] = [f(x0), ..., f(xn-1)]`.
 //!
-//! Three variants share the implementation skeleton:
+//! Three variants share one program generator
+//! ([`codegen::elementwise_program`]) and one launcher, the pipeline's
+//! `launch_elementwise`, which runs each part's contiguous span:
 //! * [`Map`] — the plain unary map of Section III-B,
 //! * [`MapArgs`] — map whose customizing function also receives the
 //!   [`Arguments`] environment (Section III-C, Listing 2),
@@ -11,23 +13,21 @@
 
 use crate::arguments::{Arguments, KernelEnv};
 use crate::codegen::{self, UserFn};
+use crate::context::Context;
 use crate::error::Result;
-use crate::matrix::Matrix;
-use crate::meter;
-use crate::skeletons::pipeline::{launch_elementwise, stage_of, OpMap};
-use crate::skeletons::{alloc_matching_matrix_parts, linear_range};
+use crate::matrix::{Matrix, MatrixPart};
+use crate::skeletons::alloc_matching_matrix_parts;
+use crate::skeletons::pipeline::{
+    launch_elementwise, stage_of, ElementwiseKernel, OpMap, OpMapArgs,
+};
 use crate::vector::Vector;
 use std::marker::PhantomData;
-use std::sync::Arc;
-use vgpu::{KernelBody, Order, Program, Scalar as Element};
+use vgpu::{Order, Program, Scalar as Element};
 
 /// The unary Map skeleton: `out[i] = f(in[i])`.
 pub struct Map<T: Element, U: Element, F> {
     user: UserFn<F>,
     program: Program,
-    /// The 2D-NDRange twin used by [`Map::apply_matrix`]: the one-stage
-    /// fused element-wise program a one-stage pipeline map also builds.
-    program2d: Program,
     _pd: PhantomData<fn(T) -> U>,
 }
 
@@ -41,66 +41,28 @@ where
     /// (`Map<float> m("float f(float x){...}")` in the paper).
     pub fn new(user: UserFn<F>) -> Self {
         let program =
-            codegen::map_program(user.name(), user.source(), T::TYPE_NAME, U::TYPE_NAME, 0);
-        let program2d =
-            codegen::fused_map2d_program(&[stage_of("map", &user)], T::TYPE_NAME, U::TYPE_NAME);
+            codegen::elementwise_program(&[stage_of("map", &user)], T::TYPE_NAME, U::TYPE_NAME, 0);
         Map {
             user,
             program,
-            program2d,
             _pd: PhantomData,
         }
     }
 
-    /// The generated OpenCL-C program (exposed for the cache and LoC
-    /// experiments).
+    /// The generated OpenCL-C program every entry point builds — also the
+    /// program of a one-stage pipeline `map` over the same user function
+    /// (exposed for the cache and LoC experiments).
     pub fn program(&self) -> &Program {
         &self.program
     }
 
-    /// The 2D program [`Map::apply_matrix`] builds.
-    pub fn matrix_program(&self) -> &Program {
-        &self.program2d
-    }
-
-    /// Launch the map kernel over elements `[start, start + len)` of one
-    /// part pair — the one body both [`Map::apply`] (full range,
-    /// device-ordered) and [`Map::apply_streamed`] (one range per upload
-    /// chunk, ordered after the chunk's event) bind.
-    #[allow(clippy::too_many_arguments)]
-    fn launch_range(
-        &self,
-        ctx: &crate::context::Context,
-        compiled: &vgpu::CompiledKernel,
-        ip: &crate::matrix::MatrixPart<T>,
-        op: &crate::matrix::MatrixPart<U>,
-        start: usize,
-        len: usize,
-        order: Order<'_>,
-    ) -> Result<()> {
-        if len == 0 {
-            return Ok(());
-        }
-        let static_ops = self.user.static_ops();
-        let f = self.user.func().clone();
-        let src = ip.buffer.clone();
-        let dst = op.buffer.clone();
-        let body: KernelBody = Arc::new(move |wg| {
-            wg.for_each_item(|it| {
-                if !it.in_bounds() {
-                    return;
-                }
-                let i = start + it.global_id(0);
-                let x = it.read(&src, i);
-                let (y, dyn_ops) = meter::metered(|| f(x));
-                it.write(&dst, i, y);
-                it.work(static_ops + dyn_ops);
-            });
-        });
-        let kernel = compiled.with_body(body);
-        let nd = linear_range(ctx, len);
-        ctx.queue(ip.device).launch(&kernel, nd, order)?;
-        Ok(())
+    /// This call's kernel, its program built through the cache.
+    fn kernel(&self, ctx: &Context) -> Result<ElementwiseKernel<OpMap<F, T, U>>> {
+        Ok(ElementwiseKernel {
+            compiled: ctx.get_or_build(&self.program)?,
+            op: OpMap::new(self.user.func().clone()),
+            static_ops: self.user.static_ops(),
+        })
     }
 
     /// Apply the skeleton: uploads the input lazily, launches one kernel
@@ -108,16 +70,9 @@ where
     /// distribution — its data stays on the devices (lazy copying).
     pub fn apply(&self, input: &Vector<T>) -> Result<Vector<U>> {
         let ctx = input.ctx().clone();
-        let mut span = ctx.span("map.apply");
-        span.attr("len", input.len().to_string());
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
-        let compiled = ctx.get_or_build(&self.program)?;
-        let in_parts = input.parts()?;
-        let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
-        for (ip, op) in in_parts.iter().zip(&out_parts) {
-            self.launch_range(&ctx, &compiled, ip, op, 0, ip.rows, Order::Device)?;
-        }
+        let _span = input.call_span("map.apply");
+        let kernel = self.kernel(&ctx)?;
+        let out_parts = kernel.launch_parts(&ctx, &input.parts()?)?;
         Ok(Vector::from_device_parts(
             &ctx,
             input.len(),
@@ -136,30 +91,22 @@ where
     /// degrades to exactly `apply`'s schedule.
     pub fn apply_streamed(&self, input: &Vector<T>, chunk_len: usize) -> Result<Vector<U>> {
         let ctx = input.ctx().clone();
-        let mut span = ctx.span("map.apply_streamed");
-        span.attr("len", input.len().to_string());
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
+        let mut span = input.call_span("map.apply_streamed");
         span.attr("chunk_len", chunk_len.to_string());
-        let compiled = ctx.get_or_build(&self.program)?;
+        let kernel = self.kernel(&ctx)?;
         let (in_parts, upload_chunks) = input.parts_with_upload_chunks(chunk_len.max(1))?;
         let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
-        for ((ip, op), chunks) in in_parts.iter().zip(&out_parts).zip(&upload_chunks) {
+        let parts = in_parts.iter().zip(&out_parts).zip(&upload_chunks);
+        for (pi, ((ip, op), chunks)) in parts.enumerate() {
             if chunks.is_empty() {
                 // Already resident, no chunk events: apply's exact launch.
-                self.launch_range(&ctx, &compiled, ip, op, 0, ip.rows, Order::Device)?;
-            } else {
-                for c in chunks {
-                    self.launch_range(
-                        &ctx,
-                        &compiled,
-                        ip,
-                        op,
-                        c.span_start,
-                        c.span_len,
-                        Order::After(std::slice::from_ref(&c.event)),
-                    )?;
-                }
+                let band = (0, ip.span_rows());
+                launch_elementwise(&ctx, &kernel, pi, ip, Some(op), band, Order::Device)?;
+            }
+            for c in chunks {
+                let after = Order::After(std::slice::from_ref(&c.event));
+                let band = (c.span_start, c.span_len);
+                launch_elementwise(&ctx, &kernel, pi, ip, Some(op), band, after)?;
             }
         }
         Ok(Vector::from_device_parts(
@@ -170,27 +117,19 @@ where
         ))
     }
 
-    /// Apply the skeleton element-wise over a [`Matrix`], launching one 2D
-    /// NDRange per device part. Halo rows are computed locally too (they
-    /// are just copies of rows owned elsewhere), so the output's halo
-    /// coherence matches the input's and no exchange is ever needed for
-    /// element-wise chains.
+    /// Apply the skeleton element-wise over a [`Matrix`], one launch per
+    /// device part. Halo rows are computed locally too (they are just
+    /// copies of rows owned elsewhere), so the output's halo coherence
+    /// matches the input's and no exchange is ever needed for element-wise
+    /// chains.
     pub fn apply_matrix(&self, input: &Matrix<T>) -> Result<Matrix<U>> {
         let ctx = input.ctx().clone();
-        let mut span = ctx.span("map.apply_matrix");
-        span.attr("shape", {
-            let (r, c) = input.dims();
-            format!("{r}x{c}")
-        });
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
-        let compiled = ctx.get_or_build(&self.program2d)?;
+        let _span = input.call_span("map.apply_matrix");
+        let kernel = self.kernel(&ctx)?;
         let (rows, cols) = input.dims();
         let in_parts = input.parts()?;
         let halos_fresh = input.halos_fresh();
-        let op = OpMap::new(self.user.func().clone());
-        let out_parts =
-            launch_elementwise(&ctx, &compiled, &in_parts, &op, self.user.static_ops())?;
+        let out_parts = kernel.launch_parts(&ctx, &in_parts)?;
         Ok(Matrix::from_device_parts(
             &ctx,
             rows,
@@ -206,7 +145,7 @@ where
 /// exposes the `Arguments` slots (Section III-C).
 pub struct MapArgs<T: Element, U: Element, F> {
     user: UserFn<F>,
-    n_extra: usize,
+    program: Program,
     _pd: PhantomData<fn(T) -> U>,
 }
 
@@ -219,83 +158,74 @@ where
     /// `n_extra` is the number of additional arguments the function expects
     /// (it shapes the generated kernel signature).
     pub fn new(user: UserFn<F>, n_extra: usize) -> Self {
+        let program = codegen::elementwise_program(
+            &[stage_of("map", &user)],
+            T::TYPE_NAME,
+            U::TYPE_NAME,
+            n_extra,
+        );
         MapArgs {
             user,
-            n_extra,
+            program,
             _pd: PhantomData,
         }
     }
 
-    fn program(&self) -> Program {
-        codegen::map_program(
-            self.user.name(),
-            self.user.source(),
-            T::TYPE_NAME,
-            U::TYPE_NAME,
-            self.n_extra,
-        )
+    /// The generated program every call builds.
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
     /// Apply with the packed extra arguments. Vector arguments are lazily
     /// uploaded per their own distributions before the launch.
     pub fn apply(&self, input: &Vector<T>, args: &Arguments) -> Result<Vector<U>> {
-        let ctx = input.ctx().clone();
-        let mut span = ctx.span("map_args.apply");
-        span.attr("len", input.len().to_string());
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
-        let compiled = ctx.get_or_build(&self.program())?;
-        args.ensure_on_devices()?;
-        let in_parts = input.parts()?;
-        let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
-
-        let static_ops = self.user.static_ops();
-        for (ip, op) in in_parts.iter().zip(&out_parts) {
-            if ip.rows == 0 {
-                continue;
-            }
-            let resolved = Arc::new(args.resolve(ip.device)?);
-            let f = self.user.func().clone();
-            let src = ip.buffer.clone();
-            let dst = op.buffer.clone();
-            let body: KernelBody = Arc::new(move |wg| {
-                wg.for_each_item(|it| {
-                    if !it.in_bounds() {
-                        return;
-                    }
-                    let i = it.global_id(0);
-                    let x = it.read(&src, i);
-                    let env = KernelEnv {
-                        item: it,
-                        args: &resolved,
-                    };
-                    let (y, dyn_ops) = meter::metered(|| f(x, &env));
-                    it.write(&dst, i, y);
-                    it.work(static_ops + dyn_ops);
-                });
-            });
-            let kernel = compiled.with_body(body);
-            ctx.queue(ip.device)
-                .launch(&kernel, linear_range(&ctx, ip.rows), Order::Device)?;
-        }
+        let out_parts = self.launch("map_args.apply", input, args, true)?;
         Ok(Vector::from_device_parts(
-            &ctx,
+            input.ctx(),
             input.len(),
             input.distribution(),
             out_parts,
         ))
+    }
+
+    /// Launch over every part of `input`, writing fresh output parts — or,
+    /// without `write` (`MapVoid`), allocating and writing none.
+    fn launch(
+        &self,
+        span: &'static str,
+        input: &Vector<T>,
+        args: &Arguments,
+        write: bool,
+    ) -> Result<Vec<MatrixPart<U>>> {
+        let ctx = input.ctx().clone();
+        let _span = input.call_span(span);
+        let compiled = ctx.get_or_build(&self.program)?;
+        args.ensure_on_devices()?;
+        let in_parts = input.parts()?;
+        let out_parts = if write {
+            alloc_matching_matrix_parts(&ctx, &in_parts)?
+        } else {
+            Vec::new()
+        };
+        let kernel = ElementwiseKernel {
+            compiled,
+            op: OpMapArgs::new(args.resolve_parts(&in_parts)?, self.user.func().clone()),
+            static_ops: self.user.static_ops(),
+        };
+        for (pi, ip) in in_parts.iter().enumerate() {
+            let (out, band) = (out_parts.get(pi), (0, ip.span_rows()));
+            launch_elementwise(&ctx, &kernel, pi, ip, out, band, Order::Device)?;
+        }
+        Ok(out_parts)
     }
 }
 
 /// Side-effect-only Map: "The skeleton produces no result, but updates the
 /// error image by side-effect" (Section IV-B). Callers must flag mutated
 /// vector arguments with [`Vector::mark_devices_modified`] afterwards,
-/// mirroring the paper's `c.dataOnDevicesModified()`.
-pub struct MapVoid<T: Element, F> {
-    user: UserFn<F>,
-    n_extra: usize,
-    _pd: PhantomData<fn(T)>,
-}
+/// mirroring the paper's `c.dataOnDevicesModified()`. It is a [`MapArgs`]
+/// whose output type is `void`: no output is allocated or written.
+pub struct MapVoid<T: Element, F>(MapArgs<T, (), F>);
 
 impl<T, F> MapVoid<T, F>
 where
@@ -303,62 +233,16 @@ where
     F: Fn(T, &KernelEnv<'_>) + Send + Sync + Clone + 'static,
 {
     pub fn new(user: UserFn<F>, n_extra: usize) -> Self {
-        MapVoid {
-            user,
-            n_extra,
-            _pd: PhantomData,
-        }
+        MapVoid(MapArgs::new(user, n_extra))
     }
 
-    fn program(&self) -> Program {
-        // Void maps reuse the map template with the input type as a dummy
-        // output (the generated source returns nothing of interest).
-        codegen::map_program(
-            self.user.name(),
-            self.user.source(),
-            T::TYPE_NAME,
-            "void",
-            self.n_extra,
-        )
+    /// The generated program every call builds.
+    pub fn program(&self) -> &Program {
+        self.0.program()
     }
 
     pub fn apply(&self, input: &Vector<T>, args: &Arguments) -> Result<()> {
-        let ctx = input.ctx().clone();
-        let mut span = ctx.span("map_void.apply");
-        span.attr("len", input.len().to_string());
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
-        let compiled = ctx.get_or_build(&self.program())?;
-        args.ensure_on_devices()?;
-        let in_parts = input.parts()?;
-
-        let static_ops = self.user.static_ops();
-        for ip in &in_parts {
-            if ip.rows == 0 {
-                continue;
-            }
-            let resolved = Arc::new(args.resolve(ip.device)?);
-            let f = self.user.func().clone();
-            let src = ip.buffer.clone();
-            let body: KernelBody = Arc::new(move |wg| {
-                wg.for_each_item(|it| {
-                    if !it.in_bounds() {
-                        return;
-                    }
-                    let i = it.global_id(0);
-                    let x = it.read(&src, i);
-                    let env = KernelEnv {
-                        item: it,
-                        args: &resolved,
-                    };
-                    let ((), dyn_ops) = meter::metered(|| f(x, &env));
-                    it.work(static_ops + dyn_ops);
-                });
-            });
-            let kernel = compiled.with_body(body);
-            ctx.queue(ip.device)
-                .launch(&kernel, linear_range(&ctx, ip.rows), Order::Device)?;
-        }
+        self.0.launch("map_void.apply", input, args, false)?;
         Ok(())
     }
 }

@@ -1,8 +1,15 @@
 //! The algorithmic skeletons (paper Section III-B):
-//! [`Map`], [`Zip`], [`Reduce`], [`Scan`] — plus the with-arguments Map
-//! variants of Section III-C ([`MapArgs`], [`MapVoid`]) and the
-//! [`MapOverlap`] stencil extension that the paper's conclusion announces
-//! as follow-up work.
+//! [`Map`], [`Zip`], [`Reduce`], [`Scan`] — plus the with-arguments
+//! variants of Section III-C ([`MapArgs`], [`MapVoid`], [`ZipArgs`]) and
+//! the 2-D skeletons SkelCL grew next ([`Stencil2D`], [`AllPairs`], the row
+//! and column reductions). The stencil extension the paper's conclusion
+//! announces (SkelCL's 1-D `MapOverlap`) is a [`Stencil2D`] over an N×1
+//! [`Matrix`](crate::Matrix).
+//!
+//! Every element-wise launch — each `Map` and `Zip` variant and the
+//! [`Pipeline`]'s element-wise groups — goes through one launcher over each
+//! part's contiguous span, from one program generator
+//! ([`codegen::elementwise_program`](crate::codegen::elementwise_program)).
 //!
 //! Every skeleton is a higher-order entity customized by a [`UserFn`](crate::UserFn)
 //! (source string + Rust twin, see [`crate::skel_fn!`]). Construction
@@ -12,9 +19,7 @@
 
 mod allpairs;
 mod map;
-mod map_overlap;
-mod map_reduce;
-mod pipeline;
+pub(crate) mod pipeline;
 mod reduce;
 mod reduce2d;
 mod scan;
@@ -23,8 +28,6 @@ mod zip;
 
 pub use allpairs::{AllPairs, AllPairsStrategy};
 pub use map::{Map, MapArgs, MapVoid};
-pub use map_overlap::{Boundary, MapOverlap, StencilView};
-pub use map_reduce::{MapIndex, MapReduce};
 pub use pipeline::{PipeMap, PipeStencil, PipeStencilPair, PipeZip, Pipeline, PipelineExpr, Start};
 pub use reduce::{Reduce, ReduceStrategy};
 pub use reduce2d::{ReduceCols, ReduceColsArg, ReduceRows, ReduceRowsArg};

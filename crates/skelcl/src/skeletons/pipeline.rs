@@ -24,8 +24,11 @@
 //! in the [`ProgramRegistry`](crate::ProgramRegistry) under the joined
 //! stage names, like any single-skeleton program. Stencil groups launch
 //! through the same per-part launcher, view and program family as
-//! [`Stencil2D`](crate::Stencil2D), and element-wise groups through the
-//! launcher behind `Map::apply_matrix` / `Zip::apply_matrix`.
+//! [`Stencil2D`](crate::Stencil2D). Element-wise groups, every
+//! [`Map`](crate::Map) and [`Zip`](crate::Zip) variant and the `Copy`
+//! merge share one launcher, `launch_elementwise`, and one program
+//! generator, [`codegen::elementwise_program`]: a one-stage group builds
+//! exactly the program of the `Map` or `Zip` over the same user function.
 //!
 //! The technique follows the expression-template fusion of Demidov et al.
 //! ("Programming CUDA and OpenCL: A Case Study Using Modern C++
@@ -38,6 +41,7 @@ use std::any::Any;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
+use crate::arguments::{KernelEnv, PartArgs};
 use crate::codegen::{self, FusedStage, UserFn};
 use crate::context::Context;
 use crate::error::{Error, Result};
@@ -46,19 +50,9 @@ use crate::meter;
 use crate::skeletons::stencil2d::{
     stale_free, stencil_input_layout, Boundary2D, Stencil2DView, StencilKernel,
 };
-use crate::skeletons::{alloc_matching_matrix_parts, linear_range, range_2d};
+use crate::skeletons::{alloc_matching_matrix_parts, linear_range};
 use crate::vector::{Distribution, Vector};
-use vgpu::{CompiledKernel, Item, KernelBody, Order, Scalar as Element};
-
-/// The `+`-joined stage names of a fused group (span attribute and part of
-/// the generated program's cache key).
-fn chain_label(stages: &[FusedStage]) -> String {
-    stages
-        .iter()
-        .map(|s| s.name.as_str())
-        .collect::<Vec<_>>()
-        .join("+")
-}
+use vgpu::{CompiledKernel, Event, Item, KernelBody, Order, Scalar as Element};
 
 /// A stage descriptor from a user function.
 pub(crate) fn stage_of<F>(kind: &'static str, user: &UserFn<F>) -> FusedStage {
@@ -91,10 +85,11 @@ pub struct PlanGeom {
 /// A fused element-wise transformation applied between a raw buffer access
 /// and a kernel's compute or write site. Ops compose statically through
 /// [`OpSeq`], so a whole `map`/`zip_with` chain monomorphizes into one
-/// nested call. `part`/`span_row`/`col` address the element for stages
-/// (zip) that read side operands of their own.
+/// nested call. `part` (the part index) and `i` (the element's index in
+/// the part's span) address the element for stages that read operands or
+/// arguments of their own.
 pub trait PixelOp<I: Element, O: Element>: Send + Sync + Clone + 'static {
-    fn apply(&self, it: &Item<'_>, part: usize, span_row: usize, col: usize, x: I) -> O;
+    fn apply(&self, it: &Item<'_>, part: usize, i: usize, x: I) -> O;
 }
 
 /// The identity op: seeds every chain and stands in for "no post stages".
@@ -114,7 +109,7 @@ impl<T> Clone for OpId<T> {
 
 impl<T: Element> PixelOp<T, T> for OpId<T> {
     #[inline]
-    fn apply(&self, _it: &Item<'_>, _part: usize, _sr: usize, _col: usize, x: T) -> T {
+    fn apply(&self, _it: &Item<'_>, _part: usize, _i: usize, x: T) -> T {
         x
     }
 }
@@ -142,7 +137,7 @@ where
     F: Fn(M) -> O + Send + Sync + Clone + 'static,
 {
     #[inline]
-    fn apply(&self, _it: &Item<'_>, _part: usize, _sr: usize, _col: usize, x: M) -> O {
+    fn apply(&self, _it: &Item<'_>, _part: usize, _i: usize, x: M) -> O {
         (self.f)(x)
     }
 }
@@ -176,9 +171,73 @@ where
     F: Fn(M, B) -> O + Send + Sync + Clone + 'static,
 {
     #[inline]
-    fn apply(&self, it: &Item<'_>, part: usize, sr: usize, col: usize, x: M) -> O {
-        let p = &self.parts[part];
-        (self.f)(x, it.read(&p.buffer, sr * p.cols + col))
+    fn apply(&self, it: &Item<'_>, part: usize, i: usize, x: M) -> O {
+        (self.f)(x, it.read(&self.parts[part].buffer, i))
+    }
+}
+
+/// One `map` stage with additional arguments (`MapArgs`, and `MapVoid`
+/// with `O = ()`): `f(x, env)`.
+#[derive(Clone)]
+pub struct OpMapArgs<F, M, O> {
+    args: PartArgs,
+    f: F,
+    _pd: PhantomData<fn(M) -> O>,
+}
+
+impl<F, M, O> OpMapArgs<F, M, O> {
+    pub(crate) fn new(args: PartArgs, f: F) -> Self {
+        OpMapArgs {
+            args,
+            f,
+            _pd: PhantomData,
+        }
+    }
+}
+
+impl<M, O, F> PixelOp<M, O> for OpMapArgs<F, M, O>
+where
+    M: Element,
+    O: Element,
+    F: Fn(M, &KernelEnv<'_>) -> O + Send + Sync + Clone + 'static,
+{
+    #[inline]
+    fn apply(&self, it: &Item<'_>, part: usize, _i: usize, x: M) -> O {
+        (self.f)(x, &self.args.env(it, part))
+    }
+}
+
+/// One `zip` stage with additional arguments (`ZipArgs`): `f(x, b, env)`.
+#[derive(Clone)]
+pub struct OpZipArgs<F, B: Element, M, O> {
+    parts: Arc<Vec<MatrixPart<B>>>,
+    args: PartArgs,
+    f: F,
+    _pd: PhantomData<fn(M, B) -> O>,
+}
+
+impl<F, B: Element, M, O> OpZipArgs<F, B, M, O> {
+    pub(crate) fn new(parts: Vec<MatrixPart<B>>, args: PartArgs, f: F) -> Self {
+        OpZipArgs {
+            parts: Arc::new(parts),
+            args,
+            f,
+            _pd: PhantomData,
+        }
+    }
+}
+
+impl<B, M, O, F> PixelOp<M, O> for OpZipArgs<F, B, M, O>
+where
+    B: Element,
+    M: Element,
+    O: Element,
+    F: Fn(M, B, &KernelEnv<'_>) -> O + Send + Sync + Clone + 'static,
+{
+    #[inline]
+    fn apply(&self, it: &Item<'_>, part: usize, i: usize, x: M) -> O {
+        let b = it.read(&self.parts[part].buffer, i);
+        (self.f)(x, b, &self.args.env(it, part))
     }
 }
 
@@ -199,9 +258,9 @@ where
     B: PixelOp<M, O>,
 {
     #[inline]
-    fn apply(&self, it: &Item<'_>, part: usize, sr: usize, col: usize, x: I) -> O {
-        let m = self.a.apply(it, part, sr, col, x);
-        self.b.apply(it, part, sr, col, m)
+    fn apply(&self, it: &Item<'_>, part: usize, i: usize, x: I) -> O {
+        let m = self.a.apply(it, part, i, x);
+        self.b.apply(it, part, i, m)
     }
 }
 
@@ -449,7 +508,7 @@ where
 
     let mut span = ctx.span("pipeline.group");
     span.attr("kind", "stencil2d");
-    span.attr("stages", chain_label(&all_stages));
+    span.attr("stages", codegen::fused_chain_name(&all_stages));
     span.attr("radius", radius.to_string());
     span.attr("devices", ctx.n_devices().to_string());
 
@@ -497,53 +556,88 @@ where
     })
 }
 
-/// Launch one element-wise kernel per part, `out = op(in)` over **all**
-/// span rows: halo rows are computed locally, so the output's halo
-/// coherence is the input's. The one element-wise launcher behind fused
-/// map/zip groups, `Map::apply_matrix` and `Zip::apply_matrix`.
+/// An element-wise kernel: `out = op(in)` per element, running the program
+/// [`codegen::elementwise_program`] generates for the op's stages.
+pub(crate) struct ElementwiseKernel<Op> {
+    pub compiled: CompiledKernel,
+    pub op: Op,
+    /// Static per-element issue cost of every stage.
+    pub static_ops: u64,
+}
+
+impl<Op> ElementwiseKernel<Op> {
+    /// Launch over **all** span rows of every part, device-ordered, into
+    /// freshly allocated output parts of the same geometry. Halo rows are
+    /// computed locally, so the output's halo coherence is the input's.
+    pub(crate) fn launch_parts<J, I>(
+        &self,
+        ctx: &Context,
+        parts: &[MatrixPart<J>],
+    ) -> Result<Vec<MatrixPart<I>>>
+    where
+        J: Element,
+        I: Element,
+        Op: PixelOp<J, I>,
+    {
+        let out_parts: Vec<MatrixPart<I>> = alloc_matching_matrix_parts(ctx, parts)?;
+        for (pi, (ip, op)) in parts.iter().zip(&out_parts).enumerate() {
+            let band = (0, ip.span_rows());
+            launch_elementwise(ctx, self, pi, ip, Some(op), band, Order::Device)?;
+        }
+        Ok(out_parts)
+    }
+}
+
+/// The one element-wise launcher, behind every `Map` and `Zip` variant, the
+/// pipeline's element-wise groups and the `Copy` merge: `out = op(in)` over
+/// span rows `[start, start + len)` of part `pi`, as one 1-D range over the
+/// band's `len × cols` contiguous row-major elements. `out` has `ip`'s
+/// geometry and may be `ip` itself (an in-place fold), or is `None` to
+/// write nothing (`MapVoid`).
+/// `order` goes straight to the launch, as in `StencilKernel::launch_part`.
+/// Returns the launch event, or `None` when the band is empty.
 pub(crate) fn launch_elementwise<J, I, Op>(
     ctx: &Context,
-    compiled: &CompiledKernel,
-    parts: &[MatrixPart<J>],
-    op: &Op,
-    static_ops: u64,
-) -> Result<Vec<MatrixPart<I>>>
+    kernel: &ElementwiseKernel<Op>,
+    pi: usize,
+    ip: &MatrixPart<J>,
+    out: Option<&MatrixPart<I>>,
+    (start, len): (usize, usize),
+    order: Order<'_>,
+) -> Result<Option<Event>>
 where
     J: Element,
     I: Element,
     Op: PixelOp<J, I>,
 {
-    let out_parts: Vec<MatrixPart<I>> = alloc_matching_matrix_parts(ctx, parts)?;
-    for (pi, (ip, op_part)) in parts.iter().zip(&out_parts).enumerate() {
-        let launch_rows = ip.span_rows();
-        let stride = ip.cols;
-        if launch_rows == 0 || stride == 0 {
-            continue;
-        }
-        let src = ip.buffer.clone();
-        let dst = op_part.buffer.clone();
-        let op = op.clone();
-        let body: KernelBody = Arc::new(move |wg| {
-            wg.for_each_item(|it| {
-                if !it.in_bounds() {
-                    return;
-                }
-                let col = it.global_id(0);
-                let sr = it.global_id(1);
-                let idx = sr * stride + col;
-                let x = it.read(&src, idx);
-                let (y, dyn_ops) = meter::metered(|| op.apply(it, pi, sr, col, x));
-                it.write(&dst, idx, y);
-                it.work(static_ops + dyn_ops);
-            });
-        });
-        ctx.queue(ip.device).launch(
-            &compiled.with_body(body),
-            range_2d(ctx, stride, launch_rows),
-            Order::Device,
-        )?;
+    let (base, n) = (start * ip.cols, len * ip.cols);
+    if n == 0 {
+        return Ok(None);
     }
-    Ok(out_parts)
+    let src = ip.buffer.clone();
+    let dst = out.map(|p| p.buffer.clone());
+    let op = kernel.op.clone();
+    let static_ops = kernel.static_ops;
+    let body: KernelBody = Arc::new(move |wg| {
+        wg.for_each_item(|it| {
+            if !it.in_bounds() {
+                return;
+            }
+            let i = base + it.global_id(0);
+            let x = it.read(&src, i);
+            let (y, dyn_ops) = meter::metered(|| op.apply(it, pi, i, x));
+            if let Some(dst) = &dst {
+                it.write(dst, i, y);
+            }
+            it.work(static_ops + dyn_ops);
+        });
+    });
+    let kernel = kernel.compiled.with_body(body);
+    Ok(Some(ctx.queue(ip.device).launch(
+        &kernel,
+        linear_range(ctx, n),
+        order,
+    )?))
 }
 
 /// The result of settling and materializing a whole pipeline: output parts
@@ -560,7 +654,7 @@ where
     I: Element,
     Op: PixelOp<J, I>,
 {
-    /// Materialize the pending element-wise chain: one fused map launch
+    /// Materialize the pending element-wise chain: one element-wise launch
     /// over **all** span rows per part (halo freshness passes through, as
     /// for `Map::apply_matrix`). A stage-free chain launches nothing — the
     /// output shares the input's device buffers, which skeletons never
@@ -578,13 +672,16 @@ where
         let ctx = self.geom.ctx.clone();
         let mut span = ctx.span("pipeline.group");
         span.attr("kind", "map2d");
-        span.attr("stages", chain_label(&self.stages));
+        span.attr("stages", codegen::fused_chain_name(&self.stages));
         span.attr("devices", ctx.n_devices().to_string());
 
-        let program = codegen::fused_map2d_program(&self.stages, J::TYPE_NAME, I::TYPE_NAME);
-        let compiled = ctx.get_or_build(&program)?;
-        let static_ops = self.stages.iter().map(|s| s.static_ops).sum();
-        let out_parts = launch_elementwise(&ctx, &compiled, &self.parts, &self.op, static_ops)?;
+        let program = codegen::elementwise_program(&self.stages, J::TYPE_NAME, I::TYPE_NAME, 0);
+        let kernel = ElementwiseKernel {
+            compiled: ctx.get_or_build(&program)?,
+            op: self.op,
+            static_ops: self.stages.iter().map(|s| s.static_ops).sum(),
+        };
+        let out_parts = kernel.launch_parts(&ctx, &self.parts)?;
         ctx.metrics().counter("skelcl.pipeline.groups").inc();
         ctx.metrics()
             .counter("skelcl.pipeline.stages_fused")
@@ -613,7 +710,11 @@ where
             if self.stages.is_empty() {
                 reduce.name().to_string()
             } else {
-                format!("{}+{}", chain_label(&self.stages), reduce.name())
+                format!(
+                    "{}+{}",
+                    codegen::fused_chain_name(&self.stages),
+                    reduce.name()
+                )
             },
         );
         span.attr("devices", ctx.n_devices().to_string());
@@ -659,8 +760,8 @@ where
                         let (acc, dyn_ops) = meter::metered(|| {
                             let mut acc = identity;
                             for c in 0..cols {
-                                let x = it.read(&src, sr * cols + c);
-                                acc = red(acc, op.apply(it, pi, sr, c, x));
+                                let i = sr * cols + c;
+                                acc = red(acc, op.apply(it, pi, i, it.read(&src, i)));
                             }
                             acc
                         });
@@ -1132,7 +1233,7 @@ where
 
     fn describe(&self, out: &mut Vec<FusedStage>) {
         self.prev.describe(out);
-        out.push(stage_of("zip", &self.user));
+        out.push(stage_of("zip", &self.user).with_operand(B::TYPE_NAME));
     }
 
     fn max_radius(&self) -> usize {
@@ -1149,7 +1250,7 @@ where
             ZipConsumer {
                 other: self.other.clone(),
                 f: self.user.func().clone(),
-                stage: stage_of("zip", &self.user),
+                stage: stage_of("zip", &self.user).with_operand(B::TYPE_NAME),
                 next: consumer,
                 _pd: PhantomData,
             },
@@ -1464,6 +1565,37 @@ mod tests {
     }
 
     #[test]
+    fn vector_matrix_and_pipeline_elementwise_calls_build_one_program() {
+        let c = ctx(2);
+        let v = Vector::from_vec(&c, (0..40).map(|i| i as f32).collect());
+        let w = Vector::from_vec(&c, vec![0.5f32; 40]);
+        let m = test_matrix(&c, 10, 8, 1);
+        let other = test_matrix(&c, 10, 8, 2);
+
+        let before = c.program_cache_misses();
+        Map::new(scale_fn()).apply(&v).unwrap();
+        Map::new(scale_fn()).apply_matrix(&m).unwrap();
+        Pipeline::start::<f32>().map(scale_fn()).run(&m).unwrap();
+        assert_eq!(c.program_cache_misses(), before + 1, "Map");
+
+        Zip::new(add_fn()).apply(&v, &w).unwrap();
+        Zip::new(add_fn()).apply_matrix(&m, &other).unwrap();
+        Pipeline::start::<f32>()
+            .zip_with(&other, add_fn())
+            .run(&m)
+            .unwrap();
+        // A `Copy` merge combining with the same function runs Zip's program.
+        let acc = Vector::from_vec(&c, vec![1.0f32; 8]);
+        acc.set_distribution(Distribution::Copy).unwrap();
+        acc.ensure_on_devices().unwrap();
+        acc.mark_devices_modified();
+        acc.set_distribution_with(Distribution::Block, &add_fn())
+            .unwrap();
+        assert_eq!(acc.to_vec().unwrap(), vec![2.0f32; 8]);
+        assert_eq!(c.program_cache_misses(), before + 2, "Zip");
+    }
+
+    #[test]
     fn zip_shape_mismatch_is_reported() {
         let ctx = ctx(1);
         let m = test_matrix(&ctx, 4, 4, 7);
@@ -1559,8 +1691,8 @@ mod tests {
     fn fused_program_names_key_on_stage_order() {
         let a = FusedStage::new("map", "f", "float f(float x){return x;}", 1);
         let b = FusedStage::new("map", "g", "float g(float x){return x;}", 1);
-        let ab = codegen::fused_map2d_program(&[a.clone(), b.clone()], "float", "float");
-        let ba = codegen::fused_map2d_program(&[b, a], "float", "float");
+        let ab = codegen::elementwise_program(&[a.clone(), b.clone()], "float", "float", 0);
+        let ba = codegen::elementwise_program(&[b, a], "float", "float", 0);
         assert_ne!(
             ab.hash(),
             ba.hash(),

@@ -79,10 +79,7 @@ where
             return Err(Error::Empty("reduce"));
         }
         let ctx = input.ctx().clone();
-        let mut span = ctx.span("reduce.apply");
-        span.attr("len", input.len().to_string());
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
+        let _span = input.call_span("reduce.apply");
         let compiled = ctx.get_or_build(&self.program)?;
         let parts = input.parts()?;
 
@@ -257,7 +254,7 @@ where
 /// lanes `lid < s` read `lid` and `lid + s` (sequential addressing when
 /// `interleaved` is false) or `2*s*lid` and `2*s*lid + s` (the classic
 /// conflicting interleaved pattern) — the latter is used by the ablation.
-pub(crate) fn record_tree_banks(wg: &WorkGroup, s: usize, interleaved: bool) {
+fn record_tree_banks(wg: &WorkGroup, s: usize, interleaved: bool) {
     let warp = vgpu::timing::WARP_SIZE;
     let active = s;
     let mut lane = 0usize;

@@ -479,10 +479,7 @@ where
     pub fn apply(&self, input: &Matrix<T>) -> Result<Vector<T>> {
         let ctx = input.ctx().clone();
         let (rows, cols) = input.dims();
-        let mut span = ctx.span("reduce_rows.apply");
-        span.attr("shape", format!("{rows}x{cols}"));
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
+        let _span = input.call_span("reduce_rows.apply");
         if rows == 0 {
             return Ok(Vector::from_vec(&ctx, Vec::new()));
         }
@@ -543,10 +540,7 @@ where
     pub fn apply(&self, input: &Matrix<T>) -> Result<Vector<T>> {
         let ctx = input.ctx().clone();
         let (rows, cols) = input.dims();
-        let mut span = ctx.span("reduce_cols.apply");
-        span.attr("shape", format!("{rows}x{cols}"));
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
+        let _span = input.call_span("reduce_cols.apply");
         if cols == 0 {
             return Ok(Vector::from_vec(&ctx, Vec::new()));
         }
@@ -610,10 +604,7 @@ where
     pub fn apply(&self, input: &Matrix<T>) -> Result<(Vector<T>, Vector<u32>)> {
         let ctx = input.ctx().clone();
         let (rows, cols) = input.dims();
-        let mut span = ctx.span("reduce_rows_arg.apply");
-        span.attr("shape", format!("{rows}x{cols}"));
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
+        let _span = input.call_span("reduce_rows_arg.apply");
         if cols == 0 {
             return Err(Error::Empty("reduce_rows_arg"));
         }
@@ -672,10 +663,7 @@ where
     pub fn apply(&self, input: &Matrix<T>) -> Result<(Vector<T>, Vector<u32>)> {
         let ctx = input.ctx().clone();
         let (rows, cols) = input.dims();
-        let mut span = ctx.span("reduce_cols_arg.apply");
-        span.attr("shape", format!("{rows}x{cols}"));
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
+        let _span = input.call_span("reduce_cols_arg.apply");
         if rows == 0 {
             return Err(Error::Empty("reduce_cols_arg"));
         }

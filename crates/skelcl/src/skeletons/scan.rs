@@ -79,10 +79,7 @@ where
     /// need it to size their outputs.
     pub fn apply_with_total(&self, input: &Vector<T>) -> Result<(Vector<T>, T)> {
         let ctx = input.ctx().clone();
-        let mut span = ctx.span("scan.apply");
-        span.attr("len", input.len().to_string());
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
+        let _span = input.call_span("scan.apply");
         let compiled = ctx.get_or_build(&self.program)?;
         let parts = input.parts()?;
 

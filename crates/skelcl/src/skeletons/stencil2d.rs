@@ -1,9 +1,11 @@
 //! The Stencil2D skeleton: a 2D stencil over [`Matrix`] with automatic
 //! inter-device halo exchange.
 //!
-//! This is the 2D generalisation of [`crate::MapOverlap`] — the skeleton
-//! behind SkelCL's image-processing benchmarks (Gaussian blur, Sobel,
-//! Canny). Each output element is computed from its input element and the
+//! This is the skeleton behind SkelCL's image-processing benchmarks
+//! (Gaussian blur, Sobel, Canny), and SkelCL's 1-D `MapOverlap` is its
+//! N×1 instance: a 1-D stencil is a `Stencil2D` over an N×1 [`Matrix`]
+//! (`MapOverlap`'s clamp boundary is `Neumann`, a zero-neutral one is
+//! `Zero`). Each output element is computed from its input element and the
 //! `radius`-neighbourhood around it. Under a
 //! [`MatrixDistribution::RowBlock`] distribution the neighbourhood crosses
 //! device boundaries; the halo rows the distribution maintains (refreshed
@@ -245,12 +247,8 @@ where
 
     /// Open an entry-point span with the attributes every stencil call
     /// records.
-    fn span(&self, ctx: &Context, name: &'static str, input: &Matrix<T>) -> SpanGuard {
-        let mut span = ctx.span(name);
-        let (r, c) = input.dims();
-        span.attr("shape", format!("{r}x{c}"));
-        span.attr("distribution", format!("{:?}", input.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
+    fn span(&self, name: &'static str, input: &Matrix<T>) -> SpanGuard {
+        let mut span = input.call_span(name);
         span.attr("radius", self.radius.to_string());
         span
     }
@@ -278,7 +276,7 @@ where
     /// (lazy copying).
     pub fn apply(&self, input: &Matrix<T>) -> Result<Matrix<U>> {
         let ctx = input.ctx().clone();
-        let _span = self.span(&ctx, "stencil2d.apply", input);
+        let _span = self.span("stencil2d.apply", input);
         let (n_rows, cols) = input.dims();
         let kernel = self.kernel(&ctx, n_rows)?;
         stencil_input_layout(input, self.radius)?;
@@ -311,7 +309,7 @@ where
     /// schedule.
     pub fn apply_streamed(&self, input: &Matrix<T>, chunk_rows: usize) -> Result<Matrix<U>> {
         let ctx = input.ctx().clone();
-        let mut span = self.span(&ctx, "stencil2d.apply_streamed", input);
+        let mut span = self.span("stencil2d.apply_streamed", input);
         span.attr("chunk_rows", chunk_rows.to_string());
         let (n_rows, cols) = input.dims();
         let kernel = self.kernel(&ctx, n_rows)?;
@@ -452,7 +450,7 @@ where
         }
         let ctx = input.ctx().clone();
         let (n_rows, cols) = input.dims();
-        let mut span = self.span(&ctx, "stencil2d.iterate", input);
+        let mut span = self.span("stencil2d.iterate", input);
         span.attr("iterations", n.to_string());
         span.attr("schedule", "serial");
         span.attr("block_rounds", "1");
@@ -502,7 +500,7 @@ where
         }
         let ctx = input.ctx().clone();
         let (n_rows, cols) = input.dims();
-        let mut span = self.span(&ctx, "stencil2d.iterate", input);
+        let mut span = self.span("stencil2d.iterate", input);
         span.attr("iterations", n.to_string());
         span.attr("schedule", "overlapped");
         let radius = self.radius;
@@ -1060,8 +1058,10 @@ where
                     return;
                 }
                 let (col, span_row) = (it.global_id(0), start + it.global_id(1));
-                let fused =
-                    |sr: usize, c: usize| pre.apply(it, pi, sr, c, it.read(&src, sr * cols + c));
+                let fused = |sr: usize, c: usize| {
+                    let i = sr * cols + c;
+                    pre.apply(it, pi, i, it.read(&src, i))
+                };
                 let view = Stencil2DView {
                     taps: match &direct {
                         Some(buf) => Taps::Buffer(buf, it),
@@ -1077,7 +1077,7 @@ where
                     boundary,
                 };
                 let (y, dyn_ops) =
-                    meter::metered(|| post.apply(it, pi, span_row, col, eval(&view)));
+                    meter::metered(|| post.apply(it, pi, span_row * cols + col, eval(&view)));
                 it.write(&dst, (span_row + out_halo - in_halo) * cols + col, y);
                 it.work(static_ops + dyn_ops);
             });

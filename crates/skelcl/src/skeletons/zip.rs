@@ -2,7 +2,9 @@
 //! `zip ⊕ [x...], [y...] = [x0 ⊕ y0, ..., xn-1 ⊕ yn-1]`.
 //!
 //! "Thus, it is a generalized dyadic form of Map. By chaining Zip
-//! skeletons, variadic forms of Map can be implemented."
+//! skeletons, variadic forms of Map can be implemented." Both variants
+//! ([`Zip`], [`ZipArgs`]) run on the Map family's program generator and
+//! launcher, with the second input read as the zip stage's operand.
 //!
 //! If the two inputs are distributed differently, the second is
 //! automatically redistributed to match the first — the paper's promise
@@ -11,22 +13,16 @@
 use crate::arguments::{Arguments, KernelEnv};
 use crate::codegen::{self, UserFn};
 use crate::error::{Error, Result};
-use crate::matrix::Matrix;
-use crate::meter;
-use crate::skeletons::pipeline::{launch_elementwise, stage_of, OpZip};
-use crate::skeletons::{alloc_matching_matrix_parts, linear_range};
+use crate::matrix::{Matrix, MatrixPart};
+use crate::skeletons::pipeline::{stage_of, ElementwiseKernel, OpZip, OpZipArgs};
 use crate::vector::Vector;
 use std::marker::PhantomData;
-use std::sync::Arc;
-use vgpu::{KernelBody, Order, Program, Scalar as Element};
+use vgpu::{CompiledKernel, Program, Scalar as Element};
 
 /// The binary element-wise skeleton: `out[i] = f(a[i], b[i])`.
 pub struct Zip<T1: Element, T2: Element, U: Element, F> {
     user: UserFn<F>,
     program: Program,
-    /// The 2D-NDRange twin used by [`Zip::apply_matrix`]: the one-stage
-    /// fused element-wise program a one-stage pipeline zip also builds.
-    program2d: Program,
     _pd: PhantomData<fn(T1, T2) -> U>,
 }
 
@@ -39,26 +35,36 @@ where
 {
     /// `Zip<float> mult("float mult(float x,float y){return x*y;}")`.
     pub fn new(user: UserFn<F>) -> Self {
-        let program = codegen::zip_program(
-            user.name(),
-            user.source(),
+        let program = codegen::elementwise_program(
+            &[stage_of("zip", &user).with_operand(T2::TYPE_NAME)],
             T1::TYPE_NAME,
-            T2::TYPE_NAME,
             U::TYPE_NAME,
             0,
         );
-        let program2d =
-            codegen::fused_map2d_program(&[stage_of("zip", &user)], T1::TYPE_NAME, U::TYPE_NAME);
         Zip {
             user,
             program,
-            program2d,
             _pd: PhantomData,
         }
     }
 
+    /// The generated program both entry points build — also the program
+    /// of a one-stage pipeline `zip_with` over the same user function.
     pub fn program(&self) -> &Program {
         &self.program
+    }
+
+    /// This call's kernel, reading `rhs_parts` as the zip operand.
+    fn kernel(
+        &self,
+        compiled: CompiledKernel,
+        rhs_parts: Vec<MatrixPart<T2>>,
+    ) -> ElementwiseKernel<OpZip<F, T2, T1, U>> {
+        ElementwiseKernel {
+            compiled,
+            op: OpZip::new(rhs_parts, self.user.func().clone()),
+            static_ops: self.user.static_ops(),
+        }
     }
 
     /// Apply the skeleton to two equally sized vectors.
@@ -70,48 +76,15 @@ where
             });
         }
         let ctx = lhs.ctx().clone();
-        let mut span = ctx.span("zip.apply");
-        span.attr("len", lhs.len().to_string());
-        span.attr("distribution", format!("{:?}", lhs.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
+        let _span = lhs.call_span("zip.apply");
         let compiled = ctx.get_or_build(&self.program)?;
-
         // Align distributions: rhs follows lhs (automatic data exchange).
         if rhs.distribution() != lhs.distribution() {
             rhs.set_distribution(lhs.distribution())?;
         }
         let l_parts = lhs.parts()?;
-        let r_parts = rhs.parts()?;
-        let out_parts = alloc_matching_matrix_parts::<T1, U>(&ctx, &l_parts)?;
-
-        let static_ops = self.user.static_ops();
-        for ((lp, rp), op) in l_parts.iter().zip(&r_parts).zip(&out_parts) {
-            debug_assert_eq!(lp.row_offset, rp.row_offset);
-            debug_assert_eq!(lp.rows, rp.rows);
-            if lp.rows == 0 {
-                continue;
-            }
-            let f = self.user.func().clone();
-            let a = lp.buffer.clone();
-            let b = rp.buffer.clone();
-            let dst = op.buffer.clone();
-            let body: KernelBody = Arc::new(move |wg| {
-                wg.for_each_item(|it| {
-                    if !it.in_bounds() {
-                        return;
-                    }
-                    let i = it.global_id(0);
-                    let x = it.read(&a, i);
-                    let y = it.read(&b, i);
-                    let (r, dyn_ops) = meter::metered(|| f(x, y));
-                    it.write(&dst, i, r);
-                    it.work(static_ops + dyn_ops);
-                });
-            });
-            let kernel = compiled.with_body(body);
-            ctx.queue(lp.device)
-                .launch(&kernel, linear_range(&ctx, lp.rows), Order::Device)?;
-        }
+        let kernel = self.kernel(compiled, rhs.parts()?);
+        let out_parts = kernel.launch_parts(&ctx, &l_parts)?;
         Ok(Vector::from_device_parts(
             &ctx,
             lhs.len(),
@@ -121,9 +94,9 @@ where
     }
 
     /// Apply the skeleton element-wise over two equally shaped matrices,
-    /// launching one 2D NDRange per device part. As with vectors, `rhs` is
-    /// automatically redistributed to follow `lhs`; halo rows are computed
-    /// locally, so halo coherence is preserved without any exchange.
+    /// one launch per device part. As with vectors, `rhs` is automatically
+    /// redistributed to follow `lhs`; halo rows are computed locally, so
+    /// halo coherence is preserved without any exchange.
     pub fn apply_matrix(&self, lhs: &Matrix<T1>, rhs: &Matrix<T2>) -> Result<Matrix<U>> {
         if lhs.dims() != rhs.dims() {
             return Err(Error::ShapeMismatch {
@@ -132,14 +105,8 @@ where
             });
         }
         let ctx = lhs.ctx().clone();
-        let mut span = ctx.span("zip.apply_matrix");
-        span.attr("shape", {
-            let (r, c) = lhs.dims();
-            format!("{r}x{c}")
-        });
-        span.attr("distribution", format!("{:?}", lhs.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
-        let compiled = ctx.get_or_build(&self.program2d)?;
+        let _span = lhs.call_span("zip.apply_matrix");
+        let compiled = ctx.get_or_build(&self.program)?;
         if rhs.distribution() != lhs.distribution() {
             rhs.set_distribution(lhs.distribution())?;
         }
@@ -149,8 +116,9 @@ where
         // `rhs` is read as it is: its halo rows are not exchanged, so the
         // output's halos are fresh only when both inputs' are.
         let halos_fresh = lhs.halos_fresh() && rhs.halos_fresh();
-        let op = OpZip::new(r_parts, self.user.func().clone());
-        let out_parts = launch_elementwise(&ctx, &compiled, &l_parts, &op, self.user.static_ops())?;
+        let out_parts = self
+            .kernel(compiled, r_parts)
+            .launch_parts(&ctx, &l_parts)?;
         Ok(Matrix::from_device_parts(
             &ctx,
             rows,
@@ -166,7 +134,7 @@ where
 /// update, whose kernel "resembles the body of the second inner loop").
 pub struct ZipArgs<T1: Element, T2: Element, U: Element, F> {
     user: UserFn<F>,
-    n_extra: usize,
+    program: Program,
     _pd: PhantomData<fn(T1, T2) -> U>,
 }
 
@@ -178,22 +146,22 @@ where
     F: Fn(T1, T2, &KernelEnv<'_>) -> U + Send + Sync + Clone + 'static,
 {
     pub fn new(user: UserFn<F>, n_extra: usize) -> Self {
+        let program = codegen::elementwise_program(
+            &[stage_of("zip", &user).with_operand(T2::TYPE_NAME)],
+            T1::TYPE_NAME,
+            U::TYPE_NAME,
+            n_extra,
+        );
         ZipArgs {
             user,
-            n_extra,
+            program,
             _pd: PhantomData,
         }
     }
 
-    fn program(&self) -> Program {
-        codegen::zip_program(
-            self.user.name(),
-            self.user.source(),
-            T1::TYPE_NAME,
-            T2::TYPE_NAME,
-            U::TYPE_NAME,
-            self.n_extra,
-        )
+    /// The generated program every call builds.
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
     pub fn apply(&self, lhs: &Vector<T1>, rhs: &Vector<T2>, args: &Arguments) -> Result<Vector<U>> {
@@ -204,50 +172,24 @@ where
             });
         }
         let ctx = lhs.ctx().clone();
-        let mut span = ctx.span("zip_args.apply");
-        span.attr("len", lhs.len().to_string());
-        span.attr("distribution", format!("{:?}", lhs.distribution()));
-        span.attr("devices", ctx.n_devices().to_string());
-        let compiled = ctx.get_or_build(&self.program())?;
+        let _span = lhs.call_span("zip_args.apply");
+        let compiled = ctx.get_or_build(&self.program)?;
         args.ensure_on_devices()?;
         if rhs.distribution() != lhs.distribution() {
             rhs.set_distribution(lhs.distribution())?;
         }
         let l_parts = lhs.parts()?;
         let r_parts = rhs.parts()?;
-        let out_parts = alloc_matching_matrix_parts::<T1, U>(&ctx, &l_parts)?;
-
-        let static_ops = self.user.static_ops();
-        for ((lp, rp), op) in l_parts.iter().zip(&r_parts).zip(&out_parts) {
-            if lp.rows == 0 {
-                continue;
-            }
-            let resolved = Arc::new(args.resolve(lp.device)?);
-            let f = self.user.func().clone();
-            let a = lp.buffer.clone();
-            let b = rp.buffer.clone();
-            let dst = op.buffer.clone();
-            let body: KernelBody = Arc::new(move |wg| {
-                wg.for_each_item(|it| {
-                    if !it.in_bounds() {
-                        return;
-                    }
-                    let i = it.global_id(0);
-                    let x = it.read(&a, i);
-                    let y = it.read(&b, i);
-                    let env = KernelEnv {
-                        item: it,
-                        args: &resolved,
-                    };
-                    let (r, dyn_ops) = meter::metered(|| f(x, y, &env));
-                    it.write(&dst, i, r);
-                    it.work(static_ops + dyn_ops);
-                });
-            });
-            let kernel = compiled.with_body(body);
-            ctx.queue(lp.device)
-                .launch(&kernel, linear_range(&ctx, lp.rows), Order::Device)?;
-        }
+        let kernel = ElementwiseKernel {
+            compiled,
+            op: OpZipArgs::new(
+                r_parts,
+                args.resolve_parts(&l_parts)?,
+                self.user.func().clone(),
+            ),
+            static_ops: self.user.static_ops(),
+        };
+        let out_parts = kernel.launch_parts(&ctx, &l_parts)?;
         Ok(Vector::from_device_parts(
             &ctx,
             lhs.len(),

@@ -34,11 +34,10 @@ use crate::error::{Error, Result};
 use crate::matrix::{
     issue_copies, Matrix, MatrixDistribution, MatrixPart, PartCopy, PartsWithChunks,
 };
-use crate::meter;
+use crate::skeletons::pipeline::{launch_elementwise, stage_of, ElementwiseKernel, OpZip};
 use crate::trace::SpanGuard;
 use parking_lot::MappedMutexGuard;
-use std::sync::Arc;
-use vgpu::{Buffer, KernelBody, NDRange, Order, Scalar};
+use vgpu::{Buffer, Order, Scalar};
 
 /// How a vector's data is laid out across the context's devices
 /// (paper Section III-D).
@@ -251,6 +250,17 @@ impl<T: Scalar> Vector<T> {
         self.matrix.upload_parts(Some(chunk_len), upload_span)
     }
 
+    /// Open the span of a skeleton call over this vector, with its length,
+    /// distribution and device count.
+    pub(crate) fn call_span(&self, name: &'static str) -> SpanGuard {
+        let ctx = self.ctx();
+        let mut span = ctx.span(name);
+        span.attr("len", self.len().to_string());
+        span.attr("distribution", format!("{:?}", self.distribution()));
+        span.attr("devices", ctx.n_devices().to_string());
+        span
+    }
+
     /// The span a vector upload (streamed in `chunk_len`-element chunks
     /// when given) runs in; the matrix core uploads span-less.
     fn upload_span(
@@ -326,16 +336,10 @@ fn merge_copy_to<T: Scalar, F>(
 where
     F: Fn(T, T) -> T + Send + Sync + Clone + 'static,
 {
-    let program = codegen::zip_program(
-        combine.name(),
-        combine.source(),
-        T::TYPE_NAME,
-        T::TYPE_NAME,
-        T::TYPE_NAME,
-        0,
-    );
+    // The program of a `Zip` over `combine`.
+    let zip_stage = stage_of("zip", combine).with_operand(T::TYPE_NAME);
+    let program = codegen::elementwise_program(&[zip_stage], T::TYPE_NAME, T::TYPE_NAME, 0);
     let compiled = ctx.get_or_build(&program)?;
-    let static_ops = combine.static_ops();
 
     let targets: Vec<&MatrixPart<T>> = targets.iter().filter(|np| np.rows > 0).collect();
     // Per target: its own device's copy, then the other devices' copies
@@ -375,31 +379,18 @@ where
 
     for (np, (_, partials)) in targets.into_iter().zip(folds) {
         let mut last = copied.next().expect("one seed copy per target");
-        // Each temporary is freed after its combine launch.
+        // Each step folds one temporary into the target in place; the
+        // temporary is freed after its launch.
         for (_, tmp) in partials {
             let partial = copied.next().expect("one copy per partial");
-            let f = combine.func().clone();
-            let dst = np.buffer.clone();
-            let src = tmp.buffer;
-            let body: KernelBody = Arc::new(move |wg| {
-                wg.for_each_item(|it| {
-                    if !it.in_bounds() {
-                        return;
-                    }
-                    let i = it.global_id(0);
-                    let a = it.read(&dst, i);
-                    let b = it.read(&src, i);
-                    let (r, dyn_ops) = meter::metered(|| f(a, b));
-                    it.write(&dst, i, r);
-                    it.work(static_ops + dyn_ops);
-                });
-            });
-            let kernel = compiled.with_body(body);
-            last = ctx.queue(np.device).launch(
-                &kernel,
-                NDRange::linear(np.rows, ctx.work_group().min(np.rows)),
-                Order::After(&[last, partial]),
-            )?;
+            let fold = ElementwiseKernel {
+                compiled: compiled.clone(),
+                op: OpZip::new(vec![tmp], combine.func().clone()),
+                static_ops: combine.static_ops(),
+            };
+            let order = Order::After(&[last, partial]);
+            last = launch_elementwise(ctx, &fold, 0, np, Some(np), (0, np.rows), order)?
+                .expect("targets hold rows");
         }
     }
     Ok(())

@@ -9,7 +9,6 @@
 //! array inside the device budget, host arg-marshalling arity matching a
 //! kernel signature, and every `__global` read guarded against bounds.
 
-use skelcl::skeletons::StencilView;
 use skelcl::*;
 
 fn ctx() -> Context {
@@ -72,6 +71,32 @@ fn column_user(radius: usize) -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 
     )
 }
 
+fn mult_num_fn() -> UserFn<impl Fn(f32, &KernelEnv<'_>) -> f32 + Clone> {
+    UserFn::new(
+        "lmult_num",
+        "float lmult_num(float input, float number) { return input * number; }",
+        |x: f32, env: &KernelEnv<'_>| x * env.scalar::<f32>(0),
+    )
+}
+
+fn fma_fn() -> UserFn<impl Fn(f32, f32, &KernelEnv<'_>) -> f32 + Clone> {
+    UserFn::new(
+        "lfma",
+        "float lfma(float x, float y, float s) { return x + y * s; }",
+        |x: f32, y: f32, env: &KernelEnv<'_>| x + y * env.scalar::<f32>(0),
+    )
+}
+
+fn scatter_fn() -> UserFn<impl Fn(u32, &KernelEnv<'_>) + Clone> {
+    UserFn::new(
+        "lscatter",
+        "void lscatter(uint i, __global float* acc) { atomic_add(&acc[i % 4], 1.0f); }",
+        |i: u32, env: &KernelEnv<'_>| {
+            env.vec::<f32>(0).atomic_add(i as usize % 4, 1.0);
+        },
+    )
+}
+
 const BOUNDARIES: [Boundary2D; 3] = [Boundary2D::Neumann, Boundary2D::Wrap, Boundary2D::Zero];
 
 fn vec_data(c: &Context, n: usize) -> Vector<f32> {
@@ -90,46 +115,18 @@ fn populate_registry(c: &Context) {
     Map::new(scale_fn()).apply(&v).unwrap();
     Zip::new(add_fn()).apply(&v, &w).unwrap();
 
-    let mult_num = UserFn::new(
-        "lmult_num",
-        "float lmult_num(float input, float number) { return input * number; }",
-        |x: f32, env: &KernelEnv<'_>| x * env.scalar::<f32>(0),
-    );
     let mut args = Arguments::new();
     args.push(3.0f32);
-    MapArgs::new(mult_num, 1).apply(&v, &args).unwrap();
-
-    let fma = UserFn::new(
-        "lfma",
-        "float lfma(float x, float y, float s) { return x + y * s; }",
-        |x: f32, y: f32, env: &KernelEnv<'_>| x + y * env.scalar::<f32>(0),
-    );
-    ZipArgs::new(fma, 1).apply(&v, &w, &args).unwrap();
+    MapArgs::new(mult_num_fn(), 1).apply(&v, &args).unwrap();
+    ZipArgs::new(fma_fn(), 1).apply(&v, &w, &args).unwrap();
 
     let acc = Vector::from_vec(c, vec![0.0f32; 4]);
     acc.set_distribution(Distribution::Copy).unwrap();
-    let scatter = UserFn::new(
-        "lscatter",
-        "void lscatter(uint i, __global float* acc) { atomic_add(&acc[i % 4], 1.0f); }",
-        |i: u32, env: &KernelEnv<'_>| {
-            env.vec::<f32>(0).atomic_add(i as usize % 4, 1.0);
-        },
-    );
     let idx = Vector::from_vec(c, (0..16u32).collect());
     let mut vec_args = Arguments::new();
     vec_args.push(&acc);
-    MapVoid::new(scatter, 1).apply(&idx, &vec_args).unwrap();
-
-    // Index generation and the fused zip+reduce.
-    MapIndex::new(skel_fn!(
-        fn lsq(i: u32) -> u32 {
-            i * i
-        }
-    ))
-    .apply(c, 64, Distribution::Block)
-    .unwrap();
-    MapReduce::new(mul_fn(), add_fn(), 0.0f32)
-        .apply(&v, &w)
+    MapVoid::new(scatter_fn(), 1)
+        .apply(&idx, &vec_args)
         .unwrap();
 
     // Tree reductions and scans, both strategies each.
@@ -144,21 +141,9 @@ fn populate_registry(c: &Context) {
         .apply(&v)
         .unwrap();
 
-    // 1D stencil.
-    MapOverlap::new(
-        UserFn::new(
-            "lmo",
-            "float lmo(__global float* in, uint i, uint n) { /* in[i-1]+in[i+1] */ }",
-            |view: &StencilView<'_, f32>| view.get(-1) + view.get(1),
-        ),
-        1,
-        Boundary::Clamp,
-    )
-    .apply(&v)
-    .unwrap();
-
-    // 2D element-wise (one-stage fused map / zip) and the 2D stencil:
-    // apply runs the one-round program, iterate the block program.
+    // Element-wise over matrices (the programs the vector calls built) and
+    // the 2D stencil: apply runs the one-round program, iterate the block
+    // program.
     let m = mat_data(c, 12, 8);
     let m2 = mat_data(c, 12, 8);
     Map::new(scale_fn()).apply_matrix(&m).unwrap();
@@ -205,7 +190,7 @@ fn populate_registry(c: &Context) {
         .apply(&a, &b)
         .unwrap();
 
-    // Fused pipeline chains: pure element-wise group (fused_map2d), a
+    // Fused pipeline chains: pure element-wise group (elementwise), a
     // stencil anchor with fused pre/post stages (fused_stencil2d), and a
     // map chain folded into a row reduction (fused_reduce_rows).
     Pipeline::start::<f32>()
@@ -245,6 +230,24 @@ fn every_registered_program_lints_clean() {
             assert!(c.program_registry().contains(&program), "{}", program.name);
             assert_eq!(program.n_args, 8, "{}", program.name);
         }
+    }
+
+    // One program per element-wise skeleton, taking the arguments each of
+    // its launches marshals and pays for: in, out, one operand per zip
+    // stage, n, one per extra argument. The arity lint parses every
+    // signature, so this pins the parsed count too.
+    let budget = c.device(0).spec().local_mem_bytes as u64;
+    for (program, n_args) in [
+        (Map::<f32, f32, _>::new(scale_fn()).program().clone(), 3),
+        (Zip::<f32, f32, f32, _>::new(add_fn()).program().clone(), 4),
+        (MapArgs::new(mult_num_fn(), 1).program().clone(), 4),
+        (ZipArgs::new(fma_fn(), 1).program().clone(), 5),
+        (MapVoid::new(scatter_fn(), 1).program().clone(), 4),
+    ] {
+        assert!(c.program_registry().contains(&program), "{}", program.name);
+        assert_eq!(program.n_args, n_args, "{}", program.name);
+        let arity = check::lint_program(&program.name, &program.source, n_args, budget);
+        assert!(arity.is_empty(), "{}: {arity:?}", program.name);
     }
 
     let findings = c.lint_registry();

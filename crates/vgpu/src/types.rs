@@ -54,6 +54,8 @@ impl_scalar_prim! {
     u32 => "uint",
     i64 => "long",
     u64 => "ulong",
+    // The output element of a kernel that writes nothing.
+    () => "void",
 }
 
 /// Implements [`Scalar`] for a user-defined struct, registering the struct's

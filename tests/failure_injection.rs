@@ -2,7 +2,10 @@
 //! errors (never corrupt state or panic on recoverable conditions), and
 //! device-memory exhaustion must roll back cleanly.
 
-use skelcl::{Context, ContextConfig, Distribution, Map, Reduce, Vector, Zip};
+use skelcl::{
+    Arguments, Context, ContextConfig, Distribution, KernelEnv, Map, MapArgs, MapVoid, Matrix,
+    Pipeline, PipelineExpr, Reduce, Result as SkelResult, UserFn, Vector, Zip, ZipArgs,
+};
 use vgpu::{DeviceSpec, Order, Platform, PlatformConfig};
 
 /// A device so small that realistic vectors exhaust its memory.
@@ -48,19 +51,141 @@ fn upload_larger_than_device_memory_errors_cleanly() {
     }
 }
 
+/// A container an OOM case reads back: uploaded before the call, it must
+/// read back unchanged after the call fails.
+trait Input {
+    fn upload(&self);
+    fn read(&self) -> Vec<f32>;
+}
+
+impl Input for Vector<f32> {
+    fn upload(&self) {
+        self.ensure_on_devices().unwrap();
+    }
+    fn read(&self) -> Vec<f32> {
+        self.to_vec().unwrap()
+    }
+}
+
+impl Input for Matrix<f32> {
+    fn upload(&self) {
+        self.ensure_on_devices().unwrap();
+    }
+    fn read(&self) -> Vec<f32> {
+        self.to_vec().unwrap()
+    }
+}
+
+/// Upload `inputs`, run `call`, and require a typed out-of-memory error
+/// that leaves every input readable and device memory where it was.
+fn expect_oom(
+    what: &str,
+    ctx: &Context,
+    inputs: &[&dyn Input],
+    call: impl FnOnce() -> SkelResult<()>,
+) {
+    let contents: Vec<Vec<f32>> = inputs.iter().map(|i| i.read()).collect();
+    inputs.iter().for_each(|i| i.upload());
+    let before = ctx.device(0).used_bytes();
+    let err = call().expect_err(what);
+    assert!(
+        matches!(
+            err,
+            skelcl::Error::Platform(vgpu::Error::OutOfDeviceMemory { .. })
+        ),
+        "{what}: unexpected error: {err}"
+    );
+    for (input, want) in inputs.iter().zip(&contents) {
+        assert_eq!(&input.read(), want, "{what}: input changed");
+    }
+    assert_eq!(ctx.device(0).used_bytes(), before, "{what}: leaked");
+}
+
 #[test]
 fn skeleton_oom_propagates_as_error_not_panic() {
+    // Every element-wise entry point allocates its output through the one
+    // launcher. Inputs that fit the 256 KiB device with an output that does
+    // not: one 160 KiB input (two would need 320 KiB), or two 96 KiB
+    // inputs (three would need 288 KiB).
+    const ONE: usize = 40 << 10;
+    const TWO: usize = 24 << 10;
     let ctx = cramped_ctx();
-    // Input fits (128 KiB) but input + output does not.
-    let v = Vector::from_vec(&ctx, vec![1.0f32; 48 << 10]);
-    let m = Map::new(skelcl::skel_fn!(
-        fn triple(x: f32) -> f32 {
-            x * 3.0
-        }
-    ));
-    // First apply allocates input (192 KiB) + output (192 KiB) > 256 KiB.
-    let result = m.apply(&v);
-    assert!(result.is_err(), "expected OOM error");
+    let vector = |n: usize| Vector::from_vec(&ctx, (0..n).map(|i| (i % 97) as f32).collect());
+    let matrix = |n: usize| Matrix::from_fn(&ctx, n / 256, 256, |r, c| ((r + c) % 89) as f32);
+    let triple = || {
+        skelcl::skel_fn!(
+            fn triple(x: f32) -> f32 {
+                x * 3.0
+            }
+        )
+    };
+    let add = || {
+        skelcl::skel_fn!(
+            fn add(x: f32, y: f32) -> f32 {
+                x + y
+            }
+        )
+    };
+    let mut scale = Arguments::new();
+    scale.push(2.0f32);
+    let scaled = UserFn::new(
+        "scaled",
+        "float scaled(float x, float s) { return x * s; }",
+        |x: f32, env: &KernelEnv<'_>| x * env.scalar::<f32>(0),
+    );
+    let fma = UserFn::new(
+        "fma_scaled",
+        "float fma_scaled(float x, float y, float s) { return x + y * s; }",
+        |x: f32, y: f32, env: &KernelEnv<'_>| x + y * env.scalar::<f32>(0),
+    );
+
+    let v = vector(ONE);
+    expect_oom("Map::apply", &ctx, &[&v], || {
+        Map::new(triple()).apply(&v).map(drop)
+    });
+    expect_oom("MapArgs::apply", &ctx, &[&v], || {
+        MapArgs::new(scaled.clone(), 1).apply(&v, &scale).map(drop)
+    });
+    drop(v);
+    let (a, b) = (vector(TWO), vector(TWO));
+    expect_oom("Zip::apply", &ctx, &[&a, &b], || {
+        Zip::new(add()).apply(&a, &b).map(drop)
+    });
+    expect_oom("ZipArgs::apply", &ctx, &[&a, &b], || {
+        ZipArgs::new(fma, 1).apply(&a, &b, &scale).map(drop)
+    });
+    drop((a, b));
+    let m = matrix(ONE);
+    expect_oom("Map::apply_matrix", &ctx, &[&m], || {
+        Map::new(triple()).apply_matrix(&m).map(drop)
+    });
+    expect_oom("one-stage Pipeline", &ctx, &[&m], || {
+        Pipeline::start::<f32>().map(triple()).run(&m).map(drop)
+    });
+    drop(m);
+    let (a, b) = (matrix(TWO), matrix(TWO));
+    expect_oom("Zip::apply_matrix", &ctx, &[&a, &b], || {
+        Zip::new(add()).apply_matrix(&a, &b).map(drop)
+    });
+    drop((a, b));
+
+    // MapVoid allocates no output, so the same input runs.
+    let v = vector(ONE);
+    let acc = Vector::from_vec(&ctx, vec![0.0f32; 4]);
+    v.ensure_on_devices().unwrap();
+    acc.ensure_on_devices().unwrap();
+    let before = ctx.device(0).used_bytes();
+    let mut hits = Arguments::new();
+    hits.push(&acc);
+    let count = UserFn::new(
+        "count_hits",
+        "void count_hits(float x, __global float* acc) { atomic_add(&acc[0], 1.0f); }",
+        |_x: f32, env: &KernelEnv<'_>| env.vec::<f32>(0).atomic_add(0, 1.0),
+    );
+    MapVoid::new(count, 1).apply(&v, &hits).unwrap();
+    assert_eq!(ctx.device(0).used_bytes(), before, "MapVoid allocated");
+    acc.mark_devices_modified();
+    assert_eq!(acc.to_vec().unwrap(), vec![ONE as f32, 0.0, 0.0, 0.0]);
 }
 
 #[test]

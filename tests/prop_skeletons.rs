@@ -3,7 +3,10 @@
 //! device counts.
 
 use proptest::prelude::*;
-use skelcl::{Context, ContextConfig, Distribution, Map, Reduce, Scan, Vector, Zip};
+use skelcl::{
+    Arguments, Context, ContextConfig, Distribution, KernelEnv, Map, MapArgs, MapVoid, Reduce,
+    Scan, UserFn, Vector, Zip, ZipArgs,
+};
 use vgpu::DeviceSpec;
 
 fn ctx(n_devices: usize) -> Context {
@@ -22,6 +25,10 @@ fn dist_strategy() -> impl Strategy<Value = Distribution> {
         Just(Distribution::Copy),
         Just(Distribution::Block),
     ]
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
@@ -185,5 +192,124 @@ proptest! {
         let want: f32 = xs.iter().zip(&ys).map(|(x, y)| x * y).sum();
         let tol = want.abs() * 1e-4 + 1e-3;
         prop_assert!((got - want).abs() <= tol, "got {got}, want {want}");
+    }
+}
+
+// The with-arguments variants (Section III-C) and a Zip whose inputs start
+// in different distributions, each against a host reference, bit for bit.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // MapArgs reading a scalar and a `Copy` vector used as a gather table.
+    #[test]
+    fn map_args_gathers_from_a_copy_table(
+        idx in prop::collection::vec(0u32..64, 0..300),
+        table in prop::collection::vec(-1e3f32..1e3, 64..65),
+        scale in -4f32..4.0,
+        devices in 1usize..=4,
+        dist in dist_strategy(),
+    ) {
+        let c = ctx(devices);
+        let v = Vector::from_slice(&c, &idx);
+        v.set_distribution(dist).unwrap();
+        let t = Vector::from_slice(&c, &table);
+        t.set_distribution(Distribution::Copy).unwrap();
+        let mut args = Arguments::new();
+        args.push(scale);
+        args.push(&t);
+        let gather = UserFn::new(
+            "gather_scaled",
+            "float gather_scaled(uint i, float s, __global float* t) { return t[i] * s; }",
+            |i: u32, env: &KernelEnv<'_>| env.vec::<f32>(1).get(i as usize) * env.scalar::<f32>(0),
+        );
+        let got = MapArgs::new(gather, 2).apply(&v, &args).unwrap().to_vec().unwrap();
+        let want: Vec<f32> = idx.iter().map(|&i| table[i as usize] * scale).collect();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn zip_args_matches_host_zip(
+        pairs in prop::collection::vec((-1e3f32..1e3, -1e3f32..1e3), 0..300),
+        scale in -4f32..4.0,
+        devices in 1usize..=4,
+        dist in dist_strategy(),
+    ) {
+        let c = ctx(devices);
+        let xs: Vec<f32> = pairs.iter().map(|p| p.0).collect();
+        let ys: Vec<f32> = pairs.iter().map(|p| p.1).collect();
+        let a = Vector::from_slice(&c, &xs);
+        a.set_distribution(dist).unwrap();
+        let b = Vector::from_slice(&c, &ys);
+        let mut args = Arguments::new();
+        args.push(scale);
+        let fma = UserFn::new(
+            "fma_scaled",
+            "float fma_scaled(float x, float y, float s) { return x + y * s; }",
+            |x: f32, y: f32, env: &KernelEnv<'_>| x + y * env.scalar::<f32>(0),
+        );
+        let got = ZipArgs::new(fma, 1).apply(&a, &b, &args).unwrap().to_vec().unwrap();
+        let want: Vec<f32> = xs.iter().zip(&ys).map(|(x, y)| x + y * scale).collect();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    // MapVoid scatters into a `Copy` accumulator; merging the copies with
+    // `add` sums every device's hits. Under `Copy` every device maps the
+    // whole input, so each hit lands once per device.
+    #[test]
+    fn map_void_scatter_merges_every_devices_hits(
+        idx in prop::collection::vec(0u32..1000, 0..300),
+        slots in 1usize..16,
+        devices in 1usize..=4,
+        dist in dist_strategy(),
+    ) {
+        let c = ctx(devices);
+        let v = Vector::from_slice(&c, &idx);
+        v.set_distribution(dist).unwrap();
+        let acc = Vector::from_vec(&c, vec![0.0f32; slots]);
+        acc.set_distribution(Distribution::Copy).unwrap();
+        let mut args = Arguments::new();
+        args.push(&acc);
+        let scatter = UserFn::new(
+            "scatter_hits",
+            "void scatter_hits(uint i, __global float* acc) { /* acc[i % slots] += 1 */ }",
+            move |i: u32, env: &KernelEnv<'_>| {
+                env.vec::<f32>(0).atomic_add(i as usize % slots, 1.0);
+            },
+        );
+        MapVoid::new(scatter, 1).apply(&v, &args).unwrap();
+        acc.mark_devices_modified();
+        let add = skelcl::skel_fn!(fn add(x: f32, y: f32) -> f32 { x + y });
+        acc.set_distribution_with(Distribution::Block, &add).unwrap();
+        let copies = if dist == Distribution::Copy { devices } else { 1 };
+        let mut want = vec![0.0f32; slots];
+        for &i in &idx {
+            want[i as usize % slots] += copies as f32;
+        }
+        prop_assert_eq!(bits(&acc.to_vec().unwrap()), bits(&want));
+    }
+
+    // Zip's rhs starts in its own distribution, on the devices, and follows
+    // lhs's by a device-side exchange.
+    #[test]
+    fn zip_redistributes_rhs_to_follow_lhs(
+        pairs in prop::collection::vec((-1e3f32..1e3, -1e3f32..1e3), 0..300),
+        devices in 1usize..=4,
+        lhs_dist in dist_strategy(),
+        rhs_dist in dist_strategy(),
+    ) {
+        let c = ctx(devices);
+        let xs: Vec<f32> = pairs.iter().map(|p| p.0).collect();
+        let ys: Vec<f32> = pairs.iter().map(|p| p.1).collect();
+        let a = Vector::from_slice(&c, &xs);
+        a.set_distribution(lhs_dist).unwrap();
+        let b = Vector::from_slice(&c, &ys);
+        b.set_distribution(rhs_dist).unwrap();
+        b.ensure_on_devices().unwrap();
+        let z = Zip::new(skelcl::skel_fn!(fn sub(x: f32, y: f32) -> f32 { x - y }));
+        let out = z.apply(&a, &b).unwrap();
+        prop_assert_eq!(out.distribution(), lhs_dist);
+        prop_assert_eq!(b.distribution(), lhs_dist);
+        let want: Vec<f32> = xs.iter().zip(&ys).map(|(x, y)| x - y).collect();
+        prop_assert_eq!(bits(&out.to_vec().unwrap()), bits(&want));
     }
 }
