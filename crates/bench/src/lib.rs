@@ -562,13 +562,16 @@ pub fn stencil_iterate_virtual_s(
 /// sobel → non-maximum suppression → double threshold) over a
 /// `rows × cols` row-block image across `devices` devices. With `fused`
 /// the lazy [`skelcl::Pipeline`] runs: the whole chain compiles into
-/// three fused stencil launches with zero intermediate matrices; otherwise
-/// the unfused chain runs — six skeleton launches (gauss, sobel x, sobel y,
-/// gradient zip, nms, threshold map) with five materialised intermediates.
-/// Both paths are bit-identical (imgproc tests + `prop_fusion`); the
-/// figure isolates the launch-count and traffic difference. The host-side
-/// hysteresis flood fill is identical in both variants and excluded, as is
-/// upload and program warm-up.
+/// three fused stencil launches with zero intermediate matrices, each
+/// staging its work-groups' windows in local memory; otherwise the unfused
+/// chain runs — six skeleton launches (gauss, sobel x, sobel y, gradient
+/// zip, nms, threshold map) with five materialised intermediates, whose
+/// stencils read every tap from global memory. Both paths are
+/// bit-identical (imgproc tests + `prop_fusion`); the figure measures the
+/// launch-count and traffic difference of fusion together with the
+/// traffic the fused groups' staging saves. The host-side hysteresis flood
+/// fill is identical in both variants and excluded, as is upload and
+/// program warm-up.
 pub fn canny_virtual_s(rows: usize, cols: usize, devices: usize, fused: bool) -> f64 {
     use skelcl::{Boundary2D, Matrix, MatrixDistribution};
     use skelcl_imgproc::skelcl_impl::{canny_labels, canny_labels_unfused};
@@ -825,8 +828,7 @@ pub fn run_stencil_cache_experiment() -> CacheResult {
         "float gauss3(__global float* in, int r, int c, uint nr, uint nc) { /* 3x3 blur */ }",
         1,
     );
-    let program =
-        skelcl::codegen::fused_stencil2d_program(&[gauss3], "float", "float", 1, "neumann");
+    let program = skelcl::codegen::stencil2d_program(&gauss3, "float", "float", 1, "neumann");
     let body: vgpu::KernelBody = std::sync::Arc::new(|_wg: &vgpu::WorkGroup| {});
 
     let (_, first) = queue

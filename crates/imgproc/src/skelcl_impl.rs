@@ -168,7 +168,10 @@ pub fn blur_sobel(img: &Matrix<f32>, boundary: Boundary2D) -> Result<Matrix<f32>
 /// [`Pipeline`] that executes as **three** kernel launches — one per
 /// stencil group, with the Sobel pair sharing a single neighbourhood pass
 /// and the threshold map fused into the NMS kernel's writes — and zero
-/// intermediate [`Matrix`] values.
+/// intermediate [`Matrix`] values. Like SkelCL's own `cannyStencil`, each
+/// group stages every work-group's window in local memory, so an input
+/// cell is read from global memory about once per group instead of once
+/// per tap.
 pub fn canny_labels(
     img: &Matrix<f32>,
     boundary: Boundary2D,

@@ -244,6 +244,54 @@ fn stencil_boundary_resolve(boundary: &str, in_t: &str) -> String {
     }
 }
 
+/// Generate the one-round stencil program of [`crate::Stencil2D::apply`],
+/// `apply_streamed` and `iterate_serial`: one work-item per owned element
+/// calls the user function, whose neighbourhood reads go straight to global
+/// memory through `stencil_at`. Out-of-range accesses follow `boundary`
+/// (`neumann` clamps, `wrap` is toroidal, `zero` reads 0); the boundary mode
+/// changes the emitted index arithmetic, so it is part of the program name
+/// and thus the cache key.
+pub fn stencil2d_program(
+    stencil: &FusedStage,
+    in_t: &str,
+    out_t: &str,
+    radius: usize,
+    boundary: &str,
+) -> Program {
+    let resolve = stencil_boundary_resolve(boundary, in_t);
+    let user = &stencil.name;
+    let source = format!(
+        "// generated by SkelCL codegen: Stencil2D skeleton, radius {radius}, {boundary} boundary\n\
+         inline {in_t} stencil_at(__global const {in_t}* in, int row, int col,\n\
+                                  uint n_rows, uint n_cols, int dr, int dc) {{\n\
+             {resolve}\n\
+             return in[rr * n_cols + cc];\n\
+         }}\n\
+         {}\n\
+         __kernel void skelcl_stencil2d(__global const {in_t}* restrict in,\n\
+                                  __global {out_t}* restrict out,\n\
+                                  const uint n_rows,\n\
+                                  const uint n_cols,\n\
+                                  const uint row_offset) {{\n\
+             uint col = get_global_id(0);\n\
+             uint row = get_global_id(1) + row_offset;\n\
+             if (row < n_rows && col < n_cols) {{\n\
+                 out[row * n_cols + col] = {user}(in, row, col, n_rows, n_cols);\n\
+             }}\n\
+         }}\n",
+        stencil.source,
+    );
+    Program::from_source(
+        program_name(
+            &format!("stencil2d_r{radius}_{boundary}"),
+            user,
+            &[in_t, out_t],
+        ),
+        source,
+    )
+    .with_arg_count(5)
+}
+
 /// Generate the row-segmented 2D Reduce program behind
 /// [`crate::ReduceRows`]: one work-item per matrix row folds that row's
 /// column segment in **ascending column order** from a seed — the identity
@@ -494,9 +542,9 @@ pub fn allpairs_tiled_program(
 // emitted code. The joined stage names (and, for stencils, radius and
 // boundary mode) go into the program name — the fused program is cached in
 // the `ProgramRegistry` under that key exactly like any single-skeleton
-// program. Every `Map` and `Zip` variant and `Stencil2D` build the
-// one-stage members of these families, so a one-stage pipeline over the
-// same user function shares their program.
+// program. Every `Map` and `Zip` variant and `Stencil2D::iterate` build
+// the one-stage members of these families, so a one-stage pipeline over
+// the same user function shares their program.
 
 /// One stage of a fused pipeline group, as codegen sees it.
 #[derive(Clone, Debug)]
@@ -559,14 +607,22 @@ fn fused_sources(stages: &[FusedStage]) -> String {
 }
 
 /// The nested call chain `s_n(...s_1(s_0(expr))...)` for an element-wise
-/// stage run. Each `zip` stage reads its own operand buffer at the same
-/// index, so it shows up as a two-argument call. `extra` (the `, arg0, …`
-/// list of a with-arguments skeleton, else empty) ends every call.
-fn fused_value_chain(stages: &[FusedStage], seed: &str, extra: &str) -> String {
+/// stage run. Each `zip` stage reads its own operand buffer at `index`, the
+/// index `seed` was read at, so it shows up as a two-argument call; `first`
+/// is the run's position in the kernel's stage list, which numbers the
+/// operands. `extra` (the `, arg0, …` list of a with-arguments skeleton,
+/// else empty) ends every call.
+fn fused_value_chain(
+    stages: &[FusedStage],
+    first: usize,
+    seed: &str,
+    index: &str,
+    extra: &str,
+) -> String {
     let mut expr = seed.to_string();
     for (i, s) in stages.iter().enumerate() {
         expr = match s.kind {
-            "zip" => format!("{}({expr}, op{i}[i]{extra})", s.name),
+            "zip" => format!("{}({expr}, op{}[{index}]{extra})", s.name, first + i),
             _ => format!("{}({expr}{extra})", s.name),
         };
     }
@@ -605,7 +661,7 @@ pub fn elementwise_program(
     extra_args: usize,
 ) -> Program {
     let extras: String = (0..extra_args).map(|k| format!(", arg{k}")).collect();
-    let chain = fused_value_chain(stages, "in[i]", &extras);
+    let chain = fused_value_chain(stages, 0, "in[i]", "i", &extras);
     let body = if out_t == "void" {
         chain
     } else {
@@ -635,17 +691,33 @@ pub fn elementwise_program(
     .with_arg_count(3 + n_zips + extra_args)
 }
 
-/// Generate a fused stencil program: exactly one `stencil`/`stencil_pair`
-/// stage whose neighbourhood reads run the *pre* element-wise chain and
-/// whose result runs the *post* chain before the single write. `pre`,
-/// `stencil` and `post` together are the launch's stage list; the split is
-/// positional (stages before/after the stencil stage). Out-of-range
-/// accesses follow `boundary` (`neumann` clamps, `wrap` is toroidal, `zero`
-/// reads 0); the boundary mode changes the emitted index arithmetic, so it
-/// is part of the program name and thus the cache key.
-pub fn fused_stencil2d_program(
+/// Generate the local-memory block program behind every
+/// [`crate::Stencil2D::iterate`] block and every [`crate::Pipeline`]
+/// stencil group. `stages` holds exactly one `stencil`/`stencil_pair` stage
+/// and the group's element-wise stages around it; `view_t` is the element
+/// type the stencil reads.
+///
+/// Each work-group loads its tile's window (`radius` cells beyond the tile
+/// on every side, per round) into local memory once, running the stages
+/// before the stencil on every loaded cell, and writes its tile once,
+/// running the stages after the stencil on every result. A zip operand
+/// before the stencil is read at the loaded cell's index, one after it at
+/// the output's. Under `neumann` the window cells outside the matrix are
+/// refreshed from their clamp targets after the load (and after every
+/// round); under `zero` they keep the zero they start with; `wrap` loads
+/// every cell modulo the matrix dimensions. The stencil's source is pasted
+/// with its pointer in the local address space, and `stencil_at` reads the
+/// window without boundary arithmetic.
+///
+/// A lone same-type stencil builds `iterate`'s program: it steps `rounds`
+/// rounds between two windows, the round count is a kernel argument and
+/// the windows are `__local` arguments sized at launch, so one program
+/// serves every block length and part shape. Every other group computes one
+/// round from one window.
+pub fn stencil2d_block_program(
     stages: &[FusedStage],
     in_t: &str,
+    view_t: &str,
     out_t: &str,
     radius: usize,
     boundary: &str,
@@ -653,80 +725,37 @@ pub fn fused_stencil2d_program(
     let si = stages
         .iter()
         .position(|s| s.kind.starts_with("stencil"))
-        .expect("a fused stencil group contains a stencil stage");
+        .expect("a stencil group contains a stencil stage");
     let (pre, rest) = stages.split_at(si);
     let (stencil, post) = (&rest[0], &rest[1..]);
-    let resolve = stencil_boundary_resolve(boundary, in_t);
-    let read_chain = fused_value_chain(pre, "in[rr * n_cols + cc]", "");
-    let write_chain = fused_value_chain(
+    let (user, t) = (&stencil.name, view_t);
+    let rounds = stages.len() == 1 && in_t == out_t;
+    let wrap = boundary == "wrap";
+    let at = if wrap {
+        "((rr % (int)n_rows + (int)n_rows) % (int)n_rows) * n_cols\n\
+         + (cc % (int)n_cols + (int)n_cols) % (int)n_cols"
+    } else {
+        "rr * n_cols + cc"
+    };
+    let read = fused_value_chain(pre, 0, &format!("in[{at}]"), at, "");
+    let load = if wrap {
+        format!("win_in[i] = {read};")
+    } else {
+        format!(
+            "if (rr >= 0 && rr < (int)n_rows && cc >= 0 && cc < (int)n_cols)\n\
+                 win_in[i] = {read};"
+        )
+    };
+    let write = fused_value_chain(
         post,
-        &format!("{}(in, row, col, n_rows, n_cols)", stencil.name),
+        si + 1,
+        &format!(
+            "{user}(win_in, get_local_id(1) + halo,\n\
+                     get_local_id(0) + halo, wh, ww)"
+        ),
+        "row * n_cols + col",
         "",
     );
-    let (zip_params, n_zips) = fused_zip_params(stages);
-    let source = format!(
-        "// generated by SkelCL codegen: fused stencil pipeline, radius {radius}, {boundary} boundary\n\
-         // {} pre-stage(s) fused into the neighbourhood reads, {} post-stage(s) into the write.\n\
-         inline {in_t} stencil_at(__global const {in_t}* in, int row, int col,\n\
-                                  uint n_rows, uint n_cols, int dr, int dc) {{\n\
-             {resolve}\n\
-             return {read_chain};\n\
-         }}\n\
-         {}\n\
-         __kernel void skelcl_fused_stencil2d(__global const {in_t}* restrict in,\n\
-                                  __global {out_t}* restrict out{zip_params},\n\
-                                  const uint n_rows,\n\
-                                  const uint n_cols,\n\
-                                  const uint row_offset) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1) + row_offset;\n\
-             if (row < n_rows && col < n_cols) {{\n\
-                 out[row * n_cols + col] = {write_chain};\n\
-             }}\n\
-         }}\n",
-        pre.len(),
-        post.len(),
-        fused_sources(stages),
-    );
-    Program::from_source(
-        program_name(
-            &format!("fused_stencil2d_r{radius}_{boundary}"),
-            &fused_chain_name(stages),
-            &[in_t, out_t],
-        ),
-        source,
-    )
-    .with_arg_count(5 + n_zips)
-}
-
-/// Generate the block program behind [`crate::Stencil2D::iterate`]: each
-/// work-group loads its tile's window (`rounds · radius` cells beyond the
-/// tile on every side) into local memory once, steps `rounds` rounds
-/// between two windows, and writes its tile once. The round count is a
-/// kernel argument and the two windows are `__local` arguments sized at
-/// launch, so one program serves every block length and part shape. Under
-/// `neumann` the window cells outside the matrix are refreshed from their
-/// clamp targets after the load and after every round; under `zero` they
-/// keep the zero they start with; `wrap` loads every cell modulo the matrix
-/// dimensions. The user function is pasted with its pointer in the local
-/// address space, and `stencil_at` reads the window without boundary
-/// arithmetic.
-pub fn stencil2d_block_program(
-    stencil: &FusedStage,
-    t: &str,
-    radius: usize,
-    boundary: &str,
-) -> Program {
-    let user = &stencil.name;
-    let load = if boundary == "wrap" {
-        "win_in[i] = in[((rr % (int)n_rows + (int)n_rows) % (int)n_rows) * n_cols\n\
-                        + (cc % (int)n_cols + (int)n_cols) % (int)n_cols];"
-            .to_string()
-    } else {
-        "if (rr >= 0 && rr < (int)n_rows && cc >= 0 && cc < (int)n_cols)\n\
-                 win_in[i] = in[rr * n_cols + cc];"
-            .to_string()
-    };
     // Only windows reaching past the matrix edge have cells to refresh;
     // the test is uniform across the work-group.
     let refresh = |win: &str| {
@@ -741,18 +770,64 @@ pub fn stencil2d_block_program(
             String::new()
         }
     };
-    let (refresh_in, refresh_out) = (refresh("win_in"), refresh("win_out"));
-    // Cells outside the matrix are never computed: `neumann` refreshes
-    // them, `zero` keeps them zero.
-    let inside = if boundary == "wrap" {
-        ""
+    let refresh_in = refresh("win_in");
+    let (what, does, params, halo, round_loop) = if rounds {
+        // Cells outside the matrix are never computed: `neumann` refreshes
+        // them, `zero` keeps them zero.
+        let inside = if wrap {
+            ""
+        } else {
+            " && row0 + (int)wr >= 0 && row0 + (int)wr < (int)n_rows \
+             && col0 + (int)wc >= 0 && col0 + (int)wc < (int)n_cols"
+        };
+        let refresh_out = refresh("win_out");
+        (
+            "blocked stencil",
+            "steps `rounds` rounds of its tiles in local memory",
+            format!(
+                "const uint rounds,\n\
+                 __local {t}* win_in,\n\
+                 __local {t}* win_out"
+            ),
+            "rounds * ",
+            format!(
+                "for (uint j = 1; j < rounds; ++j) {{\n\
+                     uint m = j * {radius};\n\
+                     for (uint i = lane; i < ww * wh; i += lw * lh) {{\n\
+                         uint wr = i / ww;\n\
+                         uint wc = i % ww;\n\
+                         if (wr >= m && wr < wh - m && wc >= m && wc < ww - m{inside})\n\
+                             win_out[i] = {user}(win_in, wr, wc, wh, ww);\n\
+                     }}\n\
+                     barrier(CLK_LOCAL_MEM_FENCE);\n\
+                     {refresh_out}\n\
+                     __local {t}* swap = win_in;\n\
+                     win_in = win_out;\n\
+                     win_out = swap;\n\
+                 }}\n"
+            ),
+        )
     } else {
-        " && row0 + (int)wr >= 0 && row0 + (int)wr < (int)n_rows \
-         && col0 + (int)wc >= 0 && col0 + (int)wc < (int)n_cols"
+        (
+            "staged stencil group",
+            "computes its tiles once from a local-memory window",
+            format!("__local {t}* win_in"),
+            "",
+            String::new(),
+        )
     };
+    let (zip_params, n_zips) = fused_zip_params(stages);
+    let sources = stages
+        .iter()
+        .map(|s| match s.kind {
+            "map" | "zip" => s.source.clone(),
+            _ => s.source.replace("__global", "__local"),
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
     let source = format!(
-        "// generated by SkelCL codegen: blocked stencil, radius {radius}, {boundary} boundary\n\
-         // One launch steps `rounds` rounds of its tiles in local memory.\n\
+        "// generated by SkelCL codegen: {what}, radius {radius}, {boundary} boundary\n\
+         // One launch {does}.\n\
          inline {t} stencil_at(__local const {t}* in, int row, int col,\n\
                                uint n_rows, uint n_cols, int dr, int dc) {{\n\
              return in[(row + dr) * (int)n_cols + col + dc];\n\
@@ -765,19 +840,17 @@ pub fn stencil2d_block_program(
                  win[i] = win[tr * (int)ww + tc];\n\
              }}\n\
          }}\n\
-         {}\n\
-         __kernel void skelcl_stencil2d_block(__global const {t}* restrict in,\n\
-                                              __global {t}* restrict out,\n\
+         {sources}\n\
+         __kernel void skelcl_stencil2d_block(__global const {in_t}* restrict in,\n\
+                                              __global {out_t}* restrict out{zip_params},\n\
                                               const uint n_rows,\n\
                                               const uint n_cols,\n\
                                               const uint row_offset,\n\
-                                              const uint rounds,\n\
-                                              __local {t}* win_in,\n\
-                                              __local {t}* win_out) {{\n\
+                                              {params}) {{\n\
              uint lw = get_local_size(0);\n\
              uint lh = get_local_size(1);\n\
              uint lane = get_local_id(1) * lw + get_local_id(0);\n\
-             uint halo = rounds * {radius};\n\
+             uint halo = {halo}{radius};\n\
              uint ww = lw + 2 * halo;\n\
              uint wh = lh + 2 * halo;\n\
              int col0 = (int)(get_group_id(0) * lw) - (int)halo;\n\
@@ -789,38 +862,28 @@ pub fn stencil2d_block_program(
              }}\n\
              barrier(CLK_LOCAL_MEM_FENCE);\n\
              {refresh_in}\n\
-             for (uint j = 1; j < rounds; ++j) {{\n\
-                 uint m = j * {radius};\n\
-                 for (uint i = lane; i < ww * wh; i += lw * lh) {{\n\
-                     uint wr = i / ww;\n\
-                     uint wc = i % ww;\n\
-                     if (wr >= m && wr < wh - m && wc >= m && wc < ww - m{inside})\n\
-                         win_out[i] = {user}(win_in, wr, wc, wh, ww);\n\
-                 }}\n\
-                 barrier(CLK_LOCAL_MEM_FENCE);\n\
-                 {refresh_out}\n\
-                 __local {t}* swap = win_in;\n\
-                 win_in = win_out;\n\
-                 win_out = swap;\n\
-             }}\n\
+             {round_loop}\
              uint col = get_global_id(0);\n\
              uint row = get_global_id(1) + row_offset;\n\
              if (row < n_rows && col < n_cols) {{\n\
-                 out[row * n_cols + col] = {user}(win_in, get_local_id(1) + halo,\n\
-                                                  get_local_id(0) + halo, wh, ww);\n\
+                 out[row * n_cols + col] = {write};\n\
              }}\n\
          }}\n",
-        stencil.source.replace("__global", "__local"),
     );
+    let (name, types): (String, &[&str]) = if rounds {
+        (user.clone(), &[in_t])
+    } else {
+        (fused_chain_name(stages), &[in_t, out_t])
+    };
     Program::from_source(
         program_name(
             &format!("stencil2d_block_r{radius}_{boundary}"),
-            &stencil.name,
-            &[t],
+            &name,
+            types,
         ),
         source,
     )
-    .with_arg_count(8)
+    .with_arg_count(if rounds { 8 } else { 6 + n_zips })
 }
 
 /// Generate a fused row-reduction program: the element-wise chain runs on
@@ -835,7 +898,7 @@ pub fn fused_reduce_rows_program(
     in_t: &str,
     out_t: &str,
 ) -> Program {
-    let chain = fused_value_chain(stages, "in[row * n_cols + c]", "");
+    let chain = fused_value_chain(stages, 0, "in[row * n_cols + c]", "row * n_cols + c", "");
     let (zip_params, n_zips) = fused_zip_params(stages);
     let full_name = if stages.is_empty() {
         reduce_name.to_string()
@@ -886,7 +949,7 @@ pub fn fused_allpairs_program(
     out_t: &str,
     tile: usize,
 ) -> Program {
-    let write_chain = fused_value_chain(post, "acc", "");
+    let write_chain = fused_value_chain(post, 0, "acc", "row * n + col", "");
     let post_sources = fused_sources(post);
     let full_name = format!("{zip_name}_{reduce_name}+{}", fused_chain_name(post));
     if tile == 0 {
@@ -1046,6 +1109,89 @@ mod tests {
         // correctness).
         assert_ne!(a.hash(), program("float f(float x){return x+2;}", 0).hash());
         assert_ne!(a.hash(), program("float f(float x){return x+1;}", 1).hash());
+    }
+
+    fn stencil_stage() -> FusedStage {
+        FusedStage::new(
+            "stencil",
+            "cross",
+            "float cross(__global float* in, int r, int c, uint nr, uint nc) { return 0.0f; }",
+            1,
+        )
+    }
+
+    fn zip_stage() -> FusedStage {
+        FusedStage::new("zip", "add", "float add(float x, float y){return x+y;}", 1)
+            .with_operand("float")
+    }
+
+    #[test]
+    fn zip_operands_are_read_where_their_stage_runs() {
+        // Before the stencil: at the loaded window cell.
+        let pre = stencil2d_block_program(
+            &[zip_stage(), stencil_stage()],
+            "float",
+            "float",
+            "float",
+            1,
+            "neumann",
+        );
+        assert!(pre
+            .source
+            .contains("win_in[i] = add(in[rr * n_cols + cc], op0[rr * n_cols + cc]);"));
+        assert!(pre.source.contains("__global const float* restrict op0"));
+        assert_eq!(pre.n_args, 7);
+        // After the stencil: at the output element.
+        let post = stencil2d_block_program(
+            &[stencil_stage(), zip_stage()],
+            "float",
+            "float",
+            "float",
+            1,
+            "zero",
+        );
+        assert!(post.source.contains("ww), op1[row * n_cols + col]);"));
+        assert!(post.source.contains("__global const float* restrict op1"));
+        // Folded into a row reduction: at the folded element.
+        let fold = fused_reduce_rows_program(
+            &[zip_stage()],
+            "sum",
+            "float sum(float x, float y){return x+y;}",
+            "float",
+            "float",
+        );
+        assert!(fold
+            .source
+            .contains("acc = sum(acc, add(in[row * n_cols + c], op0[row * n_cols + c]));"));
+        for p in [&pre, &post, &fold] {
+            assert!(!p.source.contains("[i])"), "{}", p.source);
+        }
+    }
+
+    #[test]
+    fn only_a_lone_same_type_stencil_steps_rounds() {
+        let lone =
+            stencil2d_block_program(&[stencil_stage()], "float", "float", "float", 1, "wrap");
+        assert_eq!(lone.n_args, 8);
+        assert!(lone.source.contains("const uint rounds"));
+        assert!(lone.source.contains("__local float* win_out"));
+        let map = FusedStage::new("map", "neg", "float neg(float x){return -x;}", 1);
+        for group in [
+            stencil2d_block_program(&[stencil_stage()], "float", "float", "int", 1, "wrap"),
+            stencil2d_block_program(
+                &[map, stencil_stage()],
+                "float",
+                "float",
+                "float",
+                1,
+                "wrap",
+            ),
+        ] {
+            assert_eq!(group.n_args, 6, "{}", group.name);
+            assert!(!group.source.contains("rounds"), "{}", group.source);
+            assert!(!group.source.contains("win_out"), "{}", group.source);
+            assert_ne!(group.hash(), lone.hash());
+        }
     }
 
     #[test]

@@ -34,8 +34,9 @@
 //! * the lazy **[`Pipeline`] fusion subsystem**: skeleton calls compose
 //!   into a deferred expression that fuses adjacent element-wise stages
 //!   into their neighbouring stencil/reduce kernels at launch time —
-//!   eliding every intermediate matrix — behind the fused Canny edge
-//!   detector (see *Pipelines and fusion* below),
+//!   eliding every intermediate matrix — and runs every stencil group as
+//!   a one-round block of `iterate`'s local-memory launcher, behind the
+//!   fused Canny edge detector (see *Pipelines and fusion* below),
 //! * and the **async overlap subsystem**: per-device copy streams with
 //!   event-ordered transfers, so the overlapped `iterate` schedule runs
 //!   halo exchanges *under* interior kernels and streamed uploads
@@ -57,7 +58,7 @@
 //! | [`ReduceCols`]  | [`Matrix`] → [`Vector`] | associative `T f(T, T)` + id  | any matrix                                |
 //! | [`ReduceRowsArg`] | [`Matrix`] → value + index [`Vector`]s | strict `bool f(T, T)` | any matrix                  |
 //! | [`ReduceColsArg`] | [`Matrix`] → value + index [`Vector`]s | strict `bool f(T, T)` | any matrix                  |
-//! | [`Pipeline`]    | [`Matrix`]            | lazy `map`/`zip_with`/`stencil` chain, fused per stencil anchor | any matrix |
+//! | [`Pipeline`]    | [`Matrix`]            | lazy `map`/`zip_with`/`stencil` chain, fused per stencil anchor, each anchor one local-memory block | any matrix |
 //! | Canny (`skelcl-imgproc`) | [`Matrix`] → labels + host hysteresis | gauss → sobel → nms → threshold via [`Pipeline`] (3 fused launches) | `Single`, `Copy`, `RowBlock { halo }` |
 //!
 //! (Plus the with-arguments variants [`MapArgs`], [`MapVoid`], [`ZipArgs`].
@@ -413,8 +414,13 @@
 //! element-wise stages fold into the *reads* of the next stencil (or the
 //! k-fold of a reduction) and into the *writes* of the previous one, so
 //! each stencil anchor becomes exactly one fused launch and no
-//! intermediate matrix ever exists. A stencil stage takes the same
-//! [`Stencil2DView`] user function as [`Stencil2D`]. The fused OpenCL
+//! intermediate matrix ever exists. Each stencil group runs as a
+//! one-round block of [`Stencil2D::iterate`]'s launcher: a work-group
+//! loads its tile's window into local memory once, applying the stages
+//! before the stencil as each cell loads, so every input cell is read
+//! from global memory about once per group instead of once per tap. A
+//! stencil stage takes the same [`Stencil2DView`] user function as
+//! [`Stencil2D`]. The fused OpenCL
 //! programs come from dedicated [`codegen`] builders and are cached in the
 //! [`ProgramRegistry`] under a key derived from the exact stage chain —
 //! same chain, same program. Results are **bit-identical** to the unfused

@@ -7,11 +7,12 @@
 //! one launch (and one intermediate [`Matrix`]) per stage:
 //!
 //! * Element-wise stages (`map` / `zip_with`) never launch on their own.
-//!   A chain *before* a stencil fuses into the stencil's neighbourhood
-//!   reads; a chain *after* a stencil (or between two stencils) fuses
-//!   into the earlier stencil's writes, so each fused value is computed
-//!   once per element. An all-element-wise pipeline collapses into a
-//!   single fused map kernel; an empty pipeline launches nothing.
+//!   A chain *before* a stencil fuses into the load of the stencil's
+//!   local-memory window, so it runs once per loaded cell; a chain *after*
+//!   a stencil (or between two stencils) fuses into the earlier stencil's
+//!   writes, so it runs once per element. An all-element-wise pipeline
+//!   collapses into a single fused map kernel; an empty pipeline launches
+//!   nothing.
 //! * Each `stencil` / `stencil_pair` stage anchors one group: radius-wide
 //!   neighbourhood reads force materialized input rows (with coherent
 //!   halos), exactly as in [`Stencil2D`](crate::Stencil2D).
@@ -23,8 +24,12 @@
 //! Fused programs are generated by the `codegen` fused builders and cached
 //! in the [`ProgramRegistry`](crate::ProgramRegistry) under the joined
 //! stage names, like any single-skeleton program. Stencil groups launch
-//! through the same per-part launcher, view and program family as
-//! [`Stencil2D`](crate::Stencil2D). Element-wise groups, every
+//! as one-round blocks through the block launcher of
+//! [`Stencil2D::iterate`](crate::Stencil2D::iterate), from the programs of
+//! its generator, [`codegen::stencil2d_block_program`]: every work-group
+//! reads each cell of its window from global memory once, and a one-stage
+//! group over a same-type stencil builds exactly `iterate`'s program.
+//! Element-wise groups, every
 //! [`Map`](crate::Map) and [`Zip`](crate::Zip) variant and the `Copy`
 //! merge share one launcher, `launch_elementwise`, and one program
 //! generator, [`codegen::elementwise_program`]: a one-stage group builds
@@ -33,9 +38,7 @@
 //! The technique follows the expression-template fusion of Demidov et al.
 //! ("Programming CUDA and OpenCL: A Case Study Using Modern C++
 //! Libraries"): composition happens in the type system, so every fused
-//! kernel body is fully monomorphized except for one dynamic read closure
-//! inside the neighbourhood access of a stencil with element-wise stages
-//! fused into its reads.
+//! kernel body is fully monomorphized.
 
 use std::any::Any;
 use std::marker::PhantomData;
@@ -48,9 +51,9 @@ use crate::error::{Error, Result};
 use crate::matrix::{exchange_part_halos, Matrix, MatrixDistribution, MatrixPart};
 use crate::meter;
 use crate::skeletons::stencil2d::{
-    stale_free, stencil_input_layout, Boundary2D, Stencil2DView, StencilKernel,
+    stale_free, stencil_input_layout, window_rounds, BlockKernel, Boundary2D, Stencil2DView,
 };
-use crate::skeletons::{alloc_matching_matrix_parts, linear_range};
+use crate::skeletons::{alloc_matching_matrix_parts, linear_range, range_2d};
 use crate::vector::{Distribution, Vector};
 use vgpu::{CompiledKernel, Event, Item, KernelBody, Order, Scalar as Element};
 
@@ -89,6 +92,10 @@ pub struct PlanGeom {
 /// the part's span) address the element for stages that read operands or
 /// arguments of their own.
 pub trait PixelOp<I: Element, O: Element>: Send + Sync + Clone + 'static {
+    /// Whether the op runs no stage: `x` passes through, and a launcher has
+    /// no work of it to meter.
+    const IDENTITY: bool = false;
+
     fn apply(&self, it: &Item<'_>, part: usize, i: usize, x: I) -> O;
 }
 
@@ -108,6 +115,8 @@ impl<T> Clone for OpId<T> {
 }
 
 impl<T: Element> PixelOp<T, T> for OpId<T> {
+    const IDENTITY: bool = true;
+
     #[inline]
     fn apply(&self, _it: &Item<'_>, _part: usize, _i: usize, x: T) -> T {
         x
@@ -257,6 +266,8 @@ where
     A: PixelOp<I, M>,
     B: PixelOp<M, O>,
 {
+    const IDENTITY: bool = A::IDENTITY && B::IDENTITY;
+
     #[inline]
     fn apply(&self, it: &Item<'_>, part: usize, i: usize, x: I) -> O {
         let m = self.a.apply(it, part, i, x);
@@ -418,8 +429,8 @@ where
 
 /// An unlaunched stencil group over an inner plan. Settling it launches
 /// one fused kernel per part: the inner chain's pending element-wise
-/// stages run inside the neighbourhood reads, the suffix op runs at the
-/// write site, and the output starts a fresh stage-free [`ElemPlan`].
+/// stages run as the window loads, the suffix op runs at the write site,
+/// and the output starts a fresh stage-free [`ElemPlan`].
 pub struct LazyStencil<P, E, A: Element, I: Element> {
     inner: P,
     eval: E,
@@ -468,10 +479,12 @@ where
 // Fused launches.
 // ---------------------------------------------------------------------------
 
-/// Launch one fused stencil group: per part, one kernel whose neighbourhood
-/// reads run `pre`'s pending chain, whose centre runs `eval`, and whose
-/// single write runs `post_op`. Owned rows only — halo rows of the output
-/// go stale exactly as for `Stencil2D`.
+/// Launch one fused stencil group: per part, one block launch of one round
+/// whose work-groups load their windows through `pre`'s pending chain, run
+/// `eval` on every owned cell and write it through `post_op`. Owned rows
+/// only — halo rows of the output go stale exactly as for `Stencil2D`. A
+/// window that cannot fit local memory fails with
+/// [`vgpu::Error::LocalMemExceeded`] before anything is enqueued.
 fn launch_stencil_group<J, OpPre, A, E, I, V, G>(
     pre: ElemPlan<J, OpPre, A>,
     eval: E,
@@ -501,7 +514,8 @@ where
     let ctx = geom.ctx.clone();
     let (rows, cols) = (geom.rows, geom.cols);
 
-    let fused_reads = !pre_stages.is_empty();
+    let load_ops = pre_stages.iter().map(|s| s.static_ops).sum();
+    let static_ops = stage.static_ops + post_stages.iter().map(|s| s.static_ops).sum::<u64>();
     let mut all_stages = pre_stages;
     all_stages.push(stage);
     all_stages.extend(post_stages);
@@ -512,6 +526,12 @@ where
     span.attr("radius", radius.to_string());
     span.attr("devices", ctx.n_devices().to_string());
 
+    // One window per work-group, checked before anything is enqueued or
+    // built.
+    let group = range_2d(&ctx, cols, rows).local;
+    let group = (group[0], group[1]);
+    window_rounds::<A>(&ctx, group, radius, 1, 1)?;
+
     // Halo coherence before reading beyond owned rows (wrapped runs only
     // refresh under Wrap, as in Stencil2D::iterate).
     if !halos_fresh {
@@ -519,27 +539,31 @@ where
         exchange_part_halos(&ctx, &parts, rows, cols, skip_wrapped)?;
     }
 
-    let program = codegen::fused_stencil2d_program(
+    let program = codegen::stencil2d_block_program(
         &all_stages,
         J::TYPE_NAME,
+        A::TYPE_NAME,
         V::TYPE_NAME,
         radius,
         boundary.codegen_name(),
     );
-    let kernel = StencilKernel {
+    let kernel = BlockKernel {
         compiled: ctx.get_or_build(&program)?,
         eval,
         pre: pre_op,
-        fused_reads,
         post: post_op,
-        static_ops: all_stages.iter().map(|s| s.static_ops).sum(),
+        load_ops,
+        static_ops,
         radius,
         boundary,
         n_rows: rows,
+        group,
         _pd: PhantomData,
     };
     let out_parts: Vec<MatrixPart<V>> = alloc_matching_matrix_parts(&ctx, &parts)?;
-    kernel.launch_parts(&ctx, &parts, &out_parts)?;
+    for (pi, (ip, op)) in parts.iter().zip(&out_parts).enumerate() {
+        kernel.launch(&ctx, pi, ip, op, &kernel.tiles(ip), 1, Order::Device)?;
+    }
     ctx.metrics().counter("skelcl.pipeline.groups").inc();
     ctx.metrics()
         .counter("skelcl.pipeline.stages_fused")
@@ -594,7 +618,9 @@ impl<Op> ElementwiseKernel<Op> {
 /// band's `len × cols` contiguous row-major elements. `out` has `ip`'s
 /// geometry and may be `ip` itself (an in-place fold), or is `None` to
 /// write nothing (`MapVoid`).
-/// `order` goes straight to the launch, as in `StencilKernel::launch_part`.
+/// `order` goes straight to the launch: [`Order::Device`] for the
+/// device-ordered launch, or [`Order::After`] to order it only by the main
+/// queue, the listed events and the compute engine.
 /// Returns the launch event, or `None` when the band is empty.
 pub(crate) fn launch_elementwise<J, I, Op>(
     ctx: &Context,
@@ -1685,6 +1711,96 @@ mod tests {
         st.apply(&st.apply(&test_matrix(&ctx, 16, 9, 11)).unwrap())
             .unwrap();
         assert_eq!(ctx.halo_exchange_count() - before, fused);
+    }
+
+    /// Cells inside a `rows × cols` matrix of every window `radius` cells
+    /// around the matrix's `(lx, ly)` tiles.
+    fn window_cells(rows: usize, cols: usize, (lx, ly): (usize, usize), radius: usize) -> u64 {
+        let clip = |lo: usize, len: usize, n: usize| {
+            (lo + len + radius).min(n) - lo.saturating_sub(radius)
+        };
+        let mut cells = 0;
+        for r0 in (0..rows).step_by(ly) {
+            for c0 in (0..cols).step_by(lx) {
+                cells += clip(r0, ly.min(rows - r0), rows) * clip(c0, lx.min(cols - c0), cols);
+            }
+        }
+        cells as u64
+    }
+
+    #[test]
+    fn a_staged_group_reads_each_window_cell_once() {
+        // One device, 16×4 work-groups, Neumann: each window loads the
+        // cells inside the matrix, and the zip before the stencil reads its
+        // operand once per loaded cell. The taps read local memory.
+        let c = ctx(1);
+        let (rows, cols) = (10, 20);
+        let m = test_matrix(&c, rows, cols, 12);
+        let other = test_matrix(&c, rows, cols, 13);
+        let before = c.platform().stats_snapshot();
+        Pipeline::start::<f32>()
+            .zip_with(&other, add_fn())
+            .stencil(cross_user(), 1, Boundary2D::Neumann)
+            .map(square_fn())
+            .run(&m)
+            .unwrap();
+        let delta = c.platform().stats_snapshot() - before;
+        assert_eq!(delta.kernel_launches, 1);
+        let loads = window_cells(rows, cols, (16, 4), 1) * 2 * 4;
+        let writes = (rows * cols * 4) as u64;
+        assert_eq!(delta.kernel_global_bytes, loads + writes);
+    }
+
+    #[test]
+    fn a_one_stage_pipeline_stencil_runs_the_program_iterate_built() {
+        let c = ctx(2);
+        let m = test_matrix(&c, 16, 9, 14);
+        Stencil2D::new(cross_user(), 1, Boundary2D::Wrap)
+            .iterate(&m, 1)
+            .unwrap();
+        let misses = c.program_cache_misses();
+        Pipeline::start::<f32>()
+            .stencil(cross_user(), 1, Boundary2D::Wrap)
+            .run(&m)
+            .unwrap();
+        assert_eq!(c.program_cache_misses(), misses, "no registry miss");
+    }
+
+    #[test]
+    fn a_group_whose_window_cannot_fit_fails_before_anything_is_enqueued() {
+        // Radius 12 with 16×4 work-groups: one 40×28 window of floats
+        // needs 4480 bytes of the tiny device's 4096.
+        let c = ctx(2);
+        let m = test_matrix(&c, 32, 16, 15);
+        m.set_distribution(MatrixDistribution::RowBlock { halo: 12 })
+            .unwrap();
+        m.ensure_on_devices().unwrap();
+        let far = UserFn::new(
+            "far",
+            "float far(__global float* in, int r, int c, uint nr, uint nc) { /* rows +-12 */ }",
+            |v: &Stencil2DView<'_, f32>| v.get(-12, 0) + v.get(12, 0),
+        );
+        let used = |c: &Context| (0..2).map(|d| c.device(d).used_bytes()).collect::<Vec<_>>();
+        let (stats, bytes, built) = (c.platform().stats_snapshot(), used(&c), c.programs_built());
+        let err = Pipeline::start::<f32>()
+            .map(scale_fn())
+            .stencil(far, 12, Boundary2D::Zero)
+            .run(&m)
+            .expect_err("the window cannot fit");
+        assert!(
+            matches!(
+                err,
+                Error::Platform(vgpu::Error::LocalMemExceeded {
+                    requested: 4480,
+                    limit: 4096
+                })
+            ),
+            "{err}"
+        );
+        let delta = c.platform().stats_snapshot() - stats;
+        assert_eq!(delta.kernel_launches, 0, "nothing is launched");
+        assert_eq!(used(&c), bytes, "nothing is allocated");
+        assert_eq!(c.programs_built(), built, "nothing is built");
     }
 
     #[test]

@@ -16,15 +16,20 @@
 //! replicates the edge element (zero-gradient), `Wrap` treats the matrix as
 //! a torus, `Zero` reads the element type's default.
 //!
-//! Every one-round stencil launch — [`Stencil2D::apply`],
-//! [`Stencil2D::apply_streamed`], [`Stencil2D::iterate_serial`] and the
-//! stencil groups of a [`Pipeline`](crate::Pipeline) — goes through one
-//! per-part launcher over one view type and one generated program family
-//! ([`codegen::fused_stencil2d_program`]). A `Stencil2D` is the stencil
-//! group with no element-wise stage fused into it. [`Stencil2D::iterate`]
-//! runs the same user function over the same view type from a block
-//! program ([`codegen::stencil2d_block_program`]) that steps several
-//! rounds per launch in work-group local memory.
+//! Two launchers run the user function over one view type.
+//! [`Stencil2D::iterate`] and every stencil group of a
+//! [`Pipeline`](crate::Pipeline) go through the block launcher: each
+//! work-group loads its tile's window into local memory once (one counted
+//! global read per cell inside the matrix, with a pipeline group's fused
+//! element-wise stages applied as the cell loads), steps its rounds there
+//! and writes its tile once. `iterate` steps several rounds per launch, a
+//! pipeline group one; one generator emits both programs
+//! ([`codegen::stencil2d_block_program`]). [`Stencil2D::apply`],
+//! [`Stencil2D::apply_streamed`] and [`Stencil2D::iterate_serial`] keep
+//! the one-round kernel whose every tap is a global read
+//! ([`codegen::stencil2d_program`]): the fusion property suite checks every
+//! pipeline group against them, and `fig_overlap`'s upload leg overlaps
+//! `apply_streamed`'s taps with the upload.
 
 use crate::codegen::{self, UserFn};
 use crate::context::Context;
@@ -34,9 +39,10 @@ use crate::matrix::{
     MatrixDistribution, MatrixPart, PartExchange, UploadChunk,
 };
 use crate::meter;
-use crate::skeletons::pipeline::{same_type, stage_of, OpId, PixelOp};
+use crate::skeletons::pipeline::{stage_of, OpId, PixelOp};
 use crate::skeletons::{alloc_matching_matrix_parts, range_2d};
 use crate::trace::SpanGuard;
+use std::any::Any;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use vgpu::{
@@ -68,12 +74,8 @@ impl Boundary2D {
 
 /// Where a view's neighbourhood reads come from.
 enum Taps<'a, T: Element> {
-    /// The part buffer itself: no element-wise stage is fused into the
-    /// reads.
+    /// The part buffer itself: a one-round launch's counted global reads.
     Buffer(&'a Buffer<T>, &'a Item<'a>),
-    /// The element-wise stages fused before a pipeline stencil, applied to
-    /// the part buffer's element at `(span_row, col)`.
-    Fused(&'a (dyn Fn(usize, usize) -> T + 'a)),
     /// A block launch's local-memory window, which already holds every
     /// neighbour with its boundary resolved: a tap is one local read at
     /// `centre + dr · stride + dc`.
@@ -87,7 +89,8 @@ enum Taps<'a, T: Element> {
 /// The customizing function's view of one stencil application: counted
 /// access to the `[-radius, +radius]²` neighbourhood of its element. In a
 /// [`Pipeline`](crate::Pipeline) stencil stage a read returns the value of
-/// the element-wise stages fused before it at that position.
+/// the element-wise stages fused before it at that position, computed once
+/// per cell as the window loads.
 pub struct Stencil2DView<'a, T: Element> {
     taps: Taps<'a, T>,
     /// Matrix width (also the part buffer's row stride).
@@ -174,7 +177,6 @@ impl<'a, T: Element> Stencil2DView<'a, T> {
         let (span_row, col) = (span_row as usize, col as usize);
         match self.taps {
             Taps::Buffer(buf, item) => item.read(buf, span_row * self.cols + col),
-            Taps::Fused(read) => read(span_row, col),
             Taps::Window { .. } => unreachable!("window taps return above"),
         }
     }
@@ -194,9 +196,6 @@ impl<'a, T: Element> Stencil2DView<'a, T> {
     }
 }
 
-/// The kernel of a `Stencil2D` over `T` producing `U`: nothing fused.
-type Stencil2DKernel<T, U, F> = StencilKernel<T, T, U, U, F, OpId<T>, OpId<U>>;
-
 /// The Stencil2D skeleton.
 pub struct Stencil2D<T: Element, U: Element, F> {
     user: UserFn<F>,
@@ -213,11 +212,10 @@ where
     F: Fn(&Stencil2DView<'_, T>) -> U + Send + Sync + Clone + 'static,
 {
     pub fn new(user: UserFn<F>, radius: usize, boundary: Boundary2D) -> Self {
-        // The one-stage member of the fused stencil family: `apply`,
-        // `apply_streamed`, `iterate` and a one-stage pipeline stencil over
-        // the same function all run this one program.
-        let program = codegen::fused_stencil2d_program(
-            &[stage_of("stencil", &user)],
+        // The one-round program of `apply`, `apply_streamed` and
+        // `iterate_serial`.
+        let program = codegen::stencil2d_program(
+            &stage_of("stencil", &user),
             T::TYPE_NAME,
             U::TYPE_NAME,
             radius,
@@ -253,15 +251,11 @@ where
         span
     }
 
-    /// The stencil kernel with nothing fused into it, over a matrix of
-    /// `n_rows` rows.
-    fn kernel(&self, ctx: &Context, n_rows: usize) -> Result<Stencil2DKernel<T, U, F>> {
+    /// The one-round kernel over a matrix of `n_rows` rows.
+    fn kernel(&self, ctx: &Context, n_rows: usize) -> Result<StencilKernel<T, U, F>> {
         Ok(StencilKernel {
             compiled: ctx.get_or_build(&self.program)?,
             eval: self.user.func().clone(),
-            pre: OpId::new(),
-            fused_reads: false,
-            post: OpId::new(),
             static_ops: self.user.static_ops(),
             radius: self.radius,
             boundary: self.boundary,
@@ -319,11 +313,10 @@ where
         let (in_parts, upload_chunks) = input.parts_with_upload_chunks(chunk_rows)?;
         let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
 
-        for (pi, (ip, chunks)) in in_parts.iter().zip(&upload_chunks).enumerate() {
-            let op = &out_parts[pi];
+        for ((ip, chunks), op) in in_parts.iter().zip(&upload_chunks).zip(&out_parts) {
             if chunks.is_empty() {
                 // Already resident: the plain device-serializing launch.
-                kernel.launch_part(&ctx, pi, ip, op, ip.owned_span(), Order::Device)?;
+                kernel.launch_part(&ctx, ip, op, ip.owned_span(), Order::Device)?;
                 continue;
             }
             // Launch in chunk-aligned owned-row bands, each depending on
@@ -333,7 +326,7 @@ where
                 let len = chunk_rows.min(ip.rows - start);
                 let deps = covering_chunks(chunks, ip, self.radius, self.boundary, start, len);
                 let band = (ip.halo_above + start, len);
-                kernel.launch_part(&ctx, pi, ip, op, band, Order::After(&deps))?;
+                kernel.launch_part(&ctx, ip, op, band, Order::After(&deps))?;
                 start += len;
             }
         }
@@ -428,11 +421,15 @@ where
 
     /// The generated block program [`Stencil2D::iterate`] launches (its
     /// round count is a kernel argument; see
-    /// [`codegen::stencil2d_block_program`]). [`Stencil2D::program`] is the
-    /// one-round program every other launch path runs.
+    /// [`codegen::stencil2d_block_program`]), which a one-stage
+    /// [`Pipeline`](crate::Pipeline) stencil over the same function shares.
+    /// [`Stencil2D::program`] is the one-round program of `apply`,
+    /// `apply_streamed` and `iterate_serial`.
     pub fn block_program(&self) -> Program {
         codegen::stencil2d_block_program(
-            &stage_of("stencil", &self.user),
+            &[stage_of("stencil", &self.user)],
+            T::TYPE_NAME,
+            T::TYPE_NAME,
             T::TYPE_NAME,
             self.radius,
             self.boundary.codegen_name(),
@@ -507,10 +504,13 @@ where
         // Checked before anything is enqueued or built.
         let group = range_2d(&ctx, cols, n_rows).local;
         let group = (group[0], group[1]);
-        let fit = window_rounds::<T>(&ctx, group, radius, max_block)?;
+        let fit = window_rounds::<T>(&ctx, group, radius, 2, max_block)?;
         let kernel = BlockKernel {
             compiled: ctx.get_or_build(&self.block_program())?,
             eval: self.user.func().clone(),
+            pre: OpId::new(),
+            post: OpId::new(),
+            load_ops: 0,
             static_ops: self.user.static_ops(),
             radius,
             boundary: self.boundary,
@@ -548,9 +548,9 @@ where
         let mut producers: Vec<Vec<Event>> = (0..ctx.n_devices())
             .map(|d| vec![ctx.queue(d).enqueue_marker()])
             .collect();
-        for (ip, op) in in_parts.iter().zip(&sets[0]) {
+        for (pi, (ip, op)) in in_parts.iter().zip(&sets[0]).enumerate() {
             let order = Order::After(&producers[ip.device]);
-            if let Some(ev) = kernel.launch(&ctx, ip, op, &kernel.tiles(ip), 1, order)? {
+            if let Some(ev) = kernel.launch(&ctx, pi, ip, op, &kernel.tiles(ip), 1, order)? {
                 producers[ip.device] = vec![ev];
             }
         }
@@ -579,7 +579,7 @@ where
                 let tiles = kernel.tiles(ip);
                 let after_readers = Order::After(&outgoing[pi]);
                 let produced = if incoming.is_empty() {
-                    kernel.launch(&ctx, ip, op, &tiles, len, after_readers)?
+                    kernel.launch(&ctx, pi, ip, op, &tiles, len, after_readers)?
                 } else {
                     // Interior tiles first: they read no halo row, so the
                     // in-order queue starts them while the exchange still
@@ -587,9 +587,9 @@ where
                     let (interior, edge): (Vec<_>, Vec<_>) = tiles
                         .into_iter()
                         .partition(|&tile| !kernel.reads_halo(ip, tile, len));
-                    let first = kernel.launch(&ctx, ip, op, &interior, len, after_readers)?;
+                    let first = kernel.launch(&ctx, pi, ip, op, &interior, len, after_readers)?;
                     let deps = [&incoming[..], &outgoing[pi][..]].concat();
-                    let edges = kernel.launch(&ctx, ip, op, &edge, len, Order::After(&deps))?;
+                    let edges = kernel.launch(&ctx, pi, ip, op, &edge, len, Order::After(&deps))?;
                     edges.or(first)
                 };
                 if let Some(ev) = produced {
@@ -648,20 +648,22 @@ fn window_len((lx, ly): (usize, usize), halo: usize) -> usize {
     (lx + 2 * halo) * (ly + 2 * halo)
 }
 
-/// The most rounds, up to `max_block`, whose two windows of `T` fit every
-/// device's local memory for work-groups of shape `group`. An error when
-/// not even one round's windows fit.
-fn window_rounds<T: Element>(
+/// The most rounds, up to `max_block`, whose `windows` windows of `T` fit
+/// every device's local memory for work-groups of shape `group`. An error
+/// when not even one round's windows fit.
+pub(crate) fn window_rounds<T: Element>(
     ctx: &Context,
     group: (usize, usize),
     radius: usize,
+    windows: usize,
     max_block: usize,
 ) -> Result<usize> {
     let limit = (0..ctx.n_devices())
         .map(|d| ctx.device(d).spec().local_mem_bytes)
         .min()
         .unwrap_or(0);
-    let bytes = |rounds: usize| 2 * window_len(group, rounds * radius) * std::mem::size_of::<T>();
+    let bytes =
+        |rounds: usize| windows * window_len(group, rounds * radius) * std::mem::size_of::<T>();
     (1..=max_block.max(1))
         .rev()
         .find(|&rounds| bytes(rounds) <= limit)
@@ -767,30 +769,51 @@ impl Window {
     }
 }
 
-/// The compiled block program of one `Stencil2D` over `T`, for a matrix of
-/// `n_rows` rows and work-groups of shape `group`.
-struct BlockKernel<T, F> {
-    compiled: CompiledKernel,
-    eval: F,
-    /// Static per-element issue cost of the user function.
-    static_ops: u64,
-    radius: usize,
-    boundary: Boundary2D,
-    n_rows: usize,
+/// The compiled block program of one stencil group, for a matrix of
+/// `n_rows` rows and work-groups of shape `group`: per owned element,
+/// `post(eval(view))`, where the view reads a local-memory window whose
+/// cells hold `pre` of the input part's elements. [`Stencil2D::iterate`]
+/// launches it with identity ops and steps several rounds per launch; a
+/// [`Pipeline`](crate::Pipeline) stencil group fuses its pending
+/// element-wise chains into `pre` and `post` and launches one round. `J`,
+/// `A`, `I` and `V` are the input, view, stencil-result and output element
+/// types.
+pub(crate) struct BlockKernel<J, A, I, V, E, Pre, Post> {
+    pub compiled: CompiledKernel,
+    /// The stencil user function (a `stencil_pair` combines two).
+    pub eval: E,
+    /// The element-wise chain run on every window cell as it loads.
+    pub pre: Pre,
+    /// The element-wise chain run on every result before its write.
+    pub post: Post,
+    /// Static issue cost of `pre`, charged per loaded window cell.
+    pub load_ops: u64,
+    /// Static issue cost of the stencil and `post`, charged per computed
+    /// cell.
+    pub static_ops: u64,
+    pub radius: usize,
+    pub boundary: Boundary2D,
+    /// Matrix height.
+    pub n_rows: usize,
     /// The work-group shape `(lx, ly)` every launch runs: a tile is `ly`
     /// owned rows by `lx` columns.
-    group: (usize, usize),
-    _pd: PhantomData<fn(T) -> T>,
+    pub group: (usize, usize),
+    pub _pd: PhantomData<fn(J, A, I) -> V>,
 }
 
-impl<T, F> BlockKernel<T, F>
+impl<J, A, I, V, E, Pre, Post> BlockKernel<J, A, I, V, E, Pre, Post>
 where
-    T: Element,
-    F: Fn(&Stencil2DView<'_, T>) -> T + Send + Sync + Clone + 'static,
+    J: Element,
+    A: Element,
+    I: Element,
+    V: Element,
+    Pre: PixelOp<J, A>,
+    E: Fn(&Stencil2DView<'_, A>) -> I + Send + Sync + Clone + 'static,
+    Post: PixelOp<I, V>,
 {
     /// Part `p`'s owned rows in tiles of at most `ly` rows, as `(first span
     /// row, rows)`.
-    fn tiles(&self, p: &MatrixPart<T>) -> Vec<(usize, usize)> {
+    pub fn tiles(&self, p: &MatrixPart<J>) -> Vec<(usize, usize)> {
         let ly = self.group.1;
         (0..p.rows)
             .step_by(ly)
@@ -801,7 +824,7 @@ where
     /// Whether the window of `tile` for a `rounds`-round block loads a row
     /// outside the part's owned rows, i.e. a halo row an exchange may
     /// write. Window rows outside the matrix are loaded only under `Wrap`.
-    fn reads_halo(&self, p: &MatrixPart<T>, (start, rows): (usize, usize), rounds: usize) -> bool {
+    fn reads_halo(&self, p: &MatrixPart<J>, (start, rows): (usize, usize), rounds: usize) -> bool {
         let halo = (rounds * self.radius) as isize;
         let first = (p.row_offset + start - p.halo_above) as isize;
         let (mut lo, mut hi) = (first - halo, first + rows as isize + halo);
@@ -812,18 +835,21 @@ where
         lo < p.row_offset as isize || hi > (p.row_offset + p.rows) as isize
     }
 
-    /// Launch one block of `rounds` rounds over `tiles` of part `ip`,
-    /// writing their rows of `op` (same global rows; `op`'s halo may
-    /// differ from `ip`'s). Each work-group loads its tile's window from
+    /// Launch one block of `rounds` rounds over `tiles` of part `pi`'s
+    /// input `ip`, writing their rows of `op` (same global rows; `op`'s halo
+    /// may differ from `ip`'s). Each work-group loads its tile's window from
     /// `ip` (whose rows within `rounds · radius` of the tiles must be
     /// coherent), steps the rounds in local memory and writes its tile
-    /// once. Returns the launch event, or `None` when there is nothing to
-    /// launch.
-    fn launch(
+    /// once. A one-round launch allocates one window; more rounds need a
+    /// same-type stencil (`A = I`) and a second window. Returns the launch
+    /// event, or `None` when there is nothing to launch.
+    #[allow(clippy::too_many_arguments)]
+    pub fn launch(
         &self,
         ctx: &Context,
-        ip: &MatrixPart<T>,
-        op: &MatrixPart<T>,
+        pi: usize,
+        ip: &MatrixPart<J>,
+        op: &MatrixPart<V>,
         tiles: &[(usize, usize)],
         rounds: usize,
         order: Order<'_>,
@@ -834,9 +860,9 @@ where
         }
         let (lx, ly) = self.group;
         let (src, dst) = (ip.buffer.clone(), op.buffer.clone());
-        let eval = self.eval.clone();
-        let (radius, boundary, n_rows, static_ops) =
-            (self.radius, self.boundary, self.n_rows, self.static_ops);
+        let (eval, pre, post) = (self.eval.clone(), self.pre.clone(), self.post.clone());
+        let (radius, boundary, n_rows) = (self.radius, self.boundary, self.n_rows);
+        let (load_ops, static_ops) = (self.load_ops, self.static_ops);
         let halo = rounds * radius;
         let win_len = window_len(self.group, halo);
         let (row_offset, in_halo, out_halo) = (ip.row_offset, ip.halo_above, op.halo_above);
@@ -849,7 +875,9 @@ where
             let t_cols = lx.min(cols - c0);
             let (ww, wh) = (t_cols + 2 * halo, t_rows + 2 * halo);
             let lanes = wg.local_total();
-            let wins = [wg.local_buf::<T>(win_len), wg.local_buf::<T>(win_len)];
+            // A one-round launch steps no round into a second window.
+            let second = if rounds > 1 { win_len } else { 0 };
+            let wins = [wg.local_buf::<A>(win_len), wg.local_buf::<A>(second)];
             let window = Window {
                 ww,
                 wh,
@@ -880,19 +908,28 @@ where
                     .chain(&window.cols)
                     .any(|l| l.src.is_none());
 
-            // One global read per window cell inside the matrix.
+            // One global read per window cell inside the matrix, with the
+            // `pre` chain applied as it loads.
             wg.for_each_item(|it| {
                 for i in (it.local_linear()..ww * wh).step_by(lanes) {
                     let (row, col) = (window.rows[i / ww], window.cols[i % ww]);
                     if let (Some(s), Some(c)) = (row.src, col.src) {
-                        wins[0].set(i, it.read(&src, s * cols + c));
+                        let g = s * cols + c;
+                        let x = it.read(&src, g);
+                        if Pre::IDENTITY {
+                            wins[0].set(i, pre.apply(it, pi, g, x));
+                        } else {
+                            let (v, dyn_ops) = meter::metered(|| pre.apply(it, pi, g, x));
+                            wins[0].set(i, v);
+                            it.work(load_ops + dyn_ops);
+                        }
                     }
                 }
             });
             wg.barrier();
             // Copy every outside cell at least `margin` cells inside the
             // window edge from its clamp target.
-            let refresh_ring = |win: &LocalBuf<T>, margin: usize| {
+            let refresh_ring = |win: &LocalBuf<A>, margin: usize| {
                 let (rw, rh) = (ww - 2 * margin, wh - 2 * margin);
                 wg.for_each_item(|it| {
                     for k in (it.local_linear()..rw * rh).step_by(lanes) {
@@ -912,6 +949,9 @@ where
             // other.
             for j in 1..rounds {
                 let (inp, out) = (&wins[(j - 1) % 2], &wins[j % 2]);
+                let store = (out as &dyn Any)
+                    .downcast_ref::<LocalBuf<I>>()
+                    .expect("only a same-type stencil steps several rounds");
                 let margin = j * radius;
                 let (rw, rh) = (ww - 2 * margin, wh - 2 * margin);
                 wg.for_each_item(|it| {
@@ -921,7 +961,7 @@ where
                             continue;
                         }
                         let (y, dyn_ops) = meter::metered(|| eval(&window.view(inp, w, c)));
-                        out.set(w * ww + c, y);
+                        store.set(w * ww + c, y);
                         it.work(static_ops + dyn_ops);
                     }
                 });
@@ -930,15 +970,19 @@ where
                     refresh_ring(out, margin);
                 }
             }
-            // The last round computes the tile, straight to global memory.
+            // The last round computes the tile, with the `post` chain
+            // applied, straight to global memory.
             let inp = &wins[(rounds - 1) % 2];
             wg.for_each_item(|it| {
                 let (x, y) = (it.local_id(0), it.local_id(1));
                 if x >= t_cols || y >= t_rows {
                     return;
                 }
-                let (v, dyn_ops) = meter::metered(|| eval(&window.view(inp, halo + y, halo + x)));
-                it.write(&dst, (t0 + y + out_halo - in_halo) * cols + c0 + x, v);
+                let o = (t0 + y + out_halo - in_halo) * cols + c0 + x;
+                let (v, dyn_ops) = meter::metered(|| {
+                    post.apply(it, pi, o, eval(&window.view(inp, halo + y, halo + x)))
+                });
+                it.write(&dst, o, v);
                 it.work(static_ops + dyn_ops);
             });
         });
@@ -963,64 +1007,49 @@ pub(crate) fn stencil_input_layout<T: Element>(input: &Matrix<T>, radius: usize)
     }
 }
 
-/// One stencil kernel as every one-round path launches it: per owned
-/// element, `post(eval(view))`, where the view's neighbourhood reads apply
-/// `pre` to the input part's elements. `Stencil2D` launches it with
-/// identity ops; a pipeline stencil group fuses its pending element-wise
-/// chains into `pre` and `post`. `J`, `A`, `I` and `V` are the input, view,
-/// stencil-result and output element types.
-pub(crate) struct StencilKernel<J, A, I, V, E, Pre, Post> {
-    pub compiled: CompiledKernel,
-    /// The stencil user function (a `stencil_pair` combines two).
-    pub eval: E,
-    /// The element-wise chain fused into every neighbourhood read.
-    pub pre: Pre,
-    /// Whether `pre` holds any stage. Without one it is an identity chain,
-    /// and reads go to the part buffer directly instead of through a
-    /// dynamic read closure (measurably cheaper in host time).
-    pub fused_reads: bool,
-    /// The element-wise chain fused into the write.
-    pub post: Post,
-    /// Static per-element issue cost of every stage in the kernel.
-    pub static_ops: u64,
-    pub radius: usize,
-    pub boundary: Boundary2D,
+/// The one-round kernel of [`Stencil2D::apply`], [`Stencil2D::apply_streamed`]
+/// and [`Stencil2D::iterate_serial`]: per owned element, `eval(view)`,
+/// where every neighbourhood read is a counted global read of the input
+/// part.
+struct StencilKernel<T, U, F> {
+    compiled: CompiledKernel,
+    eval: F,
+    /// Static per-element issue cost of the user function.
+    static_ops: u64,
+    radius: usize,
+    boundary: Boundary2D,
     /// Matrix height.
-    pub n_rows: usize,
-    pub _pd: PhantomData<fn(J, A, I) -> V>,
+    n_rows: usize,
+    _pd: PhantomData<fn(T) -> U>,
 }
 
-impl<J, A, I, V, E, Pre, Post> StencilKernel<J, A, I, V, E, Pre, Post>
+impl<T, U, F> StencilKernel<T, U, F>
 where
-    J: Element,
-    A: Element,
-    I: Element,
-    V: Element,
-    Pre: PixelOp<J, A>,
-    E: Fn(&Stencil2DView<'_, A>) -> I + Send + Sync + Clone + 'static,
-    Post: PixelOp<I, V>,
+    T: Element,
+    U: Element,
+    F: Fn(&Stencil2DView<'_, T>) -> U + Send + Sync + Clone + 'static,
 {
     /// Launch one pass over every part pair: `src[i]` (halo rows assumed
     /// coherent) is read, the owned rows of `dst[i]` are written, one
     /// device-serializing launch per part. Source and destination geometry
     /// must mirror each other.
-    pub(crate) fn launch_parts(
+    fn launch_parts(
         &self,
         ctx: &Context,
-        src: &[MatrixPart<J>],
-        dst: &[MatrixPart<V>],
+        src: &[MatrixPart<T>],
+        dst: &[MatrixPart<U>],
     ) -> Result<()> {
-        for (pi, (ip, op)) in src.iter().zip(dst).enumerate() {
-            self.launch_part(ctx, pi, ip, op, ip.owned_span(), Order::Device)?;
+        for (ip, op) in src.iter().zip(dst) {
+            self.launch_part(ctx, ip, op, ip.owned_span(), Order::Device)?;
         }
         Ok(())
     }
 
-    /// Launch one pass over span rows `[start, start + len)` of part `pi`'s
-    /// input `ip`. Each row is written at the same global row of `op`,
-    /// whose halo may differ from `ip`'s: span row `s` of `ip` lands at
-    /// span row `s - ip.halo_above + op.halo_above` of `op`. The input rows
-    /// within `radius` of every covered row are assumed coherent.
+    /// Launch one pass over span rows `[start, start + len)` of the input
+    /// part `ip`. Each row is written at the same global row of `op`, whose
+    /// halo may differ from `ip`'s: span row `s` of `ip` lands at span row
+    /// `s - ip.halo_above + op.halo_above` of `op`. The input rows within
+    /// `radius` of every covered row are assumed coherent.
     ///
     /// `order` is passed straight to the launch: [`Order::Device`] for the
     /// device-ordered launch, or [`Order::After`] to order the kernel only
@@ -1030,12 +1059,11 @@ where
     /// However the rows are split into launches, every covered element
     /// computes the exact same value: the split changes the modeled
     /// timeline, never the data.
-    pub(crate) fn launch_part(
+    fn launch_part(
         &self,
         ctx: &Context,
-        pi: usize,
-        ip: &MatrixPart<J>,
-        op: &MatrixPart<V>,
+        ip: &MatrixPart<T>,
+        op: &MatrixPart<U>,
         (start, launch_rows): (usize, usize),
         order: Order<'_>,
     ) -> Result<Option<Event>> {
@@ -1043,11 +1071,8 @@ where
         if launch_rows == 0 || cols == 0 {
             return Ok(None);
         }
-        let src = ip.buffer.clone();
-        // Stage-free reads: `pre` is an identity chain, so `J` is `A`.
-        let direct: Option<Buffer<A>> = same_type(src.clone()).filter(|_| !self.fused_reads);
-        let dst = op.buffer.clone();
-        let (eval, pre, post) = (self.eval.clone(), self.pre.clone(), self.post.clone());
+        let (src, dst) = (ip.buffer.clone(), op.buffer.clone());
+        let eval = self.eval.clone();
         let (radius, boundary, n_rows) = (self.radius, self.boundary, self.n_rows);
         let static_ops = self.static_ops;
         let (in_halo, out_halo) = (ip.halo_above, op.halo_above);
@@ -1058,15 +1083,8 @@ where
                     return;
                 }
                 let (col, span_row) = (it.global_id(0), start + it.global_id(1));
-                let fused = |sr: usize, c: usize| {
-                    let i = sr * cols + c;
-                    pre.apply(it, pi, i, it.read(&src, i))
-                };
                 let view = Stencil2DView {
-                    taps: match &direct {
-                        Some(buf) => Taps::Buffer(buf, it),
-                        None => Taps::Fused(&fused),
-                    },
+                    taps: Taps::Buffer(&src, it),
                     cols,
                     n_rows,
                     span_row,
@@ -1076,8 +1094,7 @@ where
                     radius,
                     boundary,
                 };
-                let (y, dyn_ops) =
-                    meter::metered(|| post.apply(it, pi, span_row * cols + col, eval(&view)));
+                let (y, dyn_ops) = meter::metered(|| eval(&view));
                 it.write(&dst, (span_row + out_halo - in_halo) * cols + col, y);
                 it.work(static_ops + dyn_ops);
             });
@@ -1651,19 +1668,22 @@ mod tests {
             .unwrap();
         st.iterate(&single, 4).unwrap();
         assert_eq!(c.programs_built(), built, "no rebuild for another block");
-        // Every one-round launch path runs the one-round program.
-        st.apply(&m).unwrap();
-        st.apply_streamed(&Matrix::from_vec(&c, 16, 8, test_image(16, 8)), 4)
-            .unwrap();
+        // A one-stage pipeline stencil runs the block program too.
         Pipeline::start::<f32>()
             .stencil(cross_user(), 1, Boundary2D::Neumann)
             .run(&m)
             .unwrap();
+        assert_eq!(c.programs_built(), built, "the pipeline shares it");
+        // Every one-round launch path runs the one-round program.
+        st.apply(&m).unwrap();
+        st.apply_streamed(&Matrix::from_vec(&c, 16, 8, test_image(16, 8)), 4)
+            .unwrap();
+        st.iterate_serial(&m, 3).unwrap();
         assert_eq!(
             c.programs_built(),
             before + 2,
-            "iterate runs the block program; apply, apply_streamed and a \
-             one-stage pipeline share the one-round program"
+            "iterate and a one-stage pipeline run the block program; apply, \
+             apply_streamed and iterate_serial share the one-round program"
         );
     }
 

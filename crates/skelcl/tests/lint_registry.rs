@@ -190,9 +190,10 @@ fn populate_registry(c: &Context) {
         .apply(&a, &b)
         .unwrap();
 
-    // Fused pipeline chains: pure element-wise group (elementwise), a
-    // stencil anchor with fused pre/post stages (fused_stencil2d), and a
-    // map chain folded into a row reduction (fused_reduce_rows).
+    // Fused pipeline chains: pure element-wise group (elementwise), staged
+    // stencil groups with fused pre/post stages (stencil2d_block), zip
+    // operands before and after a stencil, a stencil pair, and map and zip
+    // chains folded into a row reduction (fused_reduce_rows).
     Pipeline::start::<f32>()
         .map(scale_fn())
         .zip_with(&m2, add_fn())
@@ -204,8 +205,28 @@ fn populate_registry(c: &Context) {
         .map(scale_fn())
         .run(&m)
         .unwrap();
+    for boundary in BOUNDARIES {
+        Pipeline::start::<f32>()
+            .zip_with(&m2, add_fn())
+            .stencil(cross_user(), 1, boundary)
+            .run(&m)
+            .unwrap();
+        Pipeline::start::<f32>()
+            .stencil(cross_user(), 1, boundary)
+            .zip_with(&m2, mul_fn())
+            .run(&m)
+            .unwrap();
+    }
+    Pipeline::start::<f32>()
+        .stencil_pair(cross_user(), column_user(1), add_fn(), 1, Boundary2D::Zero)
+        .run(&m)
+        .unwrap();
     Pipeline::start::<f32>()
         .map(scale_fn())
+        .reduce_rows(&m, add_fn(), 0.0)
+        .unwrap();
+    Pipeline::start::<f32>()
+        .zip_with(&m2, mul_fn())
         .reduce_rows(&m, add_fn(), 0.0)
         .unwrap();
 }

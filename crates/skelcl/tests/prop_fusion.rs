@@ -47,6 +47,16 @@ fn shape_strategy() -> impl Strategy<Value = (usize, usize)> {
     ]
 }
 
+/// Shapes of up to three 16-column tiles, degenerates included: a staged
+/// group's work-groups then load windows that cross tile boundaries.
+fn wide_shape_strategy() -> impl Strategy<Value = (usize, usize)> {
+    prop_oneof![
+        ((1usize..20), (1usize..40)),
+        (Just(1usize), (1usize..40)),
+        ((1usize..24), Just(1usize)),
+    ]
+}
+
 fn test_data(rows: usize, cols: usize, seed: u32) -> Vec<f32> {
     (0..rows * cols)
         .map(|i| {
@@ -88,6 +98,17 @@ fn cross_user(radius: usize) -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 +
     let r = radius as isize;
     UserFn::new("pcross", CROSS_SRC, move |v: &Stencil2DView<'_, f32>| {
         0.2 * (v.get(-r, 0) + v.get(r, 0) + v.get(0, -r) + v.get(0, r)) + 0.1 * v.get(0, 0)
+    })
+}
+
+const DIAG_SRC: &str =
+    "float pdiag(__global float* in, int r, int c, uint nr, uint nc) { /* corner taps */ }";
+
+/// The four corners `radius` rows and columns out, and the centre.
+fn diag_user(radius: usize) -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
+    let r = radius as isize;
+    UserFn::new("pdiag", DIAG_SRC, move |v: &Stencil2DView<'_, f32>| {
+        0.3 * (v.get(-r, -r) + v.get(r, r)) - 0.2 * (v.get(-r, r) + v.get(r, -r)) + v.get(0, 0)
     })
 }
 
@@ -251,6 +272,72 @@ proptest! {
             fused.to_vec().unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             unfused.to_vec().unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    // Zip operands on both sides of a stencil: the one before it is read
+    // as each window cell loads, the one after it at each write. The
+    // fused group equals the Zip → Stencil2D → Zip chain.
+    #[test]
+    fn zip_stencil_zip_matches_unfused_chain(
+        (rows, cols) in wide_shape_strategy(),
+        devices in 1usize..4,
+        boundary in boundary_strategy(),
+        dist in dist_strategy(),
+        radius in 0usize..3,
+        seed in 0u32..1000,
+    ) {
+        let c = ctx(devices);
+        let data = [0u32, 11, 23].map(|k| test_data(rows, cols, seed.wrapping_add(k)));
+        let matrices = || {
+            data.clone().map(|d| {
+                let m = Matrix::from_vec(&c, rows, cols, d);
+                m.set_distribution(dist).unwrap();
+                m
+            })
+        };
+        let [m, before_op, after_op] = matrices();
+        let fused = Pipeline::start::<f32>()
+            .zip_with(&before_op, add_fn())
+            .stencil(cross_user(radius), radius, boundary)
+            .zip_with(&after_op, add_fn())
+            .run(&m)
+            .unwrap();
+
+        let [m, before_op, after_op] = matrices();
+        let summed = Zip::new(add_fn()).apply_matrix(&m, &before_op).unwrap();
+        let stenciled = Stencil2D::new(cross_user(radius), radius, boundary)
+            .apply(&summed)
+            .unwrap();
+        let unfused = Zip::new(add_fn()).apply_matrix(&stenciled, &after_op).unwrap();
+        prop_assert_eq!(bits(&fused), bits(&unfused));
+    }
+
+    // A stencil pair reads one staged window for both stencils; it equals
+    // two Stencil2D::apply calls and a Zip combining them.
+    #[test]
+    fn stencil_pair_matches_unfused(
+        (rows, cols) in wide_shape_strategy(),
+        devices in 1usize..4,
+        boundary in boundary_strategy(),
+        dist in dist_strategy(),
+        radius in 0usize..3,
+        seed in 0u32..1000,
+    ) {
+        let c = ctx(devices);
+        let data = test_data(rows, cols, seed);
+        let m = Matrix::from_vec(&c, rows, cols, data.clone());
+        m.set_distribution(dist).unwrap();
+        let fused = Pipeline::start::<f32>()
+            .stencil_pair(cross_user(radius), diag_user(radius), add_fn(), radius, boundary)
+            .run(&m)
+            .unwrap();
+
+        let m2 = Matrix::from_vec(&c, rows, cols, data);
+        m2.set_distribution(dist).unwrap();
+        let cross = Stencil2D::new(cross_user(radius), radius, boundary).apply(&m2).unwrap();
+        let diag = Stencil2D::new(diag_user(radius), radius, boundary).apply(&m2).unwrap();
+        let unfused = Zip::new(add_fn()).apply_matrix(&cross, &diag).unwrap();
+        prop_assert_eq!(bits(&fused), bits(&unfused));
     }
 
     // Two stencil anchors back to back: the elementwise stage between them

@@ -8,7 +8,7 @@
 //! greedy scheduling approaches whenever groups ≫ CUs — keeping durations
 //! bit-reproducible regardless of host thread count.
 
-use crate::device::DeviceSpec;
+use crate::device::Device;
 use crate::error::{Error, Result};
 use crate::kernel::{AccessEnvelope, KernelBody, NDRange, WorkGroup};
 use crate::pool;
@@ -72,28 +72,31 @@ fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Execute `body` over `nd` on a device described by `spec`, with the
-/// runtime achieving `compute_efficiency` of peak issue rate.
+/// Execute `body` over `nd` on `device`, with the runtime achieving
+/// `compute_efficiency` of peak issue rate.
 pub fn execute(
-    spec: &DeviceSpec,
+    device: &Device,
     body: &KernelBody,
     nd: NDRange,
     compute_efficiency: f64,
 ) -> Result<LaunchStats> {
-    execute_traced(spec, body, nd, compute_efficiency, false).map(|(stats, _)| stats)
+    execute_traced(device, body, nd, compute_efficiency, false).map(|(stats, _)| stats)
 }
 
 /// Like [`execute`], but optionally tracking which byte ranges of which
 /// buffers the kernel touched (`track`), and converting kernel-body panics
 /// (bad argument requests, out-of-bounds accesses) into
-/// [`Error::KernelPanic`] instead of tearing down the caller.
+/// [`Error::KernelPanic`] instead of tearing down the caller. A buffer
+/// access from a kernel running on another device than the buffer's stops
+/// the launch with [`Error::WrongDevice`].
 pub fn execute_traced(
-    spec: &DeviceSpec,
+    device: &Device,
     body: &KernelBody,
     nd: NDRange,
     compute_efficiency: f64,
     track: bool,
 ) -> Result<(LaunchStats, AccessSummary)> {
+    let spec = device.spec();
     nd.validate(spec.max_work_group)?;
     let wall_start = std::time::Instant::now();
 
@@ -119,6 +122,7 @@ pub fn execute_traced(
             };
             let mut wg = WorkGroup::new(
                 nd,
+                device.id(),
                 spec.pes_per_cu,
                 spec.local_mem_bytes,
                 spec.local_mem_banks,
@@ -154,7 +158,13 @@ pub fn execute_traced(
     for p in partials {
         let p = match p {
             Ok(p) => p,
-            Err(payload) => return Err(Error::KernelPanic(panic_msg(payload))),
+            // A typed payload is a fault the accessors raised themselves.
+            Err(payload) => {
+                return Err(match payload.downcast::<Error>() {
+                    Ok(e) => *e,
+                    Err(payload) => Error::KernelPanic(panic_msg(payload)),
+                })
+            }
         };
         total_cycles += p.total_cycles;
         max_group_cycles = max_group_cycles.max(p.max_group_cycles);
@@ -249,7 +259,7 @@ mod tests {
                 });
             })
         };
-        let stats = execute(dev.spec(), &body, NDRange::linear(n, 64), 1.0).unwrap();
+        let stats = execute(&dev, &body, NDRange::linear(n, 64), 1.0).unwrap();
         assert!(buf.to_vec().iter().all(|&v| v == 1));
         assert_eq!(stats.n_groups, n.div_ceil(64));
         assert_eq!(stats.n_active_items, n);
@@ -273,9 +283,9 @@ mod tests {
         // Same launch under different host thread counts must give the same
         // virtual duration (group->CU mapping is fixed).
         std::env::set_var("VGPU_THREADS", "1");
-        let a = execute(dev.spec(), &body, NDRange::linear(n, 32), 1.0).unwrap();
+        let a = execute(&dev, &body, NDRange::linear(n, 32), 1.0).unwrap();
         std::env::set_var("VGPU_THREADS", "7");
-        let b = execute(dev.spec(), &body, NDRange::linear(n, 32), 1.0).unwrap();
+        let b = execute(&dev, &body, NDRange::linear(n, 32), 1.0).unwrap();
         std::env::remove_var("VGPU_THREADS");
         assert_eq!(a.duration_s, b.duration_s);
         assert_eq!(a.max_cu_cycles, b.max_cu_cycles);
@@ -289,8 +299,8 @@ mod tests {
             wg.for_each_item(|it| it.work(1000));
         });
         let nd = NDRange::linear(1024, 64);
-        let fast = execute(dev.spec(), &body, nd, 1.0).unwrap();
-        let slow = execute(dev.spec(), &body, nd, 0.5).unwrap();
+        let fast = execute(&dev, &body, nd, 1.0).unwrap();
+        let slow = execute(&dev, &body, nd, 0.5).unwrap();
         assert!((slow.duration_s / fast.duration_s - 2.0).abs() < 1e-9);
     }
 
@@ -311,8 +321,8 @@ mod tests {
             })
         };
         let nd = NDRange::linear(n, 256);
-        let a = execute(dev.spec(), &body, nd, 1.0).unwrap();
-        let b = execute(dev.spec(), &body, nd, 0.5).unwrap();
+        let a = execute(&dev, &body, nd, 1.0).unwrap();
+        let b = execute(&dev, &body, nd, 0.5).unwrap();
         assert_eq!(a.duration_s, b.duration_s);
         let expected = (n * 8) as f64 / dev.spec().mem_bandwidth_bytes_s;
         assert!((a.duration_s - expected).abs() / expected < 1e-9);
@@ -322,10 +332,10 @@ mod tests {
     fn invalid_launch_is_rejected() {
         let dev = device();
         let body: KernelBody = Arc::new(|_wg: &WorkGroup| {});
-        assert!(execute(dev.spec(), &body, NDRange::linear(0, 64), 1.0).is_err());
-        assert!(execute(dev.spec(), &body, NDRange::linear(64, 0), 1.0).is_err());
+        assert!(execute(&dev, &body, NDRange::linear(0, 64), 1.0).is_err());
+        assert!(execute(&dev, &body, NDRange::linear(64, 0), 1.0).is_err());
         let too_big = NDRange::linear(1024, dev.spec().max_work_group + 1);
-        assert!(execute(dev.spec(), &body, too_big, 1.0).is_err());
+        assert!(execute(&dev, &body, too_big, 1.0).is_err());
     }
 
     #[test]
@@ -347,13 +357,11 @@ mod tests {
                 });
             })
         };
-        let (_, access) =
-            execute_traced(dev.spec(), &body, NDRange::linear(n, 64), 1.0, true).unwrap();
+        let (_, access) = execute_traced(&dev, &body, NDRange::linear(n, 64), 1.0, true).unwrap();
         assert_eq!(access.reads, vec![AccessRange::whole(src.id(), n * 4)]);
         assert_eq!(access.writes, vec![AccessRange::whole(dst.id(), n * 4)]);
         // Untracked runs stay free of attribution work.
-        let (_, access) =
-            execute_traced(dev.spec(), &body, NDRange::linear(n, 64), 1.0, false).unwrap();
+        let (_, access) = execute_traced(&dev, &body, NDRange::linear(n, 64), 1.0, false).unwrap();
         assert!(access.reads.is_empty() && access.writes.is_empty());
     }
 
@@ -363,7 +371,7 @@ mod tests {
         let body: KernelBody = Arc::new(|wg: &WorkGroup| {
             wg.for_each_item(|_| panic!("argument 3 is a float scalar, requested uint"));
         });
-        let err = execute(dev.spec(), &body, NDRange::linear(8, 8), 1.0).unwrap_err();
+        let err = execute(&dev, &body, NDRange::linear(8, 8), 1.0).unwrap_err();
         match err {
             Error::KernelPanic(msg) => assert!(msg.contains("argument 3"), "{msg}"),
             other => panic!("expected KernelPanic, got {other:?}"),
@@ -388,7 +396,7 @@ mod tests {
                 });
             })
         };
-        execute(dev.spec(), &body, NDRange::two_d((w, h), (16, 16)), 1.0).unwrap();
+        execute(&dev, &body, NDRange::two_d((w, h), (16, 16)), 1.0).unwrap();
         assert!(buf.to_vec().iter().all(|&v| v == 1));
     }
 }

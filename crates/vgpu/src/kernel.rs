@@ -11,7 +11,7 @@ use crate::buffer::Buffer;
 use crate::error::{Error, Result};
 use crate::local::{BankModel, LocalBuf};
 use crate::timing::{ATOMIC_CYCLES, BANK_CONFLICT_CYCLES, BARRIER_CYCLES, WARP_SIZE};
-use crate::types::{BufferId, Scalar};
+use crate::types::{BufferId, DeviceId, Scalar};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
@@ -122,6 +122,9 @@ pub(crate) struct GroupCost {
 pub struct WorkGroup {
     group: [usize; 2],
     nd: NDRange,
+    /// The device the launch runs on: every buffer the typed accessors
+    /// touch must live there.
+    device: DeviceId,
     pes_per_cu: usize,
     local_mem_limit: usize,
     local_mem_used: Cell<usize>,
@@ -146,6 +149,7 @@ pub struct WorkGroup {
 impl WorkGroup {
     pub(crate) fn new(
         nd: NDRange,
+        device: DeviceId,
         pes_per_cu: usize,
         local_mem_limit: usize,
         banks: usize,
@@ -154,6 +158,7 @@ impl WorkGroup {
         WorkGroup {
             group: [0, 0],
             nd,
+            device,
             pes_per_cu,
             local_mem_limit,
             local_mem_used: Cell::new(0),
@@ -343,6 +348,13 @@ impl WorkGroup {
     }
 }
 
+/// Stop a launch on device `actual` that touched a buffer of `expected`.
+#[cold]
+#[inline(never)]
+fn wrong_device(expected: DeviceId, actual: DeviceId) -> ! {
+    std::panic::panic_any(Error::WrongDevice { expected, actual })
+}
+
 /// One work-item's view: IDs plus counted global-memory accessors.
 pub struct Item<'a> {
     wg: &'a WorkGroup,
@@ -405,6 +417,17 @@ impl<'a> Item<'a> {
         c.set(c.get() + ops);
     }
 
+    /// Stop the launch when `buf` lives on another device: a kernel reaches
+    /// only its own device's memory, as `enqueue_read`/`write`/`fill` check
+    /// for host transfers. The executor turns the typed payload into
+    /// [`Error::WrongDevice`].
+    #[inline]
+    fn check_device<T: Scalar>(&self, buf: &Buffer<T>) {
+        if buf.device() != self.wg.device {
+            wrong_device(buf.device(), self.wg.device);
+        }
+    }
+
     #[inline]
     fn note_elem<T: Scalar>(&self, buf: &Buffer<T>, i: usize, is_write: bool) {
         if self.wg.track_access {
@@ -417,6 +440,7 @@ impl<'a> Item<'a> {
     /// Counted global-memory load.
     #[inline]
     pub fn read<T: Scalar>(&self, buf: &Buffer<T>, i: usize) -> T {
+        self.check_device(buf);
         self.wg.count_read(std::mem::size_of::<T>());
         self.note_elem(buf, i, false);
         buf.get(i)
@@ -425,6 +449,7 @@ impl<'a> Item<'a> {
     /// Counted global-memory store.
     #[inline]
     pub fn write<T: Scalar>(&self, buf: &Buffer<T>, i: usize, v: T) {
+        self.check_device(buf);
         self.wg.count_write(std::mem::size_of::<T>());
         self.note_elem(buf, i, true);
         buf.set(i, v)
@@ -434,6 +459,7 @@ impl<'a> Item<'a> {
     /// An atomic is a read-modify-write: 8 bytes of traffic.
     #[inline]
     pub fn atomic_add_f32(&self, buf: &Buffer<f32>, i: usize, v: f32) {
+        self.check_device(buf);
         self.wg.atomics.set(self.wg.atomics.get() + 1);
         self.wg.count_read(4);
         self.wg.count_write(4);
@@ -445,6 +471,7 @@ impl<'a> Item<'a> {
     /// Counted `atomic_add` on a `u32` buffer; returns the previous value.
     #[inline]
     pub fn atomic_add_u32(&self, buf: &Buffer<u32>, i: usize, v: u32) -> u32 {
+        self.check_device(buf);
         self.wg.atomics.set(self.wg.atomics.get() + 1);
         self.wg.count_read(4);
         self.wg.count_write(4);
@@ -472,7 +499,6 @@ impl<'a> Item<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::DeviceId;
     use std::sync::atomic::AtomicUsize;
 
     fn mk_buf<T: Scalar>(len: usize) -> Buffer<T> {
@@ -480,7 +506,7 @@ mod tests {
     }
 
     fn mk_wg(nd: NDRange) -> WorkGroup {
-        WorkGroup::new(nd, 8, 16 << 10, 16, false)
+        WorkGroup::new(nd, DeviceId(0), 8, 16 << 10, 16, false)
     }
 
     #[test]
@@ -603,7 +629,7 @@ mod tests {
     #[should_panic(expected = "local memory request")]
     fn local_mem_budget_is_enforced() {
         let nd = NDRange::linear(8, 8);
-        let mut wg = WorkGroup::new(nd, 8, 64, 16, false);
+        let mut wg = WorkGroup::new(nd, DeviceId(0), 8, 64, 16, false);
         wg.reset_for_group(0, 0);
         let _ = wg.local_buf::<f64>(16); // 128 bytes > 64-byte budget
     }
@@ -613,7 +639,7 @@ mod tests {
         let src = mk_buf::<f32>(64);
         let dst = mk_buf::<f32>(64);
         let nd = NDRange::linear(8, 8);
-        let mut wg = WorkGroup::new(nd, 8, 16 << 10, 16, true);
+        let mut wg = WorkGroup::new(nd, DeviceId(0), 8, 16 << 10, 16, true);
         wg.reset_for_group(0, 0);
         wg.for_each_item(|it| {
             let i = it.global_id(0) + 2; // touches elements 2..10

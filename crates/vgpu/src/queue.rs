@@ -430,7 +430,7 @@ impl CommandQueue {
         // them — tracking costs a few branches per element access.
         let track = self.shared.stats.sink_active();
         let (stats, access) = exec::execute_traced(
-            self.device.spec(),
+            &self.device,
             &kernel.body,
             nd,
             self.profile.compute_efficiency,

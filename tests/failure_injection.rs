@@ -315,3 +315,62 @@ fn cross_device_buffer_use_is_rejected() {
         .is_err());
     assert!(q0.enqueue_fill(&buf1, 0.0).is_err());
 }
+
+#[test]
+fn a_kernel_touching_another_devices_buffer_is_rejected() {
+    use std::sync::Arc;
+    use vgpu::{DeviceId, Error, KernelBody, NDRange, Program};
+    let platform = Platform::new(
+        PlatformConfig::default()
+            .devices(2)
+            .spec(DeviceSpec::tiny())
+            .cache_tag("failure-cross-device-kernel"),
+    );
+    let q0 = platform.queue(0, vgpu::DriverProfile::opencl());
+    let own = platform.device(0).alloc::<f32>(16).unwrap();
+    let f1 = platform.device(1).alloc::<f32>(16).unwrap();
+    let u1 = platform.device(1).alloc::<u32>(16).unwrap();
+    let program = Program::from_source("cross", "__kernel void cross() {}");
+    // Each body touches one device-1 buffer once, after a legal access.
+    type Access = fn(&vgpu::Item<'_>, &vgpu::Buffer<f32>, &vgpu::Buffer<u32>);
+    let accesses: [(&str, Access); 4] = [
+        ("read", |it, f, _| {
+            it.read(f, 0);
+        }),
+        ("write", |it, f, _| it.write(f, 0, 7.0)),
+        ("atomic_add_f32", |it, f, _| it.atomic_add_f32(f, 0, 7.0)),
+        ("atomic_add_u32", |it, _, u| {
+            it.atomic_add_u32(u, 0, 7);
+        }),
+    ];
+    for (what, access) in accesses {
+        let body: KernelBody = {
+            let (own, f1, u1) = (own.clone(), f1.clone(), u1.clone());
+            Arc::new(move |wg| {
+                wg.for_each_item(|it| {
+                    it.write(&own, it.global_id(0), 1.0);
+                    access(it, &f1, &u1);
+                })
+            })
+        };
+        let kernel = q0.build_kernel(&program, body).unwrap();
+        let before = platform.stats_snapshot();
+        let err = q0
+            .launch(&kernel, NDRange::linear(16, 16), Order::Device)
+            .expect_err(what);
+        assert!(
+            matches!(
+                err,
+                Error::WrongDevice {
+                    expected: DeviceId(1),
+                    actual: DeviceId(0)
+                }
+            ),
+            "{what}: {err:?}"
+        );
+        let delta = platform.stats_snapshot() - before;
+        assert_eq!(delta.kernel_launches, 0, "{what}: nothing is scheduled");
+        assert_eq!(f1.to_vec(), vec![0.0; 16], "{what}");
+        assert_eq!(u1.to_vec(), vec![0; 16], "{what}");
+    }
+}
