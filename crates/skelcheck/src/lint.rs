@@ -18,6 +18,11 @@
 //! * [`LintRule::UnguardedGlobalAccess`] — a `__global` pointer indexed by
 //!   a thread-id-derived expression outside any bounds guard. Skeleton
 //!   kernels launch rounded-up NDRanges, so the template **must** guard.
+//! * [`LintRule::UndeclaredIdentifier`] — an identifier inside a `[...]`
+//!   subscript that is neither a kernel parameter, nor a local the body
+//!   binds, nor a `#define`: a template that pastes an index expression
+//!   from another kernel (say `op0[i]` into a kernel with no `i`) would
+//!   not compile.
 //!
 //! The scanner is deliberately lexical (comment stripping, brace matching,
 //! word-level taint propagation) rather than a C parser: user functions are
@@ -35,6 +40,7 @@ pub enum LintRule {
     LocalMemBudget,
     ArityMismatch,
     UnguardedGlobalAccess,
+    UndeclaredIdentifier,
 }
 
 impl fmt::Display for LintRule {
@@ -44,6 +50,7 @@ impl fmt::Display for LintRule {
             LintRule::LocalMemBudget => "local-mem-budget",
             LintRule::ArityMismatch => "arity-mismatch",
             LintRule::UnguardedGlobalAccess => "unguarded-global-access",
+            LintRule::UndeclaredIdentifier => "undeclared-identifier",
         })
     }
 }
@@ -427,6 +434,7 @@ fn lint_kernel(
     }
 
     check_local_arrays(program, k, defines, local_mem_bytes, findings);
+    check_subscript_identifiers(program, k, defines, findings);
 
     let globals: HashSet<&str> = k
         .params
@@ -584,6 +592,77 @@ fn ternary_guarded(stmt_prefix: &str, tainted: &HashSet<String>) -> bool {
     stmt_prefix
         .find('?')
         .is_some_and(|q| cond_is_bounds_guard(&stmt_prefix[..q], tainted))
+}
+
+/// Type keywords a cast inside a subscript may name: `in[(int)n_cols]`.
+const CAST_TYPES: [&str; 12] = [
+    "char", "uchar", "short", "ushort", "int", "uint", "long", "ulong", "half", "float", "double",
+    "size_t",
+];
+
+/// Report each identifier used inside a `[...]` subscript of the body that
+/// is neither a parameter, a local the body binds (every name
+/// [`collect_assignments`] finds, `for` initialisers included) nor a
+/// `#define`. Calls (`get_group_id(0)`, function-like macros), the type
+/// keywords of casts, member names and number literals are skipped.
+fn check_subscript_identifiers(
+    program: &str,
+    k: &Kernel,
+    defines: &HashMap<String, String>,
+    findings: &mut Vec<LintFinding>,
+) {
+    let body = &k.body;
+    let declared: HashSet<String> = k
+        .params
+        .iter()
+        .map(|p| p.name.clone())
+        .chain(collect_assignments(body).into_iter().map(|(name, _)| name))
+        .chain(defines.keys().cloned())
+        .collect();
+    let mut reported = HashSet::new();
+    let mut search = 0;
+    while let Some(rel) = body[search..].find('[') {
+        let open = search + rel;
+        let Some(close) = matching(body, open, '[', ']') else {
+            return;
+        };
+        let sub = &body[open + 1..close];
+        let bytes = sub.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            let word_char = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+            if !word_char(bytes[i]) {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            let number = bytes[i].is_ascii_digit();
+            while i < bytes.len() && (word_char(bytes[i]) || (number && bytes[i] == b'.')) {
+                i += 1;
+            }
+            let word = &sub[start..i];
+            let before = sub[..start].trim_end();
+            let after = sub[i..].trim_start();
+            let skipped = number
+                || before.ends_with('.')
+                || before.ends_with("->")
+                || after.starts_with('(')
+                || (CAST_TYPES.contains(&word) && after.starts_with(')'));
+            if !skipped && !declared.contains(word) && reported.insert(word.to_string()) {
+                findings.push(LintFinding {
+                    rule: LintRule::UndeclaredIdentifier,
+                    program: program.to_string(),
+                    kernel: k.name.clone(),
+                    message: format!(
+                        "`{word}` in the subscript `[{}]` is not a kernel parameter, a local \
+                         or a #define",
+                        sub.trim()
+                    ),
+                });
+            }
+        }
+        search = close + 1;
+    }
 }
 
 /// Sum statically declared `__local` array bytes against the budget.
@@ -997,6 +1076,50 @@ mod tests {
             }
         "#;
         assert!(lint_program("map_overlap", src, 3, BUDGET).is_empty());
+    }
+
+    #[test]
+    fn an_undeclared_subscript_index_is_flagged() {
+        // A zip operand pasted from the element-wise template, whose index
+        // `i` this fold kernel never declares.
+        let bad = r#"
+            float sum(float x, float y) { return x + y; }
+            float add(float x, float y) { return x + y; }
+            __kernel void fold(__global const float* restrict in,
+                               __global const float* restrict op0,
+                               __global float* restrict out,
+                               const uint n_rows,
+                               const uint n_cols) {
+                uint row = get_global_id(0);
+                if (row < n_rows) {
+                    float acc = 0.0f;
+                    for (uint c = 0; c < n_cols; ++c) {
+                        acc = sum(acc, add(in[row * n_cols + c], op0[i]));
+                    }
+                    out[row] = acc;
+                }
+            }
+        "#;
+        let findings = lint_program("fold", bad, 5, BUDGET);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, LintRule::UndeclaredIdentifier);
+        assert!(
+            findings[0].message.starts_with("`i` "),
+            "{}",
+            findings[0].message
+        );
+        // Declared names pass: parameters, locals, defines, calls, casts.
+        let ok = r#"
+            #define TILE 4
+            __kernel void k(__global float* restrict out, const uint n, __local float* t) {
+                uint gid = get_global_id(0);
+                t[get_local_id(0) % TILE] = 0.0f;
+                for (uint j = 0; j < TILE; ++j) {
+                    if (gid < n) out[(int)gid * 1u + j % (uint)n] = t[j];
+                }
+            }
+        "#;
+        assert!(lint_program("k", ok, 3, BUDGET).is_empty());
     }
 
     #[test]

@@ -292,259 +292,24 @@ pub fn stencil2d_program(
     .with_arg_count(5)
 }
 
-/// Generate the row-segmented 2D Reduce program behind
-/// [`crate::ReduceRows`]: one work-item per matrix row folds that row's
-/// column segment in **ascending column order** from a seed — the identity
-/// on the first (or only) segment, the previous segment's per-row partial
-/// when column-block parts are chained. The fixed fold order is what makes
-/// the result bit-identical across device counts and distributions.
-pub fn reduce_rows_program(fn_name: &str, fn_source: &str, t: &str) -> Program {
-    let source = format!(
-        "// generated by SkelCL codegen: ReduceRows skeleton (row-segmented fold)\n\
-         {fn_source}\n\
-         __kernel void skelcl_reduce_rows(__global const {t}* restrict in,\n\
-                                          __global const {t}* restrict seed,\n\
-                                          __global {t}* restrict out,\n\
-                                          const uint n_rows,\n\
-                                          const uint n_cols,\n\
-                                          const uint row_stride,\n\
-                                          const uint has_seed,\n\
-                                          const {t} identity) {{\n\
-             uint row = get_global_id(0);\n\
-             if (row < n_rows) {{\n\
-                 {t} acc = has_seed ? seed[row] : identity;\n\
-                 for (uint c = 0; c < n_cols; ++c) {{\n\
-                     acc = {fn_name}(acc, in[row * row_stride + c]);\n\
-                 }}\n\
-                 out[row] = acc;\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(program_name("reduce_rows", fn_name, &[t]), source).with_arg_count(8)
-}
-
-/// Generate the column-strided 2D Reduce program behind
-/// [`crate::ReduceCols`]: one work-item per matrix column folds that
-/// column's row segment in **ascending row order** from a seed (identity,
-/// or the previous row-block's per-column partial when parts are chained).
-/// Reads stride by the part's row pitch — the column-strided twin of
-/// [`reduce_rows_program`], with its own cache key.
-pub fn reduce_cols_program(fn_name: &str, fn_source: &str, t: &str) -> Program {
-    let source = format!(
-        "// generated by SkelCL codegen: ReduceCols skeleton (column-strided fold)\n\
-         {fn_source}\n\
-         __kernel void skelcl_reduce_cols(__global const {t}* restrict in,\n\
-                                          __global const {t}* restrict seed,\n\
-                                          __global {t}* restrict out,\n\
-                                          const uint n_rows,\n\
-                                          const uint n_cols,\n\
-                                          const uint row_stride,\n\
-                                          const uint has_seed,\n\
-                                          const {t} identity) {{\n\
-             uint col = get_global_id(0);\n\
-             if (col < n_cols) {{\n\
-                 {t} acc = has_seed ? seed[col] : identity;\n\
-                 for (uint r = 0; r < n_rows; ++r) {{\n\
-                     acc = {fn_name}(acc, in[r * row_stride + col]);\n\
-                 }}\n\
-                 out[col] = acc;\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(program_name("reduce_cols", fn_name, &[t]), source).with_arg_count(8)
-}
-
-/// Generate the index-carrying row reduction behind
-/// [`crate::ReduceRowsArg`]: per row, a strictly-better comparison scan in
-/// ascending column order keeps the best value **and its global column
-/// index** (lowest index wins ties because only a strict improvement
-/// replaces the incumbent). Chained column-block parts seed from the
-/// previous segment's (value, index) pair.
-pub fn reduce_rows_arg_program(fn_name: &str, fn_source: &str, t: &str) -> Program {
-    let source = format!(
-        "// generated by SkelCL codegen: ReduceRowsArg skeleton (argbest scan)\n\
-         {fn_source}\n\
-         __kernel void skelcl_reduce_rows_arg(__global const {t}* restrict in,\n\
-                                              __global const {t}* restrict seed_val,\n\
-                                              __global const uint* restrict seed_idx,\n\
-                                              __global {t}* restrict out_val,\n\
-                                              __global uint* restrict out_idx,\n\
-                                              const uint n_rows,\n\
-                                              const uint n_cols,\n\
-                                              const uint row_stride,\n\
-                                              const uint col_offset,\n\
-                                              const uint has_seed) {{\n\
-             uint row = get_global_id(0);\n\
-             if (row < n_rows) {{\n\
-                 {t} best = has_seed ? seed_val[row] : in[row * row_stride];\n\
-                 uint best_i = has_seed ? seed_idx[row] : col_offset;\n\
-                 for (uint c = has_seed ? 0 : 1; c < n_cols; ++c) {{\n\
-                     {t} x = in[row * row_stride + c];\n\
-                     if ({fn_name}(x, best)) {{ best = x; best_i = col_offset + c; }}\n\
-                 }}\n\
-                 out_val[row] = best;\n\
-                 out_idx[row] = best_i;\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(program_name("reduce_rows_arg", fn_name, &[t]), source).with_arg_count(10)
-}
-
-/// Generate the index-carrying column reduction behind
-/// [`crate::ReduceColsArg`]: per column, a strictly-better comparison scan
-/// in ascending row order keeps the best value **and its global row
-/// index** (lowest index wins ties). Chained row-block parts seed from the
-/// previous segment's (value, index) pair — the column-strided twin of
-/// [`reduce_rows_arg_program`], with its own cache key.
-pub fn reduce_cols_arg_program(fn_name: &str, fn_source: &str, t: &str) -> Program {
-    let source = format!(
-        "// generated by SkelCL codegen: ReduceColsArg skeleton (argbest scan)\n\
-         {fn_source}\n\
-         __kernel void skelcl_reduce_cols_arg(__global const {t}* restrict in,\n\
-                                              __global const {t}* restrict seed_val,\n\
-                                              __global const uint* restrict seed_idx,\n\
-                                              __global {t}* restrict out_val,\n\
-                                              __global uint* restrict out_idx,\n\
-                                              const uint n_rows,\n\
-                                              const uint n_cols,\n\
-                                              const uint row_stride,\n\
-                                              const uint row_offset,\n\
-                                              const uint has_seed) {{\n\
-             uint col = get_global_id(0);\n\
-             if (col < n_cols) {{\n\
-                 {t} best = has_seed ? seed_val[col] : in[col];\n\
-                 uint best_i = has_seed ? seed_idx[col] : row_offset;\n\
-                 for (uint r = has_seed ? 0 : 1; r < n_rows; ++r) {{\n\
-                     {t} x = in[r * row_stride + col];\n\
-                     if ({fn_name}(x, best)) {{ best = x; best_i = row_offset + r; }}\n\
-                 }}\n\
-                 out_val[col] = best;\n\
-                 out_idx[col] = best_i;\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(program_name("reduce_cols_arg", fn_name, &[t]), source).with_arg_count(10)
-}
-
-/// Generate the naive AllPairs skeleton program: one work-item per output
-/// element, combining `zip(A[i][k], B[k][j])` across the inner dimension
-/// with `reduce` (SkelCL's later `AllPairs(M, N)` skeleton restricted to
-/// the zip-reduce form that admits the fast tiled implementation).
-pub fn allpairs_program(
-    zip_name: &str,
-    zip_source: &str,
-    reduce_name: &str,
-    reduce_source: &str,
-    in_t: &str,
-    out_t: &str,
-) -> Program {
-    let source = format!(
-        "// generated by SkelCL codegen: AllPairs skeleton (naive)\n\
-         {zip_source}\n\
-         {reduce_source}\n\
-         __kernel void skelcl_allpairs(__global const {in_t}* restrict a,\n\
-                                       __global const {in_t}* restrict b,\n\
-                                       __global {out_t}* restrict c,\n\
-                                       const uint m,\n\
-                                       const uint k,\n\
-                                       const uint n,\n\
-                                       const {out_t} identity) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1);\n\
-             if (row < m && col < n) {{\n\
-                 {out_t} acc = identity;\n\
-                 for (uint kk = 0; kk < k; ++kk) {{\n\
-                     acc = {reduce_name}(acc, {zip_name}(a[row * k + kk], b[kk * n + col]));\n\
-                 }}\n\
-                 c[row * n + col] = acc;\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(
-        program_name(
-            "allpairs",
-            &format!("{zip_name}_{reduce_name}"),
-            &[in_t, out_t],
-        ),
-        source,
-    )
-    .with_arg_count(7)
-}
-
-/// Generate the tiled AllPairs skeleton program: each `tile × tile`
-/// work-group stages an A-row-strip tile and a B-col-strip tile in local
-/// memory and every item combines from there, cutting global traffic by a
-/// factor of `tile` (the classic blocked matrix-multiply scheme). The tile
-/// dimension changes the emitted code — and the local-memory footprint — so
-/// it is part of the program name and thus the kernel cache key.
-pub fn allpairs_tiled_program(
-    zip_name: &str,
-    zip_source: &str,
-    reduce_name: &str,
-    reduce_source: &str,
-    in_t: &str,
-    out_t: &str,
-    tile: usize,
-) -> Program {
-    let source = format!(
-        "// generated by SkelCL codegen: AllPairs skeleton (tiled, {tile}x{tile} local tiles)\n\
-         #define TILE {tile}\n\
-         {zip_source}\n\
-         {reduce_source}\n\
-         __kernel void skelcl_allpairs_tiled(__global const {in_t}* restrict a,\n\
-                                             __global const {in_t}* restrict b,\n\
-                                             __global {out_t}* restrict c,\n\
-                                             const uint m,\n\
-                                             const uint k,\n\
-                                             const uint n,\n\
-                                             const {out_t} identity,\n\
-                                             __local {in_t}* a_tile,\n\
-                                             __local {in_t}* b_tile) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1);\n\
-             uint lx = get_local_id(0);\n\
-             uint ly = get_local_id(1);\n\
-             {out_t} acc = identity;\n\
-             for (uint t = 0; t < (k + TILE - 1) / TILE; ++t) {{\n\
-                 uint ka = t * TILE + lx;\n\
-                 uint kb = t * TILE + ly;\n\
-                 a_tile[ly * TILE + lx] = (row < m && ka < k) ? a[row * k + ka] : identity;\n\
-                 b_tile[ly * TILE + lx] = (col < n && kb < k) ? b[kb * n + col] : identity;\n\
-                 barrier(CLK_LOCAL_MEM_FENCE);\n\
-                 uint span = min((uint)TILE, k - t * TILE);\n\
-                 for (uint kk = 0; kk < span; ++kk) {{\n\
-                     acc = {reduce_name}(acc, {zip_name}(a_tile[ly * TILE + kk], b_tile[kk * TILE + lx]));\n\
-                 }}\n\
-                 barrier(CLK_LOCAL_MEM_FENCE);\n\
-             }}\n\
-             if (row < m && col < n) c[row * n + col] = acc;\n\
-         }}\n"
-    );
-    Program::from_source(
-        program_name(
-            &format!("allpairs_tiled{tile}"),
-            &format!("{zip_name}_{reduce_name}"),
-            &[in_t, out_t],
-        ),
-        source,
-    )
-    .with_arg_count(9)
-}
-
 // ---------------------------------------------------------------------------
-// Fused pipeline programs (expression-template kernel fusion).
+// Skeleton families with fused stages (expression-template kernel fusion).
 //
 // A `Pipeline` (see `crate::skeletons::pipeline`) collapses a chain of
-// element-wise stages into the body of a neighbouring stencil / reduce /
-// map kernel. The builders below generate one program for the whole fused
-// group: every stage's user-function source is pasted once and the kernel
-// body chains the calls, so no intermediate buffer ever appears in the
-// emitted code. The joined stage names (and, for stencils, radius and
-// boundary mode) go into the program name — the fused program is cached in
-// the `ProgramRegistry` under that key exactly like any single-skeleton
-// program. Every `Map` and `Zip` variant and `Stencil2D::iterate` build
-// the one-stage members of these families, so a one-stage pipeline over
-// the same user function shares their program.
+// element-wise stages into the body of a neighbouring stencil / fold / map
+// kernel, and `AllPairs::with_post` fuses one into its writes. Each family
+// has one generator, which takes the stage list: every stage's
+// user-function source is pasted once and the kernel body chains the
+// calls, so no intermediate buffer ever appears in the emitted code. The
+// joined stage names (and, for stencils, radius and boundary mode) go into
+// the program name — the fused program is cached in the `ProgramRegistry`
+// under that key exactly like any single-skeleton program. The skeleton
+// itself builds the family's stage-free (or, for `Map`, `Zip` and
+// `Stencil2D::iterate`, one-stage) member, so a pipeline over the same
+// user function shares its program: `elementwise_program` serves every
+// `Map` and `Zip` variant, `stencil2d_block_program` every `iterate` block,
+// `fold_program` `ReduceRows` and `ReduceCols`, and `allpairs_program`
+// both `AllPairs` strategies.
 
 /// One stage of a fused pipeline group, as codegen sees it.
 #[derive(Clone, Debug)]
@@ -597,11 +362,12 @@ pub(crate) fn fused_chain_name(stages: &[FusedStage]) -> String {
         .join("+")
 }
 
-/// Concatenated user-function sources, one paste per stage.
-fn fused_sources(stages: &[FusedStage]) -> String {
-    stages
-        .iter()
-        .map(|s| s.source.as_str())
+/// The skeleton's own user-function sources `own`, then one paste per
+/// stage.
+fn fused_sources(own: &[&str], stages: &[FusedStage]) -> String {
+    own.iter()
+        .copied()
+        .chain(stages.iter().map(|s| s.source.as_str()))
         .collect::<Vec<_>>()
         .join("\n")
 }
@@ -682,7 +448,7 @@ pub fn elementwise_program(
                  {body};\n\
              }}\n\
          }}\n",
-        fused_sources(stages),
+        fused_sources(&[], stages),
     );
     Program::from_source(
         program_name("elementwise", &fused_chain_name(stages), &[in_t, out_t]),
@@ -886,60 +652,163 @@ pub fn stencil2d_block_program(
     .with_arg_count(if rounds { 8 } else { 6 + n_zips })
 }
 
-/// Generate a fused row-reduction program: the element-wise chain runs on
-/// every element *as it is folded*, so the whole map→…→reduce-rows pipeline
-/// is one launch with zero intermediate buffers. The fold is the same
-/// ascending-column left fold as [`reduce_rows_program`], which keeps the
-/// result bit-identical to the unfused chain.
-pub fn fused_reduce_rows_program(
-    stages: &[FusedStage],
-    reduce_name: &str,
-    reduce_source: &str,
-    in_t: &str,
-    out_t: &str,
-) -> Program {
-    let chain = fused_value_chain(stages, 0, "in[row * n_cols + c]", "row * n_cols + c", "");
-    let (zip_params, n_zips) = fused_zip_params(stages);
-    let full_name = if stages.is_empty() {
-        reduce_name.to_string()
-    } else {
-        format!("{}+{reduce_name}", fused_chain_name(stages))
-    };
-    let source = format!(
-        "// generated by SkelCL codegen: fused reduce-rows pipeline ({} fused stages)\n\
-         {}\n\
-         {reduce_source}\n\
-         __kernel void skelcl_fused_reduce_rows(__global const {in_t}* restrict in,\n\
-                                  __global {out_t}* restrict out{zip_params},\n\
-                                  const uint n_rows,\n\
-                                  const uint n_cols,\n\
-                                  const {out_t} identity) {{\n\
-             uint row = get_global_id(0);\n\
-             if (row < n_rows) {{\n\
-                 {out_t} acc = identity;\n\
-                 for (uint c = 0; c < n_cols; ++c) {{\n\
-                     acc = {reduce_name}(acc, {chain});\n\
-                 }}\n\
-                 out[row] = acc;\n\
-             }}\n\
-         }}\n",
-        stages.len(),
-        fused_sources(stages),
-    );
-    Program::from_source(
-        program_name("fused_reduce_rows", &full_name, &[in_t, out_t]),
-        source,
-    )
-    .with_arg_count(5 + n_zips)
+/// Which matrix dimension a 2D fold keeps: one output element per row
+/// (the columns fold away) or per column (the rows fold away).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    Rows,
+    Cols,
 }
 
-/// Generate the post-fused AllPairs program: [`allpairs_program`] (or its
-/// tiled twin when `tile > 0`) with an element-wise chain applied to each
-/// output element before the single write — `AllPairs::with_post` fuses
-/// e.g. the square root of a pairwise Euclidean distance into the
-/// zip-reduce kernel instead of launching a separate Map over the result.
+impl Axis {
+    /// The fold templates' text along this axis: `[skeleton, kernel, walk,
+    /// item, items, k, extent, index, first, offset]`. Work-item `item` (one
+    /// of `items`) folds `k` over `0..extent`, reading `in[index]`; `first`
+    /// is its segment's first element and `offset` the part's position
+    /// along the folded dimension.
+    fn text(self) -> [&'static str; 10] {
+        match self {
+            Axis::Rows => [
+                "ReduceRows",
+                "reduce_rows",
+                "row-segmented",
+                "row",
+                "n_rows",
+                "c",
+                "n_cols",
+                "row * row_stride + c",
+                "row * row_stride",
+                "col_offset",
+            ],
+            Axis::Cols => [
+                "ReduceCols",
+                "reduce_cols",
+                "column-strided",
+                "col",
+                "n_cols",
+                "r",
+                "n_rows",
+                "r * row_stride + col",
+                "col",
+                "row_offset",
+            ],
+        }
+    }
+}
+
+/// Generate the value fold behind [`crate::ReduceRows`] and
+/// [`crate::ReduceCols`] and every pipeline `reduce_rows` terminal: one
+/// work-item per output element folds its row (`Axis::Rows`, ascending
+/// columns) or column (`Axis::Cols`, ascending rows, column-strided reads)
+/// from a seed — the identity on the first (or only) segment, the previous
+/// segment's partial when the parts split the folded dimension and are
+/// chained. The fixed fold order is what makes the result bit-identical
+/// across device counts and distributions.
+///
+/// `stages` run on every element as it is folded (a zip operand is read at
+/// the folded element's index), so a map→…→fold pipeline is one launch
+/// with zero intermediate buffers. With no stages this is the skeleton's
+/// own program, over elements of type `t`.
+pub fn fold_program(
+    axis: Axis,
+    stages: &[FusedStage],
+    fn_name: &str,
+    fn_source: &str,
+    in_t: &str,
+    t: &str,
+) -> Program {
+    let [skeleton, kernel, walk, item, items, k, extent, index, ..] = axis.text();
+    let value = fused_value_chain(stages, 0, &format!("in[{index}]"), index, "");
+    let (zip_params, n_zips) = fused_zip_params(stages);
+    let (fused, name, types) = if stages.is_empty() {
+        ("", fn_name.to_string(), vec![t])
+    } else {
+        let name = format!("{}+{fn_name}", fused_chain_name(stages));
+        (", fused stages", name, vec![in_t, t])
+    };
+    let source = format!(
+        "// generated by SkelCL codegen: {skeleton} skeleton ({walk} fold{fused})\n\
+         {}\n\
+         __kernel void skelcl_{kernel}(__global const {in_t}* restrict in,\n\
+                                 __global const {t}* restrict seed,\n\
+                                 __global {t}* restrict out{zip_params},\n\
+                                 const uint n_rows,\n\
+                                 const uint n_cols,\n\
+                                 const uint row_stride,\n\
+                                 const uint has_seed,\n\
+                                 const {t} identity) {{\n\
+             uint {item} = get_global_id(0);\n\
+             if ({item} < {items}) {{\n\
+                 {t} acc = has_seed ? seed[{item}] : identity;\n\
+                 for (uint {k} = 0; {k} < {extent}; ++{k}) {{\n\
+                     acc = {fn_name}(acc, {value});\n\
+                 }}\n\
+                 out[{item}] = acc;\n\
+             }}\n\
+         }}\n",
+        fused_sources(&[fn_source], stages),
+    );
+    Program::from_source(program_name(kernel, &name, &types), source).with_arg_count(8 + n_zips)
+}
+
+/// Generate the index-carrying fold behind [`crate::ReduceRowsArg`] and
+/// [`crate::ReduceColsArg`]: per row (column), a strictly-better comparison
+/// scan in ascending column (row) order keeps the best value **and its
+/// global index** along the folded dimension (lowest index wins ties,
+/// because only a strict improvement replaces the incumbent). Chained parts
+/// seed from the previous segment's (value, index) pair.
+pub fn argbest_program(axis: Axis, fn_name: &str, fn_source: &str, t: &str) -> Program {
+    let [skeleton, kernel, _, item, items, k, extent, index, first, offset] = axis.text();
+    let source = format!(
+        "// generated by SkelCL codegen: {skeleton}Arg skeleton (argbest scan)\n\
+         {fn_source}\n\
+         __kernel void skelcl_{kernel}_arg(__global const {t}* restrict in,\n\
+                                     __global const {t}* restrict seed_val,\n\
+                                     __global const uint* restrict seed_idx,\n\
+                                     __global {t}* restrict out_val,\n\
+                                     __global uint* restrict out_idx,\n\
+                                     const uint n_rows,\n\
+                                     const uint n_cols,\n\
+                                     const uint row_stride,\n\
+                                     const uint {offset},\n\
+                                     const uint has_seed) {{\n\
+             uint {item} = get_global_id(0);\n\
+             if ({item} < {items}) {{\n\
+                 {t} best = has_seed ? seed_val[{item}] : in[{first}];\n\
+                 uint best_i = has_seed ? seed_idx[{item}] : {offset};\n\
+                 for (uint {k} = has_seed ? 0 : 1; {k} < {extent}; ++{k}) {{\n\
+                     {t} x = in[{index}];\n\
+                     if ({fn_name}(x, best)) {{ best = x; best_i = {offset} + {k}; }}\n\
+                 }}\n\
+                 out_val[{item}] = best;\n\
+                 out_idx[{item}] = best_i;\n\
+             }}\n\
+         }}\n"
+    );
+    Program::from_source(
+        program_name(&format!("{kernel}_arg"), fn_name, &[t]),
+        source,
+    )
+    .with_arg_count(10)
+}
+
+/// Generate the AllPairs program behind [`crate::AllPairs`]: per output
+/// element, `zip(A[i][k], B[k][j])` combined across the inner dimension
+/// with `reduce` in ascending `k` (SkelCL's later `AllPairs(M, N)` skeleton
+/// restricted to the zip-reduce form that admits the fast tiled
+/// implementation), then the `post` chain applied once before the single
+/// write (`AllPairs::with_post` fuses e.g. the square root of a pairwise
+/// Euclidean distance into the kernel instead of launching a separate Map).
+///
+/// `tile == 0` streams both operands from global memory, one work-item per
+/// element. Otherwise each `tile × tile` work-group stages an A-row-strip
+/// tile and a B-col-strip tile in local memory and every item combines
+/// from there, cutting global traffic by a factor of `tile` (the classic
+/// blocked matrix-multiply scheme). The tile dimension changes the emitted
+/// code — and the local-memory footprint — so it is part of the program
+/// name and thus the kernel cache key, as is the post chain.
 #[allow(clippy::too_many_arguments)]
-pub fn fused_allpairs_program(
+pub fn allpairs_program(
     zip_name: &str,
     zip_source: &str,
     reduce_name: &str,
@@ -949,22 +818,30 @@ pub fn fused_allpairs_program(
     out_t: &str,
     tile: usize,
 ) -> Program {
-    let write_chain = fused_value_chain(post, 0, "acc", "row * n + col", "");
-    let post_sources = fused_sources(post);
-    let full_name = format!("{zip_name}_{reduce_name}+{}", fused_chain_name(post));
-    if tile == 0 {
+    let write = fused_value_chain(post, 0, "acc", "row * n + col", "");
+    let (fused, name) = if post.is_empty() {
+        ("", format!("{zip_name}_{reduce_name}"))
+    } else {
+        (
+            ", fused post chain",
+            format!("{zip_name}_{reduce_name}+{}", fused_chain_name(post)),
+        )
+    };
+    let sources = fused_sources(&[zip_source, reduce_source], post);
+    let params = format!(
+        "__global const {in_t}* restrict a,\n\
+         __global const {in_t}* restrict b,\n\
+         __global {out_t}* restrict c,\n\
+         const uint m,\n\
+         const uint k,\n\
+         const uint n,\n\
+         const {out_t} identity"
+    );
+    let (skeleton, source, n_args) = if tile == 0 {
         let source = format!(
-            "// generated by SkelCL codegen: AllPairs skeleton (naive, fused post chain)\n\
-             {zip_source}\n\
-             {reduce_source}\n\
-             {post_sources}\n\
-             __kernel void skelcl_fused_allpairs(__global const {in_t}* restrict a,\n\
-                                  __global const {in_t}* restrict b,\n\
-                                  __global {out_t}* restrict c,\n\
-                                  const uint m,\n\
-                                  const uint k,\n\
-                                  const uint n,\n\
-                                  const {out_t} identity) {{\n\
+            "// generated by SkelCL codegen: AllPairs skeleton (naive{fused})\n\
+             {sources}\n\
+             __kernel void skelcl_allpairs({params}) {{\n\
                  uint col = get_global_id(0);\n\
                  uint row = get_global_id(1);\n\
                  if (row < m && col < n) {{\n\
@@ -972,31 +849,19 @@ pub fn fused_allpairs_program(
                      for (uint kk = 0; kk < k; ++kk) {{\n\
                          acc = {reduce_name}(acc, {zip_name}(a[row * k + kk], b[kk * n + col]));\n\
                      }}\n\
-                     c[row * n + col] = {write_chain};\n\
+                     c[row * n + col] = {write};\n\
                  }}\n\
              }}\n"
         );
-        Program::from_source(
-            program_name("fused_allpairs", &full_name, &[in_t, out_t]),
-            source,
-        )
-        .with_arg_count(7)
+        ("allpairs".to_string(), source, 7)
     } else {
         let source = format!(
-            "// generated by SkelCL codegen: AllPairs skeleton (tiled {tile}x{tile}, fused post chain)\n\
+            "// generated by SkelCL codegen: AllPairs skeleton (tiled, {tile}x{tile} local tiles{fused})\n\
              #define TILE {tile}\n\
-             {zip_source}\n\
-             {reduce_source}\n\
-             {post_sources}\n\
-             __kernel void skelcl_fused_allpairs_tiled(__global const {in_t}* restrict a,\n\
-                                  __global const {in_t}* restrict b,\n\
-                                  __global {out_t}* restrict c,\n\
-                                  const uint m,\n\
-                                  const uint k,\n\
-                                  const uint n,\n\
-                                  const {out_t} identity,\n\
-                                  __local {in_t}* a_tile,\n\
-                                  __local {in_t}* b_tile) {{\n\
+             {sources}\n\
+             __kernel void skelcl_allpairs_tiled({params},\n\
+                                                 __local {in_t}* a_tile,\n\
+                                                 __local {in_t}* b_tile) {{\n\
                  uint col = get_global_id(0);\n\
                  uint row = get_global_id(1);\n\
                  uint lx = get_local_id(0);\n\
@@ -1014,19 +879,13 @@ pub fn fused_allpairs_program(
                      }}\n\
                      barrier(CLK_LOCAL_MEM_FENCE);\n\
                  }}\n\
-                 if (row < m && col < n) c[row * n + col] = {write_chain};\n\
+                 if (row < m && col < n) c[row * n + col] = {write};\n\
              }}\n"
         );
-        Program::from_source(
-            program_name(
-                &format!("fused_allpairs_tiled{tile}"),
-                &full_name,
-                &[in_t, out_t],
-            ),
-            source,
-        )
-        .with_arg_count(9)
-    }
+        (format!("allpairs_tiled{tile}"), source, 9)
+    };
+    Program::from_source(program_name(&skeleton, &name, &[in_t, out_t]), source)
+        .with_arg_count(n_args)
 }
 
 #[cfg(test)]
@@ -1153,7 +1012,8 @@ mod tests {
         assert!(post.source.contains("ww), op1[row * n_cols + col]);"));
         assert!(post.source.contains("__global const float* restrict op1"));
         // Folded into a row reduction: at the folded element.
-        let fold = fused_reduce_rows_program(
+        let fold = fold_program(
+            Axis::Rows,
             &[zip_stage()],
             "sum",
             "float sum(float x, float y){return x+y;}",
@@ -1162,7 +1022,9 @@ mod tests {
         );
         assert!(fold
             .source
-            .contains("acc = sum(acc, add(in[row * n_cols + c], op0[row * n_cols + c]));"));
+            .contains("acc = sum(acc, add(in[row * row_stride + c], op0[row * row_stride + c]));"));
+        assert!(fold.source.contains("__global const float* restrict op0"));
+        assert_eq!(fold.n_args, 9);
         for p in [&pre, &post, &fold] {
             assert!(!p.source.contains("[i])"), "{}", p.source);
         }
@@ -1192,6 +1054,50 @@ mod tests {
             assert!(!group.source.contains("win_out"), "{}", group.source);
             assert_ne!(group.hash(), lone.hash());
         }
+    }
+
+    #[test]
+    fn a_stage_free_generator_builds_the_skeletons_own_program() {
+        let sum = ("sum", "float sum(float x, float y){return x+y;}");
+        let rows = fold_program(Axis::Rows, &[], sum.0, sum.1, "float", "float");
+        let cols = fold_program(Axis::Cols, &[], sum.0, sum.1, "float", "float");
+        assert_eq!(rows.name, "skelcl_reduce_rows_sum_float");
+        assert_eq!(cols.name, "skelcl_reduce_cols_sum_float");
+        assert!(cols
+            .source
+            .contains("acc = sum(acc, in[r * row_stride + col]);"));
+        assert_eq!((rows.n_args, cols.n_args), (8, 8));
+        let arg = argbest_program(Axis::Cols, "less", "bool less(float x, float y){}", "float");
+        assert_eq!(arg.name, "skelcl_reduce_cols_arg_less_float");
+        assert!(arg.source.contains("best_i = row_offset + r;"));
+        assert_eq!(arg.n_args, 10);
+        let mult = ("mult", "float mult(float x, float y){return x*y;}");
+        let allpairs = |post: &[FusedStage], tile| {
+            allpairs_program(mult.0, mult.1, sum.0, sum.1, post, "float", "float", tile)
+        };
+        let naive = allpairs(&[], 0);
+        let tiled = allpairs(&[], 8);
+        assert_eq!(naive.name, "skelcl_allpairs_mult_sum_float_float");
+        assert_eq!(tiled.name, "skelcl_allpairs_tiled8_mult_sum_float_float");
+        assert_eq!((naive.n_args, tiled.n_args), (7, 9));
+        // A fused stage joins the name and wraps the value it acts on.
+        let neg = FusedStage::new("map", "neg", "float neg(float x){return -x;}", 1);
+        let fused = fold_program(
+            Axis::Rows,
+            std::slice::from_ref(&neg),
+            sum.0,
+            sum.1,
+            "float",
+            "float",
+        );
+        assert_eq!(fused.name, "skelcl_reduce_rows_neg+sum_float_float");
+        assert!(fused
+            .source
+            .contains("acc = sum(acc, neg(in[row * row_stride + c]));"));
+        let post = allpairs(&[neg], 8);
+        assert_eq!(post.name, "skelcl_allpairs_tiled8_mult_sum+neg_float_float");
+        assert!(post.source.contains("c[row * n + col] = neg(acc);"));
+        assert_eq!(post.n_args, 9);
     }
 
     #[test]

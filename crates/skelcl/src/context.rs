@@ -499,9 +499,10 @@ impl Context {
     /// Run skelcheck's **kernel lint pass** over every program resident in
     /// the shared registry, against this context's device local-memory
     /// budget: divergent barriers, oversized `__local` declarations,
-    /// host/kernel arity mismatches and unguarded thread-indexed global
-    /// accesses. The finding count is added to the `skelcheck.lint_findings`
-    /// counter; a healthy codegen layer yields an empty vector.
+    /// host/kernel arity mismatches, unguarded thread-indexed global
+    /// accesses and undeclared subscript identifiers. The finding count is
+    /// added to the `skelcheck.lint_findings` counter; a healthy codegen
+    /// layer yields an empty vector.
     pub fn lint_registry(&self) -> Vec<skelcheck::LintFinding> {
         let budget = self.device(0).spec().local_mem_bytes as u64;
         let mut findings = Vec::new();

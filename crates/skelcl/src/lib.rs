@@ -178,8 +178,9 @@
 //!   [`ProgramRegistry`]: barriers under thread-divergent control flow,
 //!   `__local` declarations over the device budget, host/kernel
 //!   argument-count mismatches ([`Error::KernelArgMismatch`] is the
-//!   runtime twin of that lint), and thread-id-indexed global accesses
-//!   outside any bounds guard. Findings land in the
+//!   runtime twin of that lint), thread-id-indexed global accesses
+//!   outside any bounds guard, and subscripts naming an identifier nothing
+//!   declares. Findings land in the
 //!   `skelcheck.lint_findings` counter; a healthy codegen layer lints
 //!   clean (the skeleton table above is covered end-to-end in CI).
 //!
@@ -420,8 +421,11 @@
 //! before the stencil as each cell loads, so every input cell is read
 //! from global memory about once per group instead of once per tap. A
 //! stencil stage takes the same [`Stencil2DView`] user function as
-//! [`Stencil2D`]. The fused OpenCL
-//! programs come from dedicated [`codegen`] builders and are cached in the
+//! [`Stencil2D`]. A [`PipelineExpr::reduce_rows`] fold runs
+//! [`ReduceRows`]' own distribution dispatch and launcher, so the input
+//! keeps its distribution. Every fused OpenCL program comes from the
+//! [`codegen`] generator of the skeleton its group anchors on — whose
+//! stage-free member is the skeleton's own program — and is cached in the
 //! [`ProgramRegistry`] under a key derived from the exact stage chain —
 //! same chain, same program. Results are **bit-identical** to the unfused
 //! skeleton chain on every device count, boundary mode and distribution

@@ -33,6 +33,7 @@ use crate::codegen::{self, FusedStage, UserFn};
 use crate::error::{Error, Result};
 use crate::matrix::{Matrix, MatrixDistribution};
 use crate::meter;
+use crate::skeletons::pipeline::stage_of;
 use crate::skeletons::range_2d;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -63,10 +64,8 @@ impl Default for AllPairsStrategy {
     }
 }
 
-/// A post stage fused into the AllPairs write: the stage descriptor used
-/// for codegen plus the type-erased Rust twin applied to each folded value.
+/// The type-erased Rust twin of a post stage, applied to each folded value.
 type PostFn<U> = Arc<dyn Fn(U) -> U + Send + Sync>;
-type PostStage<U> = (FusedStage, PostFn<U>);
 
 /// The AllPairs skeleton, customized by a zip function, an associative
 /// reduce function and the reduction's identity element.
@@ -75,7 +74,9 @@ pub struct AllPairs<T: Element, U: Element, Fz, Fr> {
     reduce: UserFn<Fr>,
     identity: U,
     strategy: AllPairsStrategy,
-    post: Vec<PostStage<U>>,
+    /// The post stages fused into the write, for codegen, and their twins.
+    post: Vec<FusedStage>,
+    post_fns: Vec<PostFn<U>>,
     _pd: PhantomData<fn(T, T) -> U>,
 }
 
@@ -95,6 +96,7 @@ where
             identity,
             strategy: AllPairsStrategy::default(),
             post: Vec::new(),
+            post_fns: Vec::new(),
             _pd: PhantomData,
         }
     }
@@ -107,18 +109,17 @@ where
 
     /// Fuse an element-wise post stage into the write of every output
     /// element: `C[i][j] = post(fold(...))` in the same kernel, with no
-    /// intermediate matrix. Stages accumulate in call order and become part
-    /// of the generated program (and its cache key). This is how a
-    /// pipeline's trailing `map` chain lands on an AllPairs anchor — e.g.
-    /// a fused `sqrt` turns the zip-reduce of squared differences into
-    /// Euclidean pairwise distances in one launch.
+    /// intermediate matrix. Stages accumulate in call order and join the
+    /// program's name (and so its cache key); the one AllPairs generator,
+    /// [`codegen::allpairs_program`], applies them before the write under
+    /// either strategy — e.g. a fused `sqrt` turns the zip-reduce of
+    /// squared differences into Euclidean pairwise distances in one launch.
     pub fn with_post<Fp>(mut self, user: UserFn<Fp>) -> Self
     where
         Fp: Fn(U) -> U + Send + Sync + Clone + 'static,
     {
-        let stage = FusedStage::new("map", user.name(), user.source(), user.static_ops());
-        let f = user.func().clone();
-        self.post.push((stage, Arc::new(f)));
+        self.post.push(stage_of("map", &user));
+        self.post_fns.push(Arc::new(user.func().clone()));
         self
     }
 
@@ -126,50 +127,18 @@ where
         self.strategy
     }
 
-    /// The generated naive program (exposed for the cache experiments).
-    /// With fused post stages the fused builder is used, so the post chain
-    /// is part of the program name and the kernel cache key.
-    pub fn program(&self) -> Program {
-        if self.post.is_empty() {
-            codegen::allpairs_program(
-                self.zip.name(),
-                self.zip.source(),
-                self.reduce.name(),
-                self.reduce.source(),
-                T::TYPE_NAME,
-                U::TYPE_NAME,
-            )
-        } else {
-            self.fused_program(0)
-        }
-    }
-
-    /// The generated tiled program for a given tile dimension; the tile is
-    /// part of the program name and therefore of the kernel cache key.
-    pub fn tiled_program(&self, tile: usize) -> Program {
-        if self.post.is_empty() {
-            codegen::allpairs_tiled_program(
-                self.zip.name(),
-                self.zip.source(),
-                self.reduce.name(),
-                self.reduce.source(),
-                T::TYPE_NAME,
-                U::TYPE_NAME,
-                tile,
-            )
-        } else {
-            self.fused_program(tile)
-        }
-    }
-
-    fn fused_program(&self, tile: usize) -> Program {
-        let stages: Vec<FusedStage> = self.post.iter().map(|(s, _)| s.clone()).collect();
-        codegen::fused_allpairs_program(
+    /// The generated program for a tile dimension, `0` for the naive
+    /// strategy (exposed for the cache experiments). The tile and the fused
+    /// post stages are part of the program name and therefore of the
+    /// kernel cache key; with no post stage this is the plain zip-reduce
+    /// program.
+    pub fn program(&self, tile: usize) -> Program {
+        codegen::allpairs_program(
             self.zip.name(),
             self.zip.source(),
             self.reduce.name(),
             self.reduce.source(),
-            &stages,
+            &self.post,
             T::TYPE_NAME,
             U::TYPE_NAME,
             tile,
@@ -179,13 +148,11 @@ where
     /// The program [`AllPairs::apply`] builds on `ctx`, with its tile
     /// dimension (`0` for the naive strategy).
     pub fn program_on(&self, ctx: &crate::context::Context) -> (Program, usize) {
-        match self.strategy {
-            AllPairsStrategy::Naive => (self.program(), 0),
-            AllPairsStrategy::Tiled { tile } => {
-                let tile = self.effective_tile(ctx, tile);
-                (self.tiled_program(tile), tile)
-            }
-        }
+        let tile = match self.strategy {
+            AllPairsStrategy::Naive => 0,
+            AllPairsStrategy::Tiled { tile } => self.effective_tile(ctx, tile),
+        };
+        (self.program(tile), tile)
     }
 
     /// The largest usable tile dimension: the requested tile halved until
@@ -292,9 +259,8 @@ where
         // Static per-k cost of one zip + one reduce application, plus the
         // once-per-element cost of the fused post chain.
         let step_ops = self.zip.static_ops() + self.reduce.static_ops();
-        let post_ops: u64 = self.post.iter().map(|(s, _)| s.static_ops).sum();
-        let post_fns: Arc<Vec<PostFn<U>>> =
-            Arc::new(self.post.iter().map(|(_, f)| f.clone()).collect());
+        let post_ops: u64 = self.post.iter().map(|s| s.static_ops).sum();
+        let post_fns: Arc<Vec<PostFn<U>>> = Arc::new(self.post_fns.clone());
         let elem_bytes = std::mem::size_of::<T>();
         for (ap, op) in a_parts.iter().zip(&out_parts) {
             if ap.rows == 0 || n == 0 {
@@ -520,9 +486,9 @@ mod tests {
     #[test]
     fn tile_dimension_is_part_of_the_cache_key() {
         let s = matmul_skel();
-        let t8 = s.tiled_program(8).hash();
-        let t16 = s.tiled_program(16).hash();
-        let naive = s.program().hash();
+        let t8 = s.program(8).hash();
+        let t16 = s.program(16).hash();
+        let naive = s.program(0).hash();
         assert_ne!(t8, t16, "tile dims must produce distinct programs");
         assert_ne!(t8, naive);
     }
@@ -705,8 +671,8 @@ mod tests {
         );
         let plain = matmul_skel();
         let fused = matmul_skel().with_post(sq);
-        assert_ne!(plain.program().hash(), fused.program().hash());
-        assert_ne!(plain.tiled_program(8).hash(), fused.tiled_program(8).hash());
+        assert_ne!(plain.program(0).hash(), fused.program(0).hash());
+        assert_ne!(plain.program(8).hash(), fused.program(8).hash());
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! [`Pipeline`]'s element-wise groups — goes through one launcher over each
 //! part's contiguous span, from one program generator
 //! ([`codegen::elementwise_program`](crate::codegen::elementwise_program)).
+//! Likewise every value fold — [`ReduceRows`], [`ReduceCols`] and the
+//! [`Pipeline`]'s row folds — goes through one fold launcher, from
+//! [`codegen::fold_program`](crate::codegen::fold_program).
 //!
 //! Every skeleton is a higher-order entity customized by a [`UserFn`](crate::UserFn)
 //! (source string + Rust twin, see [`crate::skel_fn!`]). Construction

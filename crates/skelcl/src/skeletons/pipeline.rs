@@ -17,23 +17,24 @@
 //!   neighbourhood reads force materialized input rows (with coherent
 //!   halos), exactly as in [`Stencil2D`](crate::Stencil2D).
 //! * The terminal decides the output: [`PipelineExpr::run`] writes a
-//!   [`Matrix`]; [`PipelineExpr::reduce_rows`] fuses the pending
-//!   element-wise chain into the ascending-column row fold of
-//!   [`ReduceRows`](crate::ReduceRows) and writes a [`Vector`].
+//!   [`Matrix`]; [`PipelineExpr::reduce_rows`] runs the
+//!   [`ReduceRows`](crate::ReduceRows) fold over the settled chain, applying
+//!   the pending element-wise stages to each element as it is folded, and
+//!   writes a [`Vector`].
 //!
-//! Fused programs are generated by the `codegen` fused builders and cached
-//! in the [`ProgramRegistry`](crate::ProgramRegistry) under the joined
-//! stage names, like any single-skeleton program. Stencil groups launch
-//! as one-round blocks through the block launcher of
-//! [`Stencil2D::iterate`](crate::Stencil2D::iterate), from the programs of
-//! its generator, [`codegen::stencil2d_block_program`]: every work-group
-//! reads each cell of its window from global memory once, and a one-stage
-//! group over a same-type stencil builds exactly `iterate`'s program.
-//! Element-wise groups, every
-//! [`Map`](crate::Map) and [`Zip`](crate::Zip) variant and the `Copy`
-//! merge share one launcher, `launch_elementwise`, and one program
-//! generator, [`codegen::elementwise_program`]: a one-stage group builds
-//! exactly the program of the `Map` or `Zip` over the same user function.
+//! Every group runs through the launcher of the skeleton it anchors on,
+//! from that skeleton's program generator, and its program is cached in
+//! the [`ProgramRegistry`](crate::ProgramRegistry) under the joined stage
+//! names: stencil groups as one-round blocks of
+//! [`Stencil2D::iterate`](crate::Stencil2D::iterate)'s launcher
+//! ([`codegen::stencil2d_block_program`]; each work-group reads every cell
+//! of its window from global memory once), element-wise groups through
+//! `launch_elementwise` with every [`Map`](crate::Map) and
+//! [`Zip`](crate::Zip) variant ([`codegen::elementwise_program`]), row
+//! folds through `ReduceRows`' distribution dispatch and fold launcher
+//! ([`codegen::fold_program`]). A one-stage group over a same-type
+//! stencil, a one-stage element-wise group and a stage-free fold build
+//! exactly the program of `iterate`, `Map`/`Zip` and `ReduceRows`.
 //!
 //! The technique follows the expression-template fusion of Demidov et al.
 //! ("Programming CUDA and OpenCL: A Case Study Using Modern C++
@@ -45,16 +46,17 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::arguments::{KernelEnv, PartArgs};
-use crate::codegen::{self, FusedStage, UserFn};
+use crate::codegen::{self, Axis, FusedStage, UserFn};
 use crate::context::Context;
 use crate::error::{Error, Result};
 use crate::matrix::{exchange_part_halos, Matrix, MatrixDistribution, MatrixPart};
 use crate::meter;
+use crate::skeletons::reduce2d::Fold;
 use crate::skeletons::stencil2d::{
     stale_free, stencil_input_layout, window_rounds, BlockKernel, Boundary2D, Stencil2DView,
 };
 use crate::skeletons::{alloc_matching_matrix_parts, linear_range, range_2d};
-use crate::vector::{Distribution, Vector};
+use crate::vector::Vector;
 use vgpu::{CompiledKernel, Event, Item, KernelBody, Order, Scalar as Element};
 
 /// A stage descriptor from a user function.
@@ -719,16 +721,16 @@ where
         })
     }
 
-    /// Fuse the pending chain into a row reduction: per owned row, an
-    /// ascending-column left fold from `identity` — the exact fold order
-    /// of [`ReduceRows`](crate::ReduceRows), so the fused result is
+    /// Fold each row with `reduce` from `identity`, applying the pending
+    /// chain to each element as it is folded: the
+    /// [`ReduceRows`](crate::ReduceRows) fold over the plan's parts, through
+    /// its distribution dispatch and launcher, so the result is
     /// bit-identical to materializing and then reducing.
-    fn reduce_rows<F>(self, reduce: &UserFn<F>, identity: I) -> Result<Vector<I>>
+    fn reduce_rows<F>(self, reduce: UserFn<F>, identity: I) -> Result<Vector<I>>
     where
         F: Fn(I, I) -> I + Send + Sync + Clone + 'static,
     {
         let ctx = self.geom.ctx.clone();
-        let (rows, cols) = (self.geom.rows, self.geom.cols);
         let mut span = ctx.span("pipeline.group");
         span.attr("kind", "reduce_rows");
         span.attr(
@@ -745,80 +747,14 @@ where
         );
         span.attr("devices", ctx.n_devices().to_string());
 
-        let program = codegen::fused_reduce_rows_program(
-            &self.stages,
-            reduce.name(),
-            reduce.source(),
-            J::TYPE_NAME,
-            I::TYPE_NAME,
-        );
-        let compiled = ctx.get_or_build(&program)?;
-        let chain_ops: u64 = self.stages.iter().map(|s| s.static_ops).sum();
-        let static_ops = chain_ops + reduce.static_ops();
-
-        // Under a row-based distribution every owned row folds in place
-        // and the per-part partials concatenate (same dispatch as
-        // ReduceRows); otherwise the first full part folds everything.
-        let concat = matches!(self.geom.dist, MatrixDistribution::RowBlock { .. });
-        let fold_parts: Vec<(usize, &MatrixPart<J>)> = if concat {
-            self.parts.iter().enumerate().collect()
-        } else {
-            self.parts.iter().enumerate().take(1).collect()
-        };
-
-        let mut out_parts = Vec::with_capacity(fold_parts.len());
-        for &(pi, p) in &fold_parts {
-            let fold_rows = p.rows;
-            let buffer = ctx.device(p.device).alloc::<I>(fold_rows)?;
-            if fold_rows > 0 && cols > 0 {
-                let src = p.buffer.clone();
-                let dst = buffer.clone();
-                let op = self.op.clone();
-                let red = reduce.func().clone();
-                let halo_above = p.halo_above;
-                let body: KernelBody = Arc::new(move |wg| {
-                    wg.for_each_item(|it| {
-                        if !it.in_bounds() {
-                            return;
-                        }
-                        let r = it.global_id(0);
-                        let sr = halo_above + r;
-                        let (acc, dyn_ops) = meter::metered(|| {
-                            let mut acc = identity;
-                            for c in 0..cols {
-                                let i = sr * cols + c;
-                                acc = red(acc, op.apply(it, pi, i, it.read(&src, i)));
-                            }
-                            acc
-                        });
-                        it.write(&dst, r, acc);
-                        it.work(cols as u64 * static_ops + dyn_ops);
-                    });
-                });
-                ctx.queue(p.device).launch(
-                    &compiled.with_body(body),
-                    linear_range(&ctx, fold_rows),
-                    Order::Device,
-                )?;
-            }
-            out_parts.push(MatrixPart::column(
-                p.device,
-                p.row_offset,
-                fold_rows,
-                buffer,
-            ));
-        }
+        let fold = Fold::new(Axis::Rows, reduce, identity, &self.stages, J::TYPE_NAME);
+        let dims = (self.geom.rows, self.geom.cols);
+        let out = fold.apply(&ctx, dims, self.geom.dist, self.op, || Ok(self.parts))?;
         ctx.metrics().counter("skelcl.pipeline.groups").inc();
         ctx.metrics()
             .counter("skelcl.pipeline.stages_fused")
             .add(self.stages.len() as u64 + 1);
-
-        Ok(if concat {
-            Vector::from_device_parts(&ctx, rows, Distribution::Block, out_parts)
-        } else {
-            let p = out_parts.remove(0);
-            Vector::from_device_parts(&ctx, rows, Distribution::Single(p.device), vec![p])
-        })
+        Ok(out)
     }
 }
 
@@ -957,7 +893,7 @@ where
 
     fn consume<P: ReadPlan<I>>(self, plan: P) -> Result<Vector<I>> {
         plan.settle_with(OpId::new(), Vec::new())?
-            .reduce_rows(&self.reduce, self.identity)
+            .reduce_rows(self.reduce, self.identity)
     }
 }
 
@@ -1107,9 +1043,10 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
     }
 
     /// Execute the chain and fold each row with `reduce` from `identity`
-    /// (ascending columns — the [`ReduceRows`](crate::ReduceRows) fold
-    /// order), fusing the pending element-wise chain into the fold's
-    /// reads: the whole map→…→reduce pipeline is one launch.
+    /// through [`ReduceRows`](crate::ReduceRows)' fold (ascending columns,
+    /// the same distribution dispatch), fusing the pending element-wise
+    /// chain into the fold's reads: the whole map→…→reduce pipeline is one
+    /// launch per part, and it leaves the input's distribution as it is.
     fn reduce_rows<F>(
         &self,
         input: &Matrix<T>,
@@ -1124,10 +1061,10 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
     }
 }
 
-/// Plan the input layout and build the source plan: stencil chains and row
-/// folds follow `Stencil2D`'s layout rule at the maximum radius, and
-/// stencil chains get coherent halos; pure element-wise chains take the
-/// parts as they are. Opens the `pipeline.run` span.
+/// Plan the input layout and build the source plan: stencil chains follow
+/// `Stencil2D`'s layout rule at the maximum radius and get coherent halos;
+/// element-wise chains, folded or not, take the parts as they are. Opens
+/// the `pipeline.run` span.
 fn prepared_source<T: Element, E: PipelineExpr<T>>(
     expr: &E,
     input: &Matrix<T>,
@@ -1141,11 +1078,9 @@ fn prepared_source<T: Element, E: PipelineExpr<T>>(
         .iter()
         .filter(|s| s.kind.starts_with("stencil"))
         .count();
-    let groups = if n_stencils > 0 {
-        n_stencils
-    } else {
-        usize::from(!stages.is_empty() || row_fold)
-    };
+    // Every stencil anchors a group and so does a fold; element-wise stages
+    // launch a group of their own only when there is neither.
+    let groups = n_stencils + usize::from(row_fold || (n_stencils == 0 && !stages.is_empty()));
     let mut span = ctx.span("pipeline.run");
     span.attr("stages", stages.len().to_string());
     span.attr("groups", groups.to_string());
@@ -1154,7 +1089,7 @@ fn prepared_source<T: Element, E: PipelineExpr<T>>(
     span.attr("devices", ctx.n_devices().to_string());
 
     let radius = expr.max_radius();
-    if n_stencils > 0 || row_fold {
+    if n_stencils > 0 {
         stencil_input_layout(input, radius)?;
     }
     let (parts, halos_fresh) = if radius > 0 {
@@ -1437,6 +1372,7 @@ where
 mod tests {
     use super::*;
     use crate::skeletons::test_support::ctx;
+    use crate::vector::Distribution;
     use crate::{Map, ReduceRows, Stencil2D, Stencil2DView, Zip};
 
     fn test_matrix(ctx: &Context, rows: usize, cols: usize, seed: u32) -> Matrix<f32> {
@@ -1652,6 +1588,71 @@ mod tests {
                 "{devices} devices"
             );
         }
+    }
+
+    #[test]
+    fn a_col_block_fold_chains_its_partials_and_keeps_the_input_layout() {
+        let c = ctx(4);
+        let (rows, cols) = (16, 24);
+        let m = test_matrix(&c, rows, cols, 16);
+        m.set_distribution(MatrixDistribution::ColBlock).unwrap();
+        m.ensure_on_devices().unwrap();
+        let before = c.platform().stats_snapshot();
+        let fused = Pipeline::start::<f32>()
+            .map(square_fn())
+            .reduce_rows(&m, add_fn(), 0.0)
+            .unwrap();
+        let delta = c.platform().stats_snapshot() - before;
+        assert_eq!(
+            delta.d2d_transfers, 3,
+            "one partials copy per part boundary"
+        );
+        assert_eq!(delta.d2d_bytes, 3 * (rows * 4) as u64);
+        assert_eq!((delta.h2d_transfers, delta.d2h_transfers), (0, 0));
+        assert_eq!(m.distribution(), MatrixDistribution::ColBlock);
+
+        let mapped = Map::new(square_fn()).apply_matrix(&m).unwrap();
+        let unfused = ReduceRows::new(add_fn(), 0.0).apply(&mapped).unwrap();
+        assert_eq!(
+            bits(&fused.to_vec().unwrap()),
+            bits(&unfused.to_vec().unwrap())
+        );
+    }
+
+    #[test]
+    fn a_stage_free_fold_runs_the_program_reduce_rows_built() {
+        let c = ctx(2);
+        let m = test_matrix(&c, 12, 7, 17);
+        ReduceRows::new(add_fn(), 0.0).apply(&m).unwrap();
+        let misses = c.program_cache_misses();
+        Pipeline::start::<f32>()
+            .reduce_rows(&m, add_fn(), 0.0)
+            .unwrap();
+        assert_eq!(c.program_cache_misses(), misses, "no registry miss");
+    }
+
+    #[test]
+    fn the_run_span_counts_every_group_the_fold_launches() {
+        let c = ctx(2);
+        c.enable_spans();
+        let m = test_matrix(&c, 16, 9, 18);
+        let groups = || {
+            c.metrics()
+                .counter_value("skelcl.pipeline.groups")
+                .unwrap_or(0)
+        };
+        let before = groups();
+        Pipeline::start::<f32>()
+            .stencil(cross_user(), 1, Boundary2D::Neumann)
+            .reduce_rows(&m, add_fn(), 0.0)
+            .unwrap();
+        let launched = (groups() - before).to_string();
+        let run = c
+            .take_spans()
+            .into_iter()
+            .find(|s| s.name == "pipeline.run")
+            .expect("the pipeline opens its run span");
+        assert!(run.attrs.contains(&("groups", launched)), "{:?}", run.attrs);
     }
 
     #[test]

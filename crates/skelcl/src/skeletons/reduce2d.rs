@@ -5,6 +5,9 @@
 //! ([`dispatch_reduce`]): Single/Copy inputs reduce in place, the
 //! axis-aligned block distribution concatenates per-part results with zero
 //! transfers, and the split axis chains seeded partials device-to-device.
+//! The value folds ([`Fold`]) and a [`Pipeline`](crate::Pipeline)'s row
+//! fold share one launcher ([`launch_fold`]), which applies a settled
+//! plan's pending element-wise chain to each element as it is folded.
 //!
 //! These are the matrix counterparts of the 1D [`crate::Reduce`]: where
 //! Reduce folds a whole vector to one scalar, `ReduceRows` folds every
@@ -45,12 +48,13 @@
 //!   identity across device counts.
 //! * `Single`/`Copy` inputs reduce on the (first) device holding the data.
 
-use crate::codegen::{self, UserFn};
+use crate::codegen::{self, Axis, FusedStage, UserFn};
 use crate::context::Context;
 use crate::error::{Error, Result};
 use crate::matrix::{Matrix, MatrixDistribution, MatrixPart};
 use crate::meter;
 use crate::skeletons::linear_range;
+use crate::skeletons::pipeline::{OpId, PixelOp};
 use crate::vector::{Distribution, Vector};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -78,15 +82,16 @@ fn stage_on<T: Element>(
     Ok(staged)
 }
 
-/// Which output axis a 2D reduction produces: one element per matrix row
-/// (the column dimension folds away) or one per column (rows fold away).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Axis {
-    Rows,
-    Cols,
-}
-
+/// How a 2D reduction along an axis partitions its work across parts.
 impl Axis {
+    /// `(output length, folded extent)` of a `rows × cols` matrix.
+    fn extents(self, (rows, cols): (usize, usize)) -> (usize, usize) {
+        match self {
+            Axis::Rows => (rows, cols),
+            Axis::Cols => (cols, rows),
+        }
+    }
+
     /// Is `dist` the distribution that keeps this reduction's *reduced*
     /// dimension intact inside every part, so per-part results simply
     /// concatenate into the output's `Block` layout with zero transfers?
@@ -189,7 +194,8 @@ enum Reduced<S> {
 }
 
 /// The Single/Copy-vs-concat-vs-chain distribution dispatch shared by all
-/// four 2D reduction skeletons (previously copied into each `apply` body):
+/// four 2D reduction skeletons and the pipeline's row fold, over the
+/// device `parts` of a matrix laid out by `dist`:
 ///
 /// * `Single`/`Copy` inputs reduce on the (first) device holding the data;
 /// * under the distribution that keeps the reduced dimension intact
@@ -201,43 +207,44 @@ enum Reduced<S> {
 ///   seeding is what preserves the exact sequential fold order, and with
 ///   it bitwise identity across device counts.
 ///
-/// `launch(part, n_items, seed)` runs one kernel over a part and returns
-/// its output state.
-fn dispatch_reduce<T, S, L>(
-    input: &Matrix<T>,
+/// `launch(part index, part, n_items, seed)` runs one kernel over a part
+/// and returns its output state.
+fn dispatch_reduce<J, S, L>(
+    ctx: &Context,
+    parts: &[MatrixPart<J>],
+    dist: MatrixDistribution,
     axis: Axis,
     out_len: usize,
     mut launch: L,
 ) -> Result<Reduced<S>>
 where
-    T: Element,
+    J: Element,
     S: ChainState,
-    L: FnMut(&MatrixPart<T>, usize, Option<S>) -> Result<S>,
+    L: FnMut(usize, &MatrixPart<J>, usize, Option<S>) -> Result<S>,
 {
-    let ctx = input.ctx().clone();
-    let parts = input.parts()?;
-    match input.distribution() {
+    match dist {
         MatrixDistribution::Single(_) | MatrixDistribution::Copy => {
             let p = &parts[0];
-            let s = launch(p, out_len, None)?;
+            let s = launch(0, p, out_len, None)?;
             Ok(Reduced::Single(p.device, s))
         }
         dist if axis.concatenates_under(dist) => {
             let mut out = Vec::with_capacity(parts.len());
-            for p in &parts {
-                let s = launch(p, axis.part_items(p), None)?;
+            for (pi, p) in parts.iter().enumerate() {
+                let s = launch(pi, p, axis.part_items(p), None)?;
                 out.push((p.device, axis.part_offset(p), axis.part_items(p), s));
             }
             Ok(Reduced::Concat(out))
         }
         _ => {
             let mut acc: Option<(usize, S)> = None;
-            for p in parts.iter().filter(|p| axis.reduced_extent(p) > 0) {
+            let folded = parts.iter().enumerate();
+            for (pi, p) in folded.filter(|(_, p)| axis.reduced_extent(p) > 0) {
                 let seed = match acc.take() {
-                    Some((home, s)) => Some(s.stage(&ctx, home, p.device, out_len)?),
+                    Some((home, s)) => Some(s.stage(ctx, home, p.device, out_len)?),
                     None => None,
                 };
-                let s = launch(p, out_len, seed)?;
+                let s = launch(pi, p, out_len, seed)?;
                 acc = Some((p.device, s));
             }
             let (device, s) =
@@ -297,25 +304,109 @@ fn reduced_to_arg_vectors<T: Element>(
     }
 }
 
-/// Launch one segmented-fold kernel over part `p` along `axis`:
-/// `n_items` work-items each fold their segment ([`Axis::segments`]),
-/// starting from `seed[i]` when chaining or from `identity` on the first
-/// segment.
-#[allow(clippy::too_many_arguments)]
-fn launch_fold<T, F>(
-    ctx: &Context,
-    compiled: &CompiledKernel,
+/// A value fold along one axis: `user` folds every row (column) from
+/// `identity` in ascending column (row) order. [`ReduceRows`] and
+/// [`ReduceCols`] are stage-free folds; a pipeline's `reduce_rows`
+/// terminal builds one over its pending element-wise stages.
+pub(crate) struct Fold<T: Element, F> {
     axis: Axis,
-    p: &MatrixPart<T>,
-    n_items: usize,
-    seed: Option<Buffer<T>>,
+    user: UserFn<F>,
     identity: T,
-    user: &UserFn<F>,
-) -> Result<Buffer<T>>
+    /// Static issue cost per folded element of the stages before the fold.
+    stage_ops: u64,
+    program: Program,
+}
+
+impl<T, F> Fold<T, F>
 where
     T: Element,
     F: Fn(T, T) -> T + Send + Sync + Clone + 'static,
 {
+    /// The fold of `user` from `identity` along `axis`, over elements of
+    /// type `in_t` that pass through `stages` first.
+    pub(crate) fn new(
+        axis: Axis,
+        user: UserFn<F>,
+        identity: T,
+        stages: &[FusedStage],
+        in_t: &str,
+    ) -> Self {
+        let program =
+            codegen::fold_program(axis, stages, user.name(), user.source(), in_t, T::TYPE_NAME);
+        Fold {
+            axis,
+            user,
+            identity,
+            stage_ops: stages.iter().map(|s| s.static_ops).sum(),
+            program,
+        }
+    }
+
+    /// Fold a `rows × cols` matrix laid out by `dist` into a
+    /// device-resident vector, applying `op` (the stages' pending chain,
+    /// [`OpId`] for none) to each element as it is folded. `parts` yields
+    /// the matrix's device parts; it runs after the program is built. The
+    /// output's layout and the zero-extent edges are those
+    /// [`ReduceRows::apply`] and [`ReduceCols::apply`] document.
+    pub(crate) fn apply<J, Op>(
+        &self,
+        ctx: &Context,
+        dims: (usize, usize),
+        dist: MatrixDistribution,
+        op: Op,
+        parts: impl FnOnce() -> Result<Vec<MatrixPart<J>>>,
+    ) -> Result<Vector<T>>
+    where
+        J: Element,
+        Op: PixelOp<J, T>,
+    {
+        let (out_len, extent) = self.axis.extents(dims);
+        if out_len == 0 {
+            return Ok(Vector::from_vec(ctx, Vec::new()));
+        }
+        if extent == 0 {
+            return Ok(Vector::filled(ctx, out_len, self.identity));
+        }
+        let kernel = FoldKernel {
+            compiled: ctx.get_or_build(&self.program)?,
+            fold: self,
+            op,
+        };
+        let parts = parts()?;
+        let reduced = dispatch_reduce(ctx, &parts, dist, self.axis, out_len, |pi, p, n, seed| {
+            launch_fold(ctx, &kernel, pi, p, n, seed)
+        })?;
+        Ok(reduced_to_vector(ctx, out_len, reduced))
+    }
+}
+
+/// A built value fold and the element-wise op it applies to each element
+/// as it is folded.
+struct FoldKernel<'a, T: Element, F, Op> {
+    compiled: CompiledKernel,
+    fold: &'a Fold<T, F>,
+    op: Op,
+}
+
+/// Launch one segmented-fold kernel over part `pi` (`p`) along the fold's
+/// axis: `n_items` work-items each fold their segment ([`Axis::segments`]),
+/// passing every element through the kernel's op, starting from `seed[i]`
+/// when chaining or from the identity on the first segment.
+fn launch_fold<J, T, F, Op>(
+    ctx: &Context,
+    kernel: &FoldKernel<'_, T, F, Op>,
+    pi: usize,
+    p: &MatrixPart<J>,
+    n_items: usize,
+    seed: Option<Buffer<T>>,
+) -> Result<Buffer<T>>
+where
+    J: Element,
+    T: Element,
+    F: Fn(T, T) -> T + Send + Sync + Clone + 'static,
+    Op: PixelOp<J, T>,
+{
+    let fold = kernel.fold;
     let out = ctx.device(p.device).alloc::<T>(n_items)?;
     let Segments {
         base,
@@ -323,44 +414,54 @@ where
         item_pitch,
         elem_pitch,
         ..
-    } = axis.segments(p);
+    } = fold.axis.segments(p);
     if n_items == 0 || seg_len == 0 {
         return Ok(out);
     }
     // Kernel-body snapshots of the operands: the fold loop runs seg_len
     // times per item, so per-access counted reads would dominate wall
     // time; traffic and work are charged in bulk per item instead (the
-    // AllPairs accounting scheme).
-    let snap: Arc<Vec<T>> = Arc::new(p.buffer.to_vec());
-    let seed_snap: Option<Arc<Vec<T>>> = seed.map(|b| Arc::new(b.to_vec()));
-    let f = user.func().clone();
-    let static_ops = user.static_ops();
+    // AllPairs accounting scheme), and each item notes the ranges it reads
+    // for the hazard checker. The op's own operand reads stay counted.
+    let src = p.buffer.clone();
+    let snap: Arc<Vec<J>> = Arc::new(src.to_vec());
+    let seed_snap: Option<(Buffer<T>, Arc<Vec<T>>)> = seed.map(|b| {
+        let v = Arc::new(b.to_vec());
+        (b, v)
+    });
+    let f = fold.user.func().clone();
+    let op = kernel.op.clone();
+    let identity = fold.identity;
+    let static_ops = fold.stage_ops + fold.user.static_ops();
     let dst = out.clone();
-    let elem_bytes = std::mem::size_of::<T>();
-    let seeded = seed_snap.is_some();
+    let read_bytes = seg_len * size_of::<J>() + usize::from(seed_snap.is_some()) * size_of::<T>();
     let body: KernelBody = Arc::new(move |wg| {
         wg.for_each_item(|it| {
             if !it.in_bounds() {
                 return;
             }
             let i = it.global_id(0);
+            let first = base + i * item_pitch;
+            it.note_read(&src, first..first + (seg_len - 1) * elem_pitch + 1);
+            let seed = seed_snap.as_ref().map(|(buf, s)| {
+                it.note_read(buf, i..i + 1);
+                s[i]
+            });
             let (acc, dyn_ops) = meter::metered(|| {
-                let mut acc = match &seed_snap {
-                    Some(s) => s[i],
-                    None => identity,
-                };
+                let mut acc = seed.unwrap_or(identity);
                 for k in 0..seg_len {
-                    acc = f(acc, snap[base + i * item_pitch + k * elem_pitch]);
+                    let at = first + k * elem_pitch;
+                    acc = f(acc, op.apply(it, pi, at, snap[at]));
                 }
                 acc
             });
             it.write(&dst, i, acc);
             it.work(seg_len as u64 * static_ops + dyn_ops);
-            it.traffic_read((seg_len + usize::from(seeded)) * elem_bytes);
+            it.traffic_read(read_bytes);
         });
     });
     ctx.queue(p.device).launch(
-        &compiled.with_body(body),
+        &kernel.compiled.with_body(body),
         linear_range(ctx, n_items),
         Order::Device,
     )?;
@@ -402,7 +503,7 @@ where
     let better = user.func().clone();
     let static_ops = user.static_ops();
     let (dval, didx) = (out_val.clone(), out_idx.clone());
-    let elem_bytes = std::mem::size_of::<T>();
+    let elem_bytes = size_of::<T>();
     let seeded = seeds.is_some();
     let body: KernelBody = Arc::new(move |wg| {
         wg.for_each_item(|it| {
@@ -441,12 +542,7 @@ where
 
 /// The ReduceRows skeleton: `out[r] = f(...f(f(id, m[r][0]), m[r][1])...)`
 /// — one output element per matrix row, folded in ascending column order.
-pub struct ReduceRows<T: Element, F> {
-    user: UserFn<F>,
-    identity: T,
-    program: Program,
-    _pd: PhantomData<fn(T, T) -> T>,
-}
+pub struct ReduceRows<T: Element, F>(Fold<T, F>);
 
 impl<T, F> ReduceRows<T, F>
 where
@@ -456,18 +552,12 @@ where
     /// `ReduceRows<float> sums(sum, 0.0)` — an associative operator plus
     /// its identity, like the 1D Reduce.
     pub fn new(user: UserFn<F>, identity: T) -> Self {
-        let program = codegen::reduce_rows_program(user.name(), user.source(), T::TYPE_NAME);
-        ReduceRows {
-            user,
-            identity,
-            program,
-            _pd: PhantomData,
-        }
+        ReduceRows(Fold::new(Axis::Rows, user, identity, &[], T::TYPE_NAME))
     }
 
     /// The generated OpenCL-C program (exposed for the cache experiments).
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.0.program
     }
 
     /// Apply the skeleton. The result is a device-resident length-`rows`
@@ -477,41 +567,21 @@ where
     /// Zero-extent edges fold to the identity: a 0-column matrix reduces to
     /// `identity` per row, a 0-row matrix to the empty vector.
     pub fn apply(&self, input: &Matrix<T>) -> Result<Vector<T>> {
-        let ctx = input.ctx().clone();
-        let (rows, cols) = input.dims();
         let _span = input.call_span("reduce_rows.apply");
-        if rows == 0 {
-            return Ok(Vector::from_vec(&ctx, Vec::new()));
-        }
-        if cols == 0 {
-            return Ok(Vector::filled(&ctx, rows, self.identity));
-        }
-        let compiled = ctx.get_or_build(&self.program)?;
-        let reduced = dispatch_reduce(input, Axis::Rows, rows, |p, n_items, seed| {
-            launch_fold(
-                &ctx,
-                &compiled,
-                Axis::Rows,
-                p,
-                n_items,
-                seed,
-                self.identity,
-                &self.user,
-            )
-        })?;
-        Ok(reduced_to_vector(&ctx, rows, reduced))
+        self.0.apply(
+            input.ctx(),
+            input.dims(),
+            input.distribution(),
+            OpId::new(),
+            || input.parts(),
+        )
     }
 }
 
 /// The ReduceCols skeleton: `out[c] = f(...f(f(id, m[0][c]), m[1][c])...)`
 /// — one output element per matrix column, folded in ascending row order
 /// with column-strided reads.
-pub struct ReduceCols<T: Element, F> {
-    user: UserFn<F>,
-    identity: T,
-    program: Program,
-    _pd: PhantomData<fn(T, T) -> T>,
-}
+pub struct ReduceCols<T: Element, F>(Fold<T, F>);
 
 impl<T, F> ReduceCols<T, F>
 where
@@ -519,18 +589,12 @@ where
     F: Fn(T, T) -> T + Send + Sync + Clone + 'static,
 {
     pub fn new(user: UserFn<F>, identity: T) -> Self {
-        let program = codegen::reduce_cols_program(user.name(), user.source(), T::TYPE_NAME);
-        ReduceCols {
-            user,
-            identity,
-            program,
-            _pd: PhantomData,
-        }
+        ReduceCols(Fold::new(Axis::Cols, user, identity, &[], T::TYPE_NAME))
     }
 
     /// The generated OpenCL-C program (exposed for the cache experiments).
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.0.program
     }
 
     /// Apply the skeleton. `Block`-distributed output (zero transfers) for
@@ -538,29 +602,14 @@ where
     /// `Single` on the last chained device for `RowBlock`, `Single` on the
     /// holding device otherwise. Zero-extent edges fold to the identity.
     pub fn apply(&self, input: &Matrix<T>) -> Result<Vector<T>> {
-        let ctx = input.ctx().clone();
-        let (rows, cols) = input.dims();
         let _span = input.call_span("reduce_cols.apply");
-        if cols == 0 {
-            return Ok(Vector::from_vec(&ctx, Vec::new()));
-        }
-        if rows == 0 {
-            return Ok(Vector::filled(&ctx, cols, self.identity));
-        }
-        let compiled = ctx.get_or_build(&self.program)?;
-        let reduced = dispatch_reduce(input, Axis::Cols, cols, |p, n_items, seed| {
-            launch_fold(
-                &ctx,
-                &compiled,
-                Axis::Cols,
-                p,
-                n_items,
-                seed,
-                self.identity,
-                &self.user,
-            )
-        })?;
-        Ok(reduced_to_vector(&ctx, cols, reduced))
+        self.0.apply(
+            input.ctx(),
+            input.dims(),
+            input.distribution(),
+            OpId::new(),
+            || input.parts(),
+        )
     }
 }
 
@@ -585,7 +634,8 @@ where
     /// `ReduceRowsArg<float> argmin(less)` where `less(x, best)` returns
     /// whether `x` is *strictly* better.
     pub fn new(user: UserFn<F>) -> Self {
-        let program = codegen::reduce_rows_arg_program(user.name(), user.source(), T::TYPE_NAME);
+        let program =
+            codegen::argbest_program(Axis::Rows, user.name(), user.source(), T::TYPE_NAME);
         ReduceRowsArg {
             user,
             program,
@@ -615,8 +665,10 @@ where
             ));
         }
         let compiled = ctx.get_or_build(&self.program)?;
-        let reduced = dispatch_reduce(input, Axis::Rows, rows, |p, n_items, seed| {
-            launch_argbest(&ctx, &compiled, Axis::Rows, p, n_items, seed, &self.user)
+        let parts = input.parts()?;
+        let dist = input.distribution();
+        let reduced = dispatch_reduce(&ctx, &parts, dist, Axis::Rows, rows, |_, p, n, seed| {
+            launch_argbest(&ctx, &compiled, Axis::Rows, p, n, seed, &self.user)
         })?;
         Ok(reduced_to_arg_vectors(&ctx, rows, reduced))
     }
@@ -644,7 +696,8 @@ where
     /// `ReduceColsArg<float> argmin(less)` where `less(x, best)` returns
     /// whether `x` is *strictly* better.
     pub fn new(user: UserFn<F>) -> Self {
-        let program = codegen::reduce_cols_arg_program(user.name(), user.source(), T::TYPE_NAME);
+        let program =
+            codegen::argbest_program(Axis::Cols, user.name(), user.source(), T::TYPE_NAME);
         ReduceColsArg {
             user,
             program,
@@ -674,8 +727,10 @@ where
             ));
         }
         let compiled = ctx.get_or_build(&self.program)?;
-        let reduced = dispatch_reduce(input, Axis::Cols, cols, |p, n_items, seed| {
-            launch_argbest(&ctx, &compiled, Axis::Cols, p, n_items, seed, &self.user)
+        let parts = input.parts()?;
+        let dist = input.distribution();
+        let reduced = dispatch_reduce(&ctx, &parts, dist, Axis::Cols, cols, |_, p, n, seed| {
+            launch_argbest(&ctx, &compiled, Axis::Cols, p, n, seed, &self.user)
         })?;
         Ok(reduced_to_arg_vectors(&ctx, cols, reduced))
     }
@@ -996,6 +1051,30 @@ mod tests {
         let (v, i) = argmin_cols().apply(&hollow).unwrap();
         assert!(v.to_vec().unwrap().is_empty());
         assert!(i.to_vec().unwrap().is_empty());
+        // A product from 1 tells the identity from a zero-filled buffer.
+        let mul = || {
+            crate::skel_fn!(
+                fn mul(x: f32, y: f32) -> f32 {
+                    x * y
+                }
+            )
+        };
+        assert_eq!(
+            ReduceRows::new(mul(), 1.0)
+                .apply(&hollow)
+                .unwrap()
+                .to_vec()
+                .unwrap(),
+            vec![1.0f32; 4]
+        );
+        assert_eq!(
+            ReduceCols::new(mul(), 1.0)
+                .apply(&none)
+                .unwrap()
+                .to_vec()
+                .unwrap(),
+            vec![1.0f32; 5]
+        );
     }
 
     #[test]

@@ -992,9 +992,8 @@ where
     }
 }
 
-/// The layout rule for stencil inputs (and for the fused row fold, which
-/// also reads whole rows): parts span full rows and carry at least
-/// `radius` halo rows. A narrower `RowBlock` halo is widened; column blocks
+/// The layout rule for stencil inputs: parts span full rows and carry at
+/// least `radius` halo rows. A narrower `RowBlock` halo is widened; column blocks
 /// have no column halos, so they become row blocks with a `radius`-deep
 /// halo. Device-fresh data moves device-side.
 pub(crate) fn stencil_input_layout<T: Element>(input: &Matrix<T>, radius: usize) -> Result<()> {

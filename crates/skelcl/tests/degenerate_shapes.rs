@@ -324,3 +324,51 @@ fn reduce2d_with_empty_parts_matches_host_folds() {
         }
     }
 }
+
+// A pipeline's row fold over a matrix with nothing to fold returns the
+// identity per row, and one with no rows the empty vector — stage-free and
+// after a map, on every distribution. A product from 1 tells the identity
+// from a zero-filled buffer.
+#[test]
+fn zero_extent_pipeline_folds_return_the_identity() {
+    let mul = || {
+        skel_fn!(
+            fn pmul(x: f32, y: f32) -> f32 {
+                x * y
+            }
+        )
+    };
+    let twice = || {
+        skel_fn!(
+            fn twice(x: f32) -> f32 {
+                x * 2.0
+            }
+        )
+    };
+    for (rows, cols) in [(4usize, 0usize), (0, 5)] {
+        for devices in [1usize, 2] {
+            for dist in [
+                MatrixDistribution::Single(0),
+                MatrixDistribution::Copy,
+                MatrixDistribution::RowBlock { halo: 0 },
+                MatrixDistribution::RowBlock { halo: 2 },
+                MatrixDistribution::ColBlock,
+            ] {
+                let c = ctx(devices);
+                let m = Matrix::from_vec(&c, rows, cols, Vec::<f32>::new());
+                m.set_distribution(dist).unwrap();
+                let stage_free = Pipeline::start::<f32>()
+                    .reduce_rows(&m, mul(), 1.0)
+                    .unwrap();
+                let mapped = Pipeline::start::<f32>()
+                    .map(twice())
+                    .reduce_rows(&m, mul(), 1.0)
+                    .unwrap();
+                let want = vec![1.0f32; rows];
+                let at = format!("{rows}x{cols} {devices} {dist:?}");
+                assert_eq!(stage_free.to_vec().unwrap(), want, "{at}");
+                assert_eq!(mapped.to_vec().unwrap(), want, "{at}");
+            }
+        }
+    }
+}

@@ -7,7 +7,8 @@
 //! This is the codegen contract the linter enforces: no barrier under
 //! thread-divergent control flow, every statically declared `__local`
 //! array inside the device budget, host arg-marshalling arity matching a
-//! kernel signature, and every `__global` read guarded against bounds.
+//! kernel signature, every `__global` read guarded against bounds, and
+//! every identifier in a subscript declared.
 
 use skelcl::*;
 
@@ -185,15 +186,22 @@ fn populate_registry(c: &Context) {
         .with_strategy(AllPairsStrategy::Tiled { tile: 16 })
         .apply(&a, &b)
         .unwrap();
-    AllPairs::new(mul_fn(), add_fn(), 0.0)
-        .with_post(scale_fn())
-        .apply(&a, &b)
-        .unwrap();
+    for strategy in [
+        AllPairsStrategy::Naive,
+        AllPairsStrategy::Tiled { tile: 16 },
+    ] {
+        AllPairs::new(mul_fn(), add_fn(), 0.0)
+            .with_strategy(strategy)
+            .with_post(scale_fn())
+            .apply(&a, &b)
+            .unwrap();
+    }
 
     // Fused pipeline chains: pure element-wise group (elementwise), staged
     // stencil groups with fused pre/post stages (stencil2d_block), zip
     // operands before and after a stencil, a stencil pair, and map and zip
-    // chains folded into a row reduction (fused_reduce_rows).
+    // chains folded into a row reduction (the fold generator's staged
+    // members).
     Pipeline::start::<f32>()
         .map(scale_fn())
         .zip_with(&m2, add_fn())

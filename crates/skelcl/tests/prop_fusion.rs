@@ -274,6 +274,56 @@ proptest! {
         );
     }
 
+    // A row fold after a staged group: the zip after the stencil fuses
+    // into the group's writes and the fold runs stage-free; a zip straight
+    // before the fold is read at each folded element's index. Both equal
+    // the unfused Stencil2D → Zip → ReduceRows chain, bit for bit.
+    #[test]
+    fn stencil_zip_fold_matches_unfused(
+        (rows, cols) in wide_shape_strategy(),
+        devices in 1usize..4,
+        boundary in boundary_strategy(),
+        dist in dist_strategy(),
+        radius in 0usize..3,
+        seed in 0u32..1000,
+    ) {
+        let c = ctx(devices);
+        let data = [0u32, 11].map(|k| test_data(rows, cols, seed.wrapping_add(k)));
+        let matrices = || {
+            data.clone().map(|d| {
+                let m = Matrix::from_vec(&c, rows, cols, d);
+                m.set_distribution(dist).unwrap();
+                m
+            })
+        };
+        let fold_bits = |v: skelcl::Vector<f32>| {
+            v.to_vec().unwrap().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        let [m, op] = matrices();
+        let fused = Pipeline::start::<f32>()
+            .stencil(cross_user(radius), radius, boundary)
+            .zip_with(&op, add_fn())
+            .reduce_rows(&m, add_fn(), 0.0)
+            .unwrap();
+        let [m2, op2] = matrices();
+        let zip_fold = Pipeline::start::<f32>()
+            .zip_with(&op2, add_fn())
+            .reduce_rows(&m2, add_fn(), 0.0)
+            .unwrap();
+
+        let [m, op] = matrices();
+        let stenciled = Stencil2D::new(cross_user(radius), radius, boundary)
+            .apply(&m)
+            .unwrap();
+        let summed = Zip::new(add_fn()).apply_matrix(&stenciled, &op).unwrap();
+        let unfused = ReduceRows::new(add_fn(), 0.0).apply(&summed).unwrap();
+        prop_assert_eq!(fold_bits(fused), fold_bits(unfused));
+        let [m, op] = matrices();
+        let summed = Zip::new(add_fn()).apply_matrix(&m, &op).unwrap();
+        let unfused = ReduceRows::new(add_fn(), 0.0).apply(&summed).unwrap();
+        prop_assert_eq!(fold_bits(zip_fold), fold_bits(unfused));
+    }
+
     // Zip operands on both sides of a stencil: the one before it is read
     // as each window cell loads, the one after it at each write. The
     // fused group equals the Zip → Stencil2D → Zip chain.

@@ -437,6 +437,20 @@ impl<'a> Item<'a> {
         }
     }
 
+    /// Record that this item reads elements `range` of `buf` from a copy
+    /// the kernel body took at enqueue, so the hazard checker sees the
+    /// read. Nothing is charged: such kernels charge their traffic in bulk
+    /// ([`Item::traffic_read`]).
+    #[inline]
+    pub fn note_read<T: Scalar>(&self, buf: &Buffer<T>, range: std::ops::Range<usize>) {
+        self.check_device(buf);
+        if self.wg.track_access {
+            let sz = std::mem::size_of::<T>() as u64;
+            let (lo, hi) = (range.start as u64 * sz, range.end as u64 * sz);
+            self.wg.note_access(buf.id(), lo, hi, false);
+        }
+    }
+
     /// Counted global-memory load.
     #[inline]
     pub fn read<T: Scalar>(&self, buf: &Buffer<T>, i: usize) -> T {
