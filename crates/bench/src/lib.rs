@@ -561,17 +561,18 @@ pub fn stencil_iterate_virtual_s(
 /// Fig-fusion helper: virtual time of the canny label pipeline (gauss →
 /// sobel → non-maximum suppression → double threshold) over a
 /// `rows × cols` row-block image across `devices` devices. With `fused`
-/// the lazy [`skelcl::Pipeline`] runs: the whole chain compiles into
-/// three fused stencil launches with zero intermediate matrices, each
-/// staging its work-groups' windows in local memory; otherwise the unfused
-/// chain runs — six skeleton launches (gauss, sobel x, sobel y, gradient
-/// zip, nms, threshold map) with five materialised intermediates, whose
-/// stencils read every tap from global memory. Both paths are
-/// bit-identical (imgproc tests + `prop_fusion`); the figure measures the
-/// launch-count and traffic difference of fusion together with the
-/// traffic the fused groups' staging saves. The host-side hysteresis flood
-/// fill is identical in both variants and excluded, as is upload and
-/// program warm-up.
+/// the lazy [`skelcl::Pipeline`] runs: the whole chain compiles into one
+/// launch per part with zero intermediate matrices, whose work-groups load
+/// one window 3 rows and columns deep into local memory and step the three
+/// stencils there; otherwise the unfused chain runs — six skeleton
+/// launches (gauss, sobel x, sobel y, gradient zip, nms, threshold map)
+/// with five materialised intermediates, whose stencils read every tap
+/// from global memory and exchange halos between them. Both paths are
+/// bit-identical (imgproc tests + `prop_fusion`). The shared warm-up runs
+/// the fused chain first, which widens the image's halo to the chain's 3
+/// rows, so the timed unfused chain also reads (and its intermediates
+/// carry) 3-row halos. The host-side hysteresis flood fill is identical in
+/// both variants and excluded, as is upload and program warm-up.
 pub fn canny_virtual_s(rows: usize, cols: usize, devices: usize, fused: bool) -> f64 {
     use skelcl::{Boundary2D, Matrix, MatrixDistribution};
     use skelcl_imgproc::skelcl_impl::{canny_labels, canny_labels_unfused};

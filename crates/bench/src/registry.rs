@@ -259,13 +259,15 @@ fn assert_overlap_bit_identity() {
     }
 }
 
-/// The lazy-`Pipeline` canny label chain, fused into three stencil launches
-/// with zero intermediate matrices that each stage their windows in local
-/// memory, vs the unfused six-skeleton chain with five materialised
-/// intermediates and global-memory taps. Fused wins by ≥ 1.3× at every
-/// size and device count.
+/// The lazy-`Pipeline` canny label chain, fused into one launch per part
+/// that steps its three stencils through local-memory windows over one
+/// 3-row halo, with zero intermediate matrices and no halo exchange, vs
+/// the unfused six-skeleton chain with five materialised intermediates and
+/// global-memory taps. Fused wins by ≥ 1.3× at every size and device
+/// count, and its 4-device leg is no slower than its 1-device leg.
 fn fig_fusion() {
     for size in [256usize, 384, 512] {
+        let mut fused_x1 = f64::NAN;
         for devices in [1usize, 2, 4] {
             let unfused = canny_virtual_s(size, size, devices, false);
             let fused = canny_virtual_s(size, size, devices, true);
@@ -279,6 +281,15 @@ fn fig_fusion() {
                 "fig_fusion check: {size}x{size} x{devices} device(s): unfused {unfused:.6}s, \
                  fused {fused:.6}s ({speedup:.3}x)"
             );
+            match devices {
+                1 => fused_x1 = fused,
+                4 => assert!(
+                    fused <= fused_x1,
+                    "fused canny on 4 devices ({fused}s) must be no slower than on 1 \
+                     ({fused_x1}s) at {size}x{size}"
+                ),
+                _ => {}
+            }
         }
     }
 }

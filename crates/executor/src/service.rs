@@ -169,12 +169,6 @@ impl ExecutorConfig {
         self
     }
 
-    pub fn program_limits(mut self, capacity: usize, per_tenant_quota: usize) -> Self {
-        self.program_capacity = capacity;
-        self.program_quota = per_tenant_quota;
-        self
-    }
-
     pub fn paused(mut self) -> Self {
         self.paused = true;
         self
@@ -505,11 +499,6 @@ impl Executor {
     /// service-wide `executor.*` counters and the latency histogram).
     pub fn metrics(&self) -> &MetricsRegistry {
         self.shared.root.metrics()
-    }
-
-    /// Service-wide latency histogram handle.
-    pub fn latency_histogram(&self) -> Histogram {
-        self.shared.metrics.latency.clone()
     }
 
     /// Current queue depth for a tenant (0 for unknown ids).

@@ -165,13 +165,16 @@ pub fn blur_sobel(img: &Matrix<f32>, boundary: Boundary2D) -> Result<Matrix<f32>
 
 /// Canny label image, **fused**: the whole
 /// gauss → (sobel_x ∥ sobel_y) → nms → edge_label chain is one lazy
-/// [`Pipeline`] that executes as **three** kernel launches — one per
-/// stencil group, with the Sobel pair sharing a single neighbourhood pass
-/// and the threshold map fused into the NMS kernel's writes — and zero
-/// intermediate [`Matrix`] values. Like SkelCL's own `cannyStencil`, each
-/// group stages every work-group's window in local memory, so an input
-/// cell is read from global memory about once per group instead of once
-/// per tap.
+/// [`Pipeline`] that executes as **one** kernel launch per part — the
+/// Sobel pair shares a single neighbourhood pass and the threshold map
+/// fuses into the tile writes — with zero intermediate [`Matrix`] values.
+/// Like SkelCL's own `cannyStencil`, it stages every work-group's window
+/// in local memory: the input is laid out with the chain's 3-row halo, a
+/// work-group loads its window 3 cells beyond its tile once, and each
+/// stencil computes the next window, a cell narrower on every side and of
+/// its result's type (`f32`, then `Grad`, then `f32`), so a warm input
+/// runs no halo exchange and reads each input cell from global memory
+/// about once.
 pub fn canny_labels(
     img: &Matrix<f32>,
     boundary: Boundary2D,
@@ -398,17 +401,19 @@ mod tests {
 
     #[test]
     fn fused_canny_is_three_launch_groups_and_stays_on_the_devices() {
+        // A warm input carries the chain's three halo rows: the three
+        // stencil stages run as one launch per part, with no exchange.
         let (rows, cols) = (32, 16);
         let c = ctx(2);
         let img = Matrix::from_vec(&c, rows, cols, crate::test_image(rows, cols));
-        img.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
+        img.set_distribution(MatrixDistribution::RowBlock { halo: 3 })
             .unwrap();
         img.ensure_on_devices().unwrap();
         let groups_before = c
             .metrics()
             .counter_value("skelcl.pipeline.groups")
             .unwrap_or(0);
-        let before = c.platform().stats_snapshot();
+        let (halos_before, before) = (c.halo_exchange_count(), c.platform().stats_snapshot());
         let labels = canny_labels(&img, Boundary2D::Neumann, CANNY_LO, CANNY_HI).unwrap();
         let delta = c.platform().stats_snapshot() - before;
         let groups = c
@@ -416,10 +421,22 @@ mod tests {
             .counter_value("skelcl.pipeline.groups")
             .unwrap_or(0)
             - groups_before;
-        assert_eq!(groups, 3, "gauss, sobel pair, nms+label: three launches");
+        assert_eq!(groups, 1, "gauss, sobel pair, nms+label: one chain");
+        assert_eq!(delta.kernel_launches, 2, "one launch per part");
+        assert_eq!(c.halo_exchange_count(), halos_before, "no halo exchange");
+        assert_eq!(delta.d2d_transfers, 0, "no device-to-device copy");
         assert_eq!(delta.h2d_transfers, 0, "no re-upload");
         assert_eq!(delta.d2h_transfers, 0, "no intermediate download");
-        drop(labels);
+        let want = crate::seq::canny_labels(
+            &crate::test_image(rows, cols),
+            rows,
+            cols,
+            Boundary2D::Neumann,
+            CANNY_LO,
+            CANNY_HI,
+        );
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&labels.to_vec().unwrap()), bits(&want));
     }
 
     #[test]

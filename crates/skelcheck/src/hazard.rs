@@ -447,12 +447,6 @@ impl OnlineHazardChecker {
         self.checked.load(Ordering::Relaxed)
     }
 
-    /// Hazards found so far (normally zero — the observer panics on the
-    /// first unless panicking is disabled by a caller draining this).
-    pub fn hazard_count(&self) -> usize {
-        self.state.lock().hazards().len()
-    }
-
     /// Build the observer closure to install via
     /// `Platform::set_command_observer`.
     pub fn observer(self: &Arc<Self>) -> CommandObserver {

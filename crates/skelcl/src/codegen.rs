@@ -297,11 +297,12 @@ pub fn stencil2d_program(
 //
 // A `Pipeline` (see `crate::skeletons::pipeline`) collapses a chain of
 // element-wise stages into the body of a neighbouring stencil / fold / map
-// kernel, and `AllPairs::with_post` fuses one into its writes. Each family
+// kernel, and a run of stencil stages into one block kernel, and
+// `AllPairs::with_post` fuses element-wise stages into its writes. Each family
 // has one generator, which takes the stage list: every stage's
 // user-function source is pasted once and the kernel body chains the
 // calls, so no intermediate buffer ever appears in the emitted code. The
-// joined stage names (and, for stencils, radius and boundary mode) go into
+// joined stage names (and, for stencils, radii and boundary modes) go into
 // the program name — the fused program is cached in the `ProgramRegistry`
 // under that key exactly like any single-skeleton program. The skeleton
 // itself builds the family's stage-free (or, for `Map`, `Zip` and
@@ -325,8 +326,14 @@ pub struct FusedStage {
     /// Static per-call cost estimate (summed into the fused kernel's
     /// per-item issue cost by the pipeline launcher; codegen ignores it).
     pub static_ops: u64,
-    /// A `zip` stage's operand element type (see [`FusedStage::with_operand`]).
+    /// A `zip` stage's operand element type, or a stencil stage's window
+    /// element type (see [`FusedStage::with_operand`] and
+    /// [`FusedStage::with_window`]).
     pub operand_t: &'static str,
+    /// A stencil stage's radius.
+    pub radius: usize,
+    /// A stencil stage's boundary mode (its `codegen_name`).
+    pub boundary: &'static str,
 }
 
 impl FusedStage {
@@ -342,12 +349,23 @@ impl FusedStage {
             source: source.into(),
             static_ops,
             operand_t: "",
+            radius: 0,
+            boundary: "",
         }
     }
 
     /// This `zip` stage, reading operand elements of type `t`.
     pub fn with_operand(mut self, t: &'static str) -> Self {
         self.operand_t = t;
+        self
+    }
+
+    /// This stencil stage, reading a window of `t` `radius` cells deep
+    /// under `boundary`.
+    pub fn with_window(mut self, t: &'static str, radius: usize, boundary: &'static str) -> Self {
+        self.operand_t = t;
+        self.radius = radius;
+        self.boundary = boundary;
         self
     }
 }
@@ -459,84 +477,126 @@ pub fn elementwise_program(
 
 /// Generate the local-memory block program behind every
 /// [`crate::Stencil2D::iterate`] block and every [`crate::Pipeline`]
-/// stencil group. `stages` holds exactly one `stencil`/`stencil_pair` stage
-/// and the group's element-wise stages around it; `view_t` is the element
-/// type the stencil reads.
+/// stencil chain. `stages` holds one or more `stencil`/`stencil_pair`
+/// stages, each carrying its window (see [`FusedStage::with_window`]), and
+/// the element-wise stages around and between them.
 ///
-/// Each work-group loads its tile's window (`radius` cells beyond the tile
-/// on every side, per round) into local memory once, running the stages
-/// before the stencil on every loaded cell, and writes its tile once,
-/// running the stages after the stencil on every result. A zip operand
-/// before the stencil is read at the loaded cell's index, one after it at
-/// the output's. Under `neumann` the window cells outside the matrix are
-/// refreshed from their clamp targets after the load (and after every
-/// round); under `zero` they keep the zero they start with; `wrap` loads
-/// every cell modulo the matrix dimensions. The stencil's source is pasted
-/// with its pointer in the local address space, and `stencil_at` reads the
-/// window without boundary arithmetic.
+/// Each work-group loads its tile's window (the stencils' radii summed
+/// beyond the tile on every side, or `rounds` radii for `iterate`) into
+/// local memory once, running the stages before the first stencil on every
+/// loaded cell. Each stencil then computes one round into the next window,
+/// a radius narrower on every side and of its result's type, running the
+/// element-wise stages after it on every stored cell; the last stencil
+/// writes the tile once, running the stages after it. A zip operand is read
+/// at the index of the cell its stage runs on. Under `neumann` a window's
+/// cells outside the matrix are refreshed from their clamp targets after
+/// it fills; under `zero` they keep the zero they start with; `wrap` loads
+/// every cell modulo the matrix dimensions. A chain is all `wrap` or none.
+/// The stencils' sources are pasted with their pointers in the local
+/// address space, and `stencil_at` reads a window without boundary
+/// arithmetic (one typed copy per window type when the types differ).
 ///
 /// A lone same-type stencil builds `iterate`'s program: it steps `rounds`
 /// rounds between two windows, the round count is a kernel argument and
 /// the windows are `__local` arguments sized at launch, so one program
-/// serves every block length and part shape. Every other group computes one
-/// round from one window.
-pub fn stencil2d_block_program(
-    stages: &[FusedStage],
-    in_t: &str,
-    view_t: &str,
-    out_t: &str,
-    radius: usize,
-    boundary: &str,
-) -> Program {
-    let si = stages
+/// serves every block length and part shape. Every other chain computes
+/// one round per stencil, one `__local` window argument each.
+pub fn stencil2d_block_program(stages: &[FusedStage], in_t: &str, out_t: &str) -> Program {
+    let anchors: Vec<usize> = (0..stages.len())
+        .filter(|&i| stages[i].kind.starts_with("stencil"))
+        .collect();
+    let windows: Vec<&FusedStage> = anchors.iter().map(|&i| &stages[i]).collect();
+    let (first, n) = (windows[0], windows.len());
+    // Each window's depth inside the block window: the radii before it.
+    let offsets: Vec<usize> = windows
         .iter()
-        .position(|s| s.kind.starts_with("stencil"))
-        .expect("a stencil group contains a stencil stage");
-    let (pre, rest) = stages.split_at(si);
-    let (stencil, post) = (&rest[0], &rest[1..]);
-    let (user, t) = (&stencil.name, view_t);
+        .scan(0, |d, s| {
+            *d += s.radius;
+            Some(*d - s.radius)
+        })
+        .collect();
+    let radius = offsets[n - 1] + windows[n - 1].radius;
+    let join = |f: fn(&FusedStage) -> String| {
+        let all: Vec<String> = windows.iter().map(|s| f(s)).collect();
+        all.join("+")
+    };
+    let radii = join(|s| s.radius.to_string());
+    let boundary = match windows.iter().all(|s| s.boundary == first.boundary) {
+        true => first.boundary.to_string(),
+        false => join(|s| s.boundary.to_string()),
+    };
+    let mut types: Vec<&str> = windows.iter().map(|s| s.operand_t).collect();
+    types.sort_unstable();
+    types.dedup();
+    let (t, uniform) = (first.operand_t, types.len() == 1);
+    let sfx = |t: &str| match uniform {
+        true => String::new(),
+        false => format!("_{t}"),
+    };
     let rounds = stages.len() == 1 && in_t == out_t;
-    let wrap = boundary == "wrap";
+    let wrap = first.boundary == "wrap";
     let at = if wrap {
         "((rr % (int)n_rows + (int)n_rows) % (int)n_rows) * n_cols\n\
          + (cc % (int)n_cols + (int)n_cols) % (int)n_cols"
     } else {
         "rr * n_cols + cc"
     };
-    let read = fused_value_chain(pre, 0, &format!("in[{at}]"), at, "");
-    let load = if wrap {
-        format!("win_in[i] = {read};")
+    let guard = if wrap {
+        ""
     } else {
-        format!(
-            "if (rr >= 0 && rr < (int)n_rows && cc >= 0 && cc < (int)n_cols)\n\
-                 win_in[i] = {read};"
-        )
+        "if (rr >= 0 && rr < (int)n_rows && cc >= 0 && cc < (int)n_cols)\n"
     };
-    let write = fused_value_chain(
-        post,
-        si + 1,
-        &format!(
-            "{user}(win_in, get_local_id(1) + halo,\n\
-                     get_local_id(0) + halo, wh, ww)"
-        ),
-        "row * n_cols + col",
-        "",
-    );
+    let read = fused_value_chain(&stages[..anchors[0]], 0, &format!("in[{at}]"), at, "");
+    let load = format!("{guard}win_in[i] = {read};");
+    let win = |k: usize| match k {
+        0 => ("win_in".to_string(), "wh, ww".to_string()),
+        k => (format!("win{k}"), format!("wh{k}, ww{k}")),
+    };
     // Only windows reaching past the matrix edge have cells to refresh;
     // the test is uniform across the work-group.
-    let refresh = |win: &str| {
-        if boundary == "neumann" {
-            format!(
-                "if (row0 < 0 || col0 < 0 || row0 + (int)wh > (int)n_rows || col0 + (int)ww > (int)n_cols) {{\n\
-                     refresh_outside({win}, lane, lw * lh, ww, wh, row0, col0, n_rows, n_cols);\n\
-                     barrier(CLK_LOCAL_MEM_FENCE);\n\
-                 }}"
-            )
-        } else {
-            String::new()
+    let refresh = |name: &str, k: usize| {
+        if windows[k].boundary != "neumann" {
+            return String::new();
         }
+        let (d, t) = (offsets[k], sfx(windows[k].operand_t));
+        let at = match d {
+            0 => "ww, wh, row0, col0".to_string(),
+            d => format!("ww{k}, wh{k}, row0 + {d}, col0 + {d}"),
+        };
+        format!(
+            "if (row0 < 0 || col0 < 0 || row0 + (int)wh > (int)n_rows || col0 + (int)ww > (int)n_cols) {{\n\
+                 refresh_outside{t}({name}, lane, lw * lh, {at}, n_rows, n_cols);\n\
+                 barrier(CLK_LOCAL_MEM_FENCE);\n\
+             }}"
+        )
     };
-    let refresh_in = refresh("win_in");
+    let refresh_in = refresh("win_in", 0);
+    // The element-wise stages after stencil `k`, applied to `value`.
+    let after = |k: usize, value: String, index: &str| {
+        let end = anchors.get(k + 1).copied().unwrap_or(stages.len());
+        fused_value_chain(
+            &stages[anchors[k] + 1..end],
+            anchors[k] + 1,
+            &value,
+            index,
+            "",
+        )
+    };
+    let (last, (last_win, last_dims)) = (n - 1, win(n - 1));
+    let centre = if last == 0 {
+        "halo".to_string()
+    } else {
+        windows[last].radius.to_string()
+    };
+    let write = after(
+        last,
+        format!(
+            "{}({last_win}, get_local_id(1) + {centre},\n\
+                     get_local_id(0) + {centre}, {last_dims})",
+            windows[last].name
+        ),
+        "row * n_cols + col",
+    );
     let (what, does, params, halo, round_loop) = if rounds {
         // Cells outside the matrix are never computed: `neumann` refreshes
         // them, `zero` keeps them zero.
@@ -546,7 +606,8 @@ pub fn stencil2d_block_program(
             " && row0 + (int)wr >= 0 && row0 + (int)wr < (int)n_rows \
              && col0 + (int)wc >= 0 && col0 + (int)wc < (int)n_cols"
         };
-        let refresh_out = refresh("win_out");
+        let refresh_out = refresh("win_out", 0);
+        let user = &first.name;
         (
             "blocked stencil",
             "steps `rounds` rounds of its tiles in local memory",
@@ -574,38 +635,85 @@ pub fn stencil2d_block_program(
             ),
         )
     } else {
+        // Every stencil but the last computes the next window in full.
+        let steps: String = (0..last)
+            .map(|k| {
+                let (m, r, (inp, dims)) = (offsets[k + 1], windows[k].radius, win(k));
+                let value = format!(
+                    "{}({inp}, i / ww{j} + {r}, i % ww{j} + {r}, {dims})",
+                    windows[k].name,
+                    j = k + 1
+                );
+                format!(
+                    "for (uint i = lane; i < ww{j} * wh{j}; i += lw * lh) {{\n\
+                         int rr = row0 + {m} + (int)(i / ww{j});\n\
+                         int cc = col0 + {m} + (int)(i % ww{j});\n\
+                         {guard}win{j}[i] = {};\n\
+                     }}\n\
+                     barrier(CLK_LOCAL_MEM_FENCE);\n\
+                     {}\n",
+                    after(k, value, at),
+                    refresh(&format!("win{}", k + 1), k + 1),
+                    j = k + 1
+                )
+            })
+            .collect();
+        let params = (0..n)
+            .map(|k| format!("__local {}* {}", windows[k].operand_t, win(k).0))
+            .collect::<Vec<_>>()
+            .join(",\n");
         (
-            "staged stencil group",
-            "computes its tiles once from a local-memory window",
-            format!("__local {t}* win_in"),
+            "staged stencil chain",
+            "computes its tiles once through a local-memory window per stencil",
+            params,
             "",
-            String::new(),
+            steps,
         )
     };
+    let sizes: String = (1..n)
+        .map(|k| {
+            format!(
+                "uint ww{k} = ww - {d};\nuint wh{k} = wh - {d};\n",
+                d = 2 * offsets[k]
+            )
+        })
+        .collect();
     let (zip_params, n_zips) = fused_zip_params(stages);
+    let helpers: String = types
+        .iter()
+        .map(|&t| {
+            format!(
+                "inline {t} stencil_at{s}(__local const {t}* in, int row, int col,\n\
+                                   uint n_rows, uint n_cols, int dr, int dc) {{\n\
+                     return in[(row + dr) * (int)n_cols + col + dc];\n\
+                 }}\n\
+                 inline void refresh_outside{s}(__local {t}* win, uint lane, uint lanes, uint ww, uint wh,\n\
+                                             int row0, int col0, uint n_rows, uint n_cols) {{\n\
+                     for (uint i = lane; i < ww * wh; i += lanes) {{\n\
+                         int tr = clamp(row0 + (int)(i / ww), 0, (int)n_rows - 1) - row0;\n\
+                         int tc = clamp(col0 + (int)(i % ww), 0, (int)n_cols - 1) - col0;\n\
+                         win[i] = win[tr * (int)ww + tc];\n\
+                     }}\n\
+                 }}\n",
+                s = sfx(t)
+            )
+        })
+        .collect();
     let sources = stages
         .iter()
         .map(|s| match s.kind {
             "map" | "zip" => s.source.clone(),
-            _ => s.source.replace("__global", "__local"),
+            _ => s
+                .source
+                .replace("__global", "__local")
+                .replace("stencil_at(", &format!("stencil_at{}(", sfx(s.operand_t))),
         })
         .collect::<Vec<_>>()
         .join("\n");
     let source = format!(
-        "// generated by SkelCL codegen: {what}, radius {radius}, {boundary} boundary\n\
+        "// generated by SkelCL codegen: {what}, radius {radii}, {boundary} boundary\n\
          // One launch {does}.\n\
-         inline {t} stencil_at(__local const {t}* in, int row, int col,\n\
-                               uint n_rows, uint n_cols, int dr, int dc) {{\n\
-             return in[(row + dr) * (int)n_cols + col + dc];\n\
-         }}\n\
-         inline void refresh_outside(__local {t}* win, uint lane, uint lanes, uint ww, uint wh,\n\
-                                     int row0, int col0, uint n_rows, uint n_cols) {{\n\
-             for (uint i = lane; i < ww * wh; i += lanes) {{\n\
-                 int tr = clamp(row0 + (int)(i / ww), 0, (int)n_rows - 1) - row0;\n\
-                 int tc = clamp(col0 + (int)(i % ww), 0, (int)n_cols - 1) - col0;\n\
-                 win[i] = win[tr * (int)ww + tc];\n\
-             }}\n\
-         }}\n\
+         {helpers}\
          {sources}\n\
          __kernel void skelcl_stencil2d_block(__global const {in_t}* restrict in,\n\
                                               __global {out_t}* restrict out{zip_params},\n\
@@ -621,7 +729,7 @@ pub fn stencil2d_block_program(
              uint wh = lh + 2 * halo;\n\
              int col0 = (int)(get_group_id(0) * lw) - (int)halo;\n\
              int row0 = (int)(get_group_id(1) * lh + row_offset) - (int)halo;\n\
-             for (uint i = lane; i < ww * wh; i += lw * lh) {{\n\
+             {sizes}for (uint i = lane; i < ww * wh; i += lw * lh) {{\n\
                  int rr = row0 + (int)(i / ww);\n\
                  int cc = col0 + (int)(i % ww);\n\
                  {load}\n\
@@ -637,19 +745,19 @@ pub fn stencil2d_block_program(
          }}\n",
     );
     let (name, types): (String, &[&str]) = if rounds {
-        (user.clone(), &[in_t])
+        (first.name.clone(), &[in_t])
     } else {
         (fused_chain_name(stages), &[in_t, out_t])
     };
     Program::from_source(
         program_name(
-            &format!("stencil2d_block_r{radius}_{boundary}"),
+            &format!("stencil2d_block_r{radii}_{boundary}"),
             &name,
             types,
         ),
         source,
     )
-    .with_arg_count(if rounds { 8 } else { 6 + n_zips })
+    .with_arg_count(if rounds { 8 } else { 5 + n_zips + n })
 }
 
 /// Which matrix dimension a 2D fold keeps: one output element per row
@@ -970,13 +1078,14 @@ mod tests {
         assert_ne!(a.hash(), program("float f(float x){return x+1;}", 1).hash());
     }
 
-    fn stencil_stage() -> FusedStage {
+    fn stencil_stage(boundary: &'static str) -> FusedStage {
         FusedStage::new(
             "stencil",
             "cross",
             "float cross(__global float* in, int r, int c, uint nr, uint nc) { return 0.0f; }",
             1,
         )
+        .with_window("float", 1, boundary)
     }
 
     fn zip_stage() -> FusedStage {
@@ -987,28 +1096,15 @@ mod tests {
     #[test]
     fn zip_operands_are_read_where_their_stage_runs() {
         // Before the stencil: at the loaded window cell.
-        let pre = stencil2d_block_program(
-            &[zip_stage(), stencil_stage()],
-            "float",
-            "float",
-            "float",
-            1,
-            "neumann",
-        );
+        let pre =
+            stencil2d_block_program(&[zip_stage(), stencil_stage("neumann")], "float", "float");
         assert!(pre
             .source
             .contains("win_in[i] = add(in[rr * n_cols + cc], op0[rr * n_cols + cc]);"));
         assert!(pre.source.contains("__global const float* restrict op0"));
         assert_eq!(pre.n_args, 7);
         // After the stencil: at the output element.
-        let post = stencil2d_block_program(
-            &[stencil_stage(), zip_stage()],
-            "float",
-            "float",
-            "float",
-            1,
-            "zero",
-        );
+        let post = stencil2d_block_program(&[stencil_stage("zero"), zip_stage()], "float", "float");
         assert!(post.source.contains("ww), op1[row * n_cols + col]);"));
         assert!(post.source.contains("__global const float* restrict op1"));
         // Folded into a row reduction: at the folded element.
@@ -1032,28 +1128,52 @@ mod tests {
 
     #[test]
     fn only_a_lone_same_type_stencil_steps_rounds() {
-        let lone =
-            stencil2d_block_program(&[stencil_stage()], "float", "float", "float", 1, "wrap");
+        let lone = stencil2d_block_program(&[stencil_stage("wrap")], "float", "float");
         assert_eq!(lone.n_args, 8);
         assert!(lone.source.contains("const uint rounds"));
         assert!(lone.source.contains("__local float* win_out"));
         let map = FusedStage::new("map", "neg", "float neg(float x){return -x;}", 1);
         for group in [
-            stencil2d_block_program(&[stencil_stage()], "float", "float", "int", 1, "wrap"),
-            stencil2d_block_program(
-                &[map, stencil_stage()],
-                "float",
-                "float",
-                "float",
-                1,
-                "wrap",
-            ),
+            stencil2d_block_program(&[stencil_stage("wrap")], "float", "int"),
+            stencil2d_block_program(&[map, stencil_stage("wrap")], "float", "float"),
         ] {
             assert_eq!(group.n_args, 6, "{}", group.name);
             assert!(!group.source.contains("rounds"), "{}", group.source);
             assert!(!group.source.contains("win_out"), "{}", group.source);
             assert_ne!(group.hash(), lone.hash());
         }
+    }
+
+    #[test]
+    fn a_chain_takes_one_window_per_stencil_of_its_own_type() {
+        // cross (float, radius 1) → zip → nms (Grad, radius 2): the zip
+        // runs as the second window fills, at each stored cell's index.
+        let nms = FusedStage::new(
+            "stencil",
+            "nms",
+            "float nms(__global Grad* in, int r, int c, uint nr, uint nc) { return stencil_at(in,r,c,nr,nc,0,0).gx; }",
+            1,
+        )
+        .with_window("Grad", 2, "zero");
+        let stages = [stencil_stage("neumann"), zip_stage(), nms];
+        let chain = stencil2d_block_program(&stages, "float", "int");
+        assert_eq!(
+            chain.name,
+            "skelcl_stencil2d_block_r1+2_neumann+zero_cross+add+nms_float_int"
+        );
+        assert_eq!(chain.n_args, 5 + 1 + 2);
+        for text in [
+            "uint halo = 3;",
+            "__local float* win_in,\n__local Grad* win1",
+            "uint ww1 = ww - 2;",
+            "win1[i] = add(cross(win_in, i / ww1 + 1, i % ww1 + 1, wh, ww), op1[rr * n_cols + cc]);",
+            "refresh_outside_float(win_in,",
+            "return stencil_at_Grad(in,r,c,nr,nc,0,0).gx;",
+            "out[row * n_cols + col] = nms(win1, get_local_id(1) + 2,",
+        ] {
+            assert!(chain.source.contains(text), "{text}:\n{}", chain.source);
+        }
+        assert!(!chain.source.contains("refresh_outside_Grad(win1"));
     }
 
     #[test]

@@ -34,9 +34,10 @@
 //! * the lazy **[`Pipeline`] fusion subsystem**: skeleton calls compose
 //!   into a deferred expression that fuses adjacent element-wise stages
 //!   into their neighbouring stencil/reduce kernels at launch time —
-//!   eliding every intermediate matrix — and runs every stencil group as
-//!   a one-round block of `iterate`'s local-memory launcher, behind the
-//!   fused Canny edge detector (see *Pipelines and fusion* below),
+//!   eliding every intermediate matrix — and runs every run of stencil
+//!   stages as one chain through `iterate`'s local-memory block kernel,
+//!   behind the fused Canny edge detector (see *Pipelines and fusion*
+//!   below),
 //! * and the **async overlap subsystem**: per-device copy streams with
 //!   event-ordered transfers, so the overlapped `iterate` schedule runs
 //!   halo exchanges *under* interior kernels and streamed uploads
@@ -58,8 +59,8 @@
 //! | [`ReduceCols`]  | [`Matrix`] → [`Vector`] | associative `T f(T, T)` + id  | any matrix                                |
 //! | [`ReduceRowsArg`] | [`Matrix`] → value + index [`Vector`]s | strict `bool f(T, T)` | any matrix                  |
 //! | [`ReduceColsArg`] | [`Matrix`] → value + index [`Vector`]s | strict `bool f(T, T)` | any matrix                  |
-//! | [`Pipeline`]    | [`Matrix`]            | lazy `map`/`zip_with`/`stencil` chain, fused per stencil anchor, each anchor one local-memory block | any matrix |
-//! | Canny (`skelcl-imgproc`) | [`Matrix`] → labels + host hysteresis | gauss → sobel → nms → threshold via [`Pipeline`] (3 fused launches) | `Single`, `Copy`, `RowBlock { halo }` |
+//! | [`Pipeline`]    | [`Matrix`]            | lazy `map`/`zip_with`/`stencil` chain, fused per run of stencils, each run one local-memory block | any matrix |
+//! | Canny (`skelcl-imgproc`) | [`Matrix`] → labels + host hysteresis | gauss → sobel → nms → threshold via [`Pipeline`] (1 fused launch per part) | `Single`, `Copy`, `RowBlock { halo }` |
 //!
 //! (Plus the with-arguments variants [`MapArgs`], [`MapVoid`], [`ZipArgs`].
 //! Every `Map` and `Zip` variant and every element-wise pipeline group
@@ -414,14 +415,18 @@
 //! [`PipelineExpr::reduce_rows`]) plans the whole chain at once:
 //! element-wise stages fold into the *reads* of the next stencil (or the
 //! k-fold of a reduction) and into the *writes* of the previous one, so
-//! each stencil anchor becomes exactly one fused launch and no
-//! intermediate matrix ever exists. Each stencil group runs as a
-//! one-round block of [`Stencil2D::iterate`]'s launcher: a work-group
-//! loads its tile's window into local memory once, applying the stages
-//! before the stencil as each cell loads, so every input cell is read
-//! from global memory about once per group instead of once per tap. A
-//! stencil stage takes the same [`Stencil2DView`] user function as
-//! [`Stencil2D`]. A [`PipelineExpr::reduce_rows`] fold runs
+//! each run of stencil stages becomes exactly one fused launch per part
+//! and no intermediate matrix ever exists. A run is a chain through
+//! [`Stencil2D::iterate`]'s block kernel: the input is laid out with the
+//! run's radii summed as its halo, a work-group loads its tile's window
+//! into local memory once, applying the stages before the first stencil as
+//! each cell loads, and each stencil computes the next window (a radius
+//! narrower, of its result's type) until the last writes the tile. A warm
+//! input thus runs no halo exchange inside the chain, and every input cell
+//! is read from global memory about once. A run splits only where its
+//! windows stop fitting local memory or a `Wrap` stage meets another
+//! boundary mode. A stencil stage takes the same [`Stencil2DView`] user
+//! function as [`Stencil2D`]. A [`PipelineExpr::reduce_rows`] fold runs
 //! [`ReduceRows`]' own distribution dispatch and launcher, so the input
 //! keeps its distribution. Every fused OpenCL program comes from the
 //! [`codegen`] generator of the skeleton its group anchors on — whose
@@ -432,7 +437,7 @@
 //! (the `prop_fusion` suite), and the launch count is observable as the
 //! `skelcl.pipeline.groups` counter. The `skelcl-imgproc` Canny detector
 //! is the flagship user: gauss → sobel → non-maximum suppression →
-//! threshold compiles to three fused launches (the `fig_fusion` bench
+//! threshold compiles to one launch per part (the `fig_fusion` bench
 //! measures the win over the six-launch unfused chain).
 //!
 //! ```

@@ -274,9 +274,12 @@ where
             // Kernel-body snapshots of the device-resident operands: the
             // inner loop runs k times per output element, so per-access
             // counted reads would dominate wall time; traffic and work are
-            // charged in bulk per item instead (see `it.traffic_read`).
-            let a_snap: Arc<Vec<T>> = Arc::new(ap.buffer.to_vec());
-            let b_snap: Arc<Vec<T>> = Arc::new(bp.buffer.to_vec());
+            // charged in bulk per item instead (see `it.traffic_read`), and
+            // each item notes the A row and B column it reads for the
+            // hazard checker.
+            let (a_buf, b_buf) = (ap.buffer.clone(), bp.buffer.clone());
+            let a_snap: Arc<Vec<T>> = Arc::new(a_buf.to_vec());
+            let b_snap: Arc<Vec<T>> = Arc::new(b_buf.to_vec());
             let b_base = bp.halo_above * n;
             let zip = self.zip.func().clone();
             let red = self.reduce.func().clone();
@@ -317,6 +320,10 @@ where
                     }
                     let col = it.global_id(0);
                     let s = it.global_id(1);
+                    if ka > 0 {
+                        it.note_read(&a_buf, s * ka..(s + 1) * ka);
+                        it.note_read(&b_buf, b_base + col..b_base + (ka - 1) * n + col + 1);
+                    }
                     let a_row = &a_snap[s * ka..(s + 1) * ka];
                     let (acc, dyn_ops) = meter::metered(|| {
                         let mut acc = identity;
@@ -507,6 +514,42 @@ mod tests {
             .apply(&a, &b)
             .unwrap();
         assert_eq!(got.to_vec().unwrap(), reference_matmul(&da, &db, m, k, n));
+    }
+
+    #[test]
+    fn tiled_launches_record_the_a_rows_and_b_columns_they_read() {
+        let c = ctx(2);
+        let (m, k, n) = (6, 5, 7);
+        let a = Matrix::from_vec(&c, m, k, test_data(m, k, 3));
+        let b = Matrix::from_vec(&c, k, n, test_data(k, n, 4));
+        c.platform().enable_timeline_trace();
+        matmul_skel()
+            .with_strategy(AllPairsStrategy::Tiled { tile: 8 })
+            .apply(&a, &b)
+            .unwrap();
+        c.sync();
+        let trace = c.platform().take_timeline_trace();
+        let kernels: Vec<_> = trace
+            .iter()
+            .filter(|r| r.kind == vgpu::CmdKind::Kernel)
+            .collect();
+        assert_eq!(kernels.len(), 2);
+        let (a_parts, b_parts) = (a.parts().unwrap(), b.parts().unwrap());
+        for rec in kernels {
+            let on_device = |id| {
+                rec.reads
+                    .iter()
+                    .find(|r| r.buffer == id)
+                    .map(|r| (r.lo, r.hi))
+            };
+            let ap = a_parts.iter().find(|p| p.device == rec.device.0).unwrap();
+            let bp = b_parts.iter().find(|p| p.device == rec.device.0).unwrap();
+            let a_bytes = (ap.span_rows() * k * 4) as u64;
+            assert_eq!(on_device(ap.buffer.id()), Some((0, a_bytes)), "every A row");
+            let b_lo = (bp.halo_above * n * 4) as u64;
+            let b_hi = b_lo + (k * n * 4) as u64;
+            assert_eq!(on_device(bp.buffer.id()), Some((b_lo, b_hi)), "all of B");
+        }
     }
 
     #[test]

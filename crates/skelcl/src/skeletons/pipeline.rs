@@ -3,19 +3,27 @@
 //! A [`Pipeline`] is an expression template over skeleton calls: `map`,
 //! `zip_with`, `stencil` and `stencil_pair` stages compose into a value
 //! that *defers* execution. Running the pipeline partitions the stages
-//! into **fused groups** — each group is one kernel launch — instead of
-//! one launch (and one intermediate [`Matrix`]) per stage:
+//! into **fused groups** — each group is one kernel launch per part —
+//! instead of one launch (and one intermediate [`Matrix`]) per stage:
 //!
 //! * Element-wise stages (`map` / `zip_with`) never launch on their own.
 //!   A chain *before* a stencil fuses into the load of the stencil's
-//!   local-memory window, so it runs once per loaded cell; a chain *after*
-//!   a stencil (or between two stencils) fuses into the earlier stencil's
-//!   writes, so it runs once per element. An all-element-wise pipeline
-//!   collapses into a single fused map kernel; an empty pipeline launches
-//!   nothing.
-//! * Each `stencil` / `stencil_pair` stage anchors one group: radius-wide
-//!   neighbourhood reads force materialized input rows (with coherent
-//!   halos), exactly as in [`Stencil2D`](crate::Stencil2D).
+//!   local-memory window, so it runs once per loaded cell; a chain
+//!   *between* two stencils fuses into the stores to the next stencil's
+//!   window, and a chain *after* the last one into the tile writes. An
+//!   all-element-wise pipeline collapses into a single fused map kernel;
+//!   an empty pipeline launches nothing.
+//! * Each maximal run of `stencil` / `stencil_pair` stages is one group, a
+//!   *chain*. The input is laid out like [`Stencil2D`](crate::Stencil2D)'s
+//!   at the run's radii summed, `R`, so a warm input already holds every
+//!   halo row the chain reads and no exchange runs inside it. Each
+//!   work-group loads its tile's window, `R` cells deeper on every side,
+//!   once; each stencil then computes the next window, its radius narrower
+//!   on every side and of its result's type, and the last one writes the
+//!   tile. A run splits only where its windows stop fitting local memory
+//!   together (checked before anything is enqueued) or where a `Wrap`
+//!   stage meets another boundary mode; each piece exchanges the halos of
+//!   its input as `Stencil2D` would.
 //! * The terminal decides the output: [`PipelineExpr::run`] writes a
 //!   [`Matrix`]; [`PipelineExpr::reduce_rows`] runs the
 //!   [`ReduceRows`](crate::ReduceRows) fold over the settled chain, applying
@@ -25,8 +33,8 @@
 //! Every group runs through the launcher of the skeleton it anchors on,
 //! from that skeleton's program generator, and its program is cached in
 //! the [`ProgramRegistry`](crate::ProgramRegistry) under the joined stage
-//! names: stencil groups as one-round blocks of
-//! [`Stencil2D::iterate`](crate::Stencil2D::iterate)'s launcher
+//! names: stencil chains through
+//! [`Stencil2D::iterate`](crate::Stencil2D::iterate)'s block kernel
 //! ([`codegen::stencil2d_block_program`]; each work-group reads every cell
 //! of its window from global memory once), element-wise groups through
 //! `launch_elementwise` with every [`Map`](crate::Map) and
@@ -53,9 +61,10 @@ use crate::matrix::{exchange_part_halos, Matrix, MatrixDistribution, MatrixPart}
 use crate::meter;
 use crate::skeletons::reduce2d::Fold;
 use crate::skeletons::stencil2d::{
-    stale_free, stencil_input_layout, window_rounds, BlockKernel, Boundary2D, Stencil2DView,
+    block_group, check_local_mem, stale_free, stencil_input_layout, window_bytes, BlockKernel,
+    Boundary2D, Chain, Last, Link, Round, Stencil2DView,
 };
-use crate::skeletons::{alloc_matching_matrix_parts, linear_range, range_2d};
+use crate::skeletons::{alloc_matching_matrix_parts, linear_range};
 use crate::vector::Vector;
 use vgpu::{CompiledKernel, Event, Item, KernelBody, Order, Scalar as Element};
 
@@ -284,7 +293,7 @@ where
 /// A *settled* plan: materialized device parts of element type `J` plus a
 /// pending element-wise op chain `J -> I` that has not launched yet. Every
 /// pipeline execution starts from one of these ([`PipelineExpr::feed`]'s
-/// source) and every stencil group produces a fresh one.
+/// source) and every stencil chain produces a fresh one.
 pub struct ElemPlan<J: Element, Op, I: Element> {
     geom: PlanGeom,
     parts: Vec<MatrixPart<J>>,
@@ -297,11 +306,18 @@ pub struct ElemPlan<J: Element, Op, I: Element> {
 /// A plan that yields elements of type `I` when the pipeline runs.
 ///
 /// `settle_with(g, gstages)` resolves the plan against a *suffix* op `g`
-/// (the stages stacked after it): chains with an unlaunched stencil group
-/// launch it — folding `g` into that kernel's writes — and return bare
-/// parts; pure element-wise chains stay pending (they fuse into whichever
-/// kernel consumes them next). The two cases return different `ElemPlan`
-/// instantiations, which the generic associated types encode statically.
+/// (the stages stacked after it): chains ending in an unlaunched stencil
+/// launch its run of stencils — folding `g` into that kernel's writes —
+/// and return bare parts; pure element-wise chains stay pending (they fuse
+/// into whichever kernel consumes them next). The two cases return
+/// different `ElemPlan` instantiations, which the generic associated types
+/// encode statically.
+///
+/// `launch_chain(g, gstages, chain, cstages)` launches `chain`, the stencil
+/// stages after the plan (`cstages` describing them), over the plan's
+/// output through `g`: a stencil beneath joins the chain while their
+/// windows fit local memory together, and the pending element-wise stages
+/// fuse into the window's loads.
 pub trait ReadPlan<I: Element>: Sized {
     type Base<V: Element, G: PixelOp<I, V>>: Element;
     type Op<V: Element, G: PixelOp<I, V>>: PixelOp<Self::Base<V, G>, V>;
@@ -312,6 +328,15 @@ pub trait ReadPlan<I: Element>: Sized {
         g: G,
         gstages: Vec<FusedStage>,
     ) -> Result<ElemPlan<Self::Base<V, G>, Self::Op<V, G>, V>>;
+
+    #[allow(clippy::type_complexity)]
+    fn launch_chain<B: Element, G: PixelOp<I, B>, C: Chain<B>>(
+        self,
+        g: G,
+        gstages: Vec<FusedStage>,
+        chain: C,
+        cstages: Vec<FusedStage>,
+    ) -> Result<ElemPlan<C::Out, OpId<C::Out>, C::Out>>;
 
     fn geom(&self) -> &PlanGeom;
 }
@@ -345,43 +370,132 @@ where
         })
     }
 
+    /// Launch the chain: per part, one block launch whose work-groups load
+    /// their windows through the pending chain and `g`, step every stencil
+    /// in local memory and write their tiles. Owned rows only — halo rows
+    /// of the output go stale exactly as for `Stencil2D`.
+    fn launch_chain<B: Element, G: PixelOp<I, B>, C: Chain<B>>(
+        self,
+        g: G,
+        gstages: Vec<FusedStage>,
+        chain: C,
+        cstages: Vec<FusedStage>,
+    ) -> Result<ElemPlan<C::Out, OpId<C::Out>, C::Out>> {
+        let ElemPlan {
+            geom,
+            parts,
+            halos_fresh,
+            op,
+            mut stages,
+            ..
+        } = self;
+        let ctx = geom.ctx.clone();
+        let (rows, cols) = (geom.rows, geom.cols);
+        stages.extend(gstages);
+        let load_ops = stages.iter().map(|s| s.static_ops).sum();
+        stages.extend(cstages);
+
+        let mut span = ctx.span("pipeline.group");
+        span.attr("kind", "stencil2d");
+        span.attr("stages", codegen::fused_chain_name(&stages));
+        span.attr("radius", chain.depth().to_string());
+        span.attr("devices", ctx.n_devices().to_string());
+
+        // Halo coherence before reading beyond owned rows (wrapped runs only
+        // refresh under Wrap, as in Stencil2D::iterate).
+        if !halos_fresh {
+            let skip_wrapped = chain.boundary() != Boundary2D::Wrap;
+            exchange_part_halos(&ctx, &parts, rows, cols, skip_wrapped)?;
+        }
+        let program = codegen::stencil2d_block_program(&stages, J::TYPE_NAME, <C::Out>::TYPE_NAME);
+        let kernel = BlockKernel {
+            compiled: ctx.get_or_build(&program)?,
+            pre: OpSeq {
+                a: op,
+                b: g,
+                _pd: PhantomData,
+            },
+            load_ops,
+            chain,
+            n_rows: rows,
+            group: block_group(&ctx, rows, cols),
+            _pd: PhantomData,
+        };
+        let out_parts: Vec<MatrixPart<C::Out>> = alloc_matching_matrix_parts(&ctx, &parts)?;
+        for (pi, (ip, op)) in parts.iter().zip(&out_parts).enumerate() {
+            kernel.launch(&ctx, pi, ip, op, &kernel.tiles(ip), Order::Device)?;
+        }
+        ctx.metrics().counter("skelcl.pipeline.groups").inc();
+        ctx.metrics()
+            .counter("skelcl.pipeline.stages_fused")
+            .add(stages.len() as u64);
+        Ok(ElemPlan {
+            geom,
+            halos_fresh: stale_free(&out_parts),
+            parts: out_parts,
+            op: OpId::new(),
+            stages: Vec::new(),
+            _pd: PhantomData,
+        })
+    }
+
     fn geom(&self) -> &PlanGeom {
         &self.geom
     }
 }
 
-/// A pending `map` stage over an inner plan.
-pub struct Mapped<P, F, M: Element, V: Element> {
+/// A pending element-wise stage (`map` or `zip_with`) over an inner plan.
+pub struct Pending<P, O, M: Element, V: Element> {
     inner: P,
-    op: OpMap<F, M, V>,
+    op: O,
     stage: FusedStage,
+    _pd: PhantomData<fn(M) -> V>,
 }
 
-impl<P, F, M, V> ReadPlan<V> for Mapped<P, F, M, V>
+impl<P, O, M: Element, V: Element> Pending<P, O, M, V> {
+    /// The inner plan, and this stage followed by `g` (whose stages are
+    /// `gstages`).
+    #[allow(clippy::type_complexity)]
+    fn then<G>(self, g: G, gstages: Vec<FusedStage>) -> (P, OpSeq<O, G, V>, Vec<FusedStage>) {
+        let mut stages = vec![self.stage];
+        stages.extend(gstages);
+        let op = OpSeq {
+            a: self.op,
+            b: g,
+            _pd: PhantomData,
+        };
+        (self.inner, op, stages)
+    }
+}
+
+impl<P, O, M, V> ReadPlan<V> for Pending<P, O, M, V>
 where
     P: ReadPlan<M>,
     M: Element,
     V: Element,
-    F: Fn(M) -> V + Send + Sync + Clone + 'static,
+    O: PixelOp<M, V>,
 {
-    type Base<W: Element, G: PixelOp<V, W>> = P::Base<W, OpSeq<OpMap<F, M, V>, G, V>>;
-    type Op<W: Element, G: PixelOp<V, W>> = P::Op<W, OpSeq<OpMap<F, M, V>, G, V>>;
+    type Base<W: Element, G: PixelOp<V, W>> = P::Base<W, OpSeq<O, G, V>>;
+    type Op<W: Element, G: PixelOp<V, W>> = P::Op<W, OpSeq<O, G, V>>;
 
     fn settle_with<W: Element, G: PixelOp<V, W>>(
         self,
         g: G,
-        mut gstages: Vec<FusedStage>,
+        gstages: Vec<FusedStage>,
     ) -> Result<ElemPlan<Self::Base<W, G>, Self::Op<W, G>, W>> {
-        let mut stages = vec![self.stage];
-        stages.append(&mut gstages);
-        self.inner.settle_with(
-            OpSeq {
-                a: self.op,
-                b: g,
-                _pd: PhantomData,
-            },
-            stages,
-        )
+        let (inner, op, stages) = self.then(g, gstages);
+        inner.settle_with(op, stages)
+    }
+
+    fn launch_chain<W: Element, G: PixelOp<V, W>, C: Chain<W>>(
+        self,
+        g: G,
+        gstages: Vec<FusedStage>,
+        chain: C,
+        cstages: Vec<FusedStage>,
+    ) -> Result<ElemPlan<C::Out, OpId<C::Out>, C::Out>> {
+        let (inner, op, stages) = self.then(g, gstages);
+        inner.launch_chain(op, stages, chain, cstages)
     }
 
     fn geom(&self) -> &PlanGeom {
@@ -389,57 +503,28 @@ where
     }
 }
 
-/// A pending `zip_with` stage over an inner plan.
-pub struct Zipped<P, F, B: Element, M: Element, V: Element> {
-    inner: P,
-    op: OpZip<F, B, M, V>,
-    stage: FusedStage,
-}
-
-impl<P, F, B, M, V> ReadPlan<V> for Zipped<P, F, B, M, V>
-where
-    P: ReadPlan<M>,
-    B: Element,
-    M: Element,
-    V: Element,
-    F: Fn(M, B) -> V + Send + Sync + Clone + 'static,
-{
-    type Base<W: Element, G: PixelOp<V, W>> = P::Base<W, OpSeq<OpZip<F, B, M, V>, G, V>>;
-    type Op<W: Element, G: PixelOp<V, W>> = P::Op<W, OpSeq<OpZip<F, B, M, V>, G, V>>;
-
-    fn settle_with<W: Element, G: PixelOp<V, W>>(
-        self,
-        g: G,
-        mut gstages: Vec<FusedStage>,
-    ) -> Result<ElemPlan<Self::Base<W, G>, Self::Op<W, G>, W>> {
-        let mut stages = vec![self.stage];
-        stages.append(&mut gstages);
-        self.inner.settle_with(
-            OpSeq {
-                a: self.op,
-                b: g,
-                _pd: PhantomData,
-            },
-            stages,
-        )
-    }
-
-    fn geom(&self) -> &PlanGeom {
-        self.inner.geom()
-    }
-}
-
-/// An unlaunched stencil group over an inner plan. Settling it launches
-/// one fused kernel per part: the inner chain's pending element-wise
-/// stages run as the window loads, the suffix op runs at the write site,
-/// and the output starts a fresh stage-free [`ElemPlan`].
+/// An unlaunched stencil stage over an inner plan. Settling the last
+/// stencil of a run launches the whole run as one chain: each stencil
+/// beneath it joins while their windows fit local memory together and
+/// load alike (a `Wrap` stage never shares a chain with a non-`Wrap` one),
+/// otherwise the run splits there and each piece launches on its own.
 pub struct LazyStencil<P, E, A: Element, I: Element> {
     inner: P,
-    eval: E,
+    round: Round<E>,
     stage: FusedStage,
-    radius: usize,
-    boundary: Boundary2D,
     _pd: PhantomData<fn(A) -> I>,
+}
+
+impl<P, E, A: Element, I: Element> LazyStencil<P, E, A, I> {
+    /// This stencil's round with the element-wise `stages` after it fused
+    /// into its cost, and its stage list.
+    fn fused(self, stages: Vec<FusedStage>) -> (P, Round<E>, Vec<FusedStage>) {
+        let mut round = self.round;
+        round.static_ops += stages.iter().map(|s| s.static_ops).sum::<u64>();
+        let mut all = vec![self.stage];
+        all.extend(stages);
+        (self.inner, round, all)
+    }
 }
 
 impl<P, E, A, I> ReadPlan<I> for LazyStencil<P, E, A, I>
@@ -457,19 +542,52 @@ where
         g: G,
         gstages: Vec<FusedStage>,
     ) -> Result<ElemPlan<V, OpId<V>, V>> {
-        // Settle everything beneath first: a deeper stencil group launches
-        // with its own post chain fused; element-wise stages directly
-        // beneath this stencil stay pending and fuse into its reads.
-        let pre = self.inner.settle_with(OpId::new(), Vec::new())?;
-        launch_stencil_group(
-            pre,
-            self.eval,
-            self.stage,
-            self.radius,
-            self.boundary,
-            g,
-            gstages,
-        )
+        // Checked before anything beneath is enqueued, built or allocated.
+        let geom = self.geom();
+        let group = block_group(&geom.ctx, geom.rows, geom.cols);
+        check_local_mem(&geom.ctx, window_bytes::<A>(group, self.round.radius))?;
+        let (inner, round, stages) = self.fused(gstages);
+        let last = Last {
+            round,
+            post: g,
+            _pd: PhantomData,
+        };
+        inner.launch_chain(OpId::new(), Vec::new(), last, stages)
+    }
+
+    fn launch_chain<B: Element, G: PixelOp<I, B>, C: Chain<B>>(
+        self,
+        g: G,
+        gstages: Vec<FusedStage>,
+        chain: C,
+        cstages: Vec<FusedStage>,
+    ) -> Result<ElemPlan<C::Out, OpId<C::Out>, C::Out>> {
+        let geom = self.geom();
+        let group = block_group(&geom.ctx, geom.rows, geom.cols);
+        let depth = self.round.radius + chain.depth();
+        let bytes = window_bytes::<A>(group, depth) + chain.window_bytes(group);
+        let wraps = |b: Boundary2D| b == Boundary2D::Wrap;
+        if wraps(self.round.boundary) != wraps(chain.boundary())
+            || check_local_mem(&geom.ctx, bytes).is_err()
+        {
+            // The run splits here: this stencil ends a chain of its own, and
+            // `chain` launches over its output.
+            return self.settle_with(g, gstages)?.launch_chain(
+                OpId::new(),
+                Vec::new(),
+                chain,
+                cstages,
+            );
+        }
+        let (inner, round, mut stages) = self.fused(gstages);
+        stages.extend(cstages);
+        let link = Link {
+            round,
+            mid: g,
+            next: chain,
+            _pd: PhantomData,
+        };
+        inner.launch_chain(OpId::new(), Vec::new(), link, stages)
     }
 
     fn geom(&self) -> &PlanGeom {
@@ -480,107 +598,6 @@ where
 // ---------------------------------------------------------------------------
 // Fused launches.
 // ---------------------------------------------------------------------------
-
-/// Launch one fused stencil group: per part, one block launch of one round
-/// whose work-groups load their windows through `pre`'s pending chain, run
-/// `eval` on every owned cell and write it through `post_op`. Owned rows
-/// only — halo rows of the output go stale exactly as for `Stencil2D`. A
-/// window that cannot fit local memory fails with
-/// [`vgpu::Error::LocalMemExceeded`] before anything is enqueued.
-fn launch_stencil_group<J, OpPre, A, E, I, V, G>(
-    pre: ElemPlan<J, OpPre, A>,
-    eval: E,
-    stage: FusedStage,
-    radius: usize,
-    boundary: Boundary2D,
-    post_op: G,
-    post_stages: Vec<FusedStage>,
-) -> Result<ElemPlan<V, OpId<V>, V>>
-where
-    J: Element,
-    A: Element,
-    I: Element,
-    V: Element,
-    OpPre: PixelOp<J, A>,
-    E: Fn(&Stencil2DView<'_, A>) -> I + Send + Sync + Clone + 'static,
-    G: PixelOp<I, V>,
-{
-    let ElemPlan {
-        geom,
-        parts,
-        halos_fresh,
-        op: pre_op,
-        stages: pre_stages,
-        ..
-    } = pre;
-    let ctx = geom.ctx.clone();
-    let (rows, cols) = (geom.rows, geom.cols);
-
-    let load_ops = pre_stages.iter().map(|s| s.static_ops).sum();
-    let static_ops = stage.static_ops + post_stages.iter().map(|s| s.static_ops).sum::<u64>();
-    let mut all_stages = pre_stages;
-    all_stages.push(stage);
-    all_stages.extend(post_stages);
-
-    let mut span = ctx.span("pipeline.group");
-    span.attr("kind", "stencil2d");
-    span.attr("stages", codegen::fused_chain_name(&all_stages));
-    span.attr("radius", radius.to_string());
-    span.attr("devices", ctx.n_devices().to_string());
-
-    // One window per work-group, checked before anything is enqueued or
-    // built.
-    let group = range_2d(&ctx, cols, rows).local;
-    let group = (group[0], group[1]);
-    window_rounds::<A>(&ctx, group, radius, 1, 1)?;
-
-    // Halo coherence before reading beyond owned rows (wrapped runs only
-    // refresh under Wrap, as in Stencil2D::iterate).
-    if !halos_fresh {
-        let skip_wrapped = boundary != Boundary2D::Wrap;
-        exchange_part_halos(&ctx, &parts, rows, cols, skip_wrapped)?;
-    }
-
-    let program = codegen::stencil2d_block_program(
-        &all_stages,
-        J::TYPE_NAME,
-        A::TYPE_NAME,
-        V::TYPE_NAME,
-        radius,
-        boundary.codegen_name(),
-    );
-    let kernel = BlockKernel {
-        compiled: ctx.get_or_build(&program)?,
-        eval,
-        pre: pre_op,
-        post: post_op,
-        load_ops,
-        static_ops,
-        radius,
-        boundary,
-        n_rows: rows,
-        group,
-        _pd: PhantomData,
-    };
-    let out_parts: Vec<MatrixPart<V>> = alloc_matching_matrix_parts(&ctx, &parts)?;
-    for (pi, (ip, op)) in parts.iter().zip(&out_parts).enumerate() {
-        kernel.launch(&ctx, pi, ip, op, &kernel.tiles(ip), 1, Order::Device)?;
-    }
-    ctx.metrics().counter("skelcl.pipeline.groups").inc();
-    ctx.metrics()
-        .counter("skelcl.pipeline.stages_fused")
-        .add(all_stages.len() as u64);
-
-    let fresh = stale_free(&out_parts);
-    Ok(ElemPlan {
-        geom,
-        parts: out_parts,
-        halos_fresh: fresh,
-        op: OpId::new(),
-        stages: Vec::new(),
-        _pd: PhantomData,
-    })
-}
 
 /// An element-wise kernel: `out = op(in)` per element, running the program
 /// [`codegen::elementwise_program`] generates for the op's stages.
@@ -788,10 +805,11 @@ where
     type Output = C::Output;
 
     fn consume<P: ReadPlan<M>>(self, plan: P) -> Result<C::Output> {
-        self.next.consume(Mapped {
+        self.next.consume(Pending {
             inner: plan,
             op: OpMap::new(self.f),
             stage: self.stage,
+            _pd: PhantomData,
         })
     }
 }
@@ -829,10 +847,11 @@ where
             self.other.set_distribution(geom.dist)?;
         }
         let parts = self.other.parts_with_fresh_halos()?;
-        self.next.consume(Zipped {
+        self.next.consume(Pending {
             inner: plan,
             op: OpZip::new(parts, self.f),
             stage: self.stage,
+            _pd: PhantomData,
         })
     }
 }
@@ -856,12 +875,18 @@ where
     type Output = C::Output;
 
     fn consume<P: ReadPlan<A>>(self, plan: P) -> Result<C::Output> {
+        let (radius, boundary) = (self.radius, self.boundary);
         self.next.consume(LazyStencil {
             inner: plan,
-            eval: self.eval,
-            stage: self.stage,
-            radius: self.radius,
-            boundary: self.boundary,
+            round: Round {
+                eval: self.eval,
+                radius,
+                boundary,
+                static_ops: self.stage.static_ops,
+            },
+            stage: self
+                .stage
+                .with_window(A::TYPE_NAME, radius, boundary.codegen_name()),
             _pd: PhantomData,
         })
     }
@@ -932,9 +957,9 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
     #[doc(hidden)]
     fn describe(&self, out: &mut Vec<FusedStage>);
 
-    /// The widest stencil radius in the chain (input layout planning).
+    /// The stencil radii in the chain summed (input layout planning).
     #[doc(hidden)]
-    fn max_radius(&self) -> usize;
+    fn depth(&self) -> usize;
 
     /// Thread a source plan through the chain into `consumer`.
     #[doc(hidden)]
@@ -1030,8 +1055,7 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
     /// intermediate matrices. An empty chain launches nothing and returns
     /// a matrix sharing the input's device buffers.
     fn run(&self, input: &Matrix<T>) -> Result<Matrix<Self::Out>> {
-        let src = prepared_source(self, input, false)?;
-        let finished = self.feed(src, FinishConsumer)?;
+        let finished = run_pipeline(self, input, |src| self.feed(src, FinishConsumer))?;
         Ok(Matrix::from_device_parts(
             &finished.geom.ctx,
             finished.geom.rows,
@@ -1056,50 +1080,50 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
     where
         F: Fn(Self::Out, Self::Out) -> Self::Out + Send + Sync + Clone + 'static,
     {
-        let src = prepared_source(self, input, true)?;
-        self.feed(src, ReduceRowsConsumer { reduce, identity })
+        run_pipeline(self, input, |src| {
+            self.feed(src, ReduceRowsConsumer { reduce, identity })
+        })
     }
 }
 
-/// Plan the input layout and build the source plan: stencil chains follow
-/// `Stencil2D`'s layout rule at the maximum radius and get coherent halos;
-/// element-wise chains, folded or not, take the parts as they are. Opens
-/// the `pipeline.run` span.
-fn prepared_source<T: Element, E: PipelineExpr<T>>(
+/// Plan the input layout, build the source plan and run it through `run`
+/// inside the `pipeline.run` span, which records the groups launched.
+/// Stencil chains follow `Stencil2D`'s layout rule at their radii summed,
+/// so a warm input carries every halo row a chain reads, and get coherent
+/// halos; element-wise chains, folded or not, take the parts as they are.
+fn run_pipeline<T: Element, E: PipelineExpr<T>, R>(
     expr: &E,
     input: &Matrix<T>,
-    row_fold: bool,
-) -> Result<ElemPlan<T, OpId<T>, T>> {
+    run: impl FnOnce(ElemPlan<T, OpId<T>, T>) -> Result<R>,
+) -> Result<R> {
     let ctx = input.ctx().clone();
     let (rows, cols) = input.dims();
     let mut stages = Vec::new();
     expr.describe(&mut stages);
-    let n_stencils = stages
-        .iter()
-        .filter(|s| s.kind.starts_with("stencil"))
-        .count();
-    // Every stencil anchors a group and so does a fold; element-wise stages
-    // launch a group of their own only when there is neither.
-    let groups = n_stencils + usize::from(row_fold || (n_stencils == 0 && !stages.is_empty()));
     let mut span = ctx.span("pipeline.run");
     span.attr("stages", stages.len().to_string());
-    span.attr("groups", groups.to_string());
     span.attr("shape", format!("{rows}x{cols}"));
     span.attr("distribution", format!("{:?}", input.distribution()));
     span.attr("devices", ctx.n_devices().to_string());
 
-    let radius = expr.max_radius();
-    if n_stencils > 0 {
-        stencil_input_layout(input, radius)?;
+    let depth = expr.depth();
+    if stages.iter().any(|s| s.kind.starts_with("stencil")) {
+        stencil_input_layout(input, depth)?;
     }
-    let (parts, halos_fresh) = if radius > 0 {
+    let (parts, halos_fresh) = if depth > 0 {
         (input.parts_with_fresh_halos()?, true)
     } else {
         (input.parts()?, input.halos_fresh())
     };
-    Ok(ElemPlan {
+    let groups = || {
+        ctx.metrics()
+            .counter_value("skelcl.pipeline.groups")
+            .unwrap_or(0)
+    };
+    let before = groups();
+    let out = run(ElemPlan {
         geom: PlanGeom {
-            ctx,
+            ctx: ctx.clone(),
             rows,
             cols,
             dist: input.distribution(),
@@ -1109,7 +1133,9 @@ fn prepared_source<T: Element, E: PipelineExpr<T>>(
         op: OpId::new(),
         stages: Vec::new(),
         _pd: PhantomData,
-    })
+    })?;
+    span.attr("groups", (groups() - before).to_string());
+    Ok(out)
 }
 
 impl<T: Element> PipelineExpr<T> for Start<T> {
@@ -1117,7 +1143,7 @@ impl<T: Element> PipelineExpr<T> for Start<T> {
 
     fn describe(&self, _out: &mut Vec<FusedStage>) {}
 
-    fn max_radius(&self) -> usize {
+    fn depth(&self) -> usize {
         0
     }
 
@@ -1152,8 +1178,8 @@ where
         out.push(stage_of("map", &self.user));
     }
 
-    fn max_radius(&self) -> usize {
-        self.prev.max_radius()
+    fn depth(&self) -> usize {
+        self.prev.depth()
     }
 
     fn feed<C: PipeConsumer<V>>(
@@ -1197,8 +1223,8 @@ where
         out.push(stage_of("zip", &self.user).with_operand(B::TYPE_NAME));
     }
 
-    fn max_radius(&self) -> usize {
-        self.prev.max_radius()
+    fn depth(&self) -> usize {
+        self.prev.depth()
     }
 
     fn feed<C: PipeConsumer<V>>(
@@ -1243,8 +1269,8 @@ where
         out.push(stage_of("stencil", &self.user));
     }
 
-    fn max_radius(&self) -> usize {
-        self.prev.max_radius().max(self.radius)
+    fn depth(&self) -> usize {
+        self.prev.depth() + self.radius
     }
 
     fn feed<C: PipeConsumer<V>>(
@@ -1341,8 +1367,8 @@ where
         out.push(self.stage());
     }
 
-    fn max_radius(&self) -> usize {
-        self.prev.max_radius().max(self.radius)
+    fn depth(&self) -> usize {
+        self.prev.depth() + self.radius
     }
 
     fn feed<C: PipeConsumer<V>>(
@@ -1697,21 +1723,36 @@ mod tests {
 
     #[test]
     fn chained_stencil_groups_count_their_halo_exchange_like_chained_applies() {
+        // A warm input already carries both stencils' halo rows: the chain
+        // is one launch per part and exchanges nothing, where two chained
+        // applies exchange the intermediate's halos between them.
         let ctx = ctx(2);
-        let before = ctx.halo_exchange_count();
-        Pipeline::start::<f32>()
-            .stencil(cross_user(), 1, Boundary2D::Neumann)
-            .stencil(cross_user(), 1, Boundary2D::Neumann)
-            .run(&test_matrix(&ctx, 16, 9, 11))
+        let m = test_matrix(&ctx, 16, 9, 11);
+        m.set_distribution(MatrixDistribution::RowBlock { halo: 2 })
             .unwrap();
-        let fused = ctx.halo_exchange_count() - before;
-        assert_eq!(fused, 1, "the second group refreshes its input halos once");
+        m.ensure_on_devices().unwrap();
+        let (before, stats) = (ctx.halo_exchange_count(), ctx.platform().stats_snapshot());
+        let fused = Pipeline::start::<f32>()
+            .stencil(cross_user(), 1, Boundary2D::Neumann)
+            .stencil(cross_user(), 1, Boundary2D::Neumann)
+            .run(&m)
+            .unwrap();
+        let delta = ctx.platform().stats_snapshot() - stats;
+        assert_eq!(
+            ctx.halo_exchange_count() - before,
+            0,
+            "no exchange in the chain"
+        );
+        assert_eq!((delta.kernel_launches, delta.d2d_transfers), (2, 0));
 
         let before = ctx.halo_exchange_count();
         let st = Stencil2D::new(cross_user(), 1, Boundary2D::Neumann);
-        st.apply(&st.apply(&test_matrix(&ctx, 16, 9, 11)).unwrap())
-            .unwrap();
-        assert_eq!(ctx.halo_exchange_count() - before, fused);
+        let unfused = st.apply(&st.apply(&m).unwrap()).unwrap();
+        assert_eq!(ctx.halo_exchange_count() - before, 1);
+        assert_eq!(
+            bits(&fused.to_vec().unwrap()),
+            bits(&unfused.to_vec().unwrap())
+        );
     }
 
     /// Cells inside a `rows × cols` matrix of every window `radius` cells
@@ -1802,6 +1843,65 @@ mod tests {
         assert_eq!(delta.kernel_launches, 0, "nothing is launched");
         assert_eq!(used(&c), bytes, "nothing is allocated");
         assert_eq!(c.programs_built(), built, "nothing is built");
+    }
+
+    #[test]
+    fn a_chain_whose_windows_cannot_fit_together_splits_between_its_pieces() {
+        // 16×4 work-groups on the tiny device's 4 KiB: radius 4 then 3 and
+        // 3 need windows 10, 6 and 3 cells deep (3456 + 1792 + 880 bytes),
+        // so the first stencil splits off (1152 bytes alone) and the other
+        // two share a chain (2672 bytes).
+        let c = ctx(2);
+        let (rows, cols) = (40, 24);
+        let m = test_matrix(&c, rows, cols, 19);
+        m.set_distribution(MatrixDistribution::RowBlock { halo: 10 })
+            .unwrap();
+        m.ensure_on_devices().unwrap();
+        let users = [4usize, 3, 3].map(|r| {
+            let r = r as isize;
+            UserFn::new(
+                "column",
+                "float column(__global float* in, int r, int c, uint nr, uint nc) { /* rows +-r */ }",
+                move |v: &Stencil2DView<'_, f32>| 0.3 * (v.get(-r, 0) + v.get(r, 0)) + v.get(0, 1),
+            )
+        });
+        let [a, b, d] = users.clone();
+        let groups = |c: &Context| {
+            c.metrics()
+                .counter_value("skelcl.pipeline.groups")
+                .unwrap_or(0)
+        };
+        let (g0, x0, stats) = (
+            groups(&c),
+            c.halo_exchange_count(),
+            c.platform().stats_snapshot(),
+        );
+        let fused = Pipeline::start::<f32>()
+            .stencil(a, 4, Boundary2D::Neumann)
+            .stencil(b, 3, Boundary2D::Neumann)
+            .stencil(d, 3, Boundary2D::Zero)
+            .run(&m)
+            .unwrap();
+        let delta = c.platform().stats_snapshot() - stats;
+        assert_eq!(groups(&c) - g0, 2, "two pieces");
+        assert_eq!(
+            delta.kernel_launches,
+            2 * 2,
+            "one launch per part and piece"
+        );
+        assert_eq!(
+            c.halo_exchange_count() - x0,
+            1,
+            "one exchange, between the pieces"
+        );
+
+        let [a, b, d] = users;
+        let mut cur = Stencil2D::new(a, 4, Boundary2D::Neumann).apply(&m).unwrap();
+        cur = Stencil2D::new(b, 3, Boundary2D::Neumann)
+            .apply(&cur)
+            .unwrap();
+        cur = Stencil2D::new(d, 3, Boundary2D::Zero).apply(&cur).unwrap();
+        assert_eq!(bits(&fused.to_vec().unwrap()), bits(&cur.to_vec().unwrap()));
     }
 
     #[test]

@@ -498,8 +498,11 @@ where
     if n_items == 0 || seg_len == 0 {
         return Ok((out_val, out_idx));
     }
-    let snap: Arc<Vec<T>> = Arc::new(p.buffer.to_vec());
-    let seeds = seed.map(|(v, i)| (Arc::new(v.to_vec()), Arc::new(i.to_vec())));
+    // Snapshots read in bulk, like the value fold's: each item notes the
+    // ranges it reads for the hazard checker.
+    let src = p.buffer.clone();
+    let snap: Arc<Vec<T>> = Arc::new(src.to_vec());
+    let seeds = seed.map(|(v, i)| (Arc::new(v.to_vec()), Arc::new(i.to_vec()), v, i));
     let better = user.func().clone();
     let static_ops = user.static_ops();
     let (dval, didx) = (out_val.clone(), out_idx.clone());
@@ -511,14 +514,20 @@ where
                 return;
             }
             let i = it.global_id(0);
+            let first = base + i * item_pitch;
+            it.note_read(&src, first..first + (seg_len - 1) * elem_pitch + 1);
+            if let Some((_, _, vbuf, ibuf)) = &seeds {
+                it.note_read(vbuf, i..i + 1);
+                it.note_read(ibuf, i..i + 1);
+            }
             let ((best, best_i), dyn_ops) = meter::metered(|| {
                 let (mut best, mut best_i) = match &seeds {
-                    Some((sv, si)) => (sv[i], si[i]),
-                    None => (snap[base + i * item_pitch], index_offset as u32),
+                    Some((sv, si, ..)) => (sv[i], si[i]),
+                    None => (snap[first], index_offset as u32),
                 };
                 let start = usize::from(!seeded);
                 for k in start..seg_len {
-                    let x = snap[base + i * item_pitch + k * elem_pitch];
+                    let x = snap[first + k * elem_pitch];
                     if better(x, best) {
                         best = x;
                         best_i = (index_offset + k) as u32;
@@ -777,6 +786,47 @@ mod tests {
                 x < y
             }
         ))
+    }
+
+    #[test]
+    fn argbest_launches_record_the_ranges_they_read() {
+        // Column blocks on 2 devices: device 0 folds its half of every
+        // row, device 1 folds the other half seeded with those partials.
+        let c = ctx(2);
+        let (rows, cols) = (6, 10);
+        let m = Matrix::from_vec(&c, rows, cols, messy(rows, cols, 5));
+        m.set_distribution(MatrixDistribution::ColBlock).unwrap();
+        m.ensure_on_devices().unwrap();
+        c.platform().enable_timeline_trace();
+        argmin_rows().apply(&m).unwrap();
+        c.sync();
+        let trace = c.platform().take_timeline_trace();
+        let kernels: Vec<_> = trace
+            .iter()
+            .filter(|r| r.kind == vgpu::CmdKind::Kernel)
+            .collect();
+        assert_eq!(kernels.len(), 2);
+        for (part, k) in m.parts().unwrap().iter().zip(kernels) {
+            assert_eq!(k.device.0, part.device);
+            let whole = (part.span_rows() * part.cols * 4) as u64;
+            let input: Vec<_> = k
+                .reads
+                .iter()
+                .filter(|r| r.buffer == part.buffer.id())
+                .map(|r| (r.lo, r.hi))
+                .collect();
+            assert_eq!(input, [(0, whole)], "the fold input, every row");
+            // The seeded fold also reads both partials, one element a row.
+            let seeds: Vec<_> = k
+                .reads
+                .iter()
+                .filter(|r| r.buffer != part.buffer.id())
+                .collect();
+            assert_eq!(seeds.len(), 2 * part.device, "{:?}", k.reads);
+            for r in seeds {
+                assert_eq!(r.hi - r.lo, (rows * 4) as u64);
+            }
+        }
     }
 
     /// Awkward float values that expose any fold-order deviation bitwise.

@@ -17,14 +17,15 @@
 //! a torus, `Zero` reads the element type's default.
 //!
 //! Two launchers run the user function over one view type.
-//! [`Stencil2D::iterate`] and every stencil group of a
-//! [`Pipeline`](crate::Pipeline) go through the block launcher: each
+//! [`Stencil2D::iterate`] and every stencil chain of a
+//! [`Pipeline`](crate::Pipeline) go through the block kernel: each
 //! work-group loads its tile's window into local memory once (one counted
-//! global read per cell inside the matrix, with a pipeline group's fused
+//! global read per cell inside the matrix, with a chain's fused
 //! element-wise stages applied as the cell loads), steps its rounds there
-//! and writes its tile once. `iterate` steps several rounds per launch, a
-//! pipeline group one; one generator emits both programs
-//! ([`codegen::stencil2d_block_program`]). [`Stencil2D::apply`],
+//! and writes its tile once. An `iterate` block steps one stencil several
+//! times between two windows; a pipeline chain steps each of its stencils
+//! once, each into a window of its own type; one generator emits both
+//! programs ([`codegen::stencil2d_block_program`]). [`Stencil2D::apply`],
 //! [`Stencil2D::apply_streamed`] and [`Stencil2D::iterate_serial`] keep
 //! the one-round kernel whose every tap is a global read
 //! ([`codegen::stencil2d_program`]): the fusion property suite checks every
@@ -42,11 +43,11 @@ use crate::meter;
 use crate::skeletons::pipeline::{stage_of, OpId, PixelOp};
 use crate::skeletons::{alloc_matching_matrix_parts, range_2d};
 use crate::trace::SpanGuard;
-use std::any::Any;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use vgpu::{
     Buffer, CompiledKernel, Event, Item, KernelBody, LocalBuf, Order, Program, Scalar as Element,
+    WorkGroup,
 };
 
 /// What out-of-matrix neighbourhood positions read.
@@ -426,14 +427,12 @@ where
     /// [`Stencil2D::program`] is the one-round program of `apply`,
     /// `apply_streamed` and `iterate_serial`.
     pub fn block_program(&self) -> Program {
-        codegen::stencil2d_block_program(
-            &[stage_of("stencil", &self.user)],
-            T::TYPE_NAME,
-            T::TYPE_NAME,
+        let stage = stage_of("stencil", &self.user).with_window(
             T::TYPE_NAME,
             self.radius,
             self.boundary.codegen_name(),
-        )
+        );
+        codegen::stencil2d_block_program(&[stage], T::TYPE_NAME, T::TYPE_NAME)
     }
 
     /// The serial schedule of [`Stencil2D::iterate`]: the one-round
@@ -502,18 +501,23 @@ where
         span.attr("schedule", "overlapped");
         let radius = self.radius;
         // Checked before anything is enqueued or built.
-        let group = range_2d(&ctx, cols, n_rows).local;
-        let group = (group[0], group[1]);
-        let fit = window_rounds::<T>(&ctx, group, radius, 2, max_block)?;
-        let kernel = BlockKernel {
-            compiled: ctx.get_or_build(&self.block_program())?,
+        let group = block_group(&ctx, n_rows, cols);
+        let fit = window_rounds::<T>(&ctx, group, radius, max_block)?;
+        let round = Round {
             eval: self.user.func().clone(),
-            pre: OpId::new(),
-            post: OpId::new(),
-            load_ops: 0,
-            static_ops: self.user.static_ops(),
             radius,
             boundary: self.boundary,
+            static_ops: self.user.static_ops(),
+        };
+        let mut kernel = BlockKernel {
+            compiled: ctx.get_or_build(&self.block_program())?,
+            pre: OpId::new(),
+            load_ops: 0,
+            chain: Repeat {
+                round,
+                rounds: 1,
+                _pd: PhantomData,
+            },
             n_rows,
             group,
             _pd: PhantomData,
@@ -550,7 +554,7 @@ where
             .collect();
         for (pi, (ip, op)) in in_parts.iter().zip(&sets[0]).enumerate() {
             let order = Order::After(&producers[ip.device]);
-            if let Some(ev) = kernel.launch(&ctx, pi, ip, op, &kernel.tiles(ip), 1, order)? {
+            if let Some(ev) = kernel.launch(&ctx, pi, ip, op, &kernel.tiles(ip), order)? {
                 producers[ip.device] = vec![ev];
             }
         }
@@ -559,6 +563,7 @@ where
         // block writes. The block overwrites the rows they read.
         let mut outgoing: Vec<Vec<Event>> = vec![Vec::new(); in_parts.len()];
         for (b, &len) in blocks.iter().enumerate() {
+            kernel.chain.rounds = len;
             let (src, dst) = (&sets[b % 2], &sets[(b + 1) % 2]);
             // Refresh the halos the whole block reads.
             let exchange = if stale_free(src) {
@@ -579,17 +584,17 @@ where
                 let tiles = kernel.tiles(ip);
                 let after_readers = Order::After(&outgoing[pi]);
                 let produced = if incoming.is_empty() {
-                    kernel.launch(&ctx, pi, ip, op, &tiles, len, after_readers)?
+                    kernel.launch(&ctx, pi, ip, op, &tiles, after_readers)?
                 } else {
                     // Interior tiles first: they read no halo row, so the
                     // in-order queue starts them while the exchange still
                     // runs. Then the edge tiles, after the incoming copies.
                     let (interior, edge): (Vec<_>, Vec<_>) = tiles
                         .into_iter()
-                        .partition(|&tile| !kernel.reads_halo(ip, tile, len));
-                    let first = kernel.launch(&ctx, pi, ip, op, &interior, len, after_readers)?;
+                        .partition(|&tile| !kernel.reads_halo(ip, tile));
+                    let first = kernel.launch(&ctx, pi, ip, op, &interior, after_readers)?;
                     let deps = [&incoming[..], &outgoing[pi][..]].concat();
-                    let edges = kernel.launch(&ctx, pi, ip, op, &edge, len, Order::After(&deps))?;
+                    let edges = kernel.launch(&ctx, pi, ip, op, &edge, Order::After(&deps))?;
                     edges.or(first)
                 };
                 if let Some(ev) = produced {
@@ -648,32 +653,50 @@ fn window_len((lx, ly): (usize, usize), halo: usize) -> usize {
     (lx + 2 * halo) * (ly + 2 * halo)
 }
 
-/// The most rounds, up to `max_block`, whose `windows` windows of `T` fit
-/// every device's local memory for work-groups of shape `group`. An error
-/// when not even one round's windows fit.
-pub(crate) fn window_rounds<T: Element>(
-    ctx: &Context,
-    group: (usize, usize),
-    radius: usize,
-    windows: usize,
-    max_block: usize,
-) -> Result<usize> {
+/// Bytes of one block window of `T` for a chain `depth` cells deep.
+pub(crate) fn window_bytes<T: Element>(group: (usize, usize), depth: usize) -> usize {
+    window_len(group, depth) * std::mem::size_of::<T>()
+}
+
+/// The work-group shape `(lx, ly)` every block launch over a `rows × cols`
+/// matrix runs.
+pub(crate) fn block_group(ctx: &Context, rows: usize, cols: usize) -> (usize, usize) {
+    let [lx, ly] = range_2d(ctx, cols, rows).local;
+    (lx, ly)
+}
+
+/// Fail with [`vgpu::Error::LocalMemExceeded`] unless `bytes` of windows
+/// fit every device's local memory.
+pub(crate) fn check_local_mem(ctx: &Context, bytes: usize) -> Result<()> {
     let limit = (0..ctx.n_devices())
         .map(|d| ctx.device(d).spec().local_mem_bytes)
         .min()
         .unwrap_or(0);
-    let bytes =
-        |rounds: usize| windows * window_len(group, rounds * radius) * std::mem::size_of::<T>();
-    (1..=max_block.max(1))
+    if bytes > limit {
+        return Err(vgpu::Error::LocalMemExceeded {
+            requested: bytes,
+            limit,
+        }
+        .into());
+    }
+    Ok(())
+}
+
+/// The most rounds, up to `max_block`, whose two windows of `T` fit every
+/// device's local memory for work-groups of shape `group`. An error when
+/// not even one round's windows fit.
+fn window_rounds<T: Element>(
+    ctx: &Context,
+    group: (usize, usize),
+    radius: usize,
+    max_block: usize,
+) -> Result<usize> {
+    let bytes = |rounds: usize| 2 * window_bytes::<T>(group, rounds * radius);
+    check_local_mem(ctx, bytes(1))?;
+    Ok((1..=max_block.max(1))
         .rev()
-        .find(|&rounds| bytes(rounds) <= limit)
-        .ok_or_else(|| {
-            vgpu::Error::LocalMemExceeded {
-                requested: bytes(1),
-                limit,
-            }
-            .into()
-        })
+        .find(|&rounds| check_local_mem(ctx, bytes(rounds)).is_ok())
+        .unwrap_or(1))
 }
 
 /// One row or column of a block window, resolved against the boundary once
@@ -720,42 +743,74 @@ impl Line {
     }
 }
 
-/// One work-group's window: `ww × wh` cells around its tile, every row and
-/// column resolved against the boundary.
-struct Window {
+/// One stencil stage of a chain: its user function, radius and boundary
+/// mode, and the static issue cost of every cell it computes (its own and
+/// that of the element-wise stages fused after it).
+#[derive(Clone)]
+pub(crate) struct Round<E> {
+    pub eval: E,
+    pub radius: usize,
+    pub boundary: Boundary2D,
+    pub static_ops: u64,
+}
+
+/// One work-group's state while a [`Chain`] steps: its block window of
+/// `ww × wh` cells around its tile, every row and column resolved against
+/// the boundary, and where the tile lands in the output part. A chain's
+/// later windows are `off` cells narrower on every side and address the
+/// same cells `(w, c)`.
+pub struct Block<'a> {
+    wg: &'a WorkGroup,
     ww: usize,
     wh: usize,
     rows: Vec<Line>,
     cols: Vec<Line>,
     n_rows: usize,
     n_cols: usize,
-    radius: usize,
-    boundary: Boundary2D,
+    /// The work-group shape: every window is allocated for a full tile.
+    group: (usize, usize),
+    /// The chain's depth: the tile's margin inside the window.
+    halo: usize,
+    /// Whether the window reaches past the matrix edge.
+    edge: bool,
+    /// The part index fused zip operands are read in.
+    pi: usize,
+    /// The tile's `(rows, cols)`.
+    tile: (usize, usize),
+    /// The output part's span index of the tile's first cell.
+    out_base: usize,
 }
 
-impl Window {
+impl Block<'_> {
     /// Whether cell `(w, c)` lies outside the matrix (never under `Wrap`).
     fn outside(&self, w: usize, c: usize) -> bool {
         self.rows[w].src.is_none() || self.cols[c].src.is_none()
     }
 
-    /// The index of cell `(w, c)`'s clamp target.
-    fn clamp(&self, w: usize, c: usize) -> usize {
-        self.rows[w].clamp * self.ww + self.cols[c].clamp
+    /// The index of cell `(w, c)` in a window `off` cells inside.
+    fn at(&self, off: usize, w: usize, c: usize) -> usize {
+        (w - off) * (self.ww - 2 * off) + c - off
     }
 
-    /// The customizing function's view of cell `(w, c)`, reading `win`.
-    fn view<'a, T: Element>(
+    /// The input part's span index of cell `(w, c)`, inside the matrix.
+    fn index(&self, w: usize, c: usize) -> usize {
+        self.rows[w].src.unwrap_or_default() * self.n_cols + self.cols[c].src.unwrap_or_default()
+    }
+
+    /// Stage `st`'s view of cell `(w, c)`, reading `win`, a window `off`
+    /// cells inside.
+    fn view<'a, T: Element, E>(
         &self,
         win: &'a LocalBuf<T>,
-        w: usize,
-        c: usize,
+        off: usize,
+        (w, c): (usize, usize),
+        st: &Round<E>,
     ) -> Stencil2DView<'a, T> {
         Stencil2DView {
             taps: Taps::Window {
                 win,
-                centre: w * self.ww + c,
-                stride: self.ww,
+                centre: self.at(off, w, c),
+                stride: self.ww - 2 * off,
             },
             cols: self.n_cols,
             n_rows: self.n_rows,
@@ -763,53 +818,285 @@ impl Window {
             span_rows: self.wh,
             g_row: self.rows[w].global,
             col: self.cols[c].global,
-            radius: self.radius,
-            boundary: self.boundary,
+            radius: st.radius,
+            boundary: st.boundary,
         }
+    }
+
+    /// A window of `T` for a chain `depth` cells deep.
+    fn alloc<T: Element>(&self, depth: usize) -> LocalBuf<T> {
+        self.wg.local_buf(window_len(self.group, depth))
+    }
+
+    /// `f(lane, cell)` for every cell at least `margin` cells inside the
+    /// window edge, dealt to the lanes in turn.
+    fn each_cell(&self, margin: usize, mut f: impl FnMut(&Item<'_>, (usize, usize))) {
+        let (rw, rh) = (self.ww - 2 * margin, self.wh - 2 * margin);
+        let lanes = self.wg.local_total();
+        self.wg.for_each_item(|it| {
+            for k in (it.local_linear()..rw * rh).step_by(lanes) {
+                f(it, (margin + k / rw, margin + k % rw));
+            }
+        });
+    }
+
+    /// One round of stage `st`: every cell inside the matrix and at least
+    /// `margin` cells inside the window stores `f(view, cell)` into `out`
+    /// (`out_off` cells inside), its view reading `inp` (`in_off` inside).
+    fn round<A: Element, B: Element, E>(
+        &self,
+        st: &Round<E>,
+        (inp, in_off): (&LocalBuf<A>, usize),
+        (out, out_off): (&LocalBuf<B>, usize),
+        margin: usize,
+        f: impl Fn(&Item<'_>, &Stencil2DView<'_, A>, (usize, usize)) -> B,
+    ) {
+        self.each_cell(margin, |it, (w, c)| {
+            if self.outside(w, c) {
+                return;
+            }
+            let view = self.view(inp, in_off, (w, c), st);
+            let (y, dyn_ops) = meter::metered(|| f(it, &view, (w, c)));
+            out.set(self.at(out_off, w, c), y);
+            it.work(st.static_ops + dyn_ops);
+        });
+        self.wg.barrier();
+    }
+
+    /// Under `Neumann`, copy every cell outside the matrix and at least
+    /// `margin` cells inside the window from its clamp target, in `win`
+    /// (`off` cells inside). `Zero` leaves such cells at the default they
+    /// start with; `Wrap` has none.
+    fn refresh<T: Element>(
+        &self,
+        boundary: Boundary2D,
+        win: &LocalBuf<T>,
+        off: usize,
+        margin: usize,
+    ) {
+        if boundary != Boundary2D::Neumann || !self.edge {
+            return;
+        }
+        self.each_cell(margin, |_, (w, c)| {
+            if self.outside(w, c) {
+                let target = self.at(off, self.rows[w].clamp, self.cols[c].clamp);
+                win.set(self.at(off, w, c), win.get(target));
+            }
+        });
+        self.wg.barrier();
+    }
+
+    /// The last round of stage `st`: every tile cell writes
+    /// `f(view, output index)` straight to `dst`, its view reading `inp`
+    /// (`off` cells inside the window).
+    fn write_tile<A: Element, V: Element, E>(
+        &self,
+        st: &Round<E>,
+        (inp, off): (&LocalBuf<A>, usize),
+        dst: &Buffer<V>,
+        f: impl Fn(&Item<'_>, &Stencil2DView<'_, A>, usize) -> V,
+    ) {
+        let (t_rows, t_cols) = self.tile;
+        self.wg.for_each_item(|it| {
+            let (x, y) = (it.local_id(0), it.local_id(1));
+            if x >= t_cols || y >= t_rows {
+                return;
+            }
+            let o = self.out_base + y * self.n_cols + x;
+            let view = self.view(inp, off, (self.halo + y, self.halo + x), st);
+            let (v, dyn_ops) = meter::metered(|| f(it, &view, o));
+            it.write(dst, o, v);
+            it.work(st.static_ops + dyn_ops);
+        });
     }
 }
 
-/// The compiled block program of one stencil group, for a matrix of
-/// `n_rows` rows and work-groups of shape `group`: per owned element,
-/// `post(eval(view))`, where the view reads a local-memory window whose
-/// cells hold `pre` of the input part's elements. [`Stencil2D::iterate`]
-/// launches it with identity ops and steps several rounds per launch; a
-/// [`Pipeline`](crate::Pipeline) stencil group fuses its pending
-/// element-wise chains into `pre` and `post` and launches one round. `J`,
-/// `A`, `I` and `V` are the input, view, stencil-result and output element
-/// types.
-pub(crate) struct BlockKernel<J, A, I, V, E, Pre, Post> {
+/// The stencil rounds a block launch steps over its loaded window of `A`
+/// in local memory: a [`Link`] computes the next window for the chain
+/// after it, [`Last`] writes the tile, and [`Repeat`] steps one same-type
+/// stage between two windows (an `iterate` block).
+pub trait Chain<A: Element>: Clone + Send + Sync + 'static {
+    /// The element type the chain writes.
+    type Out: Element;
+
+    /// How many cells beyond its tile the chain reads: its radii summed.
+    fn depth(&self) -> usize;
+
+    /// The first stage's boundary mode, which decides how windows load.
+    fn boundary(&self) -> Boundary2D;
+
+    /// Local-memory bytes of the chain's windows, its first included, for
+    /// work-groups of shape `group`.
+    fn window_bytes(&self, group: (usize, usize)) -> usize;
+
+    /// Step the chain from `inp`, a window of `A` `off` cells inside the
+    /// block window, and write the tile to `dst`.
+    fn step(&self, b: &Block<'_>, inp: &LocalBuf<A>, off: usize, dst: &Buffer<Self::Out>);
+}
+
+/// A chain's last stencil: `post(eval(view))` per tile cell.
+#[derive(Clone)]
+pub(crate) struct Last<E, P, A, I, V> {
+    pub round: Round<E>,
+    pub post: P,
+    pub _pd: PhantomData<fn(A) -> (I, V)>,
+}
+
+impl<E, P, A, I, V> Chain<A> for Last<E, P, A, I, V>
+where
+    A: Element,
+    I: Element,
+    V: Element,
+    E: Fn(&Stencil2DView<'_, A>) -> I + Send + Sync + Clone + 'static,
+    P: PixelOp<I, V>,
+{
+    type Out = V;
+
+    fn depth(&self) -> usize {
+        self.round.radius
+    }
+
+    fn boundary(&self) -> Boundary2D {
+        self.round.boundary
+    }
+
+    fn window_bytes(&self, group: (usize, usize)) -> usize {
+        window_bytes::<A>(group, self.depth())
+    }
+
+    fn step(&self, b: &Block<'_>, inp: &LocalBuf<A>, off: usize, dst: &Buffer<V>) {
+        let (eval, post) = (&self.round.eval, &self.post);
+        b.write_tile(&self.round, (inp, off), dst, |it, view, o| {
+            post.apply(it, b.pi, o, eval(view))
+        });
+    }
+}
+
+/// A stencil with more stencils after it: every cell of the next window,
+/// a radius narrower, stores `mid(eval(view))`; then `next` steps over it.
+#[derive(Clone)]
+pub(crate) struct Link<E, M, N, A, I, B> {
+    pub round: Round<E>,
+    pub mid: M,
+    pub next: N,
+    pub _pd: PhantomData<fn(A) -> (I, B)>,
+}
+
+impl<E, M, N, A, I, B> Chain<A> for Link<E, M, N, A, I, B>
+where
+    A: Element,
+    I: Element,
+    B: Element,
+    E: Fn(&Stencil2DView<'_, A>) -> I + Send + Sync + Clone + 'static,
+    M: PixelOp<I, B>,
+    N: Chain<B>,
+{
+    type Out = N::Out;
+
+    fn depth(&self) -> usize {
+        self.round.radius + self.next.depth()
+    }
+
+    fn boundary(&self) -> Boundary2D {
+        self.round.boundary
+    }
+
+    fn window_bytes(&self, group: (usize, usize)) -> usize {
+        window_bytes::<A>(group, self.depth()) + self.next.window_bytes(group)
+    }
+
+    fn step(&self, b: &Block<'_>, inp: &LocalBuf<A>, off: usize, dst: &Buffer<N::Out>) {
+        let (eval, mid) = (&self.round.eval, &self.mid);
+        let out_off = off + self.round.radius;
+        let win = b.alloc::<B>(self.next.depth());
+        b.round(
+            &self.round,
+            (inp, off),
+            (&win, out_off),
+            out_off,
+            |it, view, (w, c)| mid.apply(it, b.pi, b.index(w, c), eval(view)),
+        );
+        b.refresh(self.next.boundary(), &win, out_off, out_off);
+        self.next.step(b, &win, out_off, dst);
+    }
+}
+
+/// One same-type stage stepped `rounds` times between two windows, each
+/// round computing a region a radius narrower on every side: an `iterate`
+/// block.
+#[derive(Clone)]
+pub(crate) struct Repeat<E, T> {
+    pub round: Round<E>,
+    pub rounds: usize,
+    pub _pd: PhantomData<fn(T) -> T>,
+}
+
+impl<E, T> Chain<T> for Repeat<E, T>
+where
+    T: Element,
+    E: Fn(&Stencil2DView<'_, T>) -> T + Send + Sync + Clone + 'static,
+{
+    type Out = T;
+
+    fn depth(&self) -> usize {
+        self.rounds * self.round.radius
+    }
+
+    fn boundary(&self) -> Boundary2D {
+        self.round.boundary
+    }
+
+    fn window_bytes(&self, group: (usize, usize)) -> usize {
+        2 * window_bytes::<T>(group, self.depth())
+    }
+
+    fn step(&self, b: &Block<'_>, inp: &LocalBuf<T>, _off: usize, dst: &Buffer<T>) {
+        let eval = &self.round.eval;
+        // A one-round block steps no round into a second window.
+        let second = (self.rounds > 1).then(|| b.alloc::<T>(self.depth()));
+        let wins = [inp, second.as_ref().unwrap_or(inp)];
+        for j in 1..self.rounds {
+            let (margin, out) = (j * self.round.radius, wins[j % 2]);
+            let inp = (wins[(j - 1) % 2], 0);
+            b.round(&self.round, inp, (out, 0), margin, |_, view, _| eval(view));
+            b.refresh(self.round.boundary, out, 0, margin);
+        }
+        let inp = (wins[(self.rounds - 1) % 2], 0);
+        b.write_tile(&self.round, inp, dst, |_, view, _| eval(view));
+    }
+}
+
+/// The compiled block program of one stencil chain, for a matrix of
+/// `n_rows` rows and work-groups of shape `group`. Each work-group loads
+/// its tile's window, `chain.depth()` cells deeper on every side, into
+/// local memory once (one counted global read per cell inside the matrix,
+/// holding `pre` of the input part's element), steps `chain` over it and
+/// writes its tile once. [`Stencil2D::iterate`] launches [`Repeat`] blocks
+/// with an identity `pre`; a [`Pipeline`](crate::Pipeline) launches each
+/// run of stencil stages as [`Link`]s ending in a [`Last`], its pending
+/// element-wise chains fused into `pre` and the rounds' stores. `J` and `A`
+/// are the input and first-window element types.
+pub(crate) struct BlockKernel<J, A, Pre, C> {
     pub compiled: CompiledKernel,
-    /// The stencil user function (a `stencil_pair` combines two).
-    pub eval: E,
     /// The element-wise chain run on every window cell as it loads.
     pub pre: Pre,
-    /// The element-wise chain run on every result before its write.
-    pub post: Post,
     /// Static issue cost of `pre`, charged per loaded window cell.
     pub load_ops: u64,
-    /// Static issue cost of the stencil and `post`, charged per computed
-    /// cell.
-    pub static_ops: u64,
-    pub radius: usize,
-    pub boundary: Boundary2D,
+    pub chain: C,
     /// Matrix height.
     pub n_rows: usize,
     /// The work-group shape `(lx, ly)` every launch runs: a tile is `ly`
     /// owned rows by `lx` columns.
     pub group: (usize, usize),
-    pub _pd: PhantomData<fn(J, A, I) -> V>,
+    pub _pd: PhantomData<fn(J) -> A>,
 }
 
-impl<J, A, I, V, E, Pre, Post> BlockKernel<J, A, I, V, E, Pre, Post>
+impl<J, A, Pre, C> BlockKernel<J, A, Pre, C>
 where
     J: Element,
     A: Element,
-    I: Element,
-    V: Element,
     Pre: PixelOp<J, A>,
-    E: Fn(&Stencil2DView<'_, A>) -> I + Send + Sync + Clone + 'static,
-    Post: PixelOp<I, V>,
+    C: Chain<A>,
 {
     /// Part `p`'s owned rows in tiles of at most `ly` rows, as `(first span
     /// row, rows)`.
@@ -821,50 +1108,43 @@ where
             .collect()
     }
 
-    /// Whether the window of `tile` for a `rounds`-round block loads a row
-    /// outside the part's owned rows, i.e. a halo row an exchange may
-    /// write. Window rows outside the matrix are loaded only under `Wrap`.
-    fn reads_halo(&self, p: &MatrixPart<J>, (start, rows): (usize, usize), rounds: usize) -> bool {
-        let halo = (rounds * self.radius) as isize;
+    /// Whether the window of `tile` loads a row outside the part's owned
+    /// rows, i.e. a halo row an exchange may write. Window rows outside the
+    /// matrix are loaded only under `Wrap`.
+    fn reads_halo(&self, p: &MatrixPart<J>, (start, rows): (usize, usize)) -> bool {
+        let halo = self.chain.depth() as isize;
         let first = (p.row_offset + start - p.halo_above) as isize;
         let (mut lo, mut hi) = (first - halo, first + rows as isize + halo);
-        if self.boundary != Boundary2D::Wrap {
+        if self.chain.boundary() != Boundary2D::Wrap {
             lo = lo.max(0);
             hi = hi.min(self.n_rows as isize);
         }
         lo < p.row_offset as isize || hi > (p.row_offset + p.rows) as isize
     }
 
-    /// Launch one block of `rounds` rounds over `tiles` of part `pi`'s
-    /// input `ip`, writing their rows of `op` (same global rows; `op`'s halo
-    /// may differ from `ip`'s). Each work-group loads its tile's window from
-    /// `ip` (whose rows within `rounds · radius` of the tiles must be
-    /// coherent), steps the rounds in local memory and writes its tile
-    /// once. A one-round launch allocates one window; more rounds need a
-    /// same-type stencil (`A = I`) and a second window. Returns the launch
-    /// event, or `None` when there is nothing to launch.
-    #[allow(clippy::too_many_arguments)]
+    /// Launch the chain over `tiles` of part `pi`'s input `ip`, writing
+    /// their rows of `op` (same global rows; `op`'s halo may differ from
+    /// `ip`'s). `ip`'s rows within `chain.depth()` of the tiles must be
+    /// coherent. Returns the launch event, or `None` when there is nothing
+    /// to launch.
     pub fn launch(
         &self,
         ctx: &Context,
         pi: usize,
         ip: &MatrixPart<J>,
-        op: &MatrixPart<V>,
+        op: &MatrixPart<C::Out>,
         tiles: &[(usize, usize)],
-        rounds: usize,
         order: Order<'_>,
     ) -> Result<Option<Event>> {
         let cols = ip.cols;
         if tiles.is_empty() || cols == 0 {
             return Ok(None);
         }
-        let (lx, ly) = self.group;
+        let ((lx, ly), group) = (self.group, self.group);
         let (src, dst) = (ip.buffer.clone(), op.buffer.clone());
-        let (eval, pre, post) = (self.eval.clone(), self.pre.clone(), self.post.clone());
-        let (radius, boundary, n_rows) = (self.radius, self.boundary, self.n_rows);
-        let (load_ops, static_ops) = (self.load_ops, self.static_ops);
-        let halo = rounds * radius;
-        let win_len = window_len(self.group, halo);
+        let (pre, chain) = (self.pre.clone(), self.chain.clone());
+        let (n_rows, load_ops) = (self.n_rows, self.load_ops);
+        let (halo, boundary) = (chain.depth(), chain.boundary());
         let (row_offset, in_halo, out_halo) = (ip.row_offset, ip.halo_above, op.halo_above);
         let span_rows = ip.span_rows();
         let n_tiles = tiles.len();
@@ -875,116 +1155,56 @@ where
             let t_cols = lx.min(cols - c0);
             let (ww, wh) = (t_cols + 2 * halo, t_rows + 2 * halo);
             let lanes = wg.local_total();
-            // A one-round launch steps no round into a second window.
-            let second = if rounds > 1 { win_len } else { 0 };
-            let wins = [wg.local_buf::<A>(win_len), wg.local_buf::<A>(second)];
-            let window = Window {
+            let rows: Vec<Line> = (0..wh)
+                .map(|w| {
+                    let s = (t0 + w) as isize - halo as isize;
+                    let g = s + row_offset as isize - in_halo as isize;
+                    Line::resolve(w, s, g, span_rows, n_rows, boundary)
+                })
+                .collect();
+            let lines = (0..ww).map(|w| {
+                let c = (c0 + w) as isize - halo as isize;
+                Line::resolve(w, c, c, cols, cols, boundary)
+            });
+            let cols_: Vec<Line> = lines.collect();
+            let edge = rows.iter().chain(&cols_).any(|l| l.src.is_none());
+            let b = Block {
+                wg,
                 ww,
                 wh,
-                rows: (0..wh)
-                    .map(|w| {
-                        let s = (t0 + w) as isize - halo as isize;
-                        let g = s + row_offset as isize - in_halo as isize;
-                        Line::resolve(w, s, g, span_rows, n_rows, boundary)
-                    })
-                    .collect(),
-                cols: (0..ww)
-                    .map(|w| {
-                        let c = (c0 + w) as isize - halo as isize;
-                        Line::resolve(w, c, c, cols, cols, boundary)
-                    })
-                    .collect(),
+                rows,
+                cols: cols_,
                 n_rows,
                 n_cols: cols,
-                radius,
-                boundary,
+                group,
+                halo,
+                edge,
+                pi,
+                tile: (t_rows, t_cols),
+                out_base: (t0 + out_halo - in_halo) * cols + c0,
             };
-            // Neumann refreshes the window cells outside the matrix; Zero
-            // leaves them at the default they start with.
-            let refresh = boundary == Boundary2D::Neumann
-                && window
-                    .rows
-                    .iter()
-                    .chain(&window.cols)
-                    .any(|l| l.src.is_none());
-
+            let win = b.alloc::<A>(halo);
             // One global read per window cell inside the matrix, with the
             // `pre` chain applied as it loads.
             wg.for_each_item(|it| {
                 for i in (it.local_linear()..ww * wh).step_by(lanes) {
-                    let (row, col) = (window.rows[i / ww], window.cols[i % ww]);
+                    let (row, col) = (b.rows[i / ww], b.cols[i % ww]);
                     if let (Some(s), Some(c)) = (row.src, col.src) {
                         let g = s * cols + c;
                         let x = it.read(&src, g);
                         if Pre::IDENTITY {
-                            wins[0].set(i, pre.apply(it, pi, g, x));
+                            win.set(i, pre.apply(it, pi, g, x));
                         } else {
                             let (v, dyn_ops) = meter::metered(|| pre.apply(it, pi, g, x));
-                            wins[0].set(i, v);
+                            win.set(i, v);
                             it.work(load_ops + dyn_ops);
                         }
                     }
                 }
             });
             wg.barrier();
-            // Copy every outside cell at least `margin` cells inside the
-            // window edge from its clamp target.
-            let refresh_ring = |win: &LocalBuf<A>, margin: usize| {
-                let (rw, rh) = (ww - 2 * margin, wh - 2 * margin);
-                wg.for_each_item(|it| {
-                    for k in (it.local_linear()..rw * rh).step_by(lanes) {
-                        let (w, c) = (margin + k / rw, margin + k % rw);
-                        if window.outside(w, c) {
-                            win.set(w * ww + c, win.get(window.clamp(w, c)));
-                        }
-                    }
-                });
-                wg.barrier();
-            };
-            if refresh {
-                refresh_ring(&wins[0], 0);
-            }
-            // Every round but the last computes the window cells at least
-            // `j · radius` cells inside its edge, from one window into the
-            // other.
-            for j in 1..rounds {
-                let (inp, out) = (&wins[(j - 1) % 2], &wins[j % 2]);
-                let store = (out as &dyn Any)
-                    .downcast_ref::<LocalBuf<I>>()
-                    .expect("only a same-type stencil steps several rounds");
-                let margin = j * radius;
-                let (rw, rh) = (ww - 2 * margin, wh - 2 * margin);
-                wg.for_each_item(|it| {
-                    for k in (it.local_linear()..rw * rh).step_by(lanes) {
-                        let (w, c) = (margin + k / rw, margin + k % rw);
-                        if window.outside(w, c) {
-                            continue;
-                        }
-                        let (y, dyn_ops) = meter::metered(|| eval(&window.view(inp, w, c)));
-                        store.set(w * ww + c, y);
-                        it.work(static_ops + dyn_ops);
-                    }
-                });
-                wg.barrier();
-                if refresh {
-                    refresh_ring(out, margin);
-                }
-            }
-            // The last round computes the tile, with the `post` chain
-            // applied, straight to global memory.
-            let inp = &wins[(rounds - 1) % 2];
-            wg.for_each_item(|it| {
-                let (x, y) = (it.local_id(0), it.local_id(1));
-                if x >= t_cols || y >= t_rows {
-                    return;
-                }
-                let o = (t0 + y + out_halo - in_halo) * cols + c0 + x;
-                let (v, dyn_ops) = meter::metered(|| {
-                    post.apply(it, pi, o, eval(&window.view(inp, halo + y, halo + x)))
-                });
-                it.write(&dst, o, v);
-                it.work(static_ops + dyn_ops);
-            });
+            b.refresh(boundary, &win, 0, 0);
+            chain.step(&b, &win, 0, &dst);
         });
         let kernel = self.compiled.with_body(body);
         let nd = vgpu::NDRange::two_d((cols, n_tiles * ly), (lx, ly));

@@ -72,6 +72,26 @@ fn column_user(radius: usize) -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 
     )
 }
 
+fn widen_fn() -> UserFn<fn(f32, f32) -> f64> {
+    skel_fn!(
+        fn lwiden(x: f32, y: f32) -> f64 {
+            x as f64 + y as f64 * 0.5
+        }
+    )
+}
+
+/// A radius-1 stencil over `f64` with an `f32` result.
+fn narrow_user() -> UserFn<impl Fn(&Stencil2DView<'_, f64>) -> f32 + Clone> {
+    UserFn::new(
+        "lnarrow",
+        "float lnarrow(__global double* in, int r, int c, uint nr, uint nc) {\n\
+             return (float)(0.5 * (stencil_at(in, r, c, nr, nc, -1, 1)\n\
+                                 + stencil_at(in, r, c, nr, nc, 1, -1)));\n\
+         }",
+        |v: &Stencil2DView<'_, f64>| (0.5 * (v.get(-1, 1) + v.get(1, -1))) as f32,
+    )
+}
+
 fn mult_num_fn() -> UserFn<impl Fn(f32, &KernelEnv<'_>) -> f32 + Clone> {
     UserFn::new(
         "lmult_num",
@@ -229,6 +249,20 @@ fn populate_registry(c: &Context) {
         .stencil_pair(cross_user(), column_user(1), add_fn(), 1, Boundary2D::Zero)
         .run(&m)
         .unwrap();
+    // Three-stencil chains (one window per stencil, f32 → f64 → f32, a
+    // zip between the first two stencils) under every boundary and the
+    // mixed Neumann → Zero one.
+    let mixed = [Boundary2D::Neumann, Boundary2D::Zero, Boundary2D::Zero];
+    for bs in BOUNDARIES.map(|b| [b; 3]).into_iter().chain([mixed]) {
+        Pipeline::start::<f32>()
+            .stencil(cross_user(), 1, bs[0])
+            .zip_with(&m2, add_fn())
+            .stencil_pair(cross_user(), column_user(1), widen_fn(), 1, bs[1])
+            .stencil(narrow_user(), 1, bs[2])
+            .map(scale_fn())
+            .run(&m)
+            .unwrap();
+    }
     Pipeline::start::<f32>()
         .map(scale_fn())
         .reduce_rows(&m, add_fn(), 0.0)
@@ -277,6 +311,23 @@ fn every_registered_program_lints_clean() {
         assert_eq!(program.n_args, n_args, "{}", program.name);
         let arity = check::lint_program(&program.name, &program.source, n_args, budget);
         assert!(arity.is_empty(), "{}: {arity:?}", program.name);
+    }
+
+    // The chains took one program each, with a window argument per stencil.
+    let chains: Vec<_> = c
+        .program_registry()
+        .programs()
+        .into_iter()
+        .filter(|p| p.name.starts_with("skelcl_stencil2d_block_r1+1+1_"))
+        .collect();
+    assert_eq!(
+        chains.len(),
+        4,
+        "{:?}",
+        chains.iter().map(|p| &p.name).collect::<Vec<_>>()
+    );
+    for program in &chains {
+        assert_eq!(program.n_args, 5 + 1 + 3, "{}", program.name);
     }
 
     let findings = c.lint_registry();

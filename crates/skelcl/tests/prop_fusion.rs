@@ -112,6 +112,63 @@ fn diag_user(radius: usize) -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 + 
     })
 }
 
+const NARROW_SRC: &str =
+    "float pnarrow(__global double* in, int r, int c, uint nr, uint nc) { /* anti-diagonal */ }";
+
+/// An `f64` stencil with an `f32` result: the anti-diagonal corners
+/// `radius` out, and the centre.
+fn narrow_user(radius: usize) -> UserFn<impl Fn(&Stencil2DView<'_, f64>) -> f32 + Clone> {
+    let r = radius as isize;
+    UserFn::new("pnarrow", NARROW_SRC, move |v: &Stencil2DView<'_, f64>| {
+        (0.25 * (v.get(-r, r) + v.get(r, -r)) + v.get(0, 0)) as f32
+    })
+}
+
+fn widen_fn() -> UserFn<fn(f32, f32) -> f64> {
+    skelcl::skel_fn!(
+        fn pwiden(x: f32, y: f32) -> f64 {
+            x as f64 * 0.5 + y as f64
+        }
+    )
+}
+
+/// A context whose devices hold every window of a three-stencil chain at
+/// radius 2 (the tiny device's 4 KiB would split some of them).
+fn roomy_ctx(n_devices: usize) -> Context {
+    Context::new(
+        ContextConfig::default()
+            .devices(n_devices)
+            .spec(DeviceSpec {
+                local_mem_bytes: 16 << 10,
+                ..DeviceSpec::tiny()
+            })
+            .work_group(64)
+            .cache_tag("prop-fusion-roomy"),
+    )
+}
+
+/// Per-stage boundaries of a three-stencil chain: one mode throughout, or
+/// `Neumann` then `Zero`.
+fn chain_boundaries_strategy() -> impl Strategy<Value = [Boundary2D; 3]> {
+    use Boundary2D::{Neumann, Wrap, Zero};
+    prop_oneof![
+        Just([Neumann; 3]),
+        Just([Zero; 3]),
+        Just([Wrap; 3]),
+        Just([Neumann, Zero, Zero]),
+    ]
+}
+
+/// Kernel launches of a one-group chain over an input laid out as `dist`:
+/// one per part with rows.
+fn launches_per_chain(dist: MatrixDistribution, rows: usize, devices: usize) -> u64 {
+    match dist {
+        MatrixDistribution::Single(_) => 1,
+        MatrixDistribution::Copy => devices as u64,
+        _ => rows.min(devices) as u64,
+    }
+}
+
 fn cross_stencil(
     boundary: Boundary2D,
 ) -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
@@ -391,8 +448,8 @@ proptest! {
     }
 
     // Two stencil anchors back to back: the elementwise stage between them
-    // fuses into the first anchor's writes; results match the 4-skeleton
-    // chain and exactly two groups launch.
+    // fuses into the store to the second stencil's window; results match
+    // the 4-skeleton chain and the whole chain is one group.
     #[test]
     fn stencil_map_stencil_matches_unfused_chain(
         rows in 1usize..14,
@@ -413,10 +470,9 @@ proptest! {
             .run(&m)
             .unwrap();
         let after = c.metrics().counter_value("skelcl.pipeline.groups").unwrap_or(0);
-        prop_assert_eq!(after - before, 2, "two stencil anchors, two launches");
+        prop_assert_eq!(after - before, 1, "two stencil anchors, one chain");
 
-        // The two fused launch groups hand data from the first anchor to the
-        // second: the recorded timeline must carry that ordering.
+        // The chain's launch must be ordered after the input's upload.
         c.sync();
         let trace = c.platform().take_timeline_trace();
         if let Some(hazard) = skelcl::check::verify_no_buffer_hazards(&trace) {
@@ -428,5 +484,66 @@ proptest! {
         let step2 = Map::new(scale_fn()).apply_matrix(&step1).unwrap();
         let unfused = cross_stencil(boundary).apply(&step2).unwrap();
         prop_assert_eq!(bits(&fused), bits(&unfused));
+    }
+
+    // A chain of two or three stencils with radii 0 to 2 whose element
+    // type changes inside it (f32 → f64 through a stencil pair, then back
+    // through an f64 stencil), with a zip between the first two stencils
+    // whose operand is read at the ring cells of the second window. Every
+    // boundary, the mixed Neumann → Zero chain, every distribution, 1 to 4
+    // devices: one group, one launch per part, and the unfused chain's bits.
+    #[test]
+    fn stencil_chain_matches_unfused_chain(
+        (rows, cols) in wide_shape_strategy(),
+        devices in 1usize..5,
+        bs in chain_boundaries_strategy(),
+        dist in dist_strategy(),
+        radii in (0usize..3, 0usize..3, 0usize..3),
+        three in any::<bool>(),
+        seed in 0u32..1000,
+    ) {
+        let (r0, r1, r2) = radii;
+        let c = roomy_ctx(devices);
+        let data = [0u32, 11].map(|k| test_data(rows, cols, seed.wrapping_add(k)));
+        let matrices = || {
+            data.clone().map(|d| {
+                let m = Matrix::from_vec(&c, rows, cols, d);
+                m.set_distribution(dist).unwrap();
+                m
+            })
+        };
+        let groups = || c.metrics().counter_value("skelcl.pipeline.groups").unwrap_or(0);
+        let bits64 = |m: &Matrix<f64>| {
+            m.to_vec().unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+
+        let [m, op] = matrices();
+        let head = Pipeline::start::<f32>()
+            .stencil(cross_user(r0), r0, bs[0])
+            .zip_with(&op, add_fn())
+            .stencil_pair(cross_user(r1), diag_user(r1), widen_fn(), r1, bs[1]);
+        let (g, stats) = (groups(), c.platform().stats_snapshot());
+        let fused = if three {
+            let out = head.stencil(narrow_user(r2), r2, bs[2]).run(&m).unwrap();
+            Err(bits(&out))
+        } else {
+            Ok(bits64(&head.run(&m).unwrap()))
+        };
+        let launches = (c.platform().stats_snapshot() - stats).kernel_launches;
+        prop_assert_eq!(groups() - g, 1, "the chain is one group");
+        prop_assert_eq!(launches, launches_per_chain(dist, rows, devices));
+
+        let [m, op] = matrices();
+        let first = Stencil2D::new(cross_user(r0), r0, bs[0]).apply(&m).unwrap();
+        let summed = Zip::new(add_fn()).apply_matrix(&first, &op).unwrap();
+        let cross = Stencil2D::new(cross_user(r1), r1, bs[1]).apply(&summed).unwrap();
+        let diag = Stencil2D::new(diag_user(r1), r1, bs[1]).apply(&summed).unwrap();
+        let wide = Zip::new(widen_fn()).apply_matrix(&cross, &diag).unwrap();
+        let unfused = if three {
+            Err(bits(&Stencil2D::new(narrow_user(r2), r2, bs[2]).apply(&wide).unwrap()))
+        } else {
+            Ok(bits64(&wide))
+        };
+        prop_assert_eq!(fused, unfused);
     }
 }

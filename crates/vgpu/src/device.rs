@@ -181,11 +181,6 @@ impl Device {
         self.used_bytes.load(Ordering::Relaxed)
     }
 
-    /// Bytes of device memory still available.
-    pub fn available_bytes(&self) -> usize {
-        self.spec.mem_bytes.saturating_sub(self.used_bytes())
-    }
-
     /// Allocate an uninitialised (zeroed) buffer of `len` elements on this
     /// device, like `clCreateBuffer`. Fails with
     /// [`Error::OutOfDeviceMemory`] when the capacity is exceeded —

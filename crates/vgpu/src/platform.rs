@@ -149,13 +149,6 @@ impl Platform {
         self.shared.stats.take_trace()
     }
 
-    /// Copy the recorded timeline trace without clearing it (empty unless
-    /// tracing is enabled) — for reports and span collectors that must not
-    /// steal records from the trace owner.
-    pub fn timeline_trace_snapshot(&self) -> Vec<CommandRecord> {
-        self.shared.stats.trace_snapshot()
-    }
-
     /// Number of commands recorded so far (0 when tracing is disabled).
     pub fn timeline_trace_len(&self) -> usize {
         self.shared.stats.trace_len()
