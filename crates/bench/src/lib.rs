@@ -558,44 +558,70 @@ pub fn stencil_iterate_virtual_s(
     )
 }
 
+/// Which Canny label chain a `fig_fusion` leg times.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CannyLeg {
+    /// The six-skeleton chain, labels left on the devices.
+    Unfused,
+    /// `canny_chain(..).run`: the fused chain, labels left on the devices.
+    Fused,
+    /// `canny_chain(..).run`, then `to_vec`: the chain, then the download.
+    RunToVec,
+    /// `canny_labels`: the fused chain through `run_to_host`, each band's
+    /// labels read back under the later bands' kernels.
+    ToHost,
+}
+
+impl CannyLeg {
+    fn name(self) -> &'static str {
+        match self {
+            CannyLeg::Unfused => "unfused",
+            CannyLeg::Fused => "fused",
+            CannyLeg::RunToVec => "run+to_vec",
+            CannyLeg::ToHost => "to_host",
+        }
+    }
+}
+
 /// Fig-fusion helper: virtual time of the canny label pipeline (gauss →
 /// sobel → non-maximum suppression → double threshold) over a
-/// `rows × cols` row-block image across `devices` devices. With `fused`
-/// the lazy [`skelcl::Pipeline`] runs: the whole chain compiles into one
-/// launch per part with zero intermediate matrices, whose work-groups load
-/// one window 3 rows and columns deep into local memory and step the three
-/// stencils there; otherwise the unfused chain runs — six skeleton
+/// `rows × cols` row-block image across `devices` devices. The fused legs
+/// run the lazy [`skelcl::Pipeline`] of `canny_chain`: the whole chain
+/// compiles into one launch per part with zero intermediate matrices, whose
+/// work-groups load one window 3 rows and columns deep into local memory
+/// and step the three stencils there. The unfused leg runs six skeleton
 /// launches (gauss, sobel x, sobel y, gradient zip, nms, threshold map)
 /// with five materialised intermediates, whose stencils read every tap
-/// from global memory and exchange halos between them. Both paths are
+/// from global memory and exchange halos between them. All paths are
 /// bit-identical (imgproc tests + `prop_fusion`). The shared warm-up runs
 /// the fused chain first, which widens the image's halo to the chain's 3
 /// rows, so the timed unfused chain also reads (and its intermediates
-/// carry) 3-row halos. The host-side hysteresis flood fill is identical in
-/// both variants and excluded, as is upload and program warm-up.
-pub fn canny_virtual_s(rows: usize, cols: usize, devices: usize, fused: bool) -> f64 {
-    use skelcl::{Boundary2D, Matrix, MatrixDistribution};
-    use skelcl_imgproc::skelcl_impl::{canny_labels, canny_labels_unfused};
+/// carry) 3-row halos. Only the `RunToVec` and `ToHost` legs download the
+/// labels. The host-side hysteresis flood fill is excluded, as is upload
+/// and program warm-up.
+pub fn canny_virtual_s(rows: usize, cols: usize, devices: usize, leg: CannyLeg) -> f64 {
+    use skelcl::{Boundary2D, Matrix, MatrixDistribution, PipelineExpr};
+    use skelcl_imgproc::skelcl_impl::{canny_chain, canny_labels, canny_labels_unfused};
 
     const LO: f32 = 30.0;
     const HI: f32 = 90.0;
+    const B: Boundary2D = Boundary2D::Neumann;
     let ctx = Context::from_platform(figure_platform(devices), skelcl::DEFAULT_WORK_GROUP);
     let img = Matrix::from_vec(&ctx, rows, cols, skelcl_imgproc::test_image(rows, cols));
     img.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
         .expect("dist");
     img.ensure_on_devices().expect("upload");
     // Warm both generated program sets so neither path pays build cost.
-    canny_labels(&img, Boundary2D::Neumann, LO, HI).expect("warm fused");
-    canny_labels_unfused(&img, Boundary2D::Neumann, LO, HI).expect("warm unfused");
-    let variant = if fused { "fused" } else { "unfused" };
-    let label = format!("fig_fusion canny {rows}x{cols} {variant} x{devices}");
+    let chain = canny_chain(B, LO, HI);
+    chain.run(&img).expect("warm fused");
+    canny_labels_unfused(&img, B, LO, HI).expect("warm unfused");
+    let label = format!("fig_fusion canny {rows}x{cols} {} x{devices}", leg.name());
     record(
-        &measure(&ctx, &label, skelcl_efficiency(), || {
-            if fused {
-                canny_labels(&img, Boundary2D::Neumann, LO, HI).expect("canny fused");
-            } else {
-                canny_labels_unfused(&img, Boundary2D::Neumann, LO, HI).expect("canny unfused");
-            }
+        &measure(&ctx, &label, skelcl_efficiency(), || match leg {
+            CannyLeg::Unfused => drop(canny_labels_unfused(&img, B, LO, HI).expect("unfused")),
+            CannyLeg::Fused => drop(chain.run(&img).expect("fused")),
+            CannyLeg::RunToVec => drop(chain.run(&img).and_then(|m| m.to_vec()).expect("read")),
+            CannyLeg::ToHost => drop(canny_labels(&img, B, LO, HI).expect("to host")),
         })
         .0,
     )

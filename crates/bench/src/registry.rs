@@ -264,13 +264,16 @@ fn assert_overlap_bit_identity() {
 /// 3-row halo, with zero intermediate matrices and no halo exchange, vs
 /// the unfused six-skeleton chain with five materialised intermediates and
 /// global-memory taps. Fused wins by ≥ 1.3× at every size and device
-/// count, and its 4-device leg is no slower than its 1-device leg.
+/// count, and its 4-device leg is no slower than its 1-device leg. Read
+/// back to the host at 512², `canny_labels` (banded, each band's read
+/// under the later bands' kernels) is no slower than `run` then `to_vec`
+/// on every device count.
 fn fig_fusion() {
     for size in [256usize, 384, 512] {
         let mut fused_x1 = f64::NAN;
         for devices in [1usize, 2, 4] {
-            let unfused = canny_virtual_s(size, size, devices, false);
-            let fused = canny_virtual_s(size, size, devices, true);
+            let unfused = canny_virtual_s(size, size, devices, CannyLeg::Unfused);
+            let fused = canny_virtual_s(size, size, devices, CannyLeg::Fused);
             let speedup = unfused / fused;
             assert!(
                 speedup >= 1.3,
@@ -291,6 +294,20 @@ fn fig_fusion() {
                 _ => {}
             }
         }
+    }
+    for devices in [1usize, 2, 4] {
+        let run_then_read = canny_virtual_s(512, 512, devices, CannyLeg::RunToVec);
+        let to_host = canny_virtual_s(512, 512, devices, CannyLeg::ToHost);
+        assert!(
+            to_host <= run_then_read,
+            "canny_labels ({to_host}s) must be no slower than run + to_vec \
+             ({run_then_read}s) at 512x512 on {devices} device(s)"
+        );
+        println!(
+            "fig_fusion check: 512x512 x{devices} device(s) to the host: run + to_vec \
+             {run_then_read:.6}s, canny_labels {to_host:.6}s ({:.3}x)",
+            run_then_read / to_host
+        );
     }
 }
 

@@ -8,8 +8,10 @@
 //! * [`skelcl_impl`] — matrices + 2D stencils + element-wise stages, all
 //!   device-resident with lazy transfers and automatic halo exchange; the
 //!   full detector runs both *fused* (a lazy [`Pipeline`](skelcl::Pipeline)
-//!   collapsing the stage chain into three kernel launches) and *unfused*
-//!   (one skeleton per stage — the baseline `fig_fusion` measures against).
+//!   collapsing the stage chain into one stencil chain, whose labels the
+//!   host reads back band by band under the chain's own kernels) and
+//!   *unfused* (one skeleton per stage — the baseline `fig_fusion`
+//!   measures against).
 //!
 //! Both paths evaluate every pixel through the *same* per-pixel functions
 //! ([`gaussian3_at`], [`sobel_x_at`], [`sobel_y_at`], [`magnitude`],

@@ -163,30 +163,42 @@ pub fn blur_sobel(img: &Matrix<f32>, boundary: Boundary2D) -> Result<Matrix<f32>
     magnitude_skeleton().apply_matrix(&gx, &gy)
 }
 
-/// Canny label image, **fused**: the whole
-/// gauss → (sobel_x ∥ sobel_y) → nms → edge_label chain is one lazy
-/// [`Pipeline`] that executes as **one** kernel launch per part — the
-/// Sobel pair shares a single neighbourhood pass and the threshold map
-/// fuses into the tile writes — with zero intermediate [`Matrix`] values.
-/// Like SkelCL's own `cannyStencil`, it stages every work-group's window
-/// in local memory: the input is laid out with the chain's 3-row halo, a
-/// work-group loads its window 3 cells beyond its tile once, and each
-/// stencil computes the next window, a cell narrower on every side and of
-/// its result's type (`f32`, then `Grad`, then `f32`), so a warm input
-/// runs no halo exchange and reads each input cell from global memory
-/// about once.
+/// The fused Canny label chain, not yet run: the whole
+/// gauss → (sobel_x ∥ sobel_y) → nms → edge_label chain as one lazy
+/// [`Pipeline`] that executes as **one** stencil chain — the Sobel pair
+/// shares a single neighbourhood pass and the threshold map fuses into the
+/// tile writes — with zero intermediate [`Matrix`] values. Like SkelCL's
+/// own `cannyStencil`, it stages every work-group's window in local
+/// memory: the input is laid out with the chain's 3-row halo, a work-group
+/// loads its window 3 cells beyond its tile once, and each stencil computes
+/// the next window, a cell narrower on every side and of its result's type
+/// (`f32`, then `Grad`, then `f32`), so a warm input runs no halo exchange
+/// and reads each input cell from global memory about once.
+///
+/// [`PipelineExpr::run`] keeps the labels on the devices (one launch per
+/// part); [`canny_labels`] runs the chain for the host.
+pub fn canny_chain(boundary: Boundary2D, lo: f32, hi: f32) -> impl PipelineExpr<f32, Out = f32> {
+    Pipeline::start::<f32>()
+        .stencil(gauss3_fn(), 1, boundary)
+        .stencil_pair(sobel_x_fn(), sobel_y_fn(), grad_pack_fn(), 1, boundary)
+        .stencil(nms_fn(), 1, boundary)
+        .map(edge_label_fn(lo, hi))
+}
+
+/// Canny label image, **fused**, read back to the host: [`canny_chain`]
+/// through [`PipelineExpr::run_to_host`]. Each part's chain launches in
+/// tile-aligned row bands (the count from the part's rows and the
+/// platform's launch and transfer costs), and each band's labels are read
+/// back under the later bands' kernels, so the download no longer waits
+/// for the whole chain. The matrix comes back fresh on the host and on the
+/// devices.
 pub fn canny_labels(
     img: &Matrix<f32>,
     boundary: Boundary2D,
     lo: f32,
     hi: f32,
 ) -> Result<Matrix<f32>> {
-    Pipeline::start::<f32>()
-        .stencil(gauss3_fn(), 1, boundary)
-        .stencil_pair(sobel_x_fn(), sobel_y_fn(), grad_pack_fn(), 1, boundary)
-        .stencil(nms_fn(), 1, boundary)
-        .map(edge_label_fn(lo, hi))
-        .run(img)
+    canny_chain(boundary, lo, hi).run_to_host(img)
 }
 
 /// Canny label image, **unfused**: the same math as [`canny_labels`] but
@@ -208,12 +220,14 @@ pub fn canny_labels_unfused(
 }
 
 /// The full canny edge detector, fused: [`canny_labels`] on the devices,
-/// then the host-side [`hysteresis`] flood fill (an irregular graph
-/// traversal that does not map to a data-parallel skeleton). Bit-identical
-/// to [`crate::seq::canny`] on any device count.
+/// read back band by band under the chain's own kernels, then the
+/// host-side [`hysteresis`] flood fill (an irregular graph traversal that
+/// does not map to a data-parallel skeleton) over the labels' host copy.
+/// Bit-identical to [`crate::seq::canny`] on any device count.
 pub fn canny(img: &Matrix<f32>, boundary: Boundary2D, lo: f32, hi: f32) -> Result<Vec<u8>> {
     let (rows, cols) = img.dims();
-    let labels = canny_labels(img, boundary, lo, hi)?.to_vec()?;
+    let labels = canny_labels(img, boundary, lo, hi)?;
+    let labels = labels.host_view()?;
     Ok(hysteresis(&labels, rows, cols))
 }
 
@@ -414,7 +428,9 @@ mod tests {
             .counter_value("skelcl.pipeline.groups")
             .unwrap_or(0);
         let (halos_before, before) = (c.halo_exchange_count(), c.platform().stats_snapshot());
-        let labels = canny_labels(&img, Boundary2D::Neumann, CANNY_LO, CANNY_HI).unwrap();
+        let labels = canny_chain(Boundary2D::Neumann, CANNY_LO, CANNY_HI)
+            .run(&img)
+            .unwrap();
         let delta = c.platform().stats_snapshot() - before;
         let groups = c
             .metrics()
@@ -427,6 +443,52 @@ mod tests {
         assert_eq!(delta.d2d_transfers, 0, "no device-to-device copy");
         assert_eq!(delta.h2d_transfers, 0, "no re-upload");
         assert_eq!(delta.d2h_transfers, 0, "no intermediate download");
+        let want = crate::seq::canny_labels(
+            &crate::test_image(rows, cols),
+            rows,
+            cols,
+            Boundary2D::Neumann,
+            CANNY_LO,
+            CANNY_HI,
+        );
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&labels.to_vec().unwrap()), bits(&want));
+    }
+
+    #[test]
+    fn canny_labels_read_each_band_back_and_stay_off_the_exchange() {
+        // 2 devices × 200 rows × 400 floats: half a part's read covers the
+        // chain's launch, so each part runs in bands, and every band is one
+        // launch and one read. A warm input still exchanges nothing.
+        let (rows, cols) = (400, 400);
+        let c = ctx(2);
+        let img = Matrix::from_vec(&c, rows, cols, crate::test_image(rows, cols));
+        img.set_distribution(MatrixDistribution::RowBlock { halo: 3 })
+            .unwrap();
+        img.ensure_on_devices().unwrap();
+        c.enable_spans();
+        let (halos_before, before) = (c.halo_exchange_count(), c.platform().stats_snapshot());
+        let labels = canny_labels(&img, Boundary2D::Neumann, CANNY_LO, CANNY_HI).unwrap();
+        let delta = c.platform().stats_snapshot() - before;
+        let bands: u64 = c
+            .take_spans()
+            .into_iter()
+            .find(|s| s.name == "pipeline.group")
+            .and_then(|s| s.attrs.into_iter().find(|(k, _)| *k == "bands"))
+            .map(|(_, v)| v.parse().unwrap())
+            .expect("the chain records its band count");
+        assert!(bands > 1, "{bands} band(s)");
+        assert_eq!(
+            delta.kernel_launches,
+            2 * bands,
+            "one launch per band and part"
+        );
+        assert_eq!(delta.d2h_transfers, 2 * bands, "one read per band and part");
+        assert_eq!(delta.d2h_bytes, (rows * cols * 4) as u64);
+        assert_eq!(c.halo_exchange_count(), halos_before, "no halo exchange");
+        assert_eq!(delta.d2d_transfers, 0, "no device-to-device copy");
+        assert_eq!(delta.h2d_transfers, 0, "no re-upload");
+        assert!(labels.host_fresh() && labels.device_fresh());
         let want = crate::seq::canny_labels(
             &crate::test_image(rows, cols),
             rows,

@@ -13,9 +13,10 @@
 //!   panics at the exact enqueue completing a race.
 //! * [`lint`] — a **kernel source linter** for generated OpenCL programs:
 //!   barriers under divergent control flow, `__local` allocations over the
-//!   device budget, host/kernel argument-count mismatches, and unguarded
-//!   thread-id-indexed global accesses. Run it over a program registry to
-//!   vet every kernel a process ever built.
+//!   device budget, host/kernel argument-count mismatches, unguarded
+//!   thread-id-indexed global accesses, undeclared subscript identifiers
+//!   and calls to functions the program never defines. Run it over a
+//!   program registry to vet every kernel a process ever built.
 //!
 //! Both are pure observers: they never change scheduling or results, so
 //! they can run in CI (seeded property suites with the online checker

@@ -23,6 +23,10 @@
 //!   binds, nor a `#define`: a template that pastes an index expression
 //!   from another kernel (say `op0[i]` into a kernel with no `i`) would
 //!   not compile.
+//! * [`LintRule::UndefinedFunction`] — a `__kernel` body calls a name that
+//!   the program defines nowhere (no function, no function-like macro) and
+//!   that OpenCL C does not provide: a template that calls a stage by a
+//!   composite name but pastes only its parts would not link.
 //!
 //! The scanner is deliberately lexical (comment stripping, brace matching,
 //! word-level taint propagation) rather than a C parser: user functions are
@@ -41,6 +45,7 @@ pub enum LintRule {
     ArityMismatch,
     UnguardedGlobalAccess,
     UndeclaredIdentifier,
+    UndefinedFunction,
 }
 
 impl fmt::Display for LintRule {
@@ -51,6 +56,7 @@ impl fmt::Display for LintRule {
             LintRule::ArityMismatch => "arity-mismatch",
             LintRule::UnguardedGlobalAccess => "unguarded-global-access",
             LintRule::UndeclaredIdentifier => "undeclared-identifier",
+            LintRule::UndefinedFunction => "undefined-function",
         })
     }
 }
@@ -85,6 +91,7 @@ pub fn lint_program(
 ) -> Vec<LintFinding> {
     let clean = strip_comments(source);
     let defines = collect_defines(&clean);
+    let functions = collect_functions(&clean);
     let kernels = extract_kernels(&clean);
     let mut findings = Vec::new();
 
@@ -108,6 +115,7 @@ pub fn lint_program(
 
     for k in &kernels {
         lint_kernel(program, k, &defines, local_mem_bytes, &mut findings);
+        check_calls(program, k, &functions, &mut findings);
     }
     findings
 }
@@ -167,6 +175,100 @@ fn collect_defines(source: &str) -> HashMap<String, String> {
         map.insert(name, after.trim().to_string());
     }
     map
+}
+
+/// Words that may stand right before a call without declaring it.
+const CALL_PREFIXES: [&str; 5] = ["return", "else", "do", "case", "sizeof"];
+
+/// Keywords written like calls: `if (…)`, `sizeof(…)`.
+const CALL_KEYWORDS: [&str; 5] = ["if", "for", "while", "switch", "sizeof"];
+
+/// Every `name(` in `text` with the offset the name starts at, skipping
+/// member and method calls (`a.f(`, `a->f(`).
+fn calls(text: &str) -> Vec<(usize, &str)> {
+    let bytes = text.as_bytes();
+    let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        if !word(bytes[i]) {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && word(bytes[i]) {
+            i += 1;
+        }
+        let name = &text[start..i];
+        let member = text[..start].trim_end();
+        if !bytes[start].is_ascii_digit()
+            && text[i..].trim_start().starts_with('(')
+            && !member.ends_with('.')
+            && !member.ends_with("->")
+        {
+            out.push((start, name));
+        }
+    }
+    out
+}
+
+/// The names the source defines as functions: every `name(` right after
+/// another word that is not a keyword a call can follow — a return type
+/// (C), `fn` (a pasted Rust twin) or `#define` (a function-like macro).
+fn collect_functions(source: &str) -> HashSet<String> {
+    calls(source)
+        .into_iter()
+        .filter(|&(at, _)| {
+            let before = source[..at].trim_end();
+            let prev = before
+                .rsplit(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .next()
+                .unwrap_or_default();
+            !prev.is_empty() && !CALL_PREFIXES.contains(&prev)
+        })
+        .map(|(_, name)| name.to_string())
+        .collect()
+}
+
+/// OpenCL C built-in functions a generated kernel may call by name.
+const BUILTINS: &str = "barrier mem_fence read_mem_fence write_mem_fence sqrt rsqrt cbrt fabs \
+    abs clamp min max fmin fmax mad fma mix step smoothstep sign floor ceil round rint trunc \
+    fmod remainder exp exp2 exp10 log log2 log10 pow pown powr sin cos tan asin acos atan atan2 \
+    sinh cosh tanh hypot isnan isinf isfinite select dot length distance normalize cross mul24 \
+    mad24 popcount clz rotate printf";
+
+/// Name prefixes of OpenCL C built-in families (`get_global_id`,
+/// `atomic_add`, `convert_float`, `as_uint`, `vload4`, `native_exp`, …).
+const BUILTIN_PREFIXES: &str = "get_ atomic_ atom_ convert_ as_ vload vstore native_ half_ \
+    async_work_group_ wait_group_events prefetch";
+
+/// Report each name a kernel body calls that `functions` lacks and OpenCL
+/// C does not provide.
+fn check_calls(
+    program: &str,
+    k: &Kernel,
+    functions: &HashSet<String>,
+    findings: &mut Vec<LintFinding>,
+) {
+    let mut reported = HashSet::new();
+    for (_, name) in calls(&k.body) {
+        let provided = CALL_KEYWORDS.contains(&name)
+            || BUILTINS.split_whitespace().any(|b| b == name)
+            || BUILTIN_PREFIXES
+                .split_whitespace()
+                .any(|p| name.starts_with(p));
+        if !provided && !functions.contains(name) && reported.insert(name) {
+            findings.push(LintFinding {
+                rule: LintRule::UndefinedFunction,
+                program: program.to_string(),
+                kernel: k.name.clone(),
+                message: format!(
+                    "`{name}(…)` is called but neither defined in the program nor an OpenCL C \
+                     built-in"
+                ),
+            });
+        }
+    }
 }
 
 /// One kernel parameter, already split and classified.
@@ -1120,6 +1222,38 @@ mod tests {
             }
         "#;
         assert!(lint_program("k", ok, 3, BUDGET).is_empty());
+    }
+
+    #[test]
+    fn a_call_to_a_function_nothing_defines_is_flagged() {
+        let program = r#"
+            #define AT(dr, dc) in[dc]
+            inline float helper(__global const float* in, int c) { return AT(0, c); }
+            float twice(float x) { return 2.0f * x; }
+            fn scale(x: f32) -> f32 { x * 0.5 }
+            __kernel void k(__global const float* restrict in,
+                            __global float* restrict out, const uint n) {
+                uint i = get_global_id(0);
+                if (i < n) {
+                    float v = helper(in, (int)i) + scale(twice(sqrt(fabs(in[i]))));
+                    out[i] = pair_a_b(v, convert_float(i)) + AT(0, 0);
+                }
+                barrier(CLK_LOCAL_MEM_FENCE);
+            }
+        "#;
+        let findings = lint_program("k", program, 3, BUDGET);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, LintRule::UndefinedFunction);
+        assert!(
+            findings[0].message.starts_with("`pair_a_b(…)` "),
+            "{}",
+            findings[0].message
+        );
+        let defined = program.replace(
+            "fn scale",
+            "float pair_a_b(float x, float y) { return x + y; }\nfn scale",
+        );
+        assert!(lint_program("k", &defined, 3, BUDGET).is_empty());
     }
 
     #[test]

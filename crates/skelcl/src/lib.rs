@@ -412,7 +412,8 @@
 //! [`PipelineExpr::map`] / [`PipelineExpr::zip_with`] /
 //! [`PipelineExpr::stencil`] records a stage without executing anything,
 //! and the terminal [`PipelineExpr::run`] (or
-//! [`PipelineExpr::reduce_rows`]) plans the whole chain at once:
+//! [`PipelineExpr::run_to_host`], [`PipelineExpr::reduce_rows`]) plans the
+//! whole chain at once:
 //! element-wise stages fold into the *reads* of the next stencil (or the
 //! k-fold of a reduction) and into the *writes* of the previous one, so
 //! each run of stencil stages becomes exactly one fused launch per part
@@ -435,10 +436,21 @@
 //! same chain, same program. Results are **bit-identical** to the unfused
 //! skeleton chain on every device count, boundary mode and distribution
 //! (the `prop_fusion` suite), and the launch count is observable as the
-//! `skelcl.pipeline.groups` counter. The `skelcl-imgproc` Canny detector
+//! `skelcl.pipeline.groups` counter.
+//!
+//! A result the host will read takes the terminal
+//! [`PipelineExpr::run_to_host`]: the last chain launches per part in
+//! tile-aligned row bands, and each band's rows go back on the copy queue
+//! as soon as its own launch ends, under the later bands' kernels, straight
+//! into the returned matrix's host copy (fresh on the host and on the
+//! devices). One more band pays while `n(n + 1)` launch costs stay under
+//! the part's read time, both priced by the platform; a part whose half
+//! read cannot cover a launch runs as one band, and a pipeline without a
+//! stencil runs `run`, then downloads. The `skelcl-imgproc` Canny detector
 //! is the flagship user: gauss → sobel → non-maximum suppression →
-//! threshold compiles to one launch per part (the `fig_fusion` bench
-//! measures the win over the six-launch unfused chain).
+//! threshold compiles to one chain per part (the `fig_fusion` bench
+//! measures the win over the six-launch unfused chain), and its labels come
+//! back through `run_to_host`.
 //!
 //! ```
 //! use skelcl::{

@@ -70,6 +70,19 @@ impl MatrixDistribution {
     pub(crate) fn is_full_width(self) -> bool {
         !matches!(self, MatrixDistribution::ColBlock)
     }
+
+    /// Does a download read part `index`? The first copy holds everything
+    /// under `Single` and `Copy`; the blocked layouts read every part.
+    pub(crate) fn downloads_part(self, index: usize) -> bool {
+        index == 0 || self.is_blocked()
+    }
+
+    fn is_blocked(self) -> bool {
+        matches!(
+            self,
+            MatrixDistribution::RowBlock { .. } | MatrixDistribution::ColBlock
+        )
+    }
 }
 
 /// One device-resident piece of a matrix: `halo_above + rows + halo_below`
@@ -518,23 +531,7 @@ impl<T: Scalar> Matrix<T> {
             st.device_fresh,
             "matrix has neither fresh host nor fresh device data"
         );
-        let cols = st.cols;
-        // The parts to read: the first one holds everything under `Single`
-        // and `Copy`; the blocked layouts read every part. Empty parts are
-        // skipped.
-        let parts: Vec<&MatrixPart<T>> = match st.dist {
-            MatrixDistribution::Single(_) | MatrixDistribution::Copy => vec![st
-                .parts
-                .first()
-                .ok_or_else(|| Error::NotOnDevice("no device parts to download".into()))?],
-            MatrixDistribution::RowBlock { .. } | MatrixDistribution::ColBlock => {
-                st.parts.iter().collect()
-            }
-        };
-        let parts: Vec<&MatrixPart<T>> = parts
-            .into_iter()
-            .filter(|p| p.rows > 0 && p.cols > 0)
-            .collect();
+        let parts = host_parts(st.dist, &st.parts)?;
         let deps = parts
             .iter()
             .map(|p| {
@@ -551,34 +548,17 @@ impl<T: Scalar> Matrix<T> {
             })
             .collect::<Result<Vec<_>>>()?;
         let concurrent = parts.len().max(1);
-        let mut out = vec![T::default(); st.rows * cols];
+        let mut out = vec![T::default(); st.rows * st.cols];
         let mut ready = self.ctx.host_now_s();
         for (p, dep) in parts.iter().zip(&deps) {
-            let q = self.ctx.copy_queue(p.device);
-            if st.dist == MatrixDistribution::ColBlock {
-                let (c0, c1) = (p.col_offset, p.col_offset + p.cols);
-                for r in 0..p.rows {
-                    let ev = q.enqueue_read(
-                        &p.buffer,
-                        Some(r * p.cols),
-                        &mut out[r * cols + c0..r * cols + c1],
-                        concurrent,
-                        false,
-                        Order::After(dep),
-                    )?;
-                    ready = ready.max(ev.end_s);
-                }
-            } else {
-                let ev = q.enqueue_read(
-                    &p.buffer,
-                    Some(p.halo_above * cols),
-                    &mut out[p.row_offset * cols..(p.row_offset + p.rows) * cols],
-                    concurrent,
-                    false,
-                    Order::After(dep),
-                )?;
-                ready = ready.max(ev.end_s);
-            }
+            let read = HostRead {
+                concurrent,
+                blocking: false,
+                order: Order::After(dep),
+            };
+            let queue = self.ctx.copy_queue(p.device);
+            let ev = read_part_rows(queue, p, (0, p.rows), &mut out, st.cols, st.dist, read)?;
+            ready = ready.max(ev.end_s);
         }
         Ok((out, ready))
     }
@@ -756,13 +736,27 @@ impl<T: Scalar> Matrix<T> {
         parts: Vec<MatrixPart<T>>,
         halos_fresh: bool,
     ) -> Self {
+        Self::from_parts_and_host(ctx, (rows, cols), dist, parts, halos_fresh, None)
+    }
+
+    /// Wrap skeleton output parts like [`Matrix::from_device_parts`]; with
+    /// `host`, the parts' owned rows already read back, the matrix is fresh
+    /// on the host too and keeps that buffer as its host copy.
+    pub(crate) fn from_parts_and_host(
+        ctx: &Context,
+        (rows, cols): (usize, usize),
+        dist: MatrixDistribution,
+        parts: Vec<MatrixPart<T>>,
+        halos_fresh: bool,
+        host: Option<Vec<T>>,
+    ) -> Self {
         Matrix {
             ctx: ctx.clone(),
             state: Arc::new(Mutex::new(State {
-                host: vec![T::default(); rows * cols],
+                host_fresh: host.is_some(),
+                host: host.unwrap_or_else(|| vec![T::default(); rows * cols]),
                 rows,
                 cols,
-                host_fresh: false,
                 device_fresh: true,
                 halos_fresh,
                 dist,
@@ -921,7 +915,10 @@ fn ensure_on_devices_streamed<T: Scalar>(
     Ok(())
 }
 
-/// Download the owned regions into `st.host` if the host copy is stale.
+/// Download the owned regions into `st.host` if the host copy is stale:
+/// a `Single` or `Copy` matrix in one blocking read of its first copy, the
+/// blocked layouts with one read per part, after which the host waits for
+/// every device.
 fn ensure_on_host<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
     if st.host_fresh {
         return Ok(());
@@ -930,70 +927,89 @@ fn ensure_on_host<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
         st.device_fresh,
         "matrix has neither fresh host nor fresh device data"
     );
-    let cols = st.cols;
-    match st.dist {
-        MatrixDistribution::Single(_) | MatrixDistribution::Copy => {
-            let part = st
-                .parts
-                .first()
-                .ok_or_else(|| Error::NotOnDevice("no device parts to download".into()))?;
-            let mut tmp = vec![T::default(); part.rows * cols];
-            if !tmp.is_empty() {
-                ctx.queue(part.device).enqueue_read(
-                    &part.buffer,
-                    Some(0),
-                    &mut tmp,
-                    1,
-                    true,
-                    Order::Device,
-                )?;
-            }
-            st.host = tmp;
-        }
-        MatrixDistribution::RowBlock { .. } => {
-            let concurrent = st.parts.iter().filter(|p| p.rows > 0).count().max(1);
-            let parts = st.parts.clone();
-            for p in &parts {
-                if p.rows == 0 || cols == 0 {
-                    continue;
-                }
-                ctx.queue(p.device).enqueue_read(
-                    &p.buffer,
-                    Some(p.halo_above * cols),
-                    &mut st.host[p.row_offset * cols..(p.row_offset + p.rows) * cols],
-                    concurrent,
-                    false,
-                    Order::Device,
-                )?;
-            }
-            ctx.sync();
-        }
-        MatrixDistribution::ColBlock => {
-            // One strided read per owned row per part: each row's column
-            // slice is contiguous on both sides, the rows are not.
-            let concurrent = st.parts.iter().filter(|p| p.cols > 0).count().max(1);
-            let parts = st.parts.clone();
-            for p in &parts {
-                if p.rows == 0 || p.cols == 0 {
-                    continue;
-                }
-                let (c0, c1) = (p.col_offset, p.col_offset + p.cols);
-                for r in 0..p.rows {
-                    ctx.queue(p.device).enqueue_read(
-                        &p.buffer,
-                        Some(r * p.cols),
-                        &mut st.host[r * cols + c0..r * cols + c1],
-                        concurrent,
-                        false,
-                        Order::Device,
-                    )?;
-                }
-            }
-            ctx.sync();
-        }
+    let parts = host_parts(st.dist, &st.parts)?;
+    let whole = !st.dist.is_blocked();
+    let read = HostRead {
+        concurrent: parts.len().max(1),
+        blocking: whole,
+        order: Order::Device,
+    };
+    for p in parts {
+        let queue = ctx.queue(p.device);
+        read_part_rows(queue, p, (0, p.rows), &mut st.host, st.cols, st.dist, read)?;
+    }
+    if !whole {
+        ctx.sync();
     }
     st.host_fresh = true;
     Ok(())
+}
+
+/// The parts a download reads (see [`MatrixDistribution::downloads_part`]),
+/// empty ones skipped.
+pub(crate) fn host_parts<T: Scalar>(
+    dist: MatrixDistribution,
+    parts: &[MatrixPart<T>],
+) -> Result<Vec<&MatrixPart<T>>> {
+    if parts.is_empty() && !dist.is_blocked() {
+        return Err(Error::NotOnDevice("no device parts to download".into()));
+    }
+    Ok(parts
+        .iter()
+        .enumerate()
+        .filter(|&(i, p)| dist.downloads_part(i) && p.rows > 0 && p.cols > 0)
+        .map(|(_, p)| p)
+        .collect())
+}
+
+/// How [`read_part_rows`] issues its reads.
+#[derive(Clone, Copy)]
+pub(crate) struct HostRead<'a> {
+    /// The transfers sharing the host bus.
+    pub concurrent: usize,
+    /// The host clock waits for each read.
+    pub blocking: bool,
+    pub order: Order<'a>,
+}
+
+/// Download owned rows `[start, start + len)` (at least one) of part `p`
+/// on `queue` into their place in `host`, the row-major matrix `cols` wide
+/// laid out as `dist`. Full-width rows are one read; a `ColBlock` part
+/// reads one per row, as each row's column slice is contiguous on both
+/// sides and the rows are not. Returns the last read's event.
+pub(crate) fn read_part_rows<T: Scalar>(
+    queue: &vgpu::CommandQueue,
+    p: &MatrixPart<T>,
+    (start, len): (usize, usize),
+    host: &mut [T],
+    cols: usize,
+    dist: MatrixDistribution,
+    read: HostRead<'_>,
+) -> Result<Event> {
+    let enqueue = |at: usize, dst: &mut [T]| {
+        queue.enqueue_read(
+            &p.buffer,
+            Some(at),
+            dst,
+            read.concurrent,
+            read.blocking,
+            read.order,
+        )
+    };
+    if dist.is_full_width() {
+        let first = p.row_offset + start;
+        let dst = &mut host[first * cols..(first + len) * cols];
+        return Ok(enqueue((p.halo_above + start) * cols, dst)?);
+    }
+    let (c0, c1) = (p.col_offset, p.col_offset + p.cols);
+    let mut last = None;
+    for r in start..start + len {
+        last = Some(enqueue(
+            r * p.cols,
+            &mut host[r * cols + c0..r * cols + c1],
+        )?);
+    }
+    Ok(last.expect("at least one row is read"))
 }
 
 /// The part owning global row `g` (for `Copy`, the copy on `prefer`).

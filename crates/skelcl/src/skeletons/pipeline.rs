@@ -25,10 +25,21 @@
 //!   stage meets another boundary mode; each piece exchanges the halos of
 //!   its input as `Stencil2D` would.
 //! * The terminal decides the output: [`PipelineExpr::run`] writes a
-//!   [`Matrix`]; [`PipelineExpr::reduce_rows`] runs the
+//!   [`Matrix`] that stays on the devices; [`PipelineExpr::run_to_host`]
+//!   writes one the host reads, fresh on both sides; and
+//!   [`PipelineExpr::reduce_rows`] runs the
 //!   [`ReduceRows`](crate::ReduceRows) fold over the settled chain, applying
 //!   the pending element-wise stages to each element as it is folded, and
 //!   writes a [`Vector`].
+//! * For the host, the last stencil chain launches per part in tile-aligned
+//!   row bands of the same block kernel: band 1 device-ordered, the later
+//!   bands behind it on the compute queue, and each band's rows read back on
+//!   the copy queue after its own launch alone, straight into the matrix's
+//!   host copy, so every read but the last runs under a later band's
+//!   kernel. The band count `n` comes from the part's read time `t` and the
+//!   launch cost `l`, both the platform's: one more band pays while
+//!   `n(n + 1)·l < t`, so a part whose half read cannot cover a launch runs
+//!   as one band. A pipeline without a stencil runs `run`, then downloads.
 //!
 //! Every group runs through the launcher of the skeleton it anchors on,
 //! from that skeleton's program generator, and its program is cached in
@@ -57,7 +68,10 @@ use crate::arguments::{KernelEnv, PartArgs};
 use crate::codegen::{self, Axis, FusedStage, UserFn};
 use crate::context::Context;
 use crate::error::{Error, Result};
-use crate::matrix::{exchange_part_halos, Matrix, MatrixDistribution, MatrixPart};
+use crate::matrix::{
+    block_ranges, exchange_part_halos, host_parts, read_part_rows, HostRead, Matrix,
+    MatrixDistribution, MatrixPart,
+};
 use crate::meter;
 use crate::skeletons::reduce2d::Fold;
 use crate::skeletons::stencil2d::{
@@ -298,14 +312,25 @@ pub struct ElemPlan<J: Element, Op, I: Element> {
     geom: PlanGeom,
     parts: Vec<MatrixPart<J>>,
     halos_fresh: bool,
+    /// The parts' owned rows, already read back when a chain launched for
+    /// the host produced them.
+    host: Option<Vec<J>>,
     op: Op,
     stages: Vec<FusedStage>,
     _pd: PhantomData<fn(J) -> I>,
 }
 
+/// Where a pipeline's result goes: it stays on the devices, or the host
+/// reads it back as its last stencil chain produces it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub enum Dest {
+    Devices,
+    Host,
+}
+
 /// A plan that yields elements of type `I` when the pipeline runs.
 ///
-/// `settle_with(g, gstages)` resolves the plan against a *suffix* op `g`
+/// `settle_with(g, gstages, dest)` resolves the plan against a *suffix* op `g`
 /// (the stages stacked after it): chains ending in an unlaunched stencil
 /// launch its run of stencils — folding `g` into that kernel's writes —
 /// and return bare parts; pure element-wise chains stay pending (they fuse
@@ -313,11 +338,12 @@ pub struct ElemPlan<J: Element, Op, I: Element> {
 /// different `ElemPlan` instantiations, which the generic associated types
 /// encode statically.
 ///
-/// `launch_chain(g, gstages, chain, cstages)` launches `chain`, the stencil
-/// stages after the plan (`cstages` describing them), over the plan's
-/// output through `g`: a stencil beneath joins the chain while their
+/// `launch_chain(g, gstages, chain, cstages, dest)` launches `chain`, the
+/// stencil stages after the plan (`cstages` describing them), over the
+/// plan's output through `g`: a stencil beneath joins the chain while their
 /// windows fit local memory together, and the pending element-wise stages
-/// fuse into the window's loads.
+/// fuse into the window's loads. `dest` is where the launched chain's
+/// result goes; only the last chain of a pipeline can go to the host.
 pub trait ReadPlan<I: Element>: Sized {
     type Base<V: Element, G: PixelOp<I, V>>: Element;
     type Op<V: Element, G: PixelOp<I, V>>: PixelOp<Self::Base<V, G>, V>;
@@ -327,6 +353,7 @@ pub trait ReadPlan<I: Element>: Sized {
         self,
         g: G,
         gstages: Vec<FusedStage>,
+        dest: Dest,
     ) -> Result<ElemPlan<Self::Base<V, G>, Self::Op<V, G>, V>>;
 
     #[allow(clippy::type_complexity)]
@@ -336,6 +363,7 @@ pub trait ReadPlan<I: Element>: Sized {
         gstages: Vec<FusedStage>,
         chain: C,
         cstages: Vec<FusedStage>,
+        dest: Dest,
     ) -> Result<ElemPlan<C::Out, OpId<C::Out>, C::Out>>;
 
     fn geom(&self) -> &PlanGeom;
@@ -354,12 +382,14 @@ where
         mut self,
         g: G,
         gstages: Vec<FusedStage>,
+        _dest: Dest,
     ) -> Result<ElemPlan<J, OpSeq<Op, G, I>, V>> {
         self.stages.extend(gstages);
         Ok(ElemPlan {
             geom: self.geom,
             parts: self.parts,
             halos_fresh: self.halos_fresh,
+            host: self.host,
             op: OpSeq {
                 a: self.op,
                 b: g,
@@ -373,13 +403,16 @@ where
     /// Launch the chain: per part, one block launch whose work-groups load
     /// their windows through the pending chain and `g`, step every stencil
     /// in local memory and write their tiles. Owned rows only — halo rows
-    /// of the output go stale exactly as for `Stencil2D`.
+    /// of the output go stale exactly as for `Stencil2D`. For the host, the
+    /// launch runs in bands whose rows are read back under the later bands
+    /// ([`launch_for_host`]).
     fn launch_chain<B: Element, G: PixelOp<I, B>, C: Chain<B>>(
         self,
         g: G,
         gstages: Vec<FusedStage>,
         chain: C,
         cstages: Vec<FusedStage>,
+        dest: Dest,
     ) -> Result<ElemPlan<C::Out, OpId<C::Out>, C::Out>> {
         let ElemPlan {
             geom,
@@ -422,9 +455,19 @@ where
             _pd: PhantomData,
         };
         let out_parts: Vec<MatrixPart<C::Out>> = alloc_matching_matrix_parts(&ctx, &parts)?;
-        for (pi, (ip, op)) in parts.iter().zip(&out_parts).enumerate() {
-            kernel.launch(&ctx, pi, ip, op, &kernel.tiles(ip), Order::Device)?;
-        }
+        let host = match dest {
+            Dest::Devices => {
+                for (pi, (ip, op)) in parts.iter().zip(&out_parts).enumerate() {
+                    kernel.launch(&ctx, pi, ip, op, &kernel.tiles(ip), Order::Device)?;
+                }
+                None
+            }
+            Dest::Host => {
+                let (host, bands) = launch_for_host(&kernel, &geom, &parts, &out_parts)?;
+                span.attr("bands", bands.to_string());
+                Some(host)
+            }
+        };
         ctx.metrics().counter("skelcl.pipeline.groups").inc();
         ctx.metrics()
             .counter("skelcl.pipeline.stages_fused")
@@ -433,6 +476,7 @@ where
             geom,
             halos_fresh: stale_free(&out_parts),
             parts: out_parts,
+            host,
             op: OpId::new(),
             stages: Vec::new(),
             _pd: PhantomData,
@@ -482,9 +526,10 @@ where
         self,
         g: G,
         gstages: Vec<FusedStage>,
+        dest: Dest,
     ) -> Result<ElemPlan<Self::Base<W, G>, Self::Op<W, G>, W>> {
         let (inner, op, stages) = self.then(g, gstages);
-        inner.settle_with(op, stages)
+        inner.settle_with(op, stages, dest)
     }
 
     fn launch_chain<W: Element, G: PixelOp<V, W>, C: Chain<W>>(
@@ -493,9 +538,10 @@ where
         gstages: Vec<FusedStage>,
         chain: C,
         cstages: Vec<FusedStage>,
+        dest: Dest,
     ) -> Result<ElemPlan<C::Out, OpId<C::Out>, C::Out>> {
         let (inner, op, stages) = self.then(g, gstages);
-        inner.launch_chain(op, stages, chain, cstages)
+        inner.launch_chain(op, stages, chain, cstages, dest)
     }
 
     fn geom(&self) -> &PlanGeom {
@@ -541,6 +587,7 @@ where
         self,
         g: G,
         gstages: Vec<FusedStage>,
+        dest: Dest,
     ) -> Result<ElemPlan<V, OpId<V>, V>> {
         // Checked before anything beneath is enqueued, built or allocated.
         let geom = self.geom();
@@ -552,7 +599,7 @@ where
             post: g,
             _pd: PhantomData,
         };
-        inner.launch_chain(OpId::new(), Vec::new(), last, stages)
+        inner.launch_chain(OpId::new(), Vec::new(), last, stages, dest)
     }
 
     fn launch_chain<B: Element, G: PixelOp<I, B>, C: Chain<B>>(
@@ -561,6 +608,7 @@ where
         gstages: Vec<FusedStage>,
         chain: C,
         cstages: Vec<FusedStage>,
+        dest: Dest,
     ) -> Result<ElemPlan<C::Out, OpId<C::Out>, C::Out>> {
         let geom = self.geom();
         let group = block_group(&geom.ctx, geom.rows, geom.cols);
@@ -572,11 +620,12 @@ where
         {
             // The run splits here: this stencil ends a chain of its own, and
             // `chain` launches over its output.
-            return self.settle_with(g, gstages)?.launch_chain(
+            return self.settle_with(g, gstages, Dest::Devices)?.launch_chain(
                 OpId::new(),
                 Vec::new(),
                 chain,
                 cstages,
+                dest,
             );
         }
         let (inner, round, mut stages) = self.fused(gstages);
@@ -587,7 +636,7 @@ where
             next: chain,
             _pd: PhantomData,
         };
-        inner.launch_chain(OpId::new(), Vec::new(), link, stages)
+        inner.launch_chain(OpId::new(), Vec::new(), link, stages, dest)
     }
 
     fn geom(&self) -> &PlanGeom {
@@ -685,12 +734,116 @@ where
     )?))
 }
 
+/// Launch `kernel` over every part for a result the host reads. A part the
+/// download reads launches in [`read_bands`] tile-aligned row bands: band 1
+/// device-ordered, each later band behind it on the compute queue, and
+/// each band's rows read on the copy queue after that band's launch alone,
+/// straight into the returned host buffer, so every band but the last
+/// reads under a later band's kernel. A part the download skips (a `Copy`
+/// matrix's other copies) launches whole. The host waits for the last
+/// read. Returns the buffer and the most bands a part ran.
+fn launch_for_host<J, A, Pre, C>(
+    kernel: &BlockKernel<J, A, Pre, C>,
+    geom: &PlanGeom,
+    parts: &[MatrixPart<J>],
+    out: &[MatrixPart<C::Out>],
+) -> Result<(Vec<C::Out>, usize)>
+where
+    J: Element,
+    A: Element,
+    Pre: PixelOp<J, A>,
+    C: Chain<A>,
+{
+    let (ctx, cols, dist) = (&geom.ctx, geom.cols, geom.dist);
+    let concurrent = host_parts(dist, out)?.len().max(1);
+    let mut host = vec![C::Out::default(); geom.rows * cols];
+    let (mut reads, mut most) = (Vec::new(), 0);
+    for (pi, (ip, op)) in parts.iter().zip(out).enumerate() {
+        let tiles = kernel.tiles(ip);
+        if !dist.downloads_part(pi) {
+            kernel.launch(ctx, pi, ip, op, &tiles, Order::Device)?;
+            continue;
+        }
+        let bytes = op.rows * cols * std::mem::size_of::<C::Out>();
+        let n = read_bands(ctx, bytes, concurrent, kernel.compiled.n_args, tiles.len());
+        // Near-equal bands, the longer ones last: band 1's read starts as
+        // early as it can.
+        let mut first = 0;
+        for (k, &(_, len)) in block_ranges(tiles.len(), n).iter().rev().enumerate() {
+            let band = &tiles[first..first + len];
+            first += len;
+            let order = match k {
+                0 => Order::Device,
+                _ => Order::After(&[]),
+            };
+            let Some(launched) = kernel.launch(ctx, pi, ip, op, band, order)? else {
+                continue;
+            };
+            let rows = (band[0].0 - ip.halo_above, band.iter().map(|t| t.1).sum());
+            let read = HostRead {
+                concurrent,
+                blocking: false,
+                order: Order::After(std::slice::from_ref(&launched)),
+            };
+            let queue = ctx.copy_queue(op.device);
+            let done = read_part_rows(queue, op, rows, &mut host, cols, dist, read)?;
+            reads.push(done);
+        }
+        most = most.max(n);
+    }
+    ctx.platform().wait_for_events(&reads);
+    Ok((host, most))
+}
+
+/// How many row bands a part's launch for the host runs in, at most
+/// `tiles`. With `n` bands, all but `1/n` of the part's read time `t` runs
+/// under the kernel, and `n - 1` launches of cost `l` are added, so band
+/// `n + 1` pays while `n(n + 1) < t/l`. The count is the first `n` where
+/// it stops paying: a part whose half read cannot cover a launch
+/// (`t/2 ≤ l`) runs as one band. `t` is the part's `bytes` at the bus
+/// share of `concurrent` reads and `l` the launch cost of `n_args`
+/// arguments, both the platform's own.
+fn read_bands(
+    ctx: &Context,
+    bytes: usize,
+    concurrent: usize,
+    n_args: usize,
+    tiles: usize,
+) -> usize {
+    let t = bytes as f64 / ctx.platform().topology().effective_bandwidth(concurrent);
+    let l = ctx.profile().launch_cost_s(n_args);
+    let mut n = 1;
+    while n < tiles && ((n * (n + 1)) as f64) * l < t {
+        n += 1;
+    }
+    n
+}
+
 /// The result of settling and materializing a whole pipeline: output parts
-/// ready to wrap as a [`Matrix`].
+/// ready to wrap as a [`Matrix`], and their owned rows when the host
+/// already read them back.
 pub struct FinishedParts<I: Element> {
     geom: PlanGeom,
     parts: Vec<MatrixPart<I>>,
     halos_fresh: bool,
+    host: Option<Vec<I>>,
+}
+
+impl<I: Element> FinishedParts<I> {
+    /// The pipeline's output matrix, fresh on the host too when its rows
+    /// were read back.
+    fn into_matrix(self) -> Matrix<I> {
+        let geom = self.geom;
+        let dims = (geom.rows, geom.cols);
+        Matrix::from_parts_and_host(
+            &geom.ctx,
+            dims,
+            geom.dist,
+            self.parts,
+            self.halos_fresh,
+            self.host,
+        )
+    }
 }
 
 impl<J, Op, I> ElemPlan<J, Op, I>
@@ -712,6 +865,7 @@ where
                 geom: self.geom,
                 parts,
                 halos_fresh: self.halos_fresh,
+                host: self.host.and_then(same_type),
             });
         }
         let ctx = self.geom.ctx.clone();
@@ -735,6 +889,7 @@ where
             geom: self.geom,
             parts: out_parts,
             halos_fresh: self.halos_fresh,
+            host: None,
         })
     }
 
@@ -892,14 +1047,16 @@ where
     }
 }
 
-/// Terminal consumer of [`PipelineExpr::run`]: settle and materialize.
-pub struct FinishConsumer;
+/// Terminal consumer of [`PipelineExpr::run`] and
+/// [`PipelineExpr::run_to_host`]: settle for the destination and
+/// materialize.
+pub struct FinishConsumer(Dest);
 
 impl<I: Element> PipeConsumer<I> for FinishConsumer {
     type Output = FinishedParts<I>;
 
     fn consume<P: ReadPlan<I>>(self, plan: P) -> Result<FinishedParts<I>> {
-        plan.settle_with(OpId::new(), Vec::new())?.finish()
+        plan.settle_with(OpId::new(), Vec::new(), self.0)?.finish()
     }
 }
 
@@ -917,7 +1074,7 @@ where
     type Output = Vector<I>;
 
     fn consume<P: ReadPlan<I>>(self, plan: P) -> Result<Vector<I>> {
-        plan.settle_with(OpId::new(), Vec::new())?
+        plan.settle_with(OpId::new(), Vec::new(), Dest::Devices)?
             .reduce_rows(self.reduce, self.identity)
     }
 }
@@ -1055,15 +1212,31 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
     /// intermediate matrices. An empty chain launches nothing and returns
     /// a matrix sharing the input's device buffers.
     fn run(&self, input: &Matrix<T>) -> Result<Matrix<Self::Out>> {
-        let finished = run_pipeline(self, input, |src| self.feed(src, FinishConsumer))?;
-        Ok(Matrix::from_device_parts(
-            &finished.geom.ctx,
-            finished.geom.rows,
-            finished.geom.cols,
-            finished.geom.dist,
-            finished.parts,
-            finished.halos_fresh,
-        ))
+        let finished = run_pipeline(self, input, |src| {
+            self.feed(src, FinishConsumer(Dest::Devices))
+        })?;
+        Ok(finished.into_matrix())
+    }
+
+    /// Execute the chain like [`PipelineExpr::run`] for a result the host
+    /// reads: the matrix comes back fresh on the host and on the devices.
+    /// The last stencil chain launches per part in tile-aligned row bands,
+    /// and each band's rows are read back on the copy queue as soon as its
+    /// launch ends, under the later bands' kernels, straight into the
+    /// matrix's host copy. The band count comes from the part's rows and the
+    /// platform's launch and transfer costs: more bands hide more of the
+    /// read and add launches, and a part too small for half its read to
+    /// cover a launch runs as one band. A pipeline without a stencil runs
+    /// as `run`, then downloads like [`Matrix::to_vec`].
+    fn run_to_host(&self, input: &Matrix<T>) -> Result<Matrix<Self::Out>> {
+        let finished = run_pipeline(self, input, |src| {
+            self.feed(src, FinishConsumer(Dest::Host))
+        })?;
+        let out = finished.into_matrix();
+        if !out.host_fresh() {
+            out.host_view()?;
+        }
+        Ok(out)
     }
 
     /// Execute the chain and fold each row with `reduce` from `identity`
@@ -1130,6 +1303,7 @@ fn run_pipeline<T: Element, E: PipelineExpr<T>, R>(
         },
         parts,
         halos_fresh,
+        host: None,
         op: OpId::new(),
         stages: Vec::new(),
         _pd: PhantomData,
@@ -1310,17 +1484,21 @@ where
     FB: Clone,
     FC: Clone,
 {
-    fn stage(&self) -> FusedStage {
+    /// The pair as one stencil stage over a window of `in_t` with result
+    /// `out_t`: the three user sources, then the stencil the kernel calls,
+    /// `combine(a(view), b(view))`.
+    fn stage(&self, in_t: &str, out_t: &str) -> FusedStage {
+        let (a, b, combine) = (self.a.name(), self.b.name(), self.combine.name());
+        let name = format!("pair_{a}_{b}_{combine}");
+        let pair = format!(
+            "{out_t} {name}(__global {in_t}* in, int row, int col, uint n_rows, uint n_cols) {{ \
+             return {combine}({a}(in, row, col, n_rows, n_cols), {b}(in, row, col, n_rows, n_cols)); }}"
+        );
         FusedStage::new(
             "stencil_pair",
+            name,
             format!(
-                "pair_{}_{}_{}",
-                self.a.name(),
-                self.b.name(),
-                self.combine.name()
-            ),
-            format!(
-                "{}\n{}\n{}",
+                "{}\n{}\n{}\n{pair}",
                 self.a.source(),
                 self.b.source(),
                 self.combine.source()
@@ -1364,7 +1542,7 @@ where
 
     fn describe(&self, out: &mut Vec<FusedStage>) {
         self.prev.describe(out);
-        out.push(self.stage());
+        out.push(self.stage(<P::Out>::TYPE_NAME, V::TYPE_NAME));
     }
 
     fn depth(&self) -> usize {
@@ -1384,7 +1562,7 @@ where
                     self.b.func().clone(),
                     self.combine.func().clone(),
                 ),
-                stage: self.stage(),
+                stage: self.stage(<P::Out>::TYPE_NAME, V::TYPE_NAME),
                 radius: self.radius,
                 boundary: self.boundary,
                 next: consumer,
@@ -1902,6 +2080,71 @@ mod tests {
             .unwrap();
         cur = Stencil2D::new(d, 3, Boundary2D::Zero).apply(&cur).unwrap();
         assert_eq!(bits(&fused.to_vec().unwrap()), bits(&cur.to_vec().unwrap()));
+    }
+
+    #[test]
+    fn a_chain_for_the_host_reads_each_band_under_the_later_bands() {
+        // Two devices, 320 rows × 720 floats each: a part's read (about
+        // 177 µs) covers the 29 µs launch six times over, so the chain runs
+        // in three bands per part.
+        let c = ctx(2);
+        let (rows, cols) = (640, 720);
+        let m = test_matrix(&c, rows, cols, 20);
+        m.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
+            .unwrap();
+        m.ensure_on_devices().unwrap();
+        let expr = Pipeline::start::<f32>()
+            .stencil(cross_user(), 1, Boundary2D::Neumann)
+            .map(square_fn());
+        let want = expr.run(&m).unwrap().to_vec().unwrap();
+
+        c.enable_spans();
+        c.platform().enable_timeline_trace();
+        let out = expr.run_to_host(&m).unwrap();
+        let trace = c.platform().take_timeline_trace();
+        assert!(out.host_fresh() && out.device_fresh());
+        assert_eq!(bits(&out.to_vec().unwrap()), bits(&want));
+        let group = c
+            .take_spans()
+            .into_iter()
+            .find(|s| s.name == "pipeline.group")
+            .expect("the chain opens its group span");
+        assert!(
+            group.attrs.contains(&("bands", "3".to_string())),
+            "{:?}",
+            group.attrs
+        );
+
+        let mut last_read: f64 = 0.0;
+        for dev in [vgpu::DeviceId(0), vgpu::DeviceId(1)] {
+            let on = |kind| {
+                trace
+                    .iter()
+                    .filter(|r| r.device == dev && r.kind == kind)
+                    .collect::<Vec<_>>()
+            };
+            let (launches, reads) = (on(vgpu::CmdKind::Kernel), on(vgpu::CmdKind::D2H));
+            assert_eq!((launches.len(), reads.len()), (3, 3), "{dev:?}");
+            assert!(launches[0].serializing && !launches[1].serializing);
+            for (launch, read) in launches.iter().zip(&reads) {
+                assert_eq!(read.deps, vec![launch.seq], "{dev:?}");
+            }
+            assert!(
+                reads[0].start_s < launches[2].end_s,
+                "{dev:?}: band 1's read starts under band 3's launch"
+            );
+            last_read = reads.iter().map(|r| r.end_s).fold(last_read, f64::max);
+        }
+        let overlap: f64 = vgpu::compute_copy_overlap_s(&trace)
+            .iter()
+            .map(|&(_, s)| s)
+            .sum();
+        assert!(overlap > 0.0);
+        assert_eq!(
+            c.host_now_s(),
+            last_read,
+            "the host waits for the last read"
+        );
     }
 
     #[test]

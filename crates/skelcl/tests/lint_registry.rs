@@ -7,8 +7,9 @@
 //! This is the codegen contract the linter enforces: no barrier under
 //! thread-divergent control flow, every statically declared `__local`
 //! array inside the device budget, host arg-marshalling arity matching a
-//! kernel signature, every `__global` read guarded against bounds, and
-//! every identifier in a subscript declared.
+//! kernel signature, every `__global` read guarded against bounds, every
+//! identifier in a subscript declared, and every function a kernel calls
+//! defined in its program or provided by OpenCL C.
 
 use skelcl::*;
 
@@ -348,4 +349,38 @@ fn every_registered_program_lints_clean() {
         c.metrics().counter_value("skelcheck.lint_findings"),
         Some(0)
     );
+}
+
+#[test]
+fn dropping_a_stencil_pairs_definition_is_one_undefined_function() {
+    // The chain kernel calls a stencil pair by its composite name; the
+    // pair's stage pastes that function's definition with its parts.
+    let c = ctx();
+    let m = mat_data(&c, 12, 8);
+    Pipeline::start::<f32>()
+        .stencil_pair(cross_user(), column_user(1), add_fn(), 1, Boundary2D::Zero)
+        .run(&m)
+        .unwrap();
+    let pair = "pair_lcross_lcolumn1_ladd";
+    let program = c
+        .program_registry()
+        .programs()
+        .into_iter()
+        .find(|p| p.source.contains(&format!("{pair}(")))
+        .expect("the pair's chain program is resident");
+    let budget = c.device(0).spec().local_mem_bytes as u64;
+    let lint = |source: &str| check::lint_program(&program.name, source, program.n_args, budget);
+    assert!(lint(&program.source).is_empty());
+
+    let definition = format!("{pair}(__local");
+    let dropped: Vec<&str> = program
+        .source
+        .lines()
+        .filter(|line| !line.contains(&definition))
+        .collect();
+    assert_eq!(dropped.len() + 1, program.source.lines().count());
+    let findings = lint(&dropped.join("\n"));
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, check::LintRule::UndefinedFunction);
+    assert!(findings[0].message.contains(pair), "{}", findings[0]);
 }

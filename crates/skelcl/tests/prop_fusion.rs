@@ -179,14 +179,22 @@ fn bits(m: &Matrix<f32>) -> Vec<u32> {
     m.to_vec().unwrap().iter().map(|v| v.to_bits()).collect()
 }
 
+/// A `run_to_host` result, which must arrive fresh on the host and on the
+/// devices.
+fn fresh<T: vgpu::Scalar>(m: Matrix<T>) -> Matrix<T> {
+    assert!(m.host_fresh() && m.device_fresh(), "fresh on both sides");
+    m
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // An empty pipeline is the identity — same bits, zero launches.
+    // An empty pipeline is the identity — same bits, zero launches — and
+    // the host terminal reads those bits back.
     #[test]
     fn empty_pipeline_is_identity(
         (rows, cols) in shape_strategy(),
-        devices in 1usize..4,
+        devices in 1usize..5,
         dist in dist_strategy(),
         seed in 0u32..1000,
     ) {
@@ -198,13 +206,15 @@ proptest! {
         let after = c.metrics().counter_value("skelcl.pipeline.groups").unwrap_or(0);
         prop_assert_eq!(bits(&out), bits(&m));
         prop_assert_eq!(before, after, "empty pipeline must launch nothing");
+        prop_assert_eq!(bits(&fresh(Pipeline::start::<f32>().run_to_host(&m).unwrap())), bits(&m));
     }
 
-    // A single map stage equals the unfused Map skeleton, bit for bit.
+    // A single map stage equals the unfused Map skeleton, bit for bit, and
+    // the host terminal reads the fused bits back.
     #[test]
     fn single_map_matches_unfused(
         (rows, cols) in shape_strategy(),
-        devices in 1usize..4,
+        devices in 1usize..5,
         dist in dist_strategy(),
         seed in 0u32..1000,
     ) {
@@ -212,11 +222,13 @@ proptest! {
         let data = test_data(rows, cols, seed);
         let m = Matrix::from_vec(&c, rows, cols, data.clone());
         m.set_distribution(dist).unwrap();
-        let fused = Pipeline::start::<f32>().map(scale_fn()).run(&m).unwrap();
+        let expr = Pipeline::start::<f32>().map(scale_fn());
+        let fused = expr.run(&m).unwrap();
         let m2 = Matrix::from_vec(&c, rows, cols, data);
         m2.set_distribution(dist).unwrap();
         let unfused = Map::new(scale_fn()).apply_matrix(&m2).unwrap();
         prop_assert_eq!(bits(&fused), bits(&unfused));
+        prop_assert_eq!(bits(&fresh(expr.run_to_host(&m).unwrap())), bits(&fused));
     }
 
     // A single stencil stage equals the unfused Stencil2D skeleton for all
@@ -522,16 +534,23 @@ proptest! {
             .stencil(cross_user(r0), r0, bs[0])
             .zip_with(&op, add_fn())
             .stencil_pair(cross_user(r1), diag_user(r1), widen_fn(), r1, bs[1]);
+        let tail = head.clone().stencil(narrow_user(r2), r2, bs[2]);
         let (g, stats) = (groups(), c.platform().stats_snapshot());
         let fused = if three {
-            let out = head.stencil(narrow_user(r2), r2, bs[2]).run(&m).unwrap();
-            Err(bits(&out))
+            Err(bits(&tail.run(&m).unwrap()))
         } else {
             Ok(bits64(&head.run(&m).unwrap()))
         };
         let launches = (c.platform().stats_snapshot() - stats).kernel_launches;
         prop_assert_eq!(groups() - g, 1, "the chain is one group");
         prop_assert_eq!(launches, launches_per_chain(dist, rows, devices));
+        // The host terminal reads `run`'s bits back.
+        let to_host = if three {
+            Err(bits(&fresh(tail.run_to_host(&m).unwrap())))
+        } else {
+            Ok(bits64(&fresh(head.run_to_host(&m).unwrap())))
+        };
+        prop_assert_eq!(&to_host, &fused);
 
         let [m, op] = matrices();
         let first = Stencil2D::new(cross_user(r0), r0, bs[0]).apply(&m).unwrap();

@@ -194,6 +194,17 @@ impl Platform {
         self.shared.stats.note_host_sync(max);
     }
 
+    /// Host waits for `events` (`clWaitForEvents`): the host clock catches
+    /// up with the latest of their ends, and nothing else.
+    pub fn wait_for_events(&self, events: &[Event]) {
+        let end = events
+            .iter()
+            .map(|e| e.end_s)
+            .fold(self.host_now_s(), f64::max);
+        self.shared.host_clock.sync_to(end);
+        self.shared.stats.note_host_sync(end);
+    }
+
     /// Reset every virtual clock to the epoch (between bench repetitions):
     /// host, both engines of every device, and all registered stream
     /// clocks. Any recorded timeline trace is cleared with them.

@@ -552,16 +552,6 @@ impl Stats {
         }
     }
 
-    /// Copy the recorded trace *without* clearing it — for observers (span
-    /// collectors, reports) that must not steal the records from the owner
-    /// of the trace.
-    pub fn trace_snapshot(&self) -> Vec<CommandRecord> {
-        match self.trace.lock().as_ref() {
-            Some(t) => t.clone(),
-            None => Vec::new(),
-        }
-    }
-
     /// Number of commands recorded so far (0 when tracing is disabled).
     /// Spans remember this watermark on open so they can later slice their
     /// child commands out of the trace.
@@ -875,18 +865,5 @@ mod tests {
                 16
             ))
         );
-    }
-
-    #[test]
-    fn trace_snapshot_does_not_steal_records() {
-        let s = Stats::default();
-        s.enable_trace();
-        s.record_group(&[rec(0, EngineKind::Compute, 0.0, 1.0)]);
-        assert_eq!(s.trace_len(), 1);
-        let snap = s.trace_snapshot();
-        assert_eq!(snap.len(), 1);
-        // The owner still gets the full trace afterwards.
-        assert_eq!(s.take_trace().len(), 1);
-        assert_eq!(s.trace_len(), 0);
     }
 }
