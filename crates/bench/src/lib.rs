@@ -630,10 +630,11 @@ pub fn canny_virtual_s(rows: usize, cols: usize, devices: usize, leg: CannyLeg) 
 /// Fig-overlap helper: one measured leg of `n` Jacobi heat-relaxation
 /// rounds over a `rows × cols` row-block plate across `devices` devices,
 /// under either iterate schedule. With `overlapped` the default
-/// `Stencil2D::iterate` runs: one halo exchange per block of up to four
-/// rounds, issued on the copy stream under the block's interior-tile
-/// launch, and every block one launch per part (interior and edge tiles
-/// where copies are incoming) that steps its rounds in local memory;
+/// `Stencil2D::iterate` runs: one halo exchange per block of rounds (the
+/// block count its plan prices cheapest from the platform's costs), issued
+/// on the copy stream under the block's interior-tile launch, and every
+/// block one launch per part (interior and edge tiles where copies are
+/// incoming) that steps its rounds in local memory;
 /// otherwise the serial `iterate_serial` baseline runs (the one-round
 /// program per part per round, device-serializing exchange). The warm-up
 /// builds the program of the schedule measured. Both schedules are

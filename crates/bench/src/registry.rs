@@ -120,11 +120,11 @@ fn fig_iterate() {
 /// The async-overlap figure on its two hot paths:
 ///
 /// * **Iterate** — `Stencil2D::iterate` (one halo exchange per block of
-///   up to four rounds, on the copy stream under the interior tiles, and
-///   one local-memory launch per block) vs `iterate_serial`, heat
-///   relaxation at 1024², n ∈ {10, 100} × 1/2/4 devices. Overlapped never
-///   loses, wins ≥ 1.2× at n=100 × 4, and keeps the copy engines busy
-///   under kernels there.
+///   rounds, its block count priced from the platform's costs, on the
+///   copy stream under the interior tiles, and one local-memory launch
+///   per block) vs `iterate_serial`, heat relaxation at 1024²,
+///   n ∈ {10, 100} × 1/2/4 devices. Overlapped never loses, wins ≥ 1.2× at
+///   n=100 × 4, and keeps the copy engines busy under kernels there.
 /// * **Upload** — `Stencil2D::apply_streamed` (row-chunked upload on the
 ///   copy stream, banded kernels overlapping it) vs the blocking upload,
 ///   5×5 box stencil at 1024² × 1/2/4 devices. Streamed always wins.

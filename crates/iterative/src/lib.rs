@@ -9,8 +9,8 @@
 //! * [`seq`] — plain sequential host references,
 //! * [`skelcl_impl`] — matrices + one iterated 2D stencil, ping-ponging
 //!   two device-resident buffers with one batched halo exchange and one
-//!   local-memory block launch per block of up to four iterations, and no
-//!   host round trips.
+//!   local-memory block launch per block of iterations (the block count
+//!   priced from the platform's costs), and no host round trips.
 //!
 //! The workloads:
 //!

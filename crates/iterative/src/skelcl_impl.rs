@@ -2,10 +2,10 @@
 //! per simulation, driven by `iterate(n)`.
 //!
 //! Everything device-resident: the `n` passes ping-pong two buffers per
-//! device with one batched halo exchange and one launch per block of up to
-//! four passes (each work-group steps the block's passes in local memory,
-//! so global memory is read and written once per block); the host sees
-//! the grid again only when the caller downloads the result.
+//! device with one batched halo exchange and one launch per block of
+//! passes (each work-group steps the block's passes in local memory, so
+//! global memory is read and written once per block); the host sees the
+//! grid again only when the caller downloads the result.
 
 use crate::{heat_at, life_at};
 use skelcl::{Boundary2D, Matrix, Result, Stencil2D, Stencil2DView, UserFn};

@@ -28,9 +28,10 @@
 //!   see the `skelcl-linalg` crate),
 //! * the iterative form [`Stencil2D::iterate`] — `n` stencil passes
 //!   ping-ponging two device-resident buffers with one batched halo
-//!   exchange and one local-memory launch per block of up to four
-//!   passes — behind the simulation workloads (heat relaxation, game of
-//!   life — see the `skelcl-iterative` crate),
+//!   exchange and one local-memory launch per block of passes, the block
+//!   count priced from the platform's own costs — behind the simulation
+//!   workloads (heat relaxation, game of life — see the
+//!   `skelcl-iterative` crate),
 //! * the lazy **[`Pipeline`] fusion subsystem**: skeleton calls compose
 //!   into a deferred expression that fuses adjacent element-wise stages
 //!   into their neighbouring stencil/reduce kernels at launch time —
@@ -293,11 +294,14 @@
 //! Iterative simulations apply the *same* stencil hundreds of times.
 //! [`Stencil2D::iterate`] keeps the whole run on the devices: two buffers
 //! per device ping-pong roles each block, one **batched halo exchange per
-//! block of up to four rounds** refreshes a halo deep enough for the whole
-//! block (under `Neumann`/`Zero` boundaries the wrapped matrix-edge rows
-//! are skipped), and **one launch per block** steps its rounds in
-//! work-group local memory, reading and writing global memory once per
-//! block. A single cached block program serves every block. The result is
+//! block of rounds** refreshes a halo deep enough for the whole block
+//! (under `Neumann`/`Zero` boundaries the wrapped matrix-edge rows are
+//! skipped), and **one launch per block** steps its rounds in work-group
+//! local memory, reading and writing global memory once per block. Longer
+//! blocks pay fewer launches and exchanges but recompute a wider ring of
+//! cells per tile, so before anything is enqueued the library prices each
+//! block count from the platform's own constants and runs the cheapest.
+//! A single cached block program serves every block. The result is
 //! bit-identical to `n` chained [`Stencil2D::apply`] calls on every device
 //! count.
 //!

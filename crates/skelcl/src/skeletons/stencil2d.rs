@@ -45,6 +45,7 @@ use crate::skeletons::{alloc_matching_matrix_parts, range_2d};
 use crate::trace::SpanGuard;
 use std::marker::PhantomData;
 use std::sync::Arc;
+use vgpu::timing::{kernel_duration_s, KernelCost, BARRIER_CYCLES, WARP_SIZE};
 use vgpu::{
     Buffer, CompiledKernel, Event, Item, KernelBody, LocalBuf, Order, Program, Scalar as Element,
     WorkGroup,
@@ -343,13 +344,17 @@ where
     }
 }
 
-/// The most rounds one block of [`Stencil2D::iterate`] steps in local
-/// memory. A block of `k` rounds exchanges a `k·radius`-row halo once and
-/// runs in one launch per part (two where copies are incoming). On
-/// `skelbench`'s `heat_iterate` (4 devices, 20 rounds, seed 1) k = 1, 2,
-/// 3, 4, 5 and 8 model 1.952, 1.131, 0.864, 0.691, 0.619 and 0.582 ms:
-/// past 4 the gain flattens, and every further round deepens the halos of
-/// both ping-pong sets (device memory) by another radius.
+/// The most rounds one block of [`Stencil2D::iterate`] steps where no halo
+/// copies arrive (`Single`, `Copy`, and a lone part under `Neumann` or
+/// `Zero`): such a block is one launch per part, so a longer one saves
+/// only launches while every round recomputes a wider ring of cells per
+/// tile. The cost plan alone would run `skelbench`'s `serve_burst` homed
+/// 256² Jacobi jobs as one 9-round block: 5.5% less modeled time, but
+/// `setup_s` on the simulator's host clock 109 → 144 ms (+32%, medians of
+/// six alternating 15 s runs on 2 vCPUs; the ring cells are simulated on
+/// the host),
+/// over that metric's 25% bound. Blocks that receive copies are capped
+/// only by the thinnest part and local memory.
 const BLOCK_ROUNDS: usize = 4;
 
 impl<T, F> Stencil2D<T, T, F>
@@ -368,10 +373,10 @@ where
     ///
     /// * **no intermediate matrices** — two buffers per device total,
     ///   instead of one fresh allocation per pass;
-    /// * **one batched halo exchange per block of up to four rounds** —
-    ///   issued directly on the part buffers, without re-synchronising the
-    ///   host in between, and (under `Neumann`/`Zero` boundaries) without
-    ///   the wrapped matrix-edge rows only `Wrap` ever reads;
+    /// * **one batched halo exchange per block of rounds** — issued
+    ///   directly on the part buffers, without re-synchronising the host
+    ///   in between, and (under `Neumann`/`Zero` boundaries) without the
+    ///   wrapped matrix-edge rows only `Wrap` ever reads;
     /// * **one launch per block, stepping its rounds in local memory** —
     ///   global memory is read and written once per block, not once per
     ///   round;
@@ -386,8 +391,8 @@ where
     ///
     /// Round 1 is a one-round block over the input's own parts, exchanging
     /// their halos first if they are stale. The other `n − 1` rounds run in
-    /// `⌈(n − 1) / k⌉` near-equal blocks of at most `k` rounds (`n = 10`
-    /// runs as 3 + 3 + 3 with `k = 4`):
+    /// `m` near-equal blocks, longest first (`n = 10` with `m = 3` runs as
+    /// 3 + 3 + 3):
     ///
     /// * A block of `L` rounds first exchanges `L·radius` halo rows, on
     ///   the **copy stream**.
@@ -405,19 +410,28 @@ where
     ///   windows read no halo row, run underneath the exchange, and the
     ///   **edge** tiles wait for the incoming copies.
     ///
-    /// The library picks `k`: four rounds, capped so that a `k·radius`-row
-    /// halo fits in the thinnest part and the two windows fit the
-    /// devices' local memory, for every distribution. A stencil whose
-    /// one-round windows do not fit fails with
+    /// The library picks `m` from the platform's own costs, before
+    /// anything is enqueued. A block may step as many rounds as keep an
+    /// `L·radius`-row halo within the thinnest part and the two windows
+    /// within the devices' local memory; where no halo copies arrive
+    /// (`Single`, `Copy`, a lone part under `Neumann` or `Zero`) it steps
+    /// four at most. Of the counts those lengths allow, the plan runs the
+    /// one whose blocks it prices cheapest, ties going to shorter blocks.
+    /// A block's price adds its launches, its kernel (longer blocks
+    /// recompute a wider ring of cells per tile) and, where copies arrive,
+    /// the part of the exchange its interior tiles do not hide. A stencil
+    /// whose one-round windows do not fit fails with
     /// [`vgpu::Error::LocalMemExceeded`] before anything is enqueued.
     ///
-    /// Under `RowBlock` the result is laid out `RowBlock { halo: k·radius
-    /// }`, with `k` the longest block's rounds, and its halo rows are
-    /// stale: the next stencil over it exchanges them. Results are
-    /// bit-identical to [`Stencil2D::iterate_serial`] (same user function,
-    /// same data; only the modeled timeline and traffic change).
+    /// Under `RowBlock` the result is laid out `RowBlock { halo: L·radius
+    /// }`, with `L` the longest block's rounds, and its halo rows are
+    /// stale: the next stencil over it exchanges them. The
+    /// `stencil2d.iterate` span records the plan as `blocks` and
+    /// `block_rounds` (`L`). Results are bit-identical to
+    /// [`Stencil2D::iterate_serial`] (same user function, same data; only
+    /// the modeled timeline and traffic change).
     pub fn iterate(&self, input: &Matrix<T>, n: usize) -> Result<Matrix<T>> {
-        self.iterate_blocked(input, n, BLOCK_ROUNDS)
+        self.iterate_blocked(input, n, BlockPlan::cheapest)
     }
 
     /// The generated block program [`Stencil2D::iterate`] launches (its
@@ -449,6 +463,7 @@ where
         let mut span = self.span("stencil2d.iterate", input);
         span.attr("iterations", n.to_string());
         span.attr("schedule", "serial");
+        span.attr("blocks", (n - 1).to_string());
         span.attr("block_rounds", "1");
         let kernel = self.kernel(&ctx, n_rows)?;
         stencil_input_layout(input, self.radius)?;
@@ -488,9 +503,15 @@ where
         ))
     }
 
-    /// The fused schedule of [`Stencil2D::iterate`], with blocks of at
-    /// most `max_block` rounds.
-    fn iterate_blocked(&self, input: &Matrix<T>, n: usize, max_block: usize) -> Result<Matrix<T>> {
+    /// The fused schedule of [`Stencil2D::iterate`]: the `rest = n − 1`
+    /// rounds after round 1 run in `count(plan, rest)` near-equal blocks,
+    /// longest first. No block may be longer than `plan.cap`.
+    fn iterate_blocked(
+        &self,
+        input: &Matrix<T>,
+        n: usize,
+        count: impl FnOnce(&BlockPlan, usize) -> usize,
+    ) -> Result<Matrix<T>> {
         if n == 0 {
             return Ok(input.clone());
         }
@@ -500,17 +521,30 @@ where
         span.attr("iterations", n.to_string());
         span.attr("schedule", "overlapped");
         let radius = self.radius;
-        // Checked before anything is enqueued or built.
+        // Checked and planned before anything is enqueued or built.
         let group = block_group(&ctx, n_rows, cols);
-        let fit = window_rounds::<T>(&ctx, group, radius, max_block)?;
+        check_local_mem(&ctx, 2 * window_bytes::<T>(group, radius))?;
+        let program = self.block_program();
+        let dist = stencil_layout(input.distribution(), radius);
         let round = Round {
             eval: self.user.func().clone(),
             radius,
             boundary: self.boundary,
             static_ops: self.user.static_ops(),
         };
+        let plan = BlockPlan::new::<T, _>(&ctx, dist, (n_rows, cols), &round, program.n_args);
+        let blocks: Vec<usize> = match n - 1 {
+            0 => Vec::new(),
+            rest => block_ranges(rest, count(&plan, rest))
+                .into_iter()
+                .map(|(_, len)| len)
+                .collect(),
+        };
+        let depth = blocks.first().copied().unwrap_or(1);
+        span.attr("blocks", blocks.len().to_string());
+        span.attr("block_rounds", depth.to_string());
         let mut kernel = BlockKernel {
-            compiled: ctx.get_or_build(&self.block_program())?,
+            compiled: ctx.get_or_build(&program)?,
             pre: OpId::new(),
             load_ops: 0,
             chain: Repeat {
@@ -524,19 +558,6 @@ where
         };
         stencil_input_layout(input, radius)?;
         let in_parts = input.parts_with_fresh_halos()?;
-        let dist = input.distribution();
-
-        // The rounds after round 1 in near-equal blocks, longest first.
-        let k = block_cap(&in_parts, radius, fit);
-        let blocks: Vec<usize> = match n - 1 {
-            0 => Vec::new(),
-            rest => block_ranges(rest, rest.div_ceil(k))
-                .into_iter()
-                .map(|(_, len)| len)
-                .collect(),
-        };
-        let depth = blocks.first().copied().unwrap_or(1);
-        span.attr("block_rounds", depth.to_string());
         let dist = match dist {
             MatrixDistribution::RowBlock { .. } => MatrixDistribution::RowBlock {
                 halo: depth * radius,
@@ -637,16 +658,6 @@ fn last_set<T: Element>(sets: [Vec<MatrixPart<T>>; 2], swaps: usize) -> Vec<Matr
     }
 }
 
-/// The most rounds one block may step: `fit`, capped so a `k·radius`-row
-/// halo stays within the thinnest non-empty part.
-fn block_cap<T: Element>(parts: &[MatrixPart<T>], radius: usize, fit: usize) -> usize {
-    let thinnest = parts.iter().map(|p| p.rows).filter(|&rows| rows > 0).min();
-    match radius {
-        0 => fit,
-        r => (thinnest.unwrap_or(0) / r).clamp(1, fit),
-    }
-}
-
 /// Elements of one block window: a `(lx, ly)` work-group's tile, `halo`
 /// cells deeper on every side.
 fn window_len((lx, ly): (usize, usize), halo: usize) -> usize {
@@ -682,21 +693,267 @@ pub(crate) fn check_local_mem(ctx: &Context, bytes: usize) -> Result<()> {
     Ok(())
 }
 
-/// The most rounds, up to `max_block`, whose two windows of `T` fit every
-/// device's local memory for work-groups of shape `group`. An error when
-/// not even one round's windows fit.
-fn window_rounds<T: Element>(
-    ctx: &Context,
+/// How [`Stencil2D::iterate`] splits the rounds after round 1 into blocks,
+/// fixed before anything is enqueued from the layout the input takes and
+/// the platform's own constants (never a modeled clock): the longest block
+/// allowed, and what a block of `L` rounds costs.
+struct BlockPlan {
+    ctx: Context,
+    /// The longest block allowed.
+    cap: usize,
+    /// `(first row, rows)` of every non-empty part.
+    parts: Vec<(usize, usize)>,
+    /// Whether halo copies arrive, so every block splits into an interior
+    /// and an edge launch: a `RowBlock` over two or more non-empty parts,
+    /// or a lone part under `Wrap`.
+    exchanging: bool,
+    /// Matrix `(rows, cols)`.
+    dims: (usize, usize),
     group: (usize, usize),
     radius: usize,
-    max_block: usize,
-) -> Result<usize> {
-    let bytes = |rounds: usize| 2 * window_bytes::<T>(group, rounds * radius);
-    check_local_mem(ctx, bytes(1))?;
-    Ok((1..=max_block.max(1))
-        .rev()
-        .find(|&rounds| check_local_mem(ctx, bytes(rounds)).is_ok())
-        .unwrap_or(1))
+    wrap: bool,
+    static_ops: u64,
+    /// Bytes per element.
+    elem: usize,
+    /// The launch cost of the block program's arguments.
+    launch_s: f64,
+}
+
+impl BlockPlan {
+    /// The plan of one stencil stage `round` over a matrix of `dims` laid
+    /// out as `dist`, launched through a block program of `n_args`
+    /// arguments. Blocks that receive halo copies are capped by the
+    /// thinnest part and by local memory alone; the others also at
+    /// [`BLOCK_ROUNDS`]. The thinnest part bounds the cap before any
+    /// window size is computed, so no window size overflows.
+    fn new<T: Element, E>(
+        ctx: &Context,
+        dist: MatrixDistribution,
+        dims: (usize, usize),
+        round: &Round<E>,
+        n_args: usize,
+    ) -> BlockPlan {
+        let ((n_rows, cols), radius) = (dims, round.radius);
+        let wrap = round.boundary == Boundary2D::Wrap;
+        let row_block = matches!(dist, MatrixDistribution::RowBlock { .. });
+        let parts: Vec<(usize, usize)> = if row_block {
+            block_ranges(n_rows, ctx.n_devices())
+        } else {
+            vec![(0, n_rows)]
+        };
+        let parts: Vec<_> = parts.into_iter().filter(|&(_, rows)| rows > 0).collect();
+        let exchanging = radius > 0 && cols > 0 && row_block && (parts.len() > 1 || wrap);
+        let thinnest = parts.iter().map(|&(_, rows)| rows).min().unwrap_or(0);
+        let halo_cap = thinnest.checked_div(radius).unwrap_or(usize::MAX);
+        let cap = halo_cap.min(if exchanging { usize::MAX } else { BLOCK_ROUNDS });
+        let group = block_group(ctx, n_rows, cols);
+        let fits = |rounds: usize| {
+            check_local_mem(ctx, 2 * window_bytes::<T>(group, rounds * radius)).is_ok()
+        };
+        let cap = (2..=cap)
+            .take_while(|&rounds| fits(rounds))
+            .last()
+            .unwrap_or(1);
+        BlockPlan {
+            ctx: ctx.clone(),
+            cap,
+            parts,
+            exchanging,
+            dims,
+            group,
+            radius,
+            wrap,
+            static_ops: round.static_ops,
+            elem: std::mem::size_of::<T>(),
+            launch_s: ctx.profile().launch_cost_s(n_args),
+        }
+    }
+
+    /// The cheapest count of near-equal blocks for `rest` rounds.
+    fn cheapest(&self, rest: usize) -> usize {
+        block_count(rest, self.cap, |rounds, first| self.block_s(rounds, first))
+    }
+
+    /// The estimated seconds of one block of `rounds` rounds, the `first`
+    /// of its iterate or a later one: the most any non-empty part spends
+    /// on its launches and kernels, where an edge launch also waits for
+    /// the copies into its halos.
+    ///
+    /// The first block's exchange starts on every device at once, as round
+    /// 1 ends, so its copies run back to back along the line of parts: each
+    /// holds the copy engines of two neighbouring devices and shares one
+    /// with the next in issue order. A later exchange starts on each device
+    /// as its last edge launch ends, staggered by the chain before it, so a
+    /// part waits only for its own device's copies.
+    fn block_s(&self, rounds: usize, first: bool) -> f64 {
+        let copy_s = self.copy_s(rounds * self.radius);
+        let part_s = |&part: &(usize, usize)| {
+            let (interior, edge) = self.launches_s(rounds, part);
+            if !self.exchanging {
+                return interior;
+            }
+            let copies = if first {
+                self.chain_copies()
+            } else {
+                self.part_copies(part)
+            };
+            interior.max(copies as f64 * copy_s) + edge
+        };
+        self.parts.iter().map(part_s).fold(0.0, f64::max)
+    }
+
+    /// The estimated seconds of one block's interior and edge launches on
+    /// the part owning `rows` rows from `offset`. Where no copies arrive
+    /// the block is one launch of all the part's tiles, counted as
+    /// interior.
+    fn launches_s(&self, rounds: usize, (offset, rows): (usize, usize)) -> (f64, f64) {
+        let (lx, ly) = self.group;
+        let depth = rounds * self.radius;
+        let tile_cols = self.dims.1.div_ceil(lx);
+        let launch = |tile_rows: usize| match tile_rows * tile_cols {
+            0 => 0.0,
+            groups => self.launch_s + self.kernel_s(rounds, groups),
+        };
+        let tile_rows = rows.div_ceil(ly);
+        let reads_halo = |t: usize| {
+            let tile = ly.min(offset + rows - t);
+            window_leaves_part(t, tile, depth, (offset, rows), self.dims.0, self.wrap)
+        };
+        let interior = if self.exchanging {
+            let starts = (offset..offset + rows).step_by(ly);
+            starts.filter(|&t| !reads_halo(t)).count()
+        } else {
+            tile_rows
+        };
+        (launch(interior), launch(tile_rows - interior))
+    }
+
+    /// The modeled seconds of a `Repeat` kernel of `rounds` rounds over
+    /// `groups` work-groups, each priced as a full interior tile the way
+    /// the executor prices it: cycles and bytes counted as
+    /// `WorkGroup::cost` counts them (static ops only), the busiest compute
+    /// unit's share through [`vgpu::timing::kernel_duration_s`].
+    fn kernel_s(&self, rounds: usize, groups: usize) -> f64 {
+        let spec = *self.ctx.device(0).spec();
+        let (lx, ly) = self.group;
+        let lanes = lx * ly;
+        let depth = rounds * self.radius;
+        let (ww, wh) = (lx + 2 * depth, ly + 2 * depth);
+        // A warp pays for its busiest lane, its first: every stepped round
+        // deals the cells of a region a radius narrower than the last to
+        // the lanes in turn, and the last round writes one tile cell per
+        // lane.
+        let steps: usize = (0..lanes.div_ceil(WARP_SIZE))
+            .map(|w| {
+                let first = w * WARP_SIZE;
+                let stepped = (1..rounds).map(|j| {
+                    let margin = 2 * j * self.radius;
+                    ((ww - margin) * (wh - margin))
+                        .saturating_sub(first)
+                        .div_ceil(lanes)
+                });
+                1 + stepped.sum::<usize>()
+            })
+            .sum();
+        let slots = (WARP_SIZE.min(lanes) as f64 / spec.pes_per_cu as f64).ceil();
+        // One barrier after the load and one per stepped round.
+        let cycles = steps as f64 * self.static_ops as f64 * slots + rounds as f64 * BARRIER_CYCLES;
+        // One read per window cell, one write per tile cell.
+        let bytes = ((ww * wh + lanes) * self.elem) as f64;
+        let g = groups as f64;
+        let cost = KernelCost {
+            max_cu_cycles: (cycles * g / spec.compute_units as f64).max(cycles),
+            global_bytes: bytes * g,
+        };
+        let efficiency = self.ctx.profile().compute_efficiency;
+        kernel_duration_s(cost, spec.clock_hz, efficiency, spec.mem_bandwidth_bytes_s)
+    }
+
+    /// The seconds of one halo copy `depth` rows deep: across devices
+    /// (staged through the host, `⌊parts / 2⌋` copies sharing the host bus
+    /// at once), or within a lone part under `Wrap`, on the device.
+    fn copy_s(&self, depth: usize) -> f64 {
+        let bytes = depth * self.dims.1 * self.elem;
+        match self.parts.len() {
+            1 => 2.0 * bytes as f64 / self.ctx.device(0).spec().mem_bandwidth_bytes_s,
+            p => self.ctx.platform().topology().d2d_transfer_s(bytes, p / 2),
+        }
+    }
+
+    /// The copies of one whole exchange: two per pair of neighbouring
+    /// parts, with the last and first neighbours under `Wrap`.
+    fn chain_copies(&self) -> usize {
+        match self.parts.len() {
+            1 => 2,
+            p => 2 * (p - 1) + 2 * usize::from(self.wrap),
+        }
+    }
+
+    /// The copies of one exchange that hold the copy engine of the part
+    /// owning `rows` rows from `offset`: one into each halo side it has
+    /// and, from another device, one out of its rows into each
+    /// neighbour's.
+    fn part_copies(&self, (offset, rows): (usize, usize)) -> usize {
+        let above = usize::from(self.wrap || offset > 0);
+        let below = usize::from(self.wrap || offset + rows < self.dims.0);
+        match self.parts.len() {
+            1 => above + below,
+            _ => 2 * (above + below),
+        }
+    }
+}
+
+/// Whether the window of a tile of `rows` rows from global row `first`,
+/// `depth` rows deep, loads a row outside the owned rows `(offset, owned)`
+/// of its part: a halo row an exchange may write. Window rows outside the
+/// matrix of `n_rows` rows are loaded only under `Wrap`.
+fn window_leaves_part(
+    first: usize,
+    rows: usize,
+    depth: usize,
+    (offset, owned): (usize, usize),
+    n_rows: usize,
+    wrap: bool,
+) -> bool {
+    let (mut lo, mut hi) = (
+        first as isize - depth as isize,
+        (first + rows + depth) as isize,
+    );
+    if !wrap {
+        lo = lo.max(0);
+        hi = hi.min(n_rows as isize);
+    }
+    lo < offset as isize || hi > (offset + owned) as isize
+}
+
+/// The cheapest count of near-equal blocks for `rest ≥ 1` rounds, none
+/// longer than `cap`, given `block_s(L, first)`, the estimate of one block
+/// of `L` rounds (the first block, which is a longest one, or a later
+/// one). Only the distinct counts `m = ⌈rest / L⌉` for `L ≤ cap` are
+/// priced, each in closed form (`rest mod m` blocks of `⌊rest / m⌋ + 1`
+/// rounds and the rest of `⌊rest / m⌋`), so planning costs `O(cap)`
+/// estimates whatever `rest` is. Ties go to more, shorter blocks.
+fn block_count(rest: usize, cap: usize, block_s: impl Fn(usize, bool) -> f64) -> usize {
+    let cap = cap.min(rest).max(1);
+    let later: Vec<f64> = (1..=cap).map(|len| block_s(len, false)).collect();
+    let first: Vec<f64> = (1..=cap).map(|len| block_s(len, true)).collect();
+    let mut best = (f64::INFINITY, rest);
+    for len in 1..=cap {
+        let m = rest.div_ceil(len);
+        if len > 1 && m == rest.div_ceil(len - 1) {
+            continue;
+        }
+        let (short, long) = (rest / m, rest % m);
+        let lead = short + usize::from(long > 0);
+        let mut total = (m - long) as f64 * later[short - 1] + first[lead - 1] - later[lead - 1];
+        if long > 0 {
+            total += long as f64 * later[short];
+        }
+        if total < best.0 {
+            best = (total, m);
+        }
+    }
+    best.1
 }
 
 /// One row or column of a block window, resolved against the boundary once
@@ -1112,14 +1369,10 @@ where
     /// rows, i.e. a halo row an exchange may write. Window rows outside the
     /// matrix are loaded only under `Wrap`.
     fn reads_halo(&self, p: &MatrixPart<J>, (start, rows): (usize, usize)) -> bool {
-        let halo = self.chain.depth() as isize;
-        let first = (p.row_offset + start - p.halo_above) as isize;
-        let (mut lo, mut hi) = (first - halo, first + rows as isize + halo);
-        if self.chain.boundary() != Boundary2D::Wrap {
-            lo = lo.max(0);
-            hi = hi.min(self.n_rows as isize);
-        }
-        lo < p.row_offset as isize || hi > (p.row_offset + p.rows) as isize
+        let first = p.row_offset + start - p.halo_above;
+        let wrap = self.chain.boundary() == Boundary2D::Wrap;
+        let owned = (p.row_offset, p.rows);
+        window_leaves_part(first, rows, self.chain.depth(), owned, self.n_rows, wrap)
     }
 
     /// Launch the chain over `tiles` of part `pi`'s input `ip`, writing
@@ -1215,14 +1468,24 @@ where
 /// The layout rule for stencil inputs: parts span full rows and carry at
 /// least `radius` halo rows. A narrower `RowBlock` halo is widened; column blocks
 /// have no column halos, so they become row blocks with a `radius`-deep
-/// halo. Device-fresh data moves device-side.
-pub(crate) fn stencil_input_layout<T: Element>(input: &Matrix<T>, radius: usize) -> Result<()> {
-    match input.distribution() {
-        MatrixDistribution::RowBlock { halo } if halo >= radius => Ok(()),
+/// halo.
+fn stencil_layout(dist: MatrixDistribution, radius: usize) -> MatrixDistribution {
+    match dist {
+        MatrixDistribution::RowBlock { halo } if halo >= radius => dist,
         MatrixDistribution::RowBlock { .. } | MatrixDistribution::ColBlock => {
-            input.set_distribution(MatrixDistribution::RowBlock { halo: radius })
+            MatrixDistribution::RowBlock { halo: radius }
         }
-        MatrixDistribution::Single(_) | MatrixDistribution::Copy => Ok(()),
+        MatrixDistribution::Single(_) | MatrixDistribution::Copy => dist,
+    }
+}
+
+/// Lay `input` out by [`stencil_layout`]. Device-fresh data moves
+/// device-side.
+pub(crate) fn stencil_input_layout<T: Element>(input: &Matrix<T>, radius: usize) -> Result<()> {
+    let dist = input.distribution();
+    match stencil_layout(dist, radius) {
+        same if same == dist => Ok(()),
+        wider => input.set_distribution(wider),
     }
 }
 
@@ -1643,15 +1906,23 @@ mod tests {
         Stencil2D::new(user, radius, boundary)
     }
 
+    /// The fewest blocks of at most `k` rounds the plan's cap allows:
+    /// every block as long as it may be.
+    fn fewest(k: usize) -> impl Fn(&BlockPlan, usize) -> usize {
+        move |plan, rest| rest.div_ceil(plan.cap.min(k))
+    }
+
     #[test]
     fn blocked_iterate_is_bit_identical_to_chained_applies_for_every_block_length() {
         use MatrixDistribution::{Copy, RowBlock, Single};
-        // Row blocks on every device count: parts deep enough for k·r
-        // halos (k is capped at the thinnest part and at the tiny device's
-        // local memory, which shrinks k = 8 everywhere and k = 4 at radius
-        // 2), parts thinner than 2r or than r (k = 1, halos reaching across
-        // parts) and empty parts. Single and Copy parts hold the whole
-        // matrix and exchange nothing.
+        // Every block as long as the plan's cap allows. Row blocks on every
+        // device count: parts deep enough for k·r halos (k is capped at the
+        // thinnest part and at the tiny device's local memory, which
+        // shrinks k = 8 everywhere and k = 4 at radius 2), parts thinner
+        // than 2r or than r (k = 1, halos reaching across parts) and empty
+        // parts. Single and Copy parts hold the whole matrix and, like a
+        // lone part under Neumann or Zero, exchange nothing: their k stops
+        // at four.
         let mut layouts: Vec<(usize, MatrixDistribution)> = (1..=4)
             .flat_map(|devices| (0..=2).map(move |halo| (devices, RowBlock { halo })))
             .collect();
@@ -1690,7 +1961,7 @@ mod tests {
                     };
                     for (n, want) in (1..=10).zip(&chained) {
                         for k in [1, 2, 3, 4, 8] {
-                            let got = st.iterate_blocked(&input(), n, k).unwrap();
+                            let got = st.iterate_blocked(&input(), n, fewest(k)).unwrap();
                             assert_eq!(
                                 &bits(got),
                                 want,
@@ -1708,7 +1979,7 @@ mod tests {
     fn block_length_shrinks_until_both_windows_fit_local_memory() {
         // Radius 2 on the tiny device (4 KB of local memory, 16×4
         // work-groups): four rounds need two 32×20 windows (5 KB), three
-        // need two 28×16 ones (3.5 KB).
+        // need two 28×16 ones (3.5 KB). The 20-row parts would allow ten.
         let (rows, cols) = (40, 24);
         let data = test_image(rows, cols);
         let c = ctx(2);
@@ -1731,6 +2002,206 @@ mod tests {
         }
         let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(got.to_vec().unwrap()), bits(cur.to_vec().unwrap()));
+    }
+
+    /// A context of `devices` of the modeled Tesla parts, with 16×16
+    /// work-groups: the devices and costs the plan is meant for.
+    fn tesla(devices: usize) -> Context {
+        Context::new(
+            crate::ContextConfig::default()
+                .devices(devices)
+                .cache_tag("skelcl-skeleton-tests"),
+        )
+    }
+
+    /// The modeled seconds `f` keeps the devices busy, from a reset clock.
+    fn modeled_s(c: &Context, f: impl FnOnce()) -> f64 {
+        c.platform().sync_all();
+        c.platform().reset_clocks();
+        f();
+        c.platform().sync_all();
+        c.platform().host_now_s()
+    }
+
+    /// A `rows × cols` plate laid out `RowBlock { halo: 1 }`, on the
+    /// devices.
+    fn plate(c: &Context, rows: usize, cols: usize) -> Matrix<f32> {
+        let m = Matrix::from_vec(c, rows, cols, test_image(rows, cols));
+        m.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
+            .unwrap();
+        m.ensure_on_devices().unwrap();
+        m
+    }
+
+    #[test]
+    fn the_block_estimate_tracks_the_launched_kernels() {
+        // One block of L rounds after round 1 over four Tesla parts of a
+        // 1032×256 plate (258 rows each: interior and edge tiles, a
+        // two-row partial tile row, the matrix edge), at radius 1 and 2.
+        // Per part, the plan's interior and edge launches against the
+        // modeled durations of the launched `Repeat` kernels. The estimate
+        // prices every work-group as a full tile inside the matrix: its
+        // kernels read 1.4% low to 6.1% high (r = 2, L = 3: 11.3 against
+        // 10.7 µs); with their two 29 µs launch costs, 0.3% low to 1.5%
+        // high.
+        let c = tesla(4);
+        let m = plate(&c, 1032, 256);
+        for (radius, rounds) in [(1, 6), (1, 7), (2, 3), (2, 7)] {
+            let st = damped_column(radius, Boundary2D::Neumann);
+            st.iterate(&m, 1).unwrap();
+            c.platform().enable_timeline_trace();
+            let (mut estimates, mut overhead) = (Vec::new(), 0.0);
+            let one_block = |plan: &BlockPlan, _| {
+                assert!(plan.exchanging && plan.cap >= rounds, "cap {}", plan.cap);
+                let parts = plan.parts.iter();
+                estimates = parts.map(|&part| plan.launches_s(rounds, part)).collect();
+                overhead = 2.0 * plan.launch_s;
+                1
+            };
+            st.iterate_blocked(&m, 1 + rounds, one_block).unwrap();
+            c.platform().sync_all();
+            let trace = c.platform().take_timeline_trace();
+            for (d, &(interior, edge)) in estimates.iter().enumerate() {
+                // The part's launches after round 1's.
+                let launches: Vec<f64> = trace
+                    .iter()
+                    .filter(|r| r.device.0 == d && r.kind == vgpu::CmdKind::Kernel)
+                    .skip(1)
+                    .map(|r| r.end_s - r.start_s)
+                    .collect();
+                assert_eq!(launches.len(), 2, "interior and edge tiles");
+                let (estimated, launched) = (interior + edge, launches.iter().sum::<f64>());
+                let at = format!("r={radius} L={rounds} part {d}: {estimated} vs {launched} s");
+                let kernels = (estimated - overhead) / (launched - overhead);
+                assert!((0.98..=1.07).contains(&kernels), "kernels {at}");
+                assert!((estimated / launched - 1.0).abs() <= 0.02, "block {at}");
+            }
+        }
+    }
+
+    /// The Jacobi heat stencil: the mean of the four neighbours.
+    fn heat() -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
+        let user = UserFn::new(
+            "heat4",
+            "float heat4(__global float* in, int r, int c, uint nr, uint nc) {\n\
+             #define AT(dr, dc) stencil_at(in, r, c, nr, nc, dr, dc)\n\
+                 return 0.25f * (AT(-1,0) + AT(1,0) + AT(0,-1) + AT(0,1));\n\
+             #undef AT\n\
+             }",
+            |v: &Stencil2DView<'_, f32>| {
+                0.25 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1))
+            },
+        );
+        Stencil2D::new(user, 1, Boundary2D::Neumann)
+    }
+
+    #[test]
+    fn iterate_never_models_slower_than_its_plan_capped_at_four_rounds() {
+        let st = heat();
+        for devices in [1, 2, 4] {
+            let c = tesla(devices);
+            let m = plate(&c, 256, 256);
+            st.iterate(&m, 1).unwrap();
+            for n in [5, 20, 60] {
+                let planned = modeled_s(&c, || drop(st.iterate(&m, n).unwrap()));
+                let capped = modeled_s(&c, || {
+                    let four = |plan: &BlockPlan, rest| {
+                        block_count(rest, plan.cap.min(4), |l, first| plan.block_s(l, first))
+                    };
+                    drop(st.iterate_blocked(&m, n, four).unwrap())
+                });
+                assert!(
+                    planned <= capped,
+                    "{devices} devices, n = {n}: {planned} s planned, {capped} s capped"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_part_set_that_exchanges_nothing_never_runs_a_block_longer_than_four_rounds() {
+        use MatrixDistribution::{Copy, RowBlock, Single};
+        // Launch costs dwarf these kernels, so uncapped the plan would run
+        // one long block; a lone part under `Wrap` receives copies of its
+        // own rows and is capped by local memory alone.
+        let (rows, cols) = (40, 16);
+        for (devices, dist, boundary, exchanging) in [
+            (3, Single(1), Boundary2D::Wrap, false),
+            (3, Copy, Boundary2D::Neumann, false),
+            (1, RowBlock { halo: 1 }, Boundary2D::Neumann, false),
+            (1, RowBlock { halo: 1 }, Boundary2D::Zero, false),
+            (1, RowBlock { halo: 1 }, Boundary2D::Wrap, true),
+        ] {
+            let c = ctx(devices);
+            c.enable_spans();
+            let m = Matrix::from_vec(&c, rows, cols, test_image(rows, cols));
+            m.set_distribution(dist).unwrap();
+            let planned = |plan: &BlockPlan, rest| {
+                assert_eq!(plan.exchanging, exchanging, "{dist:?} {boundary:?}");
+                assert_eq!(
+                    plan.cap <= BLOCK_ROUNDS,
+                    !exchanging,
+                    "{dist:?} {boundary:?}"
+                );
+                plan.cheapest(rest)
+            };
+            damped_column(1, boundary)
+                .iterate_blocked(&m, 30, planned)
+                .unwrap();
+            let spans = c.take_spans();
+            let span = spans
+                .iter()
+                .find(|s| s.name == "stencil2d.iterate")
+                .unwrap();
+            let attr = |key| {
+                span.attrs
+                    .iter()
+                    .find(|(k, _)| *k == key)
+                    .unwrap()
+                    .1
+                    .clone()
+            };
+            let longest: usize = attr("block_rounds").parse().unwrap();
+            assert_eq!(
+                longest <= BLOCK_ROUNDS,
+                !exchanging,
+                "{dist:?} {boundary:?}"
+            );
+            let blocks: usize = attr("blocks").parse().unwrap();
+            assert_eq!(29usize.div_ceil(blocks), longest, "near-equal blocks");
+        }
+    }
+
+    #[test]
+    fn planning_a_billion_rounds_prices_only_the_candidate_lengths() {
+        // 10⁹ rounds over four Tesla parts of a 1024² matrix: radius 0
+        // exchanges nothing (four rounds at most), radius 1 is capped by
+        // local memory at 14 rounds. Each length is priced twice (as a
+        // first and as a later block), and never is a block planned per
+        // round.
+        let c = tesla(4);
+        let rest = 1_000_000_000 - 1;
+        for (radius, cap) in [(0, 4), (1, 14)] {
+            let round = Round {
+                eval: (),
+                radius,
+                boundary: Boundary2D::Neumann,
+                static_ops: 7,
+            };
+            let dist = MatrixDistribution::RowBlock { halo: radius };
+            let plan = BlockPlan::new::<f32, _>(&c, dist, (1024, 1024), &round, 8);
+            assert_eq!(plan.cap, cap, "radius {radius}");
+            let priced = std::cell::Cell::new(0);
+            let blocks = block_count(rest, plan.cap, |rounds, first| {
+                priced.set(priced.get() + 1);
+                plan.block_s(rounds, first)
+            });
+            assert_eq!(priced.get(), 2 * cap, "radius {radius}");
+            assert!(
+                rest.div_ceil(blocks) <= cap,
+                "radius {radius}: {blocks} blocks"
+            );
+        }
     }
 
     #[test]
@@ -1768,7 +2239,9 @@ mod tests {
 
     #[test]
     fn a_block_is_one_launch_per_part_and_two_where_copies_are_incoming() {
-        // n = 5: round 1, then one block of four rounds.
+        // n = 5: round 1, then one block of four rounds, the plan's pick on
+        // every layout here (launch costs dwarf these kernels), as under
+        // the fixed four-round cap.
         let (rows, cols) = (64, 16);
         let launches = |devices: usize, dist: MatrixDistribution, boundary: Boundary2D| {
             let c = ctx(devices);

@@ -2,7 +2,8 @@
 //! iteration is bit-identical to `n` chained `apply` calls for arbitrary
 //! shapes, boundary modes, device counts and starting distributions — and
 //! its exchange schedule is exact: one halo exchange per block of rounds
-//! (`iterate`) or per round (`iterate_serial`).
+//! its `stencil2d.iterate` span reports (`iterate`) or per round
+//! (`iterate_serial`).
 
 use proptest::prelude::*;
 use skelcl::{
@@ -52,18 +53,46 @@ fn cross_stencil(
     Stencil2D::new(user, 1, boundary)
 }
 
-/// The halo exchanges of `iterate(n)`, radius 1, over a halo-stale
-/// `RowBlock` input of `rows` rows on `devices` devices: one for the stale
-/// input, then one per block. The `n - 1` rounds after the first run in
-/// `⌈(n - 1) / k⌉` blocks, where `k` is 4 capped at the thinnest part's
-/// rows. `iterate_serial` exchanges once per round: `n` in all.
-fn expected_exchanges(rows: usize, devices: usize, n: usize, overlapped: bool) -> u64 {
-    let k = (rows / devices).clamp(1, 4);
+/// Run `iterate(n)` (`overlapped`) or `iterate_serial(n)` on `m` and
+/// return the halo exchanges the run counted and the block count the
+/// `stencil2d.iterate` span reports. The span's blocks cover the `n − 1`
+/// rounds after round 1 in near-equal blocks of at most `block_rounds`
+/// rounds (one round each on the serial schedule).
+fn run_counting<F>(
+    c: &Context,
+    st: &Stencil2D<f32, f32, F>,
+    m: &Matrix<f32>,
+    n: usize,
+    overlapped: bool,
+) -> (u64, u64)
+where
+    F: Fn(&Stencil2DView<'_, f32>) -> f32 + Send + Sync + Clone + 'static,
+{
+    c.enable_spans();
+    c.clear_spans();
+    let before = c.halo_exchange_count();
     if overlapped {
-        1 + (n - 1).div_ceil(k) as u64
+        st.iterate(m, n).unwrap();
     } else {
-        n as u64
+        st.iterate_serial(m, n).unwrap();
     }
+    let exchanges = c.halo_exchange_count() - before;
+    let spans = c.take_spans();
+    let span = spans
+        .iter()
+        .find(|s| s.name == "stencil2d.iterate")
+        .expect("iterate span");
+    let attr = |key: &str| -> usize {
+        let (_, v) = span.attrs.iter().find(|(k, _)| *k == key).expect(key);
+        v.parse().unwrap()
+    };
+    let (blocks, rounds) = (attr("blocks"), attr("block_rounds"));
+    if n > 1 {
+        assert_eq!((n - 1).div_ceil(blocks), rounds, "near-equal blocks");
+    } else {
+        assert_eq!(blocks, 0, "one round runs no block");
+    }
+    (exchanges, blocks as u64)
 }
 
 fn test_data(rows: usize, cols: usize, seed: u32) -> Vec<f32> {
@@ -147,8 +176,8 @@ proptest! {
     // iterate_serial(n) performs exactly n halo-exchange events — one
     // batched exchange per iteration, never one per radius row or per part
     // — and the blocked iterate(n) exactly one for the input plus one per
-    // block of rounds (exchanges issued asynchronously on the copy stream
-    // count like serial ones).
+    // block of rounds its span reports (exchanges issued asynchronously on
+    // the copy stream count like serial ones).
     #[test]
     fn iterate_performs_exactly_n_halo_exchanges(
         rows in 8usize..24,
@@ -166,17 +195,9 @@ proptest! {
             // where the grid arrives from a previous device-side skeleton.
             m.ensure_on_devices().unwrap();
             m.mark_devices_modified();
-            let before = c.halo_exchange_count();
-            if overlapped {
-                st.iterate(&m, n).unwrap();
-            } else {
-                st.iterate_serial(&m, n).unwrap();
-            }
-            prop_assert_eq!(
-                c.halo_exchange_count() - before,
-                expected_exchanges(rows, devices, n, overlapped),
-                "overlapped={}", overlapped
-            );
+            let (exchanges, blocks) = run_counting(&c, &st, &m, n, overlapped);
+            let want = if overlapped { 1 + blocks } else { n as u64 };
+            prop_assert_eq!(exchanges, want, "overlapped={}", overlapped);
         }
     }
 }
@@ -184,7 +205,7 @@ proptest! {
 /// The non-property twin of the exchange-count regression, pinned to
 /// plain configurations so a failure names them: the serial schedule
 /// exchanges once per iteration, the blocked one once for the stale input
-/// and once per block of four rounds (n = 10: 1 + 3 blocks of 3).
+/// and once per block its span reports.
 #[test]
 fn two_and_four_device_iterates_exchange_once_per_iteration() {
     for devices in [2usize, 4] {
@@ -197,16 +218,10 @@ fn two_and_four_device_iterates_exchange_once_per_iteration() {
                     .unwrap();
                 m.ensure_on_devices().unwrap();
                 m.mark_devices_modified();
-                let before = c.halo_exchange_count();
-                if overlapped {
-                    st.iterate(&m, n).unwrap();
-                } else {
-                    st.iterate_serial(&m, n).unwrap();
-                }
-                let want = if overlapped && n == 10 { 4 } else { n as u64 };
+                let (exchanges, blocks) = run_counting(&c, &st, &m, n, overlapped);
+                let want = if overlapped { 1 + blocks } else { n as u64 };
                 assert_eq!(
-                    c.halo_exchange_count() - before,
-                    want,
+                    exchanges, want,
                     "{n} iterations on {devices} devices (overlapped={overlapped})"
                 );
             }
@@ -216,8 +231,7 @@ fn two_and_four_device_iterates_exchange_once_per_iteration() {
 
 /// A fresh upload seeds coherent halos, so the first iteration's exchange
 /// is a no-op: n iterations cost n − 1 exchange events on the serial
-/// schedule, and one per block of the n − 1 later rounds on the blocked one
-/// (n = 6: the 5 later rounds run as two blocks, 3 + 2).
+/// schedule, and one per block of the n − 1 later rounds on the blocked one.
 #[test]
 fn fresh_uploads_save_the_first_exchange() {
     for overlapped in [true, false] {
@@ -226,16 +240,15 @@ fn fresh_uploads_save_the_first_exchange() {
         let m = Matrix::from_vec(&c, 32, 8, test_data(32, 8, 5));
         m.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
             .unwrap();
-        let before = c.halo_exchange_count();
-        if overlapped {
-            st.iterate(&m, 6).unwrap();
-        } else {
-            st.iterate_serial(&m, 6).unwrap();
-        }
+        let (exchanges, blocks) = run_counting(&c, &st, &m, 6, overlapped);
         assert_eq!(
-            c.halo_exchange_count() - before,
-            if overlapped { 2 } else { 5 },
+            exchanges,
+            if overlapped { blocks } else { 5 },
             "overlapped={overlapped}"
+        );
+        assert!(
+            !overlapped || blocks >= 1,
+            "five later rounds run in blocks"
         );
     }
 }

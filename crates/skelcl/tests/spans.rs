@@ -83,7 +83,8 @@ fn stencil_iterate_emits_nested_spans_linked_to_trace() {
             .find(|(k, _)| *k == key)
             .map(|(_, v)| v.clone())
     };
-    // The schedule is readable from the trace: one block of two rounds...
+    // The plan is readable from the trace: one block of two rounds...
+    assert_eq!(attr(&iter.attrs, "blocks").as_deref(), Some("1"));
     assert_eq!(attr(&iter.attrs, "block_rounds").as_deref(), Some("2"));
 
     // Every halo exchange inside iterate is a child span of the iterate span.
