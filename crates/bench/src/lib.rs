@@ -538,9 +538,8 @@ pub fn stencil_iterate_virtual_s(
         .expect("dist");
     plate.ensure_on_devices().expect("upload");
     let st = skelcl_iterative::skelcl_impl::heat_skeleton();
-    // Warm both generated programs (the apply and the iterate forms).
-    st.apply(&plate).expect("warm apply");
-    st.iterate(&plate, 1).expect("warm iterate");
+    // Warm the stencil's one program, which both schedules run.
+    st.apply(&plate).expect("warm");
     let schedule = if batched { "batched" } else { "chained" };
     let label = format!("fig_iterate heat {rows}x{cols} n={n} {schedule} x{devices}");
     record(
@@ -591,8 +590,8 @@ impl CannyLeg {
 /// work-groups load one window 3 rows and columns deep into local memory
 /// and step the three stencils there. The unfused leg runs six skeleton
 /// launches (gauss, sobel x, sobel y, gradient zip, nms, threshold map)
-/// with five materialised intermediates, whose stencils read every tap
-/// from global memory and exchange halos between them. All paths are
+/// with five materialised intermediates, each stencil loading its own
+/// local-memory windows and exchanging halos between them. All paths are
 /// bit-identical (imgproc tests + `prop_fusion`). The shared warm-up runs
 /// the fused chain first, which widens the image's halo to the chain's 3
 /// rows, so the timed unfused chain also reads (and its intermediates
@@ -635,9 +634,9 @@ pub fn canny_virtual_s(rows: usize, cols: usize, devices: usize, leg: CannyLeg) 
 /// on the copy stream under the block's interior-tile launch, and every
 /// block one launch per part (interior and edge tiles where copies are
 /// incoming) that steps its rounds in local memory;
-/// otherwise the serial `iterate_serial` baseline runs (the one-round
-/// program per part per round, device-serializing exchange). The warm-up
-/// builds the program of the schedule measured. Both schedules are
+/// otherwise the serial `iterate_serial` baseline runs (a one-round block
+/// per part per round, device-serializing exchange). Both schedules run
+/// the stencil's one program, which the warm-up builds. Both schedules are
 /// bit-identical in their results (asserted by `prop_overlap`); the figure
 /// isolates the modeled timeline difference. Upload and program warm-up
 /// are excluded.
@@ -668,13 +667,7 @@ pub fn overlap_iterate(
         .expect("dist");
     plate.ensure_on_devices().expect("upload");
     let st = skelcl_iterative::skelcl_impl::heat_skeleton();
-    // The two schedules run different programs: the block program and the
-    // one-round program.
-    if overlapped {
-        st.iterate(&plate, 1).expect("warm");
-    } else {
-        st.iterate_serial(&plate, 1).expect("warm");
-    }
+    st.iterate(&plate, 1).expect("warm");
     let schedule = if overlapped { "overlapped" } else { "serial" };
     let suffix = if checked { " checked" } else { "" };
     let label = format!("fig_overlap iterate {rows}x{cols} n={n} {schedule}{suffix} x{devices}");
@@ -683,84 +676,6 @@ pub fn overlap_iterate(
             st.iterate(&plate, n).expect("iterate");
         } else {
             st.iterate_serial(&plate, n).expect("iterate serial");
-        }
-    });
-    record(&report);
-    report
-}
-
-/// The stencil of the fig-overlap upload leg: a 5×5 box mean (radius 2).
-/// Its 25-tap read pattern makes the kernel long enough on the modeled
-/// hardware that a streamed upload has real compute to hide under — the
-/// regime where upload/compute overlap pays on real GPUs.
-pub fn upload_stencil(
-) -> skelcl::Stencil2D<f32, f32, impl Fn(&skelcl::Stencil2DView<'_, f32>) -> f32 + Clone> {
-    let user = skelcl::UserFn::new(
-        "box5",
-        "float box5(__global float* in, int r, int c, uint nr, uint nc) {\n\
-             float acc = 0.0f;\n\
-             for (int dr = -2; dr <= 2; ++dr)\n\
-                 for (int dc = -2; dc <= 2; ++dc)\n\
-                     acc += stencil_at(in, r, c, nr, nc, dr, dc);\n\
-             return acc * 0.04f;\n\
-         }",
-        |v: &skelcl::Stencil2DView<'_, f32>| {
-            let mut acc = 0.0f32;
-            for dr in -2..=2 {
-                for dc in -2..=2 {
-                    acc += v.get(dr, dc);
-                }
-            }
-            acc * 0.04
-        },
-    );
-    skelcl::Stencil2D::new(user, 2, skelcl::Boundary2D::Neumann)
-}
-
-/// Fig-overlap helper (upload leg): one measured [`upload_stencil`] pass
-/// over a *cold* (host-fresh) `rows × cols` plate, upload included. With
-/// `streamed` the upload goes out in `chunk_rows`-row chunks on the copy
-/// stream and the stencil launches in chunk bands overlapping it
-/// (`Stencil2D::apply_streamed`); otherwise the blocking upload completes
-/// before the single kernel launches (`Stencil2D::apply`). Bit-identical
-/// results; program warm-up excluded. `checked` arms the online hazard
-/// checker as in [`overlap_iterate`].
-pub fn overlap_upload(
-    rows: usize,
-    cols: usize,
-    devices: usize,
-    chunk_rows: usize,
-    streamed: bool,
-    checked: bool,
-) -> RunReport {
-    use skelcl::{Matrix, MatrixDistribution};
-
-    let ctx = Context::from_platform(figure_platform(devices), skelcl::DEFAULT_WORK_GROUP);
-    if checked {
-        ctx.enable_online_hazard_check();
-    }
-    let st = upload_stencil();
-    // Warm the generated program with a throwaway matrix.
-    st.apply(&Matrix::from_vec(
-        &ctx,
-        8,
-        8,
-        skelcl_iterative::heat_plate(8, 8),
-    ))
-    .expect("warm");
-    let data = skelcl_iterative::heat_plate(rows, cols);
-    let plate = Matrix::from_vec(&ctx, rows, cols, data);
-    plate
-        .set_distribution(MatrixDistribution::RowBlock { halo: 2 })
-        .expect("dist");
-    let schedule = if streamed { "streamed" } else { "blocking" };
-    let suffix = if checked { " checked" } else { "" };
-    let label = format!("fig_overlap upload {rows}x{cols} {schedule}{suffix} x{devices}");
-    let (report, ()) = measure(&ctx, &label, skelcl_efficiency(), || {
-        if streamed {
-            st.apply_streamed(&plate, chunk_rows).expect("streamed");
-        } else {
-            st.apply(&plate).expect("blocking");
         }
     });
     record(&report);
@@ -855,8 +770,9 @@ pub fn run_stencil_cache_experiment() -> CacheResult {
         "gauss3",
         "float gauss3(__global float* in, int r, int c, uint nr, uint nc) { /* 3x3 blur */ }",
         1,
-    );
-    let program = skelcl::codegen::stencil2d_program(&gauss3, "float", "float", 1, "neumann");
+    )
+    .with_window("float", 1, "neumann");
+    let program = skelcl::codegen::stencil2d_block_program(&[gauss3], "float", "float");
     let body: vgpu::KernelBody = std::sync::Arc::new(|_wg: &vgpu::WorkGroup| {});
 
     let (_, first) = queue

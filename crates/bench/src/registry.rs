@@ -117,25 +117,22 @@ fn fig_iterate() {
     }
 }
 
-/// The async-overlap figure on its two hot paths:
+/// The async-overlap figure on its hot path: `Stencil2D::iterate` (one
+/// halo exchange per block of rounds, its block count priced from the
+/// platform's costs, on the copy stream under the interior tiles, and one
+/// local-memory launch per block) vs `iterate_serial` (a one-round block per
+/// part per round after a device-serializing exchange), heat relaxation at
+/// 1024², n ∈ {10, 100} × 1/2/4 devices. Overlapped never loses, wins
+/// ≥ 1.2× at n=100 × 4, and keeps the copy engines busy under kernels
+/// there.
 ///
-/// * **Iterate** — `Stencil2D::iterate` (one halo exchange per block of
-///   rounds, its block count priced from the platform's costs, on the
-///   copy stream under the interior tiles, and one local-memory launch
-///   per block) vs `iterate_serial`, heat relaxation at 1024²,
-///   n ∈ {10, 100} × 1/2/4 devices. Overlapped never loses, wins ≥ 1.2× at
-///   n=100 × 4, and keeps the copy engines busy under kernels there.
-/// * **Upload** — `Stencil2D::apply_streamed` (row-chunked upload on the
-///   copy stream, banded kernels overlapping it) vs the blocking upload,
-///   5×5 box stencil at 1024² × 1/2/4 devices. Streamed always wins.
-///
-/// Both schedules are first re-verified bit-identical to their serial twins
-/// (on top of `prop_overlap`), so the figure compares timelines, not
-/// computations. Last, the online hazard checker's wall-clock cost on the
-/// heaviest leg must stay within 2×.
+/// The overlapped schedule is first re-verified bit-identical to the
+/// serial one (on top of `prop_overlap`), so the figure compares
+/// timelines, not computations. Last, the online hazard checker's
+/// wall-clock cost on the heaviest leg must stay within 2×.
 fn fig_overlap() {
     assert_overlap_bit_identity();
-    let (rows, cols, chunk_rows) = (1024usize, 1024usize, 64usize);
+    let (rows, cols) = (1024usize, 1024usize);
 
     for n in [10usize, 100] {
         for devices in [1usize, 2, 4] {
@@ -173,21 +170,6 @@ fn fig_overlap() {
         }
     }
 
-    for devices in [1usize, 2, 4] {
-        let blocking = overlap_upload(rows, cols, devices, chunk_rows, false, false).window_s;
-        let streamed = overlap_upload(rows, cols, devices, chunk_rows, true, false).window_s;
-        assert!(
-            streamed < blocking,
-            "streamed upload ({streamed}s) must beat blocking ({blocking}s) \
-             at {rows}x{cols} on {devices} device(s)"
-        );
-        println!(
-            "fig_overlap check: upload {rows}x{cols} x{devices} device(s): blocking \
-             {blocking:.6}s, streamed {streamed:.6}s ({:.3}x)",
-            blocking / streamed
-        );
-    }
-
     // The checker's hard budget is 2× wall clock: the assert guards against
     // algorithmic blowups in the incremental happens-before graph, while
     // percent-level drift on a shared runner is noise. (That checking never
@@ -222,8 +204,8 @@ fn to_bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Overlapped and streamed results equal the serial ones bit for bit on
-/// 1, 2 and 4 devices.
+/// Overlapped results equal the serial ones bit for bit on 1, 2 and 4
+/// devices.
 fn assert_overlap_bit_identity() {
     for devices in [1usize, 2, 4] {
         let ctx = skelcl::Context::new(
@@ -247,25 +229,16 @@ fn assert_overlap_bit_identity() {
             to_bits(&serial),
             "overlapped iterate diverged on {devices} device(s)"
         );
-
-        let box5 = upload_stencil();
-        let blocking = box5.apply(&mk()).unwrap().to_vec().unwrap();
-        let streamed = box5.apply_streamed(&mk(), 16).unwrap().to_vec().unwrap();
-        assert_eq!(
-            to_bits(&streamed),
-            to_bits(&blocking),
-            "streamed upload diverged on {devices} device(s)"
-        );
     }
 }
 
 /// The lazy-`Pipeline` canny label chain, fused into one launch per part
 /// that steps its three stencils through local-memory windows over one
 /// 3-row halo, with zero intermediate matrices and no halo exchange, vs
-/// the unfused six-skeleton chain with five materialised intermediates and
-/// global-memory taps. Fused wins by ≥ 1.3× at every size and device
-/// count, and its 4-device leg is no slower than its 1-device leg. Read
-/// back to the host at 512², `canny_labels` (banded, each band's read
+/// the unfused six-skeleton chain with five materialised intermediates, a
+/// launch and a window per stencil. Fused wins by ≥ 1.3× at every size and
+/// device count, and its 4-device leg is no slower than its 1-device leg.
+/// Read back to the host at 512², `canny_labels` (banded, each band's read
 /// under the later bands' kernels) is no slower than `run` then `to_vec`
 /// on every device count.
 fn fig_fusion() {

@@ -143,7 +143,9 @@ pub(crate) fn builds(ctx: &Context, job: &Job) -> bool {
             .program()
             .clone(),
         Job::RowSum { .. } => row_sum().program().clone(),
-        Job::Jacobi { .. } => skelcl_iterative::skelcl_impl::heat_skeleton().block_program(),
+        Job::Jacobi { .. } => skelcl_iterative::skelcl_impl::heat_skeleton()
+            .program()
+            .clone(),
         Job::MatMul { .. } => {
             skelcl_linalg::skelcl_impl::matmul_skeleton()
                 .program_on(ctx)

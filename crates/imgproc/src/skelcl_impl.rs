@@ -202,9 +202,10 @@ pub fn canny_labels(
 }
 
 /// Canny label image, **unfused**: the same math as [`canny_labels`] but
-/// one skeleton call per stage — six launches, five intermediate matrices
-/// (blurred, gx, gy, gradient field, suppressed). The `fig_fusion`
-/// baseline; bit-identical to the fused pipeline.
+/// one skeleton call per stage — six launches, each stencil loading its
+/// own local-memory windows, and five intermediate matrices (blurred, gx,
+/// gy, gradient field, suppressed) whose halos are exchanged between
+/// them. The `fig_fusion` baseline; bit-identical to the fused pipeline.
 pub fn canny_labels_unfused(
     img: &Matrix<f32>,
     boundary: Boundary2D,

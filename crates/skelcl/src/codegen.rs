@@ -225,73 +225,6 @@ pub fn scan_program(fn_name: &str, fn_source: &str, t: &str) -> Program {
     Program::from_source(program_name("scan", fn_name, &[t]), source).with_arg_count(6)
 }
 
-/// The index-resolution snippet of `stencil_at` for one boundary mode:
-/// `neumann` clamps, `wrap` is toroidal, `zero` returns the element type's
-/// zero before indexing.
-fn stencil_boundary_resolve(boundary: &str, in_t: &str) -> String {
-    match boundary {
-        "neumann" => "int rr = clamp(row + dr, 0, (int)n_rows - 1);\n\
-                      int cc = clamp(col + dc, 0, (int)n_cols - 1);"
-            .to_string(),
-        "wrap" => "int rr = (row + dr + n_rows) % n_rows;\n\
-                   int cc = (col + dc + n_cols) % n_cols;"
-            .to_string(),
-        _ => format!(
-            "int rr = row + dr; int cc = col + dc;\n\
-             if (rr < 0 || rr >= (int)n_rows || cc < 0 || cc >= (int)n_cols)\n\
-                 return ({in_t})0;"
-        ),
-    }
-}
-
-/// Generate the one-round stencil program of [`crate::Stencil2D::apply`],
-/// `apply_streamed` and `iterate_serial`: one work-item per owned element
-/// calls the user function, whose neighbourhood reads go straight to global
-/// memory through `stencil_at`. Out-of-range accesses follow `boundary`
-/// (`neumann` clamps, `wrap` is toroidal, `zero` reads 0); the boundary mode
-/// changes the emitted index arithmetic, so it is part of the program name
-/// and thus the cache key.
-pub fn stencil2d_program(
-    stencil: &FusedStage,
-    in_t: &str,
-    out_t: &str,
-    radius: usize,
-    boundary: &str,
-) -> Program {
-    let resolve = stencil_boundary_resolve(boundary, in_t);
-    let user = &stencil.name;
-    let source = format!(
-        "// generated by SkelCL codegen: Stencil2D skeleton, radius {radius}, {boundary} boundary\n\
-         inline {in_t} stencil_at(__global const {in_t}* in, int row, int col,\n\
-                                  uint n_rows, uint n_cols, int dr, int dc) {{\n\
-             {resolve}\n\
-             return in[rr * n_cols + cc];\n\
-         }}\n\
-         {}\n\
-         __kernel void skelcl_stencil2d(__global const {in_t}* restrict in,\n\
-                                  __global {out_t}* restrict out,\n\
-                                  const uint n_rows,\n\
-                                  const uint n_cols,\n\
-                                  const uint row_offset) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1) + row_offset;\n\
-             if (row < n_rows && col < n_cols) {{\n\
-                 out[row * n_cols + col] = {user}(in, row, col, n_rows, n_cols);\n\
-             }}\n\
-         }}\n",
-        stencil.source,
-    );
-    Program::from_source(
-        program_name(
-            &format!("stencil2d_r{radius}_{boundary}"),
-            user,
-            &[in_t, out_t],
-        ),
-        source,
-    )
-    .with_arg_count(5)
-}
-
 // ---------------------------------------------------------------------------
 // Skeleton families with fused stages (expression-template kernel fusion).
 //
@@ -306,9 +239,9 @@ pub fn stencil2d_program(
 // the program name — the fused program is cached in the `ProgramRegistry`
 // under that key exactly like any single-skeleton program. The skeleton
 // itself builds the family's stage-free (or, for `Map`, `Zip` and
-// `Stencil2D::iterate`, one-stage) member, so a pipeline over the same
-// user function shares its program: `elementwise_program` serves every
-// `Map` and `Zip` variant, `stencil2d_block_program` every `iterate` block,
+// `Stencil2D`, one-stage) member, so a pipeline over the same user
+// function shares its program: `elementwise_program` serves every `Map`
+// and `Zip` variant, `stencil2d_block_program` every `Stencil2D` launch,
 // `fold_program` `ReduceRows` and `ReduceCols`, and `allpairs_program`
 // both `AllPairs` strategies.
 
@@ -476,8 +409,8 @@ pub fn elementwise_program(
 }
 
 /// Generate the local-memory block program behind every
-/// [`crate::Stencil2D::iterate`] block and every [`crate::Pipeline`]
-/// stencil chain. `stages` holds one or more `stencil`/`stencil_pair`
+/// [`crate::Stencil2D`] launch and every [`crate::Pipeline`] stencil
+/// chain. `stages` holds one or more `stencil`/`stencil_pair`
 /// stages, each carrying its window (see [`FusedStage::with_window`]), and
 /// the element-wise stages around and between them.
 ///
@@ -496,11 +429,12 @@ pub fn elementwise_program(
 /// address space, and `stencil_at` reads a window without boundary
 /// arithmetic (one typed copy per window type when the types differ).
 ///
-/// A lone same-type stencil builds `iterate`'s program: it steps `rounds`
-/// rounds between two windows, the round count is a kernel argument and
-/// the windows are `__local` arguments sized at launch, so one program
-/// serves every block length and part shape. Every other chain computes
-/// one round per stencil, one `__local` window argument each.
+/// A lone same-type stencil builds the program of its `Stencil2D`'s
+/// `apply`, `iterate` and `iterate_serial`: it steps `rounds` rounds
+/// between two windows, the round count is a kernel argument and the
+/// windows are `__local` arguments sized at launch, so one program serves
+/// every block length and part shape. Every other chain computes one round
+/// per stencil, one `__local` window argument each.
 pub fn stencil2d_block_program(stages: &[FusedStage], in_t: &str, out_t: &str) -> Program {
     let anchors: Vec<usize> = (0..stages.len())
         .filter(|&i| stages[i].kind.starts_with("stencil"))

@@ -42,8 +42,9 @@
 //! * and the **async overlap subsystem**: per-device copy streams with
 //!   event-ordered transfers, so the overlapped `iterate` schedule runs
 //!   halo exchanges *under* interior kernels and streamed uploads
-//!   ([`Stencil2D::apply_streamed`], [`Map::apply_streamed`]) overlap PCIe
-//!   with the first dependent kernels (see *Streams and events* below).
+//!   ([`Map::apply_streamed`], AllPairs' replication of a host-fresh `B`)
+//!   overlap PCIe with the first dependent kernels (see *Streams and
+//!   events* below).
 //!
 //! ## Skeleton overview
 //!
@@ -81,10 +82,10 @@
 //!
 //! **Which paths overlap:** [`Stencil2D::iterate`] (halo exchange on the
 //! copy stream under interior compute; `iterate_serial` keeps the serial
-//! schedule), [`Stencil2D::apply_streamed`] and [`Map::apply_streamed`]
-//! (chunked uploads overlapping the first dependent kernels). Every other
-//! path issues device-ordered commands ([`vgpu::Order::Device`]), exactly
-//! as before the subsystem existed.
+//! schedule), [`Map::apply_streamed`] and AllPairs' replication of a
+//! host-fresh `B` (chunked uploads overlapping the first dependent
+//! kernels). Every other path issues device-ordered commands
+//! ([`vgpu::Order::Device`]), exactly as before the subsystem existed.
 //!
 //! ## Streams and events
 //!
@@ -301,9 +302,9 @@
 //! blocks pay fewer launches and exchanges but recompute a wider ring of
 //! cells per tile, so before anything is enqueued the library prices each
 //! block count from the platform's own constants and runs the cheapest.
-//! A single cached block program serves every block. The result is
-//! bit-identical to `n` chained [`Stencil2D::apply`] calls on every device
-//! count.
+//! A single cached block program serves every block, and `apply` too. The
+//! result is bit-identical to `n` chained [`Stencil2D::apply`] calls on
+//! every device count.
 //!
 //! ```
 //! use skelcl::{

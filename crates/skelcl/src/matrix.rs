@@ -132,11 +132,6 @@ impl<T: Scalar> MatrixPart<T> {
         self.halo_above * self.cols
     }
 
-    /// The owned rows as a span-row segment `(first span row, rows)`.
-    pub fn owned_span(&self) -> (usize, usize) {
-        (self.halo_above, self.rows)
-    }
-
     /// The global row stored at span row `s` of this part's buffer.
     pub fn global_row(&self, s: usize, n_rows: usize) -> usize {
         debug_assert!(s < self.span_rows());
@@ -609,10 +604,10 @@ impl<T: Scalar> Matrix<T> {
     /// Upload to the devices like [`Matrix::ensure_on_devices`], but
     /// **streamed in row chunks on the copy stream**: the upload is issued
     /// as asynchronous chunked writes whose events are kept with the parts,
-    /// so a streamed skeleton pass ([`crate::Stencil2D::apply_streamed`])
-    /// launches its first kernels while later chunks are still crossing
-    /// PCIe. A no-op when the devices are already fresh; bit-identical
-    /// data either way.
+    /// so a streamed skeleton pass (AllPairs' replication of `B`) launches
+    /// its first kernels while later chunks are still crossing PCIe. A
+    /// no-op when the devices are already fresh; bit-identical data either
+    /// way.
     pub fn ensure_on_devices_streamed(&self, chunk_rows: usize) -> Result<()> {
         self.upload_parts(Some(chunk_rows), |_, _| ()).map(drop)
     }

@@ -84,6 +84,7 @@ pub(crate) fn range_2d(ctx: &Context, cols: usize, rows: usize) -> vgpu::NDRange
 #[cfg(test)]
 pub(crate) mod test_support {
     use crate::context::{Context, ContextConfig};
+    use crate::Boundary2D;
 
     /// A small multi-CU context for skeleton tests.
     pub fn ctx(n_devices: usize) -> Context {
@@ -94,5 +95,57 @@ pub(crate) mod test_support {
                 .work_group(64)
                 .cache_tag("skelcl-skeleton-tests"),
         )
+    }
+
+    /// The 5-point cross sum's per-cell math over a tap `at(dr, dc)`,
+    /// shared by the device user functions and the host references.
+    pub fn cross_sum_at(at: impl Fn(isize, isize) -> f32) -> f32 {
+        at(-1, 0) + at(1, 0) + at(0, -1) + at(0, 1) + at(0, 0)
+    }
+
+    /// `n` host passes of the cross sum over a `dims` matrix.
+    pub fn host_cross_sum(
+        data: &[f32],
+        dims: (usize, usize),
+        boundary: Boundary2D,
+        n: usize,
+    ) -> Vec<f32> {
+        (0..n).fold(data.to_vec(), |cur, _| {
+            host_stencil(&cur, dims, boundary, |at| cross_sum_at(at))
+        })
+    }
+
+    /// The sequential host evaluation of one stencil pass over a `rows ×
+    /// cols` matrix: `cell(at)` for every cell in row-major order, where
+    /// `at(dr, dc)` reads the neighbour with the boundary resolved on the
+    /// host (clamp, wrap or the default), as `skelcl_imgproc::seq`
+    /// evaluates Canny.
+    pub fn host_stencil<T: Copy + Default, U>(
+        data: &[T],
+        (rows, cols): (usize, usize),
+        boundary: Boundary2D,
+        cell: impl Fn(&dyn Fn(isize, isize) -> T) -> U,
+    ) -> Vec<U> {
+        let (n, m) = (rows as isize, cols as isize);
+        let at = |r: isize, c: isize| -> T {
+            let (r, c) = match boundary {
+                Boundary2D::Neumann => (r.clamp(0, n - 1), c.clamp(0, m - 1)),
+                Boundary2D::Wrap => (r.rem_euclid(n), c.rem_euclid(m)),
+                Boundary2D::Zero => {
+                    if !(0..n).contains(&r) || !(0..m).contains(&c) {
+                        return T::default();
+                    }
+                    (r, c)
+                }
+            };
+            data[r as usize * cols + c as usize]
+        };
+        let mut out = Vec::with_capacity(rows * cols);
+        for r in 0..n {
+            for c in 0..m {
+                out.push(cell(&|dr, dc| at(r + dr, c + dc)));
+            }
+        }
+        out
     }
 }

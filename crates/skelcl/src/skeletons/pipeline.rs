@@ -457,9 +457,7 @@ where
         let out_parts: Vec<MatrixPart<C::Out>> = alloc_matching_matrix_parts(&ctx, &parts)?;
         let host = match dest {
             Dest::Devices => {
-                for (pi, (ip, op)) in parts.iter().zip(&out_parts).enumerate() {
-                    kernel.launch(&ctx, pi, ip, op, &kernel.tiles(ip), Order::Device)?;
-                }
+                kernel.launch_parts(&ctx, &parts, &out_parts)?;
                 None
             }
             Dest::Host => {
@@ -1575,7 +1573,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skeletons::test_support::ctx;
+    use crate::skeletons::test_support::{cross_sum_at, ctx, host_cross_sum, host_stencil};
     use crate::vector::Distribution;
     use crate::{Map, ReduceRows, Stencil2D, Stencil2DView, Zip};
 
@@ -1620,9 +1618,7 @@ mod tests {
              return stencil_at(in,r,c,nr,nc,-1,0) + stencil_at(in,r,c,nr,nc,1,0)\n\
                   + stencil_at(in,r,c,nr,nc,0,-1) + stencil_at(in,r,c,nr,nc,0,1)\n\
                   + stencil_at(in,r,c,nr,nc,0,0);\n}",
-            |v: &Stencil2DView<'_, f32>| {
-                v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1) + v.get(0, 0)
-            },
+            |v: &Stencil2DView<'_, f32>| cross_sum_at(|dr, dc| v.get(dr, dc)),
         )
     }
 
@@ -1673,10 +1669,9 @@ mod tests {
                     .stencil(cross_user(), 1, boundary)
                     .run(&m)
                     .unwrap();
-                let unfused = Stencil2D::new(cross_user(), 1, boundary).apply(&m).unwrap();
                 assert_eq!(
                     bits(&fused.to_vec().unwrap()),
-                    bits(&unfused.to_vec().unwrap()),
+                    bits(&host_cross_sum(&m.to_vec().unwrap(), m.dims(), boundary, 1)),
                     "boundary {boundary:?}, {devices} devices"
                 );
             }
@@ -1703,15 +1698,11 @@ mod tests {
             .unwrap_or(0);
         assert_eq!(after - before, 1, "pre and post maps fuse into the stencil");
 
-        let step1 = Map::new(scale_fn()).apply_matrix(&m).unwrap();
-        let step2 = Stencil2D::new(cross_user(), 1, Boundary2D::Neumann)
-            .apply(&step1)
-            .unwrap();
-        let unfused = Map::new(square_fn()).apply_matrix(&step2).unwrap();
-        assert_eq!(
-            bits(&fused.to_vec().unwrap()),
-            bits(&unfused.to_vec().unwrap())
-        );
+        let (scale, square) = (scale_fn(), square_fn());
+        let scaled: Vec<f32> = m.to_vec().unwrap().into_iter().map(scale.func()).collect();
+        let crossed = host_cross_sum(&scaled, m.dims(), Boundary2D::Neumann, 1);
+        let host: Vec<f32> = crossed.into_iter().map(square.func()).collect();
+        assert_eq!(bits(&fused.to_vec().unwrap()), bits(&host));
     }
 
     #[test]
@@ -1884,16 +1875,13 @@ mod tests {
                 )
                 .run(&m)
                 .unwrap();
-            let left = Stencil2D::new(shift_user(-1, "left"), 1, Boundary2D::Zero)
-                .apply(&m)
-                .unwrap();
-            let right = Stencil2D::new(shift_user(1, "right"), 1, Boundary2D::Zero)
-                .apply(&m)
-                .unwrap();
-            let unfused = Zip::new(add_fn()).apply_matrix(&left, &right).unwrap();
+            let add = add_fn();
+            let host = host_stencil(&m.to_vec().unwrap(), m.dims(), Boundary2D::Zero, |at| {
+                (add.func())(at(0, -1), at(0, 1))
+            });
             assert_eq!(
                 bits(&fused.to_vec().unwrap()),
-                bits(&unfused.to_vec().unwrap()),
+                bits(&host),
                 "{devices} devices"
             );
         }
@@ -1925,12 +1913,10 @@ mod tests {
 
         let before = ctx.halo_exchange_count();
         let st = Stencil2D::new(cross_user(), 1, Boundary2D::Neumann);
-        let unfused = st.apply(&st.apply(&m).unwrap()).unwrap();
+        st.apply(&st.apply(&m).unwrap()).unwrap();
         assert_eq!(ctx.halo_exchange_count() - before, 1);
-        assert_eq!(
-            bits(&fused.to_vec().unwrap()),
-            bits(&unfused.to_vec().unwrap())
-        );
+        let twice = host_cross_sum(&m.to_vec().unwrap(), m.dims(), Boundary2D::Neumann, 2);
+        assert_eq!(bits(&fused.to_vec().unwrap()), bits(&twice));
     }
 
     /// Cells inside a `rows × cols` matrix of every window `radius` cells
@@ -2035,15 +2021,17 @@ mod tests {
         m.set_distribution(MatrixDistribution::RowBlock { halo: 10 })
             .unwrap();
         m.ensure_on_devices().unwrap();
+        let column_at =
+            |r: isize, at: &dyn Fn(isize, isize) -> f32| 0.3 * (at(-r, 0) + at(r, 0)) + at(0, 1);
         let users = [4usize, 3, 3].map(|r| {
             let r = r as isize;
             UserFn::new(
                 "column",
                 "float column(__global float* in, int r, int c, uint nr, uint nc) { /* rows +-r */ }",
-                move |v: &Stencil2DView<'_, f32>| 0.3 * (v.get(-r, 0) + v.get(r, 0)) + v.get(0, 1),
+                move |v: &Stencil2DView<'_, f32>| column_at(r, &|dr, dc| v.get(dr, dc)),
             )
         });
-        let [a, b, d] = users.clone();
+        let [a, b, d] = users;
         let groups = |c: &Context| {
             c.metrics()
                 .counter_value("skelcl.pipeline.groups")
@@ -2073,13 +2061,17 @@ mod tests {
             "one exchange, between the pieces"
         );
 
-        let [a, b, d] = users;
-        let mut cur = Stencil2D::new(a, 4, Boundary2D::Neumann).apply(&m).unwrap();
-        cur = Stencil2D::new(b, 3, Boundary2D::Neumann)
-            .apply(&cur)
-            .unwrap();
-        cur = Stencil2D::new(d, 3, Boundary2D::Zero).apply(&cur).unwrap();
-        assert_eq!(bits(&fused.to_vec().unwrap()), bits(&cur.to_vec().unwrap()));
+        let stages = [
+            (4, Boundary2D::Neumann),
+            (3, Boundary2D::Neumann),
+            (3, Boundary2D::Zero),
+        ];
+        let host = stages
+            .iter()
+            .fold(m.to_vec().unwrap(), |cur, &(r, boundary)| {
+                host_stencil(&cur, (rows, cols), boundary, |at| column_at(r, at))
+            });
+        assert_eq!(bits(&fused.to_vec().unwrap()), bits(&host));
     }
 
     #[test]

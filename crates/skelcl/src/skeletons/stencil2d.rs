@@ -16,28 +16,26 @@
 //! replicates the edge element (zero-gradient), `Wrap` treats the matrix as
 //! a torus, `Zero` reads the element type's default.
 //!
-//! Two launchers run the user function over one view type.
-//! [`Stencil2D::iterate`] and every stencil chain of a
-//! [`Pipeline`](crate::Pipeline) go through the block kernel: each
-//! work-group loads its tile's window into local memory once (one counted
-//! global read per cell inside the matrix, with a chain's fused
-//! element-wise stages applied as the cell loads), steps its rounds there
-//! and writes its tile once. An `iterate` block steps one stencil several
-//! times between two windows; a pipeline chain steps each of its stencils
-//! once, each into a window of its own type; one generator emits both
-//! programs ([`codegen::stencil2d_block_program`]). [`Stencil2D::apply`],
-//! [`Stencil2D::apply_streamed`] and [`Stencil2D::iterate_serial`] keep
-//! the one-round kernel whose every tap is a global read
-//! ([`codegen::stencil2d_program`]): the fusion property suite checks every
-//! pipeline group against them, and `fig_overlap`'s upload leg overlaps
-//! `apply_streamed`'s taps with the upload.
+//! One launcher runs every stencil: the block kernel, from one generator
+//! ([`codegen::stencil2d_block_program`]). Each work-group loads its
+//! tile's window into local memory once (one counted global read per cell
+//! inside the matrix, with a pipeline chain's fused element-wise stages
+//! applied as the cell loads), resolving the boundary as the window loads,
+//! so the user function's [`Stencil2DView`] reads every tap from the
+//! window. It then steps its rounds there and writes its tile once.
+//! [`Stencil2D::apply`] and every round of [`Stencil2D::iterate_serial`]
+//! step one round; a [`Stencil2D::iterate`] block steps one stencil
+//! several times between two windows; a [`Pipeline`](crate::Pipeline)
+//! chain steps each of its stencils once, each into a window of its own
+//! type. A same-type stencil's `apply`, `iterate` and `iterate_serial`
+//! share one program ([`Stencil2D::program`]).
 
 use crate::codegen::{self, UserFn};
 use crate::context::Context;
 use crate::error::Result;
 use crate::matrix::{
     alloc_parts, block_ranges, exchange_part_halos, exchange_part_halos_overlapped, Matrix,
-    MatrixDistribution, MatrixPart, PartExchange, UploadChunk,
+    MatrixDistribution, MatrixPart, PartExchange,
 };
 use crate::meter;
 use crate::skeletons::pipeline::{stage_of, OpId, PixelOp};
@@ -74,42 +72,24 @@ impl Boundary2D {
     }
 }
 
-/// Where a view's neighbourhood reads come from.
-enum Taps<'a, T: Element> {
-    /// The part buffer itself: a one-round launch's counted global reads.
-    Buffer(&'a Buffer<T>, &'a Item<'a>),
-    /// A block launch's local-memory window, which already holds every
-    /// neighbour with its boundary resolved: a tap is one local read at
-    /// `centre + dr · stride + dc`.
-    Window {
-        win: &'a LocalBuf<T>,
-        centre: usize,
-        stride: usize,
-    },
-}
-
 /// The customizing function's view of one stencil application: counted
-/// access to the `[-radius, +radius]²` neighbourhood of its element. In a
+/// access to the `[-radius, +radius]²` neighbourhood of its element, read
+/// from the work-group's local-memory window, which already holds every
+/// neighbour with its boundary resolved. In a
 /// [`Pipeline`](crate::Pipeline) stencil stage a read returns the value of
 /// the element-wise stages fused before it at that position, computed once
 /// per cell as the window loads.
 pub struct Stencil2DView<'a, T: Element> {
-    taps: Taps<'a, T>,
-    /// Matrix width (also the part buffer's row stride).
-    cols: usize,
-    /// Matrix height.
-    n_rows: usize,
-    /// The centre's row within the part's span buffer (within the window
-    /// for window taps, which do not read it).
-    span_row: usize,
-    /// Total rows in the part's span buffer (the window's for window taps).
-    span_rows: usize,
-    /// The centre's global row.
-    g_row: usize,
-    /// The centre's column.
-    col: usize,
+    win: &'a LocalBuf<T>,
+    /// The centre's index in `win`.
+    centre: usize,
+    /// `win`'s row length.
+    stride: usize,
+    /// Matrix `(rows, cols)`.
+    dims: (usize, usize),
+    /// The centre's global `(row, col)`.
+    pos: (usize, usize),
     radius: usize,
-    boundary: Boundary2D,
 }
 
 impl<'a, T: Element> Stencil2DView<'a, T> {
@@ -123,74 +103,18 @@ impl<'a, T: Element> Stencil2DView<'a, T> {
             "stencil access ({dr}, {dc}) exceeds radius {}",
             self.radius
         );
-        if let Taps::Window {
-            win,
-            centre,
-            stride,
-        } = self.taps
-        {
-            return win.get((centre as isize + dr * stride as isize + dc) as usize);
-        }
-        let n_rows = self.n_rows as isize;
-        let n_cols = self.cols as isize;
-        // Resolve the row against the boundary, then express it as a span
-        // offset: span rows are consecutive global rows (mod n_rows), so an
-        // effective delta of d lands at span_row + d.
-        let row_delta = match self.boundary {
-            Boundary2D::Wrap => dr,
-            Boundary2D::Neumann => {
-                let clamped = (self.g_row as isize + dr).clamp(0, n_rows - 1);
-                clamped - self.g_row as isize
-            }
-            Boundary2D::Zero => {
-                let target = self.g_row as isize + dr;
-                if target < 0 || target >= n_rows {
-                    return T::default();
-                }
-                dr
-            }
-        };
-        let col = match self.boundary {
-            Boundary2D::Wrap => (self.col as isize + dc).rem_euclid(n_cols),
-            Boundary2D::Neumann => (self.col as isize + dc).clamp(0, n_cols - 1),
-            Boundary2D::Zero => {
-                let target = self.col as isize + dc;
-                if target < 0 || target >= n_cols {
-                    return T::default();
-                }
-                target
-            }
-        };
-        let mut span_row = self.span_row as isize + row_delta;
-        if span_row < 0 || span_row >= self.span_rows as isize {
-            // Reachable in two cases, both with `span_rows >= n_rows`: a
-            // part holding the whole matrix with no halo rows (Single/Copy
-            // under Wrap), and a RowBlock part whose halo was clamped to
-            // the matrix height because the radius meets or exceeds it.
-            // Span rows are consecutive global rows (mod n_rows), so
-            // reducing the overflowed span position modulo the height
-            // lands on a span row holding exactly the wrapped target row.
-            debug_assert!(
-                self.span_rows >= self.n_rows,
-                "beyond-span stencil read with a span narrower than the matrix"
-            );
-            span_row = span_row.rem_euclid(n_rows);
-        }
-        let (span_row, col) = (span_row as usize, col as usize);
-        match self.taps {
-            Taps::Buffer(buf, item) => item.read(buf, span_row * self.cols + col),
-            Taps::Window { .. } => unreachable!("window taps return above"),
-        }
+        let at = self.centre as isize + dr * self.stride as isize + dc;
+        self.win.get(at as usize)
     }
 
     /// The centre's global position `(row, col)`.
     pub fn position(&self) -> (usize, usize) {
-        (self.g_row, self.col)
+        self.pos
     }
 
     /// The matrix dimensions `(rows, cols)`.
     pub fn dims(&self) -> (usize, usize) {
-        (self.n_rows, self.cols)
+        self.dims
     }
 
     pub fn radius(&self) -> usize {
@@ -214,15 +138,9 @@ where
     F: Fn(&Stencil2DView<'_, T>) -> U + Send + Sync + Clone + 'static,
 {
     pub fn new(user: UserFn<F>, radius: usize, boundary: Boundary2D) -> Self {
-        // The one-round program of `apply`, `apply_streamed` and
-        // `iterate_serial`.
-        let program = codegen::stencil2d_program(
-            &stage_of("stencil", &user),
-            T::TYPE_NAME,
-            U::TYPE_NAME,
-            radius,
-            boundary.codegen_name(),
-        );
+        let stage =
+            stage_of("stencil", &user).with_window(T::TYPE_NAME, radius, boundary.codegen_name());
+        let program = codegen::stencil2d_block_program(&[stage], T::TYPE_NAME, U::TYPE_NAME);
         Stencil2D {
             user,
             radius,
@@ -232,7 +150,13 @@ where
         }
     }
 
-    /// The generated OpenCL-C program (exposed for the cache experiments).
+    /// The generated block program every launch of this stencil runs
+    /// ([`codegen::stencil2d_block_program`] of its one stage), which a
+    /// one-stage [`Pipeline`](crate::Pipeline) stencil over the same
+    /// function shares. For a same-type stencil its round count is a kernel
+    /// argument, so [`Stencil2D::apply`], every block of
+    /// [`Stencil2D::iterate`] and [`Stencil2D::iterate_serial`] run this
+    /// one program.
     pub fn program(&self) -> &Program {
         &self.program
     }
@@ -253,28 +177,61 @@ where
         span
     }
 
-    /// The one-round kernel over a matrix of `n_rows` rows.
-    fn kernel(&self, ctx: &Context, n_rows: usize) -> Result<StencilKernel<T, U, F>> {
-        Ok(StencilKernel {
-            compiled: ctx.get_or_build(&self.program)?,
+    /// The stencil as one chain stage.
+    fn round(&self) -> Round<F> {
+        Round {
             eval: self.user.func().clone(),
-            static_ops: self.user.static_ops(),
             radius: self.radius,
             boundary: self.boundary,
-            n_rows,
+            static_ops: self.user.static_ops(),
+        }
+    }
+
+    /// The one-round block kernel of [`Stencil2D::apply`] and
+    /// [`Stencil2D::iterate_serial`] over a `rows × cols` matrix: the
+    /// one-stage chain a one-stage pipeline stencil launches. Its window is
+    /// checked against local memory before the program is built.
+    #[allow(clippy::type_complexity)]
+    fn one_round(
+        &self,
+        ctx: &Context,
+        (rows, cols): (usize, usize),
+    ) -> Result<BlockKernel<T, T, OpId<T>, Last<F, OpId<U>, T, U, U>>> {
+        let group = block_group(ctx, rows, cols);
+        check_local_mem(ctx, window_bytes::<T>(group, self.radius))?;
+        Ok(BlockKernel {
+            compiled: ctx.get_or_build(&self.program)?,
+            pre: OpId::new(),
+            load_ops: 0,
+            chain: Last {
+                round: self.round(),
+                post: OpId::new(),
+                _pd: PhantomData,
+            },
+            n_rows: rows,
+            group,
             _pd: PhantomData,
         })
     }
 
-    /// Apply the skeleton. Under `RowBlock` the input's halo is widened to
-    /// the stencil radius if needed and stale halo rows are refreshed by
+    /// Apply the skeleton: per part, one launch of the block kernel in
+    /// which every work-group loads its tile's window, `radius` cells
+    /// deeper on every side, into local memory once and computes its tile
+    /// from there. Under `RowBlock` the input's halo is widened to the
+    /// stencil radius if needed and stale halo rows are refreshed by
     /// automatic device-to-device exchange; everything stays on the devices
     /// (lazy copying).
+    ///
+    /// The window must fit local memory: a stencil whose `(lx + 2·radius) ×
+    /// (ly + 2·radius)` window of `T` exceeds the smallest device's local
+    /// memory fails with [`vgpu::Error::LocalMemExceeded`] before anything
+    /// is uploaded, built or launched. For `f32` with 16×16 work-groups on
+    /// the default 16 KiB devices, radius 24 is the widest that fits.
     pub fn apply(&self, input: &Matrix<T>) -> Result<Matrix<U>> {
         let ctx = input.ctx().clone();
         let _span = self.span("stencil2d.apply", input);
         let (n_rows, cols) = input.dims();
-        let kernel = self.kernel(&ctx, n_rows)?;
+        let kernel = self.one_round(&ctx, (n_rows, cols))?;
         stencil_input_layout(input, self.radius)?;
         let in_parts = input.parts_with_fresh_halos()?;
 
@@ -283,55 +240,6 @@ where
         // inputs), so output halos are stale unless there are none.
         let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
         kernel.launch_parts(&ctx, &in_parts, &out_parts)?;
-
-        Ok(Matrix::from_device_parts(
-            &ctx,
-            n_rows,
-            cols,
-            input.distribution(),
-            out_parts,
-            stale_free(&in_parts),
-        ))
-    }
-
-    /// Like [`Stencil2D::apply`], but when the input still lives on the
-    /// host its upload is **streamed in row chunks on the copy stream** and
-    /// the stencil launches in chunk-sized row bands, each waiting only for
-    /// the upload chunks covering its read window — so the first bands
-    /// compute while later chunks are still crossing PCIe, instead of the
-    /// whole upload completing before the first kernel. Bit-identical to
-    /// [`Stencil2D::apply`] (same generated program, same per-element
-    /// math); on device-fresh input it degrades to exactly `apply`'s
-    /// schedule.
-    pub fn apply_streamed(&self, input: &Matrix<T>, chunk_rows: usize) -> Result<Matrix<U>> {
-        let ctx = input.ctx().clone();
-        let mut span = self.span("stencil2d.apply_streamed", input);
-        span.attr("chunk_rows", chunk_rows.to_string());
-        let (n_rows, cols) = input.dims();
-        let kernel = self.kernel(&ctx, n_rows)?;
-        stencil_input_layout(input, self.radius)?;
-
-        let chunk_rows = chunk_rows.max(1);
-        let (in_parts, upload_chunks) = input.parts_with_upload_chunks(chunk_rows)?;
-        let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
-
-        for ((ip, chunks), op) in in_parts.iter().zip(&upload_chunks).zip(&out_parts) {
-            if chunks.is_empty() {
-                // Already resident: the plain device-serializing launch.
-                kernel.launch_part(&ctx, ip, op, ip.owned_span(), Order::Device)?;
-                continue;
-            }
-            // Launch in chunk-aligned owned-row bands, each depending on
-            // the upload chunks covering its radius-widened read window.
-            let mut start = 0;
-            while start < ip.rows {
-                let len = chunk_rows.min(ip.rows - start);
-                let deps = covering_chunks(chunks, ip, self.radius, self.boundary, start, len);
-                let band = (ip.halo_above + start, len);
-                kernel.launch_part(&ctx, ip, op, band, Order::After(&deps))?;
-                start += len;
-            }
-        }
 
         Ok(Matrix::from_device_parts(
             &ctx,
@@ -380,10 +288,10 @@ where
     /// * **one launch per block, stepping its rounds in local memory** —
     ///   global memory is read and written once per block, not once per
     ///   round;
-    /// * **one cached program for every block** —
-    ///   [`Stencil2D::block_program`] takes the round count as a kernel
-    ///   argument, so `iterate(x, 1)` builds the program every later
-    ///   block length and part shape runs.
+    /// * **one cached program for every block** — [`Stencil2D::program`]
+    ///   takes the round count as a kernel argument, so `iterate(x, 1)` (or
+    ///   `apply`) builds the program every later block length and part
+    ///   shape runs.
     ///
     /// `iterate(input, 0)` is the identity: it returns a handle to `input`.
     ///
@@ -434,26 +342,12 @@ where
         self.iterate_blocked(input, n, BlockPlan::cheapest)
     }
 
-    /// The generated block program [`Stencil2D::iterate`] launches (its
-    /// round count is a kernel argument; see
-    /// [`codegen::stencil2d_block_program`]), which a one-stage
-    /// [`Pipeline`](crate::Pipeline) stencil over the same function shares.
-    /// [`Stencil2D::program`] is the one-round program of `apply`,
-    /// `apply_streamed` and `iterate_serial`.
-    pub fn block_program(&self) -> Program {
-        let stage = stage_of("stencil", &self.user).with_window(
-            T::TYPE_NAME,
-            self.radius,
-            self.boundary.codegen_name(),
-        );
-        codegen::stencil2d_block_program(&[stage], T::TYPE_NAME, T::TYPE_NAME)
-    }
-
-    /// The serial schedule of [`Stencil2D::iterate`]: the one-round
-    /// program launched once per part per round, each round's halo exchange
-    /// device-serializing on the main timeline (the pre-overlap behaviour,
-    /// kept as the measurable baseline for `fig_overlap` and the overlap
-    /// property suite). The result keeps the input's distribution.
+    /// The serial schedule of [`Stencil2D::iterate`]: every round is
+    /// [`Stencil2D::apply`]'s one-round block, launched once per part after
+    /// the round's halo exchange, which is device-serializing on the main
+    /// timeline (the pre-overlap behaviour, kept as the measurable baseline
+    /// for `fig_overlap` and the overlap property suite). The result keeps
+    /// the input's distribution.
     pub fn iterate_serial(&self, input: &Matrix<T>, n: usize) -> Result<Matrix<T>> {
         if n == 0 {
             return Ok(input.clone());
@@ -465,7 +359,7 @@ where
         span.attr("schedule", "serial");
         span.attr("blocks", (n - 1).to_string());
         span.attr("block_rounds", "1");
-        let kernel = self.kernel(&ctx, n_rows)?;
+        let kernel = self.one_round(&ctx, (n_rows, cols))?;
         stencil_input_layout(input, self.radius)?;
         // Round 1 reads the input's own parts.
         let in_parts = input.parts_with_fresh_halos()?;
@@ -524,15 +418,10 @@ where
         // Checked and planned before anything is enqueued or built.
         let group = block_group(&ctx, n_rows, cols);
         check_local_mem(&ctx, 2 * window_bytes::<T>(group, radius))?;
-        let program = self.block_program();
         let dist = stencil_layout(input.distribution(), radius);
-        let round = Round {
-            eval: self.user.func().clone(),
-            radius,
-            boundary: self.boundary,
-            static_ops: self.user.static_ops(),
-        };
-        let plan = BlockPlan::new::<T, _>(&ctx, dist, (n_rows, cols), &round, program.n_args);
+        let round = self.round();
+        let n_args = self.program.n_args;
+        let plan = BlockPlan::new::<T, _>(&ctx, dist, (n_rows, cols), &round, n_args);
         let blocks: Vec<usize> = match n - 1 {
             0 => Vec::new(),
             rest => block_ranges(rest, count(&plan, rest))
@@ -544,7 +433,7 @@ where
         span.attr("blocks", blocks.len().to_string());
         span.attr("block_rounds", depth.to_string());
         let mut kernel = BlockKernel {
-            compiled: ctx.get_or_build(&program)?,
+            compiled: ctx.get_or_build(&self.program)?,
             pre: OpId::new(),
             load_ops: 0,
             chain: Repeat {
@@ -1064,19 +953,12 @@ impl Block<'_> {
         st: &Round<E>,
     ) -> Stencil2DView<'a, T> {
         Stencil2DView {
-            taps: Taps::Window {
-                win,
-                centre: self.at(off, w, c),
-                stride: self.ww - 2 * off,
-            },
-            cols: self.n_cols,
-            n_rows: self.n_rows,
-            span_row: w,
-            span_rows: self.wh,
-            g_row: self.rows[w].global,
-            col: self.cols[c].global,
+            win,
+            centre: self.at(off, w, c),
+            stride: self.ww - 2 * off,
+            dims: (self.n_rows, self.n_cols),
+            pos: (self.rows[w].global, self.cols[c].global),
             radius: st.radius,
-            boundary: st.boundary,
         }
     }
 
@@ -1329,10 +1211,11 @@ where
 /// local memory once (one counted global read per cell inside the matrix,
 /// holding `pre` of the input part's element), steps `chain` over it and
 /// writes its tile once. [`Stencil2D::iterate`] launches [`Repeat`] blocks
-/// with an identity `pre`; a [`Pipeline`](crate::Pipeline) launches each
-/// run of stencil stages as [`Link`]s ending in a [`Last`], its pending
-/// element-wise chains fused into `pre` and the rounds' stores. `J` and `A`
-/// are the input and first-window element types.
+/// and [`Stencil2D::apply`] a one-stage [`Last`], both with an identity
+/// `pre`; a [`Pipeline`](crate::Pipeline) launches each run of stencil
+/// stages as [`Link`]s ending in a [`Last`], its pending element-wise
+/// chains fused into `pre` and the rounds' stores. `J` and `A` are the
+/// input and first-window element types.
 pub(crate) struct BlockKernel<J, A, Pre, C> {
     pub compiled: CompiledKernel,
     /// The element-wise chain run on every window cell as it loads.
@@ -1373,6 +1256,21 @@ where
         let wrap = self.chain.boundary() == Boundary2D::Wrap;
         let owned = (p.row_offset, p.rows);
         window_leaves_part(first, rows, self.chain.depth(), owned, self.n_rows, wrap)
+    }
+
+    /// Launch the chain over every tile of every part: `src[i]` is read
+    /// and the owned rows of `dst[i]` are written, one device-ordered launch
+    /// per part.
+    pub fn launch_parts(
+        &self,
+        ctx: &Context,
+        src: &[MatrixPart<J>],
+        dst: &[MatrixPart<C::Out>],
+    ) -> Result<()> {
+        for (pi, (ip, op)) in src.iter().zip(dst).enumerate() {
+            self.launch(ctx, pi, ip, op, &self.tiles(ip), Order::Device)?;
+        }
+        Ok(())
     }
 
     /// Launch the chain over `tiles` of part `pi`'s input `ip`, writing
@@ -1489,146 +1387,16 @@ pub(crate) fn stencil_input_layout<T: Element>(input: &Matrix<T>, radius: usize)
     }
 }
 
-/// The one-round kernel of [`Stencil2D::apply`], [`Stencil2D::apply_streamed`]
-/// and [`Stencil2D::iterate_serial`]: per owned element, `eval(view)`,
-/// where every neighbourhood read is a counted global read of the input
-/// part.
-struct StencilKernel<T, U, F> {
-    compiled: CompiledKernel,
-    eval: F,
-    /// Static per-element issue cost of the user function.
-    static_ops: u64,
-    radius: usize,
-    boundary: Boundary2D,
-    /// Matrix height.
-    n_rows: usize,
-    _pd: PhantomData<fn(T) -> U>,
-}
-
-impl<T, U, F> StencilKernel<T, U, F>
-where
-    T: Element,
-    U: Element,
-    F: Fn(&Stencil2DView<'_, T>) -> U + Send + Sync + Clone + 'static,
-{
-    /// Launch one pass over every part pair: `src[i]` (halo rows assumed
-    /// coherent) is read, the owned rows of `dst[i]` are written, one
-    /// device-serializing launch per part. Source and destination geometry
-    /// must mirror each other.
-    fn launch_parts(
-        &self,
-        ctx: &Context,
-        src: &[MatrixPart<T>],
-        dst: &[MatrixPart<U>],
-    ) -> Result<()> {
-        for (ip, op) in src.iter().zip(dst) {
-            self.launch_part(ctx, ip, op, ip.owned_span(), Order::Device)?;
-        }
-        Ok(())
-    }
-
-    /// Launch one pass over span rows `[start, start + len)` of the input
-    /// part `ip`. Each row is written at the same global row of `op`, whose
-    /// halo may differ from `ip`'s: span row `s` of `ip` lands at span row
-    /// `s - ip.halo_above + op.halo_above` of `op`. The input rows within
-    /// `radius` of every covered row are assumed coherent.
-    ///
-    /// `order` is passed straight to the launch: [`Order::Device`] for the
-    /// device-ordered launch, or [`Order::After`] to order the kernel only
-    /// by the main queue, the listed events, and the compute engine.
-    /// Returns the launch event, or `None` when the band is empty.
-    ///
-    /// However the rows are split into launches, every covered element
-    /// computes the exact same value: the split changes the modeled
-    /// timeline, never the data.
-    fn launch_part(
-        &self,
-        ctx: &Context,
-        ip: &MatrixPart<T>,
-        op: &MatrixPart<U>,
-        (start, launch_rows): (usize, usize),
-        order: Order<'_>,
-    ) -> Result<Option<Event>> {
-        let cols = ip.cols;
-        if launch_rows == 0 || cols == 0 {
-            return Ok(None);
-        }
-        let (src, dst) = (ip.buffer.clone(), op.buffer.clone());
-        let eval = self.eval.clone();
-        let (radius, boundary, n_rows) = (self.radius, self.boundary, self.n_rows);
-        let static_ops = self.static_ops;
-        let (in_halo, out_halo) = (ip.halo_above, op.halo_above);
-        let (row_offset, span_rows) = (ip.row_offset, ip.span_rows());
-        let body: KernelBody = Arc::new(move |wg| {
-            wg.for_each_item(|it| {
-                if !it.in_bounds() {
-                    return;
-                }
-                let (col, span_row) = (it.global_id(0), start + it.global_id(1));
-                let view = Stencil2DView {
-                    taps: Taps::Buffer(&src, it),
-                    cols,
-                    n_rows,
-                    span_row,
-                    span_rows,
-                    g_row: (row_offset + n_rows + span_row - in_halo) % n_rows,
-                    col,
-                    radius,
-                    boundary,
-                };
-                let (y, dyn_ops) = meter::metered(|| eval(&view));
-                it.write(&dst, (span_row + out_halo - in_halo) * cols + col, y);
-                it.work(static_ops + dyn_ops);
-            });
-        });
-        let kernel = self.compiled.with_body(body);
-        let nd = range_2d(ctx, cols, launch_rows);
-        Ok(Some(ctx.queue(ip.device).launch(&kernel, nd, order)?))
-    }
-}
-
 /// Can a stencil's output start life with coherent halos? Only when there
 /// are none to go stale.
 pub(crate) fn stale_free<T: Element>(parts: &[MatrixPart<T>]) -> bool {
     parts.iter().all(|p| p.halo_above == 0 && p.halo_below == 0)
 }
 
-/// The upload-chunk events a band launch over owned rows
-/// `[start, start + len)` of `p` must wait for: the chunks intersecting the
-/// band's radius-widened span-row read window. `Neumann` and `Zero` never
-/// read outside the span (they clamp or synthesize), so the window clamps
-/// to it; under `Wrap` a window leaving the span wraps modulo the matrix
-/// height (`Stencil2DView::get`'s beyond-span rule) and can touch any span
-/// row, so every chunk becomes a dependency.
-fn covering_chunks<T: Element>(
-    chunks: &[UploadChunk],
-    p: &MatrixPart<T>,
-    radius: usize,
-    boundary: Boundary2D,
-    start: usize,
-    len: usize,
-) -> Vec<Event> {
-    let span = p.span_rows() as isize;
-    let mut lo = (p.halo_above + start) as isize - radius as isize;
-    let mut hi = (p.halo_above + start + len - 1) as isize + radius as isize;
-    if lo < 0 || hi >= span {
-        if boundary == Boundary2D::Wrap {
-            return chunks.iter().map(|c| c.event.clone()).collect();
-        }
-        lo = lo.max(0);
-        hi = hi.min(span - 1);
-    }
-    chunks
-        .iter()
-        .filter(|c| (c.span_start as isize) <= hi && lo < (c.span_start + c.span_len) as isize)
-        .map(|c| c.event.clone())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skeletons::test_support::ctx;
+    use crate::skeletons::test_support::{cross_sum_at, ctx, host_cross_sum, host_stencil};
 
     /// 5-point Laplacian-style sum, radius 1.
     fn cross_user() -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
@@ -1638,44 +1406,12 @@ mod tests {
              return stencil_at(in,r,c,nr,nc,-1,0) + stencil_at(in,r,c,nr,nc,1,0)\n\
                   + stencil_at(in,r,c,nr,nc,0,-1) + stencil_at(in,r,c,nr,nc,0,1)\n\
                   + stencil_at(in,r,c,nr,nc,0,0);\n}",
-            |v: &Stencil2DView<'_, f32>| {
-                v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1) + v.get(0, 0)
-            },
+            |v: &Stencil2DView<'_, f32>| cross_sum_at(|dr, dc| v.get(dr, dc)),
         )
     }
 
     fn cross_sum() -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
         Stencil2D::new(cross_user(), 1, Boundary2D::Neumann)
-    }
-
-    fn reference_cross_sum(
-        data: &[f32],
-        rows: usize,
-        cols: usize,
-        boundary: Boundary2D,
-    ) -> Vec<f32> {
-        let at = |r: isize, c: isize| -> f32 {
-            let (r, c) = match boundary {
-                Boundary2D::Neumann => {
-                    (r.clamp(0, rows as isize - 1), c.clamp(0, cols as isize - 1))
-                }
-                Boundary2D::Wrap => (r.rem_euclid(rows as isize), c.rem_euclid(cols as isize)),
-                Boundary2D::Zero => {
-                    if r < 0 || r >= rows as isize || c < 0 || c >= cols as isize {
-                        return 0.0;
-                    }
-                    (r, c)
-                }
-            };
-            data[r as usize * cols + c as usize]
-        };
-        let mut out = Vec::with_capacity(rows * cols);
-        for r in 0..rows as isize {
-            for c in 0..cols as isize {
-                out.push(at(r - 1, c) + at(r + 1, c) + at(r, c - 1) + at(r, c + 1) + at(r, c));
-            }
-        }
-        out
     }
 
     fn test_image(rows: usize, cols: usize) -> Vec<f32> {
@@ -1693,7 +1429,7 @@ mod tests {
         let out = cross_sum().apply(&m).unwrap().to_vec().unwrap();
         assert_eq!(
             out,
-            reference_cross_sum(&data, rows, cols, Boundary2D::Neumann)
+            host_cross_sum(&data, (rows, cols), Boundary2D::Neumann, 1)
         );
     }
 
@@ -1722,21 +1458,14 @@ mod tests {
         let data = test_image(rows, cols);
         for boundary in [Boundary2D::Neumann, Boundary2D::Wrap, Boundary2D::Zero] {
             let c = ctx(3);
-            let user = UserFn::new(
-                "csum",
-                "float csum(__global float* in, int r, int c, uint nr, uint nc) { /* as cross_sum */ }",
-                |v: &Stencil2DView<'_, f32>| {
-                    v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1) + v.get(0, 0)
-                },
-            );
-            let st = Stencil2D::new(user, 1, boundary);
+            let st = Stencil2D::new(cross_user(), 1, boundary);
             let m = Matrix::from_vec(&c, rows, cols, data.clone());
             m.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
                 .unwrap();
             let got = st.apply(&m).unwrap().to_vec().unwrap();
             assert_eq!(
                 got,
-                reference_cross_sum(&data, rows, cols, boundary),
+                host_cross_sum(&data, (rows, cols), boundary, 1),
                 "{boundary:?}"
             );
         }
@@ -1762,24 +1491,9 @@ mod tests {
             MatrixDistribution::RowBlock { halo: 3 },
             "halo must be widened to the radius"
         );
-        let want: Vec<f32> = (0..rows as isize)
-            .flat_map(|r| {
-                let data = &data;
-                (0..cols as isize).map(move |c| {
-                    let up = if r >= 3 {
-                        data[(r - 3) as usize * cols + c as usize]
-                    } else {
-                        0.0
-                    };
-                    let down = if r + 3 < rows as isize {
-                        data[(r + 3) as usize * cols + c as usize]
-                    } else {
-                        0.0
-                    };
-                    up + down
-                })
-            })
-            .collect();
+        let want = host_stencil(&data, (rows, cols), Boundary2D::Zero, |at| {
+            at(-3, 0) + at(3, 0)
+        });
         assert_eq!(got, want);
     }
 
@@ -1805,9 +1519,7 @@ mod tests {
         assert_eq!(delta.h2d_transfers, 0, "no host round trip");
         assert_eq!(delta.d2h_transfers, 0, "no host round trip");
         // And the result is still right.
-        let host = m.to_vec().unwrap();
-        let once = reference_cross_sum(&host, rows, cols, Boundary2D::Neumann);
-        let twice = reference_cross_sum(&once, rows, cols, Boundary2D::Neumann);
+        let twice = host_cross_sum(&m.to_vec().unwrap(), (rows, cols), Boundary2D::Neumann, 2);
         assert_eq!(second.to_vec().unwrap(), twice);
     }
 
@@ -1827,16 +1539,9 @@ mod tests {
         );
         let st = Stencil2D::new(user, 3, Boundary2D::Wrap);
         let got = st.apply(&m).unwrap().to_vec().unwrap();
-        let want: Vec<f32> = (0..rows as isize)
-            .flat_map(|r| {
-                let data = &data;
-                (0..cols as isize).map(move |c| {
-                    let up = data[(r - 3).rem_euclid(rows as isize) as usize * cols + c as usize];
-                    let down = data[(r + 3).rem_euclid(rows as isize) as usize * cols + c as usize];
-                    up + down
-                })
-            })
-            .collect();
+        let want = host_stencil(&data, (rows, cols), Boundary2D::Wrap, |at| {
+            at(-3, 0) + at(3, 0)
+        });
         assert_eq!(got, want);
     }
 
@@ -1854,19 +1559,25 @@ mod tests {
         assert!(err.to_string().contains("exceeds radius"), "{err}");
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn iterate_matches_chained_applies_bitwise() {
+        // Both schedules against five host passes of a damped cross sum.
         let (rows, cols) = (17, 9);
         let data = test_image(rows, cols);
         for boundary in [Boundary2D::Neumann, Boundary2D::Wrap, Boundary2D::Zero] {
+            let want = (0..5).fold(data.clone(), |cur, _| {
+                host_stencil(&cur, (rows, cols), boundary, |at| 0.2 * cross_sum_at(at))
+            });
             for devices in [1usize, 2, 4] {
                 let c = ctx(devices);
                 let user = UserFn::new(
                     "csum",
                     "float csum(__global float* in, int r, int c, uint nr, uint nc) { /* cross */ }",
-                    |v: &Stencil2DView<'_, f32>| {
-                        0.2 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1) + v.get(0, 0))
-                    },
+                    |v: &Stencil2DView<'_, f32>| 0.2 * cross_sum_at(|dr, dc| v.get(dr, dc)),
                 );
                 let st = Stencil2D::new(user, 1, boundary);
                 let m = Matrix::from_vec(&c, rows, cols, data.clone());
@@ -1879,17 +1590,21 @@ mod tests {
                 };
                 let m2 = Matrix::from_vec(&c, rows, cols, data.clone());
                 let iterated = st.iterate(&m2, 5).unwrap().to_vec().unwrap();
-                assert_eq!(
-                    iterated.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    chained.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{boundary:?} on {devices} devices"
-                );
+                let at = format!("{boundary:?} on {devices} devices");
+                assert_eq!(bits(&chained), bits(&want), "chained applies, {at}");
+                assert_eq!(bits(&iterated), bits(&want), "iterate, {at}");
             }
         }
     }
 
-    /// A damped stencil reading every row within `radius` of its centre, so
-    /// a stale row anywhere in a round's read window changes the result.
+    /// The damped column's per-cell math over a tap `at(dr, dc)`: every row
+    /// within `r` of the centre, so a stale row anywhere in a round's read
+    /// window changes the result.
+    fn damped_column_at(r: isize, at: impl Fn(isize, isize) -> f32) -> f32 {
+        let column: f32 = (-r..=r).map(|dr| at(dr, 0)).sum();
+        0.15 * (column + at(0, -1) + at(0, 1))
+    }
+
     fn damped_column(
         radius: usize,
         boundary: Boundary2D,
@@ -1898,12 +1613,28 @@ mod tests {
         let user = UserFn::new(
             "damped_column",
             "float damped_column(__global float* in, int r, int c, uint nr, uint nc) { /* rows +-r */ }",
-            move |v: &Stencil2DView<'_, f32>| {
-                let column: f32 = (-r..=r).map(|dr| v.get(dr, 0)).sum();
-                0.15 * (column + v.get(0, -1) + v.get(0, 1))
-            },
+            move |v: &Stencil2DView<'_, f32>| damped_column_at(r, |dr, dc| v.get(dr, dc)),
         );
         Stencil2D::new(user, radius, boundary)
+    }
+
+    /// The bits of the first `n` host passes of the damped column, one
+    /// entry per pass.
+    fn host_damped_column(
+        data: &[f32],
+        dims: (usize, usize),
+        radius: usize,
+        boundary: Boundary2D,
+        n: usize,
+    ) -> Vec<Vec<u32>> {
+        let r = radius as isize;
+        let mut cur = data.to_vec();
+        (0..n)
+            .map(|_| {
+                cur = host_stencil(&cur, dims, boundary, |at| damped_column_at(r, at));
+                bits(&cur)
+            })
+            .collect()
     }
 
     /// The fewest blocks of at most `k` rounds the plan's cap allows:
@@ -1938,19 +1669,19 @@ mod tests {
             (2, Copy),
         ];
         let wide = [(1, 9, 18), (2, 11, 18)].map(|shape| (shape, &wide_layouts[..]));
-        let bits = |m: Matrix<f32>| -> Vec<u32> {
-            m.to_vec().unwrap().iter().map(|v| v.to_bits()).collect()
-        };
+        let mat_bits = |m: Matrix<f32>| bits(&m.to_vec().unwrap());
         for ((radius, rows, cols), layouts) in narrow.into_iter().chain(wide) {
             let data = test_image(rows, cols);
             for boundary in [Boundary2D::Neumann, Boundary2D::Wrap, Boundary2D::Zero] {
                 let st = damped_column(radius, boundary);
-                // Chained applies agree bit for bit on every layout.
-                let mut chained = Vec::new();
+                let host = host_damped_column(&data, (rows, cols), radius, boundary, 10);
+                // Chained applies on one device match the host pass for
+                // pass.
                 let mut cur = Matrix::from_vec(&ctx(1), rows, cols, data.clone());
-                for _ in 0..10 {
+                for (n, want) in (1..=10).zip(&host) {
                     cur = st.apply(&cur).unwrap();
-                    chained.push(bits(cur.clone()));
+                    let at = format!("r={radius} {rows}x{cols}, {boundary:?}, n={n}");
+                    assert_eq!(&mat_bits(cur.clone()), want, "chained applies, {at}");
                 }
                 for &(devices, dist) in layouts {
                     let c = ctx(devices);
@@ -1959,11 +1690,11 @@ mod tests {
                         m.set_distribution(dist).unwrap();
                         m
                     };
-                    for (n, want) in (1..=10).zip(&chained) {
+                    for (n, want) in (1..=10).zip(&host) {
                         for k in [1, 2, 3, 4, 8] {
                             let got = st.iterate_blocked(&input(), n, fewest(k)).unwrap();
                             assert_eq!(
-                                &bits(got),
+                                &mat_bits(got),
                                 want,
                                 "r={radius} {rows}x{cols}, {boundary:?}, {devices} devices, \
                                  {dist:?}, n={n}, k={k}"
@@ -1996,12 +1727,8 @@ mod tests {
             MatrixDistribution::RowBlock { halo: 6 },
             "9 rounds after the first run as 3 + 3 + 3"
         );
-        let mut cur = input();
-        for _ in 0..10 {
-            cur = st.apply(&cur).unwrap();
-        }
-        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(got.to_vec().unwrap()), bits(cur.to_vec().unwrap()));
+        let host = host_damped_column(&data, (rows, cols), 2, Boundary2D::Neumann, 10);
+        assert_eq!(bits(&got.to_vec().unwrap()), host[9]);
     }
 
     /// A context of `devices` of the modeled Tesla parts, with 16×16
@@ -2206,35 +1933,51 @@ mod tests {
 
     #[test]
     fn a_window_that_cannot_fit_is_a_typed_error_before_anything_is_enqueued() {
-        // Radius 7 with 16×4 work-groups: one round's two 30×18 windows
-        // need 4320 bytes of the tiny device's 4096.
+        // 16×4 work-groups on the tiny device's 4096 bytes of local
+        // memory. `iterate` needs two windows: at radius 7 one round's two
+        // 30×18 windows need 4320 bytes. `apply` needs one: radius 12's
+        // 40×28 window needs 4480 bytes, radius 11's 38×26 one 3952.
         let c = ctx(2);
-        let m = Matrix::from_vec(&c, 32, 16, test_image(32, 16));
-        let st = damped_column(7, Boundary2D::Zero);
-        let (stats, built) = (c.platform().stats_snapshot(), c.programs_built());
-        let err = st.iterate(&m, 3).expect_err("the windows cannot fit");
-        assert!(
-            matches!(
-                err,
-                crate::Error::Platform(vgpu::Error::LocalMemExceeded {
-                    requested: 4320,
-                    limit: 4096
-                })
-            ),
-            "{err}"
+        let (rows, cols) = (32, 16);
+        let refused = |run: &dyn Fn(&Matrix<f32>) -> Result<Matrix<f32>>, requested| {
+            let m = Matrix::from_vec(&c, rows, cols, test_image(rows, cols));
+            let (stats, built) = (c.platform().stats_snapshot(), c.programs_built());
+            let err = run(&m).expect_err("the windows cannot fit");
+            assert!(
+                matches!(
+                    err,
+                    crate::Error::Platform(vgpu::Error::LocalMemExceeded {
+                        requested: r,
+                        limit: 4096
+                    }) if r == requested
+                ),
+                "{err}"
+            );
+            let delta = c.platform().stats_snapshot() - stats;
+            assert_eq!(
+                (
+                    delta.h2d_transfers,
+                    delta.d2d_transfers,
+                    delta.kernel_launches
+                ),
+                (0, 0, 0),
+                "nothing is uploaded, exchanged or launched"
+            );
+            assert_eq!(c.programs_built(), built, "nothing is built");
+            assert!(!m.device_fresh(), "the input stays on the host");
+        };
+        refused(&|m| damped_column(7, Boundary2D::Zero).iterate(m, 3), 4320);
+        refused(&|m| damped_column(12, Boundary2D::Zero).apply(m), 4480);
+        let m = Matrix::from_vec(&c, rows, cols, test_image(rows, cols));
+        let got = damped_column(11, Boundary2D::Zero).apply(&m).unwrap();
+        let host = host_damped_column(
+            &test_image(rows, cols),
+            (rows, cols),
+            11,
+            Boundary2D::Zero,
+            1,
         );
-        let delta = c.platform().stats_snapshot() - stats;
-        assert_eq!(
-            (
-                delta.h2d_transfers,
-                delta.d2d_transfers,
-                delta.kernel_launches
-            ),
-            (0, 0, 0),
-            "nothing is uploaded, exchanged or launched"
-        );
-        assert_eq!(c.programs_built(), built, "nothing is built");
-        assert!(!m.device_fresh(), "the input stays on the host");
+        assert_eq!(bits(&got.to_vec().unwrap()), host[0], "radius 11 runs");
     }
 
     #[test]
@@ -2300,10 +2043,7 @@ mod tests {
         assert_eq!(delta.d2h_transfers, 0, "no host round trip");
         assert!(delta.d2d_transfers > 0, "halo exchange crosses devices");
         // Still correct after the ping-pong.
-        let mut want = m.to_vec().unwrap();
-        for _ in 0..8 {
-            want = reference_cross_sum(&want, rows, cols, Boundary2D::Neumann);
-        }
+        let want = host_cross_sum(&m.to_vec().unwrap(), (rows, cols), Boundary2D::Neumann, 8);
         assert_eq!(out.to_vec().unwrap(), want);
     }
 
@@ -2320,10 +2060,7 @@ mod tests {
             MatrixDistribution::RowBlock { halo: 1 },
             "halo must be widened to the radius"
         );
-        let mut want = m.to_vec().unwrap();
-        for _ in 0..2 {
-            want = reference_cross_sum(&want, rows, cols, Boundary2D::Neumann);
-        }
+        let want = host_cross_sum(&m.to_vec().unwrap(), (rows, cols), Boundary2D::Neumann, 2);
         assert_eq!(out.to_vec().unwrap(), want);
     }
 
@@ -2349,9 +2086,13 @@ mod tests {
         let st = cross_sum();
         let before = c.programs_built();
         st.iterate(&m, 6).unwrap();
-        let built = c.programs_built();
-        assert_eq!(built, before + 1, "every block of iterate runs one program");
-        // Other block lengths and part shapes run the same program.
+        assert_eq!(
+            c.programs_built(),
+            before + 1,
+            "every block runs one program"
+        );
+        // Other block lengths and part shapes, `apply`, the serial schedule
+        // and a one-stage pipeline stencil run the same program.
         st.iterate(&m, 1).unwrap();
         st.iterate(&m, 9).unwrap();
         let single = Matrix::from_vec(&c, 16, 8, test_image(16, 8));
@@ -2359,24 +2100,30 @@ mod tests {
             .set_distribution(MatrixDistribution::Single(1))
             .unwrap();
         st.iterate(&single, 4).unwrap();
-        assert_eq!(c.programs_built(), built, "no rebuild for another block");
-        // A one-stage pipeline stencil runs the block program too.
+        st.apply(&m).unwrap();
+        st.iterate_serial(&m, 3).unwrap();
         Pipeline::start::<f32>()
             .stencil(cross_user(), 1, Boundary2D::Neumann)
             .run(&m)
             .unwrap();
-        assert_eq!(c.programs_built(), built, "the pipeline shares it");
-        // Every one-round launch path runs the one-round program.
+        assert_eq!(c.programs_built(), before + 1, "one program for every path");
+        let resident = c.program_registry().programs();
+        assert_eq!(resident.len(), 1, "exactly one program is resident");
+        assert_eq!(resident[0].hash(), st.program().hash());
+    }
+
+    #[test]
+    fn apply_models_exactly_the_window_of_a_one_round_iterate() {
+        // Four Tesla parts of a warm plate: `apply` is `iterate(x, 1)`'s
+        // round, on the same modeled timeline.
+        let c = tesla(4);
+        let m = plate(&c, 256, 128);
+        let st = heat();
         st.apply(&m).unwrap();
-        st.apply_streamed(&Matrix::from_vec(&c, 16, 8, test_image(16, 8)), 4)
-            .unwrap();
-        st.iterate_serial(&m, 3).unwrap();
-        assert_eq!(
-            c.programs_built(),
-            before + 2,
-            "iterate and a one-stage pipeline run the block program; apply, \
-             apply_streamed and iterate_serial share the one-round program"
-        );
+        let applied = modeled_s(&c, || drop(st.apply(&m).unwrap()));
+        let iterated = modeled_s(&c, || drop(st.iterate(&m, 1).unwrap()));
+        assert!(applied > 0.0);
+        assert_eq!(applied, iterated);
     }
 
     #[test]

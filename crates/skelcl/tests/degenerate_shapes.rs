@@ -10,6 +10,9 @@
 //! wrapped or clamped neighbour access, so results stay bit-identical to
 //! the sequential reference even when the radius exceeds the matrix.
 
+mod common;
+
+use common::host_stencil;
 use skelcl::*;
 
 fn ctx(n: usize) -> Context {
@@ -22,33 +25,9 @@ fn ctx(n: usize) -> Context {
     )
 }
 
-fn reference(
-    data: &[f32],
-    rows: usize,
-    cols: usize,
-    boundary: Boundary2D,
-    radius: isize,
-) -> Vec<f32> {
-    let at = |r: isize, c: isize| -> f32 {
-        let (r, c) = match boundary {
-            Boundary2D::Neumann => (r.clamp(0, rows as isize - 1), c.clamp(0, cols as isize - 1)),
-            Boundary2D::Wrap => (r.rem_euclid(rows as isize), c.rem_euclid(cols as isize)),
-            Boundary2D::Zero => {
-                if r < 0 || r >= rows as isize || c < 0 || c >= cols as isize {
-                    return 0.0;
-                }
-                (r, c)
-            }
-        };
-        data[r as usize * cols + c as usize]
-    };
-    let mut out = Vec::new();
-    for r in 0..rows as isize {
-        for c in 0..cols as isize {
-            out.push(at(r - radius, c) + at(r + radius, c) + at(r, c - radius) + at(r, c + radius));
-        }
-    }
-    out
+/// The 4-point radius-`r` cross's per-cell math over a tap `at(dr, dc)`.
+fn far_at(r: isize, at: impl Fn(isize, isize) -> f32) -> f32 {
+    at(-r, 0) + at(r, 0) + at(0, -r) + at(0, r)
 }
 
 fn far_stencil(
@@ -59,7 +38,7 @@ fn far_stencil(
     let user = UserFn::new(
         "far",
         "float far(__global float* in, int r, int c, uint nr, uint nc) { /* 4-point radius-r cross */ }",
-        move |v: &Stencil2DView<'_, f32>| v.get(-r, 0) + v.get(r, 0) + v.get(0, -r) + v.get(0, r),
+        move |v: &Stencil2DView<'_, f32>| far_at(r, |dr, dc| v.get(dr, dc)),
     );
     Stencil2D::new(user, radius, boundary)
 }
@@ -102,7 +81,8 @@ fn radius_at_or_beyond_part_height_matches_reference() {
                         .unwrap()
                         .to_vec()
                         .unwrap();
-                    let want = reference(&data, rows, cols, boundary, radius as isize);
+                    let r = radius as isize;
+                    let want = host_stencil(&data, (rows, cols), boundary, |at| far_at(r, at));
                     assert_eq!(
                         got, want,
                         "{rows}x{cols} radius {radius} on {devices} device(s), {boundary:?}"
@@ -114,7 +94,8 @@ fn radius_at_or_beyond_part_height_matches_reference() {
 }
 
 // The iterate path drives its own per-round batched exchange on the
-// clamped-halo part sets; it must stay bit-identical to chained applies.
+// clamped-halo part sets; it and chained applies must stay bit-identical
+// to three host passes.
 #[test]
 fn wide_radius_iterate_matches_chained_applies() {
     for (rows, cols) in [(2usize, 3usize), (3, 4), (1, 4)] {
@@ -126,17 +107,22 @@ fn wide_radius_iterate_matches_chained_applies() {
                     let st = far_stencil(radius, boundary);
                     let m = Matrix::from_vec(&c, rows, cols, data.clone());
                     let got = st.iterate(&m, 3).unwrap().to_vec().unwrap();
-                    let m2 = Matrix::from_vec(&c, rows, cols, data);
+                    let m2 = Matrix::from_vec(&c, rows, cols, data.clone());
                     let mut cur = st.apply(&m2).unwrap();
                     for _ in 1..3 {
                         cur = st.apply(&cur).unwrap();
                     }
                     let chained = cur.to_vec().unwrap();
-                    assert_eq!(
-                        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        chained.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    let r = radius as isize;
+                    let host = (0..3).fold(data, |cur, _| {
+                        host_stencil(&cur, (rows, cols), boundary, |at| far_at(r, at))
+                    });
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let at = format!(
                         "{rows}x{cols} radius {radius} on {devices} device(s), {boundary:?}"
                     );
+                    assert_eq!(bits(&chained), bits(&host), "chained applies, {at}");
+                    assert_eq!(bits(&got), bits(&chained), "iterate, {at}");
                 }
             }
         }

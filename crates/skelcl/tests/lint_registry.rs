@@ -81,6 +81,18 @@ fn widen_fn() -> UserFn<fn(f32, f32) -> f64> {
     )
 }
 
+/// A radius-1 stencil over `f32` with an `f64` result.
+fn widen_user() -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f64 + Clone> {
+    UserFn::new(
+        "lwiden_cross",
+        "double lwiden_cross(__global float* in, int r, int c, uint nr, uint nc) {\n\
+             return 0.5 * (double)stencil_at(in, r, c, nr, nc, -1, 0)\n\
+                  + (double)stencil_at(in, r, c, nr, nc, 0, 1);\n\
+         }",
+        |v: &Stencil2DView<'_, f32>| 0.5 * v.get(-1, 0) as f64 + v.get(0, 1) as f64,
+    )
+}
+
 /// A radius-1 stencil over `f64` with an `f32` result.
 fn narrow_user() -> UserFn<impl Fn(&Stencil2DView<'_, f64>) -> f32 + Clone> {
     UserFn::new(
@@ -164,7 +176,8 @@ fn populate_registry(c: &Context) {
         .unwrap();
 
     // Element-wise over matrices (the programs the vector calls built) and
-    // the 2D stencil: apply runs the one-round program, iterate the block
+    // the 2D stencil: a same-type stencil's apply and iterate run one
+    // block program, a different-type stencil's apply the one-stage chain
     // program.
     let m = mat_data(c, 12, 8);
     let m2 = mat_data(c, 12, 8);
@@ -172,6 +185,9 @@ fn populate_registry(c: &Context) {
     Zip::new(add_fn()).apply_matrix(&m, &m2).unwrap();
     let st = Stencil2D::new(cross_user(), 1, Boundary2D::Neumann);
     st.apply(&m).unwrap();
+    Stencil2D::new(widen_user(), 1, Boundary2D::Neumann)
+        .apply(&m)
+        .unwrap();
     let it = mat_data(c, 12, 8);
     it.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
         .unwrap();
@@ -290,11 +306,20 @@ fn every_registered_program_lints_clean() {
     // marshals.
     for boundary in BOUNDARIES {
         for radius in [1, 2] {
-            let program = Stencil2D::new(column_user(radius), radius, boundary).block_program();
+            let program = Stencil2D::new(column_user(radius), radius, boundary)
+                .program()
+                .clone();
             assert!(c.program_registry().contains(&program), "{}", program.name);
             assert_eq!(program.n_args, 8, "{}", program.name);
         }
     }
+    // A different-type stencil's apply runs the one-stage chain program:
+    // in, out, n_rows, n_cols, row_offset and one window.
+    let widen = Stencil2D::new(widen_user(), 1, Boundary2D::Neumann)
+        .program()
+        .clone();
+    assert!(c.program_registry().contains(&widen), "{}", widen.name);
+    assert_eq!(widen.n_args, 6, "{}", widen.name);
 
     // One program per element-wise skeleton, taking the arguments each of
     // its launches marshals and pays for: in, out, one operand per zip

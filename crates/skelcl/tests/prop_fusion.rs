@@ -1,13 +1,18 @@
 //! Property-based tests of the lazy [`Pipeline`] fusion subsystem: fused
-//! execution is **bit-identical** to the unfused skeleton chain for every
-//! shape (including 1×N and N×1 degenerates), boundary mode, device count,
+//! execution is **bit-identical** to a sequential host evaluation of the
+//! same user functions (every group with a stencil) or to the unfused
+//! skeleton chain (element-wise groups and row folds) for every shape
+//! (including 1×N and N×1 degenerates), boundary mode, device count,
 //! starting distribution and stage composition — while launching one kernel
 //! per fused group instead of one per stage.
 
+mod common;
+
+use common::host_stencil;
 use proptest::prelude::*;
 use skelcl::{
     Boundary2D, Context, ContextConfig, Map, Matrix, MatrixDistribution, Pipeline, PipelineExpr,
-    ReduceRows, Stencil2D, Stencil2DView, UserFn, Zip,
+    ReduceRows, Stencil2DView, UserFn, Zip,
 };
 use vgpu::DeviceSpec;
 
@@ -92,36 +97,68 @@ fn add_fn() -> UserFn<fn(f32, f32) -> f32> {
 const CROSS_SRC: &str =
     "float pcross(__global float* in, int r, int c, uint nr, uint nc) { /* damped cross */ }";
 
-/// A damped cross reaching exactly `radius` rows and columns out (only the
-/// centre at radius 0).
+/// A damped cross reaching exactly `r` rows and columns out (only the
+/// centre at radius 0), over a tap `at(dr, dc)`.
+fn cross_at(r: isize, at: impl Fn(isize, isize) -> f32) -> f32 {
+    0.2 * (at(-r, 0) + at(r, 0) + at(0, -r) + at(0, r)) + 0.1 * at(0, 0)
+}
+
 fn cross_user(radius: usize) -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
     let r = radius as isize;
     UserFn::new("pcross", CROSS_SRC, move |v: &Stencil2DView<'_, f32>| {
-        0.2 * (v.get(-r, 0) + v.get(r, 0) + v.get(0, -r) + v.get(0, r)) + 0.1 * v.get(0, 0)
+        cross_at(r, |dr, dc| v.get(dr, dc))
     })
 }
 
 const DIAG_SRC: &str =
     "float pdiag(__global float* in, int r, int c, uint nr, uint nc) { /* corner taps */ }";
 
-/// The four corners `radius` rows and columns out, and the centre.
+/// The four corners `r` rows and columns out, and the centre.
+fn diag_at(r: isize, at: impl Fn(isize, isize) -> f32) -> f32 {
+    0.3 * (at(-r, -r) + at(r, r)) - 0.2 * (at(-r, r) + at(r, -r)) + at(0, 0)
+}
+
 fn diag_user(radius: usize) -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
     let r = radius as isize;
     UserFn::new("pdiag", DIAG_SRC, move |v: &Stencil2DView<'_, f32>| {
-        0.3 * (v.get(-r, -r) + v.get(r, r)) - 0.2 * (v.get(-r, r) + v.get(r, -r)) + v.get(0, 0)
+        diag_at(r, |dr, dc| v.get(dr, dc))
     })
 }
 
 const NARROW_SRC: &str =
     "float pnarrow(__global double* in, int r, int c, uint nr, uint nc) { /* anti-diagonal */ }";
 
-/// An `f64` stencil with an `f32` result: the anti-diagonal corners
-/// `radius` out, and the centre.
+/// An `f64` stencil with an `f32` result: the anti-diagonal corners `r`
+/// out, and the centre.
+fn narrow_at(r: isize, at: impl Fn(isize, isize) -> f64) -> f32 {
+    (0.25 * (at(-r, r) + at(r, -r)) + at(0, 0)) as f32
+}
+
 fn narrow_user(radius: usize) -> UserFn<impl Fn(&Stencil2DView<'_, f64>) -> f32 + Clone> {
     let r = radius as isize;
     UserFn::new("pnarrow", NARROW_SRC, move |v: &Stencil2DView<'_, f64>| {
-        (0.25 * (v.get(-r, r) + v.get(r, -r)) + v.get(0, 0)) as f32
+        narrow_at(r, |dr, dc| v.get(dr, dc))
     })
+}
+
+/// One host pass of the damped cross `radius` out.
+fn host_cross(data: &[f32], dims: (usize, usize), radius: usize, boundary: Boundary2D) -> Vec<f32> {
+    let r = radius as isize;
+    host_stencil(data, dims, boundary, |at| cross_at(r, at))
+}
+
+/// `f(x)` of every element: a `map` stage on the host.
+fn host_map(data: &[f32], f: &UserFn<fn(f32) -> f32>) -> Vec<f32> {
+    data.iter().map(|&x| (f.func())(x)).collect()
+}
+
+/// `f(x, y)` of every element pair: a `zip_with` stage on the host.
+fn host_zip<V>(a: &[f32], b: &[f32], f: &UserFn<fn(f32, f32) -> V>) -> Vec<V> {
+    a.iter().zip(b).map(|(&x, &y)| (f.func())(x, y)).collect()
+}
+
+fn host_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 fn widen_fn() -> UserFn<fn(f32, f32) -> f64> {
@@ -167,12 +204,6 @@ fn launches_per_chain(dist: MatrixDistribution, rows: usize, devices: usize) -> 
         MatrixDistribution::Copy => devices as u64,
         _ => rows.min(devices) as u64,
     }
-}
-
-fn cross_stencil(
-    boundary: Boundary2D,
-) -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
-    Stencil2D::new(cross_user(1), 1, boundary)
 }
 
 fn bits(m: &Matrix<f32>) -> Vec<u32> {
@@ -231,8 +262,8 @@ proptest! {
         prop_assert_eq!(bits(&fresh(expr.run_to_host(&m).unwrap())), bits(&fused));
     }
 
-    // A single stencil stage equals the unfused Stencil2D skeleton for all
-    // three boundary modes and radii 0 to 2.
+    // A single stencil stage equals one host pass of its user function for
+    // all three boundary modes and radii 0 to 2.
     #[test]
     fn single_stencil_matches_unfused(
         (rows, cols) in shape_strategy(),
@@ -250,16 +281,13 @@ proptest! {
             .stencil(cross_user(radius), radius, boundary)
             .run(&m)
             .unwrap();
-        let m2 = Matrix::from_vec(&c, rows, cols, data);
-        m2.set_distribution(dist).unwrap();
-        let unfused = Stencil2D::new(cross_user(radius), radius, boundary)
-            .apply(&m2)
-            .unwrap();
-        prop_assert_eq!(bits(&fused), bits(&unfused));
+        let host = host_cross(&data, (rows, cols), radius, boundary);
+        prop_assert_eq!(bits(&fused), host_bits(&host));
     }
 
     // The canonical fused group — an element-wise chain on both sides of a
-    // stencil anchor — equals the three-skeleton chain and launches once.
+    // stencil anchor — equals the three stages on the host and launches
+    // once.
     #[test]
     fn map_stencil_map_matches_unfused_chain(
         (rows, cols) in shape_strategy(),
@@ -282,12 +310,9 @@ proptest! {
         let after = c.metrics().counter_value("skelcl.pipeline.groups").unwrap_or(0);
         prop_assert_eq!(after - before, 1, "the whole chain is one launch group");
 
-        let m2 = Matrix::from_vec(&c, rows, cols, data);
-        m2.set_distribution(dist).unwrap();
-        let step1 = Map::new(scale_fn()).apply_matrix(&m2).unwrap();
-        let step2 = cross_stencil(boundary).apply(&step1).unwrap();
-        let unfused = Map::new(square_fn()).apply_matrix(&step2).unwrap();
-        prop_assert_eq!(bits(&fused), bits(&unfused));
+        let scaled = host_map(&data, &scale_fn());
+        let host = host_map(&host_cross(&scaled, (rows, cols), 1, boundary), &square_fn());
+        prop_assert_eq!(bits(&fused), host_bits(&host));
     }
 
     // A zip stage equals the unfused Zip skeleton.
@@ -345,8 +370,9 @@ proptest! {
 
     // A row fold after a staged group: the zip after the stencil fuses
     // into the group's writes and the fold runs stage-free; a zip straight
-    // before the fold is read at each folded element's index. Both equal
-    // the unfused Stencil2D → Zip → ReduceRows chain, bit for bit.
+    // before the fold is read at each folded element's index. The first
+    // equals the stencil, zip and ascending row fold on the host, the
+    // second the unfused Zip → ReduceRows chain, bit for bit.
     #[test]
     fn stencil_zip_fold_matches_unfused(
         (rows, cols) in wide_shape_strategy(),
@@ -380,13 +406,14 @@ proptest! {
             .reduce_rows(&m2, add_fn(), 0.0)
             .unwrap();
 
-        let [m, op] = matrices();
-        let stenciled = Stencil2D::new(cross_user(radius), radius, boundary)
-            .apply(&m)
-            .unwrap();
-        let summed = Zip::new(add_fn()).apply_matrix(&stenciled, &op).unwrap();
-        let unfused = ReduceRows::new(add_fn(), 0.0).apply(&summed).unwrap();
-        prop_assert_eq!(fold_bits(fused), fold_bits(unfused));
+        let stenciled = host_cross(&data[0], (rows, cols), radius, boundary);
+        let summed = host_zip(&stenciled, &data[1], &add_fn());
+        let add = add_fn();
+        let host: Vec<f32> = summed
+            .chunks(cols)
+            .map(|row| row.iter().fold(0.0, |acc, &x| (add.func())(acc, x)))
+            .collect();
+        prop_assert_eq!(fold_bits(fused), host_bits(&host));
         let [m, op] = matrices();
         let summed = Zip::new(add_fn()).apply_matrix(&m, &op).unwrap();
         let unfused = ReduceRows::new(add_fn(), 0.0).apply(&summed).unwrap();
@@ -395,7 +422,7 @@ proptest! {
 
     // Zip operands on both sides of a stencil: the one before it is read
     // as each window cell loads, the one after it at each write. The
-    // fused group equals the Zip → Stencil2D → Zip chain.
+    // fused group equals the zip, stencil and zip on the host.
     #[test]
     fn zip_stencil_zip_matches_unfused_chain(
         (rows, cols) in wide_shape_strategy(),
@@ -422,17 +449,14 @@ proptest! {
             .run(&m)
             .unwrap();
 
-        let [m, before_op, after_op] = matrices();
-        let summed = Zip::new(add_fn()).apply_matrix(&m, &before_op).unwrap();
-        let stenciled = Stencil2D::new(cross_user(radius), radius, boundary)
-            .apply(&summed)
-            .unwrap();
-        let unfused = Zip::new(add_fn()).apply_matrix(&stenciled, &after_op).unwrap();
-        prop_assert_eq!(bits(&fused), bits(&unfused));
+        let summed = host_zip(&data[0], &data[1], &add_fn());
+        let stenciled = host_cross(&summed, (rows, cols), radius, boundary);
+        let host = host_zip(&stenciled, &data[2], &add_fn());
+        prop_assert_eq!(bits(&fused), host_bits(&host));
     }
 
     // A stencil pair reads one staged window for both stencils; it equals
-    // two Stencil2D::apply calls and a Zip combining them.
+    // both stencils and their combination on the host.
     #[test]
     fn stencil_pair_matches_unfused(
         (rows, cols) in wide_shape_strategy(),
@@ -451,17 +475,16 @@ proptest! {
             .run(&m)
             .unwrap();
 
-        let m2 = Matrix::from_vec(&c, rows, cols, data);
-        m2.set_distribution(dist).unwrap();
-        let cross = Stencil2D::new(cross_user(radius), radius, boundary).apply(&m2).unwrap();
-        let diag = Stencil2D::new(diag_user(radius), radius, boundary).apply(&m2).unwrap();
-        let unfused = Zip::new(add_fn()).apply_matrix(&cross, &diag).unwrap();
-        prop_assert_eq!(bits(&fused), bits(&unfused));
+        let (r, add) = (radius as isize, add_fn());
+        let host = host_stencil(&data, (rows, cols), boundary, |at| {
+            (add.func())(cross_at(r, at), diag_at(r, at))
+        });
+        prop_assert_eq!(bits(&fused), host_bits(&host));
     }
 
     // Two stencil anchors back to back: the elementwise stage between them
     // fuses into the store to the second stencil's window; results match
-    // the 4-skeleton chain and the whole chain is one group.
+    // the three stages on the host and the whole chain is one group.
     #[test]
     fn stencil_map_stencil_matches_unfused_chain(
         rows in 1usize..14,
@@ -491,11 +514,10 @@ proptest! {
             panic!("{hazard}");
         }
 
-        let m2 = Matrix::from_vec(&c, rows, cols, data);
-        let step1 = cross_stencil(boundary).apply(&m2).unwrap();
-        let step2 = Map::new(scale_fn()).apply_matrix(&step1).unwrap();
-        let unfused = cross_stencil(boundary).apply(&step2).unwrap();
-        prop_assert_eq!(bits(&fused), bits(&unfused));
+        let step1 = host_cross(&data, (rows, cols), 1, boundary);
+        let step2 = host_map(&step1, &scale_fn());
+        let host = host_cross(&step2, (rows, cols), 1, boundary);
+        prop_assert_eq!(bits(&fused), host_bits(&host));
     }
 
     // A chain of two or three stencils with radii 0 to 2 whose element
@@ -503,7 +525,8 @@ proptest! {
     // through an f64 stencil), with a zip between the first two stencils
     // whose operand is read at the ring cells of the second window. Every
     // boundary, the mixed Neumann → Zero chain, every distribution, 1 to 4
-    // devices: one group, one launch per part, and the unfused chain's bits.
+    // devices: one group, one launch per part, and the bits of the stages
+    // evaluated one after another on the host.
     #[test]
     fn stencil_chain_matches_unfused_chain(
         (rows, cols) in wide_shape_strategy(),
@@ -552,17 +575,18 @@ proptest! {
         };
         prop_assert_eq!(&to_host, &fused);
 
-        let [m, op] = matrices();
-        let first = Stencil2D::new(cross_user(r0), r0, bs[0]).apply(&m).unwrap();
-        let summed = Zip::new(add_fn()).apply_matrix(&first, &op).unwrap();
-        let cross = Stencil2D::new(cross_user(r1), r1, bs[1]).apply(&summed).unwrap();
-        let diag = Stencil2D::new(diag_user(r1), r1, bs[1]).apply(&summed).unwrap();
-        let wide = Zip::new(widen_fn()).apply_matrix(&cross, &diag).unwrap();
-        let unfused = if three {
-            Err(bits(&Stencil2D::new(narrow_user(r2), r2, bs[2]).apply(&wide).unwrap()))
+        let dims = (rows, cols);
+        let first = host_cross(&data[0], dims, r0, bs[0]);
+        let summed = host_zip(&first, &data[1], &add_fn());
+        let (r1, r2, widen) = (r1 as isize, r2 as isize, widen_fn());
+        let wide = host_stencil(&summed, dims, bs[1], |at| {
+            (widen.func())(cross_at(r1, at), diag_at(r1, at))
+        });
+        let host = if three {
+            Err(host_bits(&host_stencil(&wide, dims, bs[2], |at| narrow_at(r2, at))))
         } else {
-            Ok(bits64(&wide))
+            Ok(wide.iter().map(|v| v.to_bits()).collect())
         };
-        prop_assert_eq!(fused, unfused);
+        prop_assert_eq!(fused, host);
     }
 }

@@ -3,6 +3,9 @@
 //! device counts and halo widths, and row-block distribution round trips
 //! (scatter → halo exchange → gather) are the identity.
 
+mod common;
+
+use common::host_stencil;
 use proptest::prelude::*;
 use skelcl::{
     Boundary2D, Context, ContextConfig, Matrix, MatrixDistribution, Stencil2D, Stencil2DView,
@@ -45,28 +48,9 @@ fn dist_strategy_with_col_block() -> impl Strategy<Value = MatrixDistribution> {
     ]
 }
 
-/// The sequential truth for the radius-1 cross stencil used below.
-fn reference_cross(data: &[f32], rows: usize, cols: usize, boundary: Boundary2D) -> Vec<f32> {
-    let at = |r: isize, c: isize| -> f32 {
-        let (r, c) = match boundary {
-            Boundary2D::Neumann => (r.clamp(0, rows as isize - 1), c.clamp(0, cols as isize - 1)),
-            Boundary2D::Wrap => (r.rem_euclid(rows as isize), c.rem_euclid(cols as isize)),
-            Boundary2D::Zero => {
-                if r < 0 || r >= rows as isize || c < 0 || c >= cols as isize {
-                    return 0.0;
-                }
-                (r, c)
-            }
-        };
-        data[r as usize * cols + c as usize]
-    };
-    let mut out = Vec::with_capacity(rows * cols);
-    for r in 0..rows as isize {
-        for c in 0..cols as isize {
-            out.push(at(r - 1, c) + at(r + 1, c) + at(r, c - 1) + at(r, c + 1) + 2.0 * at(r, c));
-        }
-    }
-    out
+/// The radius-1 cross's per-cell math over a tap `at(dr, dc)`.
+fn cross_at(at: impl Fn(isize, isize) -> f32) -> f32 {
+    at(-1, 0) + at(1, 0) + at(0, -1) + at(0, 1) + 2.0 * at(0, 0)
 }
 
 fn cross_stencil(
@@ -75,9 +59,7 @@ fn cross_stencil(
     let user = UserFn::new(
         "pcross",
         "float pcross(__global float* in, int r, int c, uint nr, uint nc) { /* cross */ }",
-        |v: &Stencil2DView<'_, f32>| {
-            v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1) + 2.0 * v.get(0, 0)
-        },
+        |v: &Stencil2DView<'_, f32>| cross_at(|dr, dc| v.get(dr, dc)),
     );
     Stencil2D::new(user, 1, boundary)
 }
@@ -104,7 +86,7 @@ proptest! {
         let m = Matrix::from_vec(&c, rows, cols, data.clone());
         m.set_distribution(dist).unwrap();
         let got = cross_stencil(boundary).apply(&m).unwrap().to_vec().unwrap();
-        let want = reference_cross(&data, rows, cols, boundary);
+        let want = host_stencil(&data, (rows, cols), boundary, |at| cross_at(at));
         prop_assert_eq!(
             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

@@ -1,18 +1,22 @@
 //! Property suite of the async overlap subsystem: for all boundaries,
 //! distributions, device counts and chunk sizes,
 //!
-//! * the overlapped `Stencil2D::iterate` is **bit-identical** to the
-//!   serial schedule (`iterate_serial`),
-//! * streamed uploads (`Stencil2D::apply_streamed`, `Map::apply_streamed`,
+//! * the overlapped `Stencil2D::iterate` and the serial schedule
+//!   (`iterate_serial`) are **bit-identical** to a sequential host
+//!   evaluation of the same stencil,
+//! * streamed uploads (`Map::apply_streamed`,
 //!   `Matrix::ensure_on_devices_streamed`) are bit-identical to their
-//!   blocking twins, and so is a streamed pass over a device-filled
-//!   constant matrix,
+//!   blocking twins, and their recorded chunk events die with a clock reset
+//!   or a device-side write,
 //! * and the simulated timeline never lets two commands overlap on the
 //!   same engine of one device, while the overlapped iterate really does
 //!   run halo copies *under* interior kernels.
 //!
 //! Runs under the pinned-seed CI job (`PROPTEST_SEED`).
 
+mod common;
+
+use common::host_stencil;
 use proptest::prelude::*;
 use skelcl::{
     Boundary2D, Context, ContextConfig, Map, Matrix, MatrixDistribution, Stencil2D, Stencil2DView,
@@ -46,18 +50,36 @@ fn dist_strategy() -> impl Strategy<Value = MatrixDistribution> {
     ]
 }
 
-/// A damped cross stencil whose sums are order- and position-sensitive.
+/// The damped cross's per-cell math over a tap `at(dr, dc)`: sums that
+/// are order- and position-sensitive.
+fn cross_at(at: impl Fn(isize, isize) -> f32) -> f32 {
+    0.2 * (at(-1, 0) + at(1, 0) + at(0, -1) + at(0, 1)) + 0.1 * at(0, 0)
+}
+
 fn cross_stencil(
     boundary: Boundary2D,
 ) -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
     let user = UserFn::new(
         "ocross",
         "float ocross(__global float* in, int r, int c, uint nr, uint nc) { /* damped cross */ }",
-        |v: &Stencil2DView<'_, f32>| {
-            0.2 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1)) + 0.1 * v.get(0, 0)
-        },
+        |v: &Stencil2DView<'_, f32>| cross_at(|dr, dc| v.get(dr, dc)),
     );
     Stencil2D::new(user, 1, boundary)
+}
+
+/// `n` sequential host passes of the damped cross.
+fn host_cross(data: &[f32], dims: (usize, usize), boundary: Boundary2D, n: usize) -> Vec<f32> {
+    (0..n).fold(data.to_vec(), |cur, _| {
+        host_stencil(&cur, dims, boundary, |at| cross_at(at))
+    })
+}
+
+fn scale_map() -> Map<f32, f32, fn(f32) -> f32> {
+    Map::new(skelcl::skel_fn!(
+        fn scale(x: f32) -> f32 {
+            x * 1.5 + 0.25
+        }
+    ))
 }
 
 fn test_data(rows: usize, cols: usize, seed: u32) -> Vec<f32> {
@@ -88,8 +110,9 @@ fn assert_schedule_sound(trace: &[CommandRecord]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The overlapped iterate == the serial iterate, bit for bit, for every
-    // shape / boundary / device count / starting distribution / n.
+    // The overlapped iterate == the serial iterate == n host passes, bit
+    // for bit, for every shape / boundary / device count / starting
+    // distribution / n.
     #[test]
     fn overlapped_iterate_is_bit_identical_to_serial(
         rows in 1usize..20,
@@ -114,50 +137,9 @@ proptest! {
             m.set_distribution(dist).unwrap();
             st.iterate(&m, n).unwrap().to_vec().unwrap()
         };
+        let host = host_cross(&data, (rows, cols), boundary, n);
+        prop_assert_eq!(bits(&serial), bits(&host));
         prop_assert_eq!(bits(&overlapped), bits(&serial));
-    }
-
-    // A streamed stencil pass (chunked upload on the copy stream, banded
-    // kernels) == the blocking pass, bit for bit.
-    #[test]
-    fn streamed_stencil_apply_is_bit_identical(
-        rows in 1usize..24,
-        cols in 1usize..12,
-        devices in 1usize..5,
-        chunk_rows in 1usize..9,
-        boundary in boundary_strategy(),
-        dist in dist_strategy(),
-        seed in 0u32..1000,
-    ) {
-        let data = test_data(rows, cols, seed);
-        let st = cross_stencil(boundary);
-        let c = ctx(devices);
-
-        let blocking = {
-            let m = Matrix::from_vec(&c, rows, cols, data.clone());
-            m.set_distribution(dist).unwrap();
-            st.apply(&m).unwrap().to_vec().unwrap()
-        };
-        let streamed = {
-            let m = Matrix::from_vec(&c, rows, cols, data.clone());
-            m.set_distribution(dist).unwrap();
-            st.apply_streamed(&m, chunk_rows).unwrap().to_vec().unwrap()
-        };
-        prop_assert_eq!(bits(&streamed), bits(&blocking));
-
-        // A constant matrix is filled on the devices instead of streamed,
-        // with the same result as the blocking pass over its upload.
-        let blocking = {
-            let m = Matrix::from_vec(&c, rows, cols, vec![data[0]; rows * cols]);
-            m.set_distribution(dist).unwrap();
-            st.apply(&m).unwrap().to_vec().unwrap()
-        };
-        let streamed = {
-            let m = Matrix::filled(&c, rows, cols, data[0]);
-            m.set_distribution(dist).unwrap();
-            st.apply_streamed(&m, chunk_rows).unwrap().to_vec().unwrap()
-        };
-        prop_assert_eq!(bits(&streamed), bits(&blocking));
     }
 
     // A streamed map (chunked vector upload, one kernel per chunk) == the
@@ -173,11 +155,7 @@ proptest! {
     ) {
         let c = ctx(devices);
         let data: Vec<f32> = (0..len).map(|i| (i as f32) * 0.75 - 3.0).collect();
-        let map = Map::new(skelcl::skel_fn!(
-            fn scale(x: f32) -> f32 {
-                x * 1.5 + 0.25
-            }
-        ));
+        let map = scale_map();
         let blocking = map.apply(&Vector::from_vec(&c, data.clone())).unwrap();
         let streamed = map
             .apply_streamed(&Vector::from_vec(&c, data), chunk)
@@ -202,7 +180,7 @@ proptest! {
         cols in 1usize..10,
         devices in 1usize..5,
         n in 1usize..5,
-        chunk_rows in 1usize..9,
+        chunk in 1usize..33,
         boundary in boundary_strategy(),
         seed in 0u32..1000,
     ) {
@@ -212,9 +190,8 @@ proptest! {
         let m = Matrix::from_vec(&c, rows, cols, test_data(rows, cols, seed));
         m.set_distribution(MatrixDistribution::RowBlock { halo: 1 }).unwrap();
         st.iterate(&m, n).unwrap();
-        let m2 = Matrix::from_vec(&c, rows, cols, test_data(rows, cols, seed + 1));
-        m2.set_distribution(MatrixDistribution::RowBlock { halo: 1 }).unwrap();
-        st.apply_streamed(&m2, chunk_rows).unwrap();
+        let v = Vector::from_vec(&c, test_data(rows, cols, seed + 1));
+        scale_map().apply_streamed(&v, chunk).unwrap();
         c.sync();
         assert_schedule_sound(&c.platform().take_timeline_trace());
     }
@@ -227,60 +204,60 @@ proptest! {
 #[test]
 fn clock_reset_invalidates_recorded_upload_events() {
     let c = ctx(2);
-    let st = cross_stencil(Boundary2D::Neumann);
-    let (rows, cols) = (256usize, 64usize);
-    let m = Matrix::from_vec(&c, rows, cols, test_data(rows, cols, 3));
-    m.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
-        .unwrap();
+    let map = scale_map();
+    let data = test_data(256, 64, 3);
+    let v = Vector::from_vec(&c, data.clone());
     // Many small chunks: the upload's per-transfer latency piles up to a
     // clearly non-zero completion time.
-    m.ensure_on_devices_streamed(4).unwrap();
+    v.ensure_on_devices_streamed(256).unwrap();
     c.sync();
     let uploaded_at = c.host_now_s();
     assert!(uploaded_at > 0.0);
 
-    st.apply(&Matrix::from_vec(&c, 8, 8, test_data(8, 8, 4)))
-        .unwrap(); // warm the program cache
+    map.apply(&Vector::from_vec(&c, vec![1.0; 8])).unwrap(); // warm the program cache
     c.platform().reset_clocks();
     c.platform().enable_timeline_trace();
-    let out = st.apply_streamed(&m, 4).unwrap();
+    let out = map.apply_streamed(&v, 256).unwrap();
     c.sync();
     let trace = c.platform().take_timeline_trace();
-    let first_start = trace
+    let starts: Vec<f64> = trace
         .iter()
+        .filter(|r| r.kind == vgpu::CmdKind::Kernel)
         .map(|r| r.start_s)
-        .fold(f64::INFINITY, f64::min);
-    assert!(
-        first_start < uploaded_at / 2.0,
-        "post-reset launches must not wait on pre-reset upload events \
-         (first start {first_start}, stale upload ended at {uploaded_at})"
+        .collect();
+    assert_eq!(
+        starts.len(),
+        2,
+        "the stale chunks leave one launch per part"
     );
-    // And the result is still the plain stencil output.
-    let want = st.apply(&m).unwrap().to_vec().unwrap();
-    assert_eq!(bits(&out.to_vec().unwrap()), bits(&want));
+    let last_start = starts.iter().copied().fold(0.0, f64::max);
+    assert!(
+        last_start < uploaded_at / 2.0,
+        "post-reset launches must not wait on pre-reset upload events \
+         (last start {last_start}, stale upload ended at {uploaded_at})"
+    );
+    // And the result is still the plain map output.
+    let want = map.apply(&Vector::from_vec(&c, data)).unwrap();
+    assert_eq!(bits(&out.to_vec().unwrap()), bits(&want.to_vec().unwrap()));
 }
 
 /// `mark_devices_modified` supersedes any recorded upload events: the next
 /// streamed pass sees resident data and takes apply's single-launch path
-/// instead of banded launches against dead chunk events.
+/// instead of per-chunk launches against dead chunk events.
 #[test]
 fn device_modification_clears_recorded_upload_events() {
     let c = ctx(2);
-    let st = cross_stencil(Boundary2D::Neumann);
-    let (rows, cols) = (32usize, 8usize);
-    let m = Matrix::from_vec(&c, rows, cols, test_data(rows, cols, 5));
-    m.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
-        .unwrap();
-    m.ensure_on_devices_streamed(2).unwrap();
-    m.mark_devices_modified();
-    st.apply(&Matrix::from_vec(&c, 8, 8, test_data(8, 8, 6)))
-        .unwrap(); // warm the program cache
+    let map = scale_map();
+    let v = Vector::from_vec(&c, test_data(32, 8, 5));
+    v.ensure_on_devices_streamed(16).unwrap();
+    v.mark_devices_modified();
+    map.apply(&Vector::from_vec(&c, vec![1.0; 8])).unwrap(); // warm the program cache
     let before = c.platform().stats_snapshot();
-    st.apply_streamed(&m, 2).unwrap();
+    map.apply_streamed(&v, 16).unwrap();
     let delta = c.platform().stats_snapshot() - before;
     assert_eq!(
         delta.kernel_launches, 2,
-        "resident input must launch once per part, not once per chunk band"
+        "resident input must launch once per part, not once per chunk"
     );
 }
 

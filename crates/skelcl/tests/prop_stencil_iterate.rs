@@ -1,10 +1,13 @@
 //! Property-based tests of `Stencil2D::iterate(n)`: the batched ping-pong
-//! iteration is bit-identical to `n` chained `apply` calls for arbitrary
-//! shapes, boundary modes, device counts and starting distributions — and
-//! its exchange schedule is exact: one halo exchange per block of rounds
-//! its `stencil2d.iterate` span reports (`iterate`) or per round
-//! (`iterate_serial`).
+//! iteration and `n` chained `apply` calls are bit-identical to `n`
+//! sequential host passes for arbitrary shapes, boundary modes, device
+//! counts and starting distributions — and its exchange schedule is exact:
+//! one halo exchange per block of rounds its `stencil2d.iterate` span
+//! reports (`iterate`) or per round (`iterate_serial`).
 
+mod common;
+
+use common::host_stencil;
 use proptest::prelude::*;
 use skelcl::{
     Boundary2D, Context, ContextConfig, Matrix, MatrixDistribution, Stencil2D, Stencil2DView,
@@ -38,17 +41,20 @@ fn dist_strategy() -> impl Strategy<Value = MatrixDistribution> {
     ]
 }
 
-/// A damped cross stencil: value mixing keeps magnitudes bounded over many
-/// iterations so repeated applications stay numerically interesting.
+/// The damped cross's per-cell math over a tap `at(dr, dc)`: value mixing
+/// keeps magnitudes bounded over many iterations so repeated applications
+/// stay numerically interesting.
+fn cross_at(at: impl Fn(isize, isize) -> f32) -> f32 {
+    0.2 * (at(-1, 0) + at(1, 0) + at(0, -1) + at(0, 1)) + 0.1 * at(0, 0)
+}
+
 fn cross_stencil(
     boundary: Boundary2D,
 ) -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
     let user = UserFn::new(
         "icross",
         "float icross(__global float* in, int r, int c, uint nr, uint nc) { /* damped cross */ }",
-        |v: &Stencil2DView<'_, f32>| {
-            0.2 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1)) + 0.1 * v.get(0, 0)
-        },
+        |v: &Stencil2DView<'_, f32>| cross_at(|dr, dc| v.get(dr, dc)),
     );
     Stencil2D::new(user, 1, boundary)
 }
@@ -106,8 +112,9 @@ fn test_data(rows: usize, cols: usize, seed: u32) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // iterate(n) == n chained applies, bit for bit, for every shape /
-    // boundary / device count / starting distribution / iteration count.
+    // iterate(n) == n chained applies == n host passes, bit for bit, for
+    // every shape / boundary / device count / starting distribution /
+    // iteration count.
     #[test]
     fn iterate_is_bit_identical_to_chained_applies(
         rows in 1usize..20,
@@ -136,10 +143,12 @@ proptest! {
             m.set_distribution(dist).unwrap();
             st.iterate(&m, n).unwrap().to_vec().unwrap()
         };
-        prop_assert_eq!(
-            iterated.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            chained.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        let host = (0..n).fold(data, |cur, _| {
+            host_stencil(&cur, (rows, cols), boundary, |at| cross_at(at))
+        });
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&chained), bits(&host));
+        prop_assert_eq!(bits(&iterated), bits(&chained));
     }
 
     // The dedicated 1/2/4-device sweep of the acceptance criteria: the
