@@ -49,8 +49,8 @@ pub const LEDGER_SCHEMA_VERSION: u64 = 1;
 /// One measured bench leg, keyed by its report label.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEntry {
-    /// The leg's report label, e.g. `fig_overlap iterate 64x64 n=3
-    /// overlapped x2` — unique within a figure and stable across runs.
+    /// The leg's report label, e.g. `fig_iterate heat 64x64 n=3 batched
+    /// x2` — unique within a figure and stable across runs.
     pub label: String,
     /// Structured configuration parsed from the label tokens.
     pub config: Vec<(String, String)>,
@@ -139,7 +139,7 @@ pub fn legs_for(fig: &str) -> Vec<LedgerEntry> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ledger {
     pub schema_version: u64,
-    /// Figure name, e.g. `fig_overlap`.
+    /// Figure name, e.g. `fig_iterate`.
     pub fig: String,
     /// Run identifier (commit SHA in CI, `local` otherwise).
     pub run_id: String,
@@ -435,14 +435,14 @@ mod tests {
 
     #[test]
     fn label_tokens_become_structured_config() {
-        let cfg = config_from_label("fig_overlap iterate 512x512 n=3 overlapped x2");
+        let cfg = config_from_label("fig_iterate heat 512x512 n=3 batched x2");
         assert_eq!(
             cfg,
             vec![
                 ("devices".into(), "2".into()),
                 ("n".into(), "3".into()),
                 ("shape".into(), "512x512".into()),
-                ("workload".into(), "fig_overlap iterate overlapped".into()),
+                ("workload".into(), "fig_iterate heat batched".into()),
             ]
         );
         // Slash-separated variant labels split too.

@@ -2,7 +2,7 @@
 //!
 //! One runner function per paper artifact. Every measured leg runs inside
 //! one window, [`measure`], and leaves through [`record`], which prints the
-//! leg's summary line and deposits its perf-ledger leg. The ten gated
+//! leg's summary line and deposits its perf-ledger leg. The nine gated
 //! figures sweep the runners from one table, [`FIGURES`]. The `figures`
 //! binary prints the paper's tables from the runners (`figures fig1`, …)
 //! and runs the table into `BENCH_<name>.json` ledgers (`figures ledger`).
@@ -515,23 +515,39 @@ pub fn stencil_scaling_virtual_s(rows: usize, cols: usize, devices: usize) -> f6
     )
 }
 
-/// Fig-iterate helper: virtual time of `n` Jacobi heat-relaxation steps
-/// over a `rows × cols` row-block-distributed plate across `devices`
-/// devices. `batched` runs `Stencil2D::iterate(n)` — two ping-pong buffers
-/// per device, one batched halo exchange per block of rounds, no host sync
-/// between rounds; otherwise each step is one chained `apply` with the
-/// matrix-level exchange (the pre-iterate schedule). Upload and program
-/// warm-up are excluded; the timed region is the iteration schedule alone.
-pub fn stencil_iterate_virtual_s(
+/// Fig-iterate helper: one measured leg of `n` Jacobi heat-relaxation
+/// steps over a `rows × cols` row-block-distributed plate across `devices`
+/// devices. `batched` runs `Stencil2D::iterate(n)`: two ping-pong buffers
+/// per device, one halo exchange per block of rounds (the block count its
+/// plan prices cheapest from the platform's costs) on the copy stream
+/// under the block's interior-tile launch, and every block one launch per
+/// part that steps its rounds in local memory, with no host sync between
+/// rounds. Otherwise each step is one chained `apply` with the
+/// matrix-level exchange (the pre-iterate schedule). Both schedules run
+/// the stencil's one program, which the warm-up builds, and are
+/// bit-identical in their results. Upload and program warm-up are
+/// excluded; the timed region is the iteration schedule alone.
+///
+/// With `checked` skelcheck's online hazard checker is armed for the run
+/// (the public API equivalent of `SKELCL_CHECK=1`) and the label gains
+/// `checked`: `fig_iterate`'s checker-overhead check times this against
+/// the unchecked leg, and the summary line proves the checker vetted every
+/// enqueue group in the window. Callers read the window's seconds as
+/// `.window_s`.
+pub fn stencil_iterate_leg(
     rows: usize,
     cols: usize,
     devices: usize,
     n: usize,
     batched: bool,
-) -> f64 {
+    checked: bool,
+) -> RunReport {
     use skelcl::{Matrix, MatrixDistribution};
 
     let ctx = Context::from_platform(figure_platform(devices), skelcl::DEFAULT_WORK_GROUP);
+    if checked {
+        ctx.enable_online_hazard_check();
+    }
     let plate = Matrix::from_vec(&ctx, rows, cols, skelcl_iterative::heat_plate(rows, cols));
     plate
         .set_distribution(MatrixDistribution::RowBlock { halo: 1 })
@@ -541,20 +557,20 @@ pub fn stencil_iterate_virtual_s(
     // Warm the stencil's one program, which both schedules run.
     st.apply(&plate).expect("warm");
     let schedule = if batched { "batched" } else { "chained" };
-    let label = format!("fig_iterate heat {rows}x{cols} n={n} {schedule} x{devices}");
-    record(
-        &measure(&ctx, &label, skelcl_efficiency(), || {
-            if batched {
-                st.iterate(&plate, n).expect("iterate");
-            } else if n > 0 {
-                let mut cur = st.apply(&plate).expect("apply");
-                for _ in 1..n {
-                    cur = st.apply(&cur).expect("apply");
-                }
+    let suffix = if checked { " checked" } else { "" };
+    let label = format!("fig_iterate heat {rows}x{cols} n={n} {schedule}{suffix} x{devices}");
+    let (report, ()) = measure(&ctx, &label, skelcl_efficiency(), || {
+        if batched {
+            st.iterate(&plate, n).expect("iterate");
+        } else if n > 0 {
+            let mut cur = st.apply(&plate).expect("apply");
+            for _ in 1..n {
+                cur = st.apply(&cur).expect("apply");
             }
-        })
-        .0,
-    )
+        }
+    });
+    record(&report);
+    report
 }
 
 /// Which Canny label chain a `fig_fusion` leg times.
@@ -624,62 +640,6 @@ pub fn canny_virtual_s(rows: usize, cols: usize, devices: usize, leg: CannyLeg) 
         })
         .0,
     )
-}
-
-/// Fig-overlap helper: one measured leg of `n` Jacobi heat-relaxation
-/// rounds over a `rows × cols` row-block plate across `devices` devices,
-/// under either iterate schedule. With `overlapped` the default
-/// `Stencil2D::iterate` runs: one halo exchange per block of rounds (the
-/// block count its plan prices cheapest from the platform's costs), issued
-/// on the copy stream under the block's interior-tile launch, and every
-/// block one launch per part (interior and edge tiles where copies are
-/// incoming) that steps its rounds in local memory;
-/// otherwise the serial `iterate_serial` baseline runs (a one-round block
-/// per part per round, device-serializing exchange). Both schedules run
-/// the stencil's one program, which the warm-up builds. Both schedules are
-/// bit-identical in their results (asserted by `prop_overlap`); the figure
-/// isolates the modeled timeline difference. Upload and program warm-up
-/// are excluded.
-///
-/// With `checked` skelcheck's online hazard checker is armed for the run
-/// (the public API equivalent of `SKELCL_CHECK=1`) and the label gains
-/// `checked`: the figure's checker-overhead check times this against the
-/// unchecked leg, and the summary line proves the checker vetted every
-/// enqueue group in the window. Callers read the window's seconds as
-/// `.window_s`.
-pub fn overlap_iterate(
-    rows: usize,
-    cols: usize,
-    devices: usize,
-    n: usize,
-    overlapped: bool,
-    checked: bool,
-) -> RunReport {
-    use skelcl::{Matrix, MatrixDistribution};
-
-    let ctx = Context::from_platform(figure_platform(devices), skelcl::DEFAULT_WORK_GROUP);
-    if checked {
-        ctx.enable_online_hazard_check();
-    }
-    let plate = Matrix::from_vec(&ctx, rows, cols, skelcl_iterative::heat_plate(rows, cols));
-    plate
-        .set_distribution(MatrixDistribution::RowBlock { halo: 1 })
-        .expect("dist");
-    plate.ensure_on_devices().expect("upload");
-    let st = skelcl_iterative::skelcl_impl::heat_skeleton();
-    st.iterate(&plate, 1).expect("warm");
-    let schedule = if overlapped { "overlapped" } else { "serial" };
-    let suffix = if checked { " checked" } else { "" };
-    let label = format!("fig_overlap iterate {rows}x{cols} n={n} {schedule}{suffix} x{devices}");
-    let (report, ()) = measure(&ctx, &label, skelcl_efficiency(), || {
-        if overlapped {
-            st.iterate(&plate, n).expect("iterate");
-        } else {
-            st.iterate_serial(&plate, n).expect("iterate serial");
-        }
-    });
-    record(&report);
-    report
 }
 
 /// Fig-allpairs helper: virtual time of one `C = A·B` square matrix
@@ -1141,8 +1101,8 @@ mod tests {
         // heat stencil's Neumann boundary) and never re-synchronises the
         // host between rounds, so it must model faster on multiple
         // devices. (The full 1024² sweep is the `fig_iterate` figure.)
-        let chained = stencil_iterate_virtual_s(256, 256, 4, 50, false);
-        let batched = stencil_iterate_virtual_s(256, 256, 4, 50, true);
+        let chained = stencil_iterate_leg(256, 256, 4, 50, false, false).window_s;
+        let batched = stencil_iterate_leg(256, 256, 4, 50, true, false).window_s;
         assert!(
             batched < chained,
             "batched iterate ({batched}s) must beat chained applies ({chained}s)"
@@ -1153,8 +1113,8 @@ mod tests {
     fn single_device_iterate_is_no_slower_than_chained_applies() {
         // No halos, no exchanges: the two schedules collapse to the same
         // launch sequence.
-        let chained = stencil_iterate_virtual_s(128, 128, 1, 20, false);
-        let batched = stencil_iterate_virtual_s(128, 128, 1, 20, true);
+        let chained = stencil_iterate_leg(128, 128, 1, 20, false, false).window_s;
+        let batched = stencil_iterate_leg(128, 128, 1, 20, true, false).window_s;
         assert!(
             batched <= chained,
             "batched iterate ({batched}s) must not lose to chained applies ({chained}s)"
@@ -1201,13 +1161,13 @@ mod tests {
 
     #[test]
     fn overlapped_iterate_keeps_copy_engines_busy_under_kernels() {
-        // The fig_overlap metric at a test-friendly size: the overlapped
-        // schedule must show strictly positive copy-engine time concurrent
-        // with compute on the same device.
-        let overlap_s = overlap_iterate(256, 256, 4, 20, true, false).total_overlap_s();
+        // The fig_iterate overlap check at a test-friendly size: the
+        // batched schedule must show strictly positive copy-engine time
+        // concurrent with compute on the same device.
+        let overlap_s = stencil_iterate_leg(256, 256, 4, 20, true, false).total_overlap_s();
         assert!(
             overlap_s > 0.0,
-            "no copy-under-compute overlap in the overlapped iterate schedule"
+            "no copy-under-compute overlap in the batched iterate schedule"
         );
     }
 

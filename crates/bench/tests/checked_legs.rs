@@ -1,4 +1,4 @@
-//! The overlap iterate leg under skelcheck's online hazard checker, armed
+//! The batched iterate leg under skelcheck's online hazard checker, armed
 //! through the public per-context API (`checked: true`) instead of
 //! process-wide `SKELCL_CHECK` environment mutation. The checker is a
 //! host-side happens-before analysis: it must vet every enqueue without
@@ -6,12 +6,12 @@
 //! are asserted *identical* to the unchecked leg's — a stronger guarantee
 //! than the smoke positivity check it replaces.
 
-use skelcl_bench::overlap_iterate;
+use skelcl_bench::stencil_iterate_leg;
 
 #[test]
 fn checked_iterate_leg_runs_and_matches_the_unchecked_timeline() {
-    let plain = overlap_iterate(64, 64, 2, 3, true, false).window_s;
-    let checked = overlap_iterate(64, 64, 2, 3, true, true).window_s;
+    let plain = stencil_iterate_leg(64, 64, 2, 3, true, false).window_s;
+    let checked = stencil_iterate_leg(64, 64, 2, 3, true, true).window_s;
     assert!(plain > 0.0);
     assert_eq!(
         checked, plain,

@@ -430,7 +430,7 @@ pub fn elementwise_program(
 /// arithmetic (one typed copy per window type when the types differ).
 ///
 /// A lone same-type stencil builds the program of its `Stencil2D`'s
-/// `apply`, `iterate` and `iterate_serial`: it steps `rounds` rounds
+/// `apply` and `iterate`: it steps `rounds` rounds
 /// between two windows, the round count is a kernel argument and the
 /// windows are `__local` arguments sized at launch, so one program serves
 /// every block length and part shape. Every other chain computes one round

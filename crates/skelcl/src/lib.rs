@@ -40,11 +40,9 @@
 //!   behind the fused Canny edge detector (see *Pipelines and fusion*
 //!   below),
 //! * and the **async overlap subsystem**: per-device copy streams with
-//!   event-ordered transfers, so the overlapped `iterate` schedule runs
-//!   halo exchanges *under* interior kernels and streamed uploads
-//!   ([`Map::apply_streamed`], AllPairs' replication of a host-fresh `B`)
-//!   overlap PCIe with the first dependent kernels (see *Streams and
-//!   events* below).
+//!   event-ordered transfers, so `iterate` runs halo exchanges *under*
+//!   interior kernels and AllPairs streams the upload of a host-fresh `B`
+//!   under the kernels already running (see *Streams and events* below).
 //!
 //! ## Skeleton overview
 //!
@@ -81,10 +79,11 @@
 //! per-device results with zero inter-device transfers.
 //!
 //! **Which paths overlap:** [`Stencil2D::iterate`] (halo exchange on the
-//! copy stream under interior compute; `iterate_serial` keeps the serial
-//! schedule), [`Map::apply_streamed`] and AllPairs' replication of a
-//! host-fresh `B` (chunked uploads overlapping the first dependent
-//! kernels). Every other path issues device-ordered commands
+//! copy stream under interior compute), AllPairs' replication of a
+//! host-fresh `B` (chunked uploads under earlier kernels, each launch
+//! waiting for the event its own device's upload landed at) and
+//! [`Matrix::ensure_on_devices_streamed`] (the executor's batch upload).
+//! Every other path issues device-ordered commands
 //! ([`vgpu::Order::Device`]), exactly as before the subsystem existed.
 //!
 //! ## Streams and events
@@ -112,7 +111,8 @@
 //! timeline changes — and the simulator's timeline trace
 //! (`vgpu::Platform::enable_timeline_trace`) lets tests assert that no
 //! engine ever runs two commands at once (see the `prop_overlap` suite
-//! and the `fig_overlap` bench, which measures the overlap win).
+//! and the `fig_iterate` bench, which measures `iterate`'s win over
+//! chained `apply` calls).
 //!
 //! ## Observability
 //!

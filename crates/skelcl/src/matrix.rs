@@ -139,21 +139,6 @@ impl<T: Scalar> MatrixPart<T> {
     }
 }
 
-/// One chunk of a streamed part upload: span rows
-/// `[span_start, span_start + span_len)` of the part's buffer hold valid
-/// data once `event` completes on the device's copy engine. A consumer
-/// kernel reading those rows passes `event` in its wait list; rows
-/// not yet covered by any chunk are still in flight.
-#[derive(Clone)]
-pub(crate) struct UploadChunk {
-    pub span_start: usize,
-    pub span_len: usize,
-    pub event: Event,
-}
-
-/// Device parts plus their per-part streamed-upload chunk events.
-pub(crate) type PartsWithChunks<T> = (Vec<MatrixPart<T>>, Vec<Vec<UploadChunk>>);
-
 struct State<T: Scalar> {
     host: Vec<T>,
     rows: usize,
@@ -168,16 +153,6 @@ struct State<T: Scalar> {
     halos_fresh: bool,
     dist: MatrixDistribution,
     parts: Vec<MatrixPart<T>>,
-    /// Per part: the chunk events of a streamed upload (empty for blocking
-    /// uploads and device-born matrices). Consumed by the streamed skeleton
-    /// paths; conservative consumers may ignore it — their legacy launches
-    /// wait for the whole device anyway.
-    upload_chunks: Vec<Vec<UploadChunk>>,
-    /// The platform clock epoch the chunks were recorded under: a
-    /// `reset_clocks` between upload and consumption invalidates the
-    /// events' timestamps, so stale-epoch chunks are discarded instead of
-    /// waited on.
-    upload_epoch: u64,
     /// Every element equals this value and nothing has written the matrix
     /// since: stale device copies are made by a device fill, not an upload.
     uniform: Option<T>,
@@ -274,9 +249,9 @@ fn layout(dist: MatrixDistribution, rows: usize, cols: usize, n_devices: usize) 
             // of the matrix in each direction, so wider requests clamp to
             // `rows`. The clamp is *lossless*: a full-height halo already
             // holds every matrix row within reach of any wrapped or clamped
-            // neighbour access, and `Stencil2DView::get` resolves
-            // beyond-span deltas modulo the height against exactly that
-            // invariant (regression: `tests/degenerate_shapes.rs`).
+            // neighbour access, and a block window loads beyond-span rows
+            // modulo the height against exactly that invariant
+            // (regression: `tests/degenerate_shapes.rs`).
             let halo = halo.min(rows);
             block_ranges(rows, n_devices)
                 .into_iter()
@@ -363,8 +338,6 @@ impl<T: Scalar> Matrix<T> {
                 halos_fresh: false,
                 dist,
                 parts: Vec::new(),
-                upload_chunks: Vec::new(),
-                upload_epoch: 0,
                 uniform: None,
                 devices_modified: false,
             })),
@@ -486,7 +459,6 @@ impl<T: Scalar> Matrix<T> {
         st.uniform = None;
         st.devices_modified = false;
         st.parts.clear();
-        st.upload_chunks.clear();
         Ok(MutexGuard::map(st, |s| s.host.as_mut_slice()))
     }
 
@@ -590,8 +562,6 @@ impl<T: Scalar> Matrix<T> {
         st.halos_fresh = false;
         st.uniform = None;
         st.devices_modified = true;
-        // The kernel's writes supersede any still-recorded upload events.
-        st.upload_chunks.clear();
     }
 
     /// Upload to the devices (per the current distribution) if the device
@@ -602,14 +572,14 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Upload to the devices like [`Matrix::ensure_on_devices`], but
-    /// **streamed in row chunks on the copy stream**: the upload is issued
-    /// as asynchronous chunked writes whose events are kept with the parts,
-    /// so a streamed skeleton pass (AllPairs' replication of `B`) launches
-    /// its first kernels while later chunks are still crossing PCIe. A
-    /// no-op when the devices are already fresh; bit-identical data either
-    /// way.
+    /// **streamed in row chunks on the copy stream**: the chunks are
+    /// asynchronous writes ordered after earlier copies only, so they cross
+    /// PCIe under whatever kernel the device is still running, and a
+    /// device-ordered launch after them waits for all of them (the
+    /// executor's batch upload). A no-op when the devices are already
+    /// fresh; bit-identical data either way.
     pub fn ensure_on_devices_streamed(&self, chunk_rows: usize) -> Result<()> {
-        self.upload_parts(Some(chunk_rows), |_, _| ()).map(drop)
+        self.parts_with_upload_chunks(chunk_rows).map(drop)
     }
 
     /// Refresh every part's halo rows from the rows' owning parts via
@@ -635,7 +605,6 @@ impl<T: Scalar> Matrix<T> {
         if !st.device_fresh {
             st.dist = dist;
             st.parts.clear();
-            st.upload_chunks.clear();
             return Ok(());
         }
         let n_rows = st.rows;
@@ -666,7 +635,7 @@ impl<T: Scalar> Matrix<T> {
     /// is **not** implied; callers that read halo rows go through
     /// [`Matrix::halo_exchange`] first (Stencil2D does this automatically).
     pub(crate) fn parts(&self) -> Result<Vec<MatrixPart<T>>> {
-        Ok(self.upload_parts(None, |_, _| ())?.0)
+        self.upload_parts(|_, _| ())
     }
 
     /// Like [`Matrix::parts`], but also guarantees halo coherence.
@@ -676,47 +645,43 @@ impl<T: Scalar> Matrix<T> {
         Ok(parts)
     }
 
-    /// The device-resident parts together with any pending streamed-upload
-    /// chunk events (uploading *streamed* first if the devices are stale —
-    /// halos come straight from the host, so they are coherent). The chunk
-    /// lists are empty for parts that were uploaded blocking or written by
-    /// kernels; consumers then need no upload dependencies.
-    pub(crate) fn parts_with_upload_chunks(&self, chunk_rows: usize) -> Result<PartsWithChunks<T>> {
-        let parts = self.upload_parts(Some(chunk_rows), |_, _| ())?;
-        self.halo_exchange()?;
-        Ok(parts)
+    /// The device-resident parts, uploading *streamed* in `chunk_rows`-row
+    /// chunks first if the devices are stale, with per part the event at
+    /// which this call's upload to it landed: its last chunk's, since the
+    /// copy stream keeps a part's chunks in order. `None` where this call
+    /// streamed nothing to the part: the devices were already fresh, the
+    /// part is empty, or the upload was blocking. A consumer that waits for
+    /// these events waits for exactly its own upload, never an earlier one.
+    /// Halo coherence is not implied.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn parts_with_upload_chunks(
+        &self,
+        chunk_rows: usize,
+    ) -> Result<(Vec<MatrixPart<T>>, Vec<Option<Event>>)> {
+        let mut st = self.state.lock();
+        let mut landed = Vec::new();
+        if !st.device_fresh {
+            landed = ensure_on_devices_streamed(&self.ctx, &mut st, chunk_rows)?;
+        }
+        landed.resize(st.parts.len(), None);
+        Ok((st.parts.clone(), landed))
     }
 
-    /// The device-resident parts with their live streamed-upload chunk
-    /// events, uploading first if the devices are stale: blocking, or
-    /// streamed in `chunk_rows`-row chunks when given. An upload runs
-    /// inside the guard `upload_span(len, dist)` returns, so a view can
-    /// name its uploads: [`crate::Vector`] wraps them in its
-    /// `vector.upload` spans, while matrix uploads run span-less. Halo
-    /// coherence is not implied.
+    /// The device-resident parts, uploading first if the devices are
+    /// stale. The upload runs inside the guard `upload_span(len, dist)`
+    /// returns, so a view can name its uploads: [`crate::Vector`] wraps
+    /// them in its `vector.upload` spans, while matrix uploads run
+    /// span-less. Halo coherence is not implied.
     pub(crate) fn upload_parts<S>(
         &self,
-        chunk_rows: Option<usize>,
         upload_span: impl FnOnce(usize, MatrixDistribution) -> S,
-    ) -> Result<PartsWithChunks<T>> {
+    ) -> Result<Vec<MatrixPart<T>>> {
         let mut st = self.state.lock();
         if !st.device_fresh {
             let _span = upload_span(st.rows * st.cols, st.dist);
-            match chunk_rows {
-                None => ensure_on_devices(&self.ctx, &mut st)?,
-                Some(chunk_rows) => ensure_on_devices_streamed(&self.ctx, &mut st, chunk_rows)?,
-            }
+            ensure_on_devices(&self.ctx, &mut st)?;
         }
-        // Chunk events recorded before a `reset_clocks` carry stale
-        // timestamps; consumers then get no upload dependencies.
-        let live = st.upload_chunks.len() == st.parts.len()
-            && st.upload_epoch == self.ctx.platform().clock_epoch();
-        let chunks = if live {
-            st.upload_chunks.clone()
-        } else {
-            vec![Vec::new(); st.parts.len()]
-        };
-        Ok((st.parts.clone(), chunks))
+        Ok(st.parts.clone())
     }
 
     /// Wrap freshly computed device parts as a new matrix (skeleton
@@ -756,8 +721,6 @@ impl<T: Scalar> Matrix<T> {
                 halos_fresh,
                 dist,
                 parts,
-                upload_chunks: Vec::new(),
-                upload_epoch: 0,
                 uniform: None,
                 devices_modified: false,
             })),
@@ -833,7 +796,6 @@ fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> 
         parts.push(part);
     }
     st.parts = parts;
-    st.upload_chunks.clear();
     st.device_fresh = true;
     st.halos_fresh = true;
     Ok(())
@@ -841,25 +803,24 @@ fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> 
 
 /// Upload `st.host` like [`ensure_on_devices`], but **streamed**: each
 /// full-width part's span goes out in row chunks of (at most) `chunk_rows`
-/// as asynchronous writes on the device's *copy stream*, and the chunks'
-/// events are recorded in `st.upload_chunks` so the first dependent kernel
-/// can start once its rows have landed — while later chunks are still
-/// crossing PCIe. Results are bit-identical to the blocking upload (same
-/// bytes, same destination); only the modeled timeline differs.
+/// as asynchronous writes on the device's *copy stream*. Returns, per
+/// part, the event of its last chunk (`None` for an empty part), which a
+/// dependent kernel waits for to start once the part has landed. Results
+/// are bit-identical to the blocking upload (same bytes, same
+/// destination); only the modeled timeline differs.
 ///
 /// Column-block layouts fall back to the blocking upload (their per-row
 /// strided writes are already minimal and no consumer chunks by rows), and
-/// so do uniform matrices, whose device fill crosses no bus to stream.
+/// so do uniform matrices, whose device fill crosses no bus to stream;
+/// both return no events.
 fn ensure_on_devices_streamed<T: Scalar>(
     ctx: &Context,
     st: &mut State<T>,
     chunk_rows: usize,
-) -> Result<()> {
-    if st.device_fresh {
-        return Ok(());
-    }
+) -> Result<Vec<Option<Event>>> {
     if !st.dist.is_full_width() || st.uniform.is_some() {
-        return ensure_on_devices(ctx, st);
+        ensure_on_devices(ctx, st)?;
+        return Ok(Vec::new());
     }
     assert!(
         st.host_fresh,
@@ -870,44 +831,37 @@ fn ensure_on_devices_streamed<T: Scalar>(
     let lay = layout(st.dist, st.rows, cols, ctx.n_devices());
     let concurrent = lay.iter().filter(|g| g.rows > 0).count().max(1);
     let mut parts = Vec::with_capacity(lay.len());
-    let mut upload_chunks = Vec::with_capacity(lay.len());
+    let mut landed = Vec::with_capacity(lay.len());
     for geom in lay {
         let part = alloc_part(ctx, geom)?;
-        let mut chunks = Vec::new();
+        let mut last = None;
         if part.rows > 0 && cols > 0 {
             let queue = ctx.copy_queue(part.device);
             for (s, g, len) in span_runs(&part, st.rows) {
                 // Split each contiguous run into chunk_rows-row writes; the
-                // copy stream keeps them in order, so chunk k's event also
-                // covers every chunk before it.
+                // copy stream keeps them in order, so the last chunk's
+                // event also covers every chunk before it.
                 let mut done = 0;
                 while done < len {
                     let n = chunk_rows.min(len - done);
-                    let event = queue.enqueue_write(
+                    last = Some(queue.enqueue_write(
                         &part.buffer,
                         Some((s + done) * cols),
                         &st.host[(g + done) * cols..(g + done + n) * cols],
                         concurrent,
                         Order::After(&[]),
-                    )?;
-                    chunks.push(UploadChunk {
-                        span_start: s + done,
-                        span_len: n,
-                        event,
-                    });
+                    )?);
                     done += n;
                 }
             }
         }
         parts.push(part);
-        upload_chunks.push(chunks);
+        landed.push(last);
     }
     st.parts = parts;
-    st.upload_chunks = upload_chunks;
-    st.upload_epoch = ctx.platform().clock_epoch();
     st.device_fresh = true;
     st.halos_fresh = true;
-    Ok(())
+    Ok(landed)
 }
 
 /// Download the owned regions into `st.host` if the host copy is stale:
@@ -1235,8 +1189,8 @@ fn halo_exchange<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
 
 /// Refresh every part's halo rows from the rows' owning parts — the
 /// matrix-independent core of [`Matrix::halo_exchange`], also driven
-/// directly by `Stencil2D::iterate_serial` on its device-private ping-pong
-/// part sets. With `skip_wrapped` the halo runs whose global rows wrap
+/// directly by a `Pipeline` stencil chain on its device-resident parts.
+/// With `skip_wrapped` the halo runs whose global rows wrap
 /// around the matrix edge are left untouched: only the `Wrap` boundary mode
 /// ever reads them, so a stencil that knows its boundary is `Neumann`/`Zero`
 /// can batch a strictly smaller exchange. Returns whether any halo rows
@@ -1405,7 +1359,6 @@ fn redistribute<T: Scalar>(
         ctx.sync();
     }
     st.parts = new_parts;
-    st.upload_chunks.clear();
     st.dist = new_dist;
     st.halos_fresh = true;
     st.devices_modified = false;

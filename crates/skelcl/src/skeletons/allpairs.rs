@@ -205,13 +205,14 @@ where
         // Host-fresh B: replicate it event-driven — markers join each
         // device's already-scheduled work (A's upload, in-flight kernels),
         // then the per-device copies stream as async chunked writes on the
-        // copy streams, and each kernel below waits on exactly (marker,
-        // last replication chunk) instead of serializing on the device.
+        // copy streams, and each kernel below waits on exactly (marker, the
+        // event this upload landed at on its device) instead of
+        // serializing on the device.
         // A single-device A takes B to that device alone; on one device
         // that is the same layout as `Copy`, which B keeps there.
         // Device-fresh B: gathered by device-to-device exchange as before,
         // never through the host, with classic device-serializing launches.
-        let (b_parts, b_chunks, b_markers) = if !b.device_fresh() {
+        let (b_parts, b_landed, b_markers) = if !b.device_fresh() {
             b.set_distribution(match a.distribution() {
                 MatrixDistribution::Single(d) if ctx.n_devices() > 1 => {
                     MatrixDistribution::Single(d)
@@ -221,8 +222,8 @@ where
             let markers: Vec<Event> = (0..ctx.n_devices())
                 .map(|d| ctx.queue(d).enqueue_marker())
                 .collect();
-            let (parts, chunks) = b.parts_with_upload_chunks(B_REPLICATION_CHUNK_ROWS)?;
-            (parts, chunks, Some(markers))
+            let (parts, landed) = b.parts_with_upload_chunks(B_REPLICATION_CHUNK_ROWS)?;
+            (parts, landed, Some(markers))
         } else {
             let mut b_parts = b.parts()?;
             if a_parts
@@ -346,9 +347,7 @@ where
             };
             let deps = b_markers.as_ref().map(|markers| {
                 let mut deps = vec![markers[ap.device].clone()];
-                if let Some(chunk) = b_chunks.get(bi).and_then(|c| c.last()) {
-                    deps.push(chunk.event.clone());
-                }
+                deps.extend(b_landed.get(bi).cloned().flatten());
                 deps
             });
             let order = deps.as_deref().map_or(Order::Device, Order::After);
@@ -635,6 +634,57 @@ mod tests {
             reference_matmul(&da, &db, m, k, n),
             "event-driven replication must stay bit-identical"
         );
+    }
+
+    #[test]
+    fn every_launch_waits_for_its_devices_streamed_b() {
+        // Two devices, a warm program and a host-fresh `B` of several
+        // replication chunks: each device's kernel waits for the event its
+        // own `B` upload landed at, so no launch starts before the last
+        // host-to-device write to its device ends.
+        let c = ctx(2);
+        let (m, k, n) = (32, 4 * B_REPLICATION_CHUNK_ROWS, 16);
+        let s = matmul_skel();
+        let a = Matrix::from_vec(&c, m, k, test_data(m, k, 21));
+        a.ensure_on_devices().unwrap();
+        s.apply(&a, &Matrix::from_vec(&c, k, n, test_data(k, n, 22)))
+            .unwrap();
+        c.sync();
+        c.platform().reset_clocks();
+        c.platform().enable_timeline_trace();
+        let db = test_data(k, n, 23);
+        let got = s
+            .apply(&a, &Matrix::from_vec(&c, k, n, db.clone()))
+            .unwrap();
+        c.sync();
+        let trace = c.platform().take_timeline_trace();
+        for d in 0..2 {
+            let on_d = |kind| {
+                trace
+                    .iter()
+                    .filter(move |r| r.device.0 == d && r.kind == kind)
+            };
+            let landed = on_d(vgpu::CmdKind::H2D)
+                .map(|r| r.end_s)
+                .fold(0.0, f64::max);
+            assert!(landed > 0.0, "device {d} receives its B");
+            let mut launches = 0;
+            for r in on_d(vgpu::CmdKind::Kernel) {
+                assert!(
+                    r.start_s >= landed,
+                    "device {d}'s launch at {} starts before its B lands at {landed:.3e}",
+                    r.start_s
+                );
+                launches += 1;
+            }
+            assert_eq!(launches, 1, "device {d} launches once");
+        }
+        let want: Vec<u32> = reference_matmul(&test_data(m, k, 21), &db, m, k, n)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let got: Vec<u32> = got.to_vec().unwrap().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -81,42 +81,6 @@ where
         ))
     }
 
-    /// Like [`Map::apply`], but when the input still lives on the host its
-    /// upload is **streamed in `chunk_len`-element chunks on the copy
-    /// stream** and the map launches one kernel per chunk, each waiting
-    /// only for its own chunk's upload event — the classic
-    /// upload/compute-pipelined schedule: chunk `k` computes while chunk
-    /// `k+1` is still crossing PCIe. Bit-identical to [`Map::apply`] (same
-    /// generated program, same per-element math); on device-fresh input it
-    /// degrades to exactly `apply`'s schedule.
-    pub fn apply_streamed(&self, input: &Vector<T>, chunk_len: usize) -> Result<Vector<U>> {
-        let ctx = input.ctx().clone();
-        let mut span = input.call_span("map.apply_streamed");
-        span.attr("chunk_len", chunk_len.to_string());
-        let kernel = self.kernel(&ctx)?;
-        let (in_parts, upload_chunks) = input.parts_with_upload_chunks(chunk_len.max(1))?;
-        let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
-        let parts = in_parts.iter().zip(&out_parts).zip(&upload_chunks);
-        for (pi, ((ip, op), chunks)) in parts.enumerate() {
-            if chunks.is_empty() {
-                // Already resident, no chunk events: apply's exact launch.
-                let band = (0, ip.span_rows());
-                launch_elementwise(&ctx, &kernel, pi, ip, Some(op), band, Order::Device)?;
-            }
-            for c in chunks {
-                let after = Order::After(std::slice::from_ref(&c.event));
-                let band = (c.span_start, c.span_len);
-                launch_elementwise(&ctx, &kernel, pi, ip, Some(op), band, after)?;
-            }
-        }
-        Ok(Vector::from_device_parts(
-            &ctx,
-            input.len(),
-            input.distribution(),
-            out_parts,
-        ))
-    }
-
     /// Apply the skeleton element-wise over a [`Matrix`], one launch per
     /// device part. Halo rows are computed locally too (they are just
     /// copies of rows owned elsewhere), so the output's halo coherence

@@ -23,19 +23,18 @@
 //! applied as the cell loads), resolving the boundary as the window loads,
 //! so the user function's [`Stencil2DView`] reads every tap from the
 //! window. It then steps its rounds there and writes its tile once.
-//! [`Stencil2D::apply`] and every round of [`Stencil2D::iterate_serial`]
-//! step one round; a [`Stencil2D::iterate`] block steps one stencil
-//! several times between two windows; a [`Pipeline`](crate::Pipeline)
-//! chain steps each of its stencils once, each into a window of its own
-//! type. A same-type stencil's `apply`, `iterate` and `iterate_serial`
-//! share one program ([`Stencil2D::program`]).
+//! [`Stencil2D::apply`] steps one round; a [`Stencil2D::iterate`] block
+//! steps one stencil several times between two windows; a
+//! [`Pipeline`](crate::Pipeline) chain steps each of its stencils once,
+//! each into a window of its own type. A same-type stencil's `apply` and
+//! `iterate` share one program ([`Stencil2D::program`]).
 
 use crate::codegen::{self, UserFn};
 use crate::context::Context;
 use crate::error::Result;
 use crate::matrix::{
-    alloc_parts, block_ranges, exchange_part_halos, exchange_part_halos_overlapped, Matrix,
-    MatrixDistribution, MatrixPart, PartExchange,
+    alloc_parts, block_ranges, exchange_part_halos_overlapped, Matrix, MatrixDistribution,
+    MatrixPart, PartExchange,
 };
 use crate::meter;
 use crate::skeletons::pipeline::{stage_of, OpId, PixelOp};
@@ -154,9 +153,8 @@ where
     /// ([`codegen::stencil2d_block_program`] of its one stage), which a
     /// one-stage [`Pipeline`](crate::Pipeline) stencil over the same
     /// function shares. For a same-type stencil its round count is a kernel
-    /// argument, so [`Stencil2D::apply`], every block of
-    /// [`Stencil2D::iterate`] and [`Stencil2D::iterate_serial`] run this
-    /// one program.
+    /// argument, so [`Stencil2D::apply`] and every block of
+    /// [`Stencil2D::iterate`] run this one program.
     pub fn program(&self) -> &Program {
         &self.program
     }
@@ -187,33 +185,6 @@ where
         }
     }
 
-    /// The one-round block kernel of [`Stencil2D::apply`] and
-    /// [`Stencil2D::iterate_serial`] over a `rows × cols` matrix: the
-    /// one-stage chain a one-stage pipeline stencil launches. Its window is
-    /// checked against local memory before the program is built.
-    #[allow(clippy::type_complexity)]
-    fn one_round(
-        &self,
-        ctx: &Context,
-        (rows, cols): (usize, usize),
-    ) -> Result<BlockKernel<T, T, OpId<T>, Last<F, OpId<U>, T, U, U>>> {
-        let group = block_group(ctx, rows, cols);
-        check_local_mem(ctx, window_bytes::<T>(group, self.radius))?;
-        Ok(BlockKernel {
-            compiled: ctx.get_or_build(&self.program)?,
-            pre: OpId::new(),
-            load_ops: 0,
-            chain: Last {
-                round: self.round(),
-                post: OpId::new(),
-                _pd: PhantomData,
-            },
-            n_rows: rows,
-            group,
-            _pd: PhantomData,
-        })
-    }
-
     /// Apply the skeleton: per part, one launch of the block kernel in
     /// which every work-group loads its tile's window, `radius` cells
     /// deeper on every side, into local memory once and computes its tile
@@ -231,7 +202,23 @@ where
         let ctx = input.ctx().clone();
         let _span = self.span("stencil2d.apply", input);
         let (n_rows, cols) = input.dims();
-        let kernel = self.one_round(&ctx, (n_rows, cols))?;
+        // The one-stage chain a one-stage pipeline stencil launches, its
+        // window checked against local memory before the program is built.
+        let group = block_group(&ctx, n_rows, cols);
+        check_local_mem(&ctx, window_bytes::<T>(group, self.radius))?;
+        let kernel = BlockKernel {
+            compiled: ctx.get_or_build(&self.program)?,
+            pre: OpId::<T>::new(),
+            load_ops: 0,
+            chain: Last {
+                round: self.round(),
+                post: OpId::<U>::new(),
+                _pd: PhantomData,
+            },
+            n_rows,
+            group,
+            _pd: PhantomData,
+        };
         stencil_input_layout(input, self.radius)?;
         let in_parts = input.parts_with_fresh_halos()?;
 
@@ -273,7 +260,8 @@ where
     /// Apply the stencil `n` times, feeding each pass's output to the next
     /// — the iterative form behind heat relaxation, Jacobi sweeps and
     /// game-of-life (bit-identical to `n` chained [`Stencil2D::apply`]
-    /// calls, for every boundary mode and device count).
+    /// calls, for every boundary mode and device count; only the modeled
+    /// timeline and traffic differ).
     ///
     /// Unlike the chain, the whole iteration stays inside two
     /// device-resident part sets that ping-pong roles between blocks of
@@ -335,66 +323,9 @@ where
     /// }`, with `L` the longest block's rounds, and its halo rows are
     /// stale: the next stencil over it exchanges them. The
     /// `stencil2d.iterate` span records the plan as `blocks` and
-    /// `block_rounds` (`L`). Results are bit-identical to
-    /// [`Stencil2D::iterate_serial`] (same user function, same data; only
-    /// the modeled timeline and traffic change).
+    /// `block_rounds` (`L`).
     pub fn iterate(&self, input: &Matrix<T>, n: usize) -> Result<Matrix<T>> {
         self.iterate_blocked(input, n, BlockPlan::cheapest)
-    }
-
-    /// The serial schedule of [`Stencil2D::iterate`]: every round is
-    /// [`Stencil2D::apply`]'s one-round block, launched once per part after
-    /// the round's halo exchange, which is device-serializing on the main
-    /// timeline (the pre-overlap behaviour, kept as the measurable baseline
-    /// for `fig_overlap` and the overlap property suite). The result keeps
-    /// the input's distribution.
-    pub fn iterate_serial(&self, input: &Matrix<T>, n: usize) -> Result<Matrix<T>> {
-        if n == 0 {
-            return Ok(input.clone());
-        }
-        let ctx = input.ctx().clone();
-        let (n_rows, cols) = input.dims();
-        let mut span = self.span("stencil2d.iterate", input);
-        span.attr("iterations", n.to_string());
-        span.attr("schedule", "serial");
-        span.attr("blocks", (n - 1).to_string());
-        span.attr("block_rounds", "1");
-        let kernel = self.one_round(&ctx, (n_rows, cols))?;
-        stencil_input_layout(input, self.radius)?;
-        // Round 1 reads the input's own parts.
-        let in_parts = input.parts_with_fresh_halos()?;
-        let skip_wrapped = self.boundary != Boundary2D::Wrap;
-        let alloc = || alloc_matching_matrix_parts::<T, T>(&ctx, &in_parts);
-        let sets = ping_pong(n, alloc)?;
-        for round in 1..=n {
-            // Round 1 reads the input's own parts; the sets trade roles
-            // after it.
-            let src = if round == 1 {
-                &in_parts
-            } else {
-                &sets[round % 2]
-            };
-            let dst = &sets[(round - 1) % 2];
-            if round > 1 {
-                // The previous round wrote only owned rows; one batched
-                // exchange refreshes this round's input halos. The device
-                // clocks already order the copies against the producing
-                // kernels — the host never blocks between rounds.
-                exchange_part_halos(&ctx, src, n_rows, cols, skip_wrapped)?;
-            }
-            kernel.launch_parts(&ctx, src, dst)?;
-        }
-        let halos_fresh = stale_free(&in_parts);
-        let out = last_set(sets, n - 1);
-        let dist = input.distribution();
-        Ok(Matrix::from_device_parts(
-            &ctx,
-            n_rows,
-            cols,
-            dist,
-            out,
-            halos_fresh,
-        ))
     }
 
     /// The fused schedule of [`Stencil2D::iterate`]: the `rest = n − 1`
@@ -413,7 +344,6 @@ where
         let (n_rows, cols) = input.dims();
         let mut span = self.span("stencil2d.iterate", input);
         span.attr("iterations", n.to_string());
-        span.attr("schedule", "overlapped");
         let radius = self.radius;
         // Checked and planned before anything is enqueued or built.
         let group = block_group(&ctx, n_rows, cols);
@@ -453,7 +383,9 @@ where
             },
             other => other,
         };
-        let sets = ping_pong(n, || alloc_parts::<T>(&ctx, dist, n_rows, cols))?;
+        // The two ping-pong part sets; one round needs only the first.
+        let alloc = || alloc_parts::<T>(&ctx, dist, n_rows, cols);
+        let sets = [alloc()?, if n > 1 { alloc()? } else { Vec::new() }];
         let skip_wrapped = self.boundary != Boundary2D::Wrap;
 
         // Per device: the last launch, which the next exchange waits for.
@@ -514,7 +446,13 @@ where
             outgoing = exchange.into_iter().map(|e| e.outgoing).collect();
         }
 
-        let out = last_set(sets, blocks.len());
+        // Round 1 wrote set 0, and the blocks alternated after it.
+        let [first, second] = sets;
+        let out = if blocks.len().is_multiple_of(2) {
+            first
+        } else {
+            second
+        };
         let halos_fresh = stale_free(&out);
         Ok(Matrix::from_device_parts(
             &ctx,
@@ -524,26 +462,6 @@ where
             out,
             halos_fresh,
         ))
-    }
-}
-
-/// The two ping-pong part sets of an `n`-round iterate; one round needs
-/// only the first.
-fn ping_pong<T: Element>(
-    n: usize,
-    alloc: impl Fn() -> Result<Vec<MatrixPart<T>>>,
-) -> Result<[Vec<MatrixPart<T>>; 2]> {
-    Ok([alloc()?, if n > 1 { alloc()? } else { Vec::new() }])
-}
-
-/// The set written last when the first launch wrote set 0 and `swaps`
-/// launches after it alternated.
-fn last_set<T: Element>(sets: [Vec<MatrixPart<T>>; 2], swaps: usize) -> Vec<MatrixPart<T>> {
-    let [first, second] = sets;
-    if swaps.is_multiple_of(2) {
-        first
-    } else {
-        second
     }
 }
 
@@ -867,8 +785,8 @@ impl Line {
         let n = n as isize;
         if boundary == Boundary2D::Wrap {
             // Span lines are consecutive global lines (mod n), so beyond
-            // the span the position modulo `n` holds the wrapped target, as
-            // `Stencil2DView::get` reads it.
+            // the span the position modulo `n` holds the wrapped target:
+            // the window loads it here, and every tap then reads the window.
             let src = if (0..span as isize).contains(&p) {
                 p
             } else {
@@ -2091,8 +2009,8 @@ mod tests {
             before + 1,
             "every block runs one program"
         );
-        // Other block lengths and part shapes, `apply`, the serial schedule
-        // and a one-stage pipeline stencil run the same program.
+        // Other block lengths and part shapes, `apply` and a one-stage
+        // pipeline stencil run the same program.
         st.iterate(&m, 1).unwrap();
         st.iterate(&m, 9).unwrap();
         let single = Matrix::from_vec(&c, 16, 8, test_image(16, 8));
@@ -2101,7 +2019,6 @@ mod tests {
             .unwrap();
         st.iterate(&single, 4).unwrap();
         st.apply(&m).unwrap();
-        st.iterate_serial(&m, 3).unwrap();
         Pipeline::start::<f32>()
             .stencil(cross_user(), 1, Boundary2D::Neumann)
             .run(&m)

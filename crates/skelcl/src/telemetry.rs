@@ -228,16 +228,6 @@ fn prom_name(name: &str) -> String {
     out
 }
 
-/// Format a sample value for the exposition text (Prometheus accepts
-/// scientific notation; non-finite degrades to 0 like the JSON writer).
-fn prom_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
 /// Render a metrics snapshot in the Prometheus text exposition format.
 ///
 /// Counters and gauges become single samples under their sanitized name
@@ -256,16 +246,16 @@ pub fn render_prometheus(snap: &BTreeMap<String, MetricValue>) -> String {
             }
             MetricValue::Gauge(g) => {
                 let _ = writeln!(out, "# TYPE {pname} gauge");
-                let _ = writeln!(out, "{pname} {}", prom_num(*g));
+                let _ = writeln!(out, "{pname} {}", json_num(*g));
             }
             MetricValue::Histogram(h) => {
                 let _ = writeln!(out, "# TYPE {pname} summary");
                 for (q, val) in [("0.5", h.p50), ("0.9", h.p90), ("0.99", h.p99)] {
                     if let Some(val) = val {
-                        let _ = writeln!(out, "{pname}{{quantile=\"{q}\"}} {}", prom_num(val));
+                        let _ = writeln!(out, "{pname}{{quantile=\"{q}\"}} {}", json_num(val));
                     }
                 }
-                let _ = writeln!(out, "{pname}_sum {}", prom_num(h.sum));
+                let _ = writeln!(out, "{pname}_sum {}", json_num(h.sum));
                 let _ = writeln!(out, "{pname}_count {}", h.count);
                 if h.dropped > 0 {
                     let _ = writeln!(out, "# TYPE {pname}_dropped counter");

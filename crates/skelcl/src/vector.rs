@@ -31,9 +31,7 @@
 use crate::codegen::{self, UserFn};
 use crate::context::Context;
 use crate::error::{Error, Result};
-use crate::matrix::{
-    issue_copies, Matrix, MatrixDistribution, MatrixPart, PartCopy, PartsWithChunks,
-};
+use crate::matrix::{issue_copies, Matrix, MatrixDistribution, MatrixPart, PartCopy};
 use crate::skeletons::pipeline::{launch_elementwise, stage_of, ElementwiseKernel, OpZip};
 use crate::trace::SpanGuard;
 use parking_lot::MappedMutexGuard;
@@ -191,16 +189,6 @@ impl<T: Scalar> Vector<T> {
         self.parts().map(drop)
     }
 
-    /// Upload like [`Vector::ensure_on_devices`], but **streamed in chunks
-    /// of (at most) `chunk_len` elements on the copy stream**, recording
-    /// each chunk's event so a streamed skeleton pass
-    /// ([`crate::Map::apply_streamed`]) launches per-chunk kernels that
-    /// start while later chunks are still crossing PCIe. A no-op when the
-    /// devices are already fresh; bit-identical data either way.
-    pub fn ensure_on_devices_streamed(&self, chunk_len: usize) -> Result<()> {
-        self.parts_with_upload_chunks(chunk_len).map(drop)
-    }
-
     /// Change the distribution (paper's `setDistribution`). If the devices
     /// hold the newest data, the required inter-device exchange happens
     /// automatically; otherwise only metadata changes and the next upload
@@ -237,17 +225,8 @@ impl<T: Scalar> Vector<T> {
 
     /// The device-resident parts (uploading first if needed).
     pub(crate) fn parts(&self) -> Result<Vec<MatrixPart<T>>> {
-        let upload_span = |len, dist| self.upload_span(len, dist, None);
-        Ok(self.matrix.upload_parts(None, upload_span)?.0)
-    }
-
-    /// The device-resident parts with any pending streamed-upload chunk
-    /// events, uploading *streamed* first if the devices are stale. Chunk
-    /// lists are empty for blocking uploads and device-born parts.
-    pub(crate) fn parts_with_upload_chunks(&self, chunk_len: usize) -> Result<PartsWithChunks<T>> {
-        let chunk_len = chunk_len.max(1);
-        let upload_span = |len, dist| self.upload_span(len, dist, Some(chunk_len));
-        self.matrix.upload_parts(Some(chunk_len), upload_span)
+        self.matrix
+            .upload_parts(|len, dist| self.upload_span(len, dist))
     }
 
     /// Open the span of a skeleton call over this vector, with its length,
@@ -261,28 +240,16 @@ impl<T: Scalar> Vector<T> {
         span
     }
 
-    /// The span a vector upload (streamed in `chunk_len`-element chunks
-    /// when given) runs in; the matrix core uploads span-less.
-    fn upload_span(
-        &self,
-        len: usize,
-        dist: MatrixDistribution,
-        chunk_len: Option<usize>,
-    ) -> SpanGuard {
+    /// The span a vector upload runs in; the matrix core uploads
+    /// span-less.
+    fn upload_span(&self, len: usize, dist: MatrixDistribution) -> SpanGuard {
         let ctx = self.ctx();
-        let mut span = ctx.span(if chunk_len.is_some() {
-            "vector.upload_streamed"
-        } else {
-            "vector.upload"
-        });
+        let mut span = ctx.span("vector.upload");
         span.attr("len", len.to_string());
         span.attr(
             "distribution",
             format!("{:?}", Distribution::of_matrix(dist)),
         );
-        if let Some(chunk_len) = chunk_len {
-            span.attr("chunk_len", chunk_len.to_string());
-        }
         span.attr("devices", ctx.n_devices().to_string());
         span
     }

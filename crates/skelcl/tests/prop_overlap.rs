@@ -1,13 +1,10 @@
 //! Property suite of the async overlap subsystem: for all boundaries,
 //! distributions, device counts and chunk sizes,
 //!
-//! * the overlapped `Stencil2D::iterate` and the serial schedule
-//!   (`iterate_serial`) are **bit-identical** to a sequential host
-//!   evaluation of the same stencil,
-//! * streamed uploads (`Map::apply_streamed`,
-//!   `Matrix::ensure_on_devices_streamed`) are bit-identical to their
-//!   blocking twins, and their recorded chunk events die with a clock reset
-//!   or a device-side write,
+//! * the overlapped `Stencil2D::iterate` is **bit-identical** to a
+//!   sequential host evaluation of the same stencil,
+//! * a streamed upload (`Matrix::ensure_on_devices_streamed`) round-trips
+//!   its data unchanged,
 //! * and the simulated timeline never lets two commands overlap on the
 //!   same engine of one device, while the overlapped iterate really does
 //!   run halo copies *under* interior kernels.
@@ -20,7 +17,7 @@ use common::host_stencil;
 use proptest::prelude::*;
 use skelcl::{
     Boundary2D, Context, ContextConfig, Map, Matrix, MatrixDistribution, Stencil2D, Stencil2DView,
-    UserFn, Vector,
+    UserFn,
 };
 use vgpu::{verify_engine_exclusive, CommandRecord, DeviceSpec};
 
@@ -110,11 +107,10 @@ fn assert_schedule_sound(trace: &[CommandRecord]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The overlapped iterate == the serial iterate == n host passes, bit
-    // for bit, for every shape / boundary / device count / starting
-    // distribution / n.
+    // The overlapped iterate == n host passes, bit for bit, for every
+    // shape / boundary / device count / starting distribution / n.
     #[test]
-    fn overlapped_iterate_is_bit_identical_to_serial(
+    fn overlapped_iterate_is_bit_identical_to_the_host(
         rows in 1usize..20,
         cols in 1usize..12,
         devices in 1usize..5,
@@ -127,26 +123,16 @@ proptest! {
         let st = cross_stencil(boundary);
         let c = ctx(devices);
 
-        let serial = {
-            let m = Matrix::from_vec(&c, rows, cols, data.clone());
-            m.set_distribution(dist).unwrap();
-            st.iterate_serial(&m, n).unwrap().to_vec().unwrap()
-        };
-        let overlapped = {
-            let m = Matrix::from_vec(&c, rows, cols, data.clone());
-            m.set_distribution(dist).unwrap();
-            st.iterate(&m, n).unwrap().to_vec().unwrap()
-        };
+        let m = Matrix::from_vec(&c, rows, cols, data.clone());
+        m.set_distribution(dist).unwrap();
+        let overlapped = st.iterate(&m, n).unwrap().to_vec().unwrap();
         let host = host_cross(&data, (rows, cols), boundary, n);
-        prop_assert_eq!(bits(&serial), bits(&host));
-        prop_assert_eq!(bits(&overlapped), bits(&serial));
+        prop_assert_eq!(bits(&overlapped), bits(&host));
     }
 
-    // A streamed map (chunked vector upload, one kernel per chunk) == the
-    // blocking map, and a streamed matrix upload round-trips unchanged.
+    // A streamed matrix upload round-trips unchanged.
     #[test]
     fn streamed_uploads_are_bit_identical(
-        len in 0usize..200,
         rows in 1usize..16,
         cols in 1usize..10,
         devices in 1usize..5,
@@ -154,22 +140,11 @@ proptest! {
         seed in 0u32..1000,
     ) {
         let c = ctx(devices);
-        let data: Vec<f32> = (0..len).map(|i| (i as f32) * 0.75 - 3.0).collect();
-        let map = scale_map();
-        let blocking = map.apply(&Vector::from_vec(&c, data.clone())).unwrap();
-        let streamed = map
-            .apply_streamed(&Vector::from_vec(&c, data), chunk)
-            .unwrap();
-        prop_assert_eq!(
-            bits(&streamed.to_vec().unwrap()),
-            bits(&blocking.to_vec().unwrap())
-        );
-
-        let mdata = test_data(rows, cols, seed);
-        let m = Matrix::from_vec(&c, rows, cols, mdata.clone());
+        let data = test_data(rows, cols, seed);
+        let m = Matrix::from_vec(&c, rows, cols, data.clone());
         m.set_distribution(MatrixDistribution::RowBlock { halo: 1 }).unwrap();
         m.ensure_on_devices_streamed(chunk).unwrap();
-        prop_assert_eq!(bits(&m.to_vec().unwrap()), bits(&mdata));
+        prop_assert_eq!(bits(&m.to_vec().unwrap()), bits(&data));
     }
 
     // Whatever the overlapped paths schedule, no engine of any device ever
@@ -190,75 +165,13 @@ proptest! {
         let m = Matrix::from_vec(&c, rows, cols, test_data(rows, cols, seed));
         m.set_distribution(MatrixDistribution::RowBlock { halo: 1 }).unwrap();
         st.iterate(&m, n).unwrap();
-        let v = Vector::from_vec(&c, test_data(rows, cols, seed + 1));
-        scale_map().apply_streamed(&v, chunk).unwrap();
+        let streamed = Matrix::from_vec(&c, rows, cols, test_data(rows, cols, seed + 1));
+        streamed.set_distribution(MatrixDistribution::RowBlock { halo: 1 }).unwrap();
+        streamed.ensure_on_devices_streamed(chunk).unwrap();
+        scale_map().apply_matrix(&streamed).unwrap();
         c.sync();
         assert_schedule_sound(&c.platform().take_timeline_trace());
     }
-}
-
-/// Recorded upload-chunk events die with their clock epoch: a
-/// `reset_clocks` between the streamed upload and the streamed pass (what
-/// every virtual-time measurement does) must not leave kernels waiting on
-/// pre-reset timestamps.
-#[test]
-fn clock_reset_invalidates_recorded_upload_events() {
-    let c = ctx(2);
-    let map = scale_map();
-    let data = test_data(256, 64, 3);
-    let v = Vector::from_vec(&c, data.clone());
-    // Many small chunks: the upload's per-transfer latency piles up to a
-    // clearly non-zero completion time.
-    v.ensure_on_devices_streamed(256).unwrap();
-    c.sync();
-    let uploaded_at = c.host_now_s();
-    assert!(uploaded_at > 0.0);
-
-    map.apply(&Vector::from_vec(&c, vec![1.0; 8])).unwrap(); // warm the program cache
-    c.platform().reset_clocks();
-    c.platform().enable_timeline_trace();
-    let out = map.apply_streamed(&v, 256).unwrap();
-    c.sync();
-    let trace = c.platform().take_timeline_trace();
-    let starts: Vec<f64> = trace
-        .iter()
-        .filter(|r| r.kind == vgpu::CmdKind::Kernel)
-        .map(|r| r.start_s)
-        .collect();
-    assert_eq!(
-        starts.len(),
-        2,
-        "the stale chunks leave one launch per part"
-    );
-    let last_start = starts.iter().copied().fold(0.0, f64::max);
-    assert!(
-        last_start < uploaded_at / 2.0,
-        "post-reset launches must not wait on pre-reset upload events \
-         (last start {last_start}, stale upload ended at {uploaded_at})"
-    );
-    // And the result is still the plain map output.
-    let want = map.apply(&Vector::from_vec(&c, data)).unwrap();
-    assert_eq!(bits(&out.to_vec().unwrap()), bits(&want.to_vec().unwrap()));
-}
-
-/// `mark_devices_modified` supersedes any recorded upload events: the next
-/// streamed pass sees resident data and takes apply's single-launch path
-/// instead of per-chunk launches against dead chunk events.
-#[test]
-fn device_modification_clears_recorded_upload_events() {
-    let c = ctx(2);
-    let map = scale_map();
-    let v = Vector::from_vec(&c, test_data(32, 8, 5));
-    v.ensure_on_devices_streamed(16).unwrap();
-    v.mark_devices_modified();
-    map.apply(&Vector::from_vec(&c, vec![1.0; 8])).unwrap(); // warm the program cache
-    let before = c.platform().stats_snapshot();
-    map.apply_streamed(&v, 16).unwrap();
-    let delta = c.platform().stats_snapshot() - before;
-    assert_eq!(
-        delta.kernel_launches, 2,
-        "resident input must launch once per part, not once per chunk"
-    );
 }
 
 /// The overlap is real, not just permitted: on multiple devices the

@@ -3,7 +3,7 @@
 //! sequential host passes for arbitrary shapes, boundary modes, device
 //! counts and starting distributions — and its exchange schedule is exact:
 //! one halo exchange per block of rounds its `stencil2d.iterate` span
-//! reports (`iterate`) or per round (`iterate_serial`).
+//! reports, where the chain exchanges once per `apply`.
 
 mod common;
 
@@ -59,17 +59,17 @@ fn cross_stencil(
     Stencil2D::new(user, 1, boundary)
 }
 
-/// Run `iterate(n)` (`overlapped`) or `iterate_serial(n)` on `m` and
+/// Run `iterate(n)` (`batched`) or `n` chained `apply` calls on `m` and
 /// return the halo exchanges the run counted and the block count the
-/// `stencil2d.iterate` span reports. The span's blocks cover the `n − 1`
-/// rounds after round 1 in near-equal blocks of at most `block_rounds`
-/// rounds (one round each on the serial schedule).
+/// `stencil2d.iterate` span reports (0 for the chain, which opens none).
+/// The span's blocks cover the `n − 1` rounds after round 1 in near-equal
+/// blocks of at most `block_rounds` rounds.
 fn run_counting<F>(
     c: &Context,
     st: &Stencil2D<f32, f32, F>,
     m: &Matrix<f32>,
     n: usize,
-    overlapped: bool,
+    batched: bool,
 ) -> (u64, u64)
 where
     F: Fn(&Stencil2DView<'_, f32>) -> f32 + Send + Sync + Clone + 'static,
@@ -77,11 +77,14 @@ where
     c.enable_spans();
     c.clear_spans();
     let before = c.halo_exchange_count();
-    if overlapped {
-        st.iterate(m, n).unwrap();
-    } else {
-        st.iterate_serial(m, n).unwrap();
+    if !batched {
+        let mut cur = m.clone();
+        for _ in 0..n {
+            cur = st.apply(&cur).unwrap();
+        }
+        return (c.halo_exchange_count() - before, 0);
     }
+    st.iterate(m, n).unwrap();
     let exchanges = c.halo_exchange_count() - before;
     let spans = c.take_spans();
     let span = spans
@@ -182,11 +185,11 @@ proptest! {
     }
 
     // Exchange-count regression: on 2+ devices with a halo-stale input,
-    // iterate_serial(n) performs exactly n halo-exchange events — one
-    // batched exchange per iteration, never one per radius row or per part
-    // — and the blocked iterate(n) exactly one for the input plus one per
+    // n chained applies perform exactly n halo-exchange events — one
+    // batched exchange per apply, never one per radius row or per part —
+    // and the blocked iterate(n) exactly one for the input plus one per
     // block of rounds its span reports (exchanges issued asynchronously on
-    // the copy stream count like serial ones).
+    // the copy stream count like blocking ones).
     #[test]
     fn iterate_performs_exactly_n_halo_exchanges(
         rows in 8usize..24,
@@ -197,29 +200,29 @@ proptest! {
     ) {
         let c = ctx(devices);
         let st = cross_stencil(boundary);
-        for overlapped in [true, false] {
+        for batched in [true, false] {
             let m = Matrix::from_vec(&c, rows, cols, test_data(rows, cols, 7));
             m.set_distribution(MatrixDistribution::RowBlock { halo: 1 }).unwrap();
             // Make the input halo-stale, as it is in any real pipeline
             // where the grid arrives from a previous device-side skeleton.
             m.ensure_on_devices().unwrap();
             m.mark_devices_modified();
-            let (exchanges, blocks) = run_counting(&c, &st, &m, n, overlapped);
-            let want = if overlapped { 1 + blocks } else { n as u64 };
-            prop_assert_eq!(exchanges, want, "overlapped={}", overlapped);
+            let (exchanges, blocks) = run_counting(&c, &st, &m, n, batched);
+            let want = if batched { 1 + blocks } else { n as u64 };
+            prop_assert_eq!(exchanges, want, "batched={}", batched);
         }
     }
 }
 
 /// The non-property twin of the exchange-count regression, pinned to
-/// plain configurations so a failure names them: the serial schedule
-/// exchanges once per iteration, the blocked one once for the stale input
-/// and once per block its span reports.
+/// plain configurations so a failure names them: the chain exchanges once
+/// per apply, the blocked iterate once for the stale input and once per
+/// block its span reports.
 #[test]
 fn two_and_four_device_iterates_exchange_once_per_iteration() {
     for devices in [2usize, 4] {
         for n in [1usize, 10] {
-            for overlapped in [true, false] {
+            for batched in [true, false] {
                 let c = ctx(devices);
                 let st = cross_stencil(Boundary2D::Neumann);
                 let m = Matrix::from_vec(&c, 32, 8, test_data(32, 8, 3));
@@ -227,11 +230,11 @@ fn two_and_four_device_iterates_exchange_once_per_iteration() {
                     .unwrap();
                 m.ensure_on_devices().unwrap();
                 m.mark_devices_modified();
-                let (exchanges, blocks) = run_counting(&c, &st, &m, n, overlapped);
-                let want = if overlapped { 1 + blocks } else { n as u64 };
+                let (exchanges, blocks) = run_counting(&c, &st, &m, n, batched);
+                let want = if batched { 1 + blocks } else { n as u64 };
                 assert_eq!(
                     exchanges, want,
-                    "{n} iterations on {devices} devices (overlapped={overlapped})"
+                    "{n} iterations on {devices} devices (batched={batched})"
                 );
             }
         }
@@ -239,25 +242,22 @@ fn two_and_four_device_iterates_exchange_once_per_iteration() {
 }
 
 /// A fresh upload seeds coherent halos, so the first iteration's exchange
-/// is a no-op: n iterations cost n − 1 exchange events on the serial
-/// schedule, and one per block of the n − 1 later rounds on the blocked one.
+/// is a no-op: n iterations cost n − 1 exchange events on the chain, and
+/// one per block of the n − 1 later rounds on the blocked iterate.
 #[test]
 fn fresh_uploads_save_the_first_exchange() {
-    for overlapped in [true, false] {
+    for batched in [true, false] {
         let c = ctx(4);
         let st = cross_stencil(Boundary2D::Wrap);
         let m = Matrix::from_vec(&c, 32, 8, test_data(32, 8, 5));
         m.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
             .unwrap();
-        let (exchanges, blocks) = run_counting(&c, &st, &m, 6, overlapped);
+        let (exchanges, blocks) = run_counting(&c, &st, &m, 6, batched);
         assert_eq!(
             exchanges,
-            if overlapped { blocks } else { 5 },
-            "overlapped={overlapped}"
+            if batched { blocks } else { 5 },
+            "batched={batched}"
         );
-        assert!(
-            !overlapped || blocks >= 1,
-            "five later rounds run in blocks"
-        );
+        assert!(!batched || blocks >= 1, "five later rounds run in blocks");
     }
 }

@@ -9,7 +9,7 @@
 //! The [`CommandRecord`] trace serves the async-overlap subsystem the same
 //! way: with tracing enabled, every scheduled command logs which engine of
 //! which device it occupied for which virtual interval, so tests and the
-//! `fig_overlap` bench can assert that two commands never overlap on the
+//! `fig_iterate` bench can assert that two commands never overlap on the
 //! same engine of one device — and that overlapped schedules really do run
 //! copies under kernels.
 //!
