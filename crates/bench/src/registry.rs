@@ -77,11 +77,24 @@ fn fig2() {
 }
 
 /// Multi-GPU scaling of the Gaussian → Sobel Stencil2D pipeline over a
-/// row-block matrix with halo exchange, 1 → 4 devices.
+/// row-block matrix with halo exchange, 1 → 4 devices. The 4-device leg is
+/// no slower than the 3-device one: the exchange between the two stencils
+/// runs its copies in device-disjoint rounds, so a fourth device adds no
+/// serialised copy.
 fn fig_stencil() {
-    for devices in [1usize, 2, 3, 4] {
-        stencil_scaling_virtual_s(1024, 1024, devices);
-    }
+    let legs: Vec<f64> = [1usize, 2, 3, 4]
+        .into_iter()
+        .map(|devices| stencil_scaling_virtual_s(1024, 1024, devices))
+        .collect();
+    let (x3, x4) = (legs[2], legs[3]);
+    assert!(
+        x4 <= x3,
+        "blur_sobel on 4 devices ({x4}s) must be no slower than on 3 ({x3}s)"
+    );
+    println!(
+        "fig_stencil check: 1024x1024 blur_sobel x3 {x3:.6}s, x4 {x4:.6}s ({:.3}x)",
+        x3 / x4
+    );
 }
 
 /// `Stencil2D::iterate(n)` (one halo exchange per block of rounds, its
@@ -213,12 +226,14 @@ fn assert_batched_bit_identity() {
 /// the unfused six-skeleton chain with five materialised intermediates, a
 /// launch and a window per stencil. Fused wins by ≥ 1.3× at every size and
 /// device count, and its 4-device leg is no slower than its 1-device leg.
+/// The unfused 4-device leg is no slower than its 2-device leg: its halo
+/// exchanges run their copies in device-disjoint rounds.
 /// Read back to the host at 512², `canny_labels` (banded, each band's read
 /// under the later bands' kernels) is no slower than `run` then `to_vec`
 /// on every device count.
 fn fig_fusion() {
     for size in [256usize, 384, 512] {
-        let mut fused_x1 = f64::NAN;
+        let (mut fused_x1, mut unfused_x2) = (f64::NAN, f64::NAN);
         for devices in [1usize, 2, 4] {
             let unfused = canny_virtual_s(size, size, devices, CannyLeg::Unfused);
             let fused = canny_virtual_s(size, size, devices, CannyLeg::Fused);
@@ -234,12 +249,19 @@ fn fig_fusion() {
             );
             match devices {
                 1 => fused_x1 = fused,
-                4 => assert!(
-                    fused <= fused_x1,
-                    "fused canny on 4 devices ({fused}s) must be no slower than on 1 \
-                     ({fused_x1}s) at {size}x{size}"
-                ),
-                _ => {}
+                2 => unfused_x2 = unfused,
+                _ => {
+                    assert!(
+                        fused <= fused_x1,
+                        "fused canny on 4 devices ({fused}s) must be no slower than on 1 \
+                         ({fused_x1}s) at {size}x{size}"
+                    );
+                    assert!(
+                        unfused <= unfused_x2,
+                        "unfused canny on 4 devices ({unfused}s) must be no slower than on 2 \
+                         ({unfused_x2}s) at {size}x{size}"
+                    );
+                }
             }
         }
     }

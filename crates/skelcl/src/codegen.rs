@@ -430,11 +430,14 @@ pub fn elementwise_program(
 /// arithmetic (one typed copy per window type when the types differ).
 ///
 /// A lone same-type stencil builds the program of its `Stencil2D`'s
-/// `apply` and `iterate`: it steps `rounds` rounds
-/// between two windows, the round count is a kernel argument and the
-/// windows are `__local` arguments sized at launch, so one program serves
-/// every block length and part shape. Every other chain computes one round
-/// per stencil, one `__local` window argument each.
+/// `apply` and `iterate`: it steps `rounds` rounds between two windows
+/// around a tile of `tw × th` cells, a whole multiple of the work-group,
+/// each lane writing the tile cells `get_local_size` apart. The round count
+/// and the tile are one kernel argument, `block = (rounds, tw, th)`, and
+/// the windows are `__local` arguments sized at launch, so one program
+/// serves every block length, tile and part shape. Every other chain
+/// computes one round per stencil over a tile of the work-group's size,
+/// one `__local` window argument each.
 pub fn stencil2d_block_program(stages: &[FusedStage], in_t: &str, out_t: &str) -> Program {
     let anchors: Vec<usize> = (0..stages.len())
         .filter(|&i| stages[i].kind.starts_with("stencil"))
@@ -522,15 +525,57 @@ pub fn stencil2d_block_program(stages: &[FusedStage], in_t: &str, out_t: &str) -
     } else {
         windows[last].radius.to_string()
     };
+    // The tile cell a lane writes: its own in a chain's work-group-sized
+    // tile, or every one `get_local_size` apart in a lone stencil's tile.
+    let (ty, tx) = match rounds {
+        true => ("ty", "tx"),
+        false => ("get_local_id(1)", "get_local_id(0)"),
+    };
     let write = after(
         last,
         format!(
-            "{}({last_win}, get_local_id(1) + {centre},\n\
-                     get_local_id(0) + {centre}, {last_dims})",
+            "{}({last_win}, {ty} + {centre},\n\
+                     {tx} + {centre}, {last_dims})",
             windows[last].name
         ),
         "row * n_cols + col",
     );
+    let store = format!(
+        "if (row < n_rows && col < n_cols) {{\n\
+             out[row * n_cols + col] = {write};\n\
+         }}"
+    );
+    // A lone stencil's tile comes with its round count; a chain's is the
+    // work-group.
+    let (tile, tw, th, write_loop) = if rounds {
+        (
+            "uint rounds = block.x;\n\
+             uint tw = block.y;\n\
+             uint th = block.z;\n",
+            "tw",
+            "th",
+            format!(
+                "for (uint ty = get_local_id(1); ty < th; ty += lh) {{\n\
+                     for (uint tx = get_local_id(0); tx < tw; tx += lw) {{\n\
+                         uint col = get_group_id(0) * tw + tx;\n\
+                         uint row = get_group_id(1) * th + ty + row_offset;\n\
+                         {store}\n\
+                     }}\n\
+                 }}\n"
+            ),
+        )
+    } else {
+        (
+            "",
+            "lw",
+            "lh",
+            format!(
+                "uint col = get_global_id(0);\n\
+                 uint row = get_global_id(1) + row_offset;\n\
+                 {store}\n"
+            ),
+        )
+    };
     let (what, does, params, halo, round_loop) = if rounds {
         // Cells outside the matrix are never computed: `neumann` refreshes
         // them, `zero` keeps them zero.
@@ -544,9 +589,9 @@ pub fn stencil2d_block_program(stages: &[FusedStage], in_t: &str, out_t: &str) -
         let user = &first.name;
         (
             "blocked stencil",
-            "steps `rounds` rounds of its tiles in local memory",
+            "steps `block.x` rounds over tiles of `block.y` by `block.z` cells in local memory",
             format!(
-                "const uint rounds,\n\
+                "const uint4 block,\n\
                  __local {t}* win_in,\n\
                  __local {t}* win_out"
             ),
@@ -658,11 +703,12 @@ pub fn stencil2d_block_program(stages: &[FusedStage], in_t: &str, out_t: &str) -
              uint lw = get_local_size(0);\n\
              uint lh = get_local_size(1);\n\
              uint lane = get_local_id(1) * lw + get_local_id(0);\n\
+             {tile}\
              uint halo = {halo}{radius};\n\
-             uint ww = lw + 2 * halo;\n\
-             uint wh = lh + 2 * halo;\n\
-             int col0 = (int)(get_group_id(0) * lw) - (int)halo;\n\
-             int row0 = (int)(get_group_id(1) * lh + row_offset) - (int)halo;\n\
+             uint ww = {tw} + 2 * halo;\n\
+             uint wh = {th} + 2 * halo;\n\
+             int col0 = (int)(get_group_id(0) * {tw}) - (int)halo;\n\
+             int row0 = (int)(get_group_id(1) * {th} + row_offset) - (int)halo;\n\
              {sizes}for (uint i = lane; i < ww * wh; i += lw * lh) {{\n\
                  int rr = row0 + (int)(i / ww);\n\
                  int cc = col0 + (int)(i % ww);\n\
@@ -671,11 +717,7 @@ pub fn stencil2d_block_program(stages: &[FusedStage], in_t: &str, out_t: &str) -
              barrier(CLK_LOCAL_MEM_FENCE);\n\
              {refresh_in}\n\
              {round_loop}\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1) + row_offset;\n\
-             if (row < n_rows && col < n_cols) {{\n\
-                 out[row * n_cols + col] = {write};\n\
-             }}\n\
+             {write_loop}\
          }}\n",
     );
     let (name, types): (String, &[&str]) = if rounds {
@@ -1064,7 +1106,11 @@ mod tests {
     fn only_a_lone_same_type_stencil_steps_rounds() {
         let lone = stencil2d_block_program(&[stencil_stage("wrap")], "float", "float");
         assert_eq!(lone.n_args, 8);
-        assert!(lone.source.contains("const uint rounds"));
+        // The round count and the tile share one argument.
+        assert!(lone.source.contains("const uint4 block"));
+        for read in ["rounds = block.x", "tw = block.y", "th = block.z"] {
+            assert!(lone.source.contains(read), "{read}");
+        }
         assert!(lone.source.contains("__local float* win_out"));
         let map = FusedStage::new("map", "neg", "float neg(float x){return -x;}", 1);
         for group in [
@@ -1073,6 +1119,7 @@ mod tests {
         ] {
             assert_eq!(group.n_args, 6, "{}", group.name);
             assert!(!group.source.contains("rounds"), "{}", group.source);
+            assert!(!group.source.contains("uint4 block"), "{}", group.source);
             assert!(!group.source.contains("win_out"), "{}", group.source);
             assert_ne!(group.hash(), lone.hash());
         }

@@ -1069,43 +1069,60 @@ fn copy_rounds<T: Scalar>(copies: &[PartCopy<'_, T>], n_devices: usize) -> Vec<V
     rounds.into_iter().map(|(_, members)| members).collect()
 }
 
-/// Issue one batch of redistribution copies and return their events in
-/// batch order. Every device the batch touches is joined once with a
-/// marker, and each copy waits only for the markers of its devices.
-/// Same-device copies go first. The cross-device copies follow in rounds
-/// in which no device appears twice ([`copy_rounds`]), so the copies of
-/// one round run at the same time on disjoint pairs of copy engines, each
-/// priced at [`bus_contention`]. The caller joins the devices afterwards
+/// Issue one batch of copies on the copy engines and return their events
+/// in batch order, with the number of rounds its cross-device copies ran
+/// in. Same-device copies go first. The cross-device copies follow in
+/// rounds in which no device appears twice ([`copy_rounds`]), so the copies
+/// of one round run at the same time on disjoint pairs of copy engines,
+/// each priced at [`bus_contention`]. A copy waits for what it must follow
+/// on its source device and, across devices, on its destination:
+/// `after[d]` per device, or else (`None`) a marker joining everything
+/// already scheduled on the device, once per device the batch touches, as
+/// a device-ordered copy would. The caller joins the devices afterwards
 /// (or orders its consumers after the returned events).
 pub(crate) fn issue_copies<T: Scalar>(
     ctx: &Context,
     copies: &[PartCopy<'_, T>],
-) -> Result<Vec<Event>> {
-    let mut markers: Vec<Option<Event>> = vec![None; ctx.n_devices()];
-    for c in copies {
-        for d in [c.src.device, c.dst.device] {
-            markers[d].get_or_insert_with(|| ctx.copy_queue(d).enqueue_marker());
+    after: Option<&[Vec<Event>]>,
+) -> Result<(Vec<Event>, usize)> {
+    let mut markers: Vec<Vec<Event>> = vec![Vec::new(); ctx.n_devices()];
+    let after = match after {
+        Some(after) => after,
+        None => {
+            for c in copies {
+                for d in [c.src.device, c.dst.device] {
+                    if markers[d].is_empty() {
+                        markers[d].push(ctx.copy_queue(d).enqueue_marker());
+                    }
+                }
+            }
+            &markers
         }
-    }
-    let marker = |d: usize| markers[d].clone().expect("touched devices are marked");
+    };
     let concurrent = bus_contention(copies);
     let mut events: Vec<Option<Event>> = vec![None; copies.len()];
+    let mut issue = |i: usize| -> Result<()> {
+        let c = &copies[i];
+        // The destination's events also fence the write-after-read hazard
+        // against the earlier readers of the rows the copy overwrites.
+        let mut deps = after[c.src.device].clone();
+        if c.crosses_devices() {
+            deps.extend_from_slice(&after[c.dst.device]);
+        }
+        events[i] = Some(c.issue(ctx, concurrent, Order::After(&deps))?);
+        Ok(())
+    };
     for (i, c) in copies.iter().enumerate() {
         if !c.crosses_devices() {
-            events[i] = Some(c.issue(ctx, concurrent, Order::After(&[marker(c.src.device)]))?);
+            issue(i)?;
         }
     }
-    for round in copy_rounds(copies, ctx.n_devices()) {
-        for i in round {
-            let c = &copies[i];
-            let deps = [marker(c.src.device), marker(c.dst.device)];
-            events[i] = Some(c.issue(ctx, concurrent, Order::After(&deps))?);
-        }
+    let rounds = copy_rounds(copies, ctx.n_devices());
+    for &i in rounds.iter().flatten() {
+        issue(i)?;
     }
-    Ok(events
-        .into_iter()
-        .map(|e| e.expect("every copy is issued"))
-        .collect())
+    let events = events.into_iter().map(|e| e.expect("every copy is issued"));
+    Ok((events.collect(), rounds.len()))
 }
 
 /// The copies filling a run of global rows of `dst` from their owners:
@@ -1193,7 +1210,10 @@ fn halo_exchange<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
 /// With `skip_wrapped` the halo runs whose global rows wrap
 /// around the matrix edge are left untouched: only the `Wrap` boundary mode
 /// ever reads them, so a stencil that knows its boundary is `Neumann`/`Zero`
-/// can batch a strictly smaller exchange. Returns whether any halo rows
+/// can batch a strictly smaller exchange. The copies go out as one
+/// [`issue_copies`] batch: each waits for a marker joining its devices, as
+/// a device-ordered copy would, and the cross-device ones run in
+/// device-disjoint rounds. Returns whether any halo rows
 /// were actually refreshed: that is one exchange *event*, counted here in
 /// [`Context::halo_exchange_count`] for every caller. A round where every
 /// run is skipped is a no-op and counts nothing.
@@ -1221,10 +1241,13 @@ pub(crate) struct PartExchange {
 /// The overlapped twin of [`exchange_part_halos`]: it refreshes only the
 /// `depth` halo rows nearest each side's owned rows, and every copy is
 /// issued **asynchronously on the copy engines**, waiting only for the
-/// producer events in `deps_by_device` (per source/destination device), so
-/// the whole exchange runs underneath unrelated kernels. Events are counted
-/// exactly like the serial exchange (issuing on the copy stream must not
-/// change the count). Returns each part's [`PartExchange`].
+/// producer events in `deps_by_device` on its source and destination
+/// devices, so the whole exchange runs underneath unrelated kernels. Its
+/// copies go out in the order of every batch of [`issue_copies`]: on four
+/// devices a `RowBlock` exchange's six copies run in four device-disjoint
+/// rounds, not six back to back. Events are counted exactly like the
+/// serial exchange (issuing on the copy stream must not change the count).
+/// Returns each part's [`PartExchange`].
 pub(crate) fn exchange_part_halos_overlapped<T: Scalar>(
     ctx: &Context,
     parts: &[MatrixPart<T>],
@@ -1257,8 +1280,8 @@ fn exchange_part_halos_impl<T: Scalar>(
     span.attr("rows", deepest.unwrap_or(0).min(depth).to_string());
     span.attr("overlapped", deps_by_device.is_some().to_string());
     span.attr("devices", ctx.n_devices().to_string());
-    // The copies with the index of the part whose halo each one fills.
-    let mut copies = Vec::new();
+    // The copies, and the index of the part whose halo each one fills.
+    let (mut copies, mut filled) = (Vec::new(), Vec::new());
     let mut exchanged = false;
     for (i, p) in parts.iter().enumerate() {
         if p.rows == 0 {
@@ -1271,33 +1294,23 @@ fn exchange_part_halos_impl<T: Scalar>(
                 }
                 exchanged = true;
                 for copy in row_run_copies(parts, p, run, cols) {
-                    copies.push((i, copy));
+                    copies.push(copy);
+                    filled.push(i);
                 }
             }
         }
     }
-    let concurrent = bus_contention(copies.iter().map(|(_, c)| c));
-    for (i, copy) in &copies {
-        match deps_by_device {
-            None => {
-                copy.issue(ctx, concurrent, Order::Device)?;
-            }
-            Some(deps_by_device) => {
-                // Wait for the producers on the source *and* destination
-                // devices: the destination's events also fence the
-                // write-after-read hazard against the previous round's
-                // readers of the halo region.
-                let mut deps = deps_by_device[copy.src.device].clone();
-                if copy.crosses_devices() {
-                    deps.extend_from_slice(&deps_by_device[copy.dst.device]);
-                }
-                let event = copy.issue(ctx, concurrent, Order::After(&deps))?;
-                let src = parts.iter().position(|p| std::ptr::eq(p, copy.src));
-                events[src.expect("copies read the exchanged parts")]
-                    .outgoing
-                    .push(event.clone());
-                events[*i].incoming.push(event);
-            }
+    // Without producers to wait for, each copy waits for a marker joining
+    // its devices, as a device-ordered copy would.
+    let (issued, rounds) = issue_copies(ctx, &copies, deps_by_device)?;
+    span.attr("rounds", rounds.to_string());
+    if deps_by_device.is_some() {
+        for ((copy, i), event) in copies.iter().zip(filled).zip(issued) {
+            let src = parts.iter().position(|p| std::ptr::eq(p, copy.src));
+            events[src.expect("copies read the exchanged parts")]
+                .outgoing
+                .push(event.clone());
+            events[i].incoming.push(event);
         }
     }
     // Counted after the span closes, in the span of the skeleton that
@@ -1390,7 +1403,7 @@ fn copy_from_owners<T: Scalar>(
             }
         }
     }
-    issue_copies(ctx, &copies).map(drop)
+    issue_copies(ctx, &copies, None).map(drop)
 }
 
 #[cfg(test)]
@@ -2030,6 +2043,45 @@ mod tests {
         let full = (c.platform().stats_snapshot() - before).d2d_transfers;
         assert_eq!(full, 8);
         assert_eq!(skipping, 6);
+    }
+
+    #[test]
+    fn a_four_device_exchange_ends_four_copy_times_after_it_starts() {
+        // Four parts, halo 2: a wrap-skipping exchange makes six copies of
+        // two rows, two per neighbouring pair. Issued in device-disjoint
+        // rounds they end four copy times after the exchange starts, both
+        // device-ordered and waiting for producers; back to back, the
+        // inner devices' copies took six.
+        let c = ctx(4);
+        let (rows, cols) = (64, 16);
+        let m = Matrix::from_vec(&c, rows, cols, data(rows, cols));
+        m.set_distribution(MatrixDistribution::RowBlock { halo: 2 })
+            .unwrap();
+        let parts = m.parts().unwrap();
+        let bytes = 2 * cols * std::mem::size_of::<f32>();
+        let copy_s = c.platform().topology().d2d_transfer_s(bytes, 2);
+        for overlapped in [false, true] {
+            c.platform().sync_all();
+            c.platform().reset_clocks();
+            let before = c.platform().stats_snapshot();
+            if overlapped {
+                // Ordered after the device-ordered exchange's writes.
+                let producers: Vec<Vec<Event>> =
+                    (0..4).map(|d| vec![c.queue(d).enqueue_marker()]).collect();
+                exchange_part_halos_overlapped(&c, &parts, rows, cols, true, 2, &producers)
+                    .unwrap();
+            } else {
+                exchange_part_halos(&c, &parts, rows, cols, true).unwrap();
+            }
+            c.platform().sync_all();
+            let copies = (c.platform().stats_snapshot() - before).d2d_transfers;
+            let copy_times = c.platform().host_now_s() / copy_s;
+            assert_eq!(copies, 6, "overlapped: {overlapped}");
+            assert!(
+                (copy_times - 4.0).abs() < 1e-9,
+                "overlapped: {overlapped}, {copy_times} copy times"
+            );
+        }
     }
 
     #[test]

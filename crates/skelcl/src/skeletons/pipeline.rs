@@ -441,6 +441,7 @@ where
             exchange_part_halos(&ctx, &parts, rows, cols, skip_wrapped)?;
         }
         let program = codegen::stencil2d_block_program(&stages, J::TYPE_NAME, <C::Out>::TYPE_NAME);
+        let group = block_group(&ctx, rows, cols);
         let kernel = BlockKernel {
             compiled: ctx.get_or_build(&program)?,
             pre: OpSeq {
@@ -451,7 +452,8 @@ where
             load_ops,
             chain,
             n_rows: rows,
-            group: block_group(&ctx, rows, cols),
+            group,
+            tile: group,
             _pd: PhantomData,
         };
         let out_parts: Vec<MatrixPart<C::Out>> = alloc_matching_matrix_parts(&ctx, &parts)?;

@@ -28,6 +28,13 @@
 //! [`Pipeline`](crate::Pipeline) chain steps each of its stencils once,
 //! each into a window of its own type. A same-type stencil's `apply` and
 //! `iterate` share one program ([`Stencil2D::program`]).
+//!
+//! A work-group's lanes form the `lx × ly` lane grid of the context's
+//! work-group size (16×16 by default), and its tile is a whole multiple of
+//! that grid, lane `(x, y)` writing the tile cells `(x + i·lx, y + j·ly)`.
+//! `apply`, a pipeline chain and `iterate`'s first round step a tile of the
+//! lane grid's own shape; a block of two or more rounds steps the tile its
+//! plan picks, wider tiles recomputing fewer ring cells per owned cell.
 
 use crate::codegen::{self, UserFn};
 use crate::context::Context;
@@ -152,8 +159,8 @@ where
     /// The generated block program every launch of this stencil runs
     /// ([`codegen::stencil2d_block_program`] of its one stage), which a
     /// one-stage [`Pipeline`](crate::Pipeline) stencil over the same
-    /// function shares. For a same-type stencil its round count is a kernel
-    /// argument, so [`Stencil2D::apply`] and every block of
+    /// function shares. For a same-type stencil its round count and tile
+    /// are one kernel argument, so [`Stencil2D::apply`] and every block of
     /// [`Stencil2D::iterate`] run this one program.
     pub fn program(&self) -> &Program {
         &self.program
@@ -217,6 +224,7 @@ where
             },
             n_rows,
             group,
+            tile: group,
             _pd: PhantomData,
         };
         stencil_input_layout(input, self.radius)?;
@@ -277,9 +285,9 @@ where
     ///   global memory is read and written once per block, not once per
     ///   round;
     /// * **one cached program for every block** — [`Stencil2D::program`]
-    ///   takes the round count as a kernel argument, so `iterate(x, 1)` (or
-    ///   `apply`) builds the program every later block length and part
-    ///   shape runs.
+    ///   takes the round count and the tile as a kernel argument, so
+    ///   `iterate(x, 1)` (or `apply`) builds the program every later block
+    ///   length, tile and part shape runs.
     ///
     /// `iterate(input, 0)` is the identity: it returns a handle to `input`.
     ///
@@ -291,30 +299,38 @@ where
     /// 3 + 3 + 3):
     ///
     /// * A block of `L` rounds first exchanges `L·radius` halo rows, on
-    ///   the **copy stream**.
-    /// * Every work-group of its launch loads the window of its `lx × ly`
-    ///   tile, `L·radius` cells deeper on each side, into local memory:
-    ///   one global read per cell inside the matrix. It steps the `L`
-    ///   rounds between two windows, with a barrier per round, each round
+    ///   the **copy stream**, its cross-device copies in rounds in which no
+    ///   device appears twice.
+    /// * Every work-group of its launch loads the window of its tile,
+    ///   `L·radius` cells deeper on each side, into local memory: one
+    ///   global read per cell inside the matrix. It steps the `L` rounds
+    ///   between two windows, with a barrier per round, each round
     ///   computing a region `radius` cells narrower on every side, and
-    ///   writes its tile once. Window cells outside the matrix are
-    ///   refreshed every round: `Neumann` copies the clamp target and
-    ///   `Zero` keeps the default. `Wrap` loads rows through the part's
-    ///   span (modulo the height beyond it) and columns modulo the width.
+    ///   writes its tile once. A work-group runs the `lx × ly` lane grid of
+    ///   the context's work-group size; a block of two or more rounds may
+    ///   step a tile that is a whole multiple of it (`32×16` for `16×16`
+    ///   lanes), which recomputes fewer ring cells per owned cell. Round 1
+    ///   and one-round blocks step the lane grid. Window cells outside the
+    ///   matrix are refreshed every round: `Neumann` copies the clamp
+    ///   target and `Zero` keeps the default. `Wrap` loads rows through the
+    ///   part's span (modulo the height beyond it) and columns modulo the
+    ///   width.
     /// * A block is **one launch per part**. Only where copies are
     ///   incoming does it split in two: the **interior** tiles, whose
     ///   windows read no halo row, run underneath the exchange, and the
     ///   **edge** tiles wait for the incoming copies.
     ///
-    /// The library picks `m` from the platform's own costs, before
-    /// anything is enqueued. A block may step as many rounds as keep an
-    /// `L·radius`-row halo within the thinnest part and the two windows
-    /// within the devices' local memory; where no halo copies arrive
-    /// (`Single`, `Copy`, a lone part under `Neumann` or `Zero`) it steps
-    /// four at most. Of the counts those lengths allow, the plan runs the
-    /// one whose blocks it prices cheapest, ties going to shorter blocks.
-    /// A block's price adds its launches, its kernel (longer blocks
-    /// recompute a wider ring of cells per tile) and, where copies arrive,
+    /// The library picks `m` and the tile together from the platform's own
+    /// costs, before anything is enqueued. A block may step as many rounds
+    /// as keep an `L·radius`-row halo within the thinnest part and the two
+    /// windows of its tile within the devices' local memory; where no halo
+    /// copies arrive (`Single`, `Copy`, a lone part under `Neumann` or
+    /// `Zero`) it steps four at most. Of the tiles whose windows fit at two
+    /// rounds and the counts their lengths allow, the plan runs the pair
+    /// whose blocks it prices cheapest, ties going to the tile of fewer
+    /// cells, then to shorter blocks. A block's price adds its launches,
+    /// its kernel (longer blocks recompute a wider ring of cells per tile,
+    /// wider tiles a narrower one per owned cell) and, where copies arrive,
     /// the part of the exchange its interior tiles do not hide. A stencil
     /// whose one-round windows do not fit fails with
     /// [`vgpu::Error::LocalMemExceeded`] before anything is enqueued.
@@ -322,20 +338,23 @@ where
     /// Under `RowBlock` the result is laid out `RowBlock { halo: L·radius
     /// }`, with `L` the longest block's rounds, and its halo rows are
     /// stale: the next stencil over it exchanges them. The
-    /// `stencil2d.iterate` span records the plan as `blocks` and
-    /// `block_rounds` (`L`).
+    /// `stencil2d.iterate` span records the plan as `blocks`,
+    /// `block_rounds` (`L`) and `tile` (the tile the longest block steps,
+    /// `width x height`, for example `32x16`).
     pub fn iterate(&self, input: &Matrix<T>, n: usize) -> Result<Matrix<T>> {
         self.iterate_blocked(input, n, BlockPlan::cheapest)
     }
 
-    /// The fused schedule of [`Stencil2D::iterate`]: the `rest = n − 1`
-    /// rounds after round 1 run in `count(plan, rest)` near-equal blocks,
-    /// longest first. No block may be longer than `plan.cap`.
+    /// The fused schedule of [`Stencil2D::iterate`]: `count(plan, rest)`
+    /// names a tile of `plan.tiles` and how many near-equal blocks, longest
+    /// first, the `rest = n − 1` rounds after round 1 run in. No block may
+    /// be longer than the tile's cap; blocks of one round step the lane
+    /// grid.
     fn iterate_blocked(
         &self,
         input: &Matrix<T>,
         n: usize,
-        count: impl FnOnce(&BlockPlan, usize) -> usize,
+        count: impl FnOnce(&BlockPlan, usize) -> ((usize, usize), usize),
     ) -> Result<Matrix<T>> {
         if n == 0 {
             return Ok(input.clone());
@@ -351,17 +370,22 @@ where
         let dist = stencil_layout(input.distribution(), radius);
         let round = self.round();
         let n_args = self.program.n_args;
-        let plan = BlockPlan::new::<T, _>(&ctx, dist, (n_rows, cols), &round, n_args);
-        let blocks: Vec<usize> = match n - 1 {
-            0 => Vec::new(),
-            rest => block_ranges(rest, count(&plan, rest))
-                .into_iter()
-                .map(|(_, len)| len)
-                .collect(),
+        let (tile, blocks) = match n - 1 {
+            0 => (group, Vec::new()),
+            rest => {
+                let plan = BlockPlan::new::<T, _>(&ctx, dist, (n_rows, cols), &round, n_args);
+                let (tile, count) = count(&plan, rest);
+                let lens = block_ranges(rest, count).into_iter().map(|(_, len)| len);
+                (tile, lens.collect())
+            }
         };
         let depth = blocks.first().copied().unwrap_or(1);
+        // Blocks of one round step the lane grid.
+        let tile_of = |len: usize| if len > 1 { tile } else { group };
         span.attr("blocks", blocks.len().to_string());
         span.attr("block_rounds", depth.to_string());
+        let (tw, th) = tile_of(depth);
+        span.attr("tile", format!("{tw}x{th}"));
         let mut kernel = BlockKernel {
             compiled: ctx.get_or_build(&self.program)?,
             pre: OpId::new(),
@@ -373,6 +397,7 @@ where
             },
             n_rows,
             group,
+            tile: group,
             _pd: PhantomData,
         };
         stencil_input_layout(input, radius)?;
@@ -406,6 +431,7 @@ where
         let mut outgoing: Vec<Vec<Event>> = vec![Vec::new(); in_parts.len()];
         for (b, &len) in blocks.iter().enumerate() {
             kernel.chain.rounds = len;
+            kernel.tile = tile_of(len);
             let (src, dst) = (&sets[b % 2], &sets[(b + 1) % 2]);
             // Refresh the halos the whole block reads.
             let exchange = if stale_free(src) {
@@ -465,15 +491,16 @@ where
     }
 }
 
-/// Elements of one block window: a `(lx, ly)` work-group's tile, `halo`
-/// cells deeper on every side.
-fn window_len((lx, ly): (usize, usize), halo: usize) -> usize {
-    (lx + 2 * halo) * (ly + 2 * halo)
+/// Elements of one block window: a `(width, height)` tile, `halo` cells
+/// deeper on every side.
+fn window_len((tw, th): (usize, usize), halo: usize) -> usize {
+    (tw + 2 * halo) * (th + 2 * halo)
 }
 
-/// Bytes of one block window of `T` for a chain `depth` cells deep.
-pub(crate) fn window_bytes<T: Element>(group: (usize, usize), depth: usize) -> usize {
-    window_len(group, depth) * std::mem::size_of::<T>()
+/// Bytes of one block window of `T` around a `(width, height)` tile, for a
+/// chain `depth` cells deep.
+pub(crate) fn window_bytes<T: Element>(tile: (usize, usize), depth: usize) -> usize {
+    window_len(tile, depth) * std::mem::size_of::<T>()
 }
 
 /// The work-group shape `(lx, ly)` every block launch over a `rows × cols`
@@ -502,12 +529,17 @@ pub(crate) fn check_local_mem(ctx: &Context, bytes: usize) -> Result<()> {
 
 /// How [`Stencil2D::iterate`] splits the rounds after round 1 into blocks,
 /// fixed before anything is enqueued from the layout the input takes and
-/// the platform's own constants (never a modeled clock): the longest block
-/// allowed, and what a block of `L` rounds costs.
+/// the platform's own constants (never a modeled clock): the tiles a block
+/// may step, the longest block each allows, and what a block of `L` rounds
+/// costs on each.
 struct BlockPlan {
     ctx: Context,
-    /// The longest block allowed.
-    cap: usize,
+    /// Every tile a block of two or more rounds may step, `(width,
+    /// height)`, with the longest block it allows: the lane grid, then the
+    /// whole multiples of it no wider than the matrix and no taller than
+    /// its thickest part whose two windows fit local memory at two rounds,
+    /// fewest cells first (then narrowest).
+    tiles: Vec<((usize, usize), usize)>,
     /// `(first row, rows)` of every non-empty part.
     parts: Vec<(usize, usize)>,
     /// Whether halo copies arrive, so every block splits into an interior
@@ -516,9 +548,12 @@ struct BlockPlan {
     exchanging: bool,
     /// Matrix `(rows, cols)`.
     dims: (usize, usize),
+    /// The lane grid every launch runs, and the tile of one-round blocks.
     group: (usize, usize),
     radius: usize,
     wrap: bool,
+    /// Whether windows refresh their cells outside the matrix.
+    neumann: bool,
     static_ops: u64,
     /// Bytes per element.
     elem: usize,
@@ -526,12 +561,32 @@ struct BlockPlan {
     launch_s: f64,
 }
 
+/// One tile's extent along a dimension, for [`BlockPlan::launches_s`].
+#[derive(PartialEq)]
+struct Extent {
+    len: usize,
+    /// The window lines a tile loads: those inside the matrix.
+    loaded: usize,
+    /// Whether the window reaches past the matrix edge.
+    outside: bool,
+}
+
+/// Tiles a launch prices alike: their `(cols, rows)`, how many window
+/// cells they load, and whether their windows refresh cells outside the
+/// matrix (under `Neumann`), behind a barrier each.
+#[derive(PartialEq)]
+struct TileClass {
+    dims: (usize, usize),
+    loads: usize,
+    refresh: bool,
+}
+
 impl BlockPlan {
     /// The plan of one stencil stage `round` over a matrix of `dims` laid
     /// out as `dist`, launched through a block program of `n_args`
     /// arguments. Blocks that receive halo copies are capped by the
     /// thinnest part and by local memory alone; the others also at
-    /// [`BLOCK_ROUNDS`]. The thinnest part bounds the cap before any
+    /// [`BLOCK_ROUNDS`]. The thinnest part bounds every cap before any
     /// window size is computed, so no window size overflows.
     fn new<T: Element, E>(
         ctx: &Context,
@@ -554,53 +609,88 @@ impl BlockPlan {
         let halo_cap = thinnest.checked_div(radius).unwrap_or(usize::MAX);
         let cap = halo_cap.min(if exchanging { usize::MAX } else { BLOCK_ROUNDS });
         let group = block_group(ctx, n_rows, cols);
-        let fits = |rounds: usize| {
-            check_local_mem(ctx, 2 * window_bytes::<T>(group, rounds * radius)).is_ok()
+        let fits = |tile: (usize, usize), rounds: usize| {
+            check_local_mem(ctx, 2 * window_bytes::<T>(tile, rounds * radius)).is_ok()
         };
-        let cap = (2..=cap)
-            .take_while(|&rounds| fits(rounds))
-            .last()
-            .unwrap_or(1);
+        let cap_of = |tile| {
+            let fitting = (2..=cap).take_while(|&rounds| fits(tile, rounds));
+            fitting.last().unwrap_or(1)
+        };
+        let mut tiles = vec![(group, cap_of(group))];
+        if cap > 1 {
+            // Window sizes grow with both sides, so a row of multiples
+            // ends at the first that does not fit, and the rows at the
+            // first whose narrowest tile does not.
+            let (lx, ly) = group;
+            let thickest = parts.iter().map(|&(_, rows)| rows).max().unwrap_or(0);
+            'rows: for b in 1..=thickest.div_ceil(ly) {
+                for a in 1..=cols.div_ceil(lx) {
+                    let tile = (a * lx, b * ly);
+                    if !fits(tile, 2) {
+                        if a == 1 {
+                            break 'rows;
+                        }
+                        break;
+                    }
+                    if (a, b) != (1, 1) {
+                        tiles.push((tile, cap_of(tile)));
+                    }
+                }
+            }
+            tiles.sort_by_key(|&((w, h), _)| (w * h, w));
+        }
         BlockPlan {
             ctx: ctx.clone(),
-            cap,
+            tiles,
             parts,
             exchanging,
             dims,
             group,
             radius,
             wrap,
+            neumann: round.boundary == Boundary2D::Neumann,
             static_ops: round.static_ops,
             elem: std::mem::size_of::<T>(),
             launch_s: ctx.profile().launch_cost_s(n_args),
         }
     }
 
-    /// The cheapest count of near-equal blocks for `rest` rounds.
-    fn cheapest(&self, rest: usize) -> usize {
-        block_count(rest, self.cap, |rounds, first| self.block_s(rounds, first))
+    /// The cheapest tile and count of near-equal blocks for `rest` rounds:
+    /// per tile, the cheapest count its cap allows ([`block_count`]), and
+    /// of those the cheapest, ties going to the tile of fewer cells.
+    fn cheapest(&self, rest: usize) -> ((usize, usize), usize) {
+        let mut best = (f64::INFINITY, self.group, rest);
+        for &(tile, cap) in &self.tiles {
+            let (s, count) = block_count(rest, cap, |len, first| self.block_s(tile, len, first));
+            if s < best.0 {
+                best = (s, tile, count);
+            }
+        }
+        (best.1, best.2)
     }
 
-    /// The estimated seconds of one block of `rounds` rounds, the `first`
-    /// of its iterate or a later one: the most any non-empty part spends
-    /// on its launches and kernels, where an edge launch also waits for
-    /// the copies into its halos.
+    /// The estimated seconds of one block of `rounds` rounds stepping
+    /// `tile` (the lane grid if it steps one round), the `first` of its
+    /// iterate or a later one: the most any non-empty part spends on its
+    /// launches and kernels, where an edge launch also waits for the
+    /// copies into its halos.
     ///
     /// The first block's exchange starts on every device at once, as round
-    /// 1 ends, so its copies run back to back along the line of parts: each
-    /// holds the copy engines of two neighbouring devices and shares one
-    /// with the next in issue order. A later exchange starts on each device
-    /// as its last edge launch ends, staggered by the chain before it, so a
-    /// part waits only for its own device's copies.
-    fn block_s(&self, rounds: usize, first: bool) -> f64 {
+    /// 1 ends, so its copies run in device-disjoint rounds, and a part's
+    /// edge launch waits for the last ([`BlockPlan::exchange_rounds`]). A
+    /// later exchange starts on each device as its last edge launch ends,
+    /// staggered by the chain before it, so a part waits only for its own
+    /// device's copies.
+    fn block_s(&self, tile: (usize, usize), rounds: usize, first: bool) -> f64 {
+        let tile = if rounds > 1 { tile } else { self.group };
         let copy_s = self.copy_s(rounds * self.radius);
         let part_s = |&part: &(usize, usize)| {
-            let (interior, edge) = self.launches_s(rounds, part);
+            let (interior, edge) = self.launches_s(tile, rounds, part);
             if !self.exchanging {
                 return interior;
             }
             let copies = if first {
-                self.chain_copies()
+                self.exchange_rounds()
             } else {
                 self.part_copies(part)
             };
@@ -609,71 +699,122 @@ impl BlockPlan {
         self.parts.iter().map(part_s).fold(0.0, f64::max)
     }
 
-    /// The estimated seconds of one block's interior and edge launches on
-    /// the part owning `rows` rows from `offset`. Where no copies arrive
-    /// the block is one launch of all the part's tiles, counted as
-    /// interior.
-    fn launches_s(&self, rounds: usize, (offset, rows): (usize, usize)) -> (f64, f64) {
-        let (lx, ly) = self.group;
+    /// The estimated seconds of one block's interior and edge launches of
+    /// `tile`s on the part owning `rows` rows from `offset`. Where no
+    /// copies arrive the block is one launch of all the part's tiles,
+    /// counted as interior.
+    fn launches_s(
+        &self,
+        (tw, th): (usize, usize),
+        rounds: usize,
+        (offset, rows): (usize, usize),
+    ) -> (f64, f64) {
         let depth = rounds * self.radius;
-        let tile_cols = self.dims.1.div_ceil(lx);
-        let launch = |tile_rows: usize| match tile_rows * tile_cols {
-            0 => 0.0,
-            groups => self.launch_s + self.kernel_s(rounds, groups),
+        let (n_rows, cols) = self.dims;
+        // The columns of tiles, alike but for the first and the last.
+        let mut columns: Vec<(Extent, usize)> = Vec::new();
+        for c0 in (0..cols).step_by(tw) {
+            let column = self.extent(c0, tw.min(cols - c0), depth, cols);
+            add_count(&mut columns, column, 1);
+        }
+        let (mut interior, mut edge) = (Vec::new(), Vec::new());
+        for t in (offset..offset + rows).step_by(th) {
+            let h = th.min(offset + rows - t);
+            let leaves = window_leaves_part(t, h, depth, (offset, rows), n_rows, self.wrap);
+            let launch = if self.exchanging && leaves {
+                &mut edge
+            } else {
+                &mut interior
+            };
+            let row = self.extent(t, h, depth, n_rows);
+            for (col, count) in &columns {
+                let class = TileClass {
+                    dims: (col.len, row.len),
+                    loads: col.loaded * row.loaded,
+                    refresh: self.neumann && (col.outside || row.outside),
+                };
+                add_count(launch, class, *count);
+            }
+        }
+        let launch = |tiles: &[(TileClass, usize)]| match tiles.is_empty() {
+            true => 0.0,
+            false => self.launch_s + self.kernel_s(rounds, tiles),
         };
-        let tile_rows = rows.div_ceil(ly);
-        let reads_halo = |t: usize| {
-            let tile = ly.min(offset + rows - t);
-            window_leaves_part(t, tile, depth, (offset, rows), self.dims.0, self.wrap)
+        (launch(&interior), launch(&edge))
+    }
+
+    /// One tile's extent along a dimension of `n` lines: `len` lines from
+    /// `first`, its window `depth` lines deeper on each side.
+    fn extent(&self, first: usize, len: usize, depth: usize, n: usize) -> Extent {
+        let (lo, hi) = (first as isize - depth as isize, first + len + depth);
+        let outside = lo < 0 || hi > n;
+        let loaded = match self.wrap {
+            true => len + 2 * depth,
+            false => hi.min(n) - lo.max(0) as usize,
         };
-        let interior = if self.exchanging {
-            let starts = (offset..offset + rows).step_by(ly);
-            starts.filter(|&t| !reads_halo(t)).count()
-        } else {
-            tile_rows
-        };
-        (launch(interior), launch(tile_rows - interior))
+        Extent {
+            len,
+            loaded,
+            outside,
+        }
     }
 
     /// The modeled seconds of a `Repeat` kernel of `rounds` rounds over
-    /// `groups` work-groups, each priced as a full interior tile the way
-    /// the executor prices it: cycles and bytes counted as
-    /// `WorkGroup::cost` counts them (static ops only), the busiest compute
-    /// unit's share through [`vgpu::timing::kernel_duration_s`].
-    fn kernel_s(&self, rounds: usize, groups: usize) -> f64 {
+    /// `tiles`, each class of tile with its count, the way the executor
+    /// prices it: cycles and bytes counted as `WorkGroup::cost` counts
+    /// them (static ops only), the busiest compute unit's share through
+    /// [`vgpu::timing::kernel_duration_s`]. A tile reads the window cells
+    /// inside the matrix and writes its own; cells outside the matrix are
+    /// priced as if computed.
+    fn kernel_s(&self, rounds: usize, tiles: &[(TileClass, usize)]) -> f64 {
         let spec = *self.ctx.device(0).spec();
+        let (mut total, mut busiest, mut bytes) = (0.0, 0.0f64, 0.0);
+        for (class, count) in tiles {
+            let cycles = self.tile_cycles(rounds, class);
+            total += cycles * *count as f64;
+            busiest = busiest.max(cycles);
+            let (w, h) = class.dims;
+            bytes += ((class.loads + w * h) * self.elem * count) as f64;
+        }
+        let cost = KernelCost {
+            max_cu_cycles: (total / spec.compute_units as f64).max(busiest),
+            global_bytes: bytes,
+        };
+        let efficiency = self.ctx.profile().compute_efficiency;
+        kernel_duration_s(cost, spec.clock_hz, efficiency, spec.mem_bandwidth_bytes_s)
+    }
+
+    /// The cycles of one work-group of the lane grid stepping `rounds`
+    /// rounds over a tile of `class`, lanes and tile cells counted apart.
+    fn tile_cycles(&self, rounds: usize, class: &TileClass) -> f64 {
+        let pes = self.ctx.device(0).spec().pes_per_cu;
         let (lx, ly) = self.group;
         let lanes = lx * ly;
-        let depth = rounds * self.radius;
-        let (ww, wh) = (lx + 2 * depth, ly + 2 * depth);
+        let ((w, h), depth) = (class.dims, rounds * self.radius);
+        let (ww, wh) = (w + 2 * depth, h + 2 * depth);
         // A warp pays for its busiest lane, its first: every stepped round
         // deals the cells of a region a radius narrower than the last to
-        // the lanes in turn, and the last round writes one tile cell per
-        // lane.
+        // the lanes in turn, and the last round writes the tile's cells
+        // `lx` columns and `ly` rows apart.
         let steps: usize = (0..lanes.div_ceil(WARP_SIZE))
-            .map(|w| {
-                let first = w * WARP_SIZE;
+            .map(|warp| {
+                let first = warp * WARP_SIZE;
+                let (x, y) = (first % lx, first / lx);
+                let writes = w.saturating_sub(x).div_ceil(lx) * h.saturating_sub(y).div_ceil(ly);
                 let stepped = (1..rounds).map(|j| {
                     let margin = 2 * j * self.radius;
                     ((ww - margin) * (wh - margin))
                         .saturating_sub(first)
                         .div_ceil(lanes)
                 });
-                1 + stepped.sum::<usize>()
+                writes + stepped.sum::<usize>()
             })
             .sum();
-        let slots = (WARP_SIZE.min(lanes) as f64 / spec.pes_per_cu as f64).ceil();
-        // One barrier after the load and one per stepped round.
-        let cycles = steps as f64 * self.static_ops as f64 * slots + rounds as f64 * BARRIER_CYCLES;
-        // One read per window cell, one write per tile cell.
-        let bytes = ((ww * wh + lanes) * self.elem) as f64;
-        let g = groups as f64;
-        let cost = KernelCost {
-            max_cu_cycles: (cycles * g / spec.compute_units as f64).max(cycles),
-            global_bytes: bytes * g,
-        };
-        let efficiency = self.ctx.profile().compute_efficiency;
-        kernel_duration_s(cost, spec.clock_hz, efficiency, spec.mem_bandwidth_bytes_s)
+        let slots = (WARP_SIZE.min(lanes) as f64 / pes as f64).ceil();
+        // One barrier after the load and one per stepped round, each
+        // doubled where the windows refresh cells outside the matrix.
+        let barriers = (rounds * (1 + usize::from(class.refresh))) as f64;
+        steps as f64 * self.static_ops as f64 * slots + barriers * BARRIER_CYCLES
     }
 
     /// The seconds of one halo copy `depth` rows deep: across devices
@@ -687,12 +828,18 @@ impl BlockPlan {
         }
     }
 
-    /// The copies of one whole exchange: two per pair of neighbouring
-    /// parts, with the last and first neighbours under `Wrap`.
-    fn chain_copies(&self) -> usize {
-        match self.parts.len() {
-            1 => 2,
-            p => 2 * (p - 1) + 2 * usize::from(self.wrap),
+    /// The copy times one whole exchange takes, its cross-device copies
+    /// issued in device-disjoint rounds: a lone part under `Wrap` copies
+    /// its own rows twice on one engine; two parts exchange one copy each
+    /// way per shared side; on a line of three or more parts an inner part
+    /// sits in four rounds, two per neighbour, and the outer pairs run
+    /// beside them; a ring of an odd number of parts, every round of which
+    /// leaves a device out, takes six.
+    fn exchange_rounds(&self) -> usize {
+        match (self.parts.len(), self.wrap) {
+            (1, _) | (2, false) => 2,
+            (p, true) if p % 2 == 1 => 6,
+            _ => 4,
         }
     }
 
@@ -707,6 +854,14 @@ impl BlockPlan {
             1 => above + below,
             _ => 2 * (above + below),
         }
+    }
+}
+
+/// Count `n` more of `item` in `counted`.
+fn add_count<K: PartialEq>(counted: &mut Vec<(K, usize)>, item: K, n: usize) {
+    match counted.iter_mut().find(|(k, _)| *k == item) {
+        Some((_, count)) => *count += n,
+        None => counted.push((item, n)),
     }
 }
 
@@ -734,13 +889,14 @@ fn window_leaves_part(
 }
 
 /// The cheapest count of near-equal blocks for `rest ≥ 1` rounds, none
-/// longer than `cap`, given `block_s(L, first)`, the estimate of one block
-/// of `L` rounds (the first block, which is a longest one, or a later
-/// one). Only the distinct counts `m = ⌈rest / L⌉` for `L ≤ cap` are
-/// priced, each in closed form (`rest mod m` blocks of `⌊rest / m⌋ + 1`
-/// rounds and the rest of `⌊rest / m⌋`), so planning costs `O(cap)`
-/// estimates whatever `rest` is. Ties go to more, shorter blocks.
-fn block_count(rest: usize, cap: usize, block_s: impl Fn(usize, bool) -> f64) -> usize {
+/// longer than `cap`, and its estimated seconds, given `block_s(L,
+/// first)`, the estimate of one block of `L` rounds (the first block,
+/// which is a longest one, or a later one). Only the distinct counts `m =
+/// ⌈rest / L⌉` for `L ≤ cap` are priced, each in closed form (`rest mod m`
+/// blocks of `⌊rest / m⌋ + 1` rounds and the rest of `⌊rest / m⌋`), so
+/// planning costs `O(cap)` estimates whatever `rest` is. Ties go to more,
+/// shorter blocks.
+fn block_count(rest: usize, cap: usize, block_s: impl Fn(usize, bool) -> f64) -> (f64, usize) {
     let cap = cap.min(rest).max(1);
     let later: Vec<f64> = (1..=cap).map(|len| block_s(len, false)).collect();
     let first: Vec<f64> = (1..=cap).map(|len| block_s(len, true)).collect();
@@ -760,7 +916,7 @@ fn block_count(rest: usize, cap: usize, block_s: impl Fn(usize, bool) -> f64) ->
             best = (total, m);
         }
     }
-    best.1
+    best
 }
 
 /// One row or column of a block window, resolved against the boundary once
@@ -831,8 +987,8 @@ pub struct Block<'a> {
     cols: Vec<Line>,
     n_rows: usize,
     n_cols: usize,
-    /// The work-group shape: every window is allocated for a full tile.
-    group: (usize, usize),
+    /// The full tile's `(width, height)`: every window is allocated for it.
+    shape: (usize, usize),
     /// The chain's depth: the tile's margin inside the window.
     halo: usize,
     /// Whether the window reaches past the matrix edge.
@@ -882,7 +1038,7 @@ impl Block<'_> {
 
     /// A window of `T` for a chain `depth` cells deep.
     fn alloc<T: Element>(&self, depth: usize) -> LocalBuf<T> {
-        self.wg.local_buf(window_len(self.group, depth))
+        self.wg.local_buf(window_len(self.shape, depth))
     }
 
     /// `f(lane, cell)` for every cell at least `margin` cells inside the
@@ -945,7 +1101,9 @@ impl Block<'_> {
 
     /// The last round of stage `st`: every tile cell writes
     /// `f(view, output index)` straight to `dst`, its view reading `inp`
-    /// (`off` cells inside the window).
+    /// (`off` cells inside the window). Lane `(x, y)` of an `lx × ly` lane
+    /// grid writes tile cells `(x + i·lx, y + j·ly)`, one lane grid's worth
+    /// of the tile per pass.
     fn write_tile<A: Element, V: Element, E>(
         &self,
         st: &Round<E>,
@@ -954,17 +1112,22 @@ impl Block<'_> {
         f: impl Fn(&Item<'_>, &Stencil2DView<'_, A>, usize) -> V,
     ) {
         let (t_rows, t_cols) = self.tile;
-        self.wg.for_each_item(|it| {
-            let (x, y) = (it.local_id(0), it.local_id(1));
-            if x >= t_cols || y >= t_rows {
-                return;
+        let (lx, ly) = (self.wg.local_size(0), self.wg.local_size(1));
+        for y0 in (0..t_rows).step_by(ly) {
+            for x0 in (0..t_cols).step_by(lx) {
+                self.wg.for_each_item(|it| {
+                    let (x, y) = (x0 + it.local_id(0), y0 + it.local_id(1));
+                    if x >= t_cols || y >= t_rows {
+                        return;
+                    }
+                    let o = self.out_base + y * self.n_cols + x;
+                    let view = self.view(inp, off, (self.halo + y, self.halo + x), st);
+                    let (v, dyn_ops) = meter::metered(|| f(it, &view, o));
+                    it.write(dst, o, v);
+                    it.work(st.static_ops + dyn_ops);
+                });
             }
-            let o = self.out_base + y * self.n_cols + x;
-            let view = self.view(inp, off, (self.halo + y, self.halo + x), st);
-            let (v, dyn_ops) = meter::metered(|| f(it, &view, o));
-            it.write(dst, o, v);
-            it.work(st.static_ops + dyn_ops);
-        });
+        }
     }
 }
 
@@ -982,9 +1145,9 @@ pub trait Chain<A: Element>: Clone + Send + Sync + 'static {
     /// The first stage's boundary mode, which decides how windows load.
     fn boundary(&self) -> Boundary2D;
 
-    /// Local-memory bytes of the chain's windows, its first included, for
-    /// work-groups of shape `group`.
-    fn window_bytes(&self, group: (usize, usize)) -> usize;
+    /// Local-memory bytes of the chain's windows, its first included,
+    /// around a `(width, height)` tile.
+    fn window_bytes(&self, tile: (usize, usize)) -> usize;
 
     /// Step the chain from `inp`, a window of `A` `off` cells inside the
     /// block window, and write the tile to `dst`.
@@ -1017,8 +1180,8 @@ where
         self.round.boundary
     }
 
-    fn window_bytes(&self, group: (usize, usize)) -> usize {
-        window_bytes::<A>(group, self.depth())
+    fn window_bytes(&self, tile: (usize, usize)) -> usize {
+        window_bytes::<A>(tile, self.depth())
     }
 
     fn step(&self, b: &Block<'_>, inp: &LocalBuf<A>, off: usize, dst: &Buffer<V>) {
@@ -1058,8 +1221,8 @@ where
         self.round.boundary
     }
 
-    fn window_bytes(&self, group: (usize, usize)) -> usize {
-        window_bytes::<A>(group, self.depth()) + self.next.window_bytes(group)
+    fn window_bytes(&self, tile: (usize, usize)) -> usize {
+        window_bytes::<A>(tile, self.depth()) + self.next.window_bytes(tile)
     }
 
     fn step(&self, b: &Block<'_>, inp: &LocalBuf<A>, off: usize, dst: &Buffer<N::Out>) {
@@ -1103,8 +1266,8 @@ where
         self.round.boundary
     }
 
-    fn window_bytes(&self, group: (usize, usize)) -> usize {
-        2 * window_bytes::<T>(group, self.depth())
+    fn window_bytes(&self, tile: (usize, usize)) -> usize {
+        2 * window_bytes::<T>(tile, self.depth())
     }
 
     fn step(&self, b: &Block<'_>, inp: &LocalBuf<T>, _off: usize, dst: &Buffer<T>) {
@@ -1124,9 +1287,9 @@ where
 }
 
 /// The compiled block program of one stencil chain, for a matrix of
-/// `n_rows` rows and work-groups of shape `group`. Each work-group loads
-/// its tile's window, `chain.depth()` cells deeper on every side, into
-/// local memory once (one counted global read per cell inside the matrix,
+/// `n_rows` rows, work-groups of shape `group` and tiles of shape `tile`.
+/// Each work-group loads its tile's window, `chain.depth()` cells deeper on
+/// every side, into local memory once (one counted global read per cell inside the matrix,
 /// holding `pre` of the input part's element), steps `chain` over it and
 /// writes its tile once. [`Stencil2D::iterate`] launches [`Repeat`] blocks
 /// and [`Stencil2D::apply`] a one-stage [`Last`], both with an identity
@@ -1143,9 +1306,13 @@ pub(crate) struct BlockKernel<J, A, Pre, C> {
     pub chain: C,
     /// Matrix height.
     pub n_rows: usize,
-    /// The work-group shape `(lx, ly)` every launch runs: a tile is `ly`
-    /// owned rows by `lx` columns.
+    /// The lane grid `(lx, ly)` every launch runs: the work-group shape.
     pub group: (usize, usize),
+    /// The tile `(width, height)` each work-group computes, a whole
+    /// multiple of the lane grid: a tile is `height` owned rows by `width`
+    /// columns. Only [`Stencil2D::iterate`]'s blocks of two or more rounds
+    /// step a tile wider or taller than the lane grid.
+    pub tile: (usize, usize),
     pub _pd: PhantomData<fn(J) -> A>,
 }
 
@@ -1156,13 +1323,13 @@ where
     Pre: PixelOp<J, A>,
     C: Chain<A>,
 {
-    /// Part `p`'s owned rows in tiles of at most `ly` rows, as `(first span
-    /// row, rows)`.
+    /// Part `p`'s owned rows in tiles of at most the tile's height, as
+    /// `(first span row, rows)`.
     pub fn tiles(&self, p: &MatrixPart<J>) -> Vec<(usize, usize)> {
-        let ly = self.group.1;
+        let th = self.tile.1;
         (0..p.rows)
-            .step_by(ly)
-            .map(|r| (p.halo_above + r, ly.min(p.rows - r)))
+            .step_by(th)
+            .map(|r| (p.halo_above + r, th.min(p.rows - r)))
             .collect()
     }
 
@@ -1209,7 +1376,7 @@ where
         if tiles.is_empty() || cols == 0 {
             return Ok(None);
         }
-        let ((lx, ly), group) = (self.group, self.group);
+        let ((lx, ly), (tw, th)) = (self.group, self.tile);
         let (src, dst) = (ip.buffer.clone(), op.buffer.clone());
         let (pre, chain) = (self.pre.clone(), self.chain.clone());
         let (n_rows, load_ops) = (self.n_rows, self.load_ops);
@@ -1220,8 +1387,8 @@ where
         let tiles = tiles.to_vec();
         let body: KernelBody = Arc::new(move |wg| {
             let (t0, t_rows) = tiles[wg.group_id(1)];
-            let c0 = wg.group_id(0) * lx;
-            let t_cols = lx.min(cols - c0);
+            let c0 = wg.group_id(0) * tw;
+            let t_cols = tw.min(cols - c0);
             let (ww, wh) = (t_cols + 2 * halo, t_rows + 2 * halo);
             let lanes = wg.local_total();
             let rows: Vec<Line> = (0..wh)
@@ -1245,7 +1412,7 @@ where
                 cols: cols_,
                 n_rows,
                 n_cols: cols,
-                group,
+                shape: (tw, th),
                 halo,
                 edge,
                 pi,
@@ -1276,7 +1443,8 @@ where
             chain.step(&b, &win, 0, &dst);
         });
         let kernel = self.compiled.with_body(body);
-        let nd = vgpu::NDRange::two_d((cols, n_tiles * ly), (lx, ly));
+        // One lane grid per tile.
+        let nd = vgpu::NDRange::two_d((cols.div_ceil(tw) * lx, n_tiles * ly), (lx, ly));
         Ok(Some(ctx.queue(ip.device).launch(&kernel, nd, order)?))
     }
 }
@@ -1555,18 +1723,23 @@ mod tests {
             .collect()
     }
 
-    /// The fewest blocks of at most `k` rounds the plan's cap allows:
-    /// every block as long as it may be.
-    fn fewest(k: usize) -> impl Fn(&BlockPlan, usize) -> usize {
-        move |plan, rest| rest.div_ceil(plan.cap.min(k))
+    /// The fewest blocks of at most `k` rounds the cap of the plan's
+    /// `t`-th tile (counted round its candidates) allows: every block as
+    /// long as it may be.
+    fn fewest(k: usize, t: usize) -> impl Fn(&BlockPlan, usize) -> ((usize, usize), usize) {
+        move |plan, rest| {
+            let (tile, cap) = plan.tiles[t % plan.tiles.len()];
+            (tile, rest.div_ceil(cap.min(k)))
+        }
     }
 
     #[test]
     fn blocked_iterate_is_bit_identical_to_chained_applies_for_every_block_length() {
         use MatrixDistribution::{Copy, RowBlock, Single};
-        // Every block as long as the plan's cap allows. Row blocks on every
-        // device count: parts deep enough for k·r halos (k is capped at the
-        // thinnest part and at the tiny device's local memory, which
+        // Every block as long as the cap of one of the plan's tiles allows,
+        // the tile chosen round the candidates by n and k. Row blocks on
+        // every device count: parts deep enough for k·r halos (k is capped
+        // at the thinnest part and at the tiny device's local memory, which
         // shrinks k = 8 everywhere and k = 4 at radius 2), parts thinner
         // than 2r or than r (k = 1, halos reaching across parts) and empty
         // parts. Single and Copy parts hold the whole matrix and, like a
@@ -1610,7 +1783,7 @@ mod tests {
                     };
                     for (n, want) in (1..=10).zip(&host) {
                         for k in [1, 2, 3, 4, 8] {
-                            let got = st.iterate_blocked(&input(), n, fewest(k)).unwrap();
+                            let got = st.iterate_blocked(&input(), n, fewest(k, n + k)).unwrap();
                             assert_eq!(
                                 &mat_bits(got),
                                 want,
@@ -1682,26 +1855,48 @@ mod tests {
     fn the_block_estimate_tracks_the_launched_kernels() {
         // One block of L rounds after round 1 over four Tesla parts of a
         // 1032×256 plate (258 rows each: interior and edge tiles, a
-        // two-row partial tile row, the matrix edge), at radius 1 and 2.
-        // Per part, the plan's interior and edge launches against the
-        // modeled durations of the launched `Repeat` kernels. The estimate
-        // prices every work-group as a full tile inside the matrix: its
-        // kernels read 1.4% low to 6.1% high (r = 2, L = 3: 11.3 against
-        // 10.7 µs); with their two 29 µs launch costs, 0.3% low to 1.5%
+        // two-row partial tile row, the matrix edge), at radius 1 and 2,
+        // on the 16×16 lane grid and on widened tiles. Per part, the plan's
+        // interior and edge launches against the modeled durations of the
+        // launched `Repeat` kernels. The estimate prices the tiles class by
+        // class (partial tile rows, windows refreshed at the matrix edge)
+        // but computes the window cells outside the matrix, which the
+        // kernel skips: its kernels read 0.0% to 3.7% high (r = 2, L = 7,
+        // the last part); with their two 29 µs launch costs, at most 1.4%
         // high.
         let c = tesla(4);
         let m = plate(&c, 1032, 256);
-        for (radius, rounds) in [(1, 6), (1, 7), (2, 3), (2, 7)] {
+        for (radius, rounds, tile) in [
+            (1, 6, (16, 16)),
+            (1, 7, (16, 16)),
+            (2, 3, (16, 16)),
+            (2, 7, (16, 16)),
+            (1, 6, (32, 16)),
+            (1, 10, (32, 16)),
+            (1, 6, (16, 32)),
+            (1, 5, (32, 32)),
+            (2, 3, (32, 16)),
+        ] {
             let st = damped_column(radius, Boundary2D::Neumann);
             st.iterate(&m, 1).unwrap();
             c.platform().enable_timeline_trace();
             let (mut estimates, mut overhead) = (Vec::new(), 0.0);
             let one_block = |plan: &BlockPlan, _| {
-                assert!(plan.exchanging && plan.cap >= rounds, "cap {}", plan.cap);
+                let cap = plan
+                    .tiles
+                    .iter()
+                    .find(|&&(t, _)| t == tile)
+                    .map(|&(_, cap)| cap);
+                assert!(
+                    plan.exchanging && cap >= Some(rounds),
+                    "{tile:?} cap {cap:?}"
+                );
                 let parts = plan.parts.iter();
-                estimates = parts.map(|&part| plan.launches_s(rounds, part)).collect();
+                estimates = parts
+                    .map(|&part| plan.launches_s(tile, rounds, part))
+                    .collect();
                 overhead = 2.0 * plan.launch_s;
-                1
+                (tile, 1)
             };
             st.iterate_blocked(&m, 1 + rounds, one_block).unwrap();
             c.platform().sync_all();
@@ -1716,7 +1911,8 @@ mod tests {
                     .collect();
                 assert_eq!(launches.len(), 2, "interior and edge tiles");
                 let (estimated, launched) = (interior + edge, launches.iter().sum::<f64>());
-                let at = format!("r={radius} L={rounds} part {d}: {estimated} vs {launched} s");
+                let at =
+                    format!("r={radius} L={rounds} {tile:?} part {d}: {estimated} vs {launched} s");
                 let kernels = (estimated - overhead) / (launched - overhead);
                 assert!((0.98..=1.07).contains(&kernels), "kernels {at}");
                 assert!((estimated / launched - 1.0).abs() <= 0.02, "block {at}");
@@ -1751,7 +1947,9 @@ mod tests {
                 let planned = modeled_s(&c, || drop(st.iterate(&m, n).unwrap()));
                 let capped = modeled_s(&c, || {
                     let four = |plan: &BlockPlan, rest| {
-                        block_count(rest, plan.cap.min(4), |l, first| plan.block_s(l, first))
+                        let (tile, cap) = plan.tiles[0];
+                        let priced = |l, first| plan.block_s(tile, l, first);
+                        (tile, block_count(rest, cap.min(4), priced).1)
                     };
                     drop(st.iterate_blocked(&m, n, four).unwrap())
                 });
@@ -1784,10 +1982,12 @@ mod tests {
             let planned = |plan: &BlockPlan, rest| {
                 assert_eq!(plan.exchanging, exchanging, "{dist:?} {boundary:?}");
                 assert_eq!(
-                    plan.cap <= BLOCK_ROUNDS,
+                    plan.tiles[0].1 <= BLOCK_ROUNDS,
                     !exchanging,
                     "{dist:?} {boundary:?}"
                 );
+                let capped = plan.tiles.iter().all(|&(_, cap)| cap <= BLOCK_ROUNDS);
+                assert!(exchanging || capped, "{dist:?} {boundary:?}");
                 plan.cheapest(rest)
             };
             damped_column(1, boundary)
@@ -1820,13 +2020,14 @@ mod tests {
     #[test]
     fn planning_a_billion_rounds_prices_only_the_candidate_lengths() {
         // 10⁹ rounds over four Tesla parts of a 1024² matrix: radius 0
-        // exchanges nothing (four rounds at most), radius 1 is capped by
-        // local memory at 14 rounds. Each length is priced twice (as a
-        // first and as a later block), and never is a block planned per
-        // round.
+        // exchanges nothing (four rounds at most on every tile), radius 1
+        // is capped by local memory: at 14 rounds on the 16×16 lane grid,
+        // 10 on 32×16 and 16×32 tiles, 6 on 32×32. Each length of each
+        // candidate tile is priced twice (as a first and as a later block),
+        // and never is a block planned per round.
         let c = tesla(4);
         let rest = 1_000_000_000 - 1;
-        for (radius, cap) in [(0, 4), (1, 14)] {
+        for (radius, caps) in [(0, [4, 4, 4, 4]), (1, [14, 10, 10, 6])] {
             let round = Round {
                 eval: (),
                 radius,
@@ -1835,17 +2036,27 @@ mod tests {
             };
             let dist = MatrixDistribution::RowBlock { halo: radius };
             let plan = BlockPlan::new::<f32, _>(&c, dist, (1024, 1024), &round, 8);
-            assert_eq!(plan.cap, cap, "radius {radius}");
-            let priced = std::cell::Cell::new(0);
-            let blocks = block_count(rest, plan.cap, |rounds, first| {
-                priced.set(priced.get() + 1);
-                plan.block_s(rounds, first)
-            });
-            assert_eq!(priced.get(), 2 * cap, "radius {radius}");
-            assert!(
-                rest.div_ceil(blocks) <= cap,
-                "radius {radius}: {blocks} blocks"
-            );
+            let cap_of = |tile| plan.tiles.iter().find(|&&(t, _)| t == tile).unwrap().1;
+            let tiles = [(16, 16), (32, 16), (16, 32), (32, 32)];
+            assert_eq!(tiles.map(cap_of), caps, "radius {radius}");
+            assert_eq!(plan.tiles[0].0, (16, 16), "the lane grid first");
+            let mut best = (f64::INFINITY, 0);
+            for &(tile, cap) in &plan.tiles {
+                let priced = std::cell::Cell::new(0);
+                let (s, blocks) = block_count(rest, cap, |rounds, first| {
+                    priced.set(priced.get() + 1);
+                    plan.block_s(tile, rounds, first)
+                });
+                let at = format!("radius {radius}, {tile:?}");
+                assert_eq!(priced.get(), 2 * cap, "{at}");
+                assert!(rest.div_ceil(blocks) <= cap, "{at}: {blocks} blocks");
+                if s < best.0 {
+                    best = (s, blocks);
+                }
+            }
+            let (tile, blocks) = plan.cheapest(rest);
+            assert_eq!(blocks, best.1, "radius {radius}: the cheapest candidate");
+            assert!(plan.tiles.iter().any(|&(t, _)| t == tile));
         }
     }
 

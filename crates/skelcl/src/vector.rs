@@ -341,7 +341,7 @@ where
             batch.push(range_copy(op, tmp, np));
         }
     }
-    let mut copied = issue_copies(ctx, &batch)?.into_iter();
+    let mut copied = issue_copies(ctx, &batch, None)?.0.into_iter();
     drop(batch);
 
     for (np, (_, partials)) in targets.into_iter().zip(folds) {

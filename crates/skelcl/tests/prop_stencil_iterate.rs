@@ -261,3 +261,61 @@ fn fresh_uploads_save_the_first_exchange() {
         assert!(!batched || blocks >= 1, "five later rounds run in blocks");
     }
 }
+
+/// Iterates on the modeled Tesla parts (16×16 work-groups, 16 KiB of local
+/// memory), where the plan widens the tiles of its multi-round blocks, over
+/// ragged shapes: widths that are no multiple of the tile width, parts
+/// shorter than one tile, N×1 and 1×N matrices, every boundary mode and 1
+/// to 4 devices. Each result equals the sequential host passes bit for bit,
+/// and the cases marked as widening ran a tile wider or taller than the
+/// lane grid, as their spans report.
+#[test]
+fn tesla_iterates_with_ragged_tiles_match_the_host_passes() {
+    use MatrixDistribution::{Copy, RowBlock, Single};
+    let row_block = RowBlock { halo: 1 };
+    let cases = [
+        // (rows, cols, devices, layout, boundary, n, widens)
+        (400, 333, 3, row_block, Boundary2D::Wrap, 9, true),
+        (40, 700, 4, row_block, Boundary2D::Neumann, 8, true),
+        (300, 410, 2, Copy, Boundary2D::Zero, 6, true),
+        (257, 600, 1, row_block, Boundary2D::Wrap, 11, true),
+        (400, 333, 4, row_block, Boundary2D::Neumann, 12, false),
+        (300, 500, 2, row_block, Boundary2D::Zero, 10, false),
+        (45, 650, 3, row_block, Boundary2D::Wrap, 7, false),
+        (700, 1, 3, row_block, Boundary2D::Neumann, 10, false),
+        (500, 1, 1, Single(0), Boundary2D::Wrap, 7, false),
+        (1, 700, 2, row_block, Boundary2D::Zero, 6, false),
+        (1, 700, 1, row_block, Boundary2D::Neumann, 6, false),
+    ];
+    for (i, &(rows, cols, devices, dist, boundary, n, widens)) in cases.iter().enumerate() {
+        let c = Context::new(
+            ContextConfig::default()
+                .devices(devices)
+                .cache_tag("prop-stencil-iterate"),
+        );
+        let data = test_data(rows, cols, i as u32);
+        let m = Matrix::from_vec(&c, rows, cols, data.clone());
+        m.set_distribution(dist).unwrap();
+        c.enable_spans();
+        let got = cross_stencil(boundary)
+            .iterate(&m, n)
+            .unwrap()
+            .to_vec()
+            .unwrap();
+        let host = (0..n).fold(data, |cur, _| {
+            host_stencil(&cur, (rows, cols), boundary, |at| cross_at(at))
+        });
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let at = format!("{rows}x{cols} on {devices} devices, {dist:?}, {boundary:?}, n={n}");
+        assert_eq!(bits(&got), bits(&host), "{at}");
+        if widens {
+            let spans = c.take_spans();
+            let span = spans
+                .iter()
+                .find(|s| s.name == "stencil2d.iterate")
+                .expect("iterate span");
+            let (_, tile) = span.attrs.iter().find(|(k, _)| *k == "tile").expect("tile");
+            assert_ne!(tile, "16x16", "{at}: a widened tile");
+        }
+    }
+}

@@ -172,3 +172,41 @@ fn spans_are_disabled_by_default() {
         .unwrap();
     assert!(c.take_spans().is_empty(), "no spans unless enabled");
 }
+
+#[test]
+fn a_tesla_iterate_records_its_tile_and_each_exchange_its_copy_rounds() {
+    // The repository benchmark's heat_iterate shape: 20 Jacobi rounds over
+    // a 1024² plate on four modeled Tesla parts (16×16 work-groups). The
+    // plan steps its two blocks (10 + 9 rounds) over 32×16 tiles, and each
+    // block's exchange runs its six copies in four device-disjoint rounds.
+    let c = Context::new(ContextConfig::default().devices(4).cache_tag("spans-test"));
+    let (rows, cols) = (1024, 1024);
+    let data: Vec<f32> = (0..rows * cols).map(|i| (i % 89) as f32).collect();
+    let m = Matrix::from_vec(&c, rows, cols, data);
+    m.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
+        .unwrap();
+    m.ensure_on_devices().unwrap();
+    let user = UserFn::new(
+        "sheat",
+        "float sheat(__global float* in, int r, int c, uint nr, uint nc) { /* 4-point mean */ }",
+        |v: &Stencil2DView<'_, f32>| {
+            0.25 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1))
+        },
+    );
+    c.enable_spans();
+    Stencil2D::new(user, 1, Boundary2D::Neumann)
+        .iterate(&m, 20)
+        .unwrap();
+    let spans = c.take_spans();
+    let attr = |name: &str, key: &str| -> Vec<String> {
+        let of = spans.iter().filter(|s| s.name == name);
+        of.filter_map(|s| s.attrs.iter().find(|(k, _)| *k == key))
+            .map(|(_, v)| v.clone())
+            .collect()
+    };
+    assert_eq!(attr("stencil2d.iterate", "blocks"), ["2"]);
+    assert_eq!(attr("stencil2d.iterate", "block_rounds"), ["10"]);
+    assert_eq!(attr("stencil2d.iterate", "tile"), ["32x16"]);
+    assert_eq!(attr("halo.exchange", "rounds"), ["4", "4"]);
+    assert_eq!(verify_span_nesting(&spans), None);
+}
