@@ -70,7 +70,7 @@
 //! *Static analysis* below.
 //! Element-wise skeletons accept every distribution; `Stencil2D` widens a
 //! too-narrow `RowBlock` halo automatically and re-lays out a `ColBlock`
-//! input; `AllPairs` replicates its `B` operand device-to-device when it
+//! input; `AllPairs` replicates its `B` operand from its owners when it
 //! is not already everywhere. The 2D reductions fold in canonical
 //! ascending row/column order, so their results are bit-identical to a
 //! sequential host fold on every device count and distribution; under the
@@ -383,7 +383,7 @@
 //!
 //! [`AllPairs`] computes `C[i][j] = reduce(zip(row_i(A), col_j(B)))` — with
 //! `zip = ×` and `reduce = +` that is the matrix product. `A`'s rows are
-//! partitioned across the devices; `B` is replicated (device-to-device when
+//! partitioned across the devices; `B` is replicated (from its owners when
 //! already resident, e.g. from a [`MatrixDistribution::ColBlock`] layout).
 //! The default strategy stages local-memory tiles; naive and tiled results
 //! are bit-identical.

@@ -25,7 +25,15 @@
 //! owns all rows of a contiguous column block. Host↔device transfers are
 //! strided (one per row — each row's column slice is contiguous, the rows
 //! are not), and redistribution between row- and column-based layouts
-//! splits every row at owner column boundaries, entirely device-to-device.
+//! splits every row at owner column boundaries.
+//!
+//! Redistribution moves device-fresh data from its owners, never from a
+//! stale host copy. Without peer-to-peer every byte between devices crosses
+//! the host anyway, so a range another device needs is downloaded once into
+//! its place in the host copy and uploaded from there to each device that
+//! needs it, each half on its own device's copy engine; a range a device
+//! already holds is copied on the device. Halo exchanges keep
+//! device-to-device platform copies.
 //! Column blocks feed the [`crate::AllPairs`] skeleton's `B` operand
 //! (matrix multiplication, pairwise distances).
 //!
@@ -595,7 +603,9 @@ impl<T: Scalar> Matrix<T> {
     /// elements). If the devices hold the newest data, the required
     /// inter-device exchange — including filling the new layout's halo rows
     /// — happens automatically; otherwise only metadata changes and the
-    /// next upload uses the new layout.
+    /// next upload uses the new layout. The rows that cross devices pass
+    /// through the host copy, so once every row has crossed (a gather to
+    /// `Copy`, say) the host copy is fresh too.
     pub fn set_distribution(&self, dist: MatrixDistribution) -> Result<()> {
         check_distribution(&self.ctx, dist)?;
         let mut st = self.state.lock();
@@ -607,10 +617,12 @@ impl<T: Scalar> Matrix<T> {
             st.parts.clear();
             return Ok(());
         }
-        let n_rows = st.rows;
+        let dims = (st.rows, st.cols);
         let row_based = st.dist.is_full_width() && dist.is_full_width();
-        redistribute(&self.ctx, &mut st, dist, |old, new| {
-            copy_from_owners(&self.ctx, old, new, n_rows, row_based)
+        let was_fresh = st.host_fresh;
+        redistribute(&self.ctx, &mut st, dist, |old, new, host| {
+            let crossed = copy_from_owners(&self.ctx, old, new, host, dims, row_based)?;
+            Ok(was_fresh || crossed)
         })
     }
 
@@ -626,9 +638,9 @@ impl<T: Scalar> Matrix<T> {
         fill: impl FnOnce(&[MatrixPart<T>], &[MatrixPart<T>]) -> Result<()>,
     ) -> Result<()> {
         let mut st = self.state.lock();
-        redistribute(&self.ctx, &mut st, dist, fill)?;
-        st.host_fresh = false;
-        Ok(())
+        redistribute(&self.ctx, &mut st, dist, |old, new, _| {
+            fill(old, new).map(|()| false)
+        })
     }
 
     /// The device-resident parts (uploading first if needed). Halo coherence
@@ -989,8 +1001,8 @@ fn owner_of_cell<T: Scalar>(
         .expect("matrix cell not owned by any part")
 }
 
-/// One device-to-device copy of a redistribution or halo exchange: `len`
-/// elements of `src` from element `src_off` into `dst` at `dst_off`.
+/// One range a redistribution or halo exchange moves: `len` elements of
+/// `src` from element `src_off` into `dst` at `dst_off`.
 pub(crate) struct PartCopy<'a, T: Scalar> {
     pub src: &'a MatrixPart<T>,
     pub dst: &'a MatrixPart<T>,
@@ -1002,6 +1014,15 @@ pub(crate) struct PartCopy<'a, T: Scalar> {
 impl<T: Scalar> PartCopy<'_, T> {
     fn crosses_devices(&self) -> bool {
         self.src.device != self.dst.device
+    }
+
+    /// Where the source range starts in the row-major host copy of an
+    /// `n_rows × n_cols` matrix. A copy reads owned cells of one row, or
+    /// of consecutive full-width rows, so the range is contiguous there.
+    fn host_offset(&self, n_rows: usize, n_cols: usize) -> usize {
+        let src = self.src;
+        let row = src.global_row(self.src_off / src.cols, n_rows);
+        row * n_cols + src.col_offset + self.src_off % src.cols
     }
 
     /// Issue the copy under `order`: device-ordered, or event-ordered on
@@ -1019,10 +1040,10 @@ impl<T: Scalar> PartCopy<'_, T> {
     }
 }
 
-/// The bus-contention figure every cross-device copy of a batch is priced
-/// at: the most of them that can be in flight at once. Each holds the copy
-/// engines of two devices, so that is `⌊devices touched / 2⌋`, and never
-/// more than there are copies.
+/// The bus-contention figure every cross-device copy of a halo exchange is
+/// priced at: the most of them that can be in flight at once. Each holds
+/// the copy engines of two devices, so that is `⌊devices touched / 2⌋`,
+/// and never more than there are copies.
 fn bus_contention<'c, 'p: 'c, T: Scalar>(
     copies: impl IntoIterator<Item = &'c PartCopy<'p, T>>,
 ) -> usize {
@@ -1039,8 +1060,8 @@ fn bus_contention<'c, 'p: 'c, T: Scalar>(
     cross.min(touched.len() / 2).max(1)
 }
 
-/// The cross-device copies of `copies`, by index, grouped first fit into
-/// rounds in which no device appears twice.
+/// The cross-device copies of a halo exchange's `copies`, by index,
+/// grouped first fit into rounds in which no device appears twice.
 fn copy_rounds<T: Scalar>(copies: &[PartCopy<'_, T>], n_devices: usize) -> Vec<Vec<usize>> {
     // Per round, the devices it holds and the copies it runs.
     let mut rounds: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
@@ -1069,33 +1090,32 @@ fn copy_rounds<T: Scalar>(copies: &[PartCopy<'_, T>], n_devices: usize) -> Vec<V
     rounds.into_iter().map(|(_, members)| members).collect()
 }
 
-/// Issue one batch of copies on the copy engines and return their events
-/// in batch order, with the number of rounds its cross-device copies ran
-/// in. Same-device copies go first. The cross-device copies follow in
-/// rounds in which no device appears twice ([`copy_rounds`]), so the copies
-/// of one round run at the same time on disjoint pairs of copy engines,
-/// each priced at [`bus_contention`]. A copy waits for what it must follow
-/// on its source device and, across devices, on its destination:
-/// `after[d]` per device, or else (`None`) a marker joining everything
-/// already scheduled on the device, once per device the batch touches, as
-/// a device-ordered copy would. The caller joins the devices afterwards
-/// (or orders its consumers after the returned events).
-pub(crate) fn issue_copies<T: Scalar>(
+/// Issue one halo exchange's copies on the copy engines and return their
+/// events in batch order, with the number of rounds its cross-device
+/// copies ran in. Same-device copies go first. The cross-device copies
+/// follow as platform copies staged through the host, in rounds in which
+/// no device appears twice ([`copy_rounds`]), so the copies of one round
+/// run at the same time on disjoint pairs of copy engines, each priced at
+/// [`bus_contention`]; [`crate::Stencil2D::iterate`]'s block plan prices
+/// an exchange by these rounds. A copy waits for what it must follow on
+/// its source device and, across devices, on its destination: `after[d]`
+/// per device, or else (`None`) a marker joining everything already
+/// scheduled on the device, once per device the batch touches, as a
+/// device-ordered copy would. The caller joins the devices afterwards (or
+/// orders its consumers after the returned events).
+fn issue_copies<T: Scalar>(
     ctx: &Context,
     copies: &[PartCopy<'_, T>],
     after: Option<&[Vec<Event>]>,
 ) -> Result<(Vec<Event>, usize)> {
-    let mut markers: Vec<Vec<Event>> = vec![Vec::new(); ctx.n_devices()];
+    let markers;
     let after = match after {
         Some(after) => after,
         None => {
-            for c in copies {
-                for d in [c.src.device, c.dst.device] {
-                    if markers[d].is_empty() {
-                        markers[d].push(ctx.copy_queue(d).enqueue_marker());
-                    }
-                }
-            }
+            markers = copy_markers(
+                ctx,
+                copies.iter().flat_map(|c| [c.src.device, c.dst.device]),
+            );
             &markers
         }
     };
@@ -1215,8 +1235,9 @@ fn halo_exchange<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
 /// a device-ordered copy would, and the cross-device ones run in
 /// device-disjoint rounds. Returns whether any halo rows
 /// were actually refreshed: that is one exchange *event*, counted here in
-/// [`Context::halo_exchange_count`] for every caller. A round where every
-/// run is skipped is a no-op and counts nothing.
+/// [`Context::halo_exchange_count`] for every caller, inside a
+/// `halo.exchange` span. A round where every run is skipped is a no-op: it
+/// counts nothing and opens no span.
 pub(crate) fn exchange_part_halos<T: Scalar>(
     ctx: &Context,
     parts: &[MatrixPart<T>],
@@ -1274,15 +1295,10 @@ fn exchange_part_halos_impl<T: Scalar>(
     if cols == 0 {
         return Ok((false, events));
     }
-    let deepest = parts.iter().map(|p| p.halo_above.max(p.halo_below)).max();
-    let mut span = ctx.span("halo.exchange");
-    span.attr("shape", format!("{n_rows}x{cols}"));
-    span.attr("rows", deepest.unwrap_or(0).min(depth).to_string());
-    span.attr("overlapped", deps_by_device.is_some().to_string());
-    span.attr("devices", ctx.n_devices().to_string());
-    // The copies, and the index of the part whose halo each one fills.
+    // The copies, and the index of the part whose halo each one fills. A
+    // halo run always reads other span rows than its own, so every run
+    // left after `skip_wrapped` makes at least one copy.
     let (mut copies, mut filled) = (Vec::new(), Vec::new());
-    let mut exchanged = false;
     for (i, p) in parts.iter().enumerate() {
         if p.rows == 0 {
             continue;
@@ -1292,7 +1308,6 @@ fn exchange_part_halos_impl<T: Scalar>(
                 if skip_wrapped && run_is_wrapped(p, run, n_rows) {
                     continue;
                 }
-                exchanged = true;
                 for copy in row_run_copies(parts, p, run, cols) {
                     copies.push(copy);
                     filled.push(i);
@@ -1300,6 +1315,15 @@ fn exchange_part_halos_impl<T: Scalar>(
             }
         }
     }
+    if copies.is_empty() {
+        return Ok((false, events));
+    }
+    let deepest = parts.iter().map(|p| p.halo_above.max(p.halo_below)).max();
+    let mut span = ctx.span("halo.exchange");
+    span.attr("shape", format!("{n_rows}x{cols}"));
+    span.attr("rows", deepest.unwrap_or(0).min(depth).to_string());
+    span.attr("overlapped", deps_by_device.is_some().to_string());
+    span.attr("devices", ctx.n_devices().to_string());
     // Without producers to wait for, each copy waits for a marker joining
     // its devices, as a device-ordered copy would.
     let (issued, rounds) = issue_copies(ctx, &copies, deps_by_device)?;
@@ -1316,10 +1340,8 @@ fn exchange_part_halos_impl<T: Scalar>(
     // Counted after the span closes, in the span of the skeleton that
     // needed the refresh.
     drop(span);
-    if exchanged {
-        ctx.note_halo_exchange();
-    }
-    Ok((exchanged, events))
+    ctx.note_halo_exchange();
+    Ok((true, events))
 }
 
 /// Does this halo run (as produced by [`halo_runs`]) hold rows that wrap
@@ -1357,18 +1379,19 @@ fn halo_runs<T: Scalar>(
 }
 
 /// Move device-fresh data from `st.dist`/`st.parts` into `new_dist`:
-/// allocate the new layout, let `fill(old_parts, new_parts)` write it, and
-/// join the devices. The new parts are made from the old ones, not
-/// modified by side effect.
+/// allocate the new layout, let `fill(old_parts, new_parts, host)` write
+/// it, and join the devices. `fill` may stage data through the host copy
+/// `host` and returns whether that copy holds the newest data afterwards.
+/// The new parts are made from the old ones, not modified by side effect.
 fn redistribute<T: Scalar>(
     ctx: &Context,
     st: &mut State<T>,
     new_dist: MatrixDistribution,
-    fill: impl FnOnce(&[MatrixPart<T>], &[MatrixPart<T>]) -> Result<()>,
+    fill: impl FnOnce(&[MatrixPart<T>], &[MatrixPart<T>], &mut [T]) -> Result<bool>,
 ) -> Result<()> {
     let new_parts = alloc_parts(ctx, new_dist, st.rows, st.cols)?;
     if st.cols > 0 {
-        fill(&st.parts, &new_parts)?;
+        st.host_fresh = fill(&st.parts, &new_parts, &mut st.host)?;
         ctx.sync();
     }
     st.parts = new_parts;
@@ -1378,16 +1401,54 @@ fn redistribute<T: Scalar>(
     Ok(())
 }
 
-/// Fill the new parts' owned regions *and* halo rows from the old owners,
-/// as one batch of [`issue_copies`]: the cross-device copies run in
-/// parallel rounds on disjoint pairs of devices.
+/// A marker on the copy stream of each of `devices`, once per device:
+/// what a batch's transfers on that device wait for, so they follow
+/// everything already scheduled there, as a device-ordered copy would.
+pub(crate) fn copy_markers(
+    ctx: &Context,
+    devices: impl IntoIterator<Item = usize>,
+) -> Vec<Vec<Event>> {
+    let mut markers: Vec<Vec<Event>> = vec![Vec::new(); ctx.n_devices()];
+    for d in devices {
+        if markers[d].is_empty() {
+            markers[d].push(ctx.copy_queue(d).enqueue_marker());
+        }
+    }
+    markers
+}
+
+/// The contention figure every transfer of a batch staged through the host
+/// is priced at: each holds one device's copy engine, so at most as many
+/// are in flight as the batch touches devices.
+pub(crate) fn engines_touched(devices: impl IntoIterator<Item = usize>) -> usize {
+    let mut touched = Vec::new();
+    for d in devices {
+        if !touched.contains(&d) {
+            touched.push(d);
+        }
+    }
+    touched.len().max(1)
+}
+
+/// Fill the new parts' owned regions *and* halo rows from the old owners.
+/// A range the new part's own device holds is a device-local copy. A range
+/// another device owns crosses the host, as every byte between devices does
+/// without peer-to-peer: it is downloaded once, on its owner's copy stream,
+/// into its place in the host copy `host` (ranges of one owner that overlap
+/// or abut go as one download), and uploaded from there on the copy stream
+/// of each device that needs it. An upload waits for its download and for a
+/// marker joining its own device; a download waits for a marker joining its
+/// owner. Each transfer holds its own device's copy engine only, so each
+/// is priced at [`engines_touched`]. Returns whether every element was
+/// downloaded: `host` then holds the newest data.
 fn copy_from_owners<T: Scalar>(
     ctx: &Context,
     old: &[MatrixPart<T>],
     new: &[MatrixPart<T>],
-    n_rows: usize,
+    host: &mut [T],
+    (n_rows, n_cols): (usize, usize),
     row_based: bool,
-) -> Result<()> {
+) -> Result<bool> {
     let mut copies = Vec::new();
     for np in new.iter().filter(|np| np.rows > 0 && np.cols > 0) {
         if row_based {
@@ -1403,7 +1464,62 @@ fn copy_from_owners<T: Scalar>(
             }
         }
     }
-    issue_copies(ctx, &copies, None).map(drop)
+    let markers = copy_markers(
+        ctx,
+        copies.iter().flat_map(|c| [c.src.device, c.dst.device]),
+    );
+    let (local, cross): (Vec<_>, Vec<_>) = copies.iter().partition(|c| !c.crosses_devices());
+    for c in local {
+        c.issue(ctx, 1, Order::After(&markers[c.src.device]))?;
+    }
+    // Each crossing copy's source range in the host copy, and the
+    // downloads covering them: in host order, a range joins the previous
+    // download when it has the same owner and overlaps or abuts it.
+    // Different owners' ranges never overlap, and one owner's abutting
+    // ranges are contiguous in its buffer too.
+    let staged: Vec<usize> = cross
+        .iter()
+        .map(|c| c.host_offset(n_rows, n_cols))
+        .collect();
+    let mut by_host: Vec<usize> = (0..cross.len()).collect();
+    by_host.sort_by_key(|&i| staged[i]);
+    // Per download: its owner, offset in the owner's buffer, host range.
+    let mut reads: Vec<(&MatrixPart<T>, usize, usize, usize)> = Vec::new();
+    let mut read_of = vec![0; cross.len()];
+    for i in by_host {
+        let (c, lo) = (cross[i], staged[i]);
+        match reads.last_mut() {
+            Some((src, _, _, hi)) if std::ptr::eq(*src, c.src) && lo <= *hi => {
+                *hi = (*hi).max(lo + c.len);
+            }
+            _ => reads.push((c.src, c.src_off, lo, lo + c.len)),
+        }
+        read_of[i] = reads.len() - 1;
+    }
+    let concurrent = engines_touched(cross.iter().flat_map(|c| [c.src.device, c.dst.device]));
+    let mut downloaded = 0;
+    let mut fetched = Vec::with_capacity(reads.len());
+    for &(src, at, lo, hi) in &reads {
+        let queue = ctx.copy_queue(src.device);
+        let order = Order::After(&markers[src.device]);
+        let dst = &mut host[lo..hi];
+        fetched.push(queue.enqueue_read(&src.buffer, Some(at), dst, concurrent, false, order)?);
+        downloaded += hi - lo;
+    }
+    for ((c, lo), read) in cross.iter().zip(staged).zip(read_of) {
+        let mut deps = markers[c.dst.device].clone();
+        deps.push(fetched[read].clone());
+        let src = &host[lo..lo + c.len];
+        let queue = ctx.copy_queue(c.dst.device);
+        queue.enqueue_write(
+            &c.dst.buffer,
+            Some(c.dst_off),
+            src,
+            concurrent,
+            Order::After(&deps),
+        )?;
+    }
+    Ok(downloaded == host.len())
 }
 
 #[cfg(test)]
@@ -1711,9 +1827,12 @@ mod tests {
 
     #[test]
     fn a_lone_cross_device_copy_sees_the_whole_link() {
-        // Single(0) -> Single(3) on 4 devices moves one copy across devices,
-        // so it models one uncontended transfer — for a matrix and for a
-        // vector of the same length alike.
+        // Single(0) -> Single(3) on 4 devices crosses the host once: a
+        // download on device 0, then an upload on device 3. The batch
+        // touches two copy engines, which the dual host interface serves
+        // at full link speed, so it models the two crossings of one
+        // uncontended copy — for a matrix and for a vector of the same
+        // length alike.
         let c = ctx(4);
         let (rows, cols) = (288, 384);
         let want = c
@@ -1740,21 +1859,81 @@ mod tests {
         assert_eq!(v.to_vec().unwrap(), data(rows * cols, 1));
     }
 
+    /// Write `truth` into every cell the parts store, halo rows included,
+    /// as a kernel would, and mark the devices modified.
+    fn write_parts(m: &Matrix<f32>, truth: &[f32]) {
+        let (rows, cols) = m.dims();
+        for p in m.parts().unwrap() {
+            for s in 0..p.span_rows() {
+                let g = p.global_row(s, rows);
+                for c in 0..p.cols {
+                    let x = truth[g * cols + p.col_offset + c];
+                    p.buffer.set(s * p.cols + c, x);
+                }
+            }
+        }
+        m.mark_devices_modified();
+    }
+
+    /// A device-fresh matrix laid out as `dist` whose devices hold other
+    /// values than its stale host copy, and those values.
+    fn rewritten_on_devices(
+        c: &Context,
+        (rows, cols): (usize, usize),
+        dist: MatrixDistribution,
+    ) -> (Matrix<f32>, Vec<f32>) {
+        let m = Matrix::from_vec(c, rows, cols, data(rows, cols));
+        m.set_distribution(dist).unwrap();
+        m.ensure_on_devices().unwrap();
+        let truth: Vec<f32> = data(rows, cols).iter().map(|x| 0.5 - x).collect();
+        write_parts(&m, &truth);
+        (m, truth)
+    }
+
+    /// Every cell every part stores, halo rows included, is `truth`'s.
+    fn assert_parts_hold(m: &Matrix<f32>, truth: &[f32], what: &str) {
+        let (rows, cols) = m.dims();
+        for p in m.parts().unwrap() {
+            let buf = p.buffer.to_vec();
+            for s in 0..p.span_rows() {
+                let g = p.global_row(s, rows);
+                for c in 0..p.cols {
+                    assert_eq!(
+                        buf[s * p.cols + c].to_bits(),
+                        truth[g * cols + p.col_offset + c].to_bits(),
+                        "{what}: device {} span row {s} column {c}",
+                        p.device
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn growing_the_halo_redistributes_device_side() {
+        // Two parts of four rows grow two-row halos. Each part keeps its
+        // own rows on its device; its two halo runs (one wrapped) belong to
+        // the other device and cross the host. One owner's two runs abut,
+        // so each owner's block is downloaded once, and each run is
+        // uploaded to the part that needs it: every row crossed, so the
+        // host copy is fresh. The stale host copy is never uploaded, and
+        // nothing is copied device to device.
         let c = ctx(2);
-        let m = Matrix::from_vec(&c, 8, 4, data(8, 4));
-        m.set_distribution(MatrixDistribution::RowBlock { halo: 0 })
-            .unwrap();
-        m.ensure_on_devices().unwrap();
-        m.mark_devices_modified();
+        let (m, truth) = rewritten_on_devices(&c, (8, 4), MatrixDistribution::RowBlock { halo: 0 });
         let before = c.platform().stats_snapshot();
         m.set_distribution(MatrixDistribution::RowBlock { halo: 2 })
             .unwrap();
         let delta = c.platform().stats_snapshot() - before;
-        assert_eq!(delta.h2d_transfers, 0, "no host round trip");
-        assert!(delta.d2d_transfers > 0, "halo fill crosses devices");
-        assert_eq!(m.to_vec().unwrap(), data(8, 4));
+        let row = 4 * 4;
+        assert_eq!((delta.d2h_transfers, delta.d2h_bytes), (2, 8 * row));
+        assert_eq!((delta.h2d_transfers, delta.h2d_bytes), (4, 8 * row));
+        assert_eq!(delta.d2d_transfers, 0, "no device-to-device copy");
+        assert_parts_hold(&m, &truth, "halo 2");
+        assert!(m.host_fresh(), "every row crossed the host");
+        let before = c.platform().stats_snapshot();
+        assert_eq!(m.to_vec().unwrap(), truth);
+        let delta = c.platform().stats_snapshot() - before;
+        assert_eq!(delta.total_transfers(), 0);
     }
 
     #[test]
@@ -1918,26 +2097,210 @@ mod tests {
 
     #[test]
     fn row_block_to_col_block_redistributes_device_side() {
+        // 9×8 on three devices: row blocks of 3 rows, column blocks of 3,
+        // 3 and 2 columns. Each column part receives the 6 rows the other
+        // devices own, one upload per row: 18 uploads of 48 cells. Each
+        // owner downloads what the others need once, in host-contiguous
+        // runs: a row's two segments abut (rows 0–2 and 6–8: 3 downloads
+        // per owner), and so do a middle row's last segment and the next
+        // row's first (rows 3–5: 4 downloads), 10 downloads of 48 cells.
         let c = ctx(3);
         let (rows, cols) = (9, 8);
-        let m = Matrix::from_vec(&c, rows, cols, data(rows, cols));
-        m.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
-            .unwrap();
-        m.ensure_on_devices().unwrap();
-        m.mark_devices_modified();
+        let cell = 4;
+        let dist = MatrixDistribution::RowBlock { halo: 1 };
+        let (m, truth) = rewritten_on_devices(&c, (rows, cols), dist);
         let before = c.platform().stats_snapshot();
         m.set_distribution(MatrixDistribution::ColBlock).unwrap();
         let delta = c.platform().stats_snapshot() - before;
-        assert_eq!(delta.h2d_transfers, 0, "no host round trip");
-        assert!(delta.d2d_transfers > 0, "column split crosses devices");
-        assert_eq!(m.to_vec().unwrap(), data(rows, cols));
-        // And back again, still device-side.
+        assert_eq!((delta.d2h_transfers, delta.d2h_bytes), (10, 48 * cell));
+        assert_eq!((delta.h2d_transfers, delta.h2d_bytes), (18, 48 * cell));
+        assert_eq!(delta.d2d_transfers, 0, "no device-to-device copy");
+        assert_parts_hold(&m, &truth, "column blocks");
+        assert!(!m.host_fresh(), "each device's own cells never crossed");
+        assert_eq!(m.to_vec().unwrap(), truth);
+        // And back again: each row part receives its rows' 5 or 6 cells
+        // of the two other column blocks, one upload per row and owner (18
+        // of 48 cells), and no two of an owner's runs abut (18 downloads).
         let before = c.platform().stats_snapshot();
         m.set_distribution(MatrixDistribution::RowBlock { halo: 0 })
             .unwrap();
         let delta = c.platform().stats_snapshot() - before;
-        assert_eq!(delta.h2d_transfers, 0, "no host round trip");
-        assert_eq!(m.to_vec().unwrap(), data(rows, cols));
+        assert_eq!((delta.d2h_transfers, delta.d2h_bytes), (18, 48 * cell));
+        assert_eq!((delta.h2d_transfers, delta.h2d_bytes), (18, 48 * cell));
+        assert_eq!(delta.d2d_transfers, 0, "no device-to-device copy");
+        assert_parts_hold(&m, &truth, "row blocks");
+        assert!(m.host_fresh(), "read back in between, and still current");
+        assert_eq!(m.to_vec().unwrap(), truth);
+    }
+
+    /// The host cells a command's accesses `ranges` cover, for the parts
+    /// they name among `parts` of an `n_rows × n_cols` matrix.
+    fn host_cells(
+        ranges: &[vgpu::AccessRange],
+        parts: &[MatrixPart<f32>],
+        (n_rows, n_cols): (usize, usize),
+    ) -> Vec<usize> {
+        let mut cells = Vec::new();
+        for r in ranges {
+            let Some(p) = parts.iter().find(|p| p.buffer.id() == r.buffer) else {
+                continue;
+            };
+            for e in r.lo as usize / 4..r.hi as usize / 4 {
+                let g = p.global_row(e / p.cols, n_rows);
+                cells.push(g * n_cols + p.col_offset + e % p.cols);
+            }
+        }
+        cells
+    }
+
+    #[test]
+    fn every_staged_upload_waits_for_the_download_of_its_bytes() {
+        // An upload takes its bytes from the host copy the download wrote.
+        // The hazard checker tracks device buffers only and cannot see
+        // that edge, so the upload must name the download in its wait
+        // list and start after it ends.
+        use MatrixDistribution::{ColBlock, Copy, RowBlock, Single};
+        for (devices, dims, from, to) in [
+            (4, (16, 3), RowBlock { halo: 0 }, Copy),
+            (4, (16, 3), Single(1), RowBlock { halo: 2 }),
+            (3, (9, 8), RowBlock { halo: 1 }, ColBlock),
+            (3, (9, 8), ColBlock, Single(2)),
+        ] {
+            let case = format!("{devices} devices, {from:?} -> {to:?}");
+            let c = ctx(devices);
+            let (m, truth) = rewritten_on_devices(&c, dims, from);
+            let old = m.parts().unwrap();
+            c.platform().enable_timeline_trace();
+            m.set_distribution(to).unwrap();
+            let trace = c.platform().take_timeline_trace();
+            let new = m.parts().unwrap();
+            assert_parts_hold(&m, &truth, &case);
+            let uploads: Vec<_> = trace
+                .iter()
+                .filter(|r| r.kind == vgpu::CmdKind::H2D)
+                .collect();
+            assert!(!uploads.is_empty(), "{case}: rows cross devices");
+            for up in uploads {
+                let downloads: Vec<_> = trace
+                    .iter()
+                    .filter(|r| r.kind == vgpu::CmdKind::D2H && up.deps.contains(&r.seq))
+                    .collect();
+                let fetched: Vec<usize> = downloads
+                    .iter()
+                    .flat_map(|d| host_cells(&d.reads, &old, dims))
+                    .collect();
+                for cell in host_cells(&up.writes, &new, dims) {
+                    assert!(
+                        fetched.contains(&cell),
+                        "{case}: upload {} waits for no download of cell {cell}",
+                        up.seq
+                    );
+                }
+                for d in downloads {
+                    assert!(
+                        d.end_s <= up.start_s,
+                        "{case}: upload {} starts early",
+                        up.seq
+                    );
+                }
+            }
+        }
+    }
+
+    /// Random redistribution sequences against a cell-level model.
+    mod staged {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn any_dist() -> impl Strategy<Value = MatrixDistribution> {
+            prop_oneof![
+                (0usize..4).prop_map(MatrixDistribution::Single),
+                Just(MatrixDistribution::Copy),
+                (0usize..=2).prop_map(|halo| MatrixDistribution::RowBlock { halo }),
+                Just(MatrixDistribution::ColBlock),
+            ]
+        }
+
+        /// What moving `old` into `new` must transfer, in cells: the distinct
+        /// cells some new part stores that another device owns (each downloaded
+        /// once), and those cells once per new part storing them (uploads).
+        fn crossing_cells(
+            old: &[MatrixPart<f32>],
+            new: &[MatrixPart<f32>],
+            n_rows: usize,
+        ) -> (usize, usize) {
+            let mut fetched = std::collections::BTreeSet::new();
+            let mut received = 0;
+            for np in new.iter().filter(|np| np.rows > 0) {
+                for s in 0..np.span_rows() {
+                    let g = np.global_row(s, n_rows);
+                    for c in np.col_offset..np.col_offset + np.cols {
+                        let owners = old.iter().filter(|p| {
+                            (p.row_offset..p.row_offset + p.rows).contains(&g)
+                                && (p.col_offset..p.col_offset + p.cols).contains(&c)
+                        });
+                        if owners.clone().all(|p| p.device != np.device) {
+                            fetched.insert((g, c));
+                            received += 1;
+                        }
+                    }
+                }
+            }
+            (fetched.len(), received)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            // Random redistribution sequences over 1–4 devices, with kernel
+            // writes in between: the devices always hold the data bit for bit,
+            // each step downloads every crossing cell exactly once and uploads
+            // it to each part that stores it, no copy goes device to device,
+            // and the host copy is fresh exactly when it was or every cell
+            // crossed.
+            #[test]
+            fn staged_redistributions_move_each_crossing_cell_once(
+                rows in 1usize..14,
+                cols in 1usize..8,
+                devices in 1usize..=4,
+                start in any_dist(),
+                steps in prop::collection::vec((any_dist(), any::<bool>()), 1..7),
+            ) {
+                let on = |d: MatrixDistribution| match d {
+                    MatrixDistribution::Single(i) => MatrixDistribution::Single(i % devices),
+                    d => d,
+                };
+                let c = ctx(devices);
+                let (m, mut truth) = rewritten_on_devices(&c, (rows, cols), on(start));
+                for (step, (dist, write)) in steps.into_iter().enumerate() {
+                    let dist = on(dist);
+                    if write {
+                        truth.iter_mut().for_each(|x| *x = 3.0 * *x - step as f32);
+                        write_parts(&m, &truth);
+                    }
+                    let moves = m.distribution() != dist;
+                    let old = m.parts().unwrap();
+                    let was_fresh = m.host_fresh();
+                    let before = c.platform().stats_snapshot();
+                    m.set_distribution(dist).unwrap();
+                    let delta = c.platform().stats_snapshot() - before;
+                    let (fetched, received) = if moves {
+                        crossing_cells(&old, &m.parts().unwrap(), rows)
+                    } else {
+                        (0, 0)
+                    };
+                    let case = format!("step {step}: -> {dist:?}");
+                    prop_assert_eq!(delta.d2h_bytes as usize, 4 * fetched, "{}", case);
+                    prop_assert_eq!(delta.h2d_bytes as usize, 4 * received, "{}", case);
+                    prop_assert_eq!(delta.d2d_transfers, 0, "{}", case);
+                    let all_crossed = moves && fetched == rows * cols;
+                    prop_assert_eq!(m.host_fresh(), was_fresh || all_crossed, "{}", case);
+                    assert_parts_hold(&m, &truth, &case);
+                }
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&m.to_vec().unwrap()), bits(&truth));
+            }
+        }
     }
 
     #[test]

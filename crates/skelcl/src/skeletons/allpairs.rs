@@ -16,8 +16,9 @@
 //!
 //! Multi-device execution partitions `C`'s rows: `A` distributes by row
 //! blocks, and `B` is replicated (a `Copy` or column-block `B` is
-//! redistributed automatically, device-to-device when its data is already
-//! device-fresh — no host round trips for intermediates).
+//! redistributed automatically, from its owners when its data is already
+//! device-fresh: each range crosses the host once, and the stale host copy
+//! is never uploaded).
 //!
 //! When `B`'s freshest data is on the **host**, the replication is
 //! event-driven: each device's copy of `B` is uploaded as asynchronous
@@ -173,7 +174,7 @@ where
     /// Apply the skeleton: `C[i][j] = reduce(identity, zip(A[i][k], B[k][j]))`
     /// folded in ascending `k`. `A` (an `m×k` matrix) keeps — or is moved
     /// to — a row-based distribution; `B` (`k×n`) is replicated to every
-    /// device holding rows of `A` (device-to-device when already resident).
+    /// device holding rows of `A` (from its owners when already resident).
     /// The output inherits `A`'s distribution, rows partitioned like `A`'s.
     pub fn apply(&self, a: &Matrix<T>, b: &Matrix<T>) -> Result<Matrix<U>> {
         let (m, ka) = a.dims();
@@ -191,7 +192,7 @@ where
         span.attr("devices", ctx.n_devices().to_string());
 
         // A's parts must hold full rows; a column-block A is re-laid out
-        // (device-side when fresh) into row blocks.
+        // into row blocks (from its owners when device-fresh).
         if !a.distribution().is_full_width() {
             a.set_distribution(MatrixDistribution::row_block())?;
         }
@@ -210,8 +211,9 @@ where
         // serializing on the device.
         // A single-device A takes B to that device alone; on one device
         // that is the same layout as `Copy`, which B keeps there.
-        // Device-fresh B: gathered by device-to-device exchange as before,
-        // never through the host, with classic device-serializing launches.
+        // Device-fresh B: gathered from its owners, each range crossing the
+        // host once, never from its stale host copy, with classic
+        // device-serializing launches.
         let (b_parts, b_landed, b_markers) = if !b.device_fresh() {
             b.set_distribution(match a.distribution() {
                 MatrixDistribution::Single(d) if ctx.n_devices() > 1 => {
@@ -463,18 +465,32 @@ mod tests {
         let (m, k, n) = (12, 8, 9);
         let (da, db) = (test_data(m, k, 5), test_data(k, n, 6));
         let a = Matrix::from_vec(&c, m, k, da.clone());
-        let b = Matrix::from_vec(&c, k, n, db.clone());
+        // B's host copy goes stale: its device copies are rewritten to `db`
+        // as a kernel would.
+        let b = Matrix::from_vec(&c, k, n, vec![-1.0; k * n]);
         b.set_distribution(MatrixDistribution::ColBlock).unwrap();
-        b.ensure_on_devices().unwrap();
-        b.mark_devices_modified(); // device copies are the truth now
+        for p in b.parts().unwrap() {
+            for r in 0..p.rows {
+                for j in 0..p.cols {
+                    p.buffer.set(r * p.cols + j, db[r * n + p.col_offset + j]);
+                }
+            }
+        }
+        b.mark_devices_modified();
         let before = c.platform().stats_snapshot();
         let got = matmul_skel().apply(&a, &b).unwrap();
         let delta = c.platform().stats_snapshot() - before;
-        assert!(
-            delta.d2d_transfers > 0,
-            "gathering a ColBlock B must go device-to-device"
-        );
-        assert_eq!(delta.d2h_transfers, 0, "no host round trip for B");
+        // B's 8×9 cells sit in three column blocks of 3. Each device's
+        // block is downloaded once, one 3-cell row at a time (24 downloads
+        // of all 72 cells), and uploaded to the two other devices' copies
+        // (48 uploads of 144 cells). A's three row blocks are uploaded from
+        // its fresh host copy (3 uploads of 96 cells). Nothing is copied
+        // device to device, and the stale host copy of B is never read.
+        let cell = 4;
+        assert_eq!((delta.d2h_transfers, delta.d2h_bytes), (24, 72 * cell));
+        assert_eq!((delta.h2d_transfers, delta.h2d_bytes), (51, 240 * cell));
+        assert_eq!(delta.d2d_transfers, 0, "B's columns cross the host");
+        assert!(b.host_fresh(), "every cell of B crossed the host");
         assert_eq!(got.to_vec().unwrap(), reference_matmul(&da, &db, m, k, n));
     }
 

@@ -1463,8 +1463,8 @@ fn stencil_layout(dist: MatrixDistribution, radius: usize) -> MatrixDistribution
     }
 }
 
-/// Lay `input` out by [`stencil_layout`]. Device-fresh data moves
-/// device-side.
+/// Lay `input` out by [`stencil_layout`]. Device-fresh data moves from
+/// its owners, never from a stale host copy.
 pub(crate) fn stencil_input_layout<T: Element>(input: &Matrix<T>, radius: usize) -> Result<()> {
     let dist = input.distribution();
     match stencil_layout(dist, radius) {

@@ -23,6 +23,10 @@
 //! with `halo: 0`. Only the combine-operator merge is the vector's own. It
 //! runs only after [`Vector::mark_devices_modified`] (the paper's
 //! `dataOnDevicesModified`), the one thing that lets `Copy` copies differ.
+//! Like every redistribution it moves data between devices through the
+//! host, as the paper's Tesla S1070 must (no peer-to-peer): each device's
+//! copy of another target's range is downloaded once and uploaded to that
+//! target, where it is folded in.
 //!
 //! The cheapest transfer is none: a constant vector ([`Vector::filled`],
 //! [`Vector::zeroed`]) is filled on the devices, never uploaded. OSEM's
@@ -31,11 +35,11 @@
 use crate::codegen::{self, UserFn};
 use crate::context::Context;
 use crate::error::{Error, Result};
-use crate::matrix::{issue_copies, Matrix, MatrixDistribution, MatrixPart, PartCopy};
+use crate::matrix::{copy_markers, engines_touched, Matrix, MatrixDistribution, MatrixPart};
 use crate::skeletons::pipeline::{launch_elementwise, stage_of, ElementwiseKernel, OpZip};
 use crate::trace::SpanGuard;
 use parking_lot::MappedMutexGuard;
-use vgpu::{Buffer, Order, Scalar};
+use vgpu::{Buffer, Event, Order, Scalar};
 
 /// How a vector's data is laid out across the context's devices
 /// (paper Section III-D).
@@ -287,13 +291,19 @@ impl<T: Scalar> Vector<T> {
 /// combining every device's copy of each target range element-wise (the
 /// OSEM error-image merge).
 ///
-/// Each target is seeded with its own device's copy; every other device's
-/// copy of the range (its *partial*) lands in a temporary on the target's
-/// device. All of these copies go out as one [`issue_copies`] batch, so
-/// the partials of different targets cross the bus in parallel rounds and
-/// arrive in any order. The combines still fold in a fixed order, the
-/// device's own copy first and then the other devices ascending: each
-/// waits for the previous step of its target and for its partial's copy.
+/// Each target is seeded with its own device's copy by a device-local
+/// copy. Every other device's copy of the range (its *partial*) crosses
+/// the host: one download on the copy stream of the partial's device into
+/// a host staging buffer, then one upload into a temporary on the target's
+/// device, on that device's copy stream, waiting for the download and for
+/// a marker joining the device. Each transfer holds one copy engine and is
+/// priced at [`engines_touched`]. On every device the downloads run before
+/// the uploads, so all devices' downloads cross the bus together. Issuing
+/// target by target, each after its own device's downloads, keeps that
+/// order while each staging buffer lives only until its upload is issued.
+/// The combines fold in a fixed order, the device's own copy first and
+/// then the other devices ascending: each waits for the previous step of
+/// its target and for its partial's upload. The host copy is not touched.
 fn merge_copy_to<T: Scalar, F>(
     ctx: &Context,
     copies: &[MatrixPart<T>],
@@ -309,47 +319,79 @@ where
     let compiled = ctx.get_or_build(&program)?;
 
     let targets: Vec<&MatrixPart<T>> = targets.iter().filter(|np| np.rows > 0).collect();
-    // Per target: its own device's copy, then the other devices' copies
-    // with the temporaries receiving them, in fold order.
-    let mut folds = Vec::with_capacity(targets.len());
-    for np in &targets {
-        let own = copies
-            .iter()
-            .find(|p| p.device == np.device)
-            .ok_or_else(|| Error::NotOnDevice("copy distribution missing a device".into()))?;
+    // Per target, the index of its own device's copy.
+    let owns = targets
+        .iter()
+        .map(|np| {
+            copies
+                .iter()
+                .position(|p| p.device == np.device)
+                .ok_or_else(|| Error::NotOnDevice("copy distribution missing a device".into()))
+        })
+        .collect::<Result<Vec<usize>>>()?;
+    let devices = || targets.iter().flat_map(|_| copies.iter().map(|p| p.device));
+    let markers = copy_markers(ctx, devices());
+    let concurrent = engines_touched(devices());
+    let seeds = targets
+        .iter()
+        .zip(&owns)
+        .map(|(np, &own)| {
+            let order = Order::After(&markers[np.device]);
+            let from = &copies[own].buffer;
+            Ok(ctx
+                .platform()
+                .copy(from, np.row_offset, &np.buffer, 0, np.rows, 1, order)?)
+        })
+        .collect::<Result<Vec<Event>>>()?;
+
+    // Copy `c`'s range of target `t`, downloaded into host staging.
+    let download = |c: usize, t: usize| -> Result<(Event, Vec<T>)> {
+        let (src, np) = (&copies[c], targets[t]);
+        let mut host = vec![T::default(); np.rows];
+        let order = Order::After(&markers[src.device]);
+        let queue = ctx.copy_queue(src.device);
+        let at = Some(np.row_offset);
+        let fetched = queue.enqueue_read(&src.buffer, at, &mut host, concurrent, false, order)?;
+        Ok((fetched, host))
+    };
+    // Downloads issued ahead of their uploads, by (copy, target).
+    let mut staged = std::collections::HashMap::new();
+    // Per target, each partial's temporary and upload, in fold order.
+    let mut received = Vec::with_capacity(targets.len());
+    for (t, np) in targets.iter().enumerate() {
+        // This device's copy of the later targets' ranges goes out before
+        // any upload reaches the device; its copy of the earlier targets'
+        // ranges went out for their uploads.
+        for u in t + 1..targets.len() {
+            staged.insert((owns[t], u), download(owns[t], u)?);
+        }
         let mut partials = Vec::with_capacity(copies.len());
-        for op in copies.iter().filter(|p| p.device != np.device) {
+        for (c, _) in copies
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.device != np.device)
+        {
+            let (fetched, host) = match staged.remove(&(c, t)) {
+                Some(staged) => staged,
+                None => download(c, t)?,
+            };
             let tmp = ctx.device(np.device).alloc::<T>(np.rows)?;
+            let mut deps = markers[np.device].clone();
+            deps.push(fetched);
+            let queue = ctx.copy_queue(np.device);
+            let landed = queue.enqueue_write(&tmp, None, &host, concurrent, Order::After(&deps))?;
             partials.push((
-                op,
                 MatrixPart::column(np.device, np.row_offset, np.rows, tmp),
+                landed,
             ));
         }
-        folds.push((own, partials));
+        received.push(partials);
     }
-    let range_copy = |src, dst, np: &MatrixPart<T>| PartCopy {
-        src,
-        dst,
-        src_off: np.row_offset,
-        dst_off: 0,
-        len: np.rows,
-    };
-    let mut batch = Vec::new();
-    for (np, (own, partials)) in targets.iter().zip(&folds) {
-        batch.push(range_copy(own, np, np));
-        for (op, tmp) in partials {
-            batch.push(range_copy(op, tmp, np));
-        }
-    }
-    let mut copied = issue_copies(ctx, &batch, None)?.0.into_iter();
-    drop(batch);
 
-    for (np, (_, partials)) in targets.into_iter().zip(folds) {
-        let mut last = copied.next().expect("one seed copy per target");
+    for ((np, mut last), partials) in targets.into_iter().zip(seeds).zip(received) {
         // Each step folds one temporary into the target in place; the
         // temporary is freed after its launch.
-        for (_, tmp) in partials {
-            let partial = copied.next().expect("one copy per partial");
+        for (tmp, partial) in partials {
             let fold = ElementwiseKernel {
                 compiled: compiled.clone(),
                 op: OpZip::new(vec![tmp], combine.func().clone()),
@@ -637,37 +679,78 @@ mod tests {
         }
     }
 
-    /// The cross-device copies of a trace, one `(seq, start, end)` each.
-    fn cross_copies(trace: &[vgpu::CommandRecord]) -> Vec<(u64, f64, f64)> {
-        let mut out: Vec<(u64, f64, f64)> = Vec::new();
-        for r in trace.iter().filter(|r| r.kind == vgpu::CmdKind::D2D) {
-            if trace.iter().any(|o| o.seq == r.seq && o.device != r.device)
-                && !out.iter().any(|c| c.0 == r.seq)
-            {
-                out.push((r.seq, r.start_s, r.end_s));
-            }
-        }
-        out
+    /// The transfers of kind `kind` in a trace.
+    fn of_kind(
+        trace: &[vgpu::CommandRecord],
+        kind: vgpu::CmdKind,
+    ) -> impl Iterator<Item = &vgpu::CommandRecord> + Clone {
+        trace.iter().filter(move |r| r.kind == kind)
     }
 
-    /// The most intervals open at one instant (half-open: one ending when
-    /// another starts does not overlap it).
-    fn most_in_flight(copies: &[(u64, f64, f64)]) -> usize {
-        let mut edges: Vec<(f64, i32)> = copies
-            .iter()
-            .flat_map(|&(_, s, e)| [(s, 1), (e, -1)])
-            .collect();
-        edges.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        let (mut open, mut most) = (0, 0);
-        for (_, step) in edges {
-            open += step;
-            most = most.max(open);
+    /// Checks every staged batch passes: copies stay on their device;
+    /// `downloads` and `uploads` transfers of `block` elements, each
+    /// priced at the four copy engines the batch touches; every upload
+    /// waits for a marker on its device and for one download, from another
+    /// device, ended before it starts; and every device's copy engine runs
+    /// its downloads and then its uploads, back to back over `busy`
+    /// transfer times.
+    fn check_staged(
+        trace: &[vgpu::CommandRecord],
+        what: &str,
+        block: usize,
+        counts: (usize, usize, usize),
+    ) {
+        use vgpu::CmdKind::{Marker, D2D, D2H, H2D};
+        let (downloads, uploads, busy) = counts;
+        let c = ctx(1);
+        let xfer_s = c.platform().topology().transfer_s(block * 4, 4);
+        for r in of_kind(trace, D2D) {
+            let peer = trace.iter().any(|o| o.seq == r.seq && o.device != r.device);
+            assert!(!peer, "{what}: no copy goes device to device");
         }
-        most as usize
+        assert_eq!(of_kind(trace, D2H).count(), downloads, "{what}");
+        assert_eq!(of_kind(trace, H2D).count(), uploads, "{what}");
+        for r in of_kind(trace, D2H).chain(of_kind(trace, H2D)) {
+            let off = ((r.end_s - r.start_s) - xfer_s).abs() / xfer_s;
+            assert!(off < 1e-9, "{what}: priced at four in flight");
+        }
+        for up in of_kind(trace, H2D) {
+            let waits = |r: &&vgpu::CommandRecord| up.deps.contains(&r.seq);
+            let fetched: Vec<_> = of_kind(trace, D2H).filter(waits).collect();
+            assert_eq!(
+                fetched.len(),
+                1,
+                "{what}: upload {} waits for one download",
+                up.seq
+            );
+            assert_ne!(fetched[0].device, up.device, "{what}");
+            assert!(fetched[0].end_s <= up.start_s, "{what}");
+            let joined = of_kind(trace, Marker).filter(waits);
+            assert!(
+                joined.clone().any(|m| m.device == up.device),
+                "{what}: marker"
+            );
+        }
+        for d in 0..4 {
+            let on = |kind| of_kind(trace, kind).filter(move |r| r.device.0 == d);
+            let first = on(D2H).map(|r| r.start_s).fold(f64::INFINITY, f64::min);
+            let last_down = on(D2H).map(|r| r.end_s).fold(0.0, f64::max);
+            let first_up = on(H2D).map(|r| r.start_s).fold(f64::INFINITY, f64::min);
+            let last = on(H2D).map(|r| r.end_s).fold(0.0, f64::max);
+            assert!(last_down <= first_up, "{what}: device {d} downloads first");
+            let span = (last - first) / xfer_s;
+            assert!(
+                (span - busy as f64).abs() < 1e-9,
+                "{what}: device {d} took {span}"
+            );
+        }
     }
 
     #[test]
     fn redistribution_copies_run_in_parallel_rounds() {
+        // Four devices hold a block each. Every transfer of a redistribution
+        // holds one copy engine, so all four engines run at once, each
+        // transfer priced at four in flight.
         let c = ctx(4);
         let block = 4096;
         let n = 4 * block;
@@ -677,34 +760,19 @@ mod tests {
         v.mark_devices_modified();
         let mut all = c.platform().take_timeline_trace();
 
-        // Four devices: each copy holds two copy engines, so two run at once.
-        let figure = 2;
-        let copy_s = c
-            .platform()
-            .topology()
-            .d2d_transfer_s(block * std::mem::size_of::<f32>(), figure);
-        let check_copies = |trace: &[vgpu::CommandRecord], what: &str| {
-            let copies = cross_copies(trace);
-            assert_eq!(copies.len(), 12, "{what}: every block crosses to 3 devices");
-            for &(_, s, e) in &copies {
-                let off = (e - s - copy_s).abs() / copy_s;
-                assert!(off < 1e-9, "{what}: priced at {figure} in flight");
-            }
-            assert_eq!(most_in_flight(&copies), figure, "{what}");
-            copies
-        };
-
-        // Gather: 12 copies in 6 rounds of 2.
+        // Gather: each block is downloaded once and uploaded to the three
+        // other devices, so each engine is busy four transfer times, not
+        // the twelve of two crossings per block and destination; and the
+        // host copy is current after it.
         v.set_distribution(Distribution::Copy).unwrap();
         let gather = c.platform().take_timeline_trace();
-        let copies = check_copies(&gather, "gather");
-        let first = copies.iter().map(|c| c.1).fold(f64::INFINITY, f64::min);
-        let last = copies.iter().map(|c| c.2).fold(0.0, f64::max);
-        let rounds = (last - first) / copy_s;
-        assert!((rounds - 6.0).abs() < 1e-9, "gather took {rounds} copies");
+        check_staged(&gather, "gather", block, (4, 12, 4));
+        assert!(v.host_fresh(), "every block crossed the host");
 
-        // Merge: each target's combines fold the partials in device order.
-        // The gathered copies are identical until a kernel writes them, as
+        // Merge: each device's copy of each other target's block is
+        // downloaded once and uploaded into a temporary on the target; each
+        // target's combines fold the partials in device order. The
+        // gathered copies are identical until a kernel writes them, as
         // OSEM's does before its merge.
         v.mark_devices_modified();
         let add = crate::skel_fn!(
@@ -714,24 +782,29 @@ mod tests {
         );
         v.set_distribution_with(Distribution::Block, &add).unwrap();
         let merge = c.platform().take_timeline_trace();
-        check_copies(&merge, "merge");
+        check_staged(&merge, "merge", block, (12, 12, 6));
+        assert!(!v.host_fresh(), "the merge leaves the host copy stale");
         for t in 0..4 {
             let target = v.parts().unwrap()[t].buffer.id();
-            let mut combines: Vec<&vgpu::CommandRecord> = merge
-                .iter()
-                .filter(|r| r.kind == vgpu::CmdKind::Kernel && r.device.0 == t)
+            let mut combines: Vec<&vgpu::CommandRecord> = of_kind(&merge, vgpu::CmdKind::Kernel)
+                .filter(|r| r.device.0 == t)
                 .collect();
             combines.sort_by(|a, b| a.start_s.partial_cmp(&b.start_s).unwrap());
             let sources: Vec<usize> = combines
                 .iter()
                 .map(|k| {
                     let partial = k.reads.iter().find(|a| a.buffer != target).unwrap();
-                    let copy = merge
-                        .iter()
+                    let upload = of_kind(&merge, vgpu::CmdKind::H2D)
                         .find(|r| r.writes.iter().any(|w| w.buffer == partial.buffer))
                         .unwrap();
-                    assert!(k.deps.contains(&copy.seq), "combine waits for its partial");
-                    copy.device.0
+                    assert!(
+                        k.deps.contains(&upload.seq),
+                        "combine waits for its partial"
+                    );
+                    let download = of_kind(&merge, vgpu::CmdKind::D2H)
+                        .find(|r| upload.deps.contains(&r.seq))
+                        .unwrap();
+                    download.device.0
                 })
                 .collect();
             let others: Vec<usize> = (0..4).filter(|&d| d != t).collect();
@@ -748,6 +821,28 @@ mod tests {
         all.extend(merge);
         assert_eq!(vgpu::verify_engine_exclusive(&all), None);
         assert_eq!(crate::check::verify_no_buffer_hazards(&all), None);
+    }
+
+    #[test]
+    fn a_gather_to_copy_leaves_nothing_to_download() {
+        // On four devices every block crosses the host on its way to the
+        // other three, so the gather leaves the host copy current and
+        // reading the vector back moves no byte.
+        let c = ctx(4);
+        let v = Vector::from_vec(&c, vec![0.0f32; 40]);
+        v.ensure_on_devices().unwrap(); // Block
+        for p in v.parts().unwrap() {
+            for i in 0..p.rows {
+                p.buffer.set(i, (p.row_offset + i) as f32 * 1.5);
+            }
+        }
+        v.mark_devices_modified();
+        v.set_distribution(Distribution::Copy).unwrap();
+        let before = c.platform().stats_snapshot();
+        let got = v.to_vec().unwrap();
+        let delta = c.platform().stats_snapshot() - before;
+        assert_eq!((delta.total_transfers(), delta.d2h_bytes), (0, 0));
+        assert_eq!(got, (0..40).map(|i| i as f32 * 1.5).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Property-based tests of the Matrix / Stencil2D subsystem: stencils agree
 //! with a sequential reference for arbitrary shapes, radii, boundary modes,
-//! device counts and halo widths, and row-block distribution round trips
-//! (scatter → halo exchange → gather) are the identity.
+//! device counts and halo widths, row-block distribution round trips
+//! (scatter → halo exchange → gather) are the identity, and redistribution
+//! moves each cell another device owns through the host exactly once.
 
 mod common;
 
 use common::host_stencil;
 use proptest::prelude::*;
 use skelcl::{
-    Boundary2D, Context, ContextConfig, Matrix, MatrixDistribution, Stencil2D, Stencil2DView,
-    UserFn,
+    skel_fn, Boundary2D, Context, ContextConfig, Map, Matrix, MatrixDistribution, Stencil2D,
+    Stencil2DView, UserFn,
 };
 use vgpu::DeviceSpec;
 
@@ -64,6 +65,106 @@ fn cross_stencil(
     Stencil2D::new(user, 1, boundary)
 }
 
+fn twice() -> Map<f32, f32, impl Fn(f32) -> f32 + Clone> {
+    Map::new(skel_fn!(
+        fn twice(x: f32) -> f32 {
+            2.0 * x
+        }
+    ))
+}
+
+/// One part of a layout: its device, owned rows and columns as
+/// `(offset, len)`, and halo rows above and below.
+struct Part {
+    device: usize,
+    rows: (usize, usize),
+    cols: (usize, usize),
+    halo: usize,
+}
+
+/// Near-equal blocks of `len` over `n` devices, the first `len % n` one
+/// longer.
+fn blocks(len: usize, n: usize) -> Vec<(usize, usize)> {
+    let (base, extra) = (len / n, len % n);
+    let mut off = 0;
+    (0..n)
+        .map(|d| {
+            let l = base + usize::from(d < extra);
+            off += l;
+            (off - l, l)
+        })
+        .collect()
+}
+
+/// The parts of `dist` for a `rows × cols` matrix on `n` devices.
+fn layout(dist: MatrixDistribution, (rows, cols): (usize, usize), n: usize) -> Vec<Part> {
+    let whole = |device| Part {
+        device,
+        rows: (0, rows),
+        cols: (0, cols),
+        halo: 0,
+    };
+    match dist {
+        MatrixDistribution::Single(d) => vec![whole(d)],
+        MatrixDistribution::Copy => (0..n).map(whole).collect(),
+        MatrixDistribution::RowBlock { halo } => blocks(rows, n)
+            .into_iter()
+            .enumerate()
+            .map(|(device, r)| Part {
+                device,
+                rows: r,
+                cols: (0, cols),
+                halo: if r.1 == 0 { 0 } else { halo.min(rows) },
+            })
+            .collect(),
+        MatrixDistribution::ColBlock => blocks(cols, n)
+            .into_iter()
+            .enumerate()
+            .map(|(device, c)| Part {
+                device,
+                rows: (0, if c.1 == 0 { 0 } else { rows }),
+                cols: c,
+                halo: 0,
+            })
+            .collect(),
+    }
+}
+
+/// The bytes moving a device-fresh `f32` matrix from `from` to `to` must
+/// download and upload: every distinct cell a new part stores (halo rows
+/// included) that no part on its device owns, once, and such cells once
+/// per part storing them.
+fn crossing_bytes(
+    from: MatrixDistribution,
+    to: MatrixDistribution,
+    (rows, cols): (usize, usize),
+    n: usize,
+) -> (u64, u64) {
+    let old = layout(from, (rows, cols), n);
+    let mut fetched = std::collections::BTreeSet::new();
+    let mut received = 0;
+    for np in layout(to, (rows, cols), n) {
+        if np.rows.1 == 0 || np.cols.1 == 0 {
+            continue;
+        }
+        for s in 0..np.rows.1 + 2 * np.halo {
+            let g = (np.rows.0 + rows + s - np.halo) % rows;
+            for c in np.cols.0..np.cols.0 + np.cols.1 {
+                let local = old.iter().any(|p| {
+                    p.device == np.device
+                        && (p.rows.0..p.rows.0 + p.rows.1).contains(&g)
+                        && (p.cols.0..p.cols.0 + p.cols.1).contains(&c)
+                });
+                if !local {
+                    fetched.insert((g, c));
+                    received += 1;
+                }
+            }
+        }
+    }
+    (4 * fetched.len() as u64, 4 * received)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -111,9 +212,14 @@ proptest! {
         prop_assert_eq!(m.to_vec().unwrap(), data);
     }
 
-    // RowBlock ↔ ColBlock ↔ Single: every device-side redistribution path
-    // through row- and column-based layouts is the identity on the data,
-    // over random shapes, device counts and halo widths.
+    // RowBlock ↔ ColBlock ↔ Single: every redistribution path through row-
+    // and column-based layouts is the identity on the data, over random
+    // shapes, device counts and halo widths. Each step moves only what
+    // another device owns, through the host: it downloads each such cell
+    // a new part stores exactly once and uploads it to every part storing
+    // it, copies nothing device to device, and never uploads the stale
+    // host copy (a `Map` output's, zeroed), which a read through the
+    // devices would show.
     #[test]
     fn row_col_single_redistribution_round_trip_is_identity(
         rows in 1usize..28,
@@ -124,21 +230,33 @@ proptest! {
     ) {
         let data: Vec<f32> = (0..rows * cols).map(|i| (i * 13 % 89) as f32).collect();
         let c = ctx(devices);
-        let m = Matrix::from_vec(&c, rows, cols, data.clone());
-        m.set_distribution(MatrixDistribution::RowBlock { halo }).unwrap();
-        m.ensure_on_devices().unwrap();
-        m.mark_devices_modified(); // device copies become the truth
-        let before = c.platform().stats_snapshot();
-        for d in path {
-            m.set_distribution(d).unwrap();
-        }
+        let input = Matrix::from_vec(&c, rows, cols, data.clone());
+        input.set_distribution(MatrixDistribution::RowBlock { halo }).unwrap();
+        let m = twice().apply_matrix(&input).unwrap();
+        let want: Vec<f32> = data.iter().map(|x| 2.0 * x).collect();
         // Explicit round trip through the column layout and back.
-        m.set_distribution(MatrixDistribution::ColBlock).unwrap();
-        m.set_distribution(MatrixDistribution::Single(0)).unwrap();
-        m.set_distribution(MatrixDistribution::RowBlock { halo }).unwrap();
-        let delta = c.platform().stats_snapshot() - before;
-        prop_assert_eq!(delta.h2d_transfers, 0, "redistribution must stay device-side");
-        prop_assert_eq!(m.to_vec().unwrap(), data);
+        let round_trip = [
+            MatrixDistribution::ColBlock,
+            MatrixDistribution::Single(0),
+            MatrixDistribution::RowBlock { halo },
+        ];
+        for d in path.into_iter().chain(round_trip) {
+            let from = m.distribution();
+            let before = c.platform().stats_snapshot();
+            m.set_distribution(d).unwrap();
+            let delta = c.platform().stats_snapshot() - before;
+            let (down, up) = if from == d {
+                (0, 0)
+            } else {
+                crossing_bytes(from, d, (rows, cols), devices)
+            };
+            prop_assert_eq!(delta.d2d_transfers, 0, "{:?} -> {:?}", from, d);
+            prop_assert_eq!(delta.d2h_bytes, down, "{:?} -> {:?}", from, d);
+            prop_assert_eq!(delta.h2d_bytes, up, "{:?} -> {:?}", from, d);
+        }
+        prop_assert_eq!(twice().apply_matrix(&m).unwrap().to_vec().unwrap(),
+            want.iter().map(|x| 2.0 * x).collect::<Vec<_>>());
+        prop_assert_eq!(m.to_vec().unwrap(), want);
     }
 
     // Arbitrary redistribution paths never lose data.

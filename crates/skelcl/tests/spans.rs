@@ -210,3 +210,38 @@ fn a_tesla_iterate_records_its_tile_and_each_exchange_its_copy_rounds() {
     assert_eq!(attr("halo.exchange", "rounds"), ["4", "4"]);
     assert_eq!(verify_span_nesting(&spans), None);
 }
+
+#[test]
+fn a_lone_part_iterate_opens_no_empty_exchange_span() {
+    // One Tesla part owns the whole 256² plate. Under `Neumann` its halo
+    // rows are wrapped matrix edges no block reads, so no block exchanges
+    // anything and no `halo.exchange` span is opened for it; the spans
+    // change no modeled time.
+    let run = |spans: bool| {
+        let c = Context::new(ContextConfig::default().devices(1).cache_tag("spans-test"));
+        let (rows, cols) = (256, 256);
+        let data: Vec<f32> = (0..rows * cols).map(|i| (i % 89) as f32).collect();
+        let m = Matrix::from_vec(&c, rows, cols, data);
+        m.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
+            .unwrap();
+        m.ensure_on_devices().unwrap();
+        if spans {
+            c.enable_spans();
+        }
+        c.sync();
+        let start = c.host_now_s();
+        let out = cross_stencil(Boundary2D::Neumann).iterate(&m, 30).unwrap();
+        c.sync();
+        let modeled = c.host_now_s() - start;
+        (out.to_vec().unwrap(), modeled, c.take_spans())
+    };
+    let (with, with_s, spans) = run(true);
+    let (without, without_s, _) = run(false);
+    let iterate = spans.iter().find(|s| s.name == "stencil2d.iterate");
+    let blocks = iterate.and_then(|s| s.attrs.iter().find(|(k, _)| *k == "blocks"));
+    assert!(blocks.is_some_and(|(_, v)| v != "0"), "{blocks:?}");
+    assert!(spans.iter().all(|s| s.name != "halo.exchange"));
+    assert_eq!(with_s, without_s);
+    assert_eq!(with, without);
+    assert_eq!(verify_span_nesting(&spans), None);
+}
