@@ -79,8 +79,8 @@ fn fig2() {
 /// Multi-GPU scaling of the Gaussian → Sobel Stencil2D pipeline over a
 /// row-block matrix with halo exchange, 1 → 4 devices. The 4-device leg is
 /// no slower than the 3-device one: the exchange between the two stencils
-/// runs its copies in device-disjoint rounds, so a fourth device adds no
-/// serialised copy.
+/// stages its halo rows through the host, each transfer on its own
+/// device's copy engine, so a fourth device adds no serialised copy.
 fn fig_stencil() {
     let legs: Vec<f64> = [1usize, 2, 3, 4]
         .into_iter()
@@ -227,7 +227,8 @@ fn assert_batched_bit_identity() {
 /// launch and a window per stencil. Fused wins by ≥ 1.3× at every size and
 /// device count, and its 4-device leg is no slower than its 1-device leg.
 /// The unfused 4-device leg is no slower than its 2-device leg: its halo
-/// exchanges run their copies in device-disjoint rounds.
+/// exchanges stage their rows through the host, each transfer on its own
+/// device's copy engine.
 /// Read back to the host at 512², `canny_labels` (banded, each band's read
 /// under the later bands' kernels) is no slower than `run` then `to_vec`
 /// on every device count.

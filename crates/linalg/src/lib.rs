@@ -6,7 +6,7 @@
 //! * [`seq`] — plain sequential host references,
 //! * [`skelcl_impl`] — matrices + the [`skelcl::AllPairs`] skeleton (naive
 //!   or local-memory tiled), all device-resident with lazy transfers and
-//!   device-to-device redistribution.
+//!   redistribution between devices.
 //!
 //! Two pipelines:
 //!

@@ -1,8 +1,9 @@
 //! The SkelCL implementation of the linalg pipelines: `Matrix` containers,
 //! the `AllPairs` skeleton (naive or tiled), an element-wise `Map` and the
 //! index-carrying `ReduceRowsArg` row reduction, all device-resident.
-//! Intermediates never visit the host: `B` operands are replicated by
-//! device-to-device exchange, the distance pipeline chains AllPairs into
+//! Intermediates never come back to the host: `B` operands are replicated
+//! between devices (each range staged through the host once), the
+//! distance pipeline chains AllPairs into
 //! Map on the devices, and the 1-NN per-query argmin runs as a device-side
 //! row reduction over the distance matrix — the `q×p` matrix itself is
 //! never downloaded (asserted by the transfer-count regression test
@@ -92,7 +93,7 @@ pub fn distance_matrix(
 ) -> Result<Matrix<f32>> {
     let points_t = points.transpose()?;
     // Column blocks make each device's share of Bᵀ explicit; AllPairs
-    // gathers the full copy it needs device-to-device.
+    // gathers the full copy it needs from the other devices.
     if points_t.ctx().n_devices() > 1 {
         points_t.set_distribution(MatrixDistribution::ColBlock)?;
     }

@@ -250,8 +250,9 @@
 //!
 //! A [`Matrix`] distributes *rows* across devices; under
 //! [`MatrixDistribution::RowBlock`] each device also stores `halo` overlap
-//! rows that [`Stencil2D`] keeps coherent by automatic device-to-device
-//! exchange. Element-wise skeletons compose with matrices through
+//! rows that [`Stencil2D`] keeps coherent by an automatic exchange, which
+//! moves only the halo rows, through the host (the modeled hardware has no
+//! peer-to-peer). Element-wise skeletons compose with matrices through
 //! [`Map::apply_matrix`]/[`Zip::apply_matrix`] without host round trips.
 //!
 //! ```

@@ -12,9 +12,9 @@
 //! paper, extended with the *overlap* idea of SkelCL's stencil work: under
 //! [`MatrixDistribution::RowBlock`] each device owns a contiguous block of
 //! rows **plus `halo` read-only rows above and below it**, and the library
-//! keeps those halo rows coherent by automatic device-to-device exchange —
-//! the transfers show up in the platform's [`vgpu::StatsSnapshot`]
-//! accounting like every other copy.
+//! keeps those halo rows coherent by automatic exchange — the transfers
+//! show up in the platform's [`vgpu::StatsSnapshot`] accounting like every
+//! other copy.
 //!
 //! Halo rows wrap around the matrix edges (row `-1` is the last row), which
 //! makes every part's halo well-defined regardless of position and lets the
@@ -29,11 +29,13 @@
 //!
 //! Redistribution moves device-fresh data from its owners, never from a
 //! stale host copy. Without peer-to-peer every byte between devices crosses
-//! the host anyway, so a range another device needs is downloaded once into
-//! its place in the host copy and uploaded from there to each device that
-//! needs it, each half on its own device's copy engine; a range a device
-//! already holds is copied on the device. Halo exchanges keep
-//! device-to-device platform copies.
+//! the host, and one routine (`stage_through_host`) moves them all: a
+//! range another device needs is downloaded once and uploaded to each
+//! device that needs it, each half on its own device's copy engine; a range
+//! a device already holds is copied on the device. A redistribution stages
+//! through the host copy, in place (and uploads straight from it when it
+//! is current); a halo exchange, and a 2-D reduction's hop between parts,
+//! stage only the bytes that cross.
 //! Column blocks feed the [`crate::AllPairs`] skeleton's `B` operand
 //! (matrix multiplication, pairwise distances).
 //!
@@ -590,10 +592,12 @@ impl<T: Scalar> Matrix<T> {
         self.parts_with_upload_chunks(chunk_rows).map(drop)
     }
 
-    /// Refresh every part's halo rows from the rows' owning parts via
-    /// device-to-device copies. A no-op when halos are already coherent,
-    /// when the distribution has no halos, or when the freshest data is on
-    /// the host (the next upload fills halos anyway).
+    /// Refresh every part's halo rows from the rows' owning parts: rows
+    /// another device owns cross the host, staged in buffers holding only
+    /// them, and rows the part's own device holds are copied there. A no-op
+    /// when halos are already coherent, when the distribution has no
+    /// halos, or when the freshest data is on the host (the next upload
+    /// fills halos anyway).
     pub fn halo_exchange(&self) -> Result<()> {
         let mut st = self.state.lock();
         halo_exchange(&self.ctx, &mut st)
@@ -605,7 +609,8 @@ impl<T: Scalar> Matrix<T> {
     /// — happens automatically; otherwise only metadata changes and the
     /// next upload uses the new layout. The rows that cross devices pass
     /// through the host copy, so once every row has crossed (a gather to
-    /// `Copy`, say) the host copy is fresh too.
+    /// `Copy`, say) the host copy is fresh too; when it already was, they
+    /// are uploaded from it and nothing is downloaded.
     pub fn set_distribution(&self, dist: MatrixDistribution) -> Result<()> {
         check_distribution(&self.ctx, dist)?;
         let mut st = self.state.lock();
@@ -619,10 +624,9 @@ impl<T: Scalar> Matrix<T> {
         }
         let dims = (st.rows, st.cols);
         let row_based = st.dist.is_full_width() && dist.is_full_width();
-        let was_fresh = st.host_fresh;
+        let current = st.host_fresh;
         redistribute(&self.ctx, &mut st, dist, |old, new, host| {
-            let crossed = copy_from_owners(&self.ctx, old, new, host, dims, row_based)?;
-            Ok(was_fresh || crossed)
+            copy_from_owners(&self.ctx, (old, new), (host, current), dims, row_based)
         })
     }
 
@@ -1025,124 +1029,19 @@ impl<T: Scalar> PartCopy<'_, T> {
         row * n_cols + src.col_offset + self.src_off % src.cols
     }
 
-    /// Issue the copy under `order`: device-ordered, or event-ordered on
-    /// the copy engines, waiting only for the listed events.
-    fn issue(&self, ctx: &Context, concurrent: usize, order: Order<'_>) -> Result<Event> {
+    /// Issue the copy, which must stay on one device, under `order`:
+    /// device-ordered, or event-ordered on the copy engine, waiting only for
+    /// the listed events.
+    fn issue(&self, ctx: &Context, order: Order<'_>) -> Result<Event> {
         Ok(ctx.platform().copy(
             &self.src.buffer,
             self.src_off,
             &self.dst.buffer,
             self.dst_off,
             self.len,
-            concurrent,
             order,
         )?)
     }
-}
-
-/// The bus-contention figure every cross-device copy of a halo exchange is
-/// priced at: the most of them that can be in flight at once. Each holds
-/// the copy engines of two devices, so that is `⌊devices touched / 2⌋`,
-/// and never more than there are copies.
-fn bus_contention<'c, 'p: 'c, T: Scalar>(
-    copies: impl IntoIterator<Item = &'c PartCopy<'p, T>>,
-) -> usize {
-    let mut touched = Vec::new();
-    let mut cross = 0;
-    for c in copies.into_iter().filter(|c| c.crosses_devices()) {
-        cross += 1;
-        for d in [c.src.device, c.dst.device] {
-            if !touched.contains(&d) {
-                touched.push(d);
-            }
-        }
-    }
-    cross.min(touched.len() / 2).max(1)
-}
-
-/// The cross-device copies of a halo exchange's `copies`, by index,
-/// grouped first fit into rounds in which no device appears twice.
-fn copy_rounds<T: Scalar>(copies: &[PartCopy<'_, T>], n_devices: usize) -> Vec<Vec<usize>> {
-    // Per round, the devices it holds and the copies it runs.
-    let mut rounds: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-    // No round before `first_free[d]` has device `d` free.
-    let mut first_free = vec![0; n_devices];
-    for (i, c) in copies.iter().enumerate() {
-        if !c.crosses_devices() {
-            continue;
-        }
-        let pair = [c.src.device, c.dst.device];
-        let mut r = first_free[pair[0]].max(first_free[pair[1]]);
-        while r < rounds.len() && pair.iter().any(|d| rounds[r].0.contains(d)) {
-            r += 1;
-        }
-        if r == rounds.len() {
-            rounds.push((Vec::new(), Vec::new()));
-        }
-        rounds[r].0.extend(pair);
-        rounds[r].1.push(i);
-        for d in pair {
-            while first_free[d] < rounds.len() && rounds[first_free[d]].0.contains(&d) {
-                first_free[d] += 1;
-            }
-        }
-    }
-    rounds.into_iter().map(|(_, members)| members).collect()
-}
-
-/// Issue one halo exchange's copies on the copy engines and return their
-/// events in batch order, with the number of rounds its cross-device
-/// copies ran in. Same-device copies go first. The cross-device copies
-/// follow as platform copies staged through the host, in rounds in which
-/// no device appears twice ([`copy_rounds`]), so the copies of one round
-/// run at the same time on disjoint pairs of copy engines, each priced at
-/// [`bus_contention`]; [`crate::Stencil2D::iterate`]'s block plan prices
-/// an exchange by these rounds. A copy waits for what it must follow on
-/// its source device and, across devices, on its destination: `after[d]`
-/// per device, or else (`None`) a marker joining everything already
-/// scheduled on the device, once per device the batch touches, as a
-/// device-ordered copy would. The caller joins the devices afterwards (or
-/// orders its consumers after the returned events).
-fn issue_copies<T: Scalar>(
-    ctx: &Context,
-    copies: &[PartCopy<'_, T>],
-    after: Option<&[Vec<Event>]>,
-) -> Result<(Vec<Event>, usize)> {
-    let markers;
-    let after = match after {
-        Some(after) => after,
-        None => {
-            markers = copy_markers(
-                ctx,
-                copies.iter().flat_map(|c| [c.src.device, c.dst.device]),
-            );
-            &markers
-        }
-    };
-    let concurrent = bus_contention(copies);
-    let mut events: Vec<Option<Event>> = vec![None; copies.len()];
-    let mut issue = |i: usize| -> Result<()> {
-        let c = &copies[i];
-        // The destination's events also fence the write-after-read hazard
-        // against the earlier readers of the rows the copy overwrites.
-        let mut deps = after[c.src.device].clone();
-        if c.crosses_devices() {
-            deps.extend_from_slice(&after[c.dst.device]);
-        }
-        events[i] = Some(c.issue(ctx, concurrent, Order::After(&deps))?);
-        Ok(())
-    };
-    for (i, c) in copies.iter().enumerate() {
-        if !c.crosses_devices() {
-            issue(i)?;
-        }
-    }
-    let rounds = copy_rounds(copies, ctx.n_devices());
-    for &i in rounds.iter().flatten() {
-        issue(i)?;
-    }
-    let events = events.into_iter().map(|e| e.expect("every copy is issued"));
-    Ok((events.collect(), rounds.len()))
 }
 
 /// The copies filling a run of global rows of `dst` from their owners:
@@ -1213,7 +1112,7 @@ fn span_row_copies<'a, T: Scalar>(
     copies
 }
 
-/// Refresh halo rows from their owners (device-to-device).
+/// Refresh halo rows from their owners.
 fn halo_exchange<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
     if st.halos_fresh || !st.device_fresh || st.cols == 0 {
         return Ok(());
@@ -1230,10 +1129,11 @@ fn halo_exchange<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
 /// With `skip_wrapped` the halo runs whose global rows wrap
 /// around the matrix edge are left untouched: only the `Wrap` boundary mode
 /// ever reads them, so a stencil that knows its boundary is `Neumann`/`Zero`
-/// can batch a strictly smaller exchange. The copies go out as one
-/// [`issue_copies`] batch: each waits for a marker joining its devices, as
-/// a device-ordered copy would, and the cross-device ones run in
-/// device-disjoint rounds. Returns whether any halo rows
+/// can batch a strictly smaller exchange. Rows a part's own device holds
+/// are copied on the device; the others cross the host
+/// ([`stage_through_host`]), staged in buffers holding only them. Every
+/// transfer waits for a marker joining its device, as a device-ordered
+/// copy would. Returns whether any halo rows
 /// were actually refreshed: that is one exchange *event*, counted here in
 /// [`Context::halo_exchange_count`] for every caller, inside a
 /// `halo.exchange` span. A round where every run is skipped is a no-op: it
@@ -1248,27 +1148,26 @@ pub(crate) fn exchange_part_halos<T: Scalar>(
     Ok(exchange_part_halos_impl(ctx, parts, n_rows, cols, skip_wrapped, usize::MAX, None)?.0)
 }
 
-/// The copy events one overlapped halo exchange issued for one part.
+/// The transfer events one overlapped halo exchange issued for one part.
 #[derive(Clone, Default)]
 pub(crate) struct PartExchange {
-    /// The copies that wrote into the part's halo rows: what a launch
-    /// reading those rows waits for.
+    /// The uploads (and device copies) that wrote into the part's halo
+    /// rows: what a launch reading those rows waits for.
     pub incoming: Vec<Event>,
-    /// The copies that read the part's owned rows: what a launch
-    /// overwriting those rows waits for.
+    /// The downloads (and device copies) that read the part's owned rows:
+    /// what a launch overwriting those rows waits for.
     pub outgoing: Vec<Event>,
 }
 
 /// The overlapped twin of [`exchange_part_halos`]: it refreshes only the
-/// `depth` halo rows nearest each side's owned rows, and every copy is
-/// issued **asynchronously on the copy engines**, waiting only for the
-/// producer events in `deps_by_device` on its source and destination
-/// devices, so the whole exchange runs underneath unrelated kernels. Its
-/// copies go out in the order of every batch of [`issue_copies`]: on four
-/// devices a `RowBlock` exchange's six copies run in four device-disjoint
-/// rounds, not six back to back. Events are counted exactly like the
-/// serial exchange (issuing on the copy stream must not change the count).
-/// Returns each part's [`PartExchange`].
+/// `depth` halo rows nearest each side's owned rows, and every transfer is
+/// issued **asynchronously on the copy streams**: a download or device copy
+/// waits for the producer events in `deps_by_device` on its source's
+/// device, an upload for those on its own device and for the download of
+/// its rows, so the whole exchange runs underneath unrelated kernels.
+/// Events are counted exactly like the serial exchange (issuing on the copy
+/// stream must not change the count). Returns each part's
+/// [`PartExchange`].
 pub(crate) fn exchange_part_halos_overlapped<T: Scalar>(
     ctx: &Context,
     parts: &[MatrixPart<T>],
@@ -1298,7 +1197,7 @@ fn exchange_part_halos_impl<T: Scalar>(
     // The copies, and the index of the part whose halo each one fills. A
     // halo run always reads other span rows than its own, so every run
     // left after `skip_wrapped` makes at least one copy.
-    let (mut copies, mut filled) = (Vec::new(), Vec::new());
+    let (mut local, mut cross) = (Vec::new(), Vec::new());
     for (i, p) in parts.iter().enumerate() {
         if p.rows == 0 {
             continue;
@@ -1309,13 +1208,15 @@ fn exchange_part_halos_impl<T: Scalar>(
                     continue;
                 }
                 for copy in row_run_copies(parts, p, run, cols) {
-                    copies.push(copy);
-                    filled.push(i);
+                    match copy.crosses_devices() {
+                        true => cross.push((copy, i)),
+                        false => local.push((copy, i)),
+                    }
                 }
             }
         }
     }
-    if copies.is_empty() {
+    if local.is_empty() && cross.is_empty() {
         return Ok((false, events));
     }
     let deepest = parts.iter().map(|p| p.halo_above.max(p.halo_below)).max();
@@ -1324,18 +1225,33 @@ fn exchange_part_halos_impl<T: Scalar>(
     span.attr("rows", deepest.unwrap_or(0).min(depth).to_string());
     span.attr("overlapped", deps_by_device.is_some().to_string());
     span.attr("devices", ctx.n_devices().to_string());
-    // Without producers to wait for, each copy waits for a marker joining
-    // its devices, as a device-ordered copy would.
-    let (issued, rounds) = issue_copies(ctx, &copies, deps_by_device)?;
-    span.attr("rounds", rounds.to_string());
-    if deps_by_device.is_some() {
-        for ((copy, i), event) in copies.iter().zip(filled).zip(issued) {
-            let src = parts.iter().position(|p| std::ptr::eq(p, copy.src));
-            events[src.expect("copies read the exchanged parts")]
-                .outgoing
-                .push(event.clone());
-            events[i].incoming.push(event);
+    // Without producers to wait for, each transfer waits for a marker
+    // joining its device, as a device-ordered copy would.
+    let markers;
+    let after = match deps_by_device {
+        Some(after) => after,
+        None => {
+            let copies = local.iter().chain(&cross).map(|(c, _)| c);
+            markers = copy_markers(ctx, copies.flat_map(|c| [c.src.device, c.dst.device]));
+            &markers
         }
+    };
+    let index = |part: &MatrixPart<T>| {
+        let i = parts.iter().position(|p| std::ptr::eq(p, part));
+        i.expect("copies read the exchanged parts")
+    };
+    for (copy, i) in &local {
+        let event = copy.issue(ctx, Order::After(&after[copy.src.device]))?;
+        events[index(copy.src)].outgoing.push(event.clone());
+        events[*i].incoming.push(event);
+    }
+    let copies: Vec<_> = cross.iter().map(|(c, _)| c).collect();
+    let staged = stage_through_host(ctx, &copies, (n_rows, cols), Staging::Scratch, after)?;
+    for (src, event) in staged.downloads {
+        events[index(src)].outgoing.push(event);
+    }
+    for ((_, i), event) in cross.iter().zip(staged.uploads) {
+        events[*i].incoming.push(event);
     }
     // Counted after the span closes, in the span of the skeleton that
     // needed the refresh.
@@ -1430,37 +1346,178 @@ pub(crate) fn engines_touched(devices: impl IntoIterator<Item = usize>) -> usize
     touched.len().max(1)
 }
 
+/// Where [`stage_through_host`] keeps the bytes between their download and
+/// their uploads.
+pub(crate) enum Staging<'h, T> {
+    /// The container's host copy, which already holds the newest data:
+    /// each range is uploaded straight from its place there, and nothing
+    /// is downloaded.
+    Current(&'h mut [T]),
+    /// The container's stale host copy: each range is downloaded into its
+    /// place there.
+    Stale(&'h mut [T]),
+    /// Host buffers holding only the ranges that cross, dropped once the
+    /// uploads are issued.
+    Scratch,
+}
+
+/// The transfers [`stage_through_host`] issued.
+pub(crate) struct Staged<'p, T: Scalar> {
+    /// Each download, with the part it read.
+    pub downloads: Vec<(&'p MatrixPart<T>, Event)>,
+    /// Each copy's upload, in batch order.
+    pub uploads: Vec<Event>,
+    /// The elements downloaded.
+    pub downloaded: usize,
+}
+
+/// Move `cross`, copies between two devices, through the host: the one
+/// path by which bytes go from device to device, since the modeled S1070
+/// has no peer-to-peer. Each source range is downloaded once, on its
+/// owner's copy stream, and uploaded on the copy stream of each device that
+/// needs it: a read and a write joined by an event wait list. In the
+/// row-major host layout of the `n_rows × n_cols` matrix, one owner's
+/// ranges that overlap or abut go as one download. A download waits for
+/// `after[owner]`, an upload for `after[its device]` and the download of
+/// its bytes. Each transfer holds its own device's copy engine only, so
+/// each is priced at [`engines_touched`]. `staging` says where the bytes
+/// wait in between.
+pub(crate) fn stage_through_host<'p, T: Scalar>(
+    ctx: &Context,
+    cross: &[&PartCopy<'p, T>],
+    (n_rows, n_cols): (usize, usize),
+    staging: Staging<'_, T>,
+    after: &[Vec<Event>],
+) -> Result<Staged<'p, T>> {
+    let current = matches!(staging, Staging::Current(_));
+    let mut at: Vec<usize> = cross
+        .iter()
+        .map(|c| c.host_offset(n_rows, n_cols))
+        .collect();
+    // Per download: its owner, offset in the owner's buffer, host range.
+    // In host order, a range joins the previous download when it has the
+    // same owner and overlaps or abuts it. Different owners' ranges never
+    // overlap, and one owner's abutting ranges are contiguous in its
+    // buffer too.
+    let mut reads: Vec<(&MatrixPart<T>, usize, usize, usize)> = Vec::new();
+    let mut read_of = vec![0; cross.len()];
+    if !current {
+        let mut by_host: Vec<usize> = (0..cross.len()).collect();
+        by_host.sort_by_key(|&i| at[i]);
+        for i in by_host {
+            let (c, lo) = (cross[i], at[i]);
+            match reads.last_mut() {
+                Some((src, _, _, hi)) if std::ptr::eq(*src, c.src) && lo <= *hi => {
+                    *hi = (*hi).max(lo + c.len);
+                }
+                _ => reads.push((c.src, c.src_off, lo, lo + c.len)),
+            }
+            read_of[i] = reads.len() - 1;
+        }
+    }
+    let mut scratch;
+    let host = match staging {
+        Staging::Current(host) | Staging::Stale(host) => host,
+        Staging::Scratch => {
+            // Pack the downloads end to end, each range moving with its
+            // download.
+            let mut packed = 0;
+            let mut shift = Vec::with_capacity(reads.len());
+            for (_, _, lo, hi) in &mut reads {
+                shift.push(*lo - packed);
+                (*lo, *hi) = (packed, packed + *hi - *lo);
+                packed = *hi;
+            }
+            for (a, &r) in at.iter_mut().zip(&read_of) {
+                *a -= shift[r];
+            }
+            scratch = vec![T::default(); packed];
+            &mut scratch[..]
+        }
+    };
+    let engines = reads.iter().map(|r| r.0.device);
+    let concurrent = engines_touched(engines.chain(cross.iter().map(|c| c.dst.device)));
+    let mut staged = Staged {
+        downloads: Vec::with_capacity(reads.len()),
+        uploads: Vec::with_capacity(cross.len()),
+        downloaded: 0,
+    };
+    for &(src, src_off, lo, hi) in &reads {
+        let queue = ctx.copy_queue(src.device);
+        let order = Order::After(&after[src.device]);
+        let dst = &mut host[lo..hi];
+        let fetched =
+            queue.enqueue_read(&src.buffer, Some(src_off), dst, concurrent, false, order)?;
+        staged.downloads.push((src, fetched));
+        staged.downloaded += hi - lo;
+    }
+    for ((c, lo), read) in cross.iter().zip(at).zip(read_of) {
+        let mut deps = after[c.dst.device].clone();
+        if !current {
+            deps.push(staged.downloads[read].1.clone());
+        }
+        staged
+            .uploads
+            .push(ctx.copy_queue(c.dst.device).enqueue_write(
+                &c.dst.buffer,
+                Some(c.dst_off),
+                &host[lo..lo + c.len],
+                concurrent,
+                Order::After(&deps),
+            )?);
+    }
+    Ok(staged)
+}
+
+/// Move `len` elements of `src` into `dst`, buffers on two devices, through
+/// the host ([`stage_through_host`]), after everything already scheduled on
+/// both: the hop a chained 2-D reduction's partials take between parts.
+pub(crate) fn stage_buffer<T: Scalar>(
+    ctx: &Context,
+    src: &Buffer<T>,
+    dst: &Buffer<T>,
+    len: usize,
+) -> Result<()> {
+    let part = |b: &Buffer<T>| MatrixPart::column(b.device().0, 0, len, b.clone());
+    let (src, dst) = (part(src), part(dst));
+    let hop = PartCopy {
+        src: &src,
+        dst: &dst,
+        src_off: 0,
+        dst_off: 0,
+        len,
+    };
+    let markers = copy_markers(ctx, [src.device, dst.device]);
+    stage_through_host(ctx, &[&hop], (len, 1), Staging::Scratch, &markers)?;
+    Ok(())
+}
+
 /// Fill the new parts' owned regions *and* halo rows from the old owners.
 /// A range the new part's own device holds is a device-local copy. A range
-/// another device owns crosses the host, as every byte between devices does
-/// without peer-to-peer: it is downloaded once, on its owner's copy stream,
-/// into its place in the host copy `host` (ranges of one owner that overlap
-/// or abut go as one download), and uploaded from there on the copy stream
-/// of each device that needs it. An upload waits for its download and for a
-/// marker joining its own device; a download waits for a marker joining its
-/// owner. Each transfer holds its own device's copy engine only, so each
-/// is priced at [`engines_touched`]. Returns whether every element was
-/// downloaded: `host` then holds the newest data.
+/// another device owns crosses the host ([`stage_through_host`]) at its
+/// place in the host copy `host`: uploaded straight from it when `host` is
+/// `current`, downloaded into it first otherwise. Every transfer waits for
+/// a marker joining its device. Returns whether `host` holds the newest
+/// data afterwards: it was current, or every element was downloaded.
 fn copy_from_owners<T: Scalar>(
     ctx: &Context,
-    old: &[MatrixPart<T>],
-    new: &[MatrixPart<T>],
-    host: &mut [T],
-    (n_rows, n_cols): (usize, usize),
+    (old, new): (&[MatrixPart<T>], &[MatrixPart<T>]),
+    (host, current): (&mut [T], bool),
+    dims: (usize, usize),
     row_based: bool,
 ) -> Result<bool> {
     let mut copies = Vec::new();
     for np in new.iter().filter(|np| np.rows > 0 && np.cols > 0) {
         if row_based {
             // Full-width parts on both sides: batch contiguous rows.
-            for run in span_runs(np, n_rows) {
+            for run in span_runs(np, dims.0) {
                 copies.extend(row_run_copies(old, np, run, np.cols));
             }
         } else {
             // A column boundary is involved: copy row by row, splitting
             // each row at owner column boundaries (strided transfers).
             for s in 0..np.span_rows() {
-                copies.extend(span_row_copies(old, np, s, np.global_row(s, n_rows)));
+                copies.extend(span_row_copies(old, np, s, np.global_row(s, dims.0)));
             }
         }
     }
@@ -1470,56 +1527,15 @@ fn copy_from_owners<T: Scalar>(
     );
     let (local, cross): (Vec<_>, Vec<_>) = copies.iter().partition(|c| !c.crosses_devices());
     for c in local {
-        c.issue(ctx, 1, Order::After(&markers[c.src.device]))?;
+        c.issue(ctx, Order::After(&markers[c.src.device]))?;
     }
-    // Each crossing copy's source range in the host copy, and the
-    // downloads covering them: in host order, a range joins the previous
-    // download when it has the same owner and overlaps or abuts it.
-    // Different owners' ranges never overlap, and one owner's abutting
-    // ranges are contiguous in its buffer too.
-    let staged: Vec<usize> = cross
-        .iter()
-        .map(|c| c.host_offset(n_rows, n_cols))
-        .collect();
-    let mut by_host: Vec<usize> = (0..cross.len()).collect();
-    by_host.sort_by_key(|&i| staged[i]);
-    // Per download: its owner, offset in the owner's buffer, host range.
-    let mut reads: Vec<(&MatrixPart<T>, usize, usize, usize)> = Vec::new();
-    let mut read_of = vec![0; cross.len()];
-    for i in by_host {
-        let (c, lo) = (cross[i], staged[i]);
-        match reads.last_mut() {
-            Some((src, _, _, hi)) if std::ptr::eq(*src, c.src) && lo <= *hi => {
-                *hi = (*hi).max(lo + c.len);
-            }
-            _ => reads.push((c.src, c.src_off, lo, lo + c.len)),
-        }
-        read_of[i] = reads.len() - 1;
-    }
-    let concurrent = engines_touched(cross.iter().flat_map(|c| [c.src.device, c.dst.device]));
-    let mut downloaded = 0;
-    let mut fetched = Vec::with_capacity(reads.len());
-    for &(src, at, lo, hi) in &reads {
-        let queue = ctx.copy_queue(src.device);
-        let order = Order::After(&markers[src.device]);
-        let dst = &mut host[lo..hi];
-        fetched.push(queue.enqueue_read(&src.buffer, Some(at), dst, concurrent, false, order)?);
-        downloaded += hi - lo;
-    }
-    for ((c, lo), read) in cross.iter().zip(staged).zip(read_of) {
-        let mut deps = markers[c.dst.device].clone();
-        deps.push(fetched[read].clone());
-        let src = &host[lo..lo + c.len];
-        let queue = ctx.copy_queue(c.dst.device);
-        queue.enqueue_write(
-            &c.dst.buffer,
-            Some(c.dst_off),
-            src,
-            concurrent,
-            Order::After(&deps),
-        )?;
-    }
-    Ok(downloaded == host.len())
+    let len = host.len();
+    let staging = match current {
+        true => Staging::Current(host),
+        false => Staging::Stale(host),
+    };
+    let staged = stage_through_host(ctx, &cross, dims, staging, &markers)?;
+    Ok(current || staged.downloaded == len)
 }
 
 #[cfg(test)]
@@ -1742,7 +1758,13 @@ mod tests {
         let before = c.platform().stats_snapshot();
         m.halo_exchange().unwrap();
         let delta = c.platform().stats_snapshot() - before;
-        assert!(delta.d2d_transfers > 0, "halo exchange crosses devices");
+        // Each part's edge row crosses the host to the other part's halo
+        // on that side, and the wrapped edge rows too: two rows out of and
+        // into each part, none of them abutting.
+        let rows_of = |n: u64| (n, n * (cols * 4) as u64);
+        assert_eq!((delta.d2h_transfers, delta.d2h_bytes), rows_of(4));
+        assert_eq!((delta.h2d_transfers, delta.h2d_bytes), rows_of(4));
+        assert_eq!(delta.d2d_transfers, 0, "halo exchange crosses the host");
         assert!(m.halos_fresh());
         // Device 0's lower halo row must now hold the updated row 4.
         let parts = m.parts().unwrap();
@@ -1831,14 +1853,12 @@ mod tests {
         // download on device 0, then an upload on device 3. The batch
         // touches two copy engines, which the dual host interface serves
         // at full link speed, so it models the two crossings of one
-        // uncontended copy — for a matrix and for a vector of the same
-        // length alike.
+        // uncontended transfer back to back — for a matrix and for a
+        // vector of the same length alike.
         let c = ctx(4);
         let (rows, cols) = (288, 384);
-        let want = c
-            .platform()
-            .topology()
-            .d2d_transfer_s(rows * cols * std::mem::size_of::<f32>(), 1);
+        let bytes = rows * cols * std::mem::size_of::<f32>();
+        let want = 2.0 * c.platform().topology().transfer_s(bytes, 1);
 
         let m = Matrix::from_vec(&c, rows, cols, data(rows, cols));
         m.set_distribution(MatrixDistribution::Single(0)).unwrap();
@@ -2120,12 +2140,13 @@ mod tests {
         assert_eq!(m.to_vec().unwrap(), truth);
         // And back again: each row part receives its rows' 5 or 6 cells
         // of the two other column blocks, one upload per row and owner (18
-        // of 48 cells), and no two of an owner's runs abut (18 downloads).
+        // of 48 cells). The host copy was read back in between and is
+        // still current, so the uploads read it and nothing is downloaded.
         let before = c.platform().stats_snapshot();
         m.set_distribution(MatrixDistribution::RowBlock { halo: 0 })
             .unwrap();
         let delta = c.platform().stats_snapshot() - before;
-        assert_eq!((delta.d2h_transfers, delta.d2h_bytes), (18, 48 * cell));
+        assert_eq!((delta.d2h_transfers, delta.d2h_bytes), (0, 0));
         assert_eq!((delta.h2d_transfers, delta.h2d_bytes), (18, 48 * cell));
         assert_eq!(delta.d2d_transfers, 0, "no device-to-device copy");
         assert_parts_hold(&m, &truth, "row blocks");
@@ -2153,28 +2174,101 @@ mod tests {
         cells
     }
 
+    /// Overwrite every part's halo rows with values no row holds.
+    fn stale_halos(m: &Matrix<f32>) {
+        for p in m.parts().unwrap() {
+            let owned = p.halo_above..p.halo_above + p.rows;
+            for s in (0..p.span_rows()).filter(|s| !owned.contains(s)) {
+                for c in 0..p.cols {
+                    p.buffer.set(s * p.cols + c, f32::NAN);
+                }
+            }
+        }
+    }
+
+    /// One batch of staged transfers, run on the given context with the
+    /// timeline trace on: the parts its downloads read and its uploads
+    /// write, and the shape of the matrix they hold.
+    type StagedCase =
+        Box<dyn Fn(&Context) -> (Vec<MatrixPart<f32>>, Vec<MatrixPart<f32>>, (usize, usize))>;
+
     #[test]
     fn every_staged_upload_waits_for_the_download_of_its_bytes() {
-        // An upload takes its bytes from the host copy the download wrote.
-        // The hazard checker tracks device buffers only and cannot see
-        // that edge, so the upload must name the download in its wait
-        // list and start after it ends.
+        // An upload takes its bytes from the host staging the download
+        // wrote. The hazard checker tracks device buffers only and cannot
+        // see that edge, so the upload must name the download in its wait
+        // list and start after it ends: in a redistribution, in both forms
+        // of halo exchange and in a 2-D reduction's hop between parts.
         use MatrixDistribution::{ColBlock, Copy, RowBlock, Single};
-        for (devices, dims, from, to) in [
-            (4, (16, 3), RowBlock { halo: 0 }, Copy),
-            (4, (16, 3), Single(1), RowBlock { halo: 2 }),
-            (3, (9, 8), RowBlock { halo: 1 }, ColBlock),
-            (3, (9, 8), ColBlock, Single(2)),
-        ] {
-            let case = format!("{devices} devices, {from:?} -> {to:?}");
-            let c = ctx(devices);
-            let (m, truth) = rewritten_on_devices(&c, dims, from);
-            let old = m.parts().unwrap();
+        let redistribution = |dims, from, to| -> StagedCase {
+            Box::new(move |c: &Context| {
+                let (m, truth) = rewritten_on_devices(c, dims, from);
+                let old = m.parts().unwrap();
+                c.platform().enable_timeline_trace();
+                m.set_distribution(to).unwrap();
+                assert_parts_hold(&m, &truth, &format!("{from:?} -> {to:?}"));
+                (old, m.parts().unwrap(), dims)
+            })
+        };
+        let exchange = |overlapped: bool| -> StagedCase {
+            Box::new(move |c: &Context| {
+                let dims = (16, 3);
+                let (m, truth) = rewritten_on_devices(c, dims, RowBlock { halo: 2 });
+                stale_halos(&m);
+                let parts = m.parts().unwrap();
+                c.platform().enable_timeline_trace();
+                if overlapped {
+                    let producers: Vec<Vec<Event>> = (0..c.n_devices())
+                        .map(|d| vec![c.queue(d).enqueue_marker()])
+                        .collect();
+                    exchange_part_halos_overlapped(c, &parts, 16, 3, false, 2, &producers).unwrap();
+                } else {
+                    exchange_part_halos(c, &parts, 16, 3, false).unwrap();
+                }
+                c.sync();
+                assert_parts_hold(&m, &truth, &format!("overlapped: {overlapped}"));
+                (parts.clone(), parts, dims)
+            })
+        };
+        let hop: StagedCase = Box::new(|c: &Context| {
+            let len = 12;
+            let from = c.device(0).alloc_from(&data(len, 1)).unwrap();
+            let to = c.device(1).alloc::<f32>(len).unwrap();
             c.platform().enable_timeline_trace();
-            m.set_distribution(to).unwrap();
+            stage_buffer(c, &from, &to, len).unwrap();
+            assert_eq!(to.to_vec(), data(len, 1), "the hop moves its bytes");
+            let part = |b: Buffer<f32>| MatrixPart::column(b.device().0, 0, len, b);
+            (vec![part(from)], vec![part(to)], (len, 1))
+        });
+        let cases: Vec<(usize, &str, StagedCase)> = vec![
+            (
+                4,
+                "gather to Copy",
+                redistribution((16, 3), RowBlock { halo: 0 }, Copy),
+            ),
+            (
+                4,
+                "scatter",
+                redistribution((16, 3), Single(1), RowBlock { halo: 2 }),
+            ),
+            (
+                3,
+                "rows to columns",
+                redistribution((9, 8), RowBlock { halo: 1 }, ColBlock),
+            ),
+            (
+                3,
+                "columns to one",
+                redistribution((9, 8), ColBlock, Single(2)),
+            ),
+            (4, "device-ordered exchange", exchange(false)),
+            (4, "overlapped exchange", exchange(true)),
+            (2, "reduction hop", hop),
+        ];
+        for (devices, case, run) in cases {
+            let c = ctx(devices);
+            let (old, new, dims) = run(&c);
             let trace = c.platform().take_timeline_trace();
-            let new = m.parts().unwrap();
-            assert_parts_hold(&m, &truth, &case);
             let uploads: Vec<_> = trace
                 .iter()
                 .filter(|r| r.kind == vgpu::CmdKind::H2D)
@@ -2189,7 +2283,9 @@ mod tests {
                     .iter()
                     .flat_map(|d| host_cells(&d.reads, &old, dims))
                     .collect();
-                for cell in host_cells(&up.writes, &new, dims) {
+                let written = host_cells(&up.writes, &new, dims);
+                assert!(!written.is_empty(), "{case}: upload {} writes", up.seq);
+                for cell in written {
                     assert!(
                         fetched.contains(&cell),
                         "{case}: upload {} waits for no download of cell {cell}",
@@ -2223,7 +2319,8 @@ mod tests {
 
         /// What moving `old` into `new` must transfer, in cells: the distinct
         /// cells some new part stores that another device owns (each downloaded
-        /// once), and those cells once per new part storing them (uploads).
+        /// once, unless the host copy is current), and those cells once per new
+        /// part storing them (uploads).
         fn crossing_cells(
             old: &[MatrixPart<f32>],
             new: &[MatrixPart<f32>],
@@ -2254,10 +2351,10 @@ mod tests {
 
             // Random redistribution sequences over 1–4 devices, with kernel
             // writes in between: the devices always hold the data bit for bit,
-            // each step downloads every crossing cell exactly once and uploads
-            // it to each part that stores it, no copy goes device to device,
-            // and the host copy is fresh exactly when it was or every cell
-            // crossed.
+            // each step downloads every crossing cell exactly once (none when
+            // the host copy is current) and uploads it to each part that
+            // stores it, no copy goes device to device, and the host copy is
+            // fresh exactly when it was or every cell crossed.
             #[test]
             fn staged_redistributions_move_each_crossing_cell_once(
                 rows in 1usize..14,
@@ -2290,7 +2387,8 @@ mod tests {
                         (0, 0)
                     };
                     let case = format!("step {step}: -> {dist:?}");
-                    prop_assert_eq!(delta.d2h_bytes as usize, 4 * fetched, "{}", case);
+                    let downloaded = if was_fresh { 0 } else { 4 * fetched };
+                    prop_assert_eq!(delta.d2h_bytes as usize, downloaded, "{}", case);
                     prop_assert_eq!(delta.h2d_bytes as usize, 4 * received, "{}", case);
                     prop_assert_eq!(delta.d2d_transfers, 0, "{}", case);
                     let all_crossed = moves && fetched == rows * cols;
@@ -2389,32 +2487,48 @@ mod tests {
 
     #[test]
     fn skipping_wrapped_runs_moves_fewer_transfers() {
-        // 4 parts with halo 1: a full exchange crosses devices 8 times; a
-        // wrap-skipping one 6 (the matrix-edge halos of the first part's
-        // top and the last part's bottom are omitted).
+        // 4 parts of two rows with halo 1: a full exchange uploads 8 halo
+        // rows; a wrap-skipping one 6 (the matrix-edge halos of the first
+        // part's top and the last part's bottom are omitted). Each part's
+        // rows its neighbours need abut, so each part downloads once: both
+        // its rows, or only the one a skipped halo does not need.
         let c = ctx(4);
         let (rows, cols) = (8, 2);
         let m = Matrix::from_vec(&c, rows, cols, data(rows, cols));
         m.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
             .unwrap();
         let parts = m.parts().unwrap();
+        let row = (cols * 4) as u64;
         let before = c.platform().stats_snapshot();
         assert!(exchange_part_halos(&c, &parts, rows, cols, true).unwrap());
-        let skipping = (c.platform().stats_snapshot() - before).d2d_transfers;
+        let skipping = c.platform().stats_snapshot() - before;
         let before = c.platform().stats_snapshot();
         assert!(exchange_part_halos(&c, &parts, rows, cols, false).unwrap());
-        let full = (c.platform().stats_snapshot() - before).d2d_transfers;
-        assert_eq!(full, 8);
-        assert_eq!(skipping, 6);
+        let full = c.platform().stats_snapshot() - before;
+        for (delta, n, what) in [(full, 8, "full"), (skipping, 6, "skipping")] {
+            assert_eq!(
+                (delta.d2h_transfers, delta.d2h_bytes),
+                (4, n * row),
+                "{what}"
+            );
+            assert_eq!(
+                (delta.h2d_transfers, delta.h2d_bytes),
+                (n, n * row),
+                "{what}"
+            );
+            assert_eq!(delta.d2d_transfers, 0, "{what}");
+        }
     }
 
     #[test]
     fn a_four_device_exchange_ends_four_copy_times_after_it_starts() {
-        // Four parts, halo 2: a wrap-skipping exchange makes six copies of
-        // two rows, two per neighbouring pair. Issued in device-disjoint
-        // rounds they end four copy times after the exchange starts, both
-        // device-ordered and waiting for producers; back to back, the
-        // inner devices' copies took six.
+        // Four parts, halo 2: a wrap-skipping exchange moves six runs of
+        // two rows, two per neighbouring pair, each downloaded once and
+        // uploaded once. An inner device's copy engine holds four of those
+        // transfers, its two downloads and then its two uploads, each of
+        // which waits for a neighbour's first download: the exchange ends
+        // four transfer times (at four engines) after it starts, both
+        // device-ordered and waiting for producers.
         let c = ctx(4);
         let (rows, cols) = (64, 16);
         let m = Matrix::from_vec(&c, rows, cols, data(rows, cols));
@@ -2422,7 +2536,7 @@ mod tests {
             .unwrap();
         let parts = m.parts().unwrap();
         let bytes = 2 * cols * std::mem::size_of::<f32>();
-        let copy_s = c.platform().topology().d2d_transfer_s(bytes, 2);
+        let copy_s = c.platform().topology().transfer_s(bytes, 4);
         for overlapped in [false, true] {
             c.platform().sync_all();
             c.platform().reset_clocks();
@@ -2437,9 +2551,24 @@ mod tests {
                 exchange_part_halos(&c, &parts, rows, cols, true).unwrap();
             }
             c.platform().sync_all();
-            let copies = (c.platform().stats_snapshot() - before).d2d_transfers;
+            let delta = c.platform().stats_snapshot() - before;
+            let copies = (
+                delta.d2h_transfers,
+                delta.h2d_transfers,
+                delta.d2d_transfers,
+            );
             let copy_times = c.platform().host_now_s() / copy_s;
-            assert_eq!(copies, 6, "overlapped: {overlapped}");
+            assert_eq!(copies, (6, 6, 0), "overlapped: {overlapped}");
+            assert_eq!(
+                delta.d2h_bytes,
+                6 * bytes as u64,
+                "overlapped: {overlapped}"
+            );
+            assert_eq!(
+                delta.h2d_bytes,
+                6 * bytes as u64,
+                "overlapped: {overlapped}"
+            );
             assert!(
                 (copy_times - 4.0).abs() < 1e-9,
                 "overlapped: {overlapped}, {copy_times} copy times"

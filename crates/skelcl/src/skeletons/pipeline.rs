@@ -1800,12 +1800,11 @@ mod tests {
             .reduce_rows(&m, add_fn(), 0.0)
             .unwrap();
         let delta = c.platform().stats_snapshot() - before;
-        assert_eq!(
-            delta.d2d_transfers, 3,
-            "one partials copy per part boundary"
-        );
-        assert_eq!(delta.d2d_bytes, 3 * (rows * 4) as u64);
-        assert_eq!((delta.h2d_transfers, delta.d2h_transfers), (0, 0));
+        // One partials hop per part boundary, a download and an upload.
+        let hops = (3, 3 * (rows * 4) as u64);
+        assert_eq!((delta.d2h_transfers, delta.d2h_bytes), hops);
+        assert_eq!((delta.h2d_transfers, delta.h2d_bytes), hops);
+        assert_eq!((delta.d2d_transfers, delta.d2d_bytes), (0, 0));
         assert_eq!(m.distribution(), MatrixDistribution::ColBlock);
 
         let mapped = Map::new(square_fn()).apply_matrix(&m).unwrap();

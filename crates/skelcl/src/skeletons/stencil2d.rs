@@ -196,9 +196,9 @@ where
     /// which every work-group loads its tile's window, `radius` cells
     /// deeper on every side, into local memory once and computes its tile
     /// from there. Under `RowBlock` the input's halo is widened to the
-    /// stencil radius if needed and stale halo rows are refreshed by
-    /// automatic device-to-device exchange; everything stays on the devices
-    /// (lazy copying).
+    /// stencil radius if needed and stale halo rows are refreshed by an
+    /// automatic exchange, which moves only the halo rows through the
+    /// host; the matrix stays on the devices (lazy copying).
     ///
     /// The window must fit local memory: a stencil whose `(lx + 2·radius) ×
     /// (ly + 2·radius)` window of `T` exceeds the smallest device's local
@@ -298,9 +298,9 @@ where
     /// `m` near-equal blocks, longest first (`n = 10` with `m = 3` runs as
     /// 3 + 3 + 3):
     ///
-    /// * A block of `L` rounds first exchanges `L·radius` halo rows, on
-    ///   the **copy stream**, its cross-device copies in rounds in which no
-    ///   device appears twice.
+    /// * A block of `L` rounds first exchanges `L·radius` halo rows on the
+    ///   **copy streams**: each part's rows another part needs are
+    ///   downloaded once and uploaded into each halo that holds them.
     /// * Every work-group of its launch loads the window of its tile,
     ///   `L·radius` cells deeper on each side, into local memory: one
     ///   global read per cell inside the matrix. It steps the `L` rounds
@@ -409,8 +409,15 @@ where
             other => other,
         };
         // The two ping-pong part sets; one round needs only the first.
+        // Round 1 writes set 0 and the blocks alternate after it, so the
+        // result ends in set `blocks.len() % 2`, which is allocated first.
         let alloc = || alloc_parts::<T>(&ctx, dist, n_rows, cols);
-        let sets = [alloc()?, if n > 1 { alloc()? } else { Vec::new() }];
+        let result = blocks.len() % 2;
+        let mut sets = [Vec::new(), Vec::new()];
+        sets[result] = alloc()?;
+        if n > 1 {
+            sets[1 - result] = alloc()?;
+        }
         let skip_wrapped = self.boundary != Boundary2D::Wrap;
 
         // Per device: the last launch, which the next exchange waits for.
@@ -472,13 +479,7 @@ where
             outgoing = exchange.into_iter().map(|e| e.outgoing).collect();
         }
 
-        // Round 1 wrote set 0, and the blocks alternated after it.
-        let [first, second] = sets;
-        let out = if blocks.len().is_multiple_of(2) {
-            first
-        } else {
-            second
-        };
+        let out = std::mem::take(&mut sets[result]);
         let halos_fresh = stale_free(&out);
         Ok(Matrix::from_device_parts(
             &ctx,
@@ -661,7 +662,7 @@ impl BlockPlan {
     fn cheapest(&self, rest: usize) -> ((usize, usize), usize) {
         let mut best = (f64::INFINITY, self.group, rest);
         for &(tile, cap) in &self.tiles {
-            let (s, count) = block_count(rest, cap, |len, first| self.block_s(tile, len, first));
+            let (s, count) = block_count(rest, cap, |len| self.block_s(tile, len));
             if s < best.0 {
                 best = (s, tile, count);
             }
@@ -670,18 +671,11 @@ impl BlockPlan {
     }
 
     /// The estimated seconds of one block of `rounds` rounds stepping
-    /// `tile` (the lane grid if it steps one round), the `first` of its
-    /// iterate or a later one: the most any non-empty part spends on its
-    /// launches and kernels, where an edge launch also waits for the
-    /// copies into its halos.
-    ///
-    /// The first block's exchange starts on every device at once, as round
-    /// 1 ends, so its copies run in device-disjoint rounds, and a part's
-    /// edge launch waits for the last ([`BlockPlan::exchange_rounds`]). A
-    /// later exchange starts on each device as its last edge launch ends,
-    /// staggered by the chain before it, so a part waits only for its own
-    /// device's copies.
-    fn block_s(&self, tile: (usize, usize), rounds: usize, first: bool) -> f64 {
+    /// `tile` (the lane grid if it steps one round): the most any non-empty
+    /// part spends on its launches and kernels, where an edge launch also
+    /// waits for the exchange's transfers on its device's copy engine
+    /// ([`BlockPlan::part_copies`]), every block's alike.
+    fn block_s(&self, tile: (usize, usize), rounds: usize) -> f64 {
         let tile = if rounds > 1 { tile } else { self.group };
         let copy_s = self.copy_s(rounds * self.radius);
         let part_s = |&part: &(usize, usize)| {
@@ -689,12 +683,7 @@ impl BlockPlan {
             if !self.exchanging {
                 return interior;
             }
-            let copies = if first {
-                self.exchange_rounds()
-            } else {
-                self.part_copies(part)
-            };
-            interior.max(copies as f64 * copy_s) + edge
+            interior.max(self.part_copies(part) as f64 * copy_s) + edge
         };
         self.parts.iter().map(part_s).fold(0.0, f64::max)
     }
@@ -817,35 +806,21 @@ impl BlockPlan {
         steps as f64 * self.static_ops as f64 * slots + barriers * BARRIER_CYCLES
     }
 
-    /// The seconds of one halo copy `depth` rows deep: across devices
-    /// (staged through the host, `⌊parts / 2⌋` copies sharing the host bus
-    /// at once), or within a lone part under `Wrap`, on the device.
+    /// The seconds of one halo transfer `depth` rows deep: across devices a
+    /// download or an upload through the host, with as many in flight as
+    /// there are parts, each on its own device's copy engine; within a lone
+    /// part under `Wrap`, a copy on the device.
     fn copy_s(&self, depth: usize) -> f64 {
         let bytes = depth * self.dims.1 * self.elem;
         match self.parts.len() {
             1 => 2.0 * bytes as f64 / self.ctx.device(0).spec().mem_bandwidth_bytes_s,
-            p => self.ctx.platform().topology().d2d_transfer_s(bytes, p / 2),
+            p => self.ctx.platform().topology().transfer_s(bytes, p),
         }
     }
 
-    /// The copy times one whole exchange takes, its cross-device copies
-    /// issued in device-disjoint rounds: a lone part under `Wrap` copies
-    /// its own rows twice on one engine; two parts exchange one copy each
-    /// way per shared side; on a line of three or more parts an inner part
-    /// sits in four rounds, two per neighbour, and the outer pairs run
-    /// beside them; a ring of an odd number of parts, every round of which
-    /// leaves a device out, takes six.
-    fn exchange_rounds(&self) -> usize {
-        match (self.parts.len(), self.wrap) {
-            (1, _) | (2, false) => 2,
-            (p, true) if p % 2 == 1 => 6,
-            _ => 4,
-        }
-    }
-
-    /// The copies of one exchange that hold the copy engine of the part
+    /// The transfers of one exchange that hold the copy engine of the part
     /// owning `rows` rows from `offset`: one into each halo side it has
-    /// and, from another device, one out of its rows into each
+    /// and, from another device, one download out of its rows for each
     /// neighbour's.
     fn part_copies(&self, (offset, rows): (usize, usize)) -> usize {
         let above = usize::from(self.wrap || offset > 0);
@@ -889,17 +864,15 @@ fn window_leaves_part(
 }
 
 /// The cheapest count of near-equal blocks for `rest ≥ 1` rounds, none
-/// longer than `cap`, and its estimated seconds, given `block_s(L,
-/// first)`, the estimate of one block of `L` rounds (the first block,
-/// which is a longest one, or a later one). Only the distinct counts `m =
+/// longer than `cap`, and its estimated seconds, given `block_s(L)`, the
+/// estimate of one block of `L` rounds. Only the distinct counts `m =
 /// ⌈rest / L⌉` for `L ≤ cap` are priced, each in closed form (`rest mod m`
 /// blocks of `⌊rest / m⌋ + 1` rounds and the rest of `⌊rest / m⌋`), so
 /// planning costs `O(cap)` estimates whatever `rest` is. Ties go to more,
 /// shorter blocks.
-fn block_count(rest: usize, cap: usize, block_s: impl Fn(usize, bool) -> f64) -> (f64, usize) {
+fn block_count(rest: usize, cap: usize, block_s: impl Fn(usize) -> f64) -> (f64, usize) {
     let cap = cap.min(rest).max(1);
-    let later: Vec<f64> = (1..=cap).map(|len| block_s(len, false)).collect();
-    let first: Vec<f64> = (1..=cap).map(|len| block_s(len, true)).collect();
+    let priced: Vec<f64> = (1..=cap).map(block_s).collect();
     let mut best = (f64::INFINITY, rest);
     for len in 1..=cap {
         let m = rest.div_ceil(len);
@@ -907,10 +880,9 @@ fn block_count(rest: usize, cap: usize, block_s: impl Fn(usize, bool) -> f64) ->
             continue;
         }
         let (short, long) = (rest / m, rest % m);
-        let lead = short + usize::from(long > 0);
-        let mut total = (m - long) as f64 * later[short - 1] + first[lead - 1] - later[lead - 1];
+        let mut total = (m - long) as f64 * priced[short - 1];
         if long > 0 {
-            total += long as f64 * later[short];
+            total += long as f64 * priced[short];
         }
         if total < best.0 {
             best = (total, m);
@@ -1598,12 +1570,14 @@ mod tests {
         let before = c.platform().stats_snapshot();
         let second = st.apply(&first).unwrap();
         let delta = c.platform().stats_snapshot() - before;
-        assert!(
-            delta.d2d_transfers > 0,
-            "chained stencil must exchange halos device-to-device"
-        );
-        assert_eq!(delta.h2d_transfers, 0, "no host round trip");
-        assert_eq!(delta.d2h_transfers, 0, "no host round trip");
+        // Only the halo rows cross, through the host. The matrix's exchange
+        // refreshes every halo row, the wrapped matrix edges included:
+        // each of the four parts downloads its first and its last row, and
+        // each of the eight halo rows is uploaded once.
+        let rows_of = |n: u64| (n, n * (cols * 4) as u64);
+        assert_eq!((delta.d2h_transfers, delta.d2h_bytes), rows_of(8));
+        assert_eq!((delta.h2d_transfers, delta.h2d_bytes), rows_of(8));
+        assert_eq!(delta.d2d_transfers, 0, "no device-to-device copy");
         // And the result is still right.
         let twice = host_cross_sum(&m.to_vec().unwrap(), (rows, cols), Boundary2D::Neumann, 2);
         assert_eq!(second.to_vec().unwrap(), twice);
@@ -1920,6 +1894,44 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_exchange_estimate_is_each_parts_transfers() {
+        // One block of L rounds after round 1 over four Tesla parts of a
+        // 1024×256 plate. Per part, the plan prices the block's exchange
+        // as the part's downloads plus uploads at one transfer each; the
+        // exchange's transfers keep that part's copy engine busy exactly
+        // as long.
+        let c = tesla(4);
+        let m = plate(&c, 1024, 256);
+        let st = heat();
+        st.iterate(&m, 1).unwrap();
+        for rounds in [2, 5, 9] {
+            let mut estimates = Vec::new();
+            c.platform().enable_timeline_trace();
+            let one_block = |plan: &BlockPlan, _| {
+                let copy_s = plan.copy_s(rounds * plan.radius);
+                let parts = plan.parts.iter();
+                estimates = parts
+                    .map(|&part| plan.part_copies(part) as f64 * copy_s)
+                    .collect();
+                (plan.group, 1)
+            };
+            st.iterate_blocked(&m, 1 + rounds, one_block).unwrap();
+            c.platform().sync_all();
+            let trace = c.platform().take_timeline_trace();
+            for (d, &estimated) in estimates.iter().enumerate() {
+                let transfers = trace.iter().filter(|r| {
+                    r.device.0 == d && matches!(r.kind, vgpu::CmdKind::D2H | vgpu::CmdKind::H2D)
+                });
+                let busy: f64 = transfers.map(|r| r.end_s - r.start_s).sum();
+                assert!(
+                    (busy / estimated - 1.0).abs() < 1e-9,
+                    "L={rounds} part {d}: {estimated} s priced, {busy} s busy"
+                );
+            }
+        }
+    }
+
     /// The Jacobi heat stencil: the mean of the four neighbours.
     fn heat() -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
         let user = UserFn::new(
@@ -1948,7 +1960,7 @@ mod tests {
                 let capped = modeled_s(&c, || {
                     let four = |plan: &BlockPlan, rest| {
                         let (tile, cap) = plan.tiles[0];
-                        let priced = |l, first| plan.block_s(tile, l, first);
+                        let priced = |l| plan.block_s(tile, l);
                         (tile, block_count(rest, cap.min(4), priced).1)
                     };
                     drop(st.iterate_blocked(&m, n, four).unwrap())
@@ -2023,8 +2035,8 @@ mod tests {
         // exchanges nothing (four rounds at most on every tile), radius 1
         // is capped by local memory: at 14 rounds on the 16×16 lane grid,
         // 10 on 32×16 and 16×32 tiles, 6 on 32×32. Each length of each
-        // candidate tile is priced twice (as a first and as a later block),
-        // and never is a block planned per round.
+        // candidate tile is priced once, and never is a block planned per
+        // round.
         let c = tesla(4);
         let rest = 1_000_000_000 - 1;
         for (radius, caps) in [(0, [4, 4, 4, 4]), (1, [14, 10, 10, 6])] {
@@ -2043,12 +2055,12 @@ mod tests {
             let mut best = (f64::INFINITY, 0);
             for &(tile, cap) in &plan.tiles {
                 let priced = std::cell::Cell::new(0);
-                let (s, blocks) = block_count(rest, cap, |rounds, first| {
+                let (s, blocks) = block_count(rest, cap, |rounds| {
                     priced.set(priced.get() + 1);
-                    plan.block_s(tile, rounds, first)
+                    plan.block_s(tile, rounds)
                 });
                 let at = format!("radius {radius}, {tile:?}");
-                assert_eq!(priced.get(), 2 * cap, "{at}");
+                assert_eq!(priced.get(), cap, "{at}");
                 assert!(rest.div_ceil(blocks) <= cap, "{at}: {blocks} blocks");
                 if s < best.0 {
                     best = (s, blocks);
@@ -2168,9 +2180,15 @@ mod tests {
         let before = c.platform().stats_snapshot();
         let out = cross_sum().iterate(&m, 8).unwrap();
         let delta = c.platform().stats_snapshot() - before;
-        assert_eq!(delta.h2d_transfers, 0, "no host round trip");
-        assert_eq!(delta.d2h_transfers, 0, "no host round trip");
-        assert!(delta.d2d_transfers > 0, "halo exchange crosses devices");
+        // Round 1, then one block of seven rounds: one exchange of 7-row
+        // halos over 8-row parts, through the host. Six halos are uploaded
+        // (42 rows); each inner part's rows for its two neighbours overlap,
+        // so it downloads its 8 rows once, and each outer part its 7 (30
+        // rows in 4 downloads). The matrix itself never crosses.
+        let rows_of = |n: u64| n * (cols * 4) as u64;
+        assert_eq!((delta.d2h_transfers, delta.d2h_bytes), (4, rows_of(30)));
+        assert_eq!((delta.h2d_transfers, delta.h2d_bytes), (6, rows_of(42)));
+        assert_eq!(delta.d2d_transfers, 0, "no device-to-device copy");
         // Still correct after the ping-pong.
         let want = host_cross_sum(&m.to_vec().unwrap(), (rows, cols), Boundary2D::Neumann, 8);
         assert_eq!(out.to_vec().unwrap(), want);

@@ -340,7 +340,7 @@ where
             let from = &copies[own].buffer;
             Ok(ctx
                 .platform()
-                .copy(from, np.row_offset, &np.buffer, 0, np.rows, 1, order)?)
+                .copy(from, np.row_offset, &np.buffer, 0, np.rows, order)?)
         })
         .collect::<Result<Vec<Event>>>()?;
 

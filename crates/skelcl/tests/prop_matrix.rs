@@ -216,10 +216,11 @@ proptest! {
     // and column-based layouts is the identity on the data, over random
     // shapes, device counts and halo widths. Each step moves only what
     // another device owns, through the host: it downloads each such cell
-    // a new part stores exactly once and uploads it to every part storing
-    // it, copies nothing device to device, and never uploads the stale
-    // host copy (a `Map` output's, zeroed), which a read through the
-    // devices would show.
+    // a new part stores exactly once (none once a step has left the host
+    // copy current: every cell crossed) and uploads it to every part
+    // storing it, copies nothing device to device, and never uploads the
+    // stale host copy (a `Map` output's, zeroed), which a read through
+    // the devices would show.
     #[test]
     fn row_col_single_redistribution_round_trip_is_identity(
         rows in 1usize..28,
@@ -241,7 +242,7 @@ proptest! {
             MatrixDistribution::RowBlock { halo },
         ];
         for d in path.into_iter().chain(round_trip) {
-            let from = m.distribution();
+            let (from, current) = (m.distribution(), m.host_fresh());
             let before = c.platform().stats_snapshot();
             m.set_distribution(d).unwrap();
             let delta = c.platform().stats_snapshot() - before;
@@ -250,6 +251,7 @@ proptest! {
             } else {
                 crossing_bytes(from, d, (rows, cols), devices)
             };
+            let down = if current { 0 } else { down };
             prop_assert_eq!(delta.d2d_transfers, 0, "{:?} -> {:?}", from, d);
             prop_assert_eq!(delta.d2h_bytes, down, "{:?} -> {:?}", from, d);
             prop_assert_eq!(delta.h2d_bytes, up, "{:?} -> {:?}", from, d);

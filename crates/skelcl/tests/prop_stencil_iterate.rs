@@ -276,7 +276,7 @@ fn tesla_iterates_with_ragged_tiles_match_the_host_passes() {
     let cases = [
         // (rows, cols, devices, layout, boundary, n, widens)
         (400, 333, 3, row_block, Boundary2D::Wrap, 9, true),
-        (40, 700, 4, row_block, Boundary2D::Neumann, 8, true),
+        (40, 1000, 4, row_block, Boundary2D::Neumann, 8, true),
         (300, 410, 2, Copy, Boundary2D::Zero, 6, true),
         (257, 600, 1, row_block, Boundary2D::Wrap, 11, true),
         (400, 333, 4, row_block, Boundary2D::Neumann, 12, false),

@@ -92,7 +92,13 @@ fn stencil_iterate_emits_nested_spans_linked_to_trace() {
     assert_eq!(halos.len(), 1);
     for h in &halos {
         assert_eq!(h.parent, Some(iter.id));
-        assert!(h.stats.d2d_bytes > 0, "halo exchange moves device bytes");
+        // Its 2-row halos cross the host: the six that Neumann reads are
+        // uploaded, and each inner part downloads its rows for its two
+        // neighbours apart, each outer part once.
+        let moved = (6, 6 * 2 * 16 * 4);
+        assert_eq!((h.stats.d2h_transfers, h.stats.d2h_bytes), moved);
+        assert_eq!((h.stats.h2d_transfers, h.stats.h2d_bytes), moved);
+        assert_eq!(h.stats.d2d_bytes, 0, "no device-to-device copy");
         // ...whose exchange refreshes two radius-1 rows per halo.
         assert_eq!(attr(&h.attrs, "rows").as_deref(), Some("2"));
     }
@@ -178,7 +184,8 @@ fn a_tesla_iterate_records_its_tile_and_each_exchange_its_copy_rounds() {
     // The repository benchmark's heat_iterate shape: 20 Jacobi rounds over
     // a 1024² plate on four modeled Tesla parts (16×16 work-groups). The
     // plan steps its two blocks (10 + 9 rounds) over 32×16 tiles, and each
-    // block's exchange runs its six copies in four device-disjoint rounds.
+    // block's exchange stages the six halos Neumann reads through the
+    // host: six downloads and six uploads.
     let c = Context::new(ContextConfig::default().devices(4).cache_tag("spans-test"));
     let (rows, cols) = (1024, 1024);
     let data: Vec<f32> = (0..rows * cols).map(|i| (i % 89) as f32).collect();
@@ -207,7 +214,9 @@ fn a_tesla_iterate_records_its_tile_and_each_exchange_its_copy_rounds() {
     assert_eq!(attr("stencil2d.iterate", "blocks"), ["2"]);
     assert_eq!(attr("stencil2d.iterate", "block_rounds"), ["10"]);
     assert_eq!(attr("stencil2d.iterate", "tile"), ["32x16"]);
-    assert_eq!(attr("halo.exchange", "rounds"), ["4", "4"]);
+    let exchanges = spans.iter().filter(|s| s.name == "halo.exchange");
+    let transfers = exchanges.map(|s| (s.stats.d2h_transfers, s.stats.h2d_transfers));
+    assert_eq!(transfers.collect::<Vec<_>>(), [(6, 6); 2]);
     assert_eq!(verify_span_nesting(&spans), None);
 }
 

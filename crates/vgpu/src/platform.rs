@@ -231,24 +231,19 @@ impl Platform {
     }
 
     /// Copy `len` elements from `src` at element `src_off` into `dst` at
-    /// `dst_off`. Between two devices the copy stages through the host, as
-    /// the S1070 requires (no peer-to-peer), and occupies both devices' copy
-    /// engines; `concurrent` is the number of transfers sharing the host bus
-    /// while it runs (paper Section III-D). The caller knows its batch, so
-    /// it passes the most copies of the batch that can be in flight at once;
-    /// each cross-device copy holds two copy engines, so a batch touching
-    /// `n` devices has at most `⌊n / 2⌋` in flight. Within one
-    /// device it costs global-memory bandwidth (read + write) on one copy
-    /// engine, no PCIe traffic, and ignores `concurrent`.
+    /// `dst_off`, both on one device: it costs global-memory bandwidth
+    /// (read + write) on the device's copy engine and no PCIe traffic. A
+    /// pair of buffers on two devices is refused with
+    /// [`Error::WrongDevice`] and nothing is scheduled: without
+    /// peer-to-peer (the S1070 has none), bytes between devices cross the
+    /// host as a read on one device's queue and a write on the other's,
+    /// joined by an event wait list.
     ///
-    /// Device-ordered, the copy waits for everything on both devices and
-    /// the whole destination device observes its end; event-ordered it
-    /// waits only for `order`'s events and the two copy engines, so it runs
-    /// *under* unrelated kernels — the primitive behind the overlapped halo
-    /// exchange. Event-ordered callers are responsible for passing the
-    /// events that produced the source region (and, if the destination is
-    /// re-read later, its last readers).
-    #[allow(clippy::too_many_arguments)]
+    /// Device-ordered, the copy waits for everything on the device;
+    /// event-ordered it waits only for `order`'s events and the copy
+    /// engine, so it runs *under* unrelated kernels. Event-ordered callers
+    /// are responsible for passing the events that produced the source
+    /// region (and, if the destination is re-read later, its last readers).
     pub fn copy<T: Scalar>(
         &self,
         src: &crate::Buffer<T>,
@@ -256,9 +251,14 @@ impl Platform {
         dst: &crate::Buffer<T>,
         dst_off: usize,
         len: usize,
-        concurrent: usize,
         order: Order<'_>,
     ) -> Result<Event> {
+        if src.device() != dst.device() {
+            return Err(Error::WrongDevice {
+                expected: src.device(),
+                actual: dst.device(),
+            });
+        }
         if src_off + len > src.len() {
             return Err(Error::OutOfBounds {
                 index: src_off + len,
@@ -274,33 +274,18 @@ impl Platform {
         for i in 0..len {
             dst.set(dst_off + i, src.get(src_off + i));
         }
-        let src_dev = self.device(src.device().0);
+        let device = self.device(src.device().0);
         let bytes = len * std::mem::size_of::<T>();
-        let (duration_s, peer) = if src.device() == dst.device() {
-            (
-                2.0 * bytes as f64 / src_dev.spec().mem_bandwidth_bytes_s,
-                None,
-            )
-        } else {
-            self.shared.stats.add_d2d(bytes);
-            (
-                self.shared
-                    .topology
-                    .d2d_transfer_s(bytes, concurrent.max(1)),
-                Some(self.device(dst.device().0)),
-            )
-        };
         let elem = std::mem::size_of::<T>() as u64;
         let (src_lo, dst_lo) = (src_off as u64 * elem, dst_off as u64 * elem);
         Ok(schedule(
             &self.shared,
             Command {
-                device: &src_dev,
-                peer: peer.as_deref(),
+                device: &device,
                 engine: Some(EngineKind::Copy),
                 stream: None,
                 kind: EventKind::CopyD2D,
-                duration_s,
+                duration_s: 2.0 * bytes as f64 / device.spec().mem_bandwidth_bytes_s,
                 order,
                 launch: None,
                 reads: vec![AccessRange::new(src.id(), src_lo, src_lo + bytes as u64)],
@@ -308,27 +293,6 @@ impl Platform {
                 label: "d2d",
             },
         ))
-    }
-
-    /// A device-ordered [`Platform::copy`] between two buffers that must
-    /// live on the *same* device. Used by redistributions that reinterpret
-    /// data already resident on a device (e.g. Copy → Block keeps each
-    /// device's own block).
-    pub fn copy_on_device<T: Scalar>(
-        &self,
-        src: &crate::Buffer<T>,
-        src_off: usize,
-        dst: &crate::Buffer<T>,
-        dst_off: usize,
-        len: usize,
-    ) -> Result<Event> {
-        if src.device() != dst.device() {
-            return Err(Error::WrongDevice {
-                expected: src.device(),
-                actual: dst.device(),
-            });
-        }
-        self.copy(src, src_off, dst, dst_off, len, 1, Order::Device)
     }
 }
 
@@ -357,37 +321,60 @@ mod tests {
     #[test]
     fn d2d_copy_moves_data_and_time() {
         let p = platform(2);
-        let a = p.device(0).alloc_from(&[1.0f32, 2.0, 3.0]).unwrap();
+        let a = p.device(1).alloc_from(&[1.0f32, 2.0, 3.0]).unwrap();
         let b = p.device(1).alloc::<f32>(3).unwrap();
-        let ev = p.copy(&a, 0, &b, 0, 3, 1, Order::Device).unwrap();
+        let ev = p.copy(&a, 0, &b, 0, 3, Order::Device).unwrap();
         assert_eq!(b.to_vec(), vec![1.0, 2.0, 3.0]);
         assert!(ev.duration_s() > 0.0);
-        // Both devices observed the copy on their timelines.
-        assert!(p.device(0).clock().now_s() >= ev.end_s);
+        // Its device observed the copy on its timeline; the other did not.
         assert!(p.device(1).clock().now_s() >= ev.end_s);
+        assert_eq!(p.device(0).clock().now_s(), 0.0);
         let snap = p.stats_snapshot();
-        assert_eq!(snap.d2d_transfers, 1);
-        assert_eq!(snap.d2d_bytes, 12);
+        assert_eq!(snap.total_transfers(), 0, "no PCIe traffic");
     }
 
     #[test]
     fn d2d_range_copy() {
         let p = platform(2);
-        let a = p.device(0).alloc_from(&[1u32, 2, 3, 4, 5, 6]).unwrap();
+        let a = p.device(1).alloc_from(&[1u32, 2, 3, 4, 5, 6]).unwrap();
         let b = p.device(1).alloc::<u32>(4).unwrap();
-        p.copy(&a, 2, &b, 1, 3, 1, Order::Device).unwrap();
+        p.copy(&a, 2, &b, 1, 3, Order::Device).unwrap();
         assert_eq!(b.to_vec(), vec![0, 3, 4, 5]);
-        assert!(p.copy(&a, 4, &b, 0, 3, 1, Order::Device).is_err());
+        assert!(p.copy(&a, 4, &b, 0, 3, Order::Device).is_err());
+        assert!(p.copy(&a, 0, &b, 2, 3, Order::Device).is_err());
+    }
+
+    #[test]
+    fn a_cross_device_copy_is_refused_and_schedules_nothing() {
+        let p = platform(2);
+        p.enable_timeline_trace();
+        let a = p.device(0).alloc_from(&[1.0f32, 2.0, 3.0]).unwrap();
+        let b = p.device(1).alloc::<f32>(3).unwrap();
+        for order in [Order::Device, Order::After(&[])] {
+            let err = p.copy(&a, 0, &b, 0, 3, order).unwrap_err();
+            assert!(
+                matches!(err, Error::WrongDevice { expected, actual }
+                    if expected == a.device() && actual == b.device()),
+                "{err}"
+            );
+        }
+        assert_eq!(b.to_vec(), vec![0.0; 3], "no data moved");
+        assert!(p.take_timeline_trace().is_empty(), "nothing scheduled");
+        for d in 0..2 {
+            assert_eq!(p.device(d).clock().now_s(), 0.0, "device {d}");
+        }
+        assert_eq!(p.stats_snapshot(), StatsSnapshot::default());
     }
 
     #[test]
     fn concurrent_transfers_take_longer_per_transfer() {
         let p = platform(4);
         let n = 1 << 20;
-        let a = p.device(0).alloc::<u8>(n).unwrap();
         let b = p.device(1).alloc::<u8>(n).unwrap();
-        let solo = p.copy(&a, 0, &b, 0, n, 1, Order::Device).unwrap();
-        let crowded = p.copy(&a, 0, &b, 0, n, 4, Order::Device).unwrap();
+        let q = p.queue(1, DriverProfile::opencl());
+        let host = vec![0u8; n];
+        let solo = q.enqueue_write(&b, None, &host, 1, Order::Device).unwrap();
+        let crowded = q.enqueue_write(&b, None, &host, 4, Order::Device).unwrap();
         let (solo, crowded) = (solo.duration_s(), crowded.duration_s());
         assert!(crowded > solo, "bus contention must slow transfers");
     }
@@ -412,67 +399,47 @@ mod tests {
     }
 
     #[test]
-    fn copy_on_device_moves_data_without_pcie() {
-        let p = platform(1);
-        let a = p.device(0).alloc_from(&[1u32, 2, 3, 4]).unwrap();
-        let b = p.device(0).alloc::<u32>(3).unwrap();
-        let before = p.stats_snapshot();
-        let ev = p.copy_on_device(&a, 1, &b, 0, 3).unwrap();
-        assert_eq!(b.to_vec(), vec![2, 3, 4]);
-        assert!(ev.duration_s() > 0.0);
-        let delta = p.stats_snapshot() - before;
-        assert_eq!(delta.total_transfers(), 0, "no PCIe traffic");
-        // Bounds and device checks.
-        assert!(p.copy_on_device(&a, 3, &b, 0, 3).is_err());
-        let p2 = platform(2);
-        let c = p2.device(0).alloc::<u32>(4).unwrap();
-        let d = p2.device(1).alloc::<u32>(4).unwrap();
-        assert!(p2.copy_on_device(&c, 0, &d, 0, 4).is_err());
-    }
-
-    #[test]
     fn same_device_d2d_range_degrades_to_local_copy() {
         let p = platform(1);
         let a = p.device(0).alloc_from(&[5u32, 6, 7, 8]).unwrap();
         let b = p.device(0).alloc::<u32>(4).unwrap();
         let before = p.stats_snapshot();
-        p.copy(&a, 0, &b, 0, 4, 1, Order::Device).unwrap();
+        p.copy(&a, 0, &b, 0, 4, Order::Device).unwrap();
         assert_eq!(b.to_vec(), vec![5, 6, 7, 8]);
         let delta = p.stats_snapshot() - before;
         assert_eq!(delta.d2d_transfers, 0, "local copy must not cross PCIe");
     }
 
-    /// A device-ordered cross-device copy moves the whole destination
-    /// device (both engines) to its end, so even a dependency-free kernel
-    /// there waits for it; an event-ordered copy moves only the
-    /// destination's copy engine, so the same kernel runs under it.
+    /// A device-ordered copy waits for everything on its device, so it
+    /// starts after a kernel there ends; an event-ordered copy waits only
+    /// for the copy engine, so it runs under the same kernel.
     #[test]
-    fn device_ordered_copy_moves_the_whole_peer_device() {
+    fn device_ordered_copy_waits_for_the_whole_device() {
         let p = platform(2);
         let n = 1 << 16;
-        let a = p.device(0).alloc::<f32>(n).unwrap();
+        let a = p.device(1).alloc::<f32>(n).unwrap();
         let b = p.device(1).alloc::<f32>(n).unwrap();
         let q1 = p.queue(1, DriverProfile::opencl());
-        let program = Program::from_source("peer", "__kernel void peer() {}");
+        let program = Program::from_source("busy", "__kernel void busy() {}");
         let body: KernelBody = Arc::new(|wg: &WorkGroup| wg.for_each_item(|it| it.work(1)));
         let kernel = q1.build_kernel(&program, body).unwrap();
         for device_ordered in [true, false] {
             p.reset_clocks();
+            let k = q1
+                .launch(&kernel, NDRange::linear(64, 64), Order::After(&[]))
+                .unwrap();
             let order = if device_ordered {
                 Order::Device
             } else {
                 Order::After(&[])
             };
-            let copy = p.copy(&a, 0, &b, 0, n, 1, order).unwrap();
-            let k = q1
-                .launch(&kernel, NDRange::linear(64, 64), Order::After(&[]))
-                .unwrap();
-            assert_eq!(copy.start_s, 0.0);
-            assert!(copy.end_s > 0.0);
+            let copy = p.copy(&a, 0, &b, 0, n, order).unwrap();
+            assert_eq!(k.start_s, 0.0);
+            assert!(k.end_s > 0.0);
             if device_ordered {
-                assert_eq!(k.start_s, copy.end_s, "the whole peer observes the copy");
+                assert_eq!(copy.start_s, k.end_s, "the copy waits for the kernel");
             } else {
-                assert_eq!(k.start_s, 0.0, "only the peer's copy engine is taken");
+                assert_eq!(copy.start_s, 0.0, "only the copy engine is taken");
             }
         }
     }

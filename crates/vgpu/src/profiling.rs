@@ -103,8 +103,8 @@ impl AccessRange {
 /// occupied on one engine of one device, plus everything a checker needs to
 /// reconstruct the happens-before order — stream identity, explicit event
 /// dependencies (by `seq`), and the byte ranges of device memory the command
-/// read and wrote. Commands occupying two devices (cross-device copies) log
-/// one record per device under a single shared `seq`.
+/// read and wrote. Every scheduled command logs one record under its own
+/// `seq`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommandRecord {
     pub device: DeviceId,
@@ -217,9 +217,9 @@ impl CommandRecord {
 }
 
 /// A callback invoked under the trace lock with each group of records as it
-/// is scheduled — one slice per command, or one slice covering both records
-/// of a cross-device copy. Groups are delivered in a valid linearization of
-/// the enqueue order, which is what the online hazard checker needs.
+/// is scheduled, one slice per command. Groups are delivered in a valid
+/// linearization of the enqueue order, which is what the online hazard
+/// checker needs.
 pub type CommandObserver = Arc<dyn Fn(&[CommandRecord]) + Send + Sync>;
 
 /// `Option<CommandObserver>` with `Debug`/`Default` so [`Stats`] can keep
@@ -567,8 +567,8 @@ impl Stats {
         }
     }
 
-    /// Log a group of records that together describe one command (two for a
-    /// cross-device copy, one otherwise). The trace lock is held across both
+    /// Log a group of records that together describe one command (the
+    /// scheduler logs one per command). The trace lock is held across both
     /// the trace append and the observer call, so observers see complete
     /// groups in a valid linearization of the enqueue order.
     pub fn record_group(&self, recs: &[CommandRecord]) {

@@ -64,8 +64,7 @@ pub enum EventKind {
 #[derive(Debug, Clone)]
 pub struct Event {
     pub kind: EventKind,
-    /// The device whose engine ran the command (for staged D2D copies, the
-    /// source device; both copy engines are occupied either way).
+    /// The device whose engine ran the command.
     pub device: DeviceId,
     /// Which engine of the device the command occupied.
     pub engine: EngineKind,
@@ -99,8 +98,6 @@ pub enum Order<'a> {
 /// One command as the scheduler sees it.
 pub(crate) struct Command<'a> {
     pub(crate) device: &'a Device,
-    /// The second device a cross-device copy occupies (on the same engine).
-    pub(crate) peer: Option<&'a Device>,
     /// The engine the command occupies; `None` (the marker) occupies none,
     /// is zero-width, and is recorded on the compute lane.
     pub(crate) engine: Option<EngineKind>,
@@ -119,13 +116,9 @@ pub(crate) struct Command<'a> {
 ///
 /// The command starts at the latest of the host clock at enqueue, the end
 /// of every event it waits for, and its stream's tail; a device-ordered
-/// command also waits for both engines of every device it touches, an
-/// event-ordered one only for its peer's engine. A device-ordered
-/// cross-device copy moves the whole peer device forward to its end, an
-/// event-ordered one only the peer's engine. Every command takes one
-/// `seq`; when a record sink is active its records (two, sharing the
-/// `seq`, for a cross-device copy — only the first carries deps and
-/// accesses) go out as one group.
+/// command also waits for both engines of its device. Every command takes
+/// one `seq`; when a record sink is active its record goes out as a group
+/// of one.
 pub(crate) fn schedule(shared: &PlatformShared, cmd: Command<'_>) -> Event {
     let (device_ordered, deps): (bool, &[Event]) = match cmd.order {
         Order::Device => (true, &[]),
@@ -143,13 +136,6 @@ pub(crate) fn schedule(shared: &PlatformShared, cmd: Command<'_>) -> Event {
         not_before = not_before.max(cmd.device.clock().now_s());
     }
     let engine = cmd.engine.unwrap_or(EngineKind::Compute);
-    if let Some(peer) = cmd.peer {
-        not_before = not_before.max(if device_ordered {
-            peer.clock().now_s()
-        } else {
-            peer.clock().engine(engine).now_s()
-        });
-    }
     let (start_s, end_s) = match cmd.engine {
         Some(e) => cmd
             .device
@@ -160,13 +146,6 @@ pub(crate) fn schedule(shared: &PlatformShared, cmd: Command<'_>) -> Event {
     };
     if let Some((tail, _)) = cmd.stream {
         tail.sync_to(end_s);
-    }
-    if let Some(peer) = cmd.peer {
-        if device_ordered {
-            peer.clock().sync_to(end_s);
-        } else {
-            peer.clock().engine(engine).sync_to(end_s);
-        }
     }
     let seq = shared.stats.next_seq();
     if shared.stats.sink_active() {
@@ -182,16 +161,11 @@ pub(crate) fn schedule(shared: &PlatformShared, cmd: Command<'_>) -> Event {
         if !device_ordered {
             base = base.asynchronous();
         }
-        let peer_rec = cmd.peer.map(|p| CommandRecord {
-            device: p.id(),
-            ..base.clone()
-        });
-        let mut group = vec![base
+        let record = base
             .with_deps(deps.iter().map(|e| e.seq).collect())
             .with_reads(cmd.reads)
-            .with_writes(cmd.writes)];
-        group.extend(peer_rec);
-        shared.stats.record_group(&group);
+            .with_writes(cmd.writes);
+        shared.stats.record_group(&[record]);
     }
     Event {
         kind: cmd.kind,
@@ -260,7 +234,6 @@ impl CommandQueue {
     ) -> Command<'a> {
         Command {
             device: &self.device,
-            peer: None,
             engine,
             stream: Some((&self.tail, self.stream_id)),
             kind,

@@ -63,12 +63,6 @@ impl Topology {
             self.link.latency_s,
         )
     }
-
-    /// Duration of a device→device copy: staged through the host, so it
-    /// crosses two links back to back (download then upload).
-    pub fn d2d_transfer_s(&self, bytes: usize, concurrent: usize) -> f64 {
-        2.0 * self.transfer_s(bytes, concurrent)
-    }
 }
 
 #[cfg(test)]
@@ -93,14 +87,6 @@ mod tests {
         let t = Topology::default();
         let eff = t.effective_bandwidth(4);
         assert!((eff - t.link.bandwidth_bytes_s / 2.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn d2d_costs_two_crossings() {
-        let t = Topology::default();
-        let one = t.transfer_s(1 << 20, 1);
-        let dd = t.d2d_transfer_s(1 << 20, 1);
-        assert!((dd - 2.0 * one).abs() < 1e-12);
     }
 
     #[test]

@@ -70,16 +70,21 @@ fn async_mix_never_double_books_an_engine() {
     let kb = q1
         .launch(&k1, NDRange::linear(1 << 10, 64), Order::After(&[wb]))
         .unwrap();
-    let cab = p
-        .copy(
+    // `a`'s bytes cross to `b` through the host: a read on device 0's copy
+    // stream, then a write on device 1's that waits for it.
+    let mut staged = vec![0.0f32; 1 << 16];
+    let down = copy0
+        .enqueue_read(
             &a,
-            0,
-            &b,
-            0,
-            a.len(),
-            1,
-            Order::After(&[ka.clone(), kb.clone()]),
+            None,
+            &mut staged,
+            2,
+            false,
+            Order::After(std::slice::from_ref(&ka)),
         )
+        .unwrap();
+    let cab = copy1
+        .enqueue_write(&b, None, &staged, 2, Order::After(&[down, kb.clone()]))
         .unwrap();
     q0.enqueue_write(&a, None, &host, 1, Order::Device).unwrap(); // legacy, device-serializing
     let mut out = vec![0.0f32; 1 << 16];
@@ -138,21 +143,20 @@ fn legacy_discipline_is_fully_serial_per_device() {
 }
 
 #[test]
-fn async_d2d_occupies_both_copy_engines() {
+fn async_copy_occupies_its_device_copy_engine() {
     let p = platform(2);
     p.enable_timeline_trace();
-    let a = p.device(0).alloc::<f32>(1 << 14).unwrap();
+    let a = p.device(1).alloc::<f32>(1 << 14).unwrap();
     let b = p.device(1).alloc::<f32>(1 << 14).unwrap();
-    let ev = p.copy(&a, 0, &b, 0, a.len(), 1, Order::After(&[])).unwrap();
+    let ev = p.copy(&a, 0, &b, 0, a.len(), Order::After(&[])).unwrap();
     let trace = p.take_timeline_trace();
-    // One record per device copy engine, both spanning the same interval.
-    assert_eq!(trace.len(), 2);
-    for r in &trace {
-        assert_eq!(r.engine, EngineKind::Copy);
-        assert_eq!(r.start_s, ev.start_s);
-        assert_eq!(r.end_s, ev.end_s);
-    }
-    assert_ne!(trace[0].device, trace[1].device);
+    // One record, on the copy engine of the buffers' device.
+    assert_eq!(trace.len(), 1);
+    let r = &trace[0];
+    assert_eq!(r.engine, EngineKind::Copy);
+    assert_eq!((r.start_s, r.end_s), (ev.start_s, ev.end_s));
+    assert_eq!(r.device, b.device());
+    assert_eq!(p.device(0).clock().now_s(), 0.0, "the other device is idle");
 }
 
 #[test]
