@@ -30,11 +30,12 @@
 //! engine). That ordering is incidental — depending on it is exactly the
 //! bug class this detector exists to catch.
 //!
-//! Reachability is tracked incrementally with per-node ancestor bitsets:
-//! pushing a record group ORs together the ancestor sets of its incoming
-//! edges, so a hazard query is a single bit test. The same incremental core
-//! serves the batch checker ([`find_buffer_hazards`]) and the online
-//! observer ([`OnlineHazardChecker`]).
+//! Each record is one command and one node: the scheduler logs one record
+//! per command. Reachability is tracked incrementally with per-node
+//! ancestor bitsets: pushing a record ORs together the ancestor sets of its
+//! incoming edges, so a hazard query is a single bit test. The same
+//! incremental core serves the batch checker ([`find_buffer_hazards`]) and
+//! the online observer ([`OnlineHazardChecker`]).
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -172,7 +173,7 @@ struct Node {
     info: CmdRef,
 }
 
-/// Incremental happens-before state. Feed it record groups in enqueue
+/// Incremental happens-before state. Feed it records in enqueue
 /// order ([`HazardState::push`]); collected hazards accumulate in
 /// [`HazardState::hazards`].
 #[derive(Debug, Default)]
@@ -195,7 +196,7 @@ pub struct HazardState {
     hazards: Vec<Hazard>,
     /// Dedup: (first node, second node, kind, buffer).
     seen: std::collections::HashSet<(usize, usize, HazardKind, BufferId)>,
-    /// Record groups (commands) processed.
+    /// Records (commands) processed.
     commands: u64,
 }
 
@@ -209,7 +210,7 @@ impl HazardState {
         &self.hazards
     }
 
-    /// Number of commands (record groups) processed so far.
+    /// Number of commands (records) processed so far.
     pub fn commands(&self) -> u64 {
         self.commands
     }
@@ -218,135 +219,99 @@ impl HazardState {
         self.hazards
     }
 
-    /// Process a run of records in trace order. Consecutive records sharing
-    /// one *nonzero* `seq` form a single node (the two engine occupancies
-    /// of a cross-device copy); every other record is its own node.
+    /// Process a run of records in trace order, each record one command
+    /// and one node of the graph.
     pub fn push(&mut self, recs: &[CommandRecord]) {
-        let mut i = 0;
-        while i < recs.len() {
-            let mut j = i + 1;
-            while j < recs.len() && recs[i].seq != 0 && recs[j].seq == recs[i].seq {
-                j += 1;
-            }
-            self.push_node(&recs[i..j]);
-            i = j;
+        for rec in recs {
+            self.push_node(rec);
         }
     }
 
-    fn push_node(&mut self, group: &[CommandRecord]) {
+    fn push_node(&mut self, rec: &CommandRecord) {
         let idx = self.nodes.len();
-        let primary = &group[0];
         self.commands += 1;
 
         // --- Incoming edges -> ancestor set -------------------------------
         let mut ancestors = BitSet::default();
 
         // (1) stream program order.
-        for rec in group {
-            if let Some(s) = rec.stream {
-                if let Some(&prev) = self.stream_last.get(&s) {
-                    ancestors.set(prev);
-                    let prev_anc = self.nodes[prev].ancestors.clone();
-                    ancestors.or_with(&prev_anc);
-                }
-            }
+        if let Some(&prev) = rec.stream.and_then(|s| self.stream_last.get(&s)) {
+            ancestors.set(prev);
+            ancestors.or_with(&self.nodes[prev].ancestors);
         }
 
         // (2) explicit event dependencies (seq 0 = "no event", never a dep).
-        for rec in group {
-            for dep in &rec.deps {
-                if let Some(&n) = self.seq_to_node.get(dep) {
-                    ancestors.set(n);
-                    let dep_anc = self.nodes[n].ancestors.clone();
-                    ancestors.or_with(&dep_anc);
-                }
+        for dep in &rec.deps {
+            if let Some(&n) = self.seq_to_node.get(dep) {
+                ancestors.set(n);
+                ancestors.or_with(&self.nodes[n].ancestors);
             }
         }
 
-        // (3) device serialization: a serializing record joins everything
+        // (3) device serialization: a serializing command joins everything
         // previously scheduled on its device.
-        for rec in group {
-            if rec.serializing {
-                if let Some(join) = self.device_join.get(&rec.device) {
-                    ancestors.or_with(&join.clone());
-                }
+        if rec.serializing {
+            if let Some(join) = self.device_join.get(&rec.device) {
+                ancestors.or_with(join);
             }
         }
 
         // (4) host synchronization: absorb every node that ended by this
         // command's host-sync watermark, then join.
-        let watermark = primary.host_sync_s;
+        let watermark = rec.host_sync_s;
         if watermark > 0.0 {
             let mut k = 0;
             while k < self.pending_host.len() {
                 let (end_bits, n) = self.pending_host[k];
                 if f64::from_bits(end_bits) <= watermark {
                     self.host_join.set(n);
-                    let anc = self.nodes[n].ancestors.clone();
-                    self.host_join.or_with(&anc);
+                    self.host_join.or_with(&self.nodes[n].ancestors);
                     self.pending_host.swap_remove(k);
                 } else {
                     k += 1;
                 }
             }
-            ancestors.or_with(&self.host_join.clone());
+            ancestors.or_with(&self.host_join);
         }
 
         // --- Conflict checks ----------------------------------------------
-        for rec in group {
-            for r in &rec.reads {
-                self.check(idx, &ancestors, rec, r.buffer, r.lo, r.hi, false);
-            }
-            for w in &rec.writes {
-                self.check(idx, &ancestors, rec, w.buffer, w.lo, w.hi, true);
-            }
+        let accesses = || {
+            let reads = rec.reads.iter().map(|r| (r, false));
+            reads.chain(rec.writes.iter().map(|w| (w, true)))
+        };
+        for (a, write) in accesses() {
+            self.check(idx, &ancestors, rec, a.buffer, a.lo, a.hi, write);
         }
 
         // --- State updates ------------------------------------------------
-        for rec in group {
-            for r in &rec.reads {
-                self.accesses
-                    .entry(r.buffer)
-                    .or_default()
-                    .push(PriorAccess {
-                        node: idx,
-                        lo: r.lo,
-                        hi: r.hi,
-                        write: false,
-                    });
-            }
-            for w in &rec.writes {
-                self.accesses
-                    .entry(w.buffer)
-                    .or_default()
-                    .push(PriorAccess {
-                        node: idx,
-                        lo: w.lo,
-                        hi: w.hi,
-                        write: true,
-                    });
-            }
+        for (a, write) in accesses() {
+            self.accesses
+                .entry(a.buffer)
+                .or_default()
+                .push(PriorAccess {
+                    node: idx,
+                    lo: a.lo,
+                    hi: a.hi,
+                    write,
+                });
         }
         let mut self_set = BitSet::default();
         self_set.set(idx);
         self_set.or_with(&ancestors);
-        for rec in group {
-            self.device_join
-                .entry(rec.device)
-                .or_default()
-                .or_with(&self_set);
-            if let Some(s) = rec.stream {
-                self.stream_last.insert(s, idx);
-            }
+        self.device_join
+            .entry(rec.device)
+            .or_default()
+            .or_with(&self_set);
+        if let Some(s) = rec.stream {
+            self.stream_last.insert(s, idx);
         }
-        if primary.seq != 0 {
-            self.seq_to_node.insert(primary.seq, idx);
+        if rec.seq != 0 {
+            self.seq_to_node.insert(rec.seq, idx);
         }
-        let end = group.iter().fold(0.0f64, |m, r| m.max(r.end_s));
-        self.pending_host.push((end.to_bits(), idx));
+        self.pending_host.push((rec.end_s.to_bits(), idx));
         self.nodes.push(Node {
             ancestors,
-            info: CmdRef::of(primary),
+            info: CmdRef::of(rec),
         });
     }
 
@@ -451,10 +416,10 @@ impl OnlineHazardChecker {
     /// `Platform::set_command_observer`.
     pub fn observer(self: &Arc<Self>) -> CommandObserver {
         let me = Arc::clone(self);
-        Arc::new(move |group: &[CommandRecord]| {
+        Arc::new(move |recs: &[CommandRecord]| {
             let mut st = me.state.lock();
             let before = st.hazards().len();
-            st.push(group);
+            st.push(recs);
             me.checked.fetch_add(1, Ordering::Relaxed);
             if st.hazards().len() > before {
                 let msg = st.hazards()[before..]
@@ -623,27 +588,6 @@ mod tests {
                 .asynchronous()
                 .with_deps(vec![2])
                 .with_reads(vec![whole(6, 8)]),
-        ];
-        assert_eq!(verify_no_buffer_hazards(&trace), None);
-    }
-
-    #[test]
-    fn cross_device_copy_records_form_one_node() {
-        // A cross-device copy emits two records under one seq; a dependent
-        // consumer must be ordered against the *pair*, and the pair must
-        // not race itself.
-        let trace = vec![
-            copy(1, 0, 0.0, 1.0)
-                .asynchronous()
-                .on_stream(1)
-                .with_reads(vec![whole(1, 64)])
-                .with_writes(vec![whole(2, 64)]),
-            copy(1, 1, 0.0, 1.0).asynchronous().on_stream(1),
-            kernel(2, 1, 1.0, 2.0)
-                .on_stream(2)
-                .asynchronous()
-                .with_deps(vec![1])
-                .with_reads(vec![whole(2, 64)]),
         ];
         assert_eq!(verify_no_buffer_hazards(&trace), None);
     }

@@ -25,7 +25,7 @@ fn range(b: u64, lo: u64, hi: u64) -> AccessRange {
 }
 
 /// Halo exchange: device 0's producer kernel writes its part buffer; an
-/// async d2d then copies the boundary rows into device 1's halo-extended
+/// async copy then moves the boundary rows into device 1's halo-extended
 /// buffer. The copy must depend on the producer's event — drop that edge
 /// and the copy may read the part before the kernel wrote it.
 fn halo_exchange(with_producer_dep: bool) -> Vec<CommandRecord> {
@@ -40,8 +40,7 @@ fn halo_exchange(with_producer_dep: bool) -> Vec<CommandRecord> {
             .asynchronous()
             .with_writes(vec![whole(part0, 4096)])
             .with_label("produce_part0"),
-        // halo copy: last 64 bytes of part0 -> head of ext1 (cross-device:
-        // two records, one seq).
+        // halo copy: last 64 bytes of part0 -> head of ext1.
         xfer(2, 0, 1.0, 1.2)
             .on_stream(1)
             .asynchronous()
@@ -49,7 +48,6 @@ fn halo_exchange(with_producer_dep: bool) -> Vec<CommandRecord> {
             .with_reads(vec![range(part0, 4032, 4096)])
             .with_writes(vec![range(ext1, 0, 64)])
             .with_label("halo_d2d"),
-        xfer(2, 1, 1.0, 1.2).on_stream(1).asynchronous(),
         // consumer stencil on device 1, gated on the halo copy.
         kernel(3, 1, 1.2, 2.2)
             .on_stream(2)

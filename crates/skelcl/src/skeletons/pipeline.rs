@@ -90,7 +90,7 @@ pub(crate) fn stage_of<F>(kind: &'static str, user: &UserFn<F>) -> FusedStage {
 /// `x` as a `Y` when the two types are in fact the same. The launchers
 /// call this only for stage-free chains, where the op chain is an identity
 /// composition and therefore type-preserving by construction.
-pub(crate) fn same_type<X: 'static, Y: 'static>(x: X) -> Option<Y> {
+fn same_type<X: 'static, Y: 'static>(x: X) -> Option<Y> {
     let mut slot = Some(x);
     (&mut slot as &mut dyn Any)
         .downcast_mut::<Option<Y>>()
@@ -301,13 +301,14 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Plans: the runtime state threaded through a pipeline execution.
+// Plans: the runtime state a pipeline execution builds, one stage at a time.
 // ---------------------------------------------------------------------------
 
 /// A *settled* plan: materialized device parts of element type `J` plus a
 /// pending element-wise op chain `J -> I` that has not launched yet. Every
-/// pipeline execution starts from one of these ([`PipelineExpr::feed`]'s
-/// source) and every stencil chain produces a fresh one.
+/// pipeline execution starts from one of these (the source
+/// [`PipelineExpr::plan`] extends) and every stencil chain produces a fresh
+/// one.
 pub struct ElemPlan<J: Element, Op, I: Element> {
     geom: PlanGeom,
     parts: Vec<MatrixPart<J>>,
@@ -320,6 +321,9 @@ pub struct ElemPlan<J: Element, Op, I: Element> {
     _pd: PhantomData<fn(J) -> I>,
 }
 
+/// A plan of bare parts: nothing pending on them.
+pub type Bare<T> = ElemPlan<T, OpId<T>, T>;
+
 /// Where a pipeline's result goes: it stays on the devices, or the host
 /// reads it back as its last stencil chain produces it.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -328,43 +332,42 @@ pub enum Dest {
     Host,
 }
 
-/// A plan that yields elements of type `I` when the pipeline runs.
+/// A plan that yields elements of type `I` when the pipeline runs. Each
+/// stage of a pipeline extends the plan of the stages before it
+/// (`PipelineExpr::plan`), and nothing launches until a terminal settles
+/// the whole plan.
 ///
-/// `settle_with(g, gstages, dest)` resolves the plan against a *suffix* op `g`
-/// (the stages stacked after it): chains ending in an unlaunched stencil
-/// launch its run of stencils — folding `g` into that kernel's writes —
-/// and return bare parts; pure element-wise chains stay pending (they fuse
-/// into whichever kernel consumes them next). The two cases return
-/// different `ElemPlan` instantiations, which the generic associated types
-/// encode statically.
-///
-/// `launch_chain(g, gstages, chain, cstages, dest)` launches `chain`, the
-/// stencil stages after the plan (`cstages` describing them), over the
-/// plan's output through `g`: a stencil beneath joins the chain while their
-/// windows fit local memory together, and the pending element-wise stages
-/// fuse into the window's loads. `dest` is where the launched chain's
-/// result goes; only the last chain of a pipeline can go to the host.
+/// * `then(g, stage)` appends the element-wise stage `g`, which `stage`
+///   describes: to a settled plan's pending op chain, or to the stages an
+///   unlaunched stencil applies to each result it stores.
+/// * `settle(dest)` resolves the plan: one ending in an unlaunched stencil
+///   launches its run of stencils, the element-wise stages after it folded
+///   into the kernel's writes, and returns bare parts; a pure element-wise
+///   chain stays pending (it fuses into whichever kernel consumes it next).
+/// * `launch_chain(chain, stages, dest)` launches `chain`, the stencil
+///   stages after the plan (`stages` describing them), over the plan's
+///   output: a stencil beneath joins the chain while their windows fit
+///   local memory together, and the pending element-wise stages fuse into
+///   the window's loads. `dest` is where the launched chain's result goes;
+///   only the last chain of a pipeline can go to the host.
 pub trait ReadPlan<I: Element>: Sized {
-    type Base<V: Element, G: PixelOp<I, V>>: Element;
-    type Op<V: Element, G: PixelOp<I, V>>: PixelOp<Self::Base<V, G>, V>;
+    /// The element type of the settled plan's parts.
+    type Base: Element;
+    /// The settled plan's pending op chain.
+    type Op: PixelOp<Self::Base, I>;
+    /// The plan with one more element-wise stage, `I -> V`.
+    type Then<V: Element, G: PixelOp<I, V>>: ReadPlan<V>;
 
-    #[allow(clippy::type_complexity)]
-    fn settle_with<V: Element, G: PixelOp<I, V>>(
-        self,
-        g: G,
-        gstages: Vec<FusedStage>,
-        dest: Dest,
-    ) -> Result<ElemPlan<Self::Base<V, G>, Self::Op<V, G>, V>>;
+    fn then<V: Element, G: PixelOp<I, V>>(self, g: G, stage: FusedStage) -> Self::Then<V, G>;
 
-    #[allow(clippy::type_complexity)]
-    fn launch_chain<B: Element, G: PixelOp<I, B>, C: Chain<B>>(
+    fn settle(self, dest: Dest) -> Result<ElemPlan<Self::Base, Self::Op, I>>;
+
+    fn launch_chain<C: Chain<I>>(
         self,
-        g: G,
-        gstages: Vec<FusedStage>,
         chain: C,
-        cstages: Vec<FusedStage>,
+        stages: Vec<FusedStage>,
         dest: Dest,
-    ) -> Result<ElemPlan<C::Out, OpId<C::Out>, C::Out>>;
+    ) -> Result<Bare<C::Out>>;
 
     fn geom(&self) -> &PlanGeom;
 }
@@ -375,17 +378,13 @@ where
     I: Element,
     Op: PixelOp<J, I>,
 {
-    type Base<V: Element, G: PixelOp<I, V>> = J;
-    type Op<V: Element, G: PixelOp<I, V>> = OpSeq<Op, G, I>;
+    type Base = J;
+    type Op = Op;
+    type Then<V: Element, G: PixelOp<I, V>> = ElemPlan<J, OpSeq<Op, G, I>, V>;
 
-    fn settle_with<V: Element, G: PixelOp<I, V>>(
-        mut self,
-        g: G,
-        gstages: Vec<FusedStage>,
-        _dest: Dest,
-    ) -> Result<ElemPlan<J, OpSeq<Op, G, I>, V>> {
-        self.stages.extend(gstages);
-        Ok(ElemPlan {
+    fn then<V: Element, G: PixelOp<I, V>>(mut self, g: G, stage: FusedStage) -> Self::Then<V, G> {
+        self.stages.push(stage);
+        ElemPlan {
             geom: self.geom,
             parts: self.parts,
             halos_fresh: self.halos_fresh,
@@ -397,23 +396,25 @@ where
             },
             stages: self.stages,
             _pd: PhantomData,
-        })
+        }
+    }
+
+    fn settle(self, _dest: Dest) -> Result<Self> {
+        Ok(self)
     }
 
     /// Launch the chain: per part, one block launch whose work-groups load
-    /// their windows through the pending chain and `g`, step every stencil
-    /// in local memory and write their tiles. Owned rows only — halo rows
-    /// of the output go stale exactly as for `Stencil2D`. For the host, the
-    /// launch runs in bands whose rows are read back under the later bands
+    /// their windows through the pending chain, step every stencil in local
+    /// memory and write their tiles. Owned rows only — halo rows of the
+    /// output go stale exactly as for `Stencil2D`. For the host, the launch
+    /// runs in bands whose rows are read back under the later bands
     /// ([`launch_for_host`]).
-    fn launch_chain<B: Element, G: PixelOp<I, B>, C: Chain<B>>(
+    fn launch_chain<C: Chain<I>>(
         self,
-        g: G,
-        gstages: Vec<FusedStage>,
         chain: C,
         cstages: Vec<FusedStage>,
         dest: Dest,
-    ) -> Result<ElemPlan<C::Out, OpId<C::Out>, C::Out>> {
+    ) -> Result<Bare<C::Out>> {
         let ElemPlan {
             geom,
             parts,
@@ -424,7 +425,6 @@ where
         } = self;
         let ctx = geom.ctx.clone();
         let (rows, cols) = (geom.rows, geom.cols);
-        stages.extend(gstages);
         let load_ops = stages.iter().map(|s| s.static_ops).sum();
         stages.extend(cstages);
 
@@ -444,11 +444,7 @@ where
         let group = block_group(&ctx, rows, cols);
         let kernel = BlockKernel {
             compiled: ctx.get_or_build(&program)?,
-            pre: OpSeq {
-                a: op,
-                b: g,
-                _pd: PhantomData,
-            },
+            pre: op,
             load_ops,
             chain,
             n_rows: rows,
@@ -488,128 +484,106 @@ where
     }
 }
 
-/// A pending element-wise stage (`map` or `zip_with`) over an inner plan.
-pub struct Pending<P, O, M: Element, V: Element> {
-    inner: P,
-    op: O,
-    stage: FusedStage,
-    _pd: PhantomData<fn(M) -> V>,
-}
-
-impl<P, O, M: Element, V: Element> Pending<P, O, M, V> {
-    /// The inner plan, and this stage followed by `g` (whose stages are
-    /// `gstages`).
-    #[allow(clippy::type_complexity)]
-    fn then<G>(self, g: G, gstages: Vec<FusedStage>) -> (P, OpSeq<O, G, V>, Vec<FusedStage>) {
-        let mut stages = vec![self.stage];
-        stages.extend(gstages);
-        let op = OpSeq {
-            a: self.op,
-            b: g,
-            _pd: PhantomData,
-        };
-        (self.inner, op, stages)
-    }
-}
-
-impl<P, O, M, V> ReadPlan<V> for Pending<P, O, M, V>
-where
-    P: ReadPlan<M>,
-    M: Element,
-    V: Element,
-    O: PixelOp<M, V>,
-{
-    type Base<W: Element, G: PixelOp<V, W>> = P::Base<W, OpSeq<O, G, V>>;
-    type Op<W: Element, G: PixelOp<V, W>> = P::Op<W, OpSeq<O, G, V>>;
-
-    fn settle_with<W: Element, G: PixelOp<V, W>>(
-        self,
-        g: G,
-        gstages: Vec<FusedStage>,
-        dest: Dest,
-    ) -> Result<ElemPlan<Self::Base<W, G>, Self::Op<W, G>, W>> {
-        let (inner, op, stages) = self.then(g, gstages);
-        inner.settle_with(op, stages, dest)
-    }
-
-    fn launch_chain<W: Element, G: PixelOp<V, W>, C: Chain<W>>(
-        self,
-        g: G,
-        gstages: Vec<FusedStage>,
-        chain: C,
-        cstages: Vec<FusedStage>,
-        dest: Dest,
-    ) -> Result<ElemPlan<C::Out, OpId<C::Out>, C::Out>> {
-        let (inner, op, stages) = self.then(g, gstages);
-        inner.launch_chain(op, stages, chain, cstages, dest)
-    }
-
-    fn geom(&self) -> &PlanGeom {
-        self.inner.geom()
-    }
-}
-
-/// An unlaunched stencil stage over an inner plan. Settling the last
-/// stencil of a run launches the whole run as one chain: each stencil
-/// beneath it joins while their windows fit local memory together and
-/// load alike (a `Wrap` stage never shares a chain with a non-`Wrap` one),
-/// otherwise the run splits there and each piece launches on its own.
-pub struct LazyStencil<P, E, A: Element, I: Element> {
+/// An unlaunched stencil stage over an inner plan, with the element-wise
+/// stages after it (`post`, `I -> V`, described by `post_stages`) that its
+/// launch applies to each result it stores: as the chain's `Last::post`
+/// when it ends a chain, as its `Link::mid` when a stencil after it joins.
+/// Settling the last stencil of a run launches the whole run as one chain:
+/// each stencil beneath it joins while their windows fit local memory
+/// together and load alike (a `Wrap` stage never shares a chain with a
+/// non-`Wrap` one), otherwise the run splits there and each piece launches
+/// on its own.
+pub struct LazyStencil<P, E, Post, A: Element, I: Element, V: Element> {
     inner: P,
     round: Round<E>,
     stage: FusedStage,
-    _pd: PhantomData<fn(A) -> I>,
+    post: Post,
+    post_stages: Vec<FusedStage>,
+    _pd: PhantomData<fn(A) -> (I, V)>,
 }
 
-impl<P, E, A: Element, I: Element> LazyStencil<P, E, A, I> {
-    /// This stencil's round with the element-wise `stages` after it fused
-    /// into its cost, and its stage list.
-    fn fused(self, stages: Vec<FusedStage>) -> (P, Round<E>, Vec<FusedStage>) {
-        let mut round = self.round;
-        round.static_ops += stages.iter().map(|s| s.static_ops).sum::<u64>();
-        let mut all = vec![self.stage];
-        all.extend(stages);
-        (self.inner, round, all)
+impl<P, E, A: Element, I: Element> LazyStencil<P, E, OpId<I>, A, I, I> {
+    /// The stencil `eval` under `boundary` over `inner`'s output, `stage`
+    /// describing it with its window.
+    fn new(inner: P, eval: E, stage: FusedStage, boundary: Boundary2D) -> Self {
+        LazyStencil {
+            inner,
+            round: Round {
+                eval,
+                radius: stage.radius,
+                boundary,
+                static_ops: stage.static_ops,
+            },
+            stage,
+            post: OpId::new(),
+            post_stages: Vec::new(),
+            _pd: PhantomData,
+        }
     }
 }
 
-impl<P, E, A, I> ReadPlan<I> for LazyStencil<P, E, A, I>
+impl<P, E, Post, A: Element, I: Element, V: Element> LazyStencil<P, E, Post, A, I, V> {
+    /// The inner plan, this stencil's round (the element-wise stages after
+    /// it fused into its cost), their op, and the stage list of the stencil
+    /// and those stages.
+    fn fused(self) -> (P, Round<E>, Post, Vec<FusedStage>) {
+        let mut round = self.round;
+        round.static_ops += self.post_stages.iter().map(|s| s.static_ops).sum::<u64>();
+        let mut stages = vec![self.stage];
+        stages.extend(self.post_stages);
+        (self.inner, round, self.post, stages)
+    }
+}
+
+impl<P, E, Post, A, I, V> ReadPlan<V> for LazyStencil<P, E, Post, A, I, V>
 where
     P: ReadPlan<A>,
     A: Element,
     I: Element,
+    V: Element,
     E: Fn(&Stencil2DView<'_, A>) -> I + Send + Sync + Clone + 'static,
+    Post: PixelOp<I, V>,
 {
-    type Base<V: Element, G: PixelOp<I, V>> = V;
-    type Op<V: Element, G: PixelOp<I, V>> = OpId<V>;
+    type Base = V;
+    type Op = OpId<V>;
+    type Then<W: Element, G: PixelOp<V, W>> = LazyStencil<P, E, OpSeq<Post, G, V>, A, I, W>;
 
-    fn settle_with<V: Element, G: PixelOp<I, V>>(
-        self,
-        g: G,
-        gstages: Vec<FusedStage>,
-        dest: Dest,
-    ) -> Result<ElemPlan<V, OpId<V>, V>> {
+    fn then<W: Element, G: PixelOp<V, W>>(mut self, g: G, stage: FusedStage) -> Self::Then<W, G> {
+        self.post_stages.push(stage);
+        LazyStencil {
+            inner: self.inner,
+            round: self.round,
+            stage: self.stage,
+            post: OpSeq {
+                a: self.post,
+                b: g,
+                _pd: PhantomData,
+            },
+            post_stages: self.post_stages,
+            _pd: PhantomData,
+        }
+    }
+
+    fn settle(self, dest: Dest) -> Result<Bare<V>> {
         // Checked before anything beneath is enqueued, built or allocated.
         let geom = self.geom();
         let group = block_group(&geom.ctx, geom.rows, geom.cols);
         check_local_mem(&geom.ctx, window_bytes::<A>(group, self.round.radius))?;
-        let (inner, round, stages) = self.fused(gstages);
+        let (inner, round, post, stages) = self.fused();
         let last = Last {
             round,
-            post: g,
+            post,
             _pd: PhantomData,
         };
-        inner.launch_chain(OpId::new(), Vec::new(), last, stages, dest)
+        inner.launch_chain(last, stages, dest)
     }
 
-    fn launch_chain<B: Element, G: PixelOp<I, B>, C: Chain<B>>(
+    fn launch_chain<C: Chain<V>>(
         self,
-        g: G,
-        gstages: Vec<FusedStage>,
         chain: C,
         cstages: Vec<FusedStage>,
         dest: Dest,
-    ) -> Result<ElemPlan<C::Out, OpId<C::Out>, C::Out>> {
+    ) -> Result<Bare<C::Out>> {
         let geom = self.geom();
         let group = block_group(&geom.ctx, geom.rows, geom.cols);
         let depth = self.round.radius + chain.depth();
@@ -620,23 +594,19 @@ where
         {
             // The run splits here: this stencil ends a chain of its own, and
             // `chain` launches over its output.
-            return self.settle_with(g, gstages, Dest::Devices)?.launch_chain(
-                OpId::new(),
-                Vec::new(),
-                chain,
-                cstages,
-                dest,
-            );
+            return self
+                .settle(Dest::Devices)?
+                .launch_chain(chain, cstages, dest);
         }
-        let (inner, round, mut stages) = self.fused(gstages);
+        let (inner, round, mid, mut stages) = self.fused();
         stages.extend(cstages);
         let link = Link {
             round,
-            mid: g,
+            mid,
             next: chain,
             _pd: PhantomData,
         };
-        inner.launch_chain(OpId::new(), Vec::new(), link, stages, dest)
+        inner.launch_chain(link, stages, dest)
     }
 
     fn geom(&self) -> &PlanGeom {
@@ -819,78 +789,61 @@ fn read_bands(
     n
 }
 
-/// The result of settling and materializing a whole pipeline: output parts
-/// ready to wrap as a [`Matrix`], and their owned rows when the host
-/// already read them back.
-pub struct FinishedParts<I: Element> {
-    geom: PlanGeom,
-    parts: Vec<MatrixPart<I>>,
-    halos_fresh: bool,
-    host: Option<Vec<I>>,
-}
-
-impl<I: Element> FinishedParts<I> {
-    /// The pipeline's output matrix, fresh on the host too when its rows
-    /// were read back.
-    fn into_matrix(self) -> Matrix<I> {
-        let geom = self.geom;
-        let dims = (geom.rows, geom.cols);
-        Matrix::from_parts_and_host(
-            &geom.ctx,
-            dims,
-            geom.dist,
-            self.parts,
-            self.halos_fresh,
-            self.host,
-        )
-    }
-}
-
 impl<J, Op, I> ElemPlan<J, Op, I>
 where
     J: Element,
     I: Element,
     Op: PixelOp<J, I>,
 {
-    /// Materialize the pending element-wise chain: one element-wise launch
-    /// over **all** span rows per part (halo freshness passes through, as
-    /// for `Map::apply_matrix`). A stage-free chain launches nothing — the
-    /// output shares the input's device buffers, which skeletons never
-    /// mutate.
-    fn finish(self) -> Result<FinishedParts<I>> {
-        if self.stages.is_empty() {
-            let parts = same_type(self.parts)
-                .expect("a stage-free pipeline chain preserves the element type");
-            return Ok(FinishedParts {
-                geom: self.geom,
-                parts,
-                halos_fresh: self.halos_fresh,
-                host: self.host.and_then(same_type),
-            });
-        }
-        let ctx = self.geom.ctx.clone();
-        let mut span = ctx.span("pipeline.group");
-        span.attr("kind", "map2d");
-        span.attr("stages", codegen::fused_chain_name(&self.stages));
-        span.attr("devices", ctx.n_devices().to_string());
+    /// The pipeline's output matrix: the pending element-wise chain
+    /// materialized by one element-wise launch over **all** span rows per
+    /// part (halo freshness passes through, as for `Map::apply_matrix`). A
+    /// stage-free chain launches nothing — the output shares the input's
+    /// device buffers, which skeletons never mutate, and is fresh on the
+    /// host too when a chain launched for the host read its rows back.
+    fn finish(self) -> Result<Matrix<I>> {
+        let ElemPlan {
+            geom,
+            parts,
+            halos_fresh,
+            host,
+            op,
+            stages,
+            ..
+        } = self;
+        let ctx = &geom.ctx;
+        let (parts, host) = if stages.is_empty() {
+            let parts =
+                same_type(parts).expect("a stage-free pipeline chain preserves the element type");
+            (parts, host.and_then(same_type))
+        } else {
+            let mut span = ctx.span("pipeline.group");
+            span.attr("kind", "map2d");
+            span.attr("stages", codegen::fused_chain_name(&stages));
+            span.attr("devices", ctx.n_devices().to_string());
 
-        let program = codegen::elementwise_program(&self.stages, J::TYPE_NAME, I::TYPE_NAME, 0);
-        let kernel = ElementwiseKernel {
-            compiled: ctx.get_or_build(&program)?,
-            op: self.op,
-            static_ops: self.stages.iter().map(|s| s.static_ops).sum(),
+            let program = codegen::elementwise_program(&stages, J::TYPE_NAME, I::TYPE_NAME, 0);
+            let kernel = ElementwiseKernel {
+                compiled: ctx.get_or_build(&program)?,
+                op,
+                static_ops: stages.iter().map(|s| s.static_ops).sum(),
+            };
+            let out_parts = kernel.launch_parts(ctx, &parts)?;
+            ctx.metrics().counter("skelcl.pipeline.groups").inc();
+            ctx.metrics()
+                .counter("skelcl.pipeline.stages_fused")
+                .add(stages.len() as u64);
+            (out_parts, None)
         };
-        let out_parts = kernel.launch_parts(&ctx, &self.parts)?;
-        ctx.metrics().counter("skelcl.pipeline.groups").inc();
-        ctx.metrics()
-            .counter("skelcl.pipeline.stages_fused")
-            .add(self.stages.len() as u64);
-        Ok(FinishedParts {
-            geom: self.geom,
-            parts: out_parts,
-            halos_fresh: self.halos_fresh,
-            host: None,
-        })
+        let dims = (geom.rows, geom.cols);
+        Ok(Matrix::from_parts_and_host(
+            ctx,
+            dims,
+            geom.dist,
+            parts,
+            halos_fresh,
+            host,
+        ))
     }
 
     /// Fold each row with `reduce` from `identity`, applying the pending
@@ -931,155 +884,6 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Consumers: continuation-passing composition of stages into plans.
-// ---------------------------------------------------------------------------
-
-/// A continuation receiving a plan for elements of type `I`. Combinators
-/// thread these through [`PipelineExpr::feed`] so each stage wraps the
-/// plan (or launches a group) in evaluation order without any type
-/// erasure.
-pub trait PipeConsumer<I: Element> {
-    type Output;
-    fn consume<P: ReadPlan<I>>(self, plan: P) -> Result<Self::Output>;
-}
-
-pub struct MapConsumer<F, M, V, C> {
-    f: F,
-    stage: FusedStage,
-    next: C,
-    _pd: PhantomData<fn(M) -> V>,
-}
-
-impl<M, V, F, C> PipeConsumer<M> for MapConsumer<F, M, V, C>
-where
-    M: Element,
-    V: Element,
-    F: Fn(M) -> V + Send + Sync + Clone + 'static,
-    C: PipeConsumer<V>,
-{
-    type Output = C::Output;
-
-    fn consume<P: ReadPlan<M>>(self, plan: P) -> Result<C::Output> {
-        self.next.consume(Pending {
-            inner: plan,
-            op: OpMap::new(self.f),
-            stage: self.stage,
-            _pd: PhantomData,
-        })
-    }
-}
-
-pub struct ZipConsumer<B: Element, F, M, V, C> {
-    other: Matrix<B>,
-    f: F,
-    stage: FusedStage,
-    next: C,
-    _pd: PhantomData<fn(M, B) -> V>,
-}
-
-impl<B, M, V, F, C> PipeConsumer<M> for ZipConsumer<B, F, M, V, C>
-where
-    B: Element,
-    M: Element,
-    V: Element,
-    F: Fn(M, B) -> V + Send + Sync + Clone + 'static,
-    C: PipeConsumer<V>,
-{
-    type Output = C::Output;
-
-    fn consume<P: ReadPlan<M>>(self, plan: P) -> Result<C::Output> {
-        let geom = plan.geom().clone();
-        if self.other.dims() != (geom.rows, geom.cols) {
-            return Err(Error::ShapeMismatch {
-                left: (geom.rows, geom.cols),
-                right: self.other.dims(),
-            });
-        }
-        // The operand adopts the pipeline's layout: partitioning is a
-        // deterministic function of (distribution, dims, context), so its
-        // parts then mirror the chain's part geometry index for index.
-        if self.other.distribution() != geom.dist {
-            self.other.set_distribution(geom.dist)?;
-        }
-        let parts = self.other.parts_with_fresh_halos()?;
-        self.next.consume(Pending {
-            inner: plan,
-            op: OpZip::new(parts, self.f),
-            stage: self.stage,
-            _pd: PhantomData,
-        })
-    }
-}
-
-pub struct StencilConsumer<E, A, I, C> {
-    eval: E,
-    stage: FusedStage,
-    radius: usize,
-    boundary: Boundary2D,
-    next: C,
-    _pd: PhantomData<fn(A) -> I>,
-}
-
-impl<A, I, E, C> PipeConsumer<A> for StencilConsumer<E, A, I, C>
-where
-    A: Element,
-    I: Element,
-    E: Fn(&Stencil2DView<'_, A>) -> I + Send + Sync + Clone + 'static,
-    C: PipeConsumer<I>,
-{
-    type Output = C::Output;
-
-    fn consume<P: ReadPlan<A>>(self, plan: P) -> Result<C::Output> {
-        let (radius, boundary) = (self.radius, self.boundary);
-        self.next.consume(LazyStencil {
-            inner: plan,
-            round: Round {
-                eval: self.eval,
-                radius,
-                boundary,
-                static_ops: self.stage.static_ops,
-            },
-            stage: self
-                .stage
-                .with_window(A::TYPE_NAME, radius, boundary.codegen_name()),
-            _pd: PhantomData,
-        })
-    }
-}
-
-/// Terminal consumer of [`PipelineExpr::run`] and
-/// [`PipelineExpr::run_to_host`]: settle for the destination and
-/// materialize.
-pub struct FinishConsumer(Dest);
-
-impl<I: Element> PipeConsumer<I> for FinishConsumer {
-    type Output = FinishedParts<I>;
-
-    fn consume<P: ReadPlan<I>>(self, plan: P) -> Result<FinishedParts<I>> {
-        plan.settle_with(OpId::new(), Vec::new(), self.0)?.finish()
-    }
-}
-
-/// Terminal consumer of [`PipelineExpr::reduce_rows`].
-pub struct ReduceRowsConsumer<F, I> {
-    reduce: UserFn<F>,
-    identity: I,
-}
-
-impl<I, F> PipeConsumer<I> for ReduceRowsConsumer<F, I>
-where
-    I: Element,
-    F: Fn(I, I) -> I + Send + Sync + Clone + 'static,
-{
-    type Output = Vector<I>;
-
-    fn consume<P: ReadPlan<I>>(self, plan: P) -> Result<Vector<I>> {
-        plan.settle_with(OpId::new(), Vec::new(), Dest::Devices)?
-            .reduce_rows(self.reduce, self.identity)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The public combinator layer.
 // ---------------------------------------------------------------------------
 
@@ -1110,21 +914,16 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
     /// The chain's output element type.
     type Out: Element;
 
-    /// Append this chain's stage descriptors (fusion bookkeeping).
+    /// Append this chain's stage descriptors, each stencil stage with its
+    /// window (fusion bookkeeping and input layout planning).
     #[doc(hidden)]
     fn describe(&self, out: &mut Vec<FusedStage>);
 
-    /// The stencil radii in the chain summed (input layout planning).
+    /// The chain's plan over the source plan `src`: the stages before this
+    /// one plan first, in evaluation order, and this stage extends their
+    /// plan. Nothing launches here; a zip stage lays its operand out.
     #[doc(hidden)]
-    fn depth(&self) -> usize;
-
-    /// Thread a source plan through the chain into `consumer`.
-    #[doc(hidden)]
-    fn feed<C: PipeConsumer<Self::Out>>(
-        &self,
-        src: ElemPlan<T, OpId<T>, T>,
-        consumer: C,
-    ) -> Result<C::Output>;
+    fn plan(&self, src: Bare<T>) -> Result<impl ReadPlan<Self::Out>>;
 
     /// Append an element-wise stage `V f(Out)`. Never launches alone: it
     /// fuses into the neighbouring group.
@@ -1212,10 +1011,9 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
     /// intermediate matrices. An empty chain launches nothing and returns
     /// a matrix sharing the input's device buffers.
     fn run(&self, input: &Matrix<T>) -> Result<Matrix<Self::Out>> {
-        let finished = run_pipeline(self, input, |src| {
-            self.feed(src, FinishConsumer(Dest::Devices))
-        })?;
-        Ok(finished.into_matrix())
+        run_pipeline(self, input, |src| {
+            self.plan(src)?.settle(Dest::Devices)?.finish()
+        })
     }
 
     /// Execute the chain like [`PipelineExpr::run`] for a result the host
@@ -1229,10 +1027,9 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
     /// cover a launch runs as one band. A pipeline without a stencil runs
     /// as `run`, then downloads like [`Matrix::to_vec`].
     fn run_to_host(&self, input: &Matrix<T>) -> Result<Matrix<Self::Out>> {
-        let finished = run_pipeline(self, input, |src| {
-            self.feed(src, FinishConsumer(Dest::Host))
+        let out = run_pipeline(self, input, |src| {
+            self.plan(src)?.settle(Dest::Host)?.finish()
         })?;
-        let out = finished.into_matrix();
         if !out.host_fresh() {
             out.host_view()?;
         }
@@ -1254,20 +1051,23 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
         F: Fn(Self::Out, Self::Out) -> Self::Out + Send + Sync + Clone + 'static,
     {
         run_pipeline(self, input, |src| {
-            self.feed(src, ReduceRowsConsumer { reduce, identity })
+            self.plan(src)?
+                .settle(Dest::Devices)?
+                .reduce_rows(reduce, identity)
         })
     }
 }
 
 /// Plan the input layout, build the source plan and run it through `run`
 /// inside the `pipeline.run` span, which records the groups launched.
-/// Stencil chains follow `Stencil2D`'s layout rule at their radii summed,
-/// so a warm input carries every halo row a chain reads, and get coherent
-/// halos; element-wise chains, folded or not, take the parts as they are.
+/// Stencil chains follow `Stencil2D`'s layout rule at every stencil's
+/// radius summed, so a warm input carries every halo row a chain reads,
+/// and get coherent halos; element-wise chains, folded or not, take the
+/// parts as they are.
 fn run_pipeline<T: Element, E: PipelineExpr<T>, R>(
     expr: &E,
     input: &Matrix<T>,
-    run: impl FnOnce(ElemPlan<T, OpId<T>, T>) -> Result<R>,
+    run: impl FnOnce(Bare<T>) -> Result<R>,
 ) -> Result<R> {
     let ctx = input.ctx().clone();
     let (rows, cols) = input.dims();
@@ -1279,7 +1079,7 @@ fn run_pipeline<T: Element, E: PipelineExpr<T>, R>(
     span.attr("distribution", format!("{:?}", input.distribution()));
     span.attr("devices", ctx.n_devices().to_string());
 
-    let depth = expr.depth();
+    let depth = stages.iter().map(|s| s.radius).sum();
     if stages.iter().any(|s| s.kind.starts_with("stencil")) {
         stencil_input_layout(input, depth)?;
     }
@@ -1317,16 +1117,8 @@ impl<T: Element> PipelineExpr<T> for Start<T> {
 
     fn describe(&self, _out: &mut Vec<FusedStage>) {}
 
-    fn depth(&self) -> usize {
-        0
-    }
-
-    fn feed<C: PipeConsumer<T>>(
-        &self,
-        src: ElemPlan<T, OpId<T>, T>,
-        consumer: C,
-    ) -> Result<C::Output> {
-        consumer.consume(src)
+    fn plan(&self, src: Bare<T>) -> Result<impl ReadPlan<T>> {
+        Ok(src)
     }
 }
 
@@ -1352,24 +1144,9 @@ where
         out.push(stage_of("map", &self.user));
     }
 
-    fn depth(&self) -> usize {
-        self.prev.depth()
-    }
-
-    fn feed<C: PipeConsumer<V>>(
-        &self,
-        src: ElemPlan<T, OpId<T>, T>,
-        consumer: C,
-    ) -> Result<C::Output> {
-        self.prev.feed(
-            src,
-            MapConsumer {
-                f: self.user.func().clone(),
-                stage: stage_of("map", &self.user),
-                next: consumer,
-                _pd: PhantomData,
-            },
-        )
+    fn plan(&self, src: Bare<T>) -> Result<impl ReadPlan<V>> {
+        let op = OpMap::new(self.user.func().clone());
+        Ok(self.prev.plan(src)?.then(op, stage_of("map", &self.user)))
     }
 }
 
@@ -1380,6 +1157,13 @@ pub struct PipeZip<P, B: Element, F, V> {
     other: Matrix<B>,
     user: UserFn<F>,
     _pd: PhantomData<fn() -> V>,
+}
+
+impl<P, B: Element, F, V> PipeZip<P, B, F, V> {
+    /// The zip as one stage, reading operand elements of `B`.
+    fn stage(&self) -> FusedStage {
+        stage_of("zip", &self.user).with_operand(B::TYPE_NAME)
+    }
 }
 
 impl<T, P, B, F, V> PipelineExpr<T> for PipeZip<P, B, F, V>
@@ -1394,28 +1178,30 @@ where
 
     fn describe(&self, out: &mut Vec<FusedStage>) {
         self.prev.describe(out);
-        out.push(stage_of("zip", &self.user).with_operand(B::TYPE_NAME));
+        out.push(self.stage());
     }
 
-    fn depth(&self) -> usize {
-        self.prev.depth()
-    }
-
-    fn feed<C: PipeConsumer<V>>(
-        &self,
-        src: ElemPlan<T, OpId<T>, T>,
-        consumer: C,
-    ) -> Result<C::Output> {
-        self.prev.feed(
-            src,
-            ZipConsumer {
-                other: self.other.clone(),
-                f: self.user.func().clone(),
-                stage: stage_of("zip", &self.user).with_operand(B::TYPE_NAME),
-                next: consumer,
-                _pd: PhantomData,
-            },
-        )
+    fn plan(&self, src: Bare<T>) -> Result<impl ReadPlan<V>> {
+        let plan = self.prev.plan(src)?;
+        let (dims, dist) = {
+            let geom = plan.geom();
+            ((geom.rows, geom.cols), geom.dist)
+        };
+        if self.other.dims() != dims {
+            return Err(Error::ShapeMismatch {
+                left: dims,
+                right: self.other.dims(),
+            });
+        }
+        // The operand adopts the pipeline's layout: partitioning is a
+        // deterministic function of (distribution, dims, context), so its
+        // parts then mirror the chain's part geometry index for index.
+        if self.other.distribution() != dist {
+            self.other.set_distribution(dist)?;
+        }
+        let parts = self.other.parts_with_fresh_halos()?;
+        let op = OpZip::new(parts, self.user.func().clone());
+        Ok(plan.then(op, self.stage()))
     }
 }
 
@@ -1429,6 +1215,14 @@ pub struct PipeStencil<P, F, V> {
     _pd: PhantomData<fn() -> V>,
 }
 
+impl<P, F, V> PipeStencil<P, F, V> {
+    /// The stencil as one stage over a window of `A`.
+    fn stage<A: Element>(&self) -> FusedStage {
+        let boundary = self.boundary.codegen_name();
+        stage_of("stencil", &self.user).with_window(A::TYPE_NAME, self.radius, boundary)
+    }
+}
+
 impl<T, P, F, V> PipelineExpr<T> for PipeStencil<P, F, V>
 where
     T: Element,
@@ -1440,29 +1234,13 @@ where
 
     fn describe(&self, out: &mut Vec<FusedStage>) {
         self.prev.describe(out);
-        out.push(stage_of("stencil", &self.user));
+        out.push(self.stage::<P::Out>());
     }
 
-    fn depth(&self) -> usize {
-        self.prev.depth() + self.radius
-    }
-
-    fn feed<C: PipeConsumer<V>>(
-        &self,
-        src: ElemPlan<T, OpId<T>, T>,
-        consumer: C,
-    ) -> Result<C::Output> {
-        self.prev.feed(
-            src,
-            StencilConsumer {
-                eval: self.user.func().clone(),
-                stage: stage_of("stencil", &self.user),
-                radius: self.radius,
-                boundary: self.boundary,
-                next: consumer,
-                _pd: PhantomData,
-            },
-        )
+    fn plan(&self, src: Bare<T>) -> Result<impl ReadPlan<V>> {
+        let (eval, stage) = (self.user.func().clone(), self.stage::<P::Out>());
+        let inner = self.prev.plan(src)?;
+        Ok(LazyStencil::new(inner, eval, stage, self.boundary))
     }
 }
 
@@ -1487,7 +1265,7 @@ where
     /// The pair as one stencil stage over a window of `in_t` with result
     /// `out_t`: the three user sources, then the stencil the kernel calls,
     /// `combine(a(view), b(view))`.
-    fn stage(&self, in_t: &str, out_t: &str) -> FusedStage {
+    fn stage(&self, in_t: &'static str, out_t: &str) -> FusedStage {
         let (a, b, combine) = (self.a.name(), self.b.name(), self.combine.name());
         let name = format!("pair_{a}_{b}_{combine}");
         let pair = format!(
@@ -1505,6 +1283,7 @@ where
             ),
             self.a.static_ops() + self.b.static_ops() + self.combine.static_ops(),
         )
+        .with_window(in_t, self.radius, self.boundary.codegen_name())
     }
 }
 
@@ -1545,30 +1324,15 @@ where
         out.push(self.stage(<P::Out>::TYPE_NAME, V::TYPE_NAME));
     }
 
-    fn depth(&self) -> usize {
-        self.prev.depth() + self.radius
-    }
-
-    fn feed<C: PipeConsumer<V>>(
-        &self,
-        src: ElemPlan<T, OpId<T>, T>,
-        consumer: C,
-    ) -> Result<C::Output> {
-        self.prev.feed(
-            src,
-            StencilConsumer {
-                eval: pair_eval(
-                    self.a.func().clone(),
-                    self.b.func().clone(),
-                    self.combine.func().clone(),
-                ),
-                stage: self.stage(<P::Out>::TYPE_NAME, V::TYPE_NAME),
-                radius: self.radius,
-                boundary: self.boundary,
-                next: consumer,
-                _pd: PhantomData,
-            },
-        )
+    fn plan(&self, src: Bare<T>) -> Result<impl ReadPlan<V>> {
+        let eval = pair_eval(
+            self.a.func().clone(),
+            self.b.func().clone(),
+            self.combine.func().clone(),
+        );
+        let stage = self.stage(<P::Out>::TYPE_NAME, V::TYPE_NAME);
+        let inner = self.prev.plan(src)?;
+        Ok(LazyStencil::new(inner, eval, stage, self.boundary))
     }
 }
 

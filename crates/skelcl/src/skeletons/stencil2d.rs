@@ -674,16 +674,15 @@ impl BlockPlan {
     /// `tile` (the lane grid if it steps one round): the most any non-empty
     /// part spends on its launches and kernels, where an edge launch also
     /// waits for the exchange's transfers on its device's copy engine
-    /// ([`BlockPlan::part_copies`]), every block's alike.
+    /// ([`BlockPlan::part_copies_s`]), every block's alike.
     fn block_s(&self, tile: (usize, usize), rounds: usize) -> f64 {
         let tile = if rounds > 1 { tile } else { self.group };
-        let copy_s = self.copy_s(rounds * self.radius);
         let part_s = |&part: &(usize, usize)| {
             let (interior, edge) = self.launches_s(tile, rounds, part);
             if !self.exchanging {
                 return interior;
             }
-            interior.max(self.part_copies(part) as f64 * copy_s) + edge
+            interior.max(self.part_copies_s(part, rounds * self.radius)) + edge
         };
         self.parts.iter().map(part_s).fold(0.0, f64::max)
     }
@@ -818,16 +817,20 @@ impl BlockPlan {
         }
     }
 
-    /// The transfers of one exchange that hold the copy engine of the part
-    /// owning `rows` rows from `offset`: one into each halo side it has
-    /// and, from another device, one download out of its rows for each
-    /// neighbour's.
-    fn part_copies(&self, (offset, rows): (usize, usize)) -> usize {
+    /// The seconds one exchange `depth` rows deep holds the copy engine of
+    /// the part owning `rows` rows from `offset`: one transfer into each
+    /// halo side it has and, from another device, the downloads out of its
+    /// rows for its neighbours' halos. Those are one per neighbour, or,
+    /// where the two ranges overlap or abut (`2·depth ≥ rows`), one of all
+    /// its rows, as `stage_through_host` joins them.
+    fn part_copies_s(&self, (offset, rows): (usize, usize), depth: usize) -> f64 {
         let above = usize::from(self.wrap || offset > 0);
         let below = usize::from(self.wrap || offset + rows < self.dims.0);
+        let into_halos = (above + below) as f64 * self.copy_s(depth);
         match self.parts.len() {
-            1 => above + below,
-            _ => 2 * (above + below),
+            1 => into_halos,
+            _ if above + below == 2 && 2 * depth >= rows => into_halos + self.copy_s(rows),
+            _ => 2.0 * into_halos,
         }
     }
 }
@@ -1896,38 +1899,39 @@ mod tests {
 
     #[test]
     fn the_exchange_estimate_is_each_parts_transfers() {
-        // One block of L rounds after round 1 over four Tesla parts of a
-        // 1024×256 plate. Per part, the plan prices the block's exchange
-        // as the part's downloads plus uploads at one transfer each; the
-        // exchange's transfers keep that part's copy engine busy exactly
-        // as long.
+        // One block of L rounds after round 1 over four Tesla parts. Per
+        // part, the plan prices the block's exchange as the part's
+        // downloads plus uploads at one transfer each; the exchange's
+        // transfers keep that part's copy engine busy exactly as long. On
+        // the 64-row plate at L = 9 an inner part's two 9-row ranges
+        // overlap and go as one download of its 16 rows.
         let c = tesla(4);
-        let m = plate(&c, 1024, 256);
         let st = heat();
-        st.iterate(&m, 1).unwrap();
-        for rounds in [2, 5, 9] {
-            let mut estimates = Vec::new();
-            c.platform().enable_timeline_trace();
-            let one_block = |plan: &BlockPlan, _| {
-                let copy_s = plan.copy_s(rounds * plan.radius);
-                let parts = plan.parts.iter();
-                estimates = parts
-                    .map(|&part| plan.part_copies(part) as f64 * copy_s)
-                    .collect();
-                (plan.group, 1)
-            };
-            st.iterate_blocked(&m, 1 + rounds, one_block).unwrap();
-            c.platform().sync_all();
-            let trace = c.platform().take_timeline_trace();
-            for (d, &estimated) in estimates.iter().enumerate() {
-                let transfers = trace.iter().filter(|r| {
-                    r.device.0 == d && matches!(r.kind, vgpu::CmdKind::D2H | vgpu::CmdKind::H2D)
-                });
-                let busy: f64 = transfers.map(|r| r.end_s - r.start_s).sum();
-                assert!(
-                    (busy / estimated - 1.0).abs() < 1e-9,
-                    "L={rounds} part {d}: {estimated} s priced, {busy} s busy"
-                );
+        for (rows, all_rounds) in [(1024, &[2, 5, 9][..]), (64, &[5, 9][..])] {
+            let m = plate(&c, rows, 256);
+            st.iterate(&m, 1).unwrap();
+            for &rounds in all_rounds {
+                let mut estimates = Vec::new();
+                c.platform().enable_timeline_trace();
+                let one_block = |plan: &BlockPlan, _| {
+                    let depth = rounds * plan.radius;
+                    let parts = plan.parts.iter();
+                    estimates = parts.map(|&part| plan.part_copies_s(part, depth)).collect();
+                    (plan.group, 1)
+                };
+                st.iterate_blocked(&m, 1 + rounds, one_block).unwrap();
+                c.platform().sync_all();
+                let trace = c.platform().take_timeline_trace();
+                for (d, &estimated) in estimates.iter().enumerate() {
+                    let transfers = trace.iter().filter(|r| {
+                        r.device.0 == d && matches!(r.kind, vgpu::CmdKind::D2H | vgpu::CmdKind::H2D)
+                    });
+                    let busy: f64 = transfers.map(|r| r.end_s - r.start_s).sum();
+                    assert!(
+                        (busy / estimated - 1.0).abs() < 1e-9,
+                        "{rows} rows, L={rounds} part {d}: {estimated} s priced, {busy} s busy"
+                    );
+                }
             }
         }
     }

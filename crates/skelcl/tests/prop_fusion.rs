@@ -520,6 +520,57 @@ proptest! {
         prop_assert_eq!(bits(&fused), host_bits(&host));
     }
 
+    // Two element-wise stages between two stencils of radii 1 to 5:
+    // `stencil → map → zip_with → stencil → map`. Where both windows fit
+    // the tiny devices' 4 KiB together (16×4 lanes: radii 4 then 4 take
+    // 3,712 B) the two stages store into the second stencil's window and
+    // the pipeline is one group; where they do not (5 then 4: 4,144 B) the
+    // run splits after the first stencil and the two stages end its piece.
+    // Half the cases draw radii 4 and 5, where most pairs split. Either way
+    // the result is the five stages on the host, bit for bit, and the host
+    // terminal reads the same bits back.
+    #[test]
+    fn stencil_map_zip_stencil_map_matches_unfused_chain(
+        rows in 4usize..24,
+        cols in 16usize..40,
+        devices in 1usize..5,
+        boundary in boundary_strategy(),
+        dist in dist_strategy(),
+        radii in prop_oneof![(1usize..=5, 1usize..=5), (4usize..=5, 4usize..=5)],
+        seed in 0u32..1000,
+    ) {
+        let (r0, r1) = radii;
+        let c = ctx(devices);
+        let data = [0u32, 11].map(|k| test_data(rows, cols, seed.wrapping_add(k)));
+        let [m, op] = data.clone().map(|d| {
+            let m = Matrix::from_vec(&c, rows, cols, d);
+            m.set_distribution(dist).unwrap();
+            m
+        });
+        let expr = Pipeline::start::<f32>()
+            .stencil(cross_user(r0), r0, boundary)
+            .map(scale_fn())
+            .zip_with(&op, add_fn())
+            .stencil(diag_user(r1), r1, boundary)
+            .map(square_fn());
+        let groups = || c.metrics().counter_value("skelcl.pipeline.groups").unwrap_or(0);
+        let g = groups();
+        let fused = bits(&expr.run(&m).unwrap());
+        // At 16 or more columns and 4 or more rows every launch runs 16×4
+        // lanes; the chain's two f32 windows are `r0 + r1` and `r1` deep.
+        let window = |depth: usize| (16 + 2 * depth) * (4 + 2 * depth) * 4;
+        let one_chain = window(r0 + r1) + window(r1) <= 4 << 10;
+        prop_assert_eq!(groups() - g, if one_chain { 1 } else { 2 });
+        prop_assert_eq!(&bits(&fresh(expr.run_to_host(&m).unwrap())), &fused);
+
+        let dims = (rows, cols);
+        let first = host_map(&host_cross(&data[0], dims, r0, boundary), &scale_fn());
+        let summed = host_zip(&first, &data[1], &add_fn());
+        let r1 = r1 as isize;
+        let second = host_stencil(&summed, dims, boundary, |at| diag_at(r1, at));
+        prop_assert_eq!(fused, host_bits(&host_map(&second, &square_fn())));
+    }
+
     // A chain of two or three stencils with radii 0 to 2 whose element
     // type changes inside it (f32 → f64 through a stencil pair, then back
     // through an f64 stencil), with a zip between the first two stencils
